@@ -1,5 +1,6 @@
 #include "core/advisor.h"
 
+#include "core/session_core.h"
 #include "dbms/environment.h"
 #include "obs/trace.h"
 #include "sampling/latin_hypercube.h"
@@ -25,25 +26,8 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
   // base-task pool joins the transfer repository and the tuning session
   // below resumes any recorded trajectory. Store failures degrade to
   // tuning without durability.
-  std::unique_ptr<store::ObservationStore> owned_store;
-  store::ObservationStore* store = options.session.store;
-  if (store == nullptr) {
-    const std::string store_path =
-        store::ObservationStore::ResolvePath(options.session.store_path);
-    if (!store_path.empty()) {
-      store::StoreOptions store_options;
-      store_options.snapshot_every =
-          store::ObservationStore::ResolveSnapshotEvery();
-      auto opened = store::ObservationStore::Open(store_path, store_options);
-      if (opened.ok()) {
-        owned_store = std::move(opened).value();
-        store = owned_store.get();
-      } else {
-        DBTUNE_LOG(kWarning) << "observation store disabled: "
-                             << opened.status().ToString();
-      }
-    }
-  }
+  const SessionStore bound = OpenSessionStore(options.session);
+  store::ObservationStore* store = bound.store;
   ObservationRepository merged_repository;
   const ObservationRepository* effective_repository = repository;
   if (store != nullptr && store->num_tasks() > 0) {
@@ -116,14 +100,8 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
   // Seal the finished trajectory into the persisted base-task pool so the
   // next advisor run (any workload) starts from a richer repository.
   if (store != nullptr) {
-    std::string session_id = options.session.store_session_id;
-    if (session_id.empty()) {
-      session_id = options.session.session_label.empty()
-                       ? "default"
-                       : options.session.session_label;
-    }
     const Status finished =
-        store->FinishSession(session_id, env.space(), session_id);
+        store->FinishSession(bound.session_id, env.space(), bound.session_id);
     if (!finished.ok()) {
       DBTUNE_LOG(kWarning) << "store task not persisted: "
                            << finished.ToString();

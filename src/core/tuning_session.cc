@@ -1,7 +1,6 @@
 #include "core/tuning_session.h"
 
-#include <algorithm>
-
+#include "core/session_core.h"
 #include "obs/clock.h"
 #include "obs/diagnostics.h"
 #include "obs/metrics.h"
@@ -9,49 +8,14 @@
 #include "obs/session_log.h"
 #include "obs/trace.h"
 #include "optimizer/projected_optimizer.h"
-#include "store/observation_store.h"
 #include "util/logging.h"
 
 namespace dbtune {
-
-namespace {
-
-/// Resolves the durable-store handle for this run: the borrowed handle
-/// when set, otherwise a freshly opened store when a path resolves, else
-/// none. Store failures disable durability with a warning instead of
-/// failing the session — tuning results still matter on a broken disk.
-store::ObservationStore* ResolveStore(
-    const SessionControls& controls,
-    std::unique_ptr<store::ObservationStore>* owned) {
-  if (controls.store != nullptr) return controls.store;
-  const std::string path =
-      store::ObservationStore::ResolvePath(controls.store_path);
-  if (path.empty()) return nullptr;
-  store::StoreOptions options;
-  options.snapshot_every = store::ObservationStore::ResolveSnapshotEvery();
-  auto opened = store::ObservationStore::Open(path, options);
-  if (!opened.ok()) {
-    DBTUNE_LOG(kWarning) << "observation store disabled: "
-                         << opened.status().ToString();
-    return nullptr;
-  }
-  *owned = std::move(opened).value();
-  return owned->get();
-}
-
-std::string ResolveStoreSessionId(const SessionControls& controls) {
-  if (!controls.store_session_id.empty()) return controls.store_session_id;
-  if (!controls.session_label.empty()) return controls.session_label;
-  return "default";
-}
-
-}  // namespace
 
 SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
                                size_t iterations, SessionControls controls) {
   DBTUNE_CHECK(env != nullptr && optimizer != nullptr);
   DBTUNE_CHECK(optimizer->space().dimension() == env->space().dimension());
-  optimizer->SetReferenceScore(env->default_score());
 
   static obs::Histogram& suggest_hist =
       obs::MetricsRegistry::Get().histogram("session.suggest");
@@ -85,29 +49,18 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   result.objective_trace.reserve(iterations);
   const double sim_seconds_start = env->simulator().simulated_seconds();
 
-  std::unique_ptr<store::ObservationStore> owned_store;
-  store::ObservationStore* store = ResolveStore(controls, &owned_store);
-  const std::string store_session_id = ResolveStoreSessionId(controls);
-  // Recovered observations still pending replay. Cleared on divergence.
-  std::vector<Observation> recovered;
-  if (store != nullptr) {
-    const Status begun =
-        store->BeginSession(store_session_id, env->space().dimension());
-    if (!begun.ok()) {
-      DBTUNE_LOG(kWarning) << "observation store disabled: "
-                           << begun.ToString();
-      store = nullptr;
-    } else {
-      const store::StoredSession* stored =
-          store->FindSession(store_session_id);
-      if (stored != nullptr && !stored->observations.empty()) {
-        recovered.assign(
-            stored->observations.begin(),
-            stored->observations.begin() +
-                std::min(stored->observations.size(), iterations));
-      }
-    }
-  }
+  SessionStore bound = OpenSessionStore(controls);
+  SessionCore core(optimizer, env->default_score(), bound.store,
+                   bound.session_id);
+  // Store failures disable durability with a warning instead of failing
+  // the session.
+  auto detach_on_error = [&core](const Status& status) {
+    if (status.ok()) return;
+    DBTUNE_LOG(kWarning) << "observation store disabled: "
+                         << status.ToString();
+    core.DetachStore();
+  };
+  detach_on_error(core.Begin());
 
   for (size_t iter = 0; iter < iterations; ++iter) {
     DBTUNE_TRACE_SPAN("session.iteration");
@@ -116,61 +69,33 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
     const Configuration config = [&] {
       obs::ScopedLatency latency(&suggest_hist);
       DBTUNE_TRACE_SPAN("session.suggest");
-      return optimizer->Suggest();
+      Configuration suggested;
+      detach_on_error(core.Suggest(&suggested));
+      return suggested;
     }();
     const double t1 = obs::MonotonicSeconds();
 
-    // When the store recovered a history prefix, substitute the recorded
-    // observation for the stress test: Suggest() above re-advanced the
-    // optimizer exactly as in the original run, and Replay() keeps the
-    // environment and simulator noise stream aligned, so the session
-    // continues on a bitwise-identical trajectory. A recorded config
-    // that no longer matches the re-suggested one means the history was
-    // produced under different code/seed — truncate it durably and fall
-    // back to live evaluation from here on.
-    bool replay = false;
-    if (iter < recovered.size()) {
-      if (env->space().Clip(config) == recovered[iter].config) {
-        replay = true;
-      } else {
-        DBTUNE_LOG(kWarning)
-            << "store replay diverged for session '" << store_session_id
-            << "' at iteration " << (iter + 1)
-            << "; truncating stored history and continuing live";
-        recovered.clear();
-        const Status truncated =
-            store->TruncateSession(store_session_id, iter);
-        if (!truncated.ok()) {
-          DBTUNE_LOG(kWarning) << "observation store disabled: "
-                               << truncated.ToString();
-          store = nullptr;
-        }
-      }
-    }
-
+    // While the store's recovered prefix lasts, the recorded outcome
+    // stands in for the stress test: Replay() keeps the environment and
+    // simulator noise stream aligned with the original run.
+    const Observation* recorded = core.recorded();
     const Observation observation = [&] {
       obs::ScopedLatency latency(&evaluate_hist);
       DBTUNE_TRACE_SPAN("session.evaluate");
-      return replay ? env->Replay(recovered[iter]) : env->Evaluate(config);
+      return recorded != nullptr ? env->Replay(*recorded)
+                                 : env->Evaluate(config);
     }();
-    if (replay) {
-      ++result.replayed_iterations;
-    } else if (store != nullptr) {
-      const Status appended = store->AppendObservation(
-          store_session_id, env->iterations(), observation);
-      if (!appended.ok()) {
-        DBTUNE_LOG(kWarning) << "observation store disabled: "
-                             << appended.ToString();
-        store = nullptr;
-      }
-    }
+    if (recorded != nullptr) ++result.replayed_iterations;
     const double t2 = obs::MonotonicSeconds();
 
     {
       obs::ScopedLatency latency(&observe_hist);
       DBTUNE_TRACE_SPAN("session.observe");
-      optimizer->ObserveWithMetrics(observation.config, observation.score,
-                                    observation.internal_metrics);
+      const Status observed = core.Observe(observation);
+      if (!observed.ok()) {
+        detach_on_error(observed);
+        detach_on_error(core.Observe(observation));  // learn without store
+      }
     }
     const double t3 = obs::MonotonicSeconds();
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace dbtune {
@@ -32,7 +30,7 @@ std::vector<Activation> BuildActivations(size_t hidden_layers,
 DdpgOptimizer::DdpgOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
                              DdpgOptions ddpg_options)
-    : Optimizer(space, options),
+    : Optimizer(space, options, "ddpg"),
       ddpg_options_(ddpg_options),
       actor_(BuildLayers(ddpg_options.state_dim, ddpg_options.actor_hidden,
                          space.dimension()),
@@ -50,11 +48,7 @@ DdpgOptimizer::DdpgOptimizer(const ConfigurationSpace& space,
       critic_opt_(critic_.num_params(), ddpg_options.critic_lr),
       state_(ddpg_options.state_dim, 0.0) {}
 
-Configuration DdpgOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.ddpg");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("ddpg.suggest");
+Configuration DdpgOptimizer::DoSuggest() {
   std::vector<double> action = actor_.Forward(state_);
   // Exploration noise with linear decay, scaled down in high dimensions
   // (perturbing 197 knobs at full strength would keep the agent in the

@@ -41,7 +41,6 @@ class DdpgOptimizer final : public Optimizer {
   DdpgOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                 DdpgOptions ddpg_options = {});
 
-  Configuration Suggest() override;
   void Observe(const Configuration& config, double score) override;
   void ObserveWithMetrics(const Configuration& config, double score,
                           const std::vector<double>& metrics) override;
@@ -64,6 +63,8 @@ class DdpgOptimizer final : public Optimizer {
   [[nodiscard]] Status ImportWeights(const Weights& weights);
 
  private:
+  Configuration DoSuggest() override;
+
   struct Transition {
     std::vector<double> state;
     std::vector<double> action;  // unit-encoded configuration

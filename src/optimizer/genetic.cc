@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sampling/latin_hypercube.h"
 #include "util/logging.h"
 
@@ -13,7 +11,7 @@ namespace dbtune {
 GeneticOptimizer::GeneticOptimizer(const ConfigurationSpace& space,
                                    OptimizerOptions options,
                                    GeneticOptions ga_options)
-    : Optimizer(space, options), ga_options_(ga_options) {
+    : Optimizer(space, options, "genetic"), ga_options_(ga_options) {
   // Initial population: a space-filling LHS design.
   const auto units = LatinHypercubeUnit(ga_options_.population_size,
                                         space_.dimension(), rng_);
@@ -78,11 +76,7 @@ void GeneticOptimizer::BreedNextGeneration() {
   cursor_ = 0;
 }
 
-Configuration GeneticOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.genetic");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("genetic.suggest");
+Configuration GeneticOptimizer::DoSuggest() {
   if (cursor_ >= population_.size()) BreedNextGeneration();
   pending_ = static_cast<int>(cursor_);
   ++cursor_;

@@ -27,11 +27,12 @@ class GeneticOptimizer final : public Optimizer {
   GeneticOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                    GeneticOptions ga_options = {});
 
-  Configuration Suggest() override;
   void Observe(const Configuration& config, double score) override;
   std::string name() const override { return "GA"; }
 
  private:
+  Configuration DoSuggest() override;
+
   struct Individual {
     std::vector<double> unit;
     double fitness = 0.0;

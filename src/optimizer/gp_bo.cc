@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -16,16 +14,11 @@ GpBoOptimizer::GpBoOptimizer(const ConfigurationSpace& space,
                              KernelFactory kernel_factory,
                              GaussianProcessOptions gp_options,
                              SurrogateTierOptions tier_options)
-    : Optimizer(space, options),
+    : Optimizer(space, options, "gp_bo"),
       gp_(CreateGpSurrogate(std::move(kernel_factory), gp_options,
                             tier_options)) {}
 
-Configuration GpBoOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.gp_bo");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("gp_bo.suggest");
-  suggest_info_ = {};
+Configuration GpBoOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
 

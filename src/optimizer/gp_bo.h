@@ -24,9 +24,8 @@ class GpBoOptimizer : public Optimizer {
                 GaussianProcessOptions gp_options = {},
                 SurrogateTierOptions tier_options = {});
 
-  Configuration Suggest() override;
-
  protected:
+  Configuration DoSuggest() override;
   std::unique_ptr<Regressor> gp_;
 };
 

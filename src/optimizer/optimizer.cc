@@ -41,8 +41,24 @@ const char* OptimizerTypeName(OptimizerType type) {
   return "?";
 }
 
-Optimizer::Optimizer(const ConfigurationSpace& space, OptimizerOptions options)
-    : space_(space), options_(options), rng_(options.seed) {}
+Optimizer::Optimizer(const ConfigurationSpace& space, OptimizerOptions options,
+                     const char* suggest_key)
+    : space_(space),
+      options_(options),
+      rng_(options.seed),
+      suggest_key_(suggest_key) {}
+
+Configuration Optimizer::Suggest() {
+  suggest_info_ = {};
+  if (suggest_key_ == nullptr) return DoSuggest();
+  if (suggest_hist_ == nullptr) {
+    suggest_hist_ = &obs::MetricsRegistry::Get().histogram(
+        std::string("optimizer.suggest.") + suggest_key_);
+  }
+  obs::ScopedLatency latency(suggest_hist_);
+  const obs::TraceSpan span(std::string(suggest_key_) + ".suggest");
+  return DoSuggest();
+}
 
 void Optimizer::Observe(const Configuration& config, double score) {
   DBTUNE_CHECK(config.size() == space_.dimension());

@@ -12,6 +12,10 @@
 
 namespace dbtune {
 
+namespace obs {
+class Histogram;
+}  // namespace obs
+
 /// Options shared by all configuration optimizers.
 struct OptimizerOptions {
   uint64_t seed = 1;
@@ -68,14 +72,20 @@ struct SuggestInfo {
 /// Scores are in maximize direction.
 class Optimizer {
  public:
-  Optimizer(const ConfigurationSpace& space, OptimizerOptions options);
+  /// `suggest_key` names the family's suggest metric and span ("gp_bo",
+  /// "smac", ...); null for a wrapper whose inner optimizer records them.
+  Optimizer(const ConfigurationSpace& space, OptimizerOptions options,
+            const char* suggest_key);
   virtual ~Optimizer() = default;
 
   Optimizer(const Optimizer&) = delete;
   Optimizer& operator=(const Optimizer&) = delete;
 
-  /// Proposes the next configuration to evaluate.
-  virtual Configuration Suggest() = 0;
+  /// Proposes the next configuration to evaluate: resets
+  /// `last_suggest_info()` and runs `DoSuggest` inside the
+  /// `optimizer.suggest.<key>` latency histogram and the `<key>.suggest`
+  /// trace span.
+  Configuration Suggest();
 
   /// Reports the score of an evaluated configuration. The base class
   /// records it into the shared history.
@@ -103,6 +113,9 @@ class Optimizer {
   const SuggestInfo& last_suggest_info() const { return suggest_info_; }
 
  protected:
+  /// One suggestion step of the concrete optimizer.
+  virtual Configuration DoSuggest() = 0;
+
   /// True while LHS warm-start configurations remain to be suggested.
   bool InitPending() const {
     return options_.initial_design > 0 &&
@@ -127,7 +140,8 @@ class Optimizer {
   OptimizerOptions options_;
   Rng rng_;
 
-  /// Written by each model-based `Suggest()`; cleared on non-model paths.
+  /// Written by each model-based `DoSuggest()`; `Suggest()` clears it
+  /// first.
   SuggestInfo suggest_info_;
 
   /// Unit-encoded evaluated configurations, observation order.
@@ -136,6 +150,10 @@ class Optimizer {
   std::vector<double> scores_;
 
  private:
+  const char* const suggest_key_;
+  /// Resolved on the first instrumented `Suggest()`.
+  obs::Histogram* suggest_hist_ = nullptr;
+
   std::vector<Configuration> init_queue_;
   size_t init_cursor_ = 0;
   bool init_generated_ = false;

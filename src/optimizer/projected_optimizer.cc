@@ -21,13 +21,13 @@ ProjectedOptimizer::ProjectedOptimizer(const ConfigurationSpace& space,
                                        ProjectionOptions projection)
     // The base copies the full space into `space_`, which outlives (and
     // is initialized before) the projection view over it.
-    : Optimizer(space, options),
+    : Optimizer(space, options, nullptr),
       projection_(&space_, projection),
       inner_(inner_factory(projection_.box())) {
   DBTUNE_CHECK(inner_ != nullptr);
 }
 
-Configuration ProjectedOptimizer::Suggest() {
+Configuration ProjectedOptimizer::DoSuggest() {
   const Configuration low = inner_->Suggest();
   // The projection is score-preserving, so the inner optimizer's
   // prediction applies unchanged to the decoded configuration.

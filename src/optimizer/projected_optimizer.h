@@ -38,7 +38,6 @@ class ProjectedOptimizer final : public Optimizer {
                      const OptimizerFactory& inner_factory,
                      ProjectionOptions projection = {});
 
-  Configuration Suggest() override;
   void Observe(const Configuration& config, double score) override;
   void ObserveWithMetrics(const Configuration& config, double score,
                           const std::vector<double>& metrics) override;
@@ -49,6 +48,8 @@ class ProjectedOptimizer final : public Optimizer {
   const Optimizer& inner() const { return *inner_; }
 
  private:
+  Configuration DoSuggest() override;
+
   ProjectedConfigurationSpace projection_;
   std::unique_ptr<Optimizer> inner_;
   Configuration pending_low_;  // inner-box point of the last Suggest

@@ -1,19 +1,12 @@
 #include "optimizer/random_search.h"
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace dbtune {
 
 RandomSearchOptimizer::RandomSearchOptimizer(const ConfigurationSpace& space,
                                              OptimizerOptions options)
-    : Optimizer(space, options) {}
+    : Optimizer(space, options, "random_search") {}
 
-Configuration RandomSearchOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.random_search");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("random_search.suggest");
+Configuration RandomSearchOptimizer::DoSuggest() {
   return space_.SampleUniform(rng_);
 }
 

@@ -12,8 +12,10 @@ class RandomSearchOptimizer final : public Optimizer {
   RandomSearchOptimizer(const ConfigurationSpace& space,
                         OptimizerOptions options);
 
-  Configuration Suggest() override;
   std::string name() const override { return "Random"; }
+
+ private:
+  Configuration DoSuggest() override;
 };
 
 }  // namespace dbtune

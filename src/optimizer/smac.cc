@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -26,7 +24,7 @@ RandomForestOptions SmacForestOptions(uint64_t seed) {
 SmacOptimizer::SmacOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
                              SmacOptions smac_options)
-    : Optimizer(space, options),
+    : Optimizer(space, options, "smac"),
       smac_options_(smac_options),
       forest_(SmacForestOptions(options.seed ^ 0x5AC)) {}
 
@@ -48,12 +46,7 @@ std::vector<double> SmacOptimizer::MutateNeighbor(
   return u;
 }
 
-Configuration SmacOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.smac");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("smac.suggest");
-  suggest_info_ = {};
+Configuration SmacOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
   if (rng_.Bernoulli(smac_options_.random_interleave)) {

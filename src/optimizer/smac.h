@@ -27,10 +27,11 @@ class SmacOptimizer final : public Optimizer {
   SmacOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                 SmacOptions smac_options = {});
 
-  Configuration Suggest() override;
   std::string name() const override { return "SMAC"; }
 
  private:
+  Configuration DoSuggest() override;
+
   /// Mutates 1-3 dimensions of `unit`, chosen proportionally to the
   /// forest's split counts (the model tells the local search which knobs
   /// matter — the mechanism behind SMAC's robustness in high dimensions).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -12,7 +10,7 @@ namespace dbtune {
 
 TpeOptimizer::TpeOptimizer(const ConfigurationSpace& space,
                            OptimizerOptions options, TpeOptions tpe_options)
-    : Optimizer(space, options), tpe_options_(tpe_options) {}
+    : Optimizer(space, options, "tpe"), tpe_options_(tpe_options) {}
 
 TpeOptimizer::DimensionDensity TpeOptimizer::FitDimension(
     size_t dim, const std::vector<size_t>& sample_ids) const {
@@ -85,12 +83,7 @@ double TpeOptimizer::DensityAt(const DimensionDensity& density, double value,
   return std::max(acc, 1e-12);
 }
 
-Configuration TpeOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.tpe");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("tpe.suggest");
-  suggest_info_ = {};
+Configuration TpeOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
 

@@ -26,10 +26,11 @@ class TpeOptimizer final : public Optimizer {
   TpeOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                TpeOptions tpe_options = {});
 
-  Configuration Suggest() override;
   std::string name() const override { return "TPE"; }
 
  private:
+  Configuration DoSuggest() override;
+
   /// Per-dimension Parzen estimator over either numeric values (Gaussian
   /// KDE) or categories (smoothed frequencies).
   struct DimensionDensity {

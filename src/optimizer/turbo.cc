@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -14,7 +12,7 @@ namespace dbtune {
 TurboOptimizer::TurboOptimizer(const ConfigurationSpace& space,
                                OptimizerOptions options,
                                TurboOptions turbo_options)
-    : Optimizer(space, options), turbo_options_(turbo_options) {
+    : Optimizer(space, options, "turbo"), turbo_options_(turbo_options) {
   regions_.resize(turbo_options_.num_trust_regions);
   for (TrustRegion& region : regions_) RestartRegion(&region);
 }
@@ -46,12 +44,7 @@ std::vector<size_t> TurboOptimizer::PointsInRegion(
   return ids;
 }
 
-Configuration TurboOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.turbo");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("turbo.suggest");
-  suggest_info_ = {};
+Configuration TurboOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
   const size_t d = space_.dimension();

@@ -34,11 +34,12 @@ class TurboOptimizer final : public Optimizer {
   TurboOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                  TurboOptions turbo_options = {});
 
-  Configuration Suggest() override;
   void Observe(const Configuration& config, double score) override;
   std::string name() const override { return "TuRBO"; }
 
  private:
+  Configuration DoSuggest() override;
+
   struct TrustRegion {
     std::vector<double> center;  // unit coordinates
     double length = 0.4;

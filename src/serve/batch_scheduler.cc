@@ -67,7 +67,7 @@ BatchScheduler::Completed BatchScheduler::Execute(
   return done;
 }
 
-size_t BatchScheduler::PumpBatched() {
+size_t BatchScheduler::Pump() {
   // Wave assembly: at most one request per session, sessions in id
   // order, capped at batch_width — deterministic regardless of enqueue
   // interleaving across sessions.
@@ -107,39 +107,6 @@ size_t BatchScheduler::PumpBatched() {
   }
   pending_count_ -= wave.size();
   return wave.size();
-}
-
-size_t BatchScheduler::PumpUnbatched() {
-  // Arrival-order sequential dispatch: tickets are assigned in arrival
-  // order, so repeatedly executing the lowest front ticket replays the
-  // exact request order a single-session loop would have issued.
-  size_t executed = 0;
-  while (pending_count_ > 0) {
-    std::deque<Request>* best_queue = nullptr;
-    const std::string* best_session = nullptr;
-    for (auto& entry : queues_) {
-      if (entry.second.empty()) continue;
-      if (best_queue == nullptr ||
-          entry.second.front().ticket < best_queue->front().ticket) {
-        best_queue = &entry.second;
-        best_session = &entry.first;
-      }
-    }
-    if (best_queue == nullptr) break;
-    Request request = std::move(best_queue->front());
-    best_queue->pop_front();
-    if (obs::MetricsEnabled()) {
-      BatchWidthHistogram().Record(1.0);
-    }
-    completed_.emplace(request.ticket, Execute(*best_session, request));
-    --pending_count_;
-    ++executed;
-  }
-  return executed;
-}
-
-size_t BatchScheduler::Pump() {
-  return options_.batched ? PumpBatched() : PumpUnbatched();
 }
 
 size_t BatchScheduler::Drain() {

@@ -18,14 +18,10 @@ class ThreadPool;
 namespace dbtune::serve {
 
 struct SchedulerOptions {
-  /// Maximum requests executed per wave (one per session).
+  /// Maximum requests executed per wave (one per session). Width 1 runs
+  /// one session at a time: the sequential baseline.
   size_t batch_width = 64;
-  /// Batched mode fans each wave across the thread pool as whole-session
-  /// tasks; unbatched mode dispatches requests one at a time in arrival
-  /// order on the calling thread — the single-session baseline the
-  /// throughput bench compares against.
-  bool batched = true;
-  /// Pool for batched waves; null uses the process-wide pool
+  /// Pool for the waves; null uses the process-wide pool
   /// (DBTUNE_NUM_THREADS).
   ThreadPool* pool = nullptr;
 };
@@ -66,8 +62,7 @@ class BatchScheduler {
   /// Queues an observe carrying the evaluated outcome.
   uint64_t EnqueueObserve(std::string session_id, Observation observation);
 
-  /// Executes one wave (batched) or every pending request in arrival
-  /// order (unbatched). Returns the number of requests executed.
+  /// Executes one wave. Returns the number of requests executed.
   size_t Pump();
 
   /// Pumps until no requests are pending; returns the total executed.
@@ -100,12 +95,8 @@ class BatchScheduler {
     Configuration config;  // kSuggest, when status is OK
   };
 
-  /// Runs one request against the manager (on a pool worker in batched
-  /// mode, inline otherwise).
+  /// Runs one request against the manager on a pool worker.
   Completed Execute(const std::string& session_id, const Request& request);
-
-  size_t PumpBatched();
-  size_t PumpUnbatched();
 
   SessionManager* const manager_;
   const SchedulerOptions options_;
@@ -113,8 +104,6 @@ class BatchScheduler {
   /// Per-session FIFO queues, id-ordered for deterministic wave
   /// assembly.
   std::map<std::string, std::deque<Request>> queues_;
-  /// Arrival order of (session, ticket) for unbatched dispatch.
-  std::deque<std::string> arrival_;
   std::map<uint64_t, Completed> completed_;
   uint64_t next_ticket_ = 1;
   size_t pending_count_ = 0;

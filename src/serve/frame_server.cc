@@ -19,6 +19,8 @@ Observation ToObservation(const ObserveRequest& request) {
   return observation;
 }
 
+/// Field-by-field copy of the wire request; SessionManager::CreateSession
+/// validates the values.
 ServedSessionOptions ToSessionOptions(const CreateSessionRequest& request) {
   ServedSessionOptions options;
   options.space_name = request.space_name;
@@ -61,58 +63,26 @@ std::string ErrorResponseFor(const Frame& frame, const Status& status) {
 FrameServer::FrameServer(SessionManager* manager, BatchScheduler* scheduler)
     : manager_(manager), scheduler_(scheduler) {}
 
-std::string FrameServer::HandleCreate(const Frame& frame) {
-  Result<CreateSessionRequest> request = DecodeCreateSession(frame);
-  if (!request.ok()) return ErrorResponseFor(frame, request.status());
-  CreateSessionResponse response;
-  size_t replayed = 0;
-  const Status created = manager_->CreateSession(
-      request->session_id, ToSessionOptions(*request), &replayed);
-  response.header = HeaderFromStatus(created);
-  response.replayed = replayed;
-  return EncodeCreateSessionResponse(frame.request_id, response);
-}
-
-std::string FrameServer::HandleSuggest(const Frame& frame) {
-  Result<SuggestRequest> request = DecodeSuggest(frame);
-  if (!request.ok()) return ErrorResponseFor(frame, request.status());
-  SuggestResponse response;
-  Result<Configuration> suggested = manager_->Suggest(request->session_id);
-  if (suggested.ok()) {
-    response.config = suggested->values();
-  }
-  response.header = HeaderFromStatus(suggested.status());
-  return EncodeSuggestResponse(frame.request_id, response);
-}
-
-std::string FrameServer::HandleObserve(const Frame& frame) {
-  Result<ObserveRequest> request = DecodeObserve(frame);
-  if (!request.ok()) return ErrorResponseFor(frame, request.status());
-  ObserveResponse response;
-  response.header = HeaderFromStatus(
-      manager_->Observe(request->session_id, ToObservation(*request)));
-  return EncodeObserveResponse(frame.request_id, response);
-}
-
-std::string FrameServer::HandleClose(const Frame& frame) {
-  Result<CloseSessionRequest> request = DecodeCloseSession(frame);
-  if (!request.ok()) return ErrorResponseFor(frame, request.status());
-  CloseSessionResponse response;
-  response.header =
-      HeaderFromStatus(manager_->CloseSession(request->session_id));
-  return EncodeCloseSessionResponse(frame.request_id, response);
-}
-
-std::string FrameServer::HandleFrame(const Frame& frame) {
+std::string FrameServer::HandleBarrier(const Frame& frame) {
   switch (frame.type) {
-    case MessageType::kCreateSession:
-      return HandleCreate(frame);
-    case MessageType::kSuggest:
-      return HandleSuggest(frame);
-    case MessageType::kObserve:
-      return HandleObserve(frame);
-    case MessageType::kCloseSession:
-      return HandleClose(frame);
+    case MessageType::kCreateSession: {
+      Result<CreateSessionRequest> request = DecodeCreateSession(frame);
+      if (!request.ok()) return ErrorResponseFor(frame, request.status());
+      CreateSessionResponse response;
+      size_t replayed = 0;
+      response.header = HeaderFromStatus(manager_->CreateSession(
+          request->session_id, ToSessionOptions(*request), &replayed));
+      response.replayed = replayed;
+      return EncodeCreateSessionResponse(frame.request_id, response);
+    }
+    case MessageType::kCloseSession: {
+      Result<CloseSessionRequest> request = DecodeCloseSession(frame);
+      if (!request.ok()) return ErrorResponseFor(frame, request.status());
+      CloseSessionResponse response;
+      response.header =
+          HeaderFromStatus(manager_->CloseSession(request->session_id));
+      return EncodeCloseSessionResponse(frame.request_id, response);
+    }
     default:
       return ErrorResponseFor(
           frame, Status::InvalidArgument(
@@ -133,71 +103,64 @@ Status FrameServer::ServeBuffered(LoopbackTransport* transport) {
   if (frames.empty()) return Status::OK();
 
   // Responses are delivered in request order; suggest/observe execute
-  // through the scheduler (batched across sessions) when one is
-  // attached. Create/close act as barriers: the scheduler drains before
-  // they run, so a close can never race past the session's own pending
-  // requests.
+  // through the scheduler, batched across sessions. Every other frame is
+  // a barrier: the scheduler drains before it runs, so a close can never
+  // race past the session's own pending requests.
   std::vector<std::string> responses(frames.size());
-  if (scheduler_ == nullptr) {
-    for (size_t i = 0; i < frames.size(); ++i) {
-      responses[i] = HandleFrame(frames[i]);
-    }
-  } else {
-    // Tickets for batched requests, paired with their frame index.
-    std::vector<std::pair<size_t, uint64_t>> tickets;
-    auto flush = [&] {
-      scheduler_->Drain();
-      for (const auto& [index, ticket] : tickets) {
-        const Frame& request_frame = frames[index];
-        if (request_frame.type == MessageType::kSuggest) {
-          SuggestResponse response;
-          Result<Configuration> suggested = scheduler_->TakeSuggest(ticket);
-          if (suggested.ok()) response.config = suggested->values();
-          response.header = HeaderFromStatus(suggested.status());
-          responses[index] =
-              EncodeSuggestResponse(request_frame.request_id, response);
-        } else {
-          ObserveResponse response;
-          response.header =
-              HeaderFromStatus(scheduler_->TakeObserve(ticket));
-          responses[index] =
-              EncodeObserveResponse(request_frame.request_id, response);
-        }
-      }
-      tickets.clear();
-    };
-    for (size_t i = 0; i < frames.size(); ++i) {
-      const Frame& request_frame = frames[i];
-      switch (request_frame.type) {
-        case MessageType::kSuggest: {
-          Result<SuggestRequest> request = DecodeSuggest(request_frame);
-          if (!request.ok()) {
-            responses[i] = ErrorResponseFor(request_frame, request.status());
-            break;
-          }
-          tickets.emplace_back(
-              i, scheduler_->EnqueueSuggest(request->session_id));
-          break;
-        }
-        case MessageType::kObserve: {
-          Result<ObserveRequest> request = DecodeObserve(request_frame);
-          if (!request.ok()) {
-            responses[i] = ErrorResponseFor(request_frame, request.status());
-            break;
-          }
-          tickets.emplace_back(
-              i, scheduler_->EnqueueObserve(request->session_id,
-                                            ToObservation(*request)));
-          break;
-        }
-        default:
-          flush();
-          responses[i] = HandleFrame(request_frame);
-          break;
+  // Tickets for batched requests, paired with their frame index.
+  std::vector<std::pair<size_t, uint64_t>> tickets;
+  auto flush = [&] {
+    scheduler_->Drain();
+    for (const auto& [index, ticket] : tickets) {
+      const Frame& request_frame = frames[index];
+      if (request_frame.type == MessageType::kSuggest) {
+        SuggestResponse response;
+        Result<Configuration> suggested = scheduler_->TakeSuggest(ticket);
+        if (suggested.ok()) response.config = suggested->values();
+        response.header = HeaderFromStatus(suggested.status());
+        responses[index] =
+            EncodeSuggestResponse(request_frame.request_id, response);
+      } else {
+        ObserveResponse response;
+        response.header =
+            HeaderFromStatus(scheduler_->TakeObserve(ticket));
+        responses[index] =
+            EncodeObserveResponse(request_frame.request_id, response);
       }
     }
-    flush();
+    tickets.clear();
+  };
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const Frame& request_frame = frames[i];
+    switch (request_frame.type) {
+      case MessageType::kSuggest: {
+        Result<SuggestRequest> request = DecodeSuggest(request_frame);
+        if (!request.ok()) {
+          responses[i] = ErrorResponseFor(request_frame, request.status());
+          break;
+        }
+        tickets.emplace_back(
+            i, scheduler_->EnqueueSuggest(request->session_id));
+        break;
+      }
+      case MessageType::kObserve: {
+        Result<ObserveRequest> request = DecodeObserve(request_frame);
+        if (!request.ok()) {
+          responses[i] = ErrorResponseFor(request_frame, request.status());
+          break;
+        }
+        tickets.emplace_back(
+            i, scheduler_->EnqueueObserve(request->session_id,
+                                          ToObservation(*request)));
+        break;
+      }
+      default:
+        flush();
+        responses[i] = HandleBarrier(request_frame);
+        break;
+    }
   }
+  flush();
   for (const std::string& response : responses) {
     transport->SendToClient(response);
   }

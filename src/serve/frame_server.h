@@ -11,41 +11,32 @@
 namespace dbtune::serve {
 
 /// Protocol front-end: decodes request frames, dispatches them to the
-/// SessionManager (suggest/observe through the BatchScheduler when one
-/// is attached, so concurrent clients batch across sessions), and
-/// encodes response frames. The transport below it is the in-process
-/// loopback for now; a socket listener speaks the same `Frame` API.
+/// SessionManager (suggest/observe through the BatchScheduler, so
+/// concurrent clients batch across sessions), and encodes response
+/// frames. The transport below it is the in-process loopback for now; a
+/// socket listener speaks the same `Frame` API.
 class FrameServer {
  public:
-  /// `scheduler` may be null: every request then executes inline in
-  /// frame order. Both pointers are borrowed and must outlive the
-  /// server.
-  explicit FrameServer(SessionManager* manager,
-                       BatchScheduler* scheduler = nullptr);
+  /// Both pointers are borrowed and must outlive the server; `scheduler`
+  /// must dispatch to `manager`.
+  FrameServer(SessionManager* manager, BatchScheduler* scheduler);
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
-
-  /// Handles one request frame synchronously and returns the encoded
-  /// response frame. A malformed or unexpected frame yields a response
-  /// of the same family with the decode error in its header when the
-  /// type is recognisable, and an InvalidArgument CloseSessionResponse
-  /// otherwise (the caller should drop the connection).
-  std::string HandleFrame(const Frame& frame);
 
   /// Drains every complete request frame buffered in `transport`'s
   /// server inbox, executes them — suggests/observes batched across
   /// sessions through the scheduler, create/close as ordering barriers —
   /// and writes one response frame per request, in request order, to
   /// the client. Partial frames stay buffered for the next call; a
-  /// malformed stream returns the decode error.
+  /// malformed stream returns the decode error. A malformed body yields
+  /// a response of its own family with the decode error in the header; a
+  /// response-typed frame yields an InvalidArgument CloseSessionResponse.
   [[nodiscard]] Status ServeBuffered(LoopbackTransport* transport);
 
  private:
-  std::string HandleCreate(const Frame& frame);
-  std::string HandleSuggest(const Frame& frame);
-  std::string HandleObserve(const Frame& frame);
-  std::string HandleClose(const Frame& frame);
+  /// Runs a create, close, or unexpected frame inline.
+  std::string HandleBarrier(const Frame& frame);
 
   SessionManager* const manager_;
   BatchScheduler* const scheduler_;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/session_core.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "store/observation_store.h"
@@ -18,10 +19,10 @@ struct ServedSession {
   /// The session's own copy of the registered space (stable even if the
   /// registry entry is later replaced).
   ConfigurationSpace space DBTUNE_GUARDED_BY(mu);
-  /// Null while evicted; resurrection replays the durable history into a
-  /// fresh optimizer.
-  std::unique_ptr<Optimizer> optimizer DBTUNE_GUARDED_BY(mu);
-  /// Observations applied to `optimizer` (== durable history length).
+  /// Null while evicted; resurrection builds a fresh core and replays
+  /// the durable history through it.
+  std::unique_ptr<SessionCore> core DBTUNE_GUARDED_BY(mu);
+  /// Observations acknowledged to the client (== durable history length).
   size_t observed DBTUNE_GUARDED_BY(mu) = 0;
   /// True between Suggest and the matching Observe.
   bool suggestion_outstanding DBTUNE_GUARDED_BY(mu) = false;
@@ -38,61 +39,44 @@ obs::Gauge& ActiveGauge() {
   return gauge;
 }
 
-/// Rebuilds the optimizer of a fresh or evicted session and replays the
-/// durable history through it — the same call sequence the standalone
-/// loop issues (SetReferenceScore, then Suggest/ObserveWithMetrics per
-/// iteration), so the resurrected optimizer state is bitwise identical
-/// to the pre-eviction one. No-op when the optimizer is already live.
+/// Builds the core of an open session that has none (fresh or evicted)
+/// and replays the durable history through it, restoring the optimizer
+/// state bitwise. A re-creation (`recreate`) with a store adopts the
+/// prefix the store restores; an implicit resurrection must restore
+/// every acknowledged observation.
 [[nodiscard]] Status ResurrectLocked(store::ObservationStore* store,
                                      const std::string& id, ServedSession* s,
-                                     size_t* replayed)
+                                     bool recreate, size_t* replayed)
     DBTUNE_REQUIRES(s->mu) {
-  if (s->optimizer != nullptr) return Status::OK();
-  OptimizerOptions optimizer_options;
-  optimizer_options.seed = s->options.seed;
-  optimizer_options.initial_design = s->options.initial_design;
-  optimizer_options.acquisition_candidates = s->options.acquisition_candidates;
-  std::unique_ptr<Optimizer> optimizer = CreateOptimizer(
-      s->options.optimizer_type, s->space, optimizer_options);
-  optimizer->SetReferenceScore(s->options.reference_score);
-
-  size_t restored = 0;
-  if (store != nullptr) {
-    DBTUNE_RETURN_IF_ERROR(store->BeginSession(id, s->space.dimension()));
-    const store::StoredSession* stored = store->FindSession(id);
-    if (stored != nullptr) {
-      for (const Observation& recorded : stored->observations) {
-        const Configuration suggested = optimizer->Suggest();
-        if (!(s->space.Clip(suggested) == recorded.config)) {
-          return Status::Internal(
-              "stored history for session '" + id +
-              "' diverged at iteration " + std::to_string(restored + 1) +
-              "; it was recorded under a different optimizer, seed, or "
-              "space");
-        }
-        optimizer->ObserveWithMetrics(recorded.config, recorded.score,
-                                      recorded.internal_metrics);
-        ++restored;
-      }
+  if (s->closed) {
+    return Status::FailedPrecondition("session '" + id + "' is closed");
+  }
+  if (s->core != nullptr) return Status::OK();
+  auto core = std::make_unique<SessionCore>(
+      CreateOptimizer(s->options.optimizer_type, s->space, s->options),
+      s->options.reference_score, store, id);
+  DBTUNE_RETURN_IF_ERROR(core->Begin());
+  DBTUNE_RETURN_IF_ERROR(core->Replay());
+  if (core->observed() < s->observed) {
+    if (!recreate || store == nullptr) {
+      return Status::FailedPrecondition(
+          "session '" + id + "' was evicted after " +
+          std::to_string(s->observed) + " observations and only " +
+          std::to_string(core->observed()) + " could be restored");
     }
+    // The client's outstanding suggestion, if any, belonged to the
+    // discarded suffix.
+    s->suggestion_outstanding = false;
+  } else if (s->suggestion_outstanding) {
+    // A suggestion outstanding at eviction time: re-advance the optimizer
+    // past it. Suggest is deterministic, so this re-derives exactly the
+    // configuration the client already holds.
+    Configuration outstanding;
+    DBTUNE_RETURN_IF_ERROR(core->Suggest(&outstanding));
   }
-  if (restored < s->observed) {
-    return Status::FailedPrecondition(
-        "session '" + id + "' was evicted after " +
-        std::to_string(s->observed) +
-        " observations and no durable store can restore it");
-  }
-  // A suggestion outstanding at eviction time: re-advance the optimizer
-  // past it. Suggest is deterministic, so this re-derives exactly the
-  // configuration the client already holds.
-  if (s->suggestion_outstanding) {
-    // Optimizer::Suggest returns the Configuration the client already
-    // holds, not a Status; the analyzer cannot resolve the overload.
-    (void)optimizer->Suggest();  // dbtune-lint: allow(ignored-status)
-  }
-  s->observed = restored;
-  s->optimizer = std::move(optimizer);
-  if (replayed != nullptr) *replayed = restored;
+  s->observed = core->observed();
+  if (replayed != nullptr) *replayed = core->observed();
+  s->core = std::move(core);
   return Status::OK();
 }
 
@@ -117,10 +101,27 @@ ServedSession* SessionManager::FindSessionLocked(const std::string& id)
   return it->second.get();
 }
 
+Result<ServedSession*> SessionManager::FindSession(const std::string& id) {
+  MutexLock lock(&mu_);
+  ServedSession* session = FindSessionLocked(id);
+  if (session == nullptr) {
+    return Status::NotFound("unknown session '" + id + "'");
+  }
+  return session;
+}
+
 Status SessionManager::CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed) {
   if (replayed != nullptr) *replayed = 0;
+  const int type = static_cast<int>(options.optimizer_type);
+  if (type < 0 || type > static_cast<int>(OptimizerType::kRandomSearch)) {
+    return Status::InvalidArgument("unknown optimizer type " +
+                                   std::to_string(type));
+  }
+  if (options.acquisition_candidates == 0) {
+    return Status::InvalidArgument("acquisition_candidates must be positive");
+  }
   ServedSession* session = nullptr;
   {
     MutexLock lock(&mu_);
@@ -135,12 +136,13 @@ Status SessionManager::CreateSession(const std::string& id,
       if (existing->closed) {
         return Status::FailedPrecondition("session '" + id + "' is closed");
       }
-      if (existing->optimizer != nullptr) {
+      if (existing->core != nullptr) {
         return Status::FailedPrecondition("session '" + id +
                                           "' already exists");
       }
       // Evicted: adopt the (re)creation parameters and resurrect below.
-      // Divergent parameters surface as a replay mismatch, not silence.
+      // Divergent parameters truncate the stored history at the first
+      // mismatch; `replayed` reports the prefix that survived.
       existing->options = options;
       existing->space = space_it->second;
       session = existing;
@@ -161,50 +163,34 @@ Status SessionManager::CreateSession(const std::string& id,
     }
   }
   MutexLock session_lock(&session->mu);
-  return ResurrectLocked(options_.store, id, session, replayed);
+  return ResurrectLocked(options_.store, id, session, /*recreate=*/true,
+                         replayed);
 }
 
 Result<Configuration> SessionManager::Suggest(const std::string& id) {
   static obs::Histogram& latency_hist =
       obs::MetricsRegistry::Get().histogram("serve.suggest.latency");
   obs::ScopedLatency latency(&latency_hist);
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   MutexLock session_lock(&session->mu);
-  if (session->closed) {
-    return Status::FailedPrecondition("session '" + id + "' is closed");
-  }
-  DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session, nullptr));
+  DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session,
+                                         /*recreate=*/false, nullptr));
   if (session->suggestion_outstanding) {
     return Status::FailedPrecondition(
         "session '" + id + "' has an unobserved suggestion outstanding");
   }
-  Configuration config = session->optimizer->Suggest();
+  Configuration config;
+  DBTUNE_RETURN_IF_ERROR(session->core->Suggest(&config));
   session->suggestion_outstanding = true;
   return config;
 }
 
 Status SessionManager::Observe(const std::string& id,
                                const Observation& observation) {
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   MutexLock session_lock(&session->mu);
-  if (session->closed) {
-    return Status::FailedPrecondition("session '" + id + "' is closed");
-  }
-  DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session, nullptr));
+  DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session,
+                                         /*recreate=*/false, nullptr));
   if (!session->suggestion_outstanding) {
     return Status::FailedPrecondition(
         "session '" + id + "' has no outstanding suggestion to observe");
@@ -215,28 +201,14 @@ Status SessionManager::Observe(const std::string& id,
         " does not match session space dimension " +
         std::to_string(session->space.dimension()));
   }
-  // Durable append before the optimizer learns, mirroring the standalone
-  // loop: a crash between the two re-learns from the WAL on resume.
-  if (options_.store != nullptr) {
-    DBTUNE_RETURN_IF_ERROR(options_.store->AppendObservation(
-        id, session->observed + 1, observation));
-  }
-  session->optimizer->ObserveWithMetrics(
-      observation.config, observation.score, observation.internal_metrics);
+  DBTUNE_RETURN_IF_ERROR(session->core->Observe(observation));
   ++session->observed;
   session->suggestion_outstanding = false;
   return Status::OK();
 }
 
 Status SessionManager::CloseSession(const std::string& id) {
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   {
     MutexLock session_lock(&session->mu);
     if (session->closed) {
@@ -249,7 +221,7 @@ Status SessionManager::CloseSession(const std::string& id) {
       DBTUNE_RETURN_IF_ERROR(
           options_.store->FinishSession(id, session->space, id));
     }
-    session->optimizer.reset();
+    session->core.reset();
     session->closed = true;
   }
   MutexLock lock(&mu_);
@@ -273,8 +245,8 @@ size_t SessionManager::EvictIdle(double idle_timeout_seconds) {
     ServedSession* session = entry.second.get();
     if (now - session->last_touch_seconds < idle_timeout_seconds) continue;
     MutexLock session_lock(&session->mu);
-    if (session->closed || session->optimizer == nullptr) continue;
-    session->optimizer.reset();
+    if (session->closed || session->core == nullptr) continue;
+    session->core.reset();
     ++evicted;
   }
   return evicted;
@@ -291,7 +263,7 @@ size_t SessionManager::num_resident() const {
   for (const auto& entry : sessions_) {
     ServedSession* session = entry.second.get();
     MutexLock session_lock(&session->mu);
-    if (!session->closed && session->optimizer != nullptr) ++resident;
+    if (!session->closed && session->core != nullptr) ++resident;
   }
   return resident;
 }

@@ -19,21 +19,18 @@ class ObservationStore;
 
 namespace dbtune::serve {
 
-/// Creation parameters of one served tuning session. The client measures
-/// its DBMS default configuration itself and ships the score as
+/// Creation parameters of one served tuning session: the optimizer's
+/// options plus its type and space. The client measures its DBMS
+/// default configuration itself and ships the score as
 /// `reference_score` — the server never evaluates, it only suggests and
-/// learns, exactly mirroring the optimizer-side calls of
-/// `RunTuningSession` (SetReferenceScore, Suggest, ObserveWithMetrics)
+/// learns. Each session runs on the same step core as `RunTuningSession`,
 /// so a served trajectory is bitwise identical to the standalone loop.
-struct ServedSessionOptions {
+struct ServedSessionOptions : OptimizerOptions {
   /// Name of a configuration space registered with the manager.
   std::string space_name;
   OptimizerType optimizer_type = OptimizerType::kVanillaBo;
-  uint64_t seed = 1;
   /// Score of the client's default configuration (maximize direction).
   double reference_score = 0.0;
-  size_t initial_design = 10;
-  size_t acquisition_candidates = 300;
 };
 
 struct SessionManagerOptions {
@@ -43,9 +40,9 @@ struct SessionManagerOptions {
   double idle_timeout_seconds = 0.0;
   /// Borrowed durable store. When set, every observation is WAL-appended
   /// under the session id, evicted sessions resume bit-identically by
-  /// replaying their stored history (the PR 9 replay path), and closing
-  /// a session seals it as a transfer base task. The caller keeps
-  /// ownership and must outlive the manager.
+  /// replaying their stored history through the session core, and
+  /// closing a session seals it as a transfer base task. The caller
+  /// keeps ownership and must outlive the manager.
   store::ObservationStore* store = nullptr;
 };
 
@@ -81,10 +78,13 @@ class SessionManager {
   /// Opens a session. A new id starts fresh; an id with history in the
   /// durable store (evicted here, or recorded by a previous process)
   /// resumes by replaying that history into a fresh optimizer —
-  /// `*replayed` reports how many observations were consumed. Errors:
-  /// NotFound (unknown space), FailedPrecondition (id is live or
-  /// closed), Internal (stored history diverges from the re-suggested
-  /// trajectory, i.e. it was recorded under different code or seed).
+  /// `*replayed` reports how many observations were consumed. A stored
+  /// history that diverges from the re-suggested trajectory (recorded
+  /// under another optimizer, seed, or code version) is truncated at the
+  /// divergence and the session resumes from the matched prefix. Errors:
+  /// NotFound (unknown space), InvalidArgument (unknown optimizer type or
+  /// zero acquisition candidates), FailedPrecondition (id is live or
+  /// closed, or evicted with no store to restore it), and store errors.
   [[nodiscard]] Status CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed = nullptr);
@@ -92,8 +92,9 @@ class SessionManager {
   /// Proposes the next configuration for `id`. At most one suggestion
   /// may be outstanding per session (the suggest/observe alternation of
   /// the tuning loop); a second Suggest before Observe is
-  /// FailedPrecondition. An evicted session is resurrected first when a
-  /// store is attached, FailedPrecondition otherwise.
+  /// FailedPrecondition. An evicted session is resurrected first; when
+  /// the store cannot restore every acknowledged observation, that is
+  /// FailedPrecondition.
   [[nodiscard]] Result<Configuration> Suggest(const std::string& id);
 
   /// Reports the evaluated outcome of the outstanding suggestion.
@@ -122,6 +123,8 @@ class SessionManager {
  private:
   ServedSession* FindSessionLocked(const std::string& id)
       DBTUNE_REQUIRES(mu_);
+  /// FindSessionLocked under the manager lock; NotFound for unknown ids.
+  Result<ServedSession*> FindSession(const std::string& id);
 
   const SessionManagerOptions options_;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -30,7 +28,7 @@ RgpeOptimizer::RgpeOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
                              const ObservationRepository* repository,
                              TransferBase base, RgpeOptions rgpe_options)
-    : Optimizer(space, options),
+    : Optimizer(space, options, "rgpe"),
       repository_(repository),
       base_(base),
       rgpe_options_(rgpe_options) {
@@ -61,12 +59,7 @@ void RgpeOptimizer::FitBaseModels() {
   bases_fitted_ = true;
 }
 
-Configuration RgpeOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.rgpe");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("rgpe.suggest");
-  suggest_info_ = {};
+Configuration RgpeOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
   FitBaseModels();

@@ -40,13 +40,14 @@ class RgpeOptimizer final : public Optimizer {
                 const ObservationRepository* repository, TransferBase base,
                 RgpeOptions rgpe_options = {});
 
-  Configuration Suggest() override;
   std::string name() const override;
 
   /// Ensemble weights after the last `Suggest` (bases..., target).
   const std::vector<double>& last_weights() const { return last_weights_; }
 
  private:
+  Configuration DoSuggest() override;
+
   void FitBaseModels();
 
   const ObservationRepository* repository_;

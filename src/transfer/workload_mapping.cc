@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "surrogate/random_forest.h"
 #include "surrogate/surrogate_factory.h"
 #include "util/logging.h"
@@ -49,7 +47,9 @@ std::unique_ptr<Regressor> CreateBaseSurrogate(TransferBase base,
 WorkloadMappingOptimizer::WorkloadMappingOptimizer(
     const ConfigurationSpace& space, OptimizerOptions options,
     const ObservationRepository* repository, TransferBase base)
-    : Optimizer(space, options), repository_(repository), base_(base) {
+    : Optimizer(space, options, "workload_mapping"),
+      repository_(repository),
+      base_(base) {
   DBTUNE_CHECK(repository_ != nullptr);
 }
 
@@ -91,12 +91,7 @@ void WorkloadMappingOptimizer::UpdateMapping() {
   }
 }
 
-Configuration WorkloadMappingOptimizer::Suggest() {
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("optimizer.suggest.workload_mapping");
-  obs::ScopedLatency suggest_latency(&suggest_hist);
-  DBTUNE_TRACE_SPAN("workload_mapping.suggest");
-  suggest_info_ = {};
+Configuration WorkloadMappingOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
   UpdateMapping();

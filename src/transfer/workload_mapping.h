@@ -37,7 +37,6 @@ class WorkloadMappingOptimizer final : public Optimizer {
                            const ObservationRepository* repository,
                            TransferBase base);
 
-  Configuration Suggest() override;
   void ObserveWithMetrics(const Configuration& config, double score,
                           const std::vector<double>& metrics) override;
   std::string name() const override;
@@ -46,6 +45,8 @@ class WorkloadMappingOptimizer final : public Optimizer {
   int mapped_task() const { return mapped_task_; }
 
  private:
+  Configuration DoSuggest() override;
+
   void UpdateMapping();
 
   const ObservationRepository* repository_;

@@ -2,7 +2,7 @@
 // (eviction, double close, suggest-after-close as Status — never
 // aborts), store-backed resurrection, and the headline invariant — a
 // served session's trajectory is bitwise identical to the standalone
-// in-process loop at every pool size, batch width, and dispatch mode.
+// in-process loop at every pool size and batch width.
 
 #include <gtest/gtest.h>
 
@@ -130,8 +130,7 @@ ServedSessionOptions ToServedOptions(const SessionSpec& spec,
 // evaluates its own configuration, all observes batch back.
 std::vector<std::vector<Observation>> ServedHistories(
     const std::vector<SessionSpec>& specs, size_t iterations,
-    size_t batch_width, bool batched,
-    ObservationStore* store = nullptr) {
+    size_t batch_width, ObservationStore* store = nullptr) {
   SessionManagerOptions manager_options;
   manager_options.store = store;
   SessionManager manager(manager_options);
@@ -148,7 +147,6 @@ std::vector<std::vector<Observation>> ServedHistories(
 
   SchedulerOptions scheduler_options;
   scheduler_options.batch_width = batch_width;
-  scheduler_options.batched = batched;
   BatchScheduler scheduler(&manager, scheduler_options);
 
   std::vector<uint64_t> tickets(specs.size());
@@ -213,27 +211,13 @@ TEST(ServeEqualityTest, ServedMatchesStandaloneAcrossPoolsAndWidths) {
   for (size_t pool : {1u, 2u, 8u}) {
     PoolSizeGuard guard(pool);
     for (size_t width : {1u, 8u, 64u}) {
-      const auto served =
-          ServedHistories(specs, iterations, width, /*batched=*/true);
+      const auto served = ServedHistories(specs, iterations, width);
       for (size_t s = 0; s < specs.size(); ++s) {
         ExpectBitwiseEqual(standalone[s], served[s],
                            specs[s].id + " pool=" + std::to_string(pool) +
                                " width=" + std::to_string(width));
       }
     }
-  }
-}
-
-TEST(ServeEqualityTest, UnbatchedDispatchMatchesStandalone) {
-  const std::vector<SessionSpec> specs = MixedSpecs();
-  const size_t iterations = 10;
-  PoolSizeGuard guard(8);
-  const auto served =
-      ServedHistories(specs, iterations, /*batch_width=*/64,
-                      /*batched=*/false);
-  for (size_t s = 0; s < specs.size(); ++s) {
-    ExpectBitwiseEqual(StandaloneHistory(specs[s], iterations), served[s],
-                       specs[s].id + " unbatched");
   }
 }
 
@@ -489,6 +473,113 @@ TEST(ServeStoreTest, CloseSealsTrajectoryAsTransferTask) {
   EXPECT_TRUE(stored->finished);
 }
 
+// Records `recorded` observations of `spec` under `before` through a
+// store-backed manager, restarts the manager over the same store,
+// re-creates the id under `after`, and tunes it to `iterations`. The
+// client re-applies the prefix the store kept, so its history must match
+// a fresh standalone run under `after` bitwise — as must the reopened
+// store.
+void ResumeUnderOtherOptions(const std::string& name, const SessionSpec& spec,
+                             const OptimizerOptions& before,
+                             const OptimizerOptions& after, size_t recorded,
+                             size_t iterations, size_t* replayed) {
+  ClientSession fresh_client = MakeClient(spec);
+  std::unique_ptr<Optimizer> fresh_optimizer =
+      CreateOptimizer(spec.optimizer, fresh_client.env->space(), after);
+  RunTuningSession(fresh_client.env.get(), fresh_optimizer.get(), iterations);
+  const std::vector<Observation> fresh = fresh_client.env->history();
+  const std::string path = ServeStorePath(name);
+
+  // First process: record under `before`.
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    SessionManagerOptions manager_options;
+    manager_options.store = opened.value().get();
+    SessionManager manager(manager_options);
+    ClientSession client = MakeClient(spec);
+    manager.RegisterSpace("small", client.env->space());
+    ServedSessionOptions options = ToServedOptions(spec, client);
+    static_cast<OptimizerOptions&>(options) = before;
+    ASSERT_TRUE(manager.CreateSession(spec.id, options).ok());
+    for (size_t iter = 0; iter < recorded; ++iter) {
+      Result<Configuration> suggested = manager.Suggest(spec.id);
+      ASSERT_TRUE(suggested.ok());
+      ASSERT_TRUE(
+          manager.Observe(spec.id, client.env->Evaluate(*suggested)).ok());
+    }
+  }
+
+  // Restarted process: re-create the id under `after`.
+  ClientSession client = MakeClient(spec);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore* store = opened.value().get();
+    SessionManagerOptions manager_options;
+    manager_options.store = store;
+    SessionManager manager(manager_options);
+    manager.RegisterSpace("small", client.env->space());
+    ServedSessionOptions options = ToServedOptions(spec, client);
+    static_cast<OptimizerOptions&>(options) = after;
+    const Status created = manager.CreateSession(spec.id, options, replayed);
+    ASSERT_TRUE(created.ok()) << created.ToString();
+
+    // The client re-applies the surviving prefix, then tunes live.
+    const store::StoredSession* stored = store->FindSession(spec.id);
+    ASSERT_NE(stored, nullptr);
+    ASSERT_EQ(stored->observations.size(), *replayed);
+    const std::vector<Observation> prefix = stored->observations;
+    for (const Observation& observation : prefix) {
+      client.env->Replay(observation);
+    }
+    for (size_t iter = *replayed; iter < iterations; ++iter) {
+      Result<Configuration> suggested = manager.Suggest(spec.id);
+      ASSERT_TRUE(suggested.ok()) << suggested.status().ToString();
+      ASSERT_TRUE(
+          manager.Observe(spec.id, client.env->Evaluate(*suggested)).ok());
+    }
+  }
+  ExpectBitwiseEqual(fresh, client.env->history(), name + " client");
+
+  // The store now holds the new trajectory, iteration-complete.
+  auto reopened = ObservationStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  const store::StoredSession* session = (*reopened)->FindSession(spec.id);
+  ASSERT_NE(session, nullptr);
+  ExpectBitwiseEqual(fresh, session->observations, name + " store");
+}
+
+// A re-created session whose stored history was recorded under another
+// seed follows the standalone loop's divergence policy: the stale suffix
+// is truncated durably and the session continues live.
+TEST(ServeStoreTest, DivergentHistoryTruncatesAndContinuesLive) {
+  const SessionSpec spec{"drift", OptimizerType::kSmac, 11,
+                         WorkloadId::kSysbench, 21};
+  OptimizerOptions seed_a;
+  seed_a.seed = 11;
+  OptimizerOptions seed_b;
+  seed_b.seed = 13;
+  size_t replayed = 0;
+  ResumeUnderOtherOptions("diverge", spec, seed_a, seed_b, 5, 8, &replayed);
+  EXPECT_LT(replayed, 5u);
+}
+
+// Same seed, smaller acquisition pool: the Latin Hypercube initial design
+// still matches, so the re-created session keeps exactly that prefix and
+// diverges at the first model-based suggestion.
+TEST(ServeStoreTest, DivergenceAfterSharedPrefixKeepsThePrefix) {
+  const SessionSpec spec{"fork", OptimizerType::kVanillaBo, 17,
+                         WorkloadId::kTpcc, 27};
+  OptimizerOptions before;
+  before.seed = 17;
+  OptimizerOptions after = before;
+  after.acquisition_candidates = 120;
+  size_t replayed = 0;
+  ResumeUnderOtherOptions("fork", spec, before, after, 13, 15, &replayed);
+  EXPECT_EQ(replayed, before.initial_design);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol framing.
 
@@ -697,6 +788,126 @@ TEST(ServeFrameServerTest, LoopbackSessionMatchesStandalone) {
             StatusCode::kFailedPrecondition);
 }
 
+// Creation parameters a client can put on the wire that would abort the
+// server — an optimizer type past the enum, an empty acquisition
+// candidate pool — come back as InvalidArgument, for frames and for
+// in-process callers alike. A control session on the same server keeps
+// the standalone trajectory, well past the initial design.
+TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
+  const SessionSpec spec{"control", OptimizerType::kVanillaBo, 91,
+                         WorkloadId::kSysbench, 92};
+  const size_t iterations = 13;
+  const std::vector<Observation> standalone =
+      StandaloneHistory(spec, iterations);
+
+  SessionManager manager;
+  ClientSession client = MakeClient(spec);
+  manager.RegisterSpace("small", client.env->space());
+  BatchScheduler scheduler(&manager, {});
+  FrameServer server(&manager, &scheduler);
+  LoopbackTransport transport;
+  serve::FrameReader client_reader;
+  uint64_t next_request = 1;
+
+  auto exchange = [&](const std::string& bytes) {
+    transport.SendToServer(bytes);
+    EXPECT_TRUE(server.ServeBuffered(&transport).ok());
+    client_reader.Append(transport.DrainClientInbox());
+    std::vector<serve::Frame> replies;
+    serve::Frame frame;
+    while (true) {
+      Result<bool> got = client_reader.Next(&frame);
+      EXPECT_TRUE(got.ok());
+      if (!got.ok() || !*got) break;
+      replies.push_back(frame);
+    }
+    return replies;
+  };
+  auto create_request = [&](const std::string& id) {
+    serve::CreateSessionRequest create;
+    create.session_id = id;
+    create.space_name = "small";
+    create.optimizer_type = static_cast<uint8_t>(spec.optimizer);
+    create.seed = spec.optimizer_seed;
+    create.reference_score = client.env->default_score();
+    return create;
+  };
+  auto created_status = [](const serve::Frame& frame) {
+    Result<serve::CreateSessionResponse> created =
+        serve::DecodeCreateSessionResponse(frame);
+    EXPECT_TRUE(created.ok());
+    return created.ok() ? serve::StatusFromHeader(created->header)
+                        : created.status();
+  };
+
+  auto replies =
+      exchange(serve::EncodeCreateSession(next_request++,
+                                          create_request(spec.id)));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(created_status(replies[0]).ok());
+
+  serve::CreateSessionRequest bad_type = create_request("bad-type");
+  bad_type.optimizer_type = 8;
+  serve::CreateSessionRequest worst_type = create_request("worst-type");
+  worst_type.optimizer_type = 255;
+  serve::CreateSessionRequest no_pool = create_request("no-pool");
+  no_pool.acquisition_candidates = 0;
+
+  for (size_t iter = 0; iter < iterations; ++iter) {
+    if (iter == 5) {
+      std::string batch =
+          serve::EncodeCreateSession(next_request++, bad_type);
+      batch += serve::EncodeCreateSession(next_request++, worst_type);
+      batch += serve::EncodeCreateSession(next_request++, no_pool);
+      batch += serve::EncodeSuggest(next_request++, {"no-pool"});
+      replies = exchange(batch);
+      ASSERT_EQ(replies.size(), 4u);
+      for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(created_status(replies[i]).code(),
+                  StatusCode::kInvalidArgument);
+      }
+      Result<serve::SuggestResponse> unknown =
+          serve::DecodeSuggestResponse(replies[3]);
+      ASSERT_TRUE(unknown.ok());
+      EXPECT_EQ(serve::StatusFromHeader(unknown->header).code(),
+                StatusCode::kNotFound);
+    }
+    replies = exchange(serve::EncodeSuggest(next_request++, {spec.id}));
+    ASSERT_EQ(replies.size(), 1u);
+    Result<serve::SuggestResponse> suggested =
+        serve::DecodeSuggestResponse(replies[0]);
+    ASSERT_TRUE(suggested.ok());
+    ASSERT_TRUE(serve::StatusFromHeader(suggested->header).ok());
+    const Observation outcome =
+        client.env->Evaluate(Configuration(suggested->config));
+    serve::ObserveRequest observe;
+    observe.session_id = spec.id;
+    observe.config = outcome.config.values();
+    observe.score = outcome.score;
+    observe.objective = outcome.objective;
+    observe.failed = outcome.failed ? 1 : 0;
+    observe.internal_metrics = outcome.internal_metrics;
+    replies = exchange(serve::EncodeObserve(next_request++, observe));
+    ASSERT_EQ(replies.size(), 1u);
+    Result<serve::ObserveResponse> observed =
+        serve::DecodeObserveResponse(replies[0]);
+    ASSERT_TRUE(observed.ok());
+    EXPECT_TRUE(serve::StatusFromHeader(observed->header).ok());
+  }
+  ExpectBitwiseEqual(standalone, client.env->history(), "control");
+
+  // In-process callers get the same validation.
+  ServedSessionOptions options = ToServedOptions(spec, client);
+  options.acquisition_candidates = 0;
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
+  options = ToServedOptions(spec, client);
+  options.optimizer_type = static_cast<OptimizerType>(8);
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.num_open(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Serving metrics.
 
@@ -706,7 +917,7 @@ TEST(ServeMetricsTest, ServeMetricsAreRecorded) {
       {"m-1", OptimizerType::kRandomSearch, 1, WorkloadId::kSysbench, 2},
       {"m-2", OptimizerType::kRandomSearch, 3, WorkloadId::kSysbench, 4},
   };
-  (void)ServedHistories(specs, 3, /*batch_width=*/8, /*batched=*/true);
+  (void)ServedHistories(specs, 3, /*batch_width=*/8);
   auto& registry = obs::MetricsRegistry::Get();
   const obs::Gauge* active = registry.FindGauge("serve.sessions.active");
   ASSERT_NE(active, nullptr);
