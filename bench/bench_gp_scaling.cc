@@ -1,12 +1,15 @@
-// GP scaling micro-bench for the incremental-fit, batched-predict, and
-// sparse-tier paths (PERF acceptance: >= 5x on non-hyperopt sequential
-// fits at n = 500, >= 2x on batched acquisition scoring, >= 10x on the
-// sparse fit at n = 10000 against the cubic-extrapolated exact fit).
+// Surrogate scaling micro-bench for the GP incremental-fit, batched-
+// predict, and sparse-tier paths (PERF acceptance: >= 5x on non-hyperopt
+// sequential fits at n = 500, >= 2x on batched acquisition scoring,
+// >= 10x on the sparse fit at n = 10000 against the cubic-extrapolated
+// exact fit), plus SMAC's random-forest fit (`forest_fit`: d = 20 and
+// d = 197 over snapped MySQL configurations).
 // Emits JSON lines to stdout and writes them to DBTUNE_BENCH_GP_REPORT
-// (default BENCH_GP.json in the working directory) for CI artifacts.
-// Every row records the effective thread-pool size (`threads`), which
-// honours DBTUNE_NUM_THREADS. Quick mode: DBTUNE_BENCH_SCALE below 0.3
-// shrinks sizes proportionally. DBTUNE_BENCH_SIZES (comma-separated n
+// (default BENCH_GP.json in the working directory) for CI artifacts; exits
+// non-zero when a row says identical:false or the report cannot be
+// written. Every row records the effective thread-pool size (`threads`),
+// which honours DBTUNE_NUM_THREADS. Quick mode: DBTUNE_BENCH_SCALE below
+// 0.3 shrinks sizes proportionally. DBTUNE_BENCH_SIZES (comma-separated n
 // list, taken literally) overrides the sparse_fit sizes, and
 // DBTUNE_BENCH_EXACT_MAX caps the largest directly-measured exact fit.
 
@@ -18,9 +21,11 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "knobs/catalog.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "surrogate/gaussian_process.h"
+#include "surrogate/random_forest.h"
 #include "surrogate/sparse_gaussian_process.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -58,12 +63,7 @@ std::vector<double> SyntheticTargets(const FeatureMatrix& x) {
   return y;
 }
 
-std::string g_report;
-
-void Emit(const char* line) {
-  std::printf("%s", line);
-  g_report += line;
-}
+bench::JsonReport g_report;
 
 uint64_t IncrementalFitCount() {
   const obs::Histogram* hist =
@@ -129,7 +129,7 @@ void BenchSequentialFits() {
         incremental.seconds,
         incremental.seconds > 0.0 ? full.seconds / incremental.seconds : 0.0,
         incremental.final_lml == full.final_lml ? "true" : "false");
-    Emit(line);
+    g_report.Emit(line);
   }
 }
 
@@ -169,7 +169,7 @@ void BenchBatchedPredict() {
       n, num_queries, ExecutionContext::Get().num_threads(), scalar_s,
       batch_s, batch_s > 0.0 ? scalar_s / batch_s : 0.0,
       identical ? "true" : "false");
-  Emit(line);
+  g_report.Emit(line);
 }
 
 // Parses a comma-separated list of sizes from `env_name`; returns
@@ -307,38 +307,128 @@ void BenchSparseFit() {
         n, gp.num_inducing(), ExecutionContext::Get().num_threads(), sparse_s,
         exact_s, exact_mode, sparse_s > 0.0 ? exact_s / sparse_s : 0.0,
         identical ? "true" : "false");
-    Emit(line);
+    g_report.Emit(line);
   }
 }
 
-void WriteReportFile() {
-  const char* path = std::getenv("DBTUNE_BENCH_GP_REPORT");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_GP.json";
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot open DBTUNE_BENCH_GP_REPORT path %s\n", path);
-    return;
+// SMAC's forest (src/optimizer/smac.cc): 30 trees, 2*round(sqrt(d))
+// features per split.
+RandomForestOptions SmacForestOptions() {
+  RandomForestOptions options;
+  options.num_trees = 30;
+  options.min_samples_leaf = 2;
+  options.min_samples_split = 4;
+  options.max_depth = 20;
+  options.seed = 0x5AC;
+  return options;
+}
+
+// Snapped configurations of the first `d` MySQL knobs: the inputs SMAC
+// fits on (categorical and integer knobs repeat values).
+FeatureMatrix SnappedInputs(size_t n, size_t d, uint64_t seed) {
+  std::vector<size_t> first(d);
+  for (size_t i = 0; i < d; ++i) first[i] = i;
+  const ConfigurationSpace space = MySqlKnobCatalog().Project(first);
+  Rng rng(seed);
+  FeatureMatrix x;
+  x.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> unit(d);
+    for (double& v : unit) v = rng.Uniform();
+    x.push_back(space.SnapUnit(unit));
   }
-  std::fwrite(g_report.data(), 1, g_report.size(), file);
-  std::fclose(file);
-  std::printf("report written to %s\n", path);
+  return x;
+}
+
+// Every tree's nodes and the posterior on `queries`, fitted at the given
+// pool size: the cross-pool bitwise identity fingerprint.
+std::vector<double> ForestFingerprint(const FeatureMatrix& x,
+                                      const std::vector<double>& y,
+                                      const FeatureMatrix& queries,
+                                      size_t pool_size) {
+  const size_t original = ExecutionContext::Get().num_threads();
+  ExecutionContext::Get().SetNumThreads(pool_size);
+  RandomForest forest(SmacForestOptions());
+  if (!forest.Fit(x, y).ok()) {
+    std::fprintf(stderr, "forest fit failed\n");
+    std::exit(1);
+  }
+  std::vector<double> out;
+  for (const RegressionTree& tree : forest.trees()) {
+    for (const RegressionTree::Node& node : tree.nodes()) {
+      out.push_back(static_cast<double>(node.feature));
+      out.push_back(node.threshold);
+      out.push_back(node.value);
+      out.push_back(static_cast<double>(node.left));
+      out.push_back(static_cast<double>(node.right));
+    }
+  }
+  std::vector<double> means, vars;
+  forest.PredictMeanVarBatch(queries, &means, &vars);
+  out.insert(out.end(), means.begin(), means.end());
+  out.insert(out.end(), vars.begin(), vars.end());
+  ExecutionContext::Get().SetNumThreads(original);
+  return out;
+}
+
+// SMAC's surrogate refit: median seconds of one forest fit over repeated
+// fits, at d = 20 (the paper's medium space) and d = 197 (the full MySQL
+// catalog), with the pools-1/2/8 identity check per row.
+void BenchForestFit() {
+  const size_t repeats = Effective(30, 3);
+  const struct {
+    size_t d;
+    size_t n;
+  } rows[] = {{20, 25},  {20, 50},   {20, 100}, {20, 200},
+              {197, 10}, {197, 100}, {197, 400}};
+  for (const auto& row : rows) {
+    const FeatureMatrix x = SnappedInputs(row.n, row.d, 401 + row.n + row.d);
+    const std::vector<double> y = SyntheticTargets(x);
+    const FeatureMatrix queries = SnappedInputs(64, row.d, 409);
+
+    std::vector<double> seconds;
+    for (size_t r = 0; r < repeats; ++r) {
+      RandomForest forest(SmacForestOptions());
+      const double start = obs::MonotonicSeconds();
+      if (!forest.Fit(x, y).ok()) {
+        std::fprintf(stderr, "forest fit failed\n");
+        std::exit(1);
+      }
+      seconds.push_back(obs::MonotonicSeconds() - start);
+    }
+
+    const std::vector<double> pool1 = ForestFingerprint(x, y, queries, 1);
+    const bool identical = pool1 == ForestFingerprint(x, y, queries, 2) &&
+                           pool1 == ForestFingerprint(x, y, queries, 8);
+    char line[512];
+    std::snprintf(
+        line, sizeof(line),
+        "{\"bench\":\"gp_scaling\",\"task\":\"forest_fit\",\"d\":%zu,"
+        "\"n\":%zu,\"trees\":%zu,\"repeats\":%zu,\"host_cpus\":%zu,"
+        "\"threads\":%zu,\"fit_s\":%.6f,\"identical\":%s}\n",
+        row.d, row.n, SmacForestOptions().num_trees, repeats,
+        bench::HostCpus(), ExecutionContext::Get().num_threads(),
+        Median(seconds), identical ? "true" : "false");
+    g_report.Emit(line);
+  }
 }
 
 }  // namespace
 }  // namespace dbtune
 
 int main() {
-  dbtune::bench::Banner("GP incremental-fit, batched-predict, and sparse-"
-                        "tier scaling",
+  dbtune::bench::Banner("GP incremental-fit, batched-predict, sparse-tier "
+                        "and forest-fit scaling",
                         "sequential BO fits at n in {100,250,500}, d=20; "
                         "acquisition scoring of 2000 candidates at n=500; "
-                        "sparse (FITC) fits at n in {10k,30k,100k}");
+                        "sparse (FITC) fits at n in {10k,30k,100k}; SMAC "
+                        "forest fits at d=20 and d=197");
   // The incremental-fit counter proves the bordered-append path actually
   // ran (the identity check alone would also pass on silent fallback).
   dbtune::obs::SetMetricsEnabled(true);
   dbtune::BenchSequentialFits();
   dbtune::BenchBatchedPredict();
   dbtune::BenchSparseFit();
-  dbtune::WriteReportFile();
-  return 0;
+  dbtune::BenchForestFit();
+  return dbtune::g_report.Finish("DBTUNE_BENCH_GP_REPORT", "BENCH_GP.json");
 }

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -35,13 +34,10 @@ using serve::SchedulerOptions;
 using serve::ServedSessionOptions;
 using serve::SessionManager;
 
-// Cores of the host, recorded in every row: a wide wave's whole-session
-// fan-out converts cores into sessions/sec, so the width-64 vs. width-1
-// ratio a report shows is bounded by this number.
-size_t HostCpus() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+// Every row records the host's CPUs: a wide wave's whole-session fan-out
+// converts cores into sessions/sec, so the width-64 vs. width-1 ratio a
+// report shows is bounded by that number.
+using bench::HostCpus;
 
 size_t Effective(size_t full, size_t floor_value) {
   const double factor = std::min(1.0, bench::Scale() / 0.3);
@@ -49,12 +45,7 @@ size_t Effective(size_t full, size_t floor_value) {
   return std::max(floor_value, scaled);
 }
 
-std::string g_report;
-
-void Emit(const char* line) {
-  std::printf("%s", line);
-  g_report += line;
-}
+bench::JsonReport g_report;
 
 std::vector<size_t> FirstKnobs(size_t n) {
   std::vector<size_t> idx(n);
@@ -254,7 +245,7 @@ void BenchServeThroughput() {
             kWidths[w], outcome.elapsed_s,
             sessions_per_sec, requests_per_sec, outcome.suggest_p50_s * 1e3,
             outcome.suggest_p99_s * 1e3, identical ? "true" : "false");
-        Emit(line);
+        g_report.Emit(line);
       }
       char line[512];
       std::snprintf(
@@ -269,24 +260,10 @@ void BenchServeThroughput() {
                                   : 0.0,
           per_width_identical[0] && per_width_identical[1] ? "true"
                                                            : "false");
-      Emit(line);
+      g_report.Emit(line);
     }
     ExecutionContext::Get().SetNumThreads(original);
   }
-}
-
-void WriteReportFile() {
-  const char* path = std::getenv("DBTUNE_BENCH_SERVE_REPORT");
-  if (path == nullptr || path[0] == '\0') path = "BENCH_SERVE.json";
-  std::FILE* file = std::fopen(path, "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot open DBTUNE_BENCH_SERVE_REPORT path %s\n",
-                 path);
-    return;
-  }
-  std::fwrite(g_report.data(), 1, g_report.size(), file);
-  std::fclose(file);
-  std::printf("report written to %s\n", path);
 }
 
 }  // namespace
@@ -301,6 +278,6 @@ int main() {
   // The suggest-latency percentiles come from the serve histogram.
   dbtune::obs::SetMetricsEnabled(true);
   dbtune::BenchServeThroughput();
-  dbtune::WriteReportFile();
-  return 0;
+  return dbtune::g_report.Finish("DBTUNE_BENCH_SERVE_REPORT",
+                                 "BENCH_SERVE.json");
 }

@@ -6,6 +6,8 @@
 // (default 0.3) so the full suite runs in minutes on a laptop; set
 // DBTUNE_BENCH_SCALE=1 to replicate the paper's iteration counts exactly.
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +54,62 @@ inline size_t ScaledSamples(size_t paper_samples, size_t floor = 300) {
 inline int ScaledRuns(int paper_runs) {
   return std::max(2, static_cast<int>(paper_runs * Scale() + 0.5));
 }
+
+/// CPUs this process may run on (what `nproc` prints), recorded in every
+/// micro-bench row: thread-scaling numbers are bounded by it.
+inline size_t HostCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  const int count = CPU_COUNT(&set);
+  return count > 0 ? static_cast<size_t>(count) : 1;
+}
+
+/// JSON-lines report of a micro-bench: every row goes to stdout and to a
+/// report file. A row that says "identical":false, or a report file that
+/// cannot be written completely, makes `Finish` return a non-zero exit
+/// code, so a perf smoke test fails on an identity break.
+class JsonReport {
+ public:
+  void Emit(const char* line) {
+    std::printf("%s", line);
+    text_ += line;
+    if (std::string(line).find("\"identical\":false") != std::string::npos) {
+      identity_broken_ = true;
+    }
+  }
+
+  /// Writes the report to the path in `env_name` (default `fallback`) and
+  /// returns the process exit code.
+  int Finish(const char* env_name, const char* fallback) const {
+    const char* path = std::getenv(env_name);
+    if (path == nullptr || path[0] == '\0') path = fallback;
+    int code = 0;
+    std::FILE* file = std::fopen(path, "w");
+    if (file == nullptr) {
+      std::fprintf(stderr, "cannot open %s path %s\n", env_name, path);
+      code = 1;
+    } else {
+      const bool written =
+          std::fwrite(text_.data(), 1, text_.size(), file) == text_.size();
+      if (std::fclose(file) != 0 || !written) {
+        std::fprintf(stderr, "failed writing report %s\n", path);
+        code = 1;
+      } else {
+        std::printf("report written to %s\n", path);
+      }
+    }
+    if (identity_broken_) {
+      std::fprintf(stderr, "a row says identical:false\n");
+      code = 1;
+    }
+    return code;
+  }
+
+ private:
+  std::string text_;
+  bool identity_broken_ = false;
+};
 
 /// Prints the standard bench banner.
 inline void Banner(const char* experiment, const char* paper_setup) {

@@ -1,5 +1,6 @@
 #include "serve/session_manager.h"
 
+#include <cmath>
 #include <utility>
 
 #include "core/session_core.h"
@@ -37,6 +38,31 @@ obs::Gauge& ActiveGauge() {
   static obs::Gauge& gauge =
       obs::MetricsRegistry::Get().gauge("serve.sessions.active");
   return gauge;
+}
+
+// A non-finite value would be appended to the WAL and sealed into the
+// session's transfer task, and a NaN or infinite score turns every later
+// standardized score of the session into NaN (they share the mean).
+[[nodiscard]] Status ValidateFinite(const Observation& observation) {
+  if (!std::isfinite(observation.score)) {
+    return Status::InvalidArgument("observation score is not finite");
+  }
+  if (!std::isfinite(observation.objective)) {
+    return Status::InvalidArgument("observation objective is not finite");
+  }
+  for (double value : observation.config.values()) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("observation configuration value is "
+                                     "not finite");
+    }
+  }
+  for (double value : observation.internal_metrics) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("observation internal metric is not "
+                                     "finite");
+    }
+  }
+  return Status::OK();
 }
 
 /// Builds the core of an open session that has none (fresh or evicted)
@@ -201,6 +227,7 @@ Status SessionManager::Observe(const std::string& id,
         " does not match session space dimension " +
         std::to_string(session->space.dimension()));
   }
+  DBTUNE_RETURN_IF_ERROR(ValidateFinite(observation));
   DBTUNE_RETURN_IF_ERROR(session->core->Observe(observation));
   ++session->observed;
   session->suggestion_outstanding = false;

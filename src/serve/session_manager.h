@@ -99,7 +99,9 @@ class SessionManager {
 
   /// Reports the evaluated outcome of the outstanding suggestion.
   /// `observation.config` must be the clipped configuration actually
-  /// applied (dimension-checked against the session's space).
+  /// applied (dimension-checked against the session's space). A NaN or
+  /// infinite score, objective, configuration value or internal metric is
+  /// InvalidArgument, and nothing is stored or learned.
   [[nodiscard]] Status Observe(const std::string& id,
                                const Observation& observation);
 

@@ -1,6 +1,7 @@
 #include "surrogate/random_forest.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,8 +19,11 @@ Status RandomForest::Fit(const FeatureMatrix& x, const std::vector<double>& y) {
       obs::MetricsRegistry::Get().histogram("forest.fit");
   obs::ScopedLatency fit_latency(&fit_hist);
   DBTUNE_TRACE_SPAN("forest.fit");
-  DBTUNE_RETURN_IF_ERROR(ValidateTrainingData(x, y));
-  num_features_ = x.front().size();
+  // One sort per feature for the whole forest; every tree derives its
+  // sample's orders from it by counting.
+  DBTUNE_ASSIGN_OR_RETURN(const PresortedSamples samples,
+                          PresortedSamples::Sort(x, y));
+  num_features_ = samples.num_features();
   trees_.clear();
   trees_.reserve(options_.num_trees);
 
@@ -52,31 +56,21 @@ Status RandomForest::Fit(const FeatureMatrix& x, const std::vector<double>& y) {
     }
   }
 
+  std::vector<size_t> all_samples;
+  if (!options_.bootstrap) {
+    all_samples.resize(n);
+    std::iota(all_samples.begin(), all_samples.end(), size_t{0});
+  }
   std::vector<RegressionTree> trees(num_trees);
-  std::vector<Status> statuses(num_trees, Status::OK());
   ParallelFor(GlobalPool(), 0, num_trees, /*grain=*/1,
               [&](size_t begin, size_t end) {
                 for (size_t t = begin; t < end; ++t) {
                   RegressionTree tree(tree_options[t]);
-                  if (options_.bootstrap) {
-                    FeatureMatrix bx;
-                    std::vector<double> by;
-                    bx.reserve(n);
-                    by.reserve(n);
-                    for (size_t pick : bootstrap_picks[t]) {
-                      bx.push_back(x[pick]);
-                      by.push_back(y[pick]);
-                    }
-                    statuses[t] = tree.Fit(bx, by);
-                  } else {
-                    statuses[t] = tree.Fit(x, y);
-                  }
+                  tree.Grow(samples, options_.bootstrap ? bootstrap_picks[t]
+                                                        : all_samples);
                   trees[t] = std::move(tree);
                 }
               });
-  for (size_t t = 0; t < num_trees; ++t) {
-    DBTUNE_RETURN_IF_ERROR(statuses[t]);
-  }
   trees_ = std::move(trees);
   return Status::OK();
 }
@@ -90,17 +84,42 @@ double RandomForest::Predict(const std::vector<double>& x) const {
 void RandomForest::PredictMeanVar(const std::vector<double>& x, double* mean,
                                   double* variance) const {
   DBTUNE_CHECK_MSG(fitted(), "Predict before Fit");
-  std::vector<double> predictions(trees_.size());
-  // Indexed writes keep the Mean/Variance reduction order fixed, so the
-  // ensemble statistics do not depend on the pool size.
-  ParallelFor(GlobalPool(), 0, trees_.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t t = begin; t < end; ++t) {
-                  predictions[t] = trees_[t].Predict(x);
-                }
-              });
-  *mean = Mean(predictions);
-  *variance = Variance(predictions);
+  thread_local std::vector<double> predictions;
+  MeanVar(x, &predictions, mean, variance);
+}
+
+void RandomForest::PredictMeanVarBatch(const FeatureMatrix& xs,
+                                       std::vector<double>* means,
+                                       std::vector<double>* variances) const {
+  DBTUNE_CHECK_MSG(fitted(), "Predict before Fit");
+  means->resize(xs.size());
+  variances->resize(xs.size());
+  // Each query writes only its own slot, so the batch is bitwise equal to
+  // the scalar loop at any pool size; small batches skip the dispatch.
+  auto score = [&](size_t begin, size_t end) {
+    std::vector<double> predictions;
+    for (size_t q = begin; q < end; ++q) {
+      MeanVar(xs[q], &predictions, &(*means)[q], &(*variances)[q]);
+    }
+  };
+  if (xs.size() < 8) {
+    score(0, xs.size());
+    return;
+  }
+  ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16, score);
+}
+
+void RandomForest::MeanVar(const std::vector<double>& x,
+                           std::vector<double>* predictions, double* mean,
+                           double* variance) const {
+  predictions->resize(trees_.size());
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    (*predictions)[t] = trees_[t].Predict(x);
+  }
+  // Reduced in tree order, so the ensemble statistics do not depend on
+  // the pool size.
+  *mean = Mean(*predictions);
+  *variance = Variance(*predictions);
 }
 
 std::vector<double> RandomForest::SplitCountImportance() const {

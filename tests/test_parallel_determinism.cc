@@ -20,6 +20,7 @@
 #include "surrogate/random_forest.h"
 #include "surrogate/sparse_gaussian_process.h"
 #include "surrogate/surrogate_factory.h"
+#include "tie_heavy_data.h"
 #include "transfer/repository.h"
 #include "transfer/rgpe.h"
 #include "util/matrix.h"
@@ -154,30 +155,50 @@ TEST(ParallelDeterminismTest, SparseGaussianProcessFitAndPredict) {
   EXPECT_EQ(pool1, run(8));
 }
 
+// Continuous inputs, then tie-heavy ones (duplicate rows, categorical
+// knobs, equal targets) where the presorted columns hold runs of equal
+// (value, target) pairs.
 TEST(ParallelDeterminismTest, RandomForestFitAndPredict) {
-  const FeatureMatrix x = MakeInputs(120, 6, 17);
-  const std::vector<double> y = MakeTargets(x);
-  const FeatureMatrix queries = MakeInputs(30, 6, 19);
-
-  auto run = [&](size_t pool_size) {
-    PoolSizeGuard guard(pool_size);
-    RandomForestOptions options;
-    options.num_trees = 50;
-    options.seed = 29;
-    RandomForest forest(options);
-    EXPECT_TRUE(forest.Fit(x, y).ok());
-    std::vector<double> out = forest.SplitCountImportance();
-    const std::vector<double> impurity = forest.ImpurityImportance();
-    out.insert(out.end(), impurity.begin(), impurity.end());
-    for (const auto& q : queries) {
-      double mean = 0.0, var = 0.0;
-      forest.PredictMeanVar(q, &mean, &var);
-      out.push_back(mean);
-      out.push_back(var);
-    }
-    return out;
+  const testing::TieHeavyData ties = testing::MakeTieHeavyData(90, 23);
+  const testing::TieHeavyData tie_queries = testing::MakeTieHeavyData(30, 31);
+  struct Input {
+    FeatureMatrix x;
+    std::vector<double> y;
+    FeatureMatrix queries;
   };
-  EXPECT_EQ(run(1), run(4));
+  const FeatureMatrix continuous = MakeInputs(120, 6, 17);
+  const Input inputs[] = {
+      {continuous, MakeTargets(continuous), MakeInputs(30, 6, 19)},
+      {ties.x, ties.y, tie_queries.x},
+  };
+
+  for (const Input& input : inputs) {
+    auto run = [&](size_t pool_size) {
+      PoolSizeGuard guard(pool_size);
+      RandomForestOptions options;
+      options.num_trees = 50;
+      options.seed = 29;
+      RandomForest forest(options);
+      EXPECT_TRUE(forest.Fit(input.x, input.y).ok());
+      std::vector<double> out = forest.SplitCountImportance();
+      const std::vector<double> impurity = forest.ImpurityImportance();
+      out.insert(out.end(), impurity.begin(), impurity.end());
+      for (const auto& q : input.queries) {
+        double mean = 0.0, var = 0.0;
+        forest.PredictMeanVar(q, &mean, &var);
+        out.push_back(mean);
+        out.push_back(var);
+      }
+      std::vector<double> means, variances;
+      forest.PredictMeanVarBatch(input.queries, &means, &variances);
+      out.insert(out.end(), means.begin(), means.end());
+      out.insert(out.end(), variances.begin(), variances.end());
+      return out;
+    };
+    const std::vector<double> pool1 = run(1);
+    EXPECT_EQ(pool1, run(2));
+    EXPECT_EQ(pool1, run(8));
+  }
 }
 
 // Full optimizer loops: suggestions must be identical configuration by

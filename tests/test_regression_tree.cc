@@ -1,6 +1,7 @@
 #include "surrogate/regression_tree.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,25 @@ TEST(RegressionTreeTest, RejectsEmptyAndRaggedData) {
   EXPECT_FALSE(tree.Fit({}, y).ok());
   EXPECT_FALSE(tree.Fit({{1.0, 2.0}, {1.0}}, {1.0, 2.0}).ok());
   EXPECT_FALSE(tree.Fit({{1.0}}, {1.0, 2.0}).ok());
+}
+
+// The presorted grower orders samples by (value, target), which needs a
+// strict weak ordering: NaN and infinities are rejected up front.
+TEST(RegressionTreeTest, RejectsNonFiniteData) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const FeatureMatrix x = {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {0.7, 0.8}};
+  const std::vector<double> y = {1.0, 2.0, 3.0, 4.0};
+  for (double bad : {kNan, kInf, -kInf}) {
+    RegressionTree tree;
+    FeatureMatrix bad_x = x;
+    bad_x[2][1] = bad;
+    EXPECT_EQ(tree.Fit(bad_x, y).code(), StatusCode::kInvalidArgument);
+    std::vector<double> bad_y = y;
+    bad_y[3] = bad;
+    EXPECT_EQ(tree.Fit(x, bad_y).code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(tree.fitted());
+  }
 }
 
 TEST(RegressionTreeTest, LearnsStepFunction) {

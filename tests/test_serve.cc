@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -906,6 +908,130 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   EXPECT_EQ(manager.CreateSession("direct", options).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.num_open(), 1u);
+}
+
+// Observe frames carrying a NaN or infinite score, objective,
+// configuration value or internal metric come back as InvalidArgument
+// error frames before anything reaches the store or the optimizer: the
+// session then accepts the valid observe (the store's exactly-next
+// iteration check would refuse it after a stored bad one), and both it
+// and a control session driven alongside stay bitwise equal to the
+// standalone loop, well past SMAC's initial design.
+TEST(ServeFrameServerTest, NonFiniteObservationsAreRejected) {
+  const SessionSpec specs[2] = {
+      {"probed", OptimizerType::kSmac, 93, WorkloadId::kSysbench, 94},
+      {"control", OptimizerType::kVanillaBo, 95, WorkloadId::kTpcc, 96}};
+  const size_t iterations = 13;
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+
+  const std::string path = ServeStorePath("non_finite");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  SessionManagerOptions manager_options;
+  manager_options.store = opened.value().get();
+  SessionManager manager(manager_options);
+  ClientSession clients[2] = {MakeClient(specs[0]), MakeClient(specs[1])};
+  manager.RegisterSpace("small", clients[0].env->space());
+  BatchScheduler scheduler(&manager, {});
+  FrameServer server(&manager, &scheduler);
+  LoopbackTransport transport;
+  serve::FrameReader client_reader;
+  uint64_t next_request = 1;
+
+  auto exchange = [&](const std::string& bytes) {
+    transport.SendToServer(bytes);
+    EXPECT_TRUE(server.ServeBuffered(&transport).ok());
+    client_reader.Append(transport.DrainClientInbox());
+    std::vector<serve::Frame> replies;
+    serve::Frame frame;
+    while (true) {
+      Result<bool> got = client_reader.Next(&frame);
+      EXPECT_TRUE(got.ok());
+      if (!got.ok() || !*got) break;
+      replies.push_back(frame);
+    }
+    return replies;
+  };
+  auto observed_status = [](const serve::Frame& frame) {
+    Result<serve::ObserveResponse> observed =
+        serve::DecodeObserveResponse(frame);
+    EXPECT_TRUE(observed.ok());
+    return observed.ok() ? serve::StatusFromHeader(observed->header)
+                         : observed.status();
+  };
+
+  for (size_t s = 0; s < 2; ++s) {
+    serve::CreateSessionRequest create;
+    create.session_id = specs[s].id;
+    create.space_name = "small";
+    create.optimizer_type = static_cast<uint8_t>(specs[s].optimizer);
+    create.seed = specs[s].optimizer_seed;
+    create.reference_score = clients[s].env->default_score();
+    const auto replies =
+        exchange(serve::EncodeCreateSession(next_request++, create));
+    ASSERT_EQ(replies.size(), 1u);
+    Result<serve::CreateSessionResponse> created =
+        serve::DecodeCreateSessionResponse(replies[0]);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(serve::StatusFromHeader(created->header).ok());
+  }
+
+  for (size_t iter = 0; iter < iterations; ++iter) {
+    serve::ObserveRequest observes[2];
+    for (size_t s = 0; s < 2; ++s) {
+      const auto replies =
+          exchange(serve::EncodeSuggest(next_request++, {specs[s].id}));
+      ASSERT_EQ(replies.size(), 1u);
+      Result<serve::SuggestResponse> suggested =
+          serve::DecodeSuggestResponse(replies[0]);
+      ASSERT_TRUE(suggested.ok());
+      ASSERT_TRUE(serve::StatusFromHeader(suggested->header).ok());
+      const Observation outcome =
+          clients[s].env->Evaluate(Configuration(suggested->config));
+      observes[s].session_id = specs[s].id;
+      observes[s].config = outcome.config.values();
+      observes[s].score = outcome.score;
+      observes[s].objective = outcome.objective;
+      observes[s].failed = outcome.failed ? 1 : 0;
+      observes[s].internal_metrics = outcome.internal_metrics;
+    }
+    if (iter == 4 || iter == 11) {
+      std::vector<serve::ObserveRequest> bad(6, observes[0]);
+      bad[0].score = kNan;
+      bad[1].score = kInf;
+      bad[2].score = -kInf;
+      bad[3].objective = kNan;
+      bad[4].config[1] = kNan;
+      bad[5].internal_metrics.assign(
+          std::max<size_t>(1, bad[5].internal_metrics.size()), kInf);
+      std::string batch;
+      for (const serve::ObserveRequest& request : bad) {
+        batch += serve::EncodeObserve(next_request++, request);
+      }
+      const auto replies = exchange(batch);
+      ASSERT_EQ(replies.size(), bad.size());
+      for (const serve::Frame& reply : replies) {
+        EXPECT_EQ(observed_status(reply).code(),
+                  StatusCode::kInvalidArgument);
+      }
+    }
+    std::string batch = serve::EncodeObserve(next_request++, observes[0]);
+    batch += serve::EncodeObserve(next_request++, observes[1]);
+    const auto replies = exchange(batch);
+    ASSERT_EQ(replies.size(), 2u);
+    for (const serve::Frame& reply : replies) {
+      EXPECT_TRUE(observed_status(reply).ok());
+    }
+  }
+  for (size_t s = 0; s < 2; ++s) {
+    ExpectBitwiseEqual(StandaloneHistory(specs[s], iterations),
+                       clients[s].env->history(), specs[s].id);
+    const store::StoredSession* stored =
+        opened.value()->FindSession(specs[s].id);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_EQ(stored->observations.size(), iterations);
+  }
 }
 
 // Session churn through the wire: 200 short sessions are created, driven
