@@ -5,7 +5,6 @@
 
 #include "util/logging.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace dbtune {
 
@@ -22,7 +21,7 @@ Configuration GpBoOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
 
-  const std::vector<double> z = StandardizedScores();
+  const std::vector<double> z = StandardizeScores(scores_);
   Status fit = gp_->Fit(unit_history_, z);
   if (!fit.ok()) {
     // Degenerate geometry (e.g. duplicated points): fall back to random.
@@ -57,49 +56,17 @@ Configuration GpBoOptimizer::DoSuggest() {
     candidates.push_back(std::move(u));
   }
 
-  // Snap every candidate to the feasible configuration it decodes to
-  // (the GP must judge the point that will actually be evaluated), then
-  // score the whole pool through the batched predict path — one blocked
+  // Score the snapped pool through the batched predict path — one blocked
   // pass over the factor instead of a posterior query per candidate.
-  // The sequential reduction keeps ties resolving to the lowest index
-  // regardless of pool size.
-  std::vector<std::vector<double>> snapped(candidates.size());
-  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c) {
-                  snapped[c] = space_.SnapUnit(candidates[c]);
-                }
-              });
   std::vector<double> means, variances;
-  gp_->PredictMeanVarBatch(snapped, &means, &variances);
-  double best_ei = -1.0;
+  gp_->PredictMeanVarBatch(SnapCandidates(candidates), &means, &variances);
   size_t best_candidate = 0;
-  double ei_sum = 0.0;
-  double ei_sumsq = 0.0;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const double ei = ExpectedImprovement(means[c], variances[c], best);
-    ei_sum += ei;
-    ei_sumsq += ei * ei;
-    if (ei > best_ei) {
-      best_ei = ei;
-      best_candidate = c;
-    }
-  }
+  const AcquisitionSweep sweep =
+      SweepExpectedImprovement(means, variances, best, &best_candidate);
   // The snapped candidate is the configuration that will be evaluated, so
-  // its (de-standardized) posterior is the one-step-ahead prediction.
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean =
-      moments.mean + moments.sd * means[best_candidate];
-  suggest_info_.predicted_variance =
-      moments.sd * moments.sd * variances[best_candidate];
-  suggest_info_.has_acquisition = true;
-  suggest_info_.acquisition_best = best_ei;
-  const double pool = static_cast<double>(candidates.size());
-  const double ei_mean = ei_sum / pool;
-  const double ei_var = std::max(0.0, ei_sumsq / pool - ei_mean * ei_mean);
-  suggest_info_.acquisition_spread = std::sqrt(ei_var);
-  suggest_info_.acquisition_pool = candidates.size();
+  // its posterior is the one-step-ahead prediction.
+  RecordPrediction(means[best_candidate], variances[best_candidate]);
+  RecordAcquisition(sweep.best(), sweep);
   return space_.FromUnit(candidates[best_candidate]);
 }
 

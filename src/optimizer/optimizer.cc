@@ -16,6 +16,7 @@
 #include "sampling/latin_hypercube.h"
 #include "util/logging.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace dbtune {
 
@@ -104,22 +105,36 @@ Configuration Optimizer::NextInit() {
   return init_queue_[init_cursor_++];
 }
 
-std::vector<double> Optimizer::StandardizedScores() const {
-  std::vector<double> out = scores_;
-  const double mean = Mean(out);
-  double sd = StdDev(out);
-  if (sd < 1e-12) sd = 1.0;
-  for (double& v : out) v = (v - mean) / sd;
-  return out;
+std::vector<std::vector<double>> Optimizer::SnapCandidates(
+    const std::vector<std::vector<double>>& candidates) const {
+  std::vector<std::vector<double>> snapped(candidates.size());
+  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
+              [&](size_t begin, size_t end) {
+                for (size_t c = begin; c < end; ++c) {
+                  snapped[c] = space_.SnapUnit(candidates[c]);
+                }
+              });
+  return snapped;
 }
 
-Optimizer::ScoreMoments Optimizer::CurrentScoreMoments() const {
-  ScoreMoments moments;
-  if (scores_.empty()) return moments;
-  moments.mean = Mean(scores_);
-  moments.sd = StdDev(scores_);
-  if (moments.sd < 1e-12) moments.sd = 1.0;
-  return moments;
+void Optimizer::RecordPrediction(double mean_z, double var_z) {
+  const ScoreMoments moments = ScoreMomentsOf(scores_);
+  suggest_info_.has_prediction = true;
+  suggest_info_.predicted_mean = moments.mean + moments.sd * mean_z;
+  suggest_info_.predicted_variance = moments.sd * moments.sd * var_z;
+}
+
+void Optimizer::RecordAcquisition(double best, const AcquisitionSweep& sweep) {
+  suggest_info_.has_acquisition = true;
+  suggest_info_.acquisition_best = best;
+  suggest_info_.acquisition_spread = sweep.spread();
+  suggest_info_.acquisition_pool = sweep.count();
+}
+
+double AcquisitionSweep::spread() const {
+  const double n = static_cast<double>(count_);
+  const double mean = sum_ / n;
+  return std::sqrt(std::max(0.0, sumsq_ / n - mean * mean));
 }
 
 double ExpectedImprovement(double mean, double variance, double best) {
@@ -130,6 +145,21 @@ double ExpectedImprovement(double mean, double variance, double best) {
   const double cdf = 0.5 * std::erfc(-z / std::sqrt(2.0));
   const double ei = (mean - best) * cdf + sd * pdf;
   return ei > 0.0 ? ei : 0.0;
+}
+
+AcquisitionSweep SweepExpectedImprovement(const std::vector<double>& means,
+                                          const std::vector<double>& variances,
+                                          double best, size_t* winner) {
+  DBTUNE_CHECK_MSG(!means.empty(), "empty acquisition candidate pool");
+  DBTUNE_CHECK(means.size() == variances.size());
+  AcquisitionSweep sweep(-1.0);
+  *winner = 0;
+  for (size_t c = 0; c < means.size(); ++c) {
+    if (sweep.Add(ExpectedImprovement(means[c], variances[c], best))) {
+      *winner = c;
+    }
+  }
+  return sweep;
 }
 
 std::vector<std::vector<double>> BuildAcquisitionCandidates(

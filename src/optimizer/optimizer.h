@@ -63,6 +63,39 @@ struct SuggestInfo {
   size_t acquisition_pool = 0;
 };
 
+/// One pass over an acquisition function's values on a candidate pool, in
+/// candidate order: the running best plus the sum and sum of squares the
+/// pool's spread comes from.
+class AcquisitionSweep {
+ public:
+  /// `floor` is the value a candidate must strictly beat to win.
+  explicit AcquisitionSweep(double floor) : best_(floor) {}
+
+  /// Adds the next candidate's value; true when it strictly beats every
+  /// earlier one (and the floor), so ties keep the lowest index.
+  bool Add(double value) {
+    sum_ += value;
+    sumsq_ += value * value;
+    ++count_;
+    if (value > best_) {
+      best_ = value;
+      return true;
+    }
+    return false;
+  }
+
+  double best() const { return best_; }
+  size_t count() const { return count_; }
+  /// Population stddev of the added values.
+  double spread() const;
+
+ private:
+  double best_;
+  double sum_ = 0.0;
+  double sumsq_ = 0.0;
+  size_t count_ = 0;
+};
+
 /// Iterative suggest/observe configuration optimizer (the paper's
 /// configuration-optimization module).
 ///
@@ -124,24 +157,28 @@ class Optimizer {
   /// Next LHS warm-start configuration (lazily generates the design).
   Configuration NextInit();
 
-  /// Standardized copy of `scores_` (mean 0, stddev 1).
-  std::vector<double> StandardizedScores() const;
+  /// Every candidate snapped to the feasible configuration it decodes to
+  /// (a surrogate must judge the point that will actually be evaluated),
+  /// in parallel; each slot is written by one task, so the pool is
+  /// identical at any thread count.
+  std::vector<std::vector<double>> SnapCandidates(
+      const std::vector<std::vector<double>>& candidates) const;
 
-  /// The standardization applied by `StandardizedScores` (identical
-  /// guard: stddev < 1e-12 → 1). Used to map z-space surrogate
-  /// predictions back to raw score units for `SuggestInfo`.
-  struct ScoreMoments {
-    double mean = 0.0;
-    double sd = 1.0;
-  };
-  ScoreMoments CurrentScoreMoments() const;
+  /// Sets the `SuggestInfo` prediction from the surrogate's z-space
+  /// posterior at the suggested point, de-standardized with the moments
+  /// of `scores_` (the standardization the surrogate was fitted in).
+  void RecordPrediction(double mean_z, double var_z);
+
+  /// Sets the `SuggestInfo` acquisition: `best` is the chosen candidate's
+  /// value, `sweep` the pass over the scored pool.
+  void RecordAcquisition(double best, const AcquisitionSweep& sweep);
 
   ConfigurationSpace space_;
   OptimizerOptions options_;
   Rng rng_;
 
-  /// Written by each model-based `DoSuggest()`; `Suggest()` clears it
-  /// first.
+  /// Written only by `RecordPrediction` / `RecordAcquisition` (and copied
+  /// whole by `ProjectedOptimizer`); `Suggest()` clears it first.
   SuggestInfo suggest_info_;
 
   /// Unit-encoded evaluated configurations, observation order.
@@ -162,6 +199,13 @@ class Optimizer {
 /// Expected improvement of predictive (mean, variance) over `best`, for
 /// maximization.
 double ExpectedImprovement(double mean, double variance, double best);
+
+/// Expected improvement over `best` of each candidate's predictive
+/// (mean, variance), swept in order from a floor of -1; `*winner` is the
+/// first candidate with the largest value. The pool must be non-empty.
+AcquisitionSweep SweepExpectedImprovement(const std::vector<double>& means,
+                                          const std::vector<double>& variances,
+                                          double best, size_t* winner);
 
 /// Candidate pool for acquisition maximization: uniform random points plus
 /// local perturbations of the best observed configurations. Used by the

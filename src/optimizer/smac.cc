@@ -5,7 +5,6 @@
 
 #include "util/logging.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace dbtune {
 
@@ -53,7 +52,7 @@ Configuration SmacOptimizer::DoSuggest() {
     return space_.SampleUniform(rng_);
   }
 
-  const std::vector<double> z = StandardizedScores();
+  const std::vector<double> z = StandardizeScores(scores_);
   Status fit = forest_.Fit(unit_history_, z);
   if (!fit.ok()) return space_.SampleUniform(rng_);
   const double best = *std::max_element(z.begin(), z.end());
@@ -94,18 +93,13 @@ Configuration SmacOptimizer::DoSuggest() {
   // (parallel, independent forest queries); the hill climb below stays
   // sequential because each probe depends on the previous accept/reject
   // decision and the shared RNG.
-  std::vector<std::vector<double>> snapped(candidates.size());
-  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c) {
-                  snapped[c] = space_.SnapUnit(candidates[c]);
-                }
-              });
   std::vector<double> means, variances;
-  forest_.PredictMeanVarBatch(snapped, &means, &variances);
+  forest_.PredictMeanVarBatch(SnapCandidates(candidates), &means, &variances);
   std::vector<double> ei(candidates.size());
+  AcquisitionSweep sweep(-1.0);
   for (size_t c = 0; c < candidates.size(); ++c) {
     ei[c] = ExpectedImprovement(means[c], variances[c], best);
+    sweep.Add(ei[c]);
   }
 
   // Hill-climb from the most promising candidates (SMAC's local search):
@@ -141,27 +135,12 @@ Configuration SmacOptimizer::DoSuggest() {
   }
 
   // One deterministic posterior query at the winner (it may have moved
-  // during the hill climb), de-standardized to raw score units.
+  // during the hill climb); the spread is the pool's, before the climb.
   double win_mean = 0.0;
   double win_var = 0.0;
   forest_.PredictMeanVar(space_.SnapUnit(best_unit), &win_mean, &win_var);
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean = moments.mean + moments.sd * win_mean;
-  suggest_info_.predicted_variance = moments.sd * moments.sd * win_var;
-  suggest_info_.has_acquisition = true;
-  suggest_info_.acquisition_best = best_ei;
-  double ei_sum = 0.0;
-  double ei_sumsq = 0.0;
-  for (double v : ei) {
-    ei_sum += v;
-    ei_sumsq += v * v;
-  }
-  const double pool = static_cast<double>(ei.size());
-  const double ei_mean = ei_sum / pool;
-  suggest_info_.acquisition_spread =
-      std::sqrt(std::max(0.0, ei_sumsq / pool - ei_mean * ei_mean));
-  suggest_info_.acquisition_pool = ei.size();
+  RecordPrediction(win_mean, win_var);
+  RecordAcquisition(best_ei, sweep);
   return space_.FromUnit(best_unit);
 }
 

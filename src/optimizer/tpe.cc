@@ -109,10 +109,8 @@ Configuration TpeOptimizer::DoSuggest() {
 
   // Sample candidates from l and keep the one maximizing l/g — each
   // dimension independently (the defining approximation of TPE).
-  double best_ratio = -1e300;
+  AcquisitionSweep sweep(-1e300);
   std::vector<double> best_unit(d);
-  double ratio_sum = 0.0;
-  double ratio_sumsq = 0.0;
   for (size_t c = 0; c < tpe_options_.num_candidates; ++c) {
     std::vector<double> unit(d);
     double log_ratio = 0.0;
@@ -122,22 +120,11 @@ Configuration TpeOptimizer::DoSuggest() {
       log_ratio += std::log(DensityAt(l[j], unit[j], k)) -
                    std::log(DensityAt(g[j], unit[j], k));
     }
-    ratio_sum += log_ratio;
-    ratio_sumsq += log_ratio * log_ratio;
-    if (log_ratio > best_ratio) {
-      best_ratio = log_ratio;
-      best_unit = std::move(unit);
-    }
+    if (sweep.Add(log_ratio)) best_unit = std::move(unit);
   }
   // TPE has no predictive distribution over scores — only the density
   // ratio acquisition, reported on the log scale.
-  suggest_info_.has_acquisition = true;
-  suggest_info_.acquisition_best = best_ratio;
-  const double pool = static_cast<double>(tpe_options_.num_candidates);
-  const double ratio_mean = ratio_sum / pool;
-  suggest_info_.acquisition_spread = std::sqrt(
-      std::max(0.0, ratio_sumsq / pool - ratio_mean * ratio_mean));
-  suggest_info_.acquisition_pool = tpe_options_.num_candidates;
+  RecordAcquisition(sweep.best(), sweep);
   return space_.FromUnit(best_unit);
 }
 

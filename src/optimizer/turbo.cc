@@ -48,7 +48,7 @@ Configuration TurboOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
   const size_t d = space_.dimension();
-  const std::vector<double> z = StandardizedScores();
+  const std::vector<double> z = StandardizeScores(scores_);
 
   // Anchor each region's center on the best point inside it (or the
   // global best when empty).
@@ -57,14 +57,13 @@ Configuration TurboOptimizer::DoSuggest() {
     if (z[i] > z[global_best]) global_best = i;
   }
 
-  double best_sample = -1e300;
+  // Thompson samples are the acquisition values: one sweep over the draws
+  // of every region.
+  AcquisitionSweep sweep(-1e300);
   std::vector<double> best_unit;
   int best_region = -1;
   double best_mean_z = 0.0;
   double best_var_z = 0.0;
-  double sample_sum = 0.0;
-  double sample_sumsq = 0.0;
-  size_t sample_count = 0;
 
   for (size_t r = 0; r < regions_.size(); ++r) {
     TrustRegion& region = regions_[r];
@@ -135,11 +134,7 @@ Configuration TurboOptimizer::DoSuggest() {
     gp->PredictMeanVarBatch(units, &means, &variances);
     for (size_t c = 0; c < num_candidates; ++c) {
       const double sample = means[c] + std::sqrt(variances[c]) * normals[c];
-      sample_sum += sample;
-      sample_sumsq += sample * sample;
-      ++sample_count;
-      if (sample > best_sample) {
-        best_sample = sample;
+      if (sweep.Add(sample)) {
         best_unit = units[c];
         best_region = static_cast<int>(r);
         best_mean_z = means[c];
@@ -154,19 +149,8 @@ Configuration TurboOptimizer::DoSuggest() {
   }
   last_region_ = best_region;
 
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean = moments.mean + moments.sd * best_mean_z;
-  suggest_info_.predicted_variance = moments.sd * moments.sd * best_var_z;
-  suggest_info_.has_acquisition = true;
-  // Thompson samples are the acquisition values here: the winner and the
-  // spread of the sampled posterior draws across all regions.
-  suggest_info_.acquisition_best = best_sample;
-  const double n = static_cast<double>(sample_count);
-  const double sample_mean = sample_sum / n;
-  suggest_info_.acquisition_spread = std::sqrt(
-      std::max(0.0, sample_sumsq / n - sample_mean * sample_mean));
-  suggest_info_.acquisition_pool = sample_count;
+  RecordPrediction(best_mean_z, best_var_z);
+  RecordAcquisition(sweep.best(), sweep);
   return space_.FromUnit(best_unit);
 }
 

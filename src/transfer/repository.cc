@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/stats.h"
 
 namespace dbtune {
 
@@ -82,16 +81,6 @@ SourceTask ObservationRepository::FromHistory(
     task.metric_signature = std::move(metric_sum);
   }
   return task;
-}
-
-std::vector<double> StandardizeScores(const std::vector<double>& scores) {
-  if (scores.empty()) return {};  // Mean/StdDev of nothing would be NaN
-  std::vector<double> out = scores;
-  const double mean = Mean(out);
-  double sd = StdDev(out);
-  if (sd < 1e-12) sd = 1.0;
-  for (double& v : out) v = (v - mean) / sd;
-  return out;
 }
 
 }  // namespace dbtune

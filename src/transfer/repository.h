@@ -65,10 +65,6 @@ class ObservationRepository {
   std::vector<SourceTask> tasks_ DBTUNE_GUARDED_BY(mu_);
 };
 
-/// Per-task standardized scores (mean 0, stddev 1) — transfer frameworks
-/// compare tasks on relative, not absolute, performance.
-std::vector<double> StandardizeScores(const std::vector<double>& scores);
-
 }  // namespace dbtune
 
 #endif  // DBTUNE_TRANSFER_REPOSITORY_H_

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/stats.h"
 
 namespace dbtune {
 
@@ -178,31 +178,18 @@ Configuration RgpeOptimizer::DoSuggest() {
     }
   }
 
-  // Snap the pool once (bitwise equal to the FromUnit/ToUnit round-trip,
-  // no Configuration materialized), then run one batched predict per
-  // active model — the parallelism lives inside PredictMeanVarBatch,
-  // where each query writes only its own slot, so the mixture inputs are
-  // bit-identical at any pool size. The cheap per-candidate mixture and
-  // EI reduction stays sequential, resolving ties to the lowest index.
-  std::vector<std::vector<double>> snapped(candidates.size());
-  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c) {
-                  snapped[c] = space_.SnapUnit(candidates[c]);
-                }
-              });
+  // One batched predict per active model over the snapped pool — the
+  // parallelism lives inside PredictMeanVarBatch, where each query writes
+  // only its own slot — then the cheap per-candidate mixture, sequential.
+  const std::vector<std::vector<double>> snapped = SnapCandidates(candidates);
   std::vector<std::vector<double>> model_means(active.size()),
       model_vars(active.size());
   for (size_t k = 0; k < active.size(); ++k) {
     models[active[k]]->PredictMeanVarBatch(snapped, &model_means[k],
                                            &model_vars[k]);
   }
-  double best_ei = -1.0;
-  size_t best_candidate = 0;
-  double best_mean_z = 0.0;
-  double best_var_z = 0.0;
-  double ei_sum = 0.0;
-  double ei_sumsq = 0.0;
+  std::vector<double> means(candidates.size());
+  std::vector<double> variances(candidates.size());
   std::vector<double> mus(active.size());
   std::vector<double> vars(active.size());
   for (size_t c = 0; c < candidates.size(); ++c) {
@@ -210,31 +197,14 @@ Configuration RgpeOptimizer::DoSuggest() {
       mus[k] = model_means[k][c];
       vars[k] = model_vars[k][c];
     }
-    double mean = 0.0, var = 0.0;
-    MixtureMeanVar(active_weights, mus, vars, &mean, &var);
-    const double ei = ExpectedImprovement(mean, var, best);
-    ei_sum += ei;
-    ei_sumsq += ei * ei;
-    if (ei > best_ei) {
-      best_ei = ei;
-      best_candidate = c;
-      best_mean_z = mean;
-      best_var_z = var;
-    }
+    MixtureMeanVar(active_weights, mus, vars, &means[c], &variances[c]);
   }
-  // The mixture posterior at the winner, de-standardized: the target's
-  // StandardizeScores applies the same moments as CurrentScoreMoments.
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean = moments.mean + moments.sd * best_mean_z;
-  suggest_info_.predicted_variance = moments.sd * moments.sd * best_var_z;
-  suggest_info_.has_acquisition = true;
-  suggest_info_.acquisition_best = best_ei;
-  const double pool = static_cast<double>(candidates.size());
-  const double ei_mean = ei_sum / pool;
-  suggest_info_.acquisition_spread =
-      std::sqrt(std::max(0.0, ei_sumsq / pool - ei_mean * ei_mean));
-  suggest_info_.acquisition_pool = candidates.size();
+  size_t best_candidate = 0;
+  const AcquisitionSweep sweep =
+      SweepExpectedImprovement(means, variances, best, &best_candidate);
+  // The mixture posterior at the winner, in the target's z-space.
+  RecordPrediction(means[best_candidate], variances[best_candidate]);
+  RecordAcquisition(sweep.best(), sweep);
   return space_.FromUnit(candidates[best_candidate]);
 }
 

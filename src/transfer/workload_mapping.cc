@@ -7,7 +7,7 @@
 #include "surrogate/surrogate_factory.h"
 #include "util/logging.h"
 #include "util/matrix.h"
-#include "util/thread_pool.h"
+#include "util/stats.h"
 
 namespace dbtune {
 
@@ -99,10 +99,11 @@ Configuration WorkloadMappingOptimizer::DoSuggest() {
   // Training set: mapped source observations + target observations, each
   // standardized within its own task (OtterTune rescales the reused data
   // to the target's range; per-task z-scores achieve the same intent).
-  FeatureMatrix train_x = unit_history_;
-  std::vector<double> train_y = StandardizeScores(scores_);
+  const std::vector<double> target_z = StandardizeScores(scores_);
   const double target_best =
-      *std::max_element(train_y.begin(), train_y.end());
+      *std::max_element(target_z.begin(), target_z.end());
+  FeatureMatrix train_x = unit_history_;
+  std::vector<double> train_y = target_z;
   if (mapped_task_ >= 0) {
     const SourceTask& task =
         repository_->tasks()[static_cast<size_t>(mapped_task_)];
@@ -118,49 +119,17 @@ Configuration WorkloadMappingOptimizer::DoSuggest() {
   }
 
   const std::vector<std::vector<double>> candidates =
-      BuildAcquisitionCandidates(space_, rng_, unit_history_,
-                                 StandardizeScores(scores_),
+      BuildAcquisitionCandidates(space_, rng_, unit_history_, target_z,
                                  options_.acquisition_candidates);
-  // Snap the pool (bitwise equal to the old FromUnit/ToUnit round-trip)
-  // and score it in one batched pass; the reduction stays sequential so
-  // ties resolve to the lowest index at any pool size.
-  std::vector<std::vector<double>> snapped(candidates.size());
-  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c) {
-                  snapped[c] = space_.SnapUnit(candidates[c]);
-                }
-              });
   std::vector<double> means, variances;
-  surrogate->PredictMeanVarBatch(snapped, &means, &variances);
-  double best_ei = -1.0;
+  surrogate->PredictMeanVarBatch(SnapCandidates(candidates), &means,
+                                 &variances);
   size_t best_candidate = 0;
-  double ei_sum = 0.0;
-  double ei_sumsq = 0.0;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const double ei = ExpectedImprovement(means[c], variances[c], target_best);
-    ei_sum += ei;
-    ei_sumsq += ei * ei;
-    if (ei > best_ei) {
-      best_ei = ei;
-      best_candidate = c;
-    }
-  }
-  // De-standardize with the target moments: train_y used the identical
-  // per-task StandardizeScores formula for the target observations.
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean =
-      moments.mean + moments.sd * means[best_candidate];
-  suggest_info_.predicted_variance =
-      moments.sd * moments.sd * variances[best_candidate];
-  suggest_info_.has_acquisition = true;
-  suggest_info_.acquisition_best = best_ei;
-  const double pool = static_cast<double>(candidates.size());
-  const double ei_mean = ei_sum / pool;
-  suggest_info_.acquisition_spread =
-      std::sqrt(std::max(0.0, ei_sumsq / pool - ei_mean * ei_mean));
-  suggest_info_.acquisition_pool = candidates.size();
+  const AcquisitionSweep sweep =
+      SweepExpectedImprovement(means, variances, target_best, &best_candidate);
+  // The target's z-scores in train_y are the ones RecordPrediction undoes.
+  RecordPrediction(means[best_candidate], variances[best_candidate]);
+  RecordAcquisition(sweep.best(), sweep);
   return space_.FromUnit(candidates[best_candidate]);
 }
 

@@ -32,6 +32,22 @@ double StdDev(const std::vector<double>& values) {
   return std::sqrt(Variance(values));
 }
 
+ScoreMoments ScoreMomentsOf(const std::vector<double>& scores) {
+  ScoreMoments moments;
+  if (scores.empty()) return moments;
+  moments.mean = Mean(scores);
+  moments.sd = StdDev(scores);
+  if (moments.sd < 1e-12) moments.sd = 1.0;
+  return moments;
+}
+
+std::vector<double> StandardizeScores(const std::vector<double>& scores) {
+  const ScoreMoments moments = ScoreMomentsOf(scores);
+  std::vector<double> out = scores;
+  for (double& v : out) v = (v - moments.mean) / moments.sd;
+  return out;
+}
+
 double Quantile(std::vector<double> values, double q) {
   DBTUNE_CHECK(!values.empty());
   DBTUNE_CHECK(q >= 0.0 && q <= 1.0);

@@ -15,6 +15,20 @@ double Variance(const std::vector<double>& values);
 /// Sample standard deviation (sqrt of `Variance`).
 double StdDev(const std::vector<double>& values);
 
+/// Location and scale of a score history: the mean and the sample stddev,
+/// with a stddev below 1e-12 replaced by 1 so constant scores stay finite.
+/// {0, 1} for empty input.
+struct ScoreMoments {
+  double mean = 0.0;
+  double sd = 1.0;
+};
+ScoreMoments ScoreMomentsOf(const std::vector<double>& scores);
+
+/// Scores standardized by `ScoreMomentsOf` (mean 0, stddev 1). Optimizers
+/// fit their surrogates in this z-space, and transfer frameworks compare
+/// tasks on relative, not absolute, performance.
+std::vector<double> StandardizeScores(const std::vector<double>& scores);
+
 /// Linear-interpolated quantile, q in [0, 1]. Requires non-empty input.
 double Quantile(std::vector<double> values, double q);
 

@@ -24,7 +24,7 @@ Dataset MakeLinear(size_t n, Rng& rng, double noise = 0.02) {
   for (size_t i = 0; i < n; ++i) {
     std::vector<double> row = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
     data.y.push_back(2.0 * row[0] - 1.0 * row[1] + 0.5 +
-                     rng.Gaussian(0.0, noise));
+                     noise * rng.Gaussian());
     data.x.push_back(std::move(row));
   }
   return data;
@@ -35,7 +35,7 @@ Dataset MakeNonlinear(size_t n, Rng& rng, double noise = 0.02) {
   for (size_t i = 0; i < n; ++i) {
     std::vector<double> row = {rng.Uniform(), rng.Uniform()};
     data.y.push_back(std::sin(6.0 * row[0]) + row[1] * row[1] +
-                     rng.Gaussian(0.0, noise));
+                     noise * rng.Gaussian());
     data.x.push_back(std::move(row));
   }
   return data;

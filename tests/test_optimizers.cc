@@ -2,13 +2,22 @@
 
 #include <cctype>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "dbms/environment.h"
 #include "knobs/catalog.h"
 #include "optimizer/ddpg.h"
+#include "optimizer/projected_optimizer.h"
+#include "tie_heavy_data.h"
+#include "transfer/repository.h"
+#include "transfer/rgpe.h"
+#include "transfer/workload_mapping.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace dbtune {
 namespace {
@@ -58,6 +67,26 @@ TEST(ExpectedImprovementTest, UncertaintyAddsValue) {
   const double certain = ExpectedImprovement(0.0, 1e-8, 0.5);
   const double uncertain = ExpectedImprovement(0.0, 4.0, 0.5);
   EXPECT_GT(uncertain, certain);
+}
+
+// An empty acquisition pool (acquisition_candidates = 0, which
+// CreateOptimizer accepts) used to read the first prediction of an empty
+// vector; the shared EI sweep refuses it instead.
+TEST(OptimizerDeathTest, EmptyAcquisitionPoolChecks) {
+  size_t winner = 0;
+  EXPECT_DEATH(SweepExpectedImprovement({}, {}, 0.0, &winner),
+               "empty acquisition candidate pool");
+  const ConfigurationSpace space = MakeContinuousSpace(2);
+  OptimizerOptions options;
+  options.initial_design = 2;
+  options.acquisition_candidates = 0;
+  EXPECT_DEATH(
+      {
+        std::unique_ptr<Optimizer> optimizer =
+            CreateOptimizer(OptimizerType::kVanillaBo, space, options);
+        RunOnObjective(optimizer.get(), 3, ConcaveObjective);
+      },
+      "empty acquisition candidate pool");
 }
 
 TEST(OptimizerFactoryTest, CreatesEveryType) {
@@ -248,6 +277,150 @@ TEST(TpeWeaknessTest, InteractionBlindness) {
     tpe_total += run(OptimizerType::kTpe, seed);
   }
   EXPECT_GE(smac_total, tpe_total - 0.10);
+}
+
+// Bitwise pins over every optimizer that scores an acquisition pool:
+// each suggestion and every SuggestInfo field of an 18-iteration session
+// on the simulator, at pool sizes 1/2/8. Recorded before the acquisition
+// step (standardization, pool snapping, the argmax sweep and the
+// SuggestInfo writes) moved into the Optimizer base; any reordering of
+// that arithmetic, down to one ulp, changes a hash.
+class PoolSizeGuard {
+ public:
+  explicit PoolSizeGuard(size_t n)
+      : original_(ExecutionContext::Get().num_threads()) {
+    ExecutionContext::Get().SetNumThreads(n);
+  }
+  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
+
+ private:
+  size_t original_;
+};
+
+// Two source tasks, each measured on a simulator of its own: sharing the
+// target's simulator would shift its noise stream.
+ObservationRepository MakeGoldenRepository() {
+  ObservationRepository repo;
+  const WorkloadId workloads[] = {WorkloadId::kSysbench, WorkloadId::kTpcc};
+  for (size_t t = 0; t < 2; ++t) {
+    DbmsSimulator sim(SmallTestCatalog(), workloads[t],
+                      t == 0 ? HardwareInstance::kA : HardwareInstance::kB,
+                      /*seed=*/11 + t);
+    TuningEnvironment env(&sim);
+    Rng rng(19 + t);
+    for (int i = 0; i < 24; ++i) env.Evaluate(env.space().SampleUniform(rng));
+    repo.AddTask(ObservationRepository::FromHistory(
+        t == 0 ? "sysbench-a" : "tpcc-b", env.space(), env.history()));
+  }
+  return repo;
+}
+
+struct OptimizerGolden {
+  const char* name;
+  std::function<std::unique_ptr<Optimizer>(
+      const ConfigurationSpace&, const OptimizerOptions&,
+      const ObservationRepository*)>
+      make;
+  uint64_t hash;
+};
+
+struct GoldenSession {
+  uint64_t hash = 0;
+  /// Suggestions that scored an acquisition pool.
+  int acquisitions = 0;
+};
+
+GoldenSession RunGoldenSession(const OptimizerGolden& golden,
+                               const ObservationRepository* repo) {
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, /*seed=*/3);
+  TuningEnvironment env(&sim);
+  OptimizerOptions options;
+  options.seed = 7;
+  options.initial_design = 5;
+  options.acquisition_candidates = 120;
+  const std::unique_ptr<Optimizer> optimizer =
+      golden.make(env.space(), options, repo);
+  testing::Fnv1a fnv;
+  GoldenSession session;
+  for (int i = 0; i < 18; ++i) {
+    const Configuration c = optimizer->Suggest();
+    for (size_t j = 0; j < c.size(); ++j) fnv.Add(c[j]);
+    const SuggestInfo& info = optimizer->last_suggest_info();
+    fnv.Add(static_cast<uint64_t>(info.has_prediction));
+    fnv.Add(info.predicted_mean);
+    fnv.Add(info.predicted_variance);
+    fnv.Add(static_cast<uint64_t>(info.has_acquisition));
+    fnv.Add(info.acquisition_best);
+    fnv.Add(info.acquisition_spread);
+    fnv.Add(static_cast<uint64_t>(info.acquisition_pool));
+    if (info.has_acquisition) ++session.acquisitions;
+    const Observation obs = env.Evaluate(c);
+    optimizer->ObserveWithMetrics(obs.config, obs.score,
+                                  obs.internal_metrics);
+  }
+  session.hash = fnv.hash();
+  return session;
+}
+
+TEST(OptimizerGoldenTest, SuggestionsAndSuggestInfoMatchPins) {
+  const auto of_type = [](OptimizerType type) {
+    return [type](const ConfigurationSpace& space,
+                  const OptimizerOptions& options,
+                  const ObservationRepository*) {
+      return CreateOptimizer(type, space, options);
+    };
+  };
+  const auto rgpe = [](TransferBase base) {
+    return [base](const ConfigurationSpace& space,
+                  const OptimizerOptions& options,
+                  const ObservationRepository* repo) {
+      return std::unique_ptr<Optimizer>(
+          std::make_unique<RgpeOptimizer>(space, options, repo, base));
+    };
+  };
+  const auto mapping = [](TransferBase base) {
+    return [base](const ConfigurationSpace& space,
+                  const OptimizerOptions& options,
+                  const ObservationRepository* repo) {
+      return std::unique_ptr<Optimizer>(
+          std::make_unique<WorkloadMappingOptimizer>(space, options, repo,
+                                                     base));
+    };
+  };
+  const OptimizerGolden goldens[] = {
+      {"Vanilla BO", of_type(OptimizerType::kVanillaBo), 0x6635f05215084c7eULL},
+      {"Mixed-Kernel BO", of_type(OptimizerType::kMixedKernelBo), 0xabe6dff8daf0c374ULL},
+      {"SMAC", of_type(OptimizerType::kSmac), 0x6a8795ebb6fa5a8eULL},
+      {"TPE", of_type(OptimizerType::kTpe), 0x977e27357b26efbfULL},
+      {"TuRBO", of_type(OptimizerType::kTurbo), 0xc3656a30612cb150ULL},
+      {"RGPE (SMAC)", rgpe(TransferBase::kSmac), 0x742170186ce5f5daULL},
+      {"RGPE (Mixed-Kernel BO)", rgpe(TransferBase::kMixedKernelBo), 0x018d2370730d7836ULL},
+      {"Mapping (SMAC)", mapping(TransferBase::kSmac), 0x5ab92c1cb52a9cabULL},
+      {"Mapping (Mixed-Kernel BO)", mapping(TransferBase::kMixedKernelBo),
+       0x1f852046a696df24ULL},
+      {"Projected(SMAC)",
+       [](const ConfigurationSpace& space, const OptimizerOptions& options,
+          const ObservationRepository*) {
+         ProjectionOptions projection;
+         projection.dims = 4;
+         return std::unique_ptr<Optimizer>(std::make_unique<ProjectedOptimizer>(
+             space, options, OptimizerType::kSmac, projection));
+       },
+       0xad71099c13cc0bd3ULL},
+  };
+  const ObservationRepository repo = MakeGoldenRepository();
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const PoolSizeGuard guard(pool);
+    for (const OptimizerGolden& golden : goldens) {
+      const GoldenSession session = RunGoldenSession(golden, &repo);
+      EXPECT_EQ(session.hash, golden.hash)
+          << golden.name << " pool=" << pool << " hash=0x" << std::hex
+          << session.hash;
+      // The pin covers the acquisition step only if the model ran.
+      EXPECT_GE(session.acquisitions, 10) << golden.name;
+    }
+  }
 }
 
 }  // namespace

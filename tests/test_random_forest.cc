@@ -22,7 +22,7 @@ FeatureMatrix MakeQuadraticData(std::vector<double>* y, size_t n, size_t d,
     for (double& v : row) v = rng.Uniform();
     // Target depends on the first two features only.
     const double target = 3.0 * row[0] - 2.0 * (row[1] - 0.5) * (row[1] - 0.5);
-    y->push_back(target + rng.Gaussian(0.0, noise));
+    y->push_back(target + noise * rng.Gaussian());
     x.push_back(std::move(row));
   }
   return x;

@@ -31,6 +31,40 @@ TEST(StatsTest, TwoPointSampleVariance) {
   EXPECT_DOUBLE_EQ(StdDev({1.0, 3.0}), std::sqrt(2.0));
 }
 
+TEST(StatsTest, StandardizeScores) {
+  const std::vector<double> z = StandardizeScores({1.0, 2.0, 3.0});
+  EXPECT_NEAR(z[0] + z[1] + z[2], 0.0, 1e-12);
+  EXPECT_GT(z[2], z[1]);
+  // Constant input stays finite.
+  for (double v : StandardizeScores({5.0, 5.0})) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  // Regression: empty input used to divide 0/0 and return NaN-poisoned
+  // state downstream; it must simply produce an empty vector.
+  EXPECT_TRUE(StandardizeScores({}).empty());
+}
+
+TEST(StatsTest, ScoreMomentsOf) {
+  const ScoreMoments empty = ScoreMomentsOf({});
+  EXPECT_EQ(empty.mean, 0.0);
+  EXPECT_EQ(empty.sd, 1.0);
+  // A constant history keeps its mean and falls back to unit scale.
+  const ScoreMoments constant = ScoreMomentsOf({4.0, 4.0, 4.0});
+  EXPECT_EQ(constant.mean, 4.0);
+  EXPECT_EQ(constant.sd, 1.0);
+  // Sample (n-1) stddev otherwise: {1, 3} has mean 2 and sd sqrt(2).
+  const ScoreMoments pair = ScoreMomentsOf({1.0, 3.0});
+  EXPECT_EQ(pair.mean, 2.0);
+  EXPECT_DOUBLE_EQ(pair.sd, std::sqrt(2.0));
+  // StandardizeScores applies exactly these moments.
+  const std::vector<double> scores = {0.3, -1.7, 2.9, 0.3};
+  const ScoreMoments moments = ScoreMomentsOf(scores);
+  const std::vector<double> z = StandardizeScores(scores);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    EXPECT_EQ(z[i], (scores[i] - moments.mean) / moments.sd);
+  }
+}
+
 TEST(StatsTest, QuantileInterpolates) {
   const std::vector<double> v = {10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 10.0);

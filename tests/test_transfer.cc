@@ -118,19 +118,6 @@ TEST(RepositoryTest, FromHistoryEmptyHistoryYieldsEmptyTask) {
   EXPECT_TRUE(task.metric_signature.empty());
 }
 
-TEST(RepositoryTest, StandardizeScores) {
-  const std::vector<double> z = StandardizeScores({1.0, 2.0, 3.0});
-  EXPECT_NEAR(z[0] + z[1] + z[2], 0.0, 1e-12);
-  EXPECT_GT(z[2], z[1]);
-  // Constant input stays finite.
-  for (double v : StandardizeScores({5.0, 5.0})) {
-    EXPECT_TRUE(std::isfinite(v));
-  }
-  // Regression: empty input used to divide 0/0 and return NaN-poisoned
-  // state downstream; it must simply produce an empty vector.
-  EXPECT_TRUE(StandardizeScores({}).empty());
-}
-
 TEST(WorkloadMappingTest, MapsToNearestSignature) {
   const ConfigurationSpace space = MakeSpace();
   const ObservationRepository repo = MakeRepository(space, 1);
