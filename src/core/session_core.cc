@@ -3,26 +3,24 @@
 #include <utility>
 
 #include "core/tuning_session.h"
+#include "util/env_config.h"
 #include "util/logging.h"
 
 namespace dbtune {
 
 SessionStore OpenSessionStore(const SessionControls& controls) {
   SessionStore bound;
-  bound.session_id = !controls.store_session_id.empty()
-                         ? controls.store_session_id
-                     : !controls.session_label.empty() ? controls.session_label
-                                                       : "default";
+  bound.session_id =
+      controls.session_label.empty() ? "default" : controls.session_label;
   if (controls.store != nullptr) {
     bound.store = controls.store;
     return bound;
   }
-  const std::string path =
-      store::ObservationStore::ResolvePath(controls.store_path);
-  if (path.empty()) return bound;
+  if (controls.store_path.empty()) return bound;
   store::StoreOptions options;
-  options.snapshot_every = store::ObservationStore::ResolveSnapshotEvery();
-  auto opened = store::ObservationStore::Open(path, options);
+  options.snapshot_every = ProcessEnvConfig().store_snapshot_every.value_or(
+      options.snapshot_every);
+  auto opened = store::ObservationStore::Open(controls.store_path, options);
   if (!opened.ok()) {
     DBTUNE_LOG(kWarning) << "observation store disabled: "
                          << opened.status().ToString();

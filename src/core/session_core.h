@@ -24,10 +24,10 @@ struct SessionStore {
 };
 
 /// Resolves `controls` to a store: the borrowed `controls.store`, else
-/// the store at `controls.store_path` (or `DBTUNE_STORE`) opened here,
-/// else none. An open failure warns and runs without durability. The
-/// session id is `store_session_id`, else `session_label`, else
-/// "default".
+/// the store at `controls.store_path` opened here (checkpointing every
+/// `DBTUNE_STORE_SNAPSHOT_EVERY` appends when that is set), else none.
+/// An open failure warns and runs without durability. The session id is
+/// `session_label`, else "default".
 SessionStore OpenSessionStore(const SessionControls& controls);
 
 /// The step core of one tuning session — the paper's Figure 2 loop minus

@@ -28,21 +28,19 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   static obs::Gauge& best_score_gauge =
       obs::MetricsRegistry::Get().gauge("session.best_score");
 
-  obs::SessionLogger session_log(
-      obs::SessionLogger::ResolvePath(controls.session_log_path));
+  obs::SessionLogger session_log(controls.session_log_path);
 
   // Diagnostics observe the session; they never feed back into it (no
   // RNG draws, no clock reads inside Record), so enabling them leaves
   // the tuning trajectory bitwise unchanged.
   std::unique_ptr<obs::TuningDiagnostics> diagnostics;
-  if (controls.diagnostics || obs::DiagnosticsEnvEnabled()) {
+  if (controls.diagnostics) {
     obs::TuningDiagnosticsOptions diag_options;
     diag_options.session_label = controls.session_label;
     diagnostics = std::make_unique<obs::TuningDiagnostics>(diag_options);
   }
-  obs::MetricsExporter exporter(
-      obs::MetricsExporter::ResolvePath(controls.metrics_export_path),
-      obs::MetricsExporter::ResolveIntervalSeconds());
+  obs::MetricsExporter exporter(controls.metrics_export_path,
+                                ProcessEnvConfig().metrics_export_interval_s);
 
   SessionResult result;
   result.improvement_trace.reserve(iterations);
@@ -157,10 +155,8 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
     }
   }
 
-  const std::string trace_path =
-      controls.trace_path.empty() ? obs::TraceEnvPath() : controls.trace_path;
-  if (!trace_path.empty()) {
-    const Status written = obs::WriteTrace(trace_path);
+  if (!controls.trace_path.empty()) {
+    const Status written = obs::WriteTrace(controls.trace_path);
     if (!written.ok()) {
       DBTUNE_LOG(kWarning) << "trace not written: " << written.ToString();
     }
@@ -176,13 +172,9 @@ SessionResult RunTuningSession(DbmsSimulator* simulator,
   OptimizerOptions options;
   options.seed = seed;
   std::unique_ptr<Optimizer> optimizer;
-  if (controls.projection_dims > 0) {
-    ProjectionOptions projection;
-    projection.dims = controls.projection_dims;
-    projection.seed = controls.projection_seed;
-    projection.special_value_bias = controls.projection_special_bias;
+  if (controls.projection.has_value()) {
     optimizer = std::make_unique<ProjectedOptimizer>(
-        env.space(), options, optimizer_type, projection);
+        env.space(), options, optimizer_type, *controls.projection);
   } else {
     optimizer = CreateOptimizer(optimizer_type, env.space(), options);
   }

@@ -2,12 +2,15 @@
 #define DBTUNE_CORE_TUNING_SESSION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dbms/environment.h"
+#include "knobs/projected_space.h"
 #include "obs/diagnostics.h"
 #include "optimizer/optimizer.h"
+#include "util/env_config.h"
 
 namespace dbtune {
 
@@ -41,45 +44,38 @@ struct SessionResult {
   size_t replayed_iterations = 0;
 };
 
-/// Extra controls for `RunTuningSession`.
+/// Extra controls for `RunTuningSession`. The switches default to
+/// `ProcessEnvConfig()`; an explicit value always wins, so `""` or
+/// `false` turns a switch off whatever the environment says.
 struct SessionControls {
   /// Record per-iteration optimizer overhead (Figure 9).
   bool record_overhead = false;
   /// When non-empty, one JSON line per iteration is written here (see
-  /// obs::SessionLogger). Empty → fall back to `DBTUNE_SESSION_LOG`.
-  std::string session_log_path;
+  /// obs::SessionLogger). Defaults to `DBTUNE_SESSION_LOG`.
+  std::string session_log_path = ProcessEnvConfig().session_log_path;
   /// When non-empty, the Chrome trace buffer is written here at session
-  /// end. Empty → fall back to the path form of `DBTUNE_TRACE`.
-  std::string trace_path;
-  /// When > 0, the convenience overload runs the optimizer inside a
-  /// HeSBO-style random projection of the tuning space with this many
-  /// dimensions (LlamaTune; see ProjectedConfigurationSpace). 0 searches
-  /// the native space.
-  size_t projection_dims = 0;
-  /// Seed of the projection's hash/sign assignment.
-  uint64_t projection_seed = 1;
-  /// Probability mass reserved for each knob's default ("special")
-  /// value in the projected decoding.
-  double projection_special_bias = 0.2;
+  /// end. Defaults to the path form of `DBTUNE_TRACE`.
+  std::string trace_path = ProcessEnvConfig().trace_path;
+  /// When set, the convenience overload runs the optimizer inside this
+  /// HeSBO-style random projection of the tuning space (LlamaTune; see
+  /// ProjectedConfigurationSpace). Empty searches the native space.
+  std::optional<ProjectionOptions> projection;
   /// Collect per-iteration tuner-quality diagnostics (calibration,
-  /// regret, model health). Also enabled by `DBTUNE_SESSION_DIAGNOSTICS`.
+  /// regret, model health). Defaults to `DBTUNE_SESSION_DIAGNOSTICS`.
   /// Diagnostics never perturb the tuning trajectory.
-  bool diagnostics = false;
-  /// Labels this session's per-session registry metrics and report rows.
-  /// Empty → "default".
+  bool diagnostics = ProcessEnvConfig().session_diagnostics;
+  /// Names the session: labels its per-session registry metrics and
+  /// report rows, and is its durable-store id. Empty → "default".
   std::string session_label;
   /// When non-empty, Prometheus text-format snapshots of the metrics
   /// registry are written here (atomic rename) on the exporter's cadence
-  /// plus once at session end. Empty → fall back to
-  /// `DBTUNE_METRICS_EXPORT`.
-  std::string metrics_export_path;
+  /// plus once at session end. Defaults to `DBTUNE_METRICS_EXPORT`.
+  std::string metrics_export_path = ProcessEnvConfig().metrics_export_path;
   /// When non-empty, the session opens the durable observation store at
-  /// this path, replays any history recorded under `store_session_id`,
-  /// and appends each new observation to the write-ahead log. Empty →
-  /// fall back to `DBTUNE_STORE`; still empty → no store.
-  std::string store_path;
-  /// Durable-store session id. Empty → `session_label`, else "default".
-  std::string store_session_id;
+  /// this path, replays any history recorded under `session_label`, and
+  /// appends each new observation to the write-ahead log. Defaults to
+  /// `DBTUNE_STORE`.
+  std::string store_path = ProcessEnvConfig().store_path;
   /// Borrowed already-open store; takes precedence over `store_path`
   /// (never open two handles onto one WAL). The caller keeps ownership
   /// and must outlive the session.

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/env_config.h"
 
 namespace dbtune::obs {
 
@@ -16,13 +16,7 @@ constexpr uint64_t kFakeTickNanos = 1000000;
 
 std::atomic<uint64_t> g_fake_tick{0};
 
-bool FakeClockFromEnv() {
-  const char* env = std::getenv("DBTUNE_OBS_FAKE_CLOCK");
-  return env != nullptr && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "") != 0;
-}
-
-std::atomic<bool> g_fake_clock{FakeClockFromEnv()};
+std::atomic<bool> g_fake_clock{ProcessEnvConfig().fake_clock};
 
 }  // namespace
 

@@ -1,8 +1,6 @@
 #include "obs/diagnostics.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics_export.h"
 
@@ -23,12 +21,6 @@ uint64_t CounterValue(const char* name) {
 }
 
 }  // namespace
-
-bool DiagnosticsEnvEnabled() {
-  const char* env = std::getenv("DBTUNE_SESSION_DIAGNOSTICS");
-  return env != nullptr && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "") != 0;
-}
 
 TuningDiagnostics::TuningDiagnostics(TuningDiagnosticsOptions options)
     : options_(std::move(options)) {

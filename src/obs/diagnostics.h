@@ -84,10 +84,6 @@ struct TuningDiagnosticsOptions {
   double ewma_alpha = 0.2;
 };
 
-/// True when `DBTUNE_SESSION_DIAGNOSTICS` is set to a non-empty value
-/// other than "0" (the env opt-in mirroring SessionControls::diagnostics).
-bool DiagnosticsEnvEnabled();
-
 /// The per-session collector. `Record` is called once per iteration with
 /// the pre-observation prediction and the observed score; it returns the
 /// iteration's diagnostics and, when metrics recording is on, publishes

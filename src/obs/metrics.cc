@@ -2,23 +2,15 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
+
+#include "util/env_config.h"
 
 namespace dbtune::obs {
 
 namespace internal_metrics {
 
-namespace {
-bool MetricsFromEnv() {
-  const char* env = std::getenv("DBTUNE_METRICS");
-  return env != nullptr && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "") != 0;
-}
-}  // namespace
-
-std::atomic<bool> g_enabled{MetricsFromEnv()};
+std::atomic<bool> g_enabled{ProcessEnvConfig().metrics};
 
 }  // namespace internal_metrics
 

@@ -15,8 +15,8 @@
 namespace dbtune::obs {
 
 /// Process-wide metrics: counters, gauges, and latency histograms with
-/// percentile estimates. Disabled by default; enable with the
-/// `DBTUNE_METRICS=1` environment variable or `SetMetricsEnabled(true)`.
+/// percentile estimates. Disabled by default; enable with
+/// `DBTUNE_METRICS=1` (EnvConfig) or `SetMetricsEnabled(true)`.
 ///
 /// Cost discipline: when disabled, instrumented call sites pay one
 /// relaxed atomic load (`MetricsEnabled()`) and never read the clock.

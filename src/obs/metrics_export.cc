@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/clock.h"
@@ -201,21 +200,6 @@ void MetricsExporter::MaybeExport() {
 Status MetricsExporter::ExportNow() {
   if (path_.empty()) return Status::InvalidArgument("exporter disabled");
   return WritePrometheusSnapshot(path_);
-}
-
-std::string MetricsExporter::ResolvePath(const std::string& explicit_path) {
-  if (!explicit_path.empty()) return explicit_path;
-  const char* env = std::getenv("DBTUNE_METRICS_EXPORT");
-  return env == nullptr ? "" : env;
-}
-
-double MetricsExporter::ResolveIntervalSeconds() {
-  const char* env = std::getenv("DBTUNE_METRICS_EXPORT_INTERVAL_S");
-  if (env == nullptr || env[0] == '\0') return 10.0;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || parsed < 0.0) return 10.0;
-  return parsed;
 }
 
 }  // namespace dbtune::obs

@@ -61,13 +61,6 @@ class MetricsExporter {
   /// Unconditional snapshot write (e.g. at session end).
   [[nodiscard]] Status ExportNow();
 
-  /// Export path: `explicit_path` when non-empty, otherwise the
-  /// `DBTUNE_METRICS_EXPORT` environment variable, otherwise "".
-  static std::string ResolvePath(const std::string& explicit_path);
-  /// Export cadence: `DBTUNE_METRICS_EXPORT_INTERVAL_S` when parseable,
-  /// otherwise 10 seconds.
-  static double ResolveIntervalSeconds();
-
  private:
   std::string path_;
   double interval_seconds_ = 10.0;

@@ -1,7 +1,5 @@
 #include "obs/session_log.h"
 
-#include <cstdlib>
-
 #include "util/logging.h"
 
 namespace dbtune::obs {
@@ -83,12 +81,6 @@ void SessionLogger::Log(const SessionIterationRecord& record) {
     DBTUNE_LOG(kWarning) << "session log disabled: write failed";
     Close();
   }
-}
-
-std::string SessionLogger::ResolvePath(const std::string& explicit_path) {
-  if (!explicit_path.empty()) return explicit_path;
-  const char* env = std::getenv("DBTUNE_SESSION_LOG");
-  return env == nullptr ? "" : env;
 }
 
 }  // namespace dbtune::obs

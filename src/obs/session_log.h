@@ -54,11 +54,6 @@ class SessionLogger {
   /// and again from the destructor; the logger is disabled afterwards.
   void Close();
 
-  /// Resolves the session-log path: `explicit_path` when non-empty,
-  /// otherwise the `DBTUNE_SESSION_LOG` environment variable, otherwise
-  /// "" (disabled).
-  static std::string ResolvePath(const std::string& explicit_path);
-
  private:
   std::FILE* file_ = nullptr;
 };

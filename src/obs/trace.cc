@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "obs/clock.h"
+#include "util/env_config.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -15,15 +14,7 @@ namespace dbtune::obs {
 
 namespace internal_trace {
 
-namespace {
-bool TraceFromEnv() {
-  const char* env = std::getenv("DBTUNE_TRACE");
-  return env != nullptr && std::strcmp(env, "0") != 0 &&
-         std::strcmp(env, "") != 0;
-}
-}  // namespace
-
-std::atomic<bool> g_enabled{TraceFromEnv()};
+std::atomic<bool> g_enabled{ProcessEnvConfig().trace};
 
 }  // namespace internal_trace
 
@@ -60,15 +51,6 @@ int CurrentTid() {
 
 void SetTraceEnabled(bool enabled) {
   internal_trace::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-std::string TraceEnvPath() {
-  const char* env = std::getenv("DBTUNE_TRACE");
-  if (env == nullptr || std::strcmp(env, "") == 0 ||
-      std::strcmp(env, "0") == 0 || std::strcmp(env, "1") == 0) {
-    return "";
-  }
-  return env;
 }
 
 TraceSpan::TraceSpan(const char* name)

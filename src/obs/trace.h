@@ -11,9 +11,7 @@ namespace dbtune::obs {
 
 /// Scoped trace spans exported as Chrome trace-event JSON (load the file
 /// in chrome://tracing or https://ui.perfetto.dev). Disabled by default;
-/// enable with the `DBTUNE_TRACE` environment variable (any value except
-/// "0"; a value that is not "1" is treated as the path the tuning
-/// session auto-writes the trace to) or `SetTraceEnabled(true)`.
+/// enable with `DBTUNE_TRACE` (EnvConfig) or `SetTraceEnabled(true)`.
 ///
 /// When disabled, a span construction is one relaxed atomic load — the
 /// clock is never read and nothing allocates.
@@ -29,11 +27,6 @@ inline bool TraceEnabled() {
 
 /// Turns span recording on or off process-wide.
 void SetTraceEnabled(bool enabled);
-
-/// The file path carried by `DBTUNE_TRACE` when it names one ("" when the
-/// variable is unset, "0", or "1"). Tuning sessions auto-write their
-/// trace here at session end.
-std::string TraceEnvPath();
 
 /// Records one complete ("ph":"X") event covering its own lifetime.
 /// Spans may nest freely; nesting is reconstructed by the viewer from

@@ -19,7 +19,7 @@ using OptimizerFactory =
 /// projection's low-dimensional unit box, every suggestion is decoded to
 /// a full configuration for the DBMS, and observed scores are fed back
 /// at the low-dimensional point that produced them. Opt in per session
-/// via `SessionControls::projection_dims`.
+/// via `SessionControls::projection`.
 ///
 /// The adapter assumes the strict suggest/observe alternation the
 /// session loop follows: each `Observe` credits the score to the most

@@ -59,10 +59,18 @@ std::string EncodeFrame(const Frame& frame);
 /// Upper bound on a frame's payload, to bound buffering on corrupt input.
 inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 
+/// Largest `initial_design` and `acquisition_candidates` a session may
+/// request: the design is sampled in one allocation on a pool worker, so
+/// an unbounded count could exhaust memory for every tenant.
+inline constexpr uint32_t kMaxInitialDesign = 10000;
+inline constexpr uint32_t kMaxAcquisitionCandidates = 65536;
+
 /// Opens a tuning session. `space_name` must have been registered with
 /// the serving SessionManager; the client measures its DBMS default
 /// configuration itself and ships the score here (the server never
-/// evaluates — it only suggests and learns).
+/// evaluates — it only suggests and learns). An unknown `optimizer_type`,
+/// a count of 0 candidates or past the limits above, or a non-finite
+/// `reference_score` is answered with InvalidArgument.
 struct CreateSessionRequest {
   std::string session_id;
   std::string space_name;

@@ -6,6 +6,7 @@
 #include "core/session_core.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 #include "store/observation_store.h"
 
 namespace dbtune::serve {
@@ -145,8 +146,18 @@ Status SessionManager::CreateSession(const std::string& id,
     return Status::InvalidArgument("unknown optimizer type " +
                                    std::to_string(type));
   }
-  if (options.acquisition_candidates == 0) {
-    return Status::InvalidArgument("acquisition_candidates must be positive");
+  if (options.initial_design > kMaxInitialDesign) {
+    return Status::InvalidArgument("initial_design above " +
+                                   std::to_string(kMaxInitialDesign));
+  }
+  if (options.acquisition_candidates == 0 ||
+      options.acquisition_candidates > kMaxAcquisitionCandidates) {
+    return Status::InvalidArgument("acquisition_candidates not in [1, " +
+                                   std::to_string(kMaxAcquisitionCandidates) +
+                                   "]");
+  }
+  if (!std::isfinite(options.reference_score)) {
+    return Status::InvalidArgument("reference_score is not finite");
   }
   ServedSession* session = nullptr;
   {

@@ -82,9 +82,12 @@ class SessionManager {
   /// history that diverges from the re-suggested trajectory (recorded
   /// under another optimizer, seed, or code version) is truncated at the
   /// divergence and the session resumes from the matched prefix. Errors:
-  /// NotFound (unknown space), InvalidArgument (unknown optimizer type or
-  /// zero acquisition candidates), FailedPrecondition (id is live or
-  /// closed, or evicted with no store to restore it), and store errors.
+  /// NotFound (unknown space); InvalidArgument (unknown optimizer type,
+  /// `initial_design` above kMaxInitialDesign, `acquisition_candidates`
+  /// of 0 or above kMaxAcquisitionCandidates, non-finite
+  /// `reference_score`; limits in serve/protocol.h); FailedPrecondition
+  /// (id is live or closed, or evicted with no store to restore it); and
+  /// store errors.
   [[nodiscard]] Status CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed = nullptr);

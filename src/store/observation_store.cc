@@ -1,7 +1,6 @@
 #include "store/observation_store.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -90,23 +89,6 @@ Result<std::unique_ptr<ObservationStore>> ObservationStore::Open(
     DBTUNE_RETURN_IF_ERROR(s->Recover());
   }
   return s;
-}
-
-std::string ObservationStore::ResolvePath(const std::string& explicit_path) {
-  if (!explicit_path.empty()) return explicit_path;
-  const char* env = std::getenv("DBTUNE_STORE");
-  return env == nullptr ? "" : env;
-}
-
-size_t ObservationStore::ResolveSnapshotEvery() {
-  const char* env = std::getenv("DBTUNE_STORE_SNAPSHOT_EVERY");
-  if (env == nullptr || env[0] == '\0') return StoreOptions{}.snapshot_every;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) {
-    return StoreOptions{}.snapshot_every;
-  }
-  return static_cast<size_t>(parsed);
 }
 
 Status ObservationStore::Recover() {

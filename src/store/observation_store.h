@@ -78,14 +78,6 @@ class ObservationStore {
   [[nodiscard]] static Result<std::unique_ptr<ObservationStore>> Open(
       const std::string& path, StoreOptions options = {});
 
-  /// `explicit_path` when non-empty, else `DBTUNE_STORE`, else ""
-  /// (store disabled).
-  static std::string ResolvePath(const std::string& explicit_path);
-
-  /// `DBTUNE_STORE_SNAPSHOT_EVERY` when set and parseable, else the
-  /// StoreOptions default.
-  static size_t ResolveSnapshotEvery();
-
   /// Declares a session. New id → starts empty. Existing unfinished id
   /// with the same dimension → no-op (the caller replays its history).
   /// Existing finished id → the session restarts empty. A dimension

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "util/env_config.h"
 #include "util/logging.h"
 
 namespace dbtune {
@@ -141,13 +141,12 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-size_t ExecutionContext::num_threads_locked() const {
-  if (const char* env = std::getenv("DBTUNE_NUM_THREADS")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 1) return static_cast<size_t>(std::min(parsed, 256L));
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
+ExecutionContext::ExecutionContext() {
+  const size_t configured = ProcessEnvConfig().num_threads;
+  MutexLock lock(&mu_);
+  configured_ = configured >= 1
+                    ? std::min<size_t>(configured, 256)
+                    : std::max(1u, std::thread::hardware_concurrency());
 }
 
 ExecutionContext& ExecutionContext::Get() {
@@ -159,16 +158,12 @@ ExecutionContext& ExecutionContext::Get() {
 
 ThreadPool& ExecutionContext::pool() {
   MutexLock lock(&mu_);
-  if (!pool_) {
-    if (configured_ == 0) configured_ = num_threads_locked();
-    pool_ = std::make_unique<ThreadPool>(configured_);
-  }
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(configured_);
   return *pool_;
 }
 
 size_t ExecutionContext::num_threads() {
   MutexLock lock(&mu_);
-  if (configured_ == 0) configured_ = num_threads_locked();
   return configured_;
 }
 

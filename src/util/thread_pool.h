@@ -72,8 +72,8 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
 /// Process-wide execution context owning the shared thread pool.
 ///
 /// Pool size resolution order: explicit `SetNumThreads`, the
-/// `DBTUNE_NUM_THREADS` environment variable, then
-/// `std::thread::hardware_concurrency()`.
+/// `DBTUNE_NUM_THREADS` switch of `ProcessEnvConfig()` (capped at 256),
+/// then `std::thread::hardware_concurrency()`.
 class ExecutionContext {
  public:
   /// The process-wide context (created on first use).
@@ -91,16 +91,11 @@ class ExecutionContext {
   void SetNumThreads(size_t n);
 
  private:
-  ExecutionContext() = default;
-
-  /// Resolves the default size from `DBTUNE_NUM_THREADS`, then hardware
-  /// concurrency. Caller must hold `mu_`.
-  size_t num_threads_locked() const DBTUNE_REQUIRES(mu_);
+  ExecutionContext();
 
   Mutex mu_;
   std::unique_ptr<ThreadPool> pool_ DBTUNE_GUARDED_BY(mu_);
-  // 0 = resolve from env/hardware on first use
-  size_t configured_ DBTUNE_GUARDED_BY(mu_) = 0;
+  size_t configured_ DBTUNE_GUARDED_BY(mu_);
 };
 
 /// Shorthand for `ExecutionContext::Get().pool()`.

@@ -134,6 +134,34 @@ TEST(AnalyzeLegacyTest, RawTimingAllowedInObsAndBenchUtil) {
             0);
 }
 
+TEST(AnalyzeTest, RawGetenvCheckFires) {
+  const auto findings = AnalyzeFile(FixturePath("bad_getenv.cc"),
+                                    "bad_getenv.cc");
+  // std::getenv, getenv, secure_getenv; the allow() line is suppressed.
+  EXPECT_EQ(CountCheck(findings, "raw-getenv"), 3);
+  EXPECT_EQ(findings.size(), 3u);
+}
+
+TEST(AnalyzeTest, RawGetenvAllowedOnlyInEnvConfig) {
+  EXPECT_EQ(CountCheck(AnalyzeFile(FixturePath("bad_getenv.cc"),
+                                   "util/env_config.cc"),
+                       "raw-getenv"),
+            0);
+  EXPECT_EQ(CountCheck(AnalyzeFile(FixturePath("bad_getenv.cc"),
+                                   "obs/env_config.cc"),
+                       "raw-getenv"),
+            3);
+}
+
+TEST(AnalyzeTest, RawGetenvNearMissesStayQuiet) {
+  // The word in comments and strings, look-alike identifiers, and reads
+  // through the parsed config.
+  const auto findings = AnalyzeFile(FixturePath("near_getenv.cc"),
+                                    "near_getenv.cc");
+  for (const Diagnostic& d : findings) ADD_FAILURE() << FormatDiagnostic(d);
+  EXPECT_TRUE(findings.empty());
+}
+
 TEST(AnalyzeLegacyTest, PredictInLoopCheckFiresInOptimizerFiles) {
   const auto findings =
       AnalyzeFile(FixturePath("optimizer/bad_predict_loop.cc"),
@@ -523,7 +551,7 @@ TEST(AnalyzeTest, RegistryMetadataIsComplete) {
       "naked-new",            "using-namespace-std", "include-guard",
       "iostream",             "raw-timing",          "predict-in-loop",
       "gp-construction",      "metrics-export",      "unchecked-write",
-      "blocking-in-scheduler"};
+      "blocking-in-scheduler", "raw-getenv"};
   for (const std::string& id : required) {
     const auto it = std::find_if(
         Checks().begin(), Checks().end(),
@@ -560,6 +588,7 @@ TEST(AnalyzeTest, FixtureTreeFindsAllViolations) {
   EXPECT_EQ(CountCheck(findings, "parallel-reduction-order"), 2);
   EXPECT_EQ(CountCheck(findings, "ignored-status"), 4);
   EXPECT_EQ(CountCheck(findings, "mutex-guard-gap"), 1);
+  EXPECT_EQ(CountCheck(findings, "raw-getenv"), 3);
   // Persistence checks: the store/ fixture subdirectory is in scope.
   EXPECT_EQ(CountCheck(findings, "unchecked-write"), 6);
   // Scheduler checks: the serve/ fixture subdirectory is in scope.

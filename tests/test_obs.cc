@@ -267,9 +267,7 @@ TEST_F(ObsTest, WriteTraceReportsUnwritablePath) {
   EXPECT_NE(ReadFile(path).find("\"traceEvents\""), std::string::npos);
 }
 
-TEST_F(ObsTest, SessionLoggerResolvePathPrefersExplicit) {
-  EXPECT_EQ(obs::SessionLogger::ResolvePath("/tmp/explicit.jsonl"),
-            "/tmp/explicit.jsonl");
+TEST_F(ObsTest, DefaultSessionLoggerIsDisabled) {
   // Default-constructed logger is off and logging is a no-op.
   obs::SessionLogger disabled;
   EXPECT_FALSE(disabled.enabled());

@@ -169,8 +169,7 @@ TEST(ProjectedOptimizerTest, SessionControlsEnableProjection) {
   std::vector<size_t> knob_indices;
   for (size_t i = 0; i < 20; ++i) knob_indices.push_back(i);
   SessionControls controls;
-  controls.projection_dims = 6;
-  controls.projection_seed = 4;
+  controls.projection = ProjectionOptions{.dims = 6, .seed = 4};
   const SessionResult result = RunTuningSession(
       &sim, knob_indices, OptimizerType::kVanillaBo, 18, 11, controls);
   ASSERT_EQ(result.improvement_trace.size(), 18u);

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -791,10 +794,12 @@ TEST(ServeFrameServerTest, LoopbackSessionMatchesStandalone) {
 }
 
 // Creation parameters a client can put on the wire that would abort the
-// server — an optimizer type past the enum, an empty acquisition
-// candidate pool — come back as InvalidArgument, for frames and for
-// in-process callers alike. A control session on the same server keeps
-// the standalone trajectory, well past the initial design.
+// server — an optimizer type past the enum, an empty or oversized
+// acquisition candidate pool, an initial design past the limit (a u32 of
+// 4e9 would reach LatinHypercubeSample on a pool worker), a non-finite
+// reference score — come back as InvalidArgument, for frames and for
+// in-process callers alike. A control session suggesting in the same
+// batch keeps the standalone trajectory, well past the initial design.
 TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   const SessionSpec spec{"control", OptimizerType::kVanillaBo, 91,
                          WorkloadId::kSysbench, 92};
@@ -854,30 +859,59 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   worst_type.optimizer_type = 255;
   serve::CreateSessionRequest no_pool = create_request("no-pool");
   no_pool.acquisition_candidates = 0;
+  serve::CreateSessionRequest huge_design = create_request("huge-design");
+  huge_design.initial_design = 4000000000u;
+  serve::CreateSessionRequest over_design = create_request("over-design");
+  over_design.initial_design = serve::kMaxInitialDesign + 1;
+  serve::CreateSessionRequest huge_pool = create_request("huge-pool");
+  huge_pool.acquisition_candidates = UINT32_MAX;
+  serve::CreateSessionRequest over_pool = create_request("over-pool");
+  over_pool.acquisition_candidates = serve::kMaxAcquisitionCandidates + 1;
+  serve::CreateSessionRequest nan_reference = create_request("nan-ref");
+  nan_reference.reference_score = std::nan("");
+  serve::CreateSessionRequest inf_reference = create_request("inf-ref");
+  inf_reference.reference_score = -HUGE_VAL;
+  const std::vector<serve::CreateSessionRequest> bad_creates = {
+      bad_type,    worst_type, no_pool,       huge_design,  over_design,
+      huge_pool,   over_pool,  nan_reference, inf_reference};
 
   for (size_t iter = 0; iter < iterations; ++iter) {
+    // At iteration 5 every bad create, and a suggest for a session one of
+    // them failed to open, share the control's suggest batch.
+    std::string batch;
+    std::vector<uint64_t> bad_ids;
+    uint64_t orphan_id = 0;
     if (iter == 5) {
-      std::string batch =
-          serve::EncodeCreateSession(next_request++, bad_type);
-      batch += serve::EncodeCreateSession(next_request++, worst_type);
-      batch += serve::EncodeCreateSession(next_request++, no_pool);
-      batch += serve::EncodeSuggest(next_request++, {"no-pool"});
-      replies = exchange(batch);
-      ASSERT_EQ(replies.size(), 4u);
-      for (size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(created_status(replies[i]).code(),
-                  StatusCode::kInvalidArgument);
+      for (const serve::CreateSessionRequest& bad : bad_creates) {
+        bad_ids.push_back(next_request);
+        batch += serve::EncodeCreateSession(next_request++, bad);
       }
+      orphan_id = next_request;
+      batch += serve::EncodeSuggest(next_request++, {"no-pool"});
+    }
+    const uint64_t suggest_id = next_request;
+    batch += serve::EncodeSuggest(next_request++, {spec.id});
+    replies = exchange(batch);
+    ASSERT_EQ(replies.size(), bad_ids.size() + (iter == 5 ? 2 : 1));
+    std::map<uint64_t, serve::Frame> by_id;
+    for (const serve::Frame& reply : replies) by_id[reply.request_id] = reply;
+    for (const uint64_t id : bad_ids) {
+      ASSERT_EQ(by_id.count(id), 1u);
+      EXPECT_EQ(created_status(by_id[id]).code(),
+                StatusCode::kInvalidArgument)
+          << "request " << id;
+    }
+    if (iter == 5) {
+      ASSERT_EQ(by_id.count(orphan_id), 1u);
       Result<serve::SuggestResponse> unknown =
-          serve::DecodeSuggestResponse(replies[3]);
+          serve::DecodeSuggestResponse(by_id[orphan_id]);
       ASSERT_TRUE(unknown.ok());
       EXPECT_EQ(serve::StatusFromHeader(unknown->header).code(),
                 StatusCode::kNotFound);
     }
-    replies = exchange(serve::EncodeSuggest(next_request++, {spec.id}));
-    ASSERT_EQ(replies.size(), 1u);
+    ASSERT_EQ(by_id.count(suggest_id), 1u);
     Result<serve::SuggestResponse> suggested =
-        serve::DecodeSuggestResponse(replies[0]);
+        serve::DecodeSuggestResponse(by_id[suggest_id]);
     ASSERT_TRUE(suggested.ok());
     ASSERT_TRUE(serve::StatusFromHeader(suggested->header).ok());
     const Observation outcome =
@@ -907,7 +941,25 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   options.optimizer_type = static_cast<OptimizerType>(8);
   EXPECT_EQ(manager.CreateSession("direct", options).code(),
             StatusCode::kInvalidArgument);
+  options = ToServedOptions(spec, client);
+  options.initial_design = size_t{1} << 40;
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
+  options = ToServedOptions(spec, client);
+  options.acquisition_candidates = serve::kMaxAcquisitionCandidates + 1;
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
+  options = ToServedOptions(spec, client);
+  options.reference_score = HUGE_VAL;
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.num_open(), 1u);
+  // The limits themselves are accepted.
+  options = ToServedOptions(spec, client);
+  options.initial_design = serve::kMaxInitialDesign;
+  options.acquisition_candidates = serve::kMaxAcquisitionCandidates;
+  EXPECT_TRUE(manager.CreateSession("at-limits", options).ok());
+  EXPECT_EQ(manager.num_open(), 2u);
 }
 
 // Observe frames carrying a NaN or infinite score, objective,

@@ -53,15 +53,13 @@ class PoolSizeGuard {
   size_t original_;
 };
 
-// Every test runs with the store env switches unset and the real clock.
+// Every test runs without injected write faults and with the real clock.
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override { Reset(); }
   void TearDown() override { Reset(); }
 
   static void Reset() {
-    ::unsetenv("DBTUNE_STORE");
-    ::unsetenv("DBTUNE_STORE_SNAPSHOT_EVERY");
     store::testing::SetWalWriteFaultForTest(-1);
     obs::DisableFakeClockForTest();
   }
@@ -785,22 +783,6 @@ TEST_F(StoreTest, FinishSessionPersistsTransferTask) {
   EXPECT_EQ((*again)->num_tasks(), 2u);
 }
 
-TEST_F(StoreTest, ResolvePathAndSnapshotCadenceFollowEnvironment) {
-  EXPECT_EQ(ObservationStore::ResolvePath("explicit.wal"), "explicit.wal");
-  EXPECT_EQ(ObservationStore::ResolvePath(""), "");
-  ::setenv("DBTUNE_STORE", "/tmp/env.wal", 1);
-  EXPECT_EQ(ObservationStore::ResolvePath(""), "/tmp/env.wal");
-  EXPECT_EQ(ObservationStore::ResolvePath("explicit.wal"), "explicit.wal");
-
-  EXPECT_EQ(ObservationStore::ResolveSnapshotEvery(),
-            StoreOptions{}.snapshot_every);
-  ::setenv("DBTUNE_STORE_SNAPSHOT_EVERY", "17", 1);
-  EXPECT_EQ(ObservationStore::ResolveSnapshotEvery(), 17u);
-  ::setenv("DBTUNE_STORE_SNAPSHOT_EVERY", "banana", 1);
-  EXPECT_EQ(ObservationStore::ResolveSnapshotEvery(),
-            StoreOptions{}.snapshot_every);
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoints from retained frames
 // ---------------------------------------------------------------------------
@@ -1028,7 +1010,7 @@ SessionResult RunStoredSession(const std::string& store_path, size_t iters,
                     HardwareInstance::kB, 21);
   SessionControls controls;
   controls.store_path = store_path;  // "" → no store
-  controls.store_session_id = "kill-test";
+  controls.session_label = "kill-test";
   return RunTuningSession(&sim, FirstKnobs(sim.space().dimension()),
                           OptimizerType::kSmac, iters, optimizer_seed,
                           controls);
@@ -1121,7 +1103,7 @@ TEST_F(StoreTest, AdvisorPersistsBaseTaskAcrossRuns) {
   options.tuning_iterations = 6;
   options.seed = 32;
   options.session.store_path = path;
-  options.session.store_session_id = "advisor-run-1";
+  options.session.session_label = "advisor-run-1";
   const Result<AdvisorReport> first = TuneDbms(&sim, options);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   {
@@ -1137,7 +1119,7 @@ TEST_F(StoreTest, AdvisorPersistsBaseTaskAcrossRuns) {
   // its own on completion.
   DbmsSimulator sim2(WorkloadId::kSysbench, HardwareInstance::kB, 33);
   options.seed = 34;
-  options.session.store_session_id = "advisor-run-2";
+  options.session.session_label = "advisor-run-2";
   const Result<AdvisorReport> second = TuneDbms(&sim2, options);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   auto opened = ObservationStore::Open(path);

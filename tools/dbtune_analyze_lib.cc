@@ -46,6 +46,11 @@ const std::vector<CheckInfo>& Registry() {
       {"random-seed", "error",
        "non-deterministic seeding outside src/util/random",
        "route all randomness through the seeded util/random Rng"},
+      {"raw-getenv", "error",
+       "environment read outside src/util/env_config.cc; each switch must "
+       "be parsed once, by one rule",
+       "add the variable to EnvConfig and read it through "
+       "ProcessEnvConfig()"},
       {"naked-new", "warning", "raw new/delete expression",
        "use std::make_unique/std::make_shared or a container"},
       {"using-namespace-std", "warning",
@@ -508,6 +513,7 @@ Decls CollectDecls(const FileScan& scan) {
 struct PathRules {
   bool random = true;          // random-seed applies
   bool timing = true;          // raw-timing applies
+  bool env_read = true;        // raw-getenv applies
   bool optimizer = false;      // predict-in-loop / gp-construction apply
   bool metrics_export = true;  // metrics-export applies
   bool persistence = false;    // unchecked-write applies
@@ -739,6 +745,13 @@ class Analyzer {
                  " read outside src/obs — measure time through obs/clock "
                  "(MonotonicNanos/MonotonicSeconds) so every latency lands "
                  "in the metrics registry");
+    }
+
+    if (rules_.env_read && (ident == "getenv" || ident == "secure_getenv")) {
+      Report(t.line, "raw-getenv",
+             ident + " outside util/env_config.cc — add the variable to "
+                     "EnvConfig and read it through ProcessEnvConfig(), so "
+                     "every switch is parsed once, by one rule");
     }
 
     if (rules_.optimizer &&
@@ -1389,6 +1402,7 @@ PathRules RulesFor(const std::string& relpath) {
   rules.random = !StartsWith(relpath, "util/random");
   rules.timing =
       !StartsWith(relpath, "obs/") && !EndsWith(relpath, "bench_util.h");
+  rules.env_read = relpath != "util/env_config.cc";
   rules.optimizer = StartsWith(relpath, "optimizer/");
   rules.metrics_export = !StartsWith(relpath, "obs/");
   // Files whose writes ARE the durable state: the observation store's

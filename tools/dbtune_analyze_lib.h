@@ -53,6 +53,8 @@
 ///   random-seed   — std::rand/srand/time() seeding or std::random_device
 ///                   outside src/util/random; randomness must flow
 ///                   through the seeded Rng for reproducibility
+///   raw-getenv    — getenv/secure_getenv outside src/util/env_config.cc;
+///                   every switch is parsed once, into EnvConfig
 ///   naked-new     — raw `new` / `delete` expressions (`= delete` for
 ///                   deleted functions is fine); use make_unique etc.
 ///   using-namespace-std — `using namespace std` at any scope
