@@ -198,7 +198,7 @@ std::vector<size_t> SizesFromEnv(const char* env_name,
 // Single-combo hyper-parameter grids so the exact baseline and the
 // sparse tier pay for one factorization each — the O(n^3) vs O(n*m^2)
 // comparison, not a grid-size comparison.
-GaussianProcessOptions OneShotExactOptions() {
+GaussianProcessOptions OneShotOptions() {
   GaussianProcessOptions options;
   options.lengthscale_grid = {0.4};
   options.noise_grid = {1e-4};
@@ -206,15 +206,8 @@ GaussianProcessOptions OneShotExactOptions() {
   return options;
 }
 
-SparseGaussianProcessOptions OneShotSparseOptions() {
-  SparseGaussianProcessOptions options;
-  options.lengthscale_grid = {0.4};
-  options.noise_grid = {1e-4};
-  return options;
-}
-
 double TimeExactFit(const FeatureMatrix& x, const std::vector<double>& y) {
-  GaussianProcess gp(std::make_unique<Matern52Kernel>(), OneShotExactOptions());
+  GaussianProcess gp(std::make_unique<Matern52Kernel>(), OneShotOptions());
   const double start = obs::MonotonicSeconds();
   if (!gp.Fit(x, y).ok()) {
     std::fprintf(stderr, "exact baseline fit failed\n");
@@ -233,7 +226,7 @@ std::vector<double> SparseFingerprint(const FeatureMatrix& x,
   const size_t original = ExecutionContext::Get().num_threads();
   ExecutionContext::Get().SetNumThreads(pool_size);
   SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(),
-                           OneShotSparseOptions());
+                           OneShotOptions());
   if (!gp.Fit(x, y).ok()) {
     std::fprintf(stderr, "sparse fit failed\n");
     std::exit(1);
@@ -273,7 +266,7 @@ void BenchSparseFit() {
     const FeatureMatrix queries = RandomInputs(32, d, 313);
 
     SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(),
-                             OneShotSparseOptions());
+                             OneShotOptions());
     const double start = obs::MonotonicSeconds();
     if (!gp.Fit(x, y).ok()) {
       std::fprintf(stderr, "sparse fit failed\n");

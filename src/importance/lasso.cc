@@ -65,16 +65,14 @@ Result<std::vector<double>> LassoImportance::Rank(
               ? va
               : va * input.unit_x[i][static_cast<size_t>(terms[t].b)];
     }
-    const double mean = Mean(columns[t]);
-    double sd = StdDev(columns[t]);
-    if (sd < 1e-12) sd = 1.0;
-    for (double& v : columns[t]) v = (v - mean) / sd;
+    const ScoreMoments moments = ScoreMomentsOf(columns[t]);
+    for (double& v : columns[t]) v = (v - moments.mean) / moments.sd;
   }
+  const ScoreMoments y_moments = ScoreMomentsOf(input.scores);
   std::vector<double> y(n);
-  const double y_mean = Mean(input.scores);
-  double y_sd = StdDev(input.scores);
-  if (y_sd < 1e-12) y_sd = 1.0;
-  for (size_t i = 0; i < n; ++i) y[i] = (input.scores[i] - y_mean) / y_sd;
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = (input.scores[i] - y_moments.mean) / y_moments.sd;
+  }
 
   // --- Coordinate descent. With standardized columns, each column's
   // squared norm is n.

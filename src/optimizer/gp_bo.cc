@@ -10,12 +10,10 @@ namespace dbtune {
 
 GpBoOptimizer::GpBoOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
-                             KernelFactory kernel_factory,
-                             GaussianProcessOptions gp_options,
-                             SurrogateTierOptions tier_options)
+                             std::shared_ptr<const Kernel> kernel,
+                             GaussianProcessOptions gp_options)
     : Optimizer(space, options, "gp_bo"),
-      gp_(CreateGpSurrogate(std::move(kernel_factory), gp_options,
-                            tier_options)) {}
+      gp_(CreateGpSurrogate(std::move(kernel), std::move(gp_options))) {}
 
 Configuration GpBoOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
@@ -72,7 +70,6 @@ Configuration GpBoOptimizer::DoSuggest() {
 
 VanillaBoOptimizer::VanillaBoOptimizer(const ConfigurationSpace& space,
                                        OptimizerOptions options)
-    : GpBoOptimizer(space, options,
-                    [] { return std::make_unique<RbfKernel>(); }) {}
+    : GpBoOptimizer(space, options, std::make_unique<RbfKernel>()) {}
 
 }  // namespace dbtune

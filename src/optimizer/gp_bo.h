@@ -13,16 +13,15 @@ namespace dbtune {
 /// Improvement maximized over a random + local candidate pool. Subclasses
 /// only choose the kernel; the surrogate itself comes from
 /// `CreateGpSurrogate`, so long histories escalate to the sparse tier
-/// automatically (see SurrogateTierOptions).
+/// automatically (past `GaussianProcessOptions::sparse_crossover`).
 class GpBoOptimizer : public Optimizer {
  public:
-  /// `kernel_factory` builds the surrogate's kernel(s); `gp_options`
-  /// tunes the exact tier (tests use it to compare the incremental and
-  /// full fit paths); `tier_options` sets the escalation policy.
+  /// `kernel` is shared by both GP tiers; `gp_options` tunes the fit
+  /// (tests use it to compare the incremental and full fit paths, and to
+  /// force a tier through `sparse_crossover`).
   GpBoOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                KernelFactory kernel_factory,
-                GaussianProcessOptions gp_options = {},
-                SurrogateTierOptions tier_options = {});
+                std::shared_ptr<const Kernel> kernel,
+                GaussianProcessOptions gp_options = {});
 
  protected:
   Configuration DoSuggest() override;

@@ -14,8 +14,7 @@ std::vector<bool> CategoricalMask(const ConfigurationSpace& space) {
 
 MixedKernelBoOptimizer::MixedKernelBoOptimizer(const ConfigurationSpace& space,
                                                OptimizerOptions options)
-    : GpBoOptimizer(space, options, [mask = CategoricalMask(space)] {
-        return std::make_unique<MixedKernel>(mask);
-      }) {}
+    : GpBoOptimizer(space, options,
+                    std::make_unique<MixedKernel>(CategoricalMask(space))) {}
 
 }  // namespace dbtune

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "surrogate/surrogate_factory.h"
 #include "util/logging.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -96,9 +97,8 @@ Configuration TurboOptimizer::DoSuggest() {
     GaussianProcessOptions gp_options;
     gp_options.hyperopt_every = 1;
     gp_options.lengthscale_grid = {0.1, 0.3, 0.8};
-    const std::unique_ptr<Regressor> gp = CreateGpSurrogate(
-        [] { return std::make_unique<Matern52Kernel>(); }, gp_options,
-        turbo_options_.surrogate_tier);
+    const std::unique_ptr<Regressor> gp =
+        CreateGpSurrogate(std::make_unique<Matern52Kernel>(), gp_options);
     if (!gp->Fit(local_x, local_y).ok()) continue;
 
     // Thompson sampling over perturbation candidates within the box. All

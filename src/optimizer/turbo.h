@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "optimizer/optimizer.h"
-#include "surrogate/surrogate_factory.h"
 
 namespace dbtune {
 
@@ -18,14 +17,13 @@ struct TurboOptions {
   size_t success_tolerance = 3;
   size_t failure_tolerance = 5;
   size_t candidates_per_region = 50;
-  /// Escalation policy of the per-region local GPs. Regions usually hold
-  /// few points, but the fallback fit over the whole history benefits
-  /// from the sparse tier in long sessions.
-  SurrogateTierOptions surrogate_tier;
 };
 
 /// Trust-region Bayesian optimization: several local GP models, each
-/// confined to a shrinking/expanding box around its incumbent; Thompson
+/// confined to a shrinking/expanding box around its incumbent and built
+/// by `CreateGpSurrogate` (regions usually hold few points, but the
+/// fallback fit over the whole history escalates to the sparse tier in
+/// long sessions, per the default `sparse_crossover`); Thompson
 /// sampling arbitrates between regions (the multi-armed-bandit strategy).
 /// Local modeling avoids the over-exploration global GPs suffer in high
 /// dimensions.

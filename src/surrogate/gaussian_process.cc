@@ -6,20 +6,17 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace dbtune {
 
-GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
+GaussianProcess::GaussianProcess(std::shared_ptr<const Kernel> kernel,
                                  GaussianProcessOptions options)
-    : kernel_(std::move(kernel)), options_(options) {
+    : kernel_(std::move(kernel)), policy_(std::move(options)) {
   DBTUNE_CHECK(kernel_ != nullptr);
-  DBTUNE_CHECK(!options_.lengthscale_grid.empty());
-  DBTUNE_CHECK(!options_.noise_grid.empty());
 }
 
-Matrix GaussianProcess::AssembleKernelMatrix() const {
+Matrix GaussianProcess::AssembleKernelMatrix(double lengthscale) const {
   const size_t n = x_.size();
   Matrix k(n, n);
   // Row i fills k(i, i..n) and mirrors into k(i..n, i): each (i, j) pair
@@ -28,7 +25,7 @@ Matrix GaussianProcess::AssembleKernelMatrix() const {
   ParallelFor(GlobalPool(), 0, n, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       for (size_t j = i; j < n; ++j) {
-        const double v = kernel_->Compute(x_[i], x_[j]);
+        const double v = kernel_->Compute(x_[i], x_[j], lengthscale);
         k(i, j) = v;
         k(j, i) = v;
       }
@@ -38,34 +35,23 @@ Matrix GaussianProcess::AssembleKernelMatrix() const {
 }
 
 Result<double> GaussianProcess::FactorizeWith(const Matrix& k_base,
-                                              double noise, FitState* state) {
+                                              double noise,
+                                              FitState* state) const {
   const size_t n = x_.size();
+  const std::vector<double>& y = policy_.y_standardized();
   Matrix k = k_base;
   k.AddDiagonal(noise + 1e-10);
   DBTUNE_RETURN_IF_ERROR(CholeskyFactorize(&k));
   // alpha = K^-1 y via two triangular solves.
-  std::vector<double> tmp = SolveLowerTriangular(k, y_standardized_);
+  std::vector<double> tmp = SolveLowerTriangular(k, y);
   std::vector<double> alpha = SolveUpperTriangularFromLower(k, tmp);
 
-  double lml = -0.5 * Dot(y_standardized_, alpha);
+  double lml = -0.5 * Dot(y, alpha);
   for (size_t i = 0; i < n; ++i) lml -= std::log(k(i, i));
   lml -= 0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
 
   state->chol = std::move(k);
   state->alpha = std::move(alpha);
-  return lml;
-}
-
-Result<double> GaussianProcess::FitWith(double lengthscale, double noise) {
-  kernel_->set_lengthscale(lengthscale);
-  FitState state;
-  DBTUNE_ASSIGN_OR_RETURN(const double lml,
-                          FactorizeWith(AssembleKernelMatrix(), noise,
-                                        &state));
-  chol_ = std::move(state.chol);
-  alpha_ = std::move(state.alpha);
-  noise_ = noise;
-  factor_cached_ = true;
   return lml;
 }
 
@@ -81,7 +67,9 @@ Result<double> GaussianProcess::FitIncremental(size_t old_n) {
   for (size_t r = 0; r < old_n; ++r) {
     std::memcpy(l.RowPtr(r), chol_.RowPtr(r), old_n * sizeof(double));
   }
-  const double diagonal_jitter = noise_ + 1e-10;  // AddDiagonal's addend
+  const double lengthscale = policy_.lengthscale();
+  // FactorizeWith's AddDiagonal addend.
+  const double diagonal_jitter = policy_.noise() + 1e-10;
   for (size_t i = old_n; i < n; ++i) {
     double* row_i = l.RowPtr(i);
     // Border of the Gram matrix: k(j, i) for j < i, computed in the
@@ -90,10 +78,10 @@ Result<double> GaussianProcess::FitIncremental(size_t old_n) {
     ParallelFor(GlobalPool(), 0, i, /*grain=*/64,
                 [&](size_t begin, size_t end) {
                   for (size_t j = begin; j < end; ++j) {
-                    row_i[j] = kernel_->Compute(x_[j], x_[i]);
+                    row_i[j] = kernel_->Compute(x_[j], x_[i], lengthscale);
                   }
                 });
-    row_i[i] = kernel_->Compute(x_[i], x_[i]) + diagonal_jitter;
+    row_i[i] = kernel_->Compute(x_[i], x_[i], lengthscale) + diagonal_jitter;
     // Forward-solve the new row against the existing factor; identical
     // inner-loop order to CholeskyFactorize, so the extended factor is
     // bitwise what a full refactorization would produce.
@@ -113,10 +101,11 @@ Result<double> GaussianProcess::FitIncremental(size_t old_n) {
 
   // Targets are re-standardized every fit, so alpha and the LML are
   // recomputed from scratch — O(n^2), same arithmetic as FactorizeWith.
-  std::vector<double> tmp = SolveLowerTriangular(l, y_standardized_);
+  const std::vector<double>& y = policy_.y_standardized();
+  std::vector<double> tmp = SolveLowerTriangular(l, y);
   std::vector<double> alpha = SolveUpperTriangularFromLower(l, tmp);
 
-  double lml = -0.5 * Dot(y_standardized_, alpha);
+  double lml = -0.5 * Dot(y, alpha);
   for (size_t i = 0; i < n; ++i) lml -= std::log(l(i, i));
   lml -= 0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
 
@@ -139,91 +128,46 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
   // the hyper-parameter staleness reset below; compared bitwise before
   // x_ is overwritten.
   const size_t old_n = x_.size();
-  bool extends_history = fitted_ && x.size() >= old_n && old_n > 0 &&
-                         x.front().size() == x_.front().size();
+  bool extends_history = policy_.fitted() && x.size() >= old_n &&
+                         old_n > 0 && x.front().size() == x_.front().size();
   for (size_t r = 0; extends_history && r < old_n; ++r) {
     extends_history = x[r] == x_[r];
   }
   const bool can_append = extends_history && factor_cached_;
   factor_cached_ = false;  // re-established only by a successful fit
-
   x_ = x;
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  y_standardized_.resize(y.size());
-  for (size_t i = 0; i < y.size(); ++i) {
-    y_standardized_[i] = (y[i] - y_mean_) / y_scale_;
-  }
 
   // A shrunk or wholesale-replaced training set invalidates the cached
   // hyper-parameters along with the factor (e.g. a TuRBO restart must
   // not inherit a dead trust region's lengthscale): force a fresh grid
   // search instead of trusting the stale schedule.
-  if (fitted_ && !extends_history) fits_since_hyperopt_ = 0;
-
-  const bool do_hyperopt = !fitted_ || fits_since_hyperopt_ == 0;
-  fits_since_hyperopt_ =
-      (fits_since_hyperopt_ + 1) % std::max<size_t>(1, options_.hyperopt_every);
-
-  if (!do_hyperopt) {
-    if (options_.enable_incremental && can_append) {
-      Result<double> lml = FitIncremental(old_n);
-      if (lml.ok()) {
-        lml_ = *lml;
-        fitted_ = true;
-        return Status::OK();
-      }
-      // Failed pivot: fall through to the full refactorization.
-    }
-    Result<double> lml = FitWith(kernel_->lengthscale(), noise_);
+  const bool reuse =
+      policy_.Begin(y, /*stale=*/policy_.fitted() && !extends_history);
+  if (reuse && policy_.options().enable_incremental && can_append) {
+    Result<double> lml = FitIncremental(old_n);
     if (lml.ok()) {
-      lml_ = *lml;
-      fitted_ = true;
+      policy_.Accept(*lml);
       return Status::OK();
     }
-    // Fall through to a full search when the cached choice fails.
+    // Failed pivot: fall through to the full refactorization.
   }
 
-  // Grid sweep with a Gram cache: K depends on the lengthscale only, so
-  // it is assembled once per lengthscale and shared across the noise
-  // grid (the noise enters through the diagonal of the copy inside
-  // FactorizeWith). The winning factorization is kept and installed at
-  // the end — no redundant final refit of the best grid point.
-  if (obs::MetricsEnabled()) {
-    static obs::Counter& hyperopt_runs =
-        obs::MetricsRegistry::Get().counter("gp.hyperopt.runs");
-    hyperopt_runs.Increment();
-  }
-  double best_lml = -1e300;
-  double best_ls = options_.lengthscale_grid.front();
-  double best_noise = options_.noise_grid.front();
-  FitState best_state;
-  bool any = false;
-  for (double ls : options_.lengthscale_grid) {
-    kernel_->set_lengthscale(ls);
-    const Matrix k_base = AssembleKernelMatrix();
-    for (double noise : options_.noise_grid) {
-      FitState state;
-      Result<double> lml = FactorizeWith(k_base, noise, &state);
-      if (!lml.ok()) continue;
-      if (!any || *lml > best_lml) {
-        any = true;
-        best_lml = *lml;
-        best_ls = ls;
-        best_noise = noise;
-        best_state = std::move(state);
-      }
-    }
-  }
-  if (!any) return Status::Internal("GP fit failed for all hyper-parameters");
-  kernel_->set_lengthscale(best_ls);
-  chol_ = std::move(best_state.chol);
-  alpha_ = std::move(best_state.alpha);
-  noise_ = best_noise;
-  lml_ = best_lml;
+  // The Gram depends on the lengthscale only, so it is assembled once per
+  // lengthscale and shared across the noise grid (the noise enters
+  // through the diagonal of the copy inside FactorizeWith).
+  DBTUNE_ASSIGN_OR_RETURN(
+      FitState best,
+      policy_.Fit<FitState>(
+          reuse,
+          [this](double lengthscale) -> Result<Matrix> {
+            return AssembleKernelMatrix(lengthscale);
+          },
+          [this](const Matrix& k_base, double noise, FitState* state) {
+            return FactorizeWith(k_base, noise, state);
+          }));
+  chol_ = std::move(best.chol);
+  alpha_ = std::move(best.alpha);
   factor_cached_ = true;
-  fitted_ = true;
   return Status::OK();
 }
 
@@ -235,7 +179,7 @@ double GaussianProcess::Predict(const std::vector<double>& x) const {
 
 void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
                                      double* mean, double* variance) const {
-  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
+  DBTUNE_CHECK_MSG(policy_.fitted(), "Predict before Fit");
   // No trace span here: predictions run thousands of times per suggest,
   // often from pool workers; a lock-free histogram is all it can afford.
   static obs::Histogram& predict_hist =
@@ -252,31 +196,36 @@ void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
   static thread_local std::vector<double> v;
   k_star.resize(n);
   double* const k_star_out = k_star.data();
+  const double lengthscale = policy_.lengthscale();
   ParallelFor(GlobalPool(), 0, n, /*grain=*/64,
               [&, k_star_out](size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) {
-                  k_star_out[i] = kernel_->Compute(x_[i], x);
+                  k_star_out[i] = kernel_->Compute(x_[i], x, lengthscale);
                 }
               });
 
   double mu = Dot(k_star, alpha_);
   // v = L^-1 k_star; var = k(x,x) - v'v.
   SolveLowerTriangularInto(chol_, k_star, &v);
-  double var = kernel_->Compute(x, x) - Dot(v, v);
+  double var = kernel_->Compute(x, x, lengthscale) - Dot(v, v);
   if (var < 1e-12) var = 1e-12;
 
-  *mean = mu * y_scale_ + y_mean_;
-  *variance = var * y_scale_ * y_scale_;
+  const double y_scale = policy_.y_scale();
+  *mean = mu * y_scale + policy_.y_mean();
+  *variance = var * y_scale * y_scale;
 }
 
 void GaussianProcess::PredictMeanVarBatch(
     const FeatureMatrix& xs, std::vector<double>* means,
     std::vector<double>* variances) const {
-  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
+  DBTUNE_CHECK_MSG(policy_.fitted(), "Predict before Fit");
   static obs::Histogram& batch_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict.batch");
   obs::ScopedLatency batch_latency(&batch_hist);
   const size_t n = x_.size();
+  const double lengthscale = policy_.lengthscale();
+  const double y_mean = policy_.y_mean();
+  const double y_scale = policy_.y_scale();
   means->resize(xs.size());
   variances->resize(xs.size());
   // Queries are processed in blocks of kBlock as a multi-RHS triangular
@@ -297,7 +246,7 @@ void GaussianProcess::PredictMeanVarBatch(
           for (size_t i = 0; i < n; ++i) {
             double* ki = k_block.data() + i * m;
             for (size_t r = 0; r < m; ++r) {
-              ki[r] = kernel_->Compute(x_[i], xs[b + r]);
+              ki[r] = kernel_->Compute(x_[i], xs[b + r], lengthscale);
             }
           }
           double acc[kBlock];
@@ -328,10 +277,10 @@ void GaussianProcess::PredictMeanVarBatch(
           }
           for (size_t r = 0; r < m; ++r) {
             const std::vector<double>& xq = xs[b + r];
-            double var = kernel_->Compute(xq, xq) - vv[r];
+            double var = kernel_->Compute(xq, xq, lengthscale) - vv[r];
             if (var < 1e-12) var = 1e-12;
-            (*means)[b + r] = mu[r] * y_scale_ + y_mean_;
-            (*variances)[b + r] = var * y_scale_ * y_scale_;
+            (*means)[b + r] = mu[r] * y_scale + y_mean;
+            (*variances)[b + r] = var * y_scale * y_scale;
           }
         }
       });

@@ -4,40 +4,24 @@
 #include <memory>
 #include <vector>
 
+#include "surrogate/gp_fit_policy.h"
 #include "surrogate/kernels.h"
 #include "surrogate/regressor.h"
 #include "util/matrix.h"
 
 namespace dbtune {
 
-/// Hyper-parameters of the Gaussian-process surrogate.
-struct GaussianProcessOptions {
-  /// Lengthscale candidates for marginal-likelihood grid search.
-  std::vector<double> lengthscale_grid = {0.1, 0.2, 0.4, 0.8, 1.6};
-  /// Noise-variance candidates (targets are standardized).
-  std::vector<double> noise_grid = {1e-4, 1e-2, 5e-2};
-  /// Re-run the hyper-parameter grid search only every k-th Fit; in
-  /// between, reuse the last selected hyper-parameters (keeps the cubic
-  /// cost of iterative BO in check). 1 = always.
-  size_t hyperopt_every = 5;
-  /// Extend the cached Cholesky factor by bordered append when a
-  /// non-hyperopt `Fit` receives the previous training set plus new rows
-  /// (O(n^2) instead of O(n^3); bit-identical to a full refit). Off is
-  /// only useful as a baseline for benchmarks and equivalence tests.
-  bool enable_incremental = true;
-};
-
 /// Gaussian-process regression (Eq. 3 of the paper) with a pluggable
-/// kernel and grid-searched hyper-parameters. Targets are standardized
-/// internally; predictive variance is reported in original units.
+/// kernel and grid-searched hyper-parameters (`GpFitPolicy`). Targets are
+/// standardized internally; predictive variance is reported in original
+/// units.
 ///
 /// Sequential fits are incremental: see DESIGN.md §8 for the cache
 /// state machine (when the bordered append applies, when it falls back
 /// to a full refactorization).
 class GaussianProcess final : public Regressor {
  public:
-  /// Takes ownership of `kernel`.
-  GaussianProcess(std::unique_ptr<Kernel> kernel,
+  GaussianProcess(std::shared_ptr<const Kernel> kernel,
                   GaussianProcessOptions options = {});
 
   Status Fit(const FeatureMatrix& x, const std::vector<double>& y) override;
@@ -53,14 +37,16 @@ class GaussianProcess final : public Regressor {
   std::string name() const override { return "GP-" + kernel_->name(); }
 
   /// Log marginal likelihood of the current fit (standardized targets).
-  double log_marginal_likelihood() const { return lml_; }
-  const Kernel& kernel() const { return *kernel_; }
+  double log_marginal_likelihood() const {
+    return policy_.log_marginal_likelihood();
+  }
   size_t num_observations() const { return x_.size(); }
 
-  /// Fitted noise variance and factorization internals, exposed so the
+  /// Fitted hyper-parameters and factorization internals, exposed so the
   /// incremental-fit tests can assert bitwise equality against a full
   /// refactorization.
-  double noise() const { return noise_; }
+  double lengthscale() const { return policy_.lengthscale(); }
+  double noise() const { return policy_.noise(); }
   const Matrix& cholesky_factor() const { return chol_; }
   const std::vector<double>& alpha() const { return alpha_; }
 
@@ -72,35 +58,24 @@ class GaussianProcess final : public Regressor {
     std::vector<double> alpha;
   };
 
-  /// Assembles K (no noise diagonal) at the kernel's current lengthscale.
-  Matrix AssembleKernelMatrix() const;
+  /// Assembles K (no noise diagonal) at `lengthscale`.
+  Matrix AssembleKernelMatrix(double lengthscale) const;
   /// Copies `k_base`, adds the noise diagonal, factorizes, and computes
   /// alpha; returns the LML. Does not touch member state.
   Result<double> FactorizeWith(const Matrix& k_base, double noise,
-                               FitState* state);
-  /// Builds K + noise*I, factorizes, computes alpha, installs the result
-  /// into member state; returns the LML.
-  Result<double> FitWith(double lengthscale, double noise);
+                               FitState* state) const;
   /// Extends the cached factor with rows [old_n, x_.size()) by bordered
   /// Cholesky append, then recomputes alpha/LML (the targets are
   /// re-standardized every fit). Fails when a pivot is not positive.
   Result<double> FitIncremental(size_t old_n);
 
-  std::unique_ptr<Kernel> kernel_;
-  GaussianProcessOptions options_;
+  std::shared_ptr<const Kernel> kernel_;
+  GpFitPolicy policy_;  // lengthscale, noise, LML, cadence, targets
 
   FeatureMatrix x_;
-  std::vector<double> y_standardized_;
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
-
   Matrix chol_;                 // lower Cholesky factor of K + noise I
   std::vector<double> alpha_;   // (K + noise I)^-1 y
-  double noise_ = 1e-4;
-  double lml_ = 0.0;
-  size_t fits_since_hyperopt_ = 0;
-  bool fitted_ = false;
-  // True only when chol_/alpha_ match x_ and the kernel's current
+  // True only when chol_/alpha_ match x_ and the current
   // hyper-parameters (i.e. the last Fit succeeded); cleared on entry to
   // Fit so a failed fit can never seed an incremental append.
   bool factor_cached_ = false;

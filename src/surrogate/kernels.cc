@@ -21,20 +21,23 @@ double MeanSquaredDiff(const std::vector<double>& a,
 }  // namespace
 
 double RbfKernel::Compute(const std::vector<double>& a,
-                          const std::vector<double>& b) const {
-  const double r2 = MeanSquaredDiff(a, b) / (lengthscale_ * lengthscale_);
+                          const std::vector<double>& b,
+                          double lengthscale) const {
+  const double r2 = MeanSquaredDiff(a, b) / (lengthscale * lengthscale);
   return std::exp(-0.5 * r2);
 }
 
 double Matern52Kernel::Compute(const std::vector<double>& a,
-                               const std::vector<double>& b) const {
-  const double r = std::sqrt(MeanSquaredDiff(a, b)) / lengthscale_;
+                               const std::vector<double>& b,
+                               double lengthscale) const {
+  const double r = std::sqrt(MeanSquaredDiff(a, b)) / lengthscale;
   const double sqrt5_r = std::sqrt(5.0) * r;
   return (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * std::exp(-sqrt5_r);
 }
 
 double HammingKernel::Compute(const std::vector<double>& a,
-                              const std::vector<double>& b) const {
+                              const std::vector<double>& b,
+                              double lengthscale) const {
   DBTUNE_CHECK(a.size() == b.size() && !a.empty());
   size_t differing = 0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -42,14 +45,15 @@ double HammingKernel::Compute(const std::vector<double>& a,
   }
   const double h =
       static_cast<double>(differing) / static_cast<double>(a.size());
-  return std::exp(-h / lengthscale_);
+  return std::exp(-h / lengthscale);
 }
 
 MixedKernel::MixedKernel(std::vector<bool> is_categorical)
     : is_categorical_(std::move(is_categorical)) {}
 
 double MixedKernel::Compute(const std::vector<double>& a,
-                            const std::vector<double>& b) const {
+                            const std::vector<double>& b,
+                            double lengthscale) const {
   DBTUNE_CHECK(a.size() == b.size() && a.size() == is_categorical_.size());
   double cont_r2 = 0.0;
   size_t cont_n = 0;
@@ -68,14 +72,14 @@ double MixedKernel::Compute(const std::vector<double>& a,
   double k = 1.0;
   if (cont_n > 0) {
     const double r =
-        std::sqrt(cont_r2 / static_cast<double>(cont_n)) / lengthscale_;
+        std::sqrt(cont_r2 / static_cast<double>(cont_n)) / lengthscale;
     const double sqrt5_r = std::sqrt(5.0) * r;
     k *= (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * std::exp(-sqrt5_r);
   }
   if (cat_n > 0) {
     const double h =
         static_cast<double>(cat_diff) / static_cast<double>(cat_n);
-    k *= std::exp(-h / lengthscale_);
+    k *= std::exp(-h / lengthscale);
   }
   return k;
 }

@@ -1,7 +1,6 @@
 #ifndef DBTUNE_SURROGATE_KERNELS_H_
 #define DBTUNE_SURROGATE_KERNELS_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,23 +8,19 @@ namespace dbtune {
 
 /// Covariance function over unit-encoded configurations. Distances are
 /// dimension-normalized (mean per-dimension contribution) so the same
-/// lengthscale grid works across spaces of different sizes.
+/// lengthscale grid works across spaces of different sizes. Kernels are
+/// immutable: the lengthscale is the fitting GP's state, passed per call,
+/// so one kernel can be shared by both GP tiers.
 class Kernel {
  public:
   virtual ~Kernel() = default;
 
-  /// k(a, b); inputs must have equal size.
+  /// k(a, b) at `lengthscale`; inputs must have equal size.
   virtual double Compute(const std::vector<double>& a,
-                         const std::vector<double>& b) const = 0;
-
-  /// Shared lengthscale hyper-parameter (tuned by the GP via grid search).
-  void set_lengthscale(double lengthscale) { lengthscale_ = lengthscale; }
-  double lengthscale() const { return lengthscale_; }
+                         const std::vector<double>& b,
+                         double lengthscale) const = 0;
 
   virtual std::string name() const = 0;
-
- protected:
-  double lengthscale_ = 0.5;
 };
 
 /// Squared-exponential kernel (vanilla BO / OtterTune). Assumes a natural
@@ -33,8 +28,8 @@ class Kernel {
 /// which is exactly the weakness the heterogeneity experiment probes.
 class RbfKernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "RBF"; }
 };
 
@@ -42,8 +37,8 @@ class RbfKernel final : public Kernel {
 /// surfaces (less smooth than RBF).
 class Matern52Kernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Matern52"; }
 };
 
@@ -51,8 +46,8 @@ class Matern52Kernel final : public Kernel {
 /// fraction of differing entries. Treats categories as unordered symbols.
 class HammingKernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Hamming"; }
 };
 
@@ -63,8 +58,8 @@ class MixedKernel final : public Kernel {
   /// `is_categorical[d]` marks dimension d as categorical.
   explicit MixedKernel(std::vector<bool> is_categorical);
 
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Mixed"; }
 
  private:

@@ -1,7 +1,6 @@
 #include "surrogate/regression_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -21,15 +20,7 @@ Result<PresortedSamples> PresortedSamples::Sort(
   out.num_features_ = d;
   out.values_.resize(d * n);
   for (size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(y[i])) {
-      return Status::InvalidArgument("non-finite training target");
-    }
-    for (size_t f = 0; f < d; ++f) {
-      if (!std::isfinite(x[i][f])) {
-        return Status::InvalidArgument("non-finite training feature");
-      }
-      out.values_[f * n + i] = x[i][f];
-    }
+    for (size_t f = 0; f < d; ++f) out.values_[f * n + i] = x[i][f];
   }
   out.targets_ = y;
   out.order_.resize(d * n);

@@ -26,9 +26,9 @@ struct RegressionTreeOptions {
 /// by stable partitioning, so no node sorts anything.
 class PresortedSamples {
  public:
-  /// Validates (x, y) — non-empty, rectangular, matching, every value
-  /// finite (the (value, target) order needs a strict weak ordering) —
-  /// and sorts each feature's sample ids once.
+  /// Validates (x, y) through `ValidateTrainingData` (its finiteness
+  /// check is what gives the (value, target) order a strict weak
+  /// ordering) and sorts each feature's sample ids once.
   [[nodiscard]] static Result<PresortedSamples> Sort(
       const FeatureMatrix& x, const std::vector<double>& y);
 

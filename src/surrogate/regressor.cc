@@ -1,5 +1,7 @@
 #include "surrogate/regressor.h"
 
+#include <cmath>
+
 #include "util/thread_pool.h"
 
 namespace dbtune {
@@ -34,9 +36,17 @@ Status ValidateTrainingData(const FeatureMatrix& x,
   }
   const size_t width = x.front().size();
   if (width == 0) return Status::InvalidArgument("zero-width features");
-  for (const auto& row : x) {
-    if (row.size() != width) {
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i].size() != width) {
       return Status::InvalidArgument("ragged feature matrix");
+    }
+    if (!std::isfinite(y[i])) {
+      return Status::InvalidArgument("non-finite training target");
+    }
+    for (double v : x[i]) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite training feature");
+      }
     }
   }
   return Status::OK();

@@ -51,7 +51,8 @@ class Regressor {
   virtual std::string name() const = 0;
 };
 
-/// Validates a training set: non-empty, consistent widths, matching y.
+/// Validates a training set: non-empty, consistent widths, matching y,
+/// and finite features and targets. Every regressor's `Fit` calls it.
 [[nodiscard]] Status ValidateTrainingData(const FeatureMatrix& x,
                             const std::vector<double>& y);
 

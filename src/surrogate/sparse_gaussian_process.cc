@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace dbtune {
@@ -29,12 +28,9 @@ constexpr size_t kAccumChunk = 512;
 }  // namespace
 
 SparseGaussianProcess::SparseGaussianProcess(
-    std::unique_ptr<Kernel> kernel, SparseGaussianProcessOptions options)
-    : kernel_(std::move(kernel)), options_(options) {
+    std::shared_ptr<const Kernel> kernel, GaussianProcessOptions options)
+    : kernel_(std::move(kernel)), policy_(std::move(options)) {
   DBTUNE_CHECK(kernel_ != nullptr);
-  DBTUNE_CHECK(options_.num_inducing > 0);
-  DBTUNE_CHECK(!options_.lengthscale_grid.empty());
-  DBTUNE_CHECK(!options_.noise_grid.empty());
 }
 
 std::vector<size_t> SparseGaussianProcess::SelectInducingIndices(
@@ -81,58 +77,60 @@ std::vector<size_t> SparseGaussianProcess::SelectInducingIndices(
   return chosen;
 }
 
-Status SparseGaussianProcess::PrepareLengthscale(
-    const FeatureMatrix& x, LengthscaleState* state) const {
+Result<SparseGaussianProcess::LengthscaleState>
+SparseGaussianProcess::PrepareLengthscale(const FeatureMatrix& x,
+                                          double lengthscale) const {
   const size_t n = x.size();
   const size_t m = xm_.size();
+  LengthscaleState state;
   // Inducing Gram, assembled like the exact GP's kernel matrix: row j
   // owns pairs (j, j..m), mirrored, so rows parallelize without overlap.
-  state->kmm = Matrix(m, m);
-  Matrix& kmm = state->kmm;
+  state.kmm = Matrix(m, m);
+  Matrix& kmm = state.kmm;
   ParallelFor(GlobalPool(), 0, m, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
       for (size_t k = j; k < m; ++k) {
-        const double v = kernel_->Compute(xm_[j], xm_[k]);
+        const double v = kernel_->Compute(xm_[j], xm_[k], lengthscale);
         kmm(j, k) = v;
         kmm(k, j) = v;
       }
     }
   });
-  state->lm = kmm;
-  state->lm.AddDiagonal(kInducingJitter);
-  DBTUNE_RETURN_IF_ERROR(CholeskyFactorize(&state->lm));
-  state->logdet_kmm = 0.0;
+  state.lm = kmm;
+  state.lm.AddDiagonal(kInducingJitter);
+  DBTUNE_RETURN_IF_ERROR(CholeskyFactorize(&state.lm));
+  state.logdet_kmm = 0.0;
   for (size_t j = 0; j < m; ++j) {
-    state->logdet_kmm += 2.0 * std::log(state->lm(j, j));
+    state.logdet_kmm += 2.0 * std::log(state.lm(j, j));
   }
 
   // Cross-covariances, prior diagonal, and the Nyström diagonal
   // q_i = ||L_m⁻¹ k_mi||² in one pass. Each row writes only its own
   // slots; the per-row triangular solve uses chunk-local scratch.
-  state->knm = Matrix(n, m);
-  state->kdiag.resize(n);
-  state->q.resize(n);
-  const Matrix& lm = state->lm;
+  state.knm = Matrix(n, m);
+  state.kdiag.resize(n);
+  state.q.resize(n);
+  const Matrix& lm = state.lm;
   ParallelFor(GlobalPool(), 0, n, /*grain=*/32, [&](size_t begin, size_t end) {
     std::vector<double> row(m);
     std::vector<double> sol;
     for (size_t i = begin; i < end; ++i) {
-      double* knm_row = state->knm.RowPtr(i);
+      double* knm_row = state.knm.RowPtr(i);
       for (size_t j = 0; j < m; ++j) {
-        knm_row[j] = kernel_->Compute(x[i], xm_[j]);
+        knm_row[j] = kernel_->Compute(x[i], xm_[j], lengthscale);
       }
-      state->kdiag[i] = kernel_->Compute(x[i], x[i]);
+      state.kdiag[i] = kernel_->Compute(x[i], x[i], lengthscale);
       std::copy(knm_row, knm_row + m, row.begin());
       SolveLowerTriangularInto(lm, row, &sol);
-      state->q[i] = Dot(sol, sol);
+      state.q[i] = Dot(sol, sol);
     }
   });
-  return Status::OK();
+  return state;
 }
 
 Result<double> SparseGaussianProcess::FactorizeWith(
-    const LengthscaleState& ls_state, const std::vector<double>& y_std,
-    double noise, FitState* state) const {
+    const LengthscaleState& ls_state, double noise, FitState* state) const {
+  const std::vector<double>& y_std = policy_.y_standardized();
   const size_t n = ls_state.knm.rows();
   const size_t m = ls_state.knm.cols();
 
@@ -208,25 +206,9 @@ Result<double> SparseGaussianProcess::FactorizeWith(
   lml -= 0.5 * log_lambda_sum;
   lml -= 0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
 
+  state->lm = ls_state.lm;
   state->la = std::move(la);
   state->alpha = std::move(alpha);
-  return lml;
-}
-
-Result<double> SparseGaussianProcess::FitWith(const FeatureMatrix& x,
-                                              const std::vector<double>& y_std,
-                                              double lengthscale,
-                                              double noise) {
-  kernel_->set_lengthscale(lengthscale);
-  LengthscaleState ls_state;
-  DBTUNE_RETURN_IF_ERROR(PrepareLengthscale(x, &ls_state));
-  FitState state;
-  DBTUNE_ASSIGN_OR_RETURN(const double lml,
-                          FactorizeWith(ls_state, y_std, noise, &state));
-  lm_ = std::move(ls_state.lm);
-  la_ = std::move(state.la);
-  alpha_ = std::move(state.alpha);
-  noise_ = noise;
   return lml;
 }
 
@@ -238,73 +220,32 @@ Status SparseGaussianProcess::Fit(const FeatureMatrix& x,
   DBTUNE_TRACE_SPAN("gp.fit.sparse");
   DBTUNE_RETURN_IF_ERROR(ValidateTrainingData(x, y));
 
-  const size_t n = x.size();
-  const size_t m = std::min(options_.num_inducing, n);
+  const size_t m = std::min(policy_.options().num_inducing, x.size());
   inducing_indices_ = SelectInducingIndices(x, m);
   xm_.clear();
   xm_.reserve(m);
   for (size_t id : inducing_indices_) xm_.push_back(x[id]);
 
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  std::vector<double> y_std(n);
-  for (size_t i = 0; i < n; ++i) y_std[i] = (y[i] - y_mean_) / y_scale_;
-
   // Every sparse fit is a full refit (the inducing set moves with the
   // history), so unlike the exact GP there is no append path and no
-  // staleness reset — only the hyperopt cadence.
-  const bool do_hyperopt = !fitted_ || fits_since_hyperopt_ == 0;
-  fits_since_hyperopt_ =
-      (fits_since_hyperopt_ + 1) % std::max<size_t>(1, options_.hyperopt_every);
-
-  if (!do_hyperopt) {
-    Result<double> lml = FitWith(x, y_std, kernel_->lengthscale(), noise_);
-    if (lml.ok()) {
-      lml_ = *lml;
-      fitted_ = true;
-      return Status::OK();
-    }
-    // Fall through to a full search when the cached choice fails.
-  }
-
-  // Grid sweep sharing the per-lengthscale state across the noise grid
-  // (K_mm, K_nm, and the Nyström diagonal depend on the lengthscale
-  // only; the noise enters through Λ and A).
-  double best_lml = -1e300;
-  double best_ls = options_.lengthscale_grid.front();
-  double best_noise = options_.noise_grid.front();
-  Matrix best_lm;
-  FitState best_state;
-  bool any = false;
-  for (double ls : options_.lengthscale_grid) {
-    kernel_->set_lengthscale(ls);
-    LengthscaleState ls_state;
-    if (!PrepareLengthscale(x, &ls_state).ok()) continue;
-    for (double noise : options_.noise_grid) {
-      FitState state;
-      Result<double> lml = FactorizeWith(ls_state, y_std, noise, &state);
-      if (!lml.ok()) continue;
-      if (!any || *lml > best_lml) {
-        any = true;
-        best_lml = *lml;
-        best_ls = ls;
-        best_noise = noise;
-        best_lm = ls_state.lm;
-        best_state = std::move(state);
-      }
-    }
-  }
-  if (!any) {
-    return Status::Internal("sparse GP fit failed for all hyper-parameters");
-  }
-  kernel_->set_lengthscale(best_ls);
-  lm_ = std::move(best_lm);
-  la_ = std::move(best_state.la);
-  alpha_ = std::move(best_state.alpha);
-  noise_ = best_noise;
-  lml_ = best_lml;
-  fitted_ = true;
+  // staleness reset — only the hyperopt cadence. K_mm, K_nm and the
+  // Nyström diagonal depend on the lengthscale only and are shared
+  // across the noise grid; the noise enters through Λ and A.
+  const bool reuse = policy_.Begin(y, /*stale=*/false);
+  DBTUNE_ASSIGN_OR_RETURN(
+      FitState best,
+      policy_.Fit<FitState>(
+          reuse,
+          [&](double lengthscale) {
+            return PrepareLengthscale(x, lengthscale);
+          },
+          [this](const LengthscaleState& ls_state, double noise,
+                 FitState* state) {
+            return FactorizeWith(ls_state, noise, state);
+          }));
+  lm_ = std::move(best.lm);
+  la_ = std::move(best.la);
+  alpha_ = std::move(best.alpha);
   return Status::OK();
 }
 
@@ -317,65 +258,57 @@ double SparseGaussianProcess::Predict(const std::vector<double>& x) const {
 void SparseGaussianProcess::PredictMeanVar(const std::vector<double>& x,
                                            double* mean,
                                            double* variance) const {
-  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
+  DBTUNE_CHECK_MSG(policy_.fitted(), "Predict before Fit");
   static obs::Histogram& predict_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
   obs::ScopedLatency predict_latency(&predict_hist);
-  // FITC posterior: μ = k_mᵀ α and
-  // var = k** − ||L_m⁻¹ k_m||² + ||L_A⁻¹ k_m||² — O(m²), no dependence
-  // on n. Scratch is per calling thread; the batch path runs the same
-  // routine from pool workers, each with its own scratch.
-  static thread_local std::vector<double> k_m;
-  static thread_local std::vector<double> v;
-  static thread_local std::vector<double> w;
-  const size_t m = xm_.size();
-  k_m.resize(m);
-  for (size_t j = 0; j < m; ++j) k_m[j] = kernel_->Compute(xm_[j], x);
-
-  const double mu = Dot(k_m, alpha_);
-  SolveLowerTriangularInto(lm_, k_m, &v);
-  SolveLowerTriangularInto(la_, k_m, &w);
-  double var = kernel_->Compute(x, x) - Dot(v, v) + Dot(w, w);
-  if (var < 1e-12) var = 1e-12;
-
-  *mean = mu * y_scale_ + y_mean_;
-  *variance = var * y_scale_ * y_scale_;
+  PredictOne(x, mean, variance);
 }
 
 void SparseGaussianProcess::PredictMeanVarBatch(
     const FeatureMatrix& xs, std::vector<double>* means,
     std::vector<double>* variances) const {
-  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
+  DBTUNE_CHECK_MSG(policy_.fitted(), "Predict before Fit");
   static obs::Histogram& batch_hist =
-      obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
+      obs::MetricsRegistry::Get().histogram("gp.predict.sparse.batch");
   obs::ScopedLatency batch_latency(&batch_hist);
   means->resize(xs.size());
   variances->resize(xs.size());
-  // Each query is O(m²) with thread-local scratch and writes only its
-  // own slot, so the parallel batch is bitwise the scalar loop. The
-  // nested scalar entry is not used here to keep the histogram from
-  // double-counting.
+  // Each query is O(m²) and writes only its own slot, so the parallel
+  // batch is bitwise the scalar loop.
   ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16,
               [&](size_t begin, size_t end) {
-                static thread_local std::vector<double> k_m;
-                static thread_local std::vector<double> v;
-                static thread_local std::vector<double> w;
-                const size_t m = xm_.size();
                 for (size_t q = begin; q < end; ++q) {
-                  k_m.resize(m);
-                  for (size_t j = 0; j < m; ++j) {
-                    k_m[j] = kernel_->Compute(xm_[j], xs[q]);
-                  }
-                  const double mu = Dot(k_m, alpha_);
-                  SolveLowerTriangularInto(lm_, k_m, &v);
-                  SolveLowerTriangularInto(la_, k_m, &w);
-                  double var =
-                      kernel_->Compute(xs[q], xs[q]) - Dot(v, v) + Dot(w, w);
-                  if (var < 1e-12) var = 1e-12;
-                  (*means)[q] = mu * y_scale_ + y_mean_;
-                  (*variances)[q] = var * y_scale_ * y_scale_;
+                  PredictOne(xs[q], &(*means)[q], &(*variances)[q]);
                 }
               });
+}
+
+void SparseGaussianProcess::PredictOne(const std::vector<double>& x,
+                                       double* mean, double* variance) const {
+  // FITC posterior: μ = k_mᵀ α and
+  // var = k** − ||L_m⁻¹ k_m||² + ||L_A⁻¹ k_m||² — O(m²), no dependence
+  // on n. Scratch is per calling thread; the batch path runs this from
+  // pool workers, each with its own scratch.
+  static thread_local std::vector<double> k_m;
+  static thread_local std::vector<double> v;
+  static thread_local std::vector<double> w;
+  const double lengthscale = policy_.lengthscale();
+  const size_t m = xm_.size();
+  k_m.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    k_m[j] = kernel_->Compute(xm_[j], x, lengthscale);
+  }
+
+  const double mu = Dot(k_m, alpha_);
+  SolveLowerTriangularInto(lm_, k_m, &v);
+  SolveLowerTriangularInto(la_, k_m, &w);
+  double var = kernel_->Compute(x, x, lengthscale) - Dot(v, v) + Dot(w, w);
+  if (var < 1e-12) var = 1e-12;
+
+  const double y_scale = policy_.y_scale();
+  *mean = mu * y_scale + policy_.y_mean();
+  *variance = var * y_scale * y_scale;
 }
 
 }  // namespace dbtune

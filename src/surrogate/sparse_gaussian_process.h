@@ -4,32 +4,22 @@
 #include <memory>
 #include <vector>
 
+#include "surrogate/gp_fit_policy.h"
 #include "surrogate/kernels.h"
 #include "surrogate/regressor.h"
 #include "util/matrix.h"
 
 namespace dbtune {
 
-/// Hyper-parameters of the sparse (inducing-point) GP surrogate.
-struct SparseGaussianProcessOptions {
-  /// Number of inducing points m; clamped to the training-set size. Fit
-  /// is O(n·m²), predict O(m²) — the whole point of the sparse tier.
-  size_t num_inducing = 64;
-  /// Lengthscale candidates for marginal-likelihood grid search.
-  std::vector<double> lengthscale_grid = {0.1, 0.2, 0.4, 0.8, 1.6};
-  /// Noise-variance candidates (targets are standardized).
-  std::vector<double> noise_grid = {1e-4, 1e-2, 5e-2};
-  /// Re-run the hyper-parameter grid search only every k-th Fit; in
-  /// between, reuse the last selected hyper-parameters. 1 = always.
-  size_t hyperopt_every = 5;
-};
-
 /// FITC sparse Gaussian-process regression (Snelson & Ghahramani 2006;
 /// the unifying view of Quiñonero-Candela & Rasmussen 2005): the exact
 /// GP's O(n³) fit is replaced by an m-inducing-point approximation with
 /// O(n·m²) fit time, O(n·m) memory during fit, and O(m²) per-query
-/// predictive cost. Targets are standardized internally; predictive
-/// variance is reported in original units, exactly like `GaussianProcess`.
+/// predictive cost. Hyper-parameters are grid-searched by the same
+/// `GpFitPolicy` as the exact GP (same grids, same cadence; the sparse
+/// tier never resets the cadence). Targets are standardized internally;
+/// predictive variance is reported in original units, exactly like
+/// `GaussianProcess`.
 ///
 /// Inducing points are selected from the training set itself by a greedy
 /// farthest-point (k-center) sweep seeded at index 0 with ties resolved
@@ -39,15 +29,15 @@ struct SparseGaussianProcessOptions {
 /// run sequentially in a pool-size-independent order). See DESIGN.md §9.
 class SparseGaussianProcess final : public Regressor {
  public:
-  /// Takes ownership of `kernel`.
-  SparseGaussianProcess(std::unique_ptr<Kernel> kernel,
-                        SparseGaussianProcessOptions options = {});
+  /// Reads `num_inducing` and the search fields of `options`.
+  SparseGaussianProcess(std::shared_ptr<const Kernel> kernel,
+                        GaussianProcessOptions options = {});
 
   Status Fit(const FeatureMatrix& x, const std::vector<double>& y) override;
   double Predict(const std::vector<double>& x) const override;
   void PredictMeanVar(const std::vector<double>& x, double* mean,
                       double* variance) const override;
-  /// Parallelizes the scalar predictive routine over the query batch;
+  /// Runs the scalar path's per-query routine in parallel over the batch;
   /// every query writes only its own slot, so the output is bitwise the
   /// scalar loop's at any pool size.
   void PredictMeanVarBatch(const FeatureMatrix& xs,
@@ -57,8 +47,9 @@ class SparseGaussianProcess final : public Regressor {
 
   /// FITC log marginal likelihood of the current fit (standardized
   /// targets).
-  double log_marginal_likelihood() const { return lml_; }
-  const Kernel& kernel() const { return *kernel_; }
+  double log_marginal_likelihood() const {
+    return policy_.log_marginal_likelihood();
+  }
   /// Effective number of inducing points of the current fit (min of
   /// `num_inducing` and the training-set size).
   size_t num_inducing() const { return inducing_indices_.size(); }
@@ -66,7 +57,8 @@ class SparseGaussianProcess final : public Regressor {
   const std::vector<size_t>& inducing_indices() const {
     return inducing_indices_;
   }
-  double noise() const { return noise_; }
+  double lengthscale() const { return policy_.lengthscale(); }
+  double noise() const { return policy_.noise(); }
 
  private:
   /// Per-lengthscale quantities shared across the noise grid (the sparse
@@ -83,6 +75,7 @@ class SparseGaussianProcess final : public Regressor {
   /// A candidate factorization from the grid sweep; the winner is
   /// installed wholesale.
   struct FitState {
+    Matrix lm;                  // chol(Kmm + jitter I), from LengthscaleState
     Matrix la;                  // chol(A), A = Kmm + Knmᵀ Λ⁻¹ Knm
     std::vector<double> alpha;  // A⁻¹ Knmᵀ Λ⁻¹ y
   };
@@ -90,34 +83,27 @@ class SparseGaussianProcess final : public Regressor {
   /// Greedy farthest-point selection of min(m, n) inducing indices.
   std::vector<size_t> SelectInducingIndices(const FeatureMatrix& x,
                                             size_t m) const;
-  /// Assembles the per-lengthscale state at the kernel's current
-  /// lengthscale. Fails when the inducing Gram is not positive definite.
-  [[nodiscard]] Status PrepareLengthscale(const FeatureMatrix& x,
-                                          LengthscaleState* state) const;
+  /// Assembles the per-lengthscale state. Fails when the inducing Gram
+  /// is not positive definite.
+  Result<LengthscaleState> PrepareLengthscale(const FeatureMatrix& x,
+                                              double lengthscale) const;
   /// Builds Λ, A, and alpha for one noise level on top of `ls_state`;
   /// returns the FITC log marginal likelihood. Does not touch members.
-  Result<double> FactorizeWith(const LengthscaleState& ls_state,
-                               const std::vector<double>& y_std, double noise,
+  Result<double> FactorizeWith(const LengthscaleState& ls_state, double noise,
                                FitState* state) const;
-  /// Fits at fixed hyper-parameters and installs the result.
-  Result<double> FitWith(const FeatureMatrix& x,
-                         const std::vector<double>& y_std, double lengthscale,
-                         double noise);
+  /// The FITC posterior of one query in original units; the scalar and
+  /// batched predict paths share it.
+  void PredictOne(const std::vector<double>& x, double* mean,
+                  double* variance) const;
 
-  std::unique_ptr<Kernel> kernel_;
-  SparseGaussianProcessOptions options_;
+  std::shared_ptr<const Kernel> kernel_;
+  GpFitPolicy policy_;  // lengthscale, noise, LML, cadence, targets
 
   std::vector<size_t> inducing_indices_;
   FeatureMatrix xm_;            // inducing inputs (rows of the last x)
   Matrix lm_;                   // chol(Kmm + jitter I)
   Matrix la_;                   // chol(A)
   std::vector<double> alpha_;   // predictive weights, standardized units
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
-  double noise_ = 1e-4;
-  double lml_ = 0.0;
-  size_t fits_since_hyperopt_ = 0;
-  bool fitted_ = false;
 };
 
 }  // namespace dbtune

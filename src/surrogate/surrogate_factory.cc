@@ -5,35 +5,16 @@
 
 namespace dbtune {
 
-const char* SurrogateTierName(SurrogateTier tier) {
-  switch (tier) {
-    case SurrogateTier::kAuto:
-      return "auto";
-    case SurrogateTier::kExact:
-      return "exact";
-    case SurrogateTier::kSparse:
-      return "sparse";
-  }
-  return "?";
-}
-
-TieredGpSurrogate::TieredGpSurrogate(KernelFactory kernel_factory,
-                                     GaussianProcessOptions gp_options,
-                                     SurrogateTierOptions tier_options)
-    : kernel_factory_(std::move(kernel_factory)),
-      gp_options_(gp_options),
-      tier_options_(tier_options) {
-  DBTUNE_CHECK(kernel_factory_ != nullptr);
-  DBTUNE_CHECK(tier_options_.num_inducing > 0);
+TieredGpSurrogate::TieredGpSurrogate(std::shared_ptr<const Kernel> kernel,
+                                     GaussianProcessOptions options)
+    : kernel_(std::move(kernel)), options_(std::move(options)) {
+  DBTUNE_CHECK(kernel_ != nullptr);
+  DBTUNE_CHECK(options_.num_inducing > 0);
 }
 
 Status TieredGpSurrogate::Fit(const FeatureMatrix& x,
                               const std::vector<double>& y) {
-  const bool use_sparse =
-      tier_options_.tier == SurrogateTier::kSparse ||
-      (tier_options_.tier == SurrogateTier::kAuto &&
-       x.size() > tier_options_.sparse_crossover);
-  if (use_sparse) {
+  if (x.size() > options_.sparse_crossover) {
     if (active_ != nullptr && active_ == exact_.get() &&
         obs::MetricsEnabled()) {
       // First crossing from the exact to the sparse tier.
@@ -42,24 +23,12 @@ Status TieredGpSurrogate::Fit(const FeatureMatrix& x,
       escalations.Increment();
     }
     if (!sparse_) {
-      // The sparse tier inherits the exact GP's hyper-parameter search
-      // (same grids, same cadence) so escalation changes the fit cost,
-      // not the modeling policy.
-      SparseGaussianProcessOptions sparse_options;
-      sparse_options.num_inducing = tier_options_.num_inducing;
-      sparse_options.lengthscale_grid = gp_options_.lengthscale_grid;
-      sparse_options.noise_grid = gp_options_.noise_grid;
-      sparse_options.hyperopt_every = gp_options_.hyperopt_every;
-      sparse_ = std::make_unique<SparseGaussianProcess>(kernel_factory_(),
-                                                        sparse_options);
+      sparse_ = std::make_unique<SparseGaussianProcess>(kernel_, options_);
     }
     active_ = sparse_.get();
     return sparse_->Fit(x, y);
   }
-  if (!exact_) {
-    exact_ =
-        std::make_unique<GaussianProcess>(kernel_factory_(), gp_options_);
-  }
+  if (!exact_) exact_ = std::make_unique<GaussianProcess>(kernel_, options_);
   active_ = exact_.get();
   return exact_->Fit(x, y);
 }
@@ -84,14 +53,13 @@ void TieredGpSurrogate::PredictMeanVarBatch(
 
 std::string TieredGpSurrogate::name() const {
   if (active_ != nullptr) return active_->name();
-  return std::string("TieredGP-") + SurrogateTierName(tier_options_.tier);
+  return "TieredGP-" + kernel_->name();
 }
 
-std::unique_ptr<Regressor> CreateGpSurrogate(KernelFactory kernel_factory,
-                                             GaussianProcessOptions gp_options,
-                                             SurrogateTierOptions tier_options) {
-  return std::make_unique<TieredGpSurrogate>(std::move(kernel_factory),
-                                             gp_options, tier_options);
+std::unique_ptr<Regressor> CreateGpSurrogate(
+    std::shared_ptr<const Kernel> kernel, GaussianProcessOptions options) {
+  return std::make_unique<TieredGpSurrogate>(std::move(kernel),
+                                             std::move(options));
 }
 
 }  // namespace dbtune

@@ -46,9 +46,9 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
   }
 
   // Standardize targets so epsilon has a consistent meaning.
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
+  const ScoreMoments moments = ScoreMomentsOf(y);
+  y_mean_ = moments.mean;
+  y_scale_ = moments.sd;
 
   // Precompute feature maps once.
   FeatureMatrix phi(n);

@@ -39,9 +39,8 @@ std::unique_ptr<Regressor> CreateBaseSurrogate(TransferBase base,
   gp_options.hyperopt_every = 5;
   // Through the tiered factory so large source-task histories escalate
   // to the sparse GP (RGPE fits one base surrogate per source task).
-  return CreateGpSurrogate(
-      [mask = std::move(mask)] { return std::make_unique<MixedKernel>(mask); },
-      gp_options);
+  return CreateGpSurrogate(std::make_unique<MixedKernel>(std::move(mask)),
+                           gp_options);
 }
 
 WorkloadMappingOptimizer::WorkloadMappingOptimizer(

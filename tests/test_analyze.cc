@@ -222,6 +222,17 @@ TEST(AnalyzeLegacyTest, GpConstructionCheckOnlyAppliesUnderOptimizer) {
   EXPECT_EQ(CountCheck(findings, "gp-construction"), 0);
 }
 
+TEST(AnalyzeLegacyTest, ModelChecksApplyUnderTransfer) {
+  // RGPE and workload mapping score candidate pools and build base
+  // surrogates, so both optimizer-side checks apply to src/transfer too.
+  const auto findings =
+      AnalyzeFile(FixturePath("transfer/bad_base_surrogate.cc"),
+                  "transfer/bad_base_surrogate.cc");
+  EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 1);
+  EXPECT_EQ(CountCheck(findings, "gp-construction"), 1);
+  EXPECT_EQ(findings.size(), 2u);  // nothing else fires
+}
+
 TEST(AnalyzeLegacyTest, MetricsExportCheckFiresOutsideObs) {
   const auto findings = AnalyzeFile(FixturePath("bad_metrics_export.cc"),
                                     "bad_metrics_export.cc");
@@ -579,8 +590,9 @@ TEST(AnalyzeTest, FixtureTreeFindsAllViolations) {
   EXPECT_EQ(CountCheck(findings, "include-guard"), 1);
   EXPECT_EQ(CountCheck(findings, "iostream"), 1);
   EXPECT_EQ(CountCheck(findings, "raw-timing"), 3);
-  EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 3);
-  EXPECT_EQ(CountCheck(findings, "gp-construction"), 3);
+  // optimizer/ fixtures 3 + 3, transfer/ fixture 1 + 1.
+  EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 4);
+  EXPECT_EQ(CountCheck(findings, "gp-construction"), 4);
   EXPECT_EQ(CountCheck(findings, "metrics-export"), 3);
   // New determinism checks: true positives only, near-misses quiet.
   EXPECT_EQ(CountCheck(findings, "thread-local-capture"), 2);

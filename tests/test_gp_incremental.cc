@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/random_forest.h"
+#include "tie_heavy_data.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -81,8 +82,7 @@ void ExpectIdenticalFitSequence(GaussianProcess* incremental,
     EXPECT_EQ(incremental->log_marginal_likelihood(),
               full->log_marginal_likelihood());
     EXPECT_EQ(incremental->noise(), full->noise());
-    EXPECT_EQ(incremental->kernel().lengthscale(),
-              full->kernel().lengthscale());
+    EXPECT_EQ(incremental->lengthscale(), full->lengthscale());
     EXPECT_EQ(incremental->alpha(), full->alpha());
     EXPECT_EQ(incremental->cholesky_factor().data(),
               full->cholesky_factor().data());
@@ -152,7 +152,7 @@ TEST(GpIncrementalTest, ShrunkHistoryFallsBackAndRefreshesHyperopt) {
   ASSERT_TRUE(fresh.Fit(head_x, head_y).ok());
   EXPECT_EQ(gp.log_marginal_likelihood(), fresh.log_marginal_likelihood());
   EXPECT_EQ(gp.noise(), fresh.noise());
-  EXPECT_EQ(gp.kernel().lengthscale(), fresh.kernel().lengthscale());
+  EXPECT_EQ(gp.lengthscale(), fresh.lengthscale());
   EXPECT_EQ(gp.alpha(), fresh.alpha());
   EXPECT_EQ(gp.cholesky_factor().data(), fresh.cholesky_factor().data());
 }
@@ -172,7 +172,7 @@ TEST(GpIncrementalTest, WholesaleReplacementRefreshesHyperopt) {
   GaussianProcess fresh(std::make_unique<RbfKernel>(), options);
   ASSERT_TRUE(fresh.Fit(x_b, y_b).ok());
   EXPECT_EQ(gp.log_marginal_likelihood(), fresh.log_marginal_likelihood());
-  EXPECT_EQ(gp.kernel().lengthscale(), fresh.kernel().lengthscale());
+  EXPECT_EQ(gp.lengthscale(), fresh.lengthscale());
   EXPECT_EQ(gp.alpha(), fresh.alpha());
   EXPECT_EQ(gp.cholesky_factor().data(), fresh.cholesky_factor().data());
 }
@@ -254,6 +254,43 @@ TEST(GpIncrementalTest, PredictionsAfterAppendMatchFullRefit) {
   full.PredictMeanVarBatch(queries, &full_means, &full_vars);
   EXPECT_EQ(inc_means, full_means);
   EXPECT_EQ(inc_vars, full_vars);
+}
+
+// FNV-1a pin of an exact-GP fit sequence mixing appends, grid searches,
+// a wholesale replacement (the staleness reset), a regrowth and a shrink,
+// checked at pool sizes 1/2/8.
+TEST(GpIncrementalTest, FitSequenceWithReplacementMatchesPin) {
+  const FeatureMatrix x_a = MakeInputs(40, 4, 67);
+  const FeatureMatrix x_b = MakeInputs(40, 4, 71);
+  const FeatureMatrix queries = MakeInputs(16, 4, 73);
+  std::vector<FeatureMatrix> sequence;
+  for (size_t n = 20; n <= 32; n += 3) {
+    sequence.emplace_back(x_a.begin(), x_a.begin() + n);
+  }
+  for (size_t n = 32; n <= 40; n += 4) {
+    sequence.emplace_back(x_b.begin(), x_b.begin() + n);
+  }
+  sequence.emplace_back(x_b.begin(), x_b.begin() + 25);
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    PoolSizeGuard guard(pool);
+    GaussianProcessOptions options;
+    options.hyperopt_every = 3;
+    GaussianProcess gp(std::make_unique<Matern52Kernel>(), options);
+    testing::Fnv1a fnv;
+    for (const FeatureMatrix& x : sequence) {
+      ASSERT_TRUE(gp.Fit(x, MakeTargets(x)).ok());
+      fnv.Add(gp.log_marginal_likelihood());
+      fnv.Add(gp.lengthscale());
+      fnv.Add(gp.noise());
+      for (double v : gp.alpha()) fnv.Add(v);
+      std::vector<double> means, vars;
+      gp.PredictMeanVarBatch(queries, &means, &vars);
+      for (double v : means) fnv.Add(v);
+      for (double v : vars) fnv.Add(v);
+    }
+    EXPECT_EQ(fnv.hash(), 0xb43700c9c60a3ef6ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
 }
 
 }  // namespace

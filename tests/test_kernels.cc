@@ -7,39 +7,41 @@
 namespace dbtune {
 namespace {
 
+// Lengthscale for the tests that do not probe it.
+constexpr double kLs = 0.5;
+
 TEST(RbfKernelTest, IdentityAndSymmetry) {
   RbfKernel k;
   const std::vector<double> a = {0.1, 0.5};
   const std::vector<double> b = {0.9, 0.2};
-  EXPECT_DOUBLE_EQ(k.Compute(a, a), 1.0);
-  EXPECT_DOUBLE_EQ(k.Compute(a, b), k.Compute(b, a));
-  EXPECT_GT(k.Compute(a, b), 0.0);
-  EXPECT_LT(k.Compute(a, b), 1.0);
+  EXPECT_DOUBLE_EQ(k.Compute(a, a, kLs), 1.0);
+  EXPECT_DOUBLE_EQ(k.Compute(a, b, kLs), k.Compute(b, a, kLs));
+  EXPECT_GT(k.Compute(a, b, kLs), 0.0);
+  EXPECT_LT(k.Compute(a, b, kLs), 1.0);
 }
 
 TEST(RbfKernelTest, DecaysWithDistance) {
   RbfKernel k;
   const std::vector<double> origin = {0.0};
-  EXPECT_GT(k.Compute(origin, {0.1}), k.Compute(origin, {0.5}));
-  EXPECT_GT(k.Compute(origin, {0.5}), k.Compute(origin, {1.0}));
+  EXPECT_GT(k.Compute(origin, {0.1}, kLs), k.Compute(origin, {0.5}, kLs));
+  EXPECT_GT(k.Compute(origin, {0.5}, kLs), k.Compute(origin, {1.0}, kLs));
 }
 
 TEST(RbfKernelTest, LengthscaleControlsDecay) {
-  RbfKernel wide, narrow;
-  wide.set_lengthscale(2.0);
-  narrow.set_lengthscale(0.1);
+  RbfKernel k;
   const std::vector<double> a = {0.0}, b = {0.5};
-  EXPECT_GT(wide.Compute(a, b), narrow.Compute(a, b));
+  EXPECT_GT(k.Compute(a, b, /*lengthscale=*/2.0),
+            k.Compute(a, b, /*lengthscale=*/0.1));
 }
 
 TEST(Matern52KernelTest, BasicProperties) {
   Matern52Kernel k;
   const std::vector<double> a = {0.3, 0.3};
   const std::vector<double> b = {0.6, 0.1};
-  EXPECT_NEAR(k.Compute(a, a), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(k.Compute(a, b), k.Compute(b, a));
-  EXPECT_GT(k.Compute(a, b), 0.0);
-  EXPECT_LT(k.Compute(a, b), 1.0);
+  EXPECT_NEAR(k.Compute(a, a, kLs), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(k.Compute(a, b, kLs), k.Compute(b, a, kLs));
+  EXPECT_GT(k.Compute(a, b, kLs), 0.0);
+  EXPECT_LT(k.Compute(a, b, kLs), 1.0);
 }
 
 TEST(Matern52KernelTest, HeavierTailsThanRbf) {
@@ -47,21 +49,18 @@ TEST(Matern52KernelTest, HeavierTailsThanRbf) {
   // distance it keeps more correlation.
   RbfKernel rbf;
   Matern52Kernel matern;
-  rbf.set_lengthscale(0.25);
-  matern.set_lengthscale(0.25);
   const std::vector<double> a = {0.0}, b = {0.9};  // 3.6 lengthscales away
-  EXPECT_GT(matern.Compute(a, b), rbf.Compute(a, b));
+  EXPECT_GT(matern.Compute(a, b, 0.25), rbf.Compute(a, b, 0.25));
 }
 
 TEST(HammingKernelTest, CountsDifferingEntries) {
   HammingKernel k;
-  k.set_lengthscale(1.0);
   const std::vector<double> a = {0.1, 0.5, 0.9};
-  EXPECT_DOUBLE_EQ(k.Compute(a, a), 1.0);
+  EXPECT_DOUBLE_EQ(k.Compute(a, a, 1.0), 1.0);
   const std::vector<double> one_diff = {0.1, 0.5, 0.2};
   const std::vector<double> two_diff = {0.3, 0.5, 0.2};
-  EXPECT_GT(k.Compute(a, one_diff), k.Compute(a, two_diff));
-  EXPECT_NEAR(k.Compute(a, one_diff), std::exp(-1.0 / 3.0), 1e-12);
+  EXPECT_GT(k.Compute(a, one_diff, 1.0), k.Compute(a, two_diff, 1.0));
+  EXPECT_NEAR(k.Compute(a, one_diff, 1.0), std::exp(-1.0 / 3.0), 1e-12);
 }
 
 TEST(HammingKernelTest, MagnitudeOfDifferenceIrrelevant) {
@@ -69,37 +68,32 @@ TEST(HammingKernelTest, MagnitudeOfDifferenceIrrelevant) {
   // semantics.
   HammingKernel k;
   const std::vector<double> a = {0.1};
-  EXPECT_DOUBLE_EQ(k.Compute(a, {0.2}), k.Compute(a, {0.9}));
+  EXPECT_DOUBLE_EQ(k.Compute(a, {0.2}, kLs), k.Compute(a, {0.9}, kLs));
 }
 
 TEST(MixedKernelTest, SplitsDimensionsByType) {
   MixedKernel k({false, true});
-  k.set_lengthscale(0.5);
   const std::vector<double> a = {0.2, 0.1};
   // Same category, close continuous: high.
-  EXPECT_GT(k.Compute(a, {0.25, 0.1}), 0.9);
+  EXPECT_GT(k.Compute(a, {0.25, 0.1}, kLs), 0.9);
   // Different category hits the Hamming factor hard.
-  EXPECT_LT(k.Compute(a, {0.25, 0.9}), k.Compute(a, {0.25, 0.1}));
+  EXPECT_LT(k.Compute(a, {0.25, 0.9}, kLs), k.Compute(a, {0.25, 0.1}, kLs));
   // Continuous distance also matters.
-  EXPECT_LT(k.Compute(a, {0.9, 0.1}), k.Compute(a, {0.25, 0.1}));
+  EXPECT_LT(k.Compute(a, {0.9, 0.1}, kLs), k.Compute(a, {0.25, 0.1}, kLs));
 }
 
 TEST(MixedKernelTest, AllContinuousMatchesMatern) {
   MixedKernel mixed({false, false});
   Matern52Kernel matern;
-  mixed.set_lengthscale(0.4);
-  matern.set_lengthscale(0.4);
   const std::vector<double> a = {0.3, 0.8}, b = {0.5, 0.1};
-  EXPECT_NEAR(mixed.Compute(a, b), matern.Compute(a, b), 1e-12);
+  EXPECT_NEAR(mixed.Compute(a, b, 0.4), matern.Compute(a, b, 0.4), 1e-12);
 }
 
 TEST(MixedKernelTest, AllCategoricalMatchesHamming) {
   MixedKernel mixed({true, true});
   HammingKernel hamming;
-  mixed.set_lengthscale(0.7);
-  hamming.set_lengthscale(0.7);
   const std::vector<double> a = {0.25, 0.75}, b = {0.25, 0.1};
-  EXPECT_NEAR(mixed.Compute(a, b), hamming.Compute(a, b), 1e-12);
+  EXPECT_NEAR(mixed.Compute(a, b, 0.7), hamming.Compute(a, b, 0.7), 1e-12);
 }
 
 TEST(KernelTest, NamesAreDistinct) {

@@ -1,12 +1,17 @@
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "surrogate/gaussian_process.h"
 #include "surrogate/gradient_boosting.h"
 #include "surrogate/knn.h"
+#include "surrogate/random_forest.h"
 #include "surrogate/ridge.h"
+#include "surrogate/sparse_gaussian_process.h"
+#include "surrogate/surrogate_factory.h"
 #include "surrogate/svr.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -231,6 +236,10 @@ TEST_P(RegressorContractTest, RejectsInvalidData) {
   std::unique_ptr<Regressor> model = GetParam().second();
   EXPECT_FALSE(model->Fit({}, {}).ok());
   EXPECT_FALSE(model->Fit({{1.0}, {2.0}}, {1.0}).ok());
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(model->Fit({{0.1}, {0.5}, {0.9}}, {1.0, nan, 2.0}).ok());
+  EXPECT_FALSE(model->Fit({{0.1}, {inf}, {0.9}}, {1.0, 1.5, 2.0}).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,6 +264,28 @@ INSTANTIATE_TEST_SUITE_P(
                        Factory([] {
                          return std::unique_ptr<Regressor>(
                              std::make_unique<SupportVectorRegressor>());
+                       })),
+        std::make_pair("rf",
+                       Factory([] {
+                         return std::unique_ptr<Regressor>(
+                             std::make_unique<RandomForest>());
+                       })),
+        std::make_pair("gp",
+                       Factory([] {
+                         return std::unique_ptr<Regressor>(
+                             std::make_unique<GaussianProcess>(
+                                 std::make_unique<Matern52Kernel>()));
+                       })),
+        std::make_pair("sparse_gp",
+                       Factory([] {
+                         return std::unique_ptr<Regressor>(
+                             std::make_unique<SparseGaussianProcess>(
+                                 std::make_unique<Matern52Kernel>()));
+                       })),
+        std::make_pair("tiered_gp",
+                       Factory([] {
+                         return CreateGpSurrogate(
+                             std::make_unique<Matern52Kernel>());
                        }))),
     [](const ::testing::TestParamInfo<std::pair<const char*, Factory>>& info) {
       return info.param.first;

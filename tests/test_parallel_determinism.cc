@@ -249,9 +249,8 @@ TEST(ParallelDeterminismTest, GpBoTrajectoryCrossesIncrementalAppends) {
     options.seed = 53;
     GaussianProcessOptions gp_options;
     gp_options.enable_incremental = incremental;
-    TestGpBo optimizer(
-        space, options, [] { return std::make_unique<Matern52Kernel>(); },
-        gp_options);
+    TestGpBo optimizer(space, options, std::make_unique<Matern52Kernel>(),
+                       gp_options);
     std::vector<double> trace;
     for (int i = 0; i < 25; ++i) {
       const Configuration c = optimizer.Suggest();
@@ -282,12 +281,11 @@ TEST(ParallelDeterminismTest, SparseTierGpBoTrajectory) {
     const ConfigurationSpace space = MakeContinuousSpace(4);
     OptimizerOptions options;
     options.seed = 67;
-    SurrogateTierOptions tier_options;
-    tier_options.tier = SurrogateTier::kSparse;
-    tier_options.num_inducing = 12;
-    TestGpBo optimizer(
-        space, options, [] { return std::make_unique<Matern52Kernel>(); },
-        GaussianProcessOptions{}, tier_options);
+    GaussianProcessOptions gp_options;
+    gp_options.sparse_crossover = 0;
+    gp_options.num_inducing = 12;
+    TestGpBo optimizer(space, options, std::make_unique<Matern52Kernel>(),
+                       gp_options);
     std::vector<double> trace;
     for (int i = 0; i < 20; ++i) {
       const Configuration c = optimizer.Suggest();

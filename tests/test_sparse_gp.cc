@@ -5,21 +5,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/tuning_session.h"
 #include "dbms/simulator.h"
+#include "knobs/knob.h"
 #include "optimizer/gp_bo.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/sparse_gaussian_process.h"
 #include "surrogate/surrogate_factory.h"
+#include "tie_heavy_data.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace dbtune {
 namespace {
+
+// Restores the previous pool size even when an assertion fails.
+class PoolSizeGuard {
+ public:
+  explicit PoolSizeGuard(size_t n)
+      : original_(ExecutionContext::Get().num_threads()) {
+    ExecutionContext::Get().SetNumThreads(n);
+  }
+  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
+
+ private:
+  size_t original_;
+};
 
 FeatureMatrix MakeInputs(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);
@@ -46,7 +64,7 @@ std::vector<double> SmoothTargets(const FeatureMatrix& x) {
 TEST(SparseGaussianProcessTest, InducingSelectionIsDeterministic) {
   const FeatureMatrix x = MakeInputs(120, 4, 7);
   const std::vector<double> y = SmoothTargets(x);
-  SparseGaussianProcessOptions options;
+  GaussianProcessOptions options;
   options.num_inducing = 24;
 
   SparseGaussianProcess a(std::make_unique<Matern52Kernel>(), options);
@@ -67,7 +85,7 @@ TEST(SparseGaussianProcessTest, InducingSelectionIsDeterministic) {
 TEST(SparseGaussianProcessTest, InducingBudgetClampsToTrainingSize) {
   const FeatureMatrix x = MakeInputs(10, 3, 11);
   const std::vector<double> y = SmoothTargets(x);
-  SparseGaussianProcessOptions options;
+  GaussianProcessOptions options;
   options.num_inducing = 64;
   SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(), options);
   ASSERT_TRUE(gp.Fit(x, y).ok());
@@ -82,7 +100,7 @@ TEST(SparseGaussianProcessTest, ApproximatesExactPosterior) {
   GaussianProcess exact(std::make_unique<Matern52Kernel>());
   ASSERT_TRUE(exact.Fit(x, y).ok());
 
-  SparseGaussianProcessOptions options;
+  GaussianProcessOptions options;
   options.num_inducing = 64;
   SparseGaussianProcess sparse(std::make_unique<Matern52Kernel>(), options);
   ASSERT_TRUE(sparse.Fit(x, y).ok());
@@ -142,11 +160,10 @@ TEST(SparseGaussianProcessTest, RejectsInvalidTrainingData) {
 }
 
 TEST(TieredGpSurrogateTest, AutoEscalatesAtCrossover) {
-  SurrogateTierOptions tier;
-  tier.sparse_crossover = 50;
-  tier.num_inducing = 16;
-  TieredGpSurrogate gp([] { return std::make_unique<Matern52Kernel>(); },
-                       GaussianProcessOptions{}, tier);
+  GaussianProcessOptions options;
+  options.sparse_crossover = 50;
+  options.num_inducing = 16;
+  TieredGpSurrogate gp(std::make_unique<Matern52Kernel>(), options);
 
   const FeatureMatrix small = MakeInputs(40, 3, 37);
   ASSERT_TRUE(gp.Fit(small, SmoothTargets(small)).ok());
@@ -172,26 +189,17 @@ TEST(TieredGpSurrogateTest, ForcedTiersAreRespected) {
   const FeatureMatrix x = MakeInputs(30, 3, 43);
   const std::vector<double> y = SmoothTargets(x);
 
-  SurrogateTierOptions force_sparse;
-  force_sparse.tier = SurrogateTier::kSparse;
-  TieredGpSurrogate sparse([] { return std::make_unique<Matern52Kernel>(); },
-                           GaussianProcessOptions{}, force_sparse);
+  GaussianProcessOptions force_sparse;
+  force_sparse.sparse_crossover = 0;
+  TieredGpSurrogate sparse(std::make_unique<Matern52Kernel>(), force_sparse);
   ASSERT_TRUE(sparse.Fit(x, y).ok());
   EXPECT_TRUE(sparse.sparse_active());
 
-  SurrogateTierOptions force_exact;
-  force_exact.tier = SurrogateTier::kExact;
-  force_exact.sparse_crossover = 1;  // would escalate under kAuto
-  TieredGpSurrogate exact([] { return std::make_unique<Matern52Kernel>(); },
-                          GaussianProcessOptions{}, force_exact);
+  GaussianProcessOptions force_exact;
+  force_exact.sparse_crossover = SIZE_MAX;
+  TieredGpSurrogate exact(std::make_unique<Matern52Kernel>(), force_exact);
   ASSERT_TRUE(exact.Fit(x, y).ok());
   EXPECT_FALSE(exact.sparse_active());
-}
-
-TEST(TieredGpSurrogateTest, TierNames) {
-  EXPECT_STREQ(SurrogateTierName(SurrogateTier::kAuto), "auto");
-  EXPECT_STREQ(SurrogateTierName(SurrogateTier::kExact), "exact");
-  EXPECT_STREQ(SurrogateTierName(SurrogateTier::kSparse), "sparse");
 }
 
 // The crossover policy's justification: a GP-BO session driven by the
@@ -206,29 +214,146 @@ TEST(TieredGpSurrogateTest, SparseRegretTracksExactOnSimulator) {
   const std::vector<size_t> knob_indices = {0, 1, 2, 3, 4, 5};
   const size_t iterations = 40;
 
-  auto run = [&](SurrogateTier tier) {
+  auto run = [&](size_t sparse_crossover) {
     DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 9);
     TuningEnvironment env(&sim, knob_indices);
     OptimizerOptions options;
     options.seed = 9;
-    SurrogateTierOptions tier_options;
-    tier_options.tier = tier;
-    tier_options.num_inducing = 16;
-    TierBo bo(
-        env.space(), options,
-        [] { return std::make_unique<Matern52Kernel>(); },
-        GaussianProcessOptions{}, tier_options);
+    GaussianProcessOptions gp_options;
+    gp_options.sparse_crossover = sparse_crossover;
+    gp_options.num_inducing = 16;
+    TierBo bo(env.space(), options, std::make_unique<Matern52Kernel>(),
+              gp_options);
     return RunTuningSession(&env, &bo, iterations);
   };
 
-  const SessionResult exact = run(SurrogateTier::kExact);
-  const SessionResult sparse = run(SurrogateTier::kSparse);
+  const SessionResult exact = run(/*sparse_crossover=*/SIZE_MAX);
+  const SessionResult sparse = run(/*sparse_crossover=*/0);
   ASSERT_EQ(exact.improvement_trace.size(), iterations);
   ASSERT_EQ(sparse.improvement_trace.size(), iterations);
   // Pinned regret tolerance: the sparse session's final improvement may
   // trail the exact session's by at most 5 percentage points (they are
   // not expected to be identical — the surrogates differ).
   EXPECT_GE(sparse.final_improvement, exact.final_improvement - 5.0);
+}
+
+// --- Bitwise pins -----------------------------------------------------------
+// FNV-1a hashes of whole fit/predict sequences, recorded once and checked
+// at pool sizes 1/2/8: a refactor of the fit policy must keep them.
+
+void HashBatch(const Regressor& model, const FeatureMatrix& queries,
+               testing::Fnv1a* fnv) {
+  std::vector<double> means, vars;
+  model.PredictMeanVarBatch(queries, &means, &vars);
+  for (double v : means) fnv->Add(v);
+  for (double v : vars) fnv->Add(v);
+}
+
+void HashSparseFit(const SparseGaussianProcess& gp, testing::Fnv1a* fnv) {
+  fnv->Add(gp.log_marginal_likelihood());
+  fnv->Add(gp.lengthscale());
+  fnv->Add(gp.noise());
+  for (size_t id : gp.inducing_indices()) fnv->Add(static_cast<uint64_t>(id));
+}
+
+// Growing prefixes with a grid search every third fit, then a wholesale
+// replacement (the sparse tier keeps its cadence across it).
+TEST(SparseGpGoldenTest, RefitSequenceMatchesPin) {
+  const FeatureMatrix x = MakeInputs(110, 4, 73);
+  const std::vector<double> y = SmoothTargets(x);
+  const FeatureMatrix replacement = MakeInputs(70, 4, 79);
+  const FeatureMatrix queries = MakeInputs(24, 4, 83);
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const PoolSizeGuard guard(pool);
+    GaussianProcessOptions options;
+    options.num_inducing = 20;
+    options.hyperopt_every = 3;
+    SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(), options);
+    testing::Fnv1a fnv;
+    for (size_t n = 30; n <= x.size(); n += 10) {
+      const FeatureMatrix head_x(x.begin(), x.begin() + n);
+      const std::vector<double> head_y(y.begin(), y.begin() + n);
+      ASSERT_TRUE(gp.Fit(head_x, head_y).ok());
+      HashSparseFit(gp, &fnv);
+      HashBatch(gp, queries, &fnv);
+    }
+    ASSERT_TRUE(gp.Fit(replacement, SmoothTargets(replacement)).ok());
+    HashSparseFit(gp, &fnv);
+    HashBatch(gp, queries, &fnv);
+    EXPECT_EQ(fnv.hash(), 0x1ad6940f2f2ed8aULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
+}
+
+// A tiered surrogate fitted on growing histories that cross the
+// crossover: exact fits below it, sparse fits above it.
+TEST(SparseGpGoldenTest, TieredCrossoverSequenceMatchesPin) {
+  const FeatureMatrix x = MakeInputs(72, 3, 89);
+  const std::vector<double> y = SmoothTargets(x);
+  const FeatureMatrix queries = MakeInputs(20, 3, 97);
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const PoolSizeGuard guard(pool);
+    GaussianProcessOptions options;
+    options.sparse_crossover = 40;
+    options.num_inducing = 12;
+    options.hyperopt_every = 2;
+    TieredGpSurrogate gp(std::make_unique<Matern52Kernel>(), options);
+    testing::Fnv1a fnv;
+    for (size_t n = 16; n <= x.size(); n += 8) {
+      const FeatureMatrix head_x(x.begin(), x.begin() + n);
+      const std::vector<double> head_y(y.begin(), y.begin() + n);
+      ASSERT_TRUE(gp.Fit(head_x, head_y).ok());
+      fnv.Add(static_cast<uint64_t>(gp.sparse_active()));
+      if (gp.sparse_active()) {
+        HashSparseFit(*gp.sparse(), &fnv);
+      } else {
+        fnv.Add(gp.exact()->log_marginal_likelihood());
+        fnv.Add(gp.exact()->lengthscale());
+        fnv.Add(gp.exact()->noise());
+      }
+      HashBatch(gp, queries, &fnv);
+    }
+    EXPECT_EQ(fnv.hash(), 0xd30e00ced1e98ab5ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
+}
+
+// The sparse-forced GP-BO trajectory of
+// ParallelDeterminismTest.SparseTierGpBoTrajectory, pinned.
+TEST(SparseGpGoldenTest, SparseTierGpBoTrajectoryMatchesPin) {
+  struct TestGpBo final : GpBoOptimizer {
+    using GpBoOptimizer::GpBoOptimizer;
+    std::string name() const override { return "Sparse GP-BO"; }
+  };
+  std::vector<Knob> knobs;
+  for (size_t i = 0; i < 4; ++i) {
+    std::string name = "x";
+    name += std::to_string(i);  // avoids gcc-12 -Wrestrict false positive
+    knobs.push_back(Knob::Continuous(name, 0.0, 1.0, 0.5));
+  }
+  const ConfigurationSpace space(std::move(knobs));
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const PoolSizeGuard guard(pool);
+    OptimizerOptions options;
+    options.seed = 67;
+    GaussianProcessOptions gp_options;
+    gp_options.sparse_crossover = 0;
+    gp_options.num_inducing = 12;
+    TestGpBo optimizer(space, options, std::make_unique<Matern52Kernel>(),
+                       gp_options);
+    testing::Fnv1a fnv;
+    for (int i = 0; i < 20; ++i) {
+      const Configuration c = optimizer.Suggest();
+      double score = 0.0;
+      for (size_t j = 0; j < c.size(); ++j) {
+        score -= (c[j] - 0.6) * (c[j] - 0.6);
+        fnv.Add(c[j]);
+      }
+      optimizer.Observe(c, score);
+    }
+    EXPECT_EQ(fnv.hash(), 0x1f67a4110703ff02ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
 }
 
 }  // namespace

@@ -66,11 +66,12 @@ const std::vector<CheckInfo>& Registry() {
        "std::chrono clock read outside src/obs and bench_util.h",
        "measure time through obs/clock (MonotonicNanos/MonotonicSeconds)"},
       {"predict-in-loop", "warning",
-       "scalar PredictMeanVar inside a loop under src/optimizer",
+       "scalar PredictMeanVar inside a loop under src/optimizer or "
+       "src/transfer",
        "score candidate batches through PredictMeanVarBatch"},
       {"gp-construction", "warning",
        "direct GaussianProcess/SparseGaussianProcess use under "
-       "src/optimizer",
+       "src/optimizer or src/transfer",
        "obtain GP surrogates through surrogate_factory's CreateGpSurrogate "
        "so long histories escalate to the sparse tier"},
       {"metrics-export", "warning",
@@ -514,7 +515,7 @@ struct PathRules {
   bool random = true;          // random-seed applies
   bool timing = true;          // raw-timing applies
   bool env_read = true;        // raw-getenv applies
-  bool optimizer = false;      // predict-in-loop / gp-construction apply
+  bool model_user = false;     // predict-in-loop / gp-construction apply
   bool metrics_export = true;  // metrics-export applies
   bool persistence = false;    // unchecked-write applies
   bool scheduler = false;      // blocking-in-scheduler applies
@@ -754,13 +755,13 @@ class Analyzer {
                      "every switch is parsed once, by one rule");
     }
 
-    if (rules_.optimizer &&
+    if (rules_.model_user &&
         (ident == "GaussianProcess" || ident == "SparseGaussianProcess")) {
       Report(t.line, "gp-construction",
              "direct " + ident +
-                 " use in optimizer code — obtain GP surrogates through "
-                 "surrogate_factory's CreateGpSurrogate so long histories "
-                 "escalate to the sparse tier");
+                 " use in optimizer or transfer code — obtain GP surrogates "
+                 "through surrogate_factory's CreateGpSurrogate so long "
+                 "histories escalate to the sparse tier");
     }
 
     if (rules_.metrics_export &&
@@ -811,7 +812,7 @@ class Analyzer {
              "`using namespace std` pollutes every including scope");
     }
 
-    if (rules_.optimizer && ident == "PredictMeanVar" && call && InLoop()) {
+    if (rules_.model_user && ident == "PredictMeanVar" && call && InLoop()) {
       Report(t.line, "predict-in-loop",
              "scalar PredictMeanVar inside a loop — score candidate "
              "batches through PredictMeanVarBatch instead (per-call "
@@ -1403,7 +1404,10 @@ PathRules RulesFor(const std::string& relpath) {
   rules.timing =
       !StartsWith(relpath, "obs/") && !EndsWith(relpath, "bench_util.h");
   rules.env_read = relpath != "util/env_config.cc";
-  rules.optimizer = StartsWith(relpath, "optimizer/");
+  // Optimizers and the transfer frameworks (RGPE, workload mapping) score
+  // candidate pools and build GP surrogates.
+  rules.model_user = StartsWith(relpath, "optimizer/") ||
+                     StartsWith(relpath, "transfer/");
   rules.metrics_export = !StartsWith(relpath, "obs/");
   // Files whose writes ARE the durable state: the observation store's
   // WAL/snapshots, the obs trace/log/metrics files, dataset I/O, and the

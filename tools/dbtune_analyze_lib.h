@@ -66,10 +66,11 @@
 ///   raw-timing    — no std::chrono clock reads outside src/obs and
 ///                   bench_util.h; timing must flow through obs/clock
 ///   predict-in-loop — scalar PredictMeanVar inside a loop under
-///                   src/optimizer; score batches via PredictMeanVarBatch
+///                   src/optimizer or src/transfer; score batches via
+///                   PredictMeanVarBatch
 ///   gp-construction — direct GaussianProcess/SparseGaussianProcess use
-///                   under src/optimizer; obtain GP surrogates from
-///                   surrogate_factory's CreateGpSurrogate
+///                   under src/optimizer or src/transfer; obtain GP
+///                   surrogates from surrogate_factory's CreateGpSurrogate
 ///   metrics-export — MetricsSnapshot/ToJson outside src/obs; render
 ///                   metrics through obs/metrics_export
 ///

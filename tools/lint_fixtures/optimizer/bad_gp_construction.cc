@@ -8,6 +8,6 @@ void BuildSurrogates(const Space& space) {
   auto owned = std::make_unique<GaussianProcess>(MakeKernel());  // finding
   SparseGaussianProcess sparse(MakeKernel());           // finding: sparse too
   GaussianProcessOptions options;  // ok: the options struct is fine
-  auto tiered = CreateGpSurrogate(MakeKernelFactory(), options);  // ok
+  auto tiered = CreateGpSurrogate(MakeKernel(), options);  // ok
   GaussianProcess legacy(MakeKernel());  // dbtune-lint: allow(gp-construction)
 }
