@@ -27,7 +27,7 @@ RankOutcome RankWith(MeasurementType type, const ImportanceInput& input,
   RankOutcome out;
   switch (type) {
     case MeasurementType::kLasso: {
-      LassoImportance m(LassoOptions{}, seed);
+      LassoImportance m(seed);
       out.importance = m.Rank(input).value();
       out.r_squared = m.last_fit_r_squared();
       return out;
@@ -39,19 +39,19 @@ RankOutcome RankWith(MeasurementType type, const ImportanceInput& input,
       return out;
     }
     case MeasurementType::kFanova: {
-      FanovaImportance m(FanovaOptions{}, seed);
+      FanovaImportance m(seed);
       out.importance = m.Rank(input).value();
       out.r_squared = m.last_fit_r_squared();
       return out;
     }
     case MeasurementType::kAblation: {
-      AblationImportance m(AblationOptions{}, seed);
+      AblationImportance m(seed);
       out.importance = m.Rank(input).value();
       out.r_squared = m.last_fit_r_squared();
       return out;
     }
     case MeasurementType::kShap: {
-      ShapImportance m(ShapOptions{}, seed);
+      ShapImportance m(seed);
       out.importance = m.Rank(input).value();
       out.r_squared = m.last_fit_r_squared();
       return out;

@@ -15,7 +15,7 @@ constexpr double kRealEvaluationSeconds = 210.0;
 }  // namespace
 
 Result<std::unique_ptr<SurrogateBenchmark>> SurrogateBenchmark::Build(
-    const TuningDataset& dataset, RandomForestOptions forest_options) {
+    const TuningDataset& dataset) {
   if (dataset.unit_x.empty()) {
     return Status::InvalidArgument("empty dataset");
   }
@@ -25,7 +25,6 @@ Result<std::unique_ptr<SurrogateBenchmark>> SurrogateBenchmark::Build(
       new SurrogateBenchmark());  // dbtune-lint: allow(naked-new)
   benchmark->space_ = dataset.space;
   benchmark->objective_kind_ = dataset.objective_kind;
-  benchmark->forest_ = RandomForest(forest_options);
   DBTUNE_RETURN_IF_ERROR(
       benchmark->forest_.Fit(dataset.unit_x, dataset.objectives));
   // Baseline for improvement reporting: the *measured* default objective

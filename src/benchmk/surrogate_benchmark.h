@@ -20,7 +20,7 @@ class SurrogateBenchmark {
   /// Trains the surrogate on `dataset` (which it copies the space and
   /// defaults from). Fails when the dataset is degenerate.
   [[nodiscard]] static Result<std::unique_ptr<SurrogateBenchmark>> Build(
-      const TuningDataset& dataset, RandomForestOptions forest_options = {});
+      const TuningDataset& dataset);
 
   /// The benchmark's configuration space.
   const ConfigurationSpace& space() const { return space_; }

@@ -45,6 +45,7 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   SessionResult result;
   result.improvement_trace.reserve(iterations);
   result.objective_trace.reserve(iterations);
+  result.per_iteration_overhead.reserve(iterations);
   const double sim_seconds_start = env->simulator().simulated_seconds();
 
   SessionStore bound = OpenSessionStore(controls);
@@ -99,9 +100,7 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
 
     const double overhead = (t1 - t0) + (t3 - t2);
     result.algorithm_overhead_seconds += overhead;
-    if (controls.record_overhead) {
-      result.per_iteration_overhead.push_back(overhead);
-    }
+    result.per_iteration_overhead.push_back(overhead);
     result.improvement_trace.push_back(env->ImprovementPercent());
     result.objective_trace.push_back(env->best_objective());
 

@@ -31,7 +31,7 @@ struct SessionResult {
   /// Total optimizer overhead (wall-clock seconds spent in Suggest +
   /// Observe, excluding evaluation) — Figure 9's quantity.
   double algorithm_overhead_seconds = 0.0;
-  /// Per-iteration overhead (seconds), recorded when requested.
+  /// Per-iteration overhead (seconds), one entry per iteration.
   std::vector<double> per_iteration_overhead;
   /// Simulated DBMS-side seconds (restarts + stress tests).
   double simulated_evaluation_seconds = 0.0;
@@ -48,8 +48,6 @@ struct SessionResult {
 /// `ProcessEnvConfig()`; an explicit value always wins, so `""` or
 /// `false` turns a switch off whatever the environment says.
 struct SessionControls {
-  /// Record per-iteration optimizer overhead (Figure 9).
-  bool record_overhead = false;
   /// When non-empty, one JSON line per iteration is written here (see
   /// obs::SessionLogger). Defaults to `DBTUNE_SESSION_LOG`.
   std::string session_log_path = ProcessEnvConfig().session_log_path;

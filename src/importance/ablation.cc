@@ -8,13 +8,18 @@
 
 namespace dbtune {
 
-AblationImportance::AblationImportance(AblationOptions options, uint64_t seed)
-    : options_(options), seed_(seed) {}
+namespace {
+/// How many well-performing target configurations to trace paths to.
+constexpr size_t kMaxTargets = 12;
+constexpr size_t kForestTrees = 30;
+}  // namespace
+
+AblationImportance::AblationImportance(uint64_t seed) : seed_(seed) {}
 
 Result<std::vector<double>> AblationImportance::Rank(
     const ImportanceInput& input) {
   RandomForestOptions forest_options;
-  forest_options.num_trees = options_.forest_trees;
+  forest_options.num_trees = kForestTrees;
   forest_options.seed = seed_;
   RandomForest forest(forest_options);
   DBTUNE_RETURN_IF_ERROR(forest.Fit(input.unit_x, input.scores));
@@ -33,7 +38,7 @@ Result<std::vector<double>> AblationImportance::Rank(
     if (input.scores[id] > input.default_score || targets.size() < 3) {
       targets.push_back(id);
     }
-    if (targets.size() >= options_.max_targets) break;
+    if (targets.size() >= kMaxTargets) break;
   }
 
   const size_t d = input.unit_x.front().size();

@@ -5,13 +5,6 @@
 
 namespace dbtune {
 
-/// Ablation-analysis options.
-struct AblationOptions {
-  /// How many well-performing target configurations to trace paths to.
-  size_t max_targets = 12;
-  size_t forest_trees = 30;
-};
-
 /// Ablation analysis (Biedenkapp et al. 2017): fit a surrogate, then for
 /// each configuration better than the default walk a greedy path from the
 /// default to it, flipping at each step the knob whose change the
@@ -22,8 +15,7 @@ struct AblationOptions {
 /// default — its documented weakness when defaults are robust.
 class AblationImportance final : public ImportanceMeasure {
  public:
-  explicit AblationImportance(AblationOptions options = {},
-                              uint64_t seed = 97);
+  explicit AblationImportance(uint64_t seed = 97);
 
   Result<std::vector<double>> Rank(const ImportanceInput& input) override;
   std::string name() const override { return "Ablation"; }
@@ -31,7 +23,6 @@ class AblationImportance final : public ImportanceMeasure {
   double last_fit_r_squared() const { return last_r_squared_; }
 
  private:
-  AblationOptions options_;
   uint64_t seed_;
   double last_r_squared_ = 0.0;
 };

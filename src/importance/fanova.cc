@@ -4,19 +4,25 @@
 #include <cmath>
 #include <map>
 
+#include "surrogate/random_forest.h"
 #include "util/stats.h"
 
 namespace dbtune {
 
-FanovaImportance::FanovaImportance(FanovaOptions options, uint64_t seed)
-    : options_(options), seed_(seed) {}
+namespace {
+constexpr size_t kNumTrees = 16;
+constexpr size_t kMinSamplesLeaf = 3;
+constexpr size_t kMaxDepth = 14;
+}  // namespace
+
+FanovaImportance::FanovaImportance(uint64_t seed) : seed_(seed) {}
 
 Result<std::vector<double>> FanovaImportance::Rank(
     const ImportanceInput& input) {
   RandomForestOptions forest_options;
-  forest_options.num_trees = options_.num_trees;
-  forest_options.min_samples_leaf = options_.min_samples_leaf;
-  forest_options.max_depth = options_.max_depth;
+  forest_options.num_trees = kNumTrees;
+  forest_options.min_samples_leaf = kMinSamplesLeaf;
+  forest_options.max_depth = kMaxDepth;
   forest_options.seed = seed_;
   RandomForest forest(forest_options);
   DBTUNE_RETURN_IF_ERROR(forest.Fit(input.unit_x, input.scores));

@@ -2,16 +2,8 @@
 #define DBTUNE_IMPORTANCE_FANOVA_H_
 
 #include "importance/importance.h"
-#include "surrogate/random_forest.h"
 
 namespace dbtune {
-
-/// fANOVA options.
-struct FanovaOptions {
-  size_t num_trees = 16;
-  size_t min_samples_leaf = 3;
-  size_t max_depth = 14;
-};
 
 /// Functional ANOVA (Hutter et al. 2014): fits a random forest, then
 /// decomposes each tree's variance over the unit cube into per-knob
@@ -19,7 +11,7 @@ struct FanovaOptions {
 /// is the average fraction of total variance its unary marginal explains.
 class FanovaImportance final : public ImportanceMeasure {
  public:
-  explicit FanovaImportance(FanovaOptions options = {}, uint64_t seed = 97);
+  explicit FanovaImportance(uint64_t seed = 97);
 
   Result<std::vector<double>> Rank(const ImportanceInput& input) override;
   std::string name() const override { return "fANOVA"; }
@@ -27,7 +19,6 @@ class FanovaImportance final : public ImportanceMeasure {
   double last_fit_r_squared() const { return last_r_squared_; }
 
  private:
-  FanovaOptions options_;
   uint64_t seed_;
   double last_r_squared_ = 0.0;
 };

@@ -1,18 +1,21 @@
 #include "importance/gini.h"
 
+#include "surrogate/random_forest.h"
 #include "util/stats.h"
 
 namespace dbtune {
 
-GiniImportance::GiniImportance(uint64_t seed,
-                               RandomForestOptions forest_options)
-    : seed_(seed), forest_options_(forest_options) {}
+namespace {
+constexpr size_t kForestTrees = 30;
+}  // namespace
+
+GiniImportance::GiniImportance(uint64_t seed) : seed_(seed) {}
 
 Result<std::vector<double>> GiniImportance::Rank(
     const ImportanceInput& input) {
-  RandomForestOptions options = forest_options_;
+  RandomForestOptions options;
   options.seed = seed_;
-  options.num_trees = 30;
+  options.num_trees = kForestTrees;
   RandomForest forest(options);
   DBTUNE_RETURN_IF_ERROR(forest.Fit(input.unit_x, input.scores));
 

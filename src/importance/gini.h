@@ -2,7 +2,6 @@
 #define DBTUNE_IMPORTANCE_GINI_H_
 
 #include "importance/importance.h"
-#include "surrogate/random_forest.h"
 
 namespace dbtune {
 
@@ -11,8 +10,7 @@ namespace dbtune {
 /// samples and are picked for splits more frequently.
 class GiniImportance final : public ImportanceMeasure {
  public:
-  explicit GiniImportance(uint64_t seed = 97,
-                          RandomForestOptions forest_options = {});
+  explicit GiniImportance(uint64_t seed = 97);
 
   Result<std::vector<double>> Rank(const ImportanceInput& input) override;
   std::string name() const override { return "Gini"; }
@@ -22,7 +20,6 @@ class GiniImportance final : public ImportanceMeasure {
 
  private:
   uint64_t seed_;
-  RandomForestOptions forest_options_;
   double last_r_squared_ = 0.0;
 };
 

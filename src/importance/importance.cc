@@ -59,15 +59,15 @@ std::unique_ptr<ImportanceMeasure> CreateImportanceMeasure(
     MeasurementType type, uint64_t seed) {
   switch (type) {
     case MeasurementType::kLasso:
-      return std::make_unique<LassoImportance>(LassoOptions{}, seed);
+      return std::make_unique<LassoImportance>(seed);
     case MeasurementType::kGini:
       return std::make_unique<GiniImportance>(seed);
     case MeasurementType::kFanova:
-      return std::make_unique<FanovaImportance>(FanovaOptions{}, seed);
+      return std::make_unique<FanovaImportance>(seed);
     case MeasurementType::kAblation:
-      return std::make_unique<AblationImportance>(AblationOptions{}, seed);
+      return std::make_unique<AblationImportance>(seed);
     case MeasurementType::kShap:
-      return std::make_unique<ShapImportance>(ShapOptions{}, seed);
+      return std::make_unique<ShapImportance>(seed);
   }
   DBTUNE_CHECK_MSG(false, "unknown measurement type");
   return nullptr;

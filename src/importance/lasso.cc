@@ -9,8 +9,20 @@
 
 namespace dbtune {
 
-LassoImportance::LassoImportance(LassoOptions options, uint64_t seed)
-    : options_(options), seed_(seed) {}
+namespace {
+/// Regularization as a fraction of lambda_max (the smallest lambda that
+/// zeroes every coefficient).
+constexpr double kLambdaFraction = 0.01;
+constexpr size_t kMaxSweeps = 120;
+constexpr double kTolerance = 1e-6;
+/// Cross terms are built among the `kMaxCrossFeatures` knobs most
+/// correlated with the target (the full degree-2 expansion of 197 knobs
+/// would need ~19k columns; OtterTune's datasets are narrower after its
+/// pre-pruning, so this cap preserves the method at our scale).
+constexpr size_t kMaxCrossFeatures = 40;
+}  // namespace
+
+LassoImportance::LassoImportance(uint64_t seed) : seed_(seed) {}
 
 Result<std::vector<double>> LassoImportance::Rank(
     const ImportanceInput& input) {
@@ -26,8 +38,7 @@ Result<std::vector<double>> LassoImportance::Rank(
     int b;  // -1 for linear/square terms' second slot
   };
   std::vector<Term> terms;
-  terms.reserve(2 * d + options_.max_cross_features *
-                            (options_.max_cross_features - 1) / 2);
+  terms.reserve(2 * d + kMaxCrossFeatures * (kMaxCrossFeatures - 1) / 2);
   for (size_t j = 0; j < d; ++j) terms.push_back({static_cast<int>(j), -1});
   for (size_t j = 0; j < d; ++j) {
     terms.push_back({static_cast<int>(j), static_cast<int>(j)});
@@ -44,8 +55,8 @@ Result<std::vector<double>> LassoImportance::Rank(
     }
   }
   std::vector<size_t> cross = ArgSortDescending(corr);
-  if (cross.size() > options_.max_cross_features) {
-    cross.resize(options_.max_cross_features);
+  if (cross.size() > kMaxCrossFeatures) {
+    cross.resize(kMaxCrossFeatures);
   }
   for (size_t p = 0; p < cross.size(); ++p) {
     for (size_t q = p + 1; q < cross.size(); ++q) {
@@ -82,10 +93,10 @@ Result<std::vector<double>> LassoImportance::Rank(
   for (size_t t = 0; t < m; ++t) {
     lambda_max = std::max(lambda_max, std::abs(Dot(columns[t], y)));
   }
-  const double lambda = options_.lambda_fraction * lambda_max;
+  const double lambda = kLambdaFraction * lambda_max;
   const double norm_sq = static_cast<double>(n);
 
-  for (size_t sweep = 0; sweep < options_.max_sweeps; ++sweep) {
+  for (size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double max_change = 0.0;
     for (size_t t = 0; t < m; ++t) {
       const double rho = Dot(columns[t], residual) + beta[t] * norm_sq;
@@ -102,7 +113,7 @@ Result<std::vector<double>> LassoImportance::Rank(
         max_change = std::max(max_change, std::abs(delta));
       }
     }
-    if (max_change < options_.tolerance) break;
+    if (max_change < kTolerance) break;
   }
 
   // Held-out R^2: refit the same lasso on 75% of the rows and score the
@@ -121,7 +132,7 @@ Result<std::vector<double>> LassoImportance::Rank(
     std::vector<double> residual_cv(train.size());
     for (size_t i = 0; i < train.size(); ++i) residual_cv[i] = y[train[i]];
     std::vector<double> col(train.size());
-    for (size_t sweep = 0; sweep < options_.max_sweeps / 2; ++sweep) {
+    for (size_t sweep = 0; sweep < kMaxSweeps / 2; ++sweep) {
       double max_change = 0.0;
       for (size_t t = 0; t < m; ++t) {
         double norm_cv = 0.0, rho = 0.0;
@@ -148,7 +159,7 @@ Result<std::vector<double>> LassoImportance::Rank(
           max_change = std::max(max_change, std::abs(delta));
         }
       }
-      if (max_change < options_.tolerance) break;
+      if (max_change < kTolerance) break;
     }
     std::vector<double> truth, predicted;
     for (size_t i : test) {

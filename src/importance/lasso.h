@@ -5,27 +5,13 @@
 
 namespace dbtune {
 
-/// Lasso options.
-struct LassoOptions {
-  /// Regularization as a fraction of lambda_max (the smallest lambda that
-  /// zeroes every coefficient).
-  double lambda_fraction = 0.01;
-  size_t max_sweeps = 120;
-  double tolerance = 1e-6;
-  /// Cross terms are built among the `max_cross_features` knobs most
-  /// correlated with the target (the full degree-2 expansion of 197 knobs
-  /// would need ~19k columns; OtterTune's datasets are narrower after its
-  /// pre-pruning, so this cap preserves the method at our scale).
-  size_t max_cross_features = 40;
-};
-
 /// OtterTune's Lasso-based knob ranking: L1-regularized linear regression
 /// over second-degree polynomial features (linear + squares + capped cross
 /// terms), solved by coordinate descent. A knob's importance is the
 /// largest absolute standardized coefficient among terms involving it.
 class LassoImportance final : public ImportanceMeasure {
  public:
-  explicit LassoImportance(LassoOptions options = {}, uint64_t seed = 97);
+  explicit LassoImportance(uint64_t seed = 97);
 
   Result<std::vector<double>> Rank(const ImportanceInput& input) override;
   std::string name() const override { return "Lasso"; }
@@ -35,7 +21,6 @@ class LassoImportance final : public ImportanceMeasure {
   double last_fit_r_squared() const { return last_r_squared_; }
 
  private:
-  LassoOptions options_;
   uint64_t seed_;
   double last_r_squared_ = 0.0;
 };

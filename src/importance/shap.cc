@@ -8,13 +8,20 @@
 
 namespace dbtune {
 
-ShapImportance::ShapImportance(ShapOptions options, uint64_t seed)
-    : options_(options), seed_(seed) {}
+namespace {
+/// Configurations to explain (better-than-default preferred).
+constexpr size_t kMaxExplained = 24;
+/// Monte-Carlo permutations per explained configuration.
+constexpr size_t kPermutations = 6;
+constexpr size_t kForestTrees = 30;
+}  // namespace
+
+ShapImportance::ShapImportance(uint64_t seed) : seed_(seed) {}
 
 Result<std::vector<double>> ShapImportance::Rank(
     const ImportanceInput& input) {
   RandomForestOptions forest_options;
-  forest_options.num_trees = options_.forest_trees;
+  forest_options.num_trees = kForestTrees;
   forest_options.seed = seed_;
   RandomForest forest(forest_options);
   DBTUNE_RETURN_IF_ERROR(forest.Fit(input.unit_x, input.scores));
@@ -31,10 +38,10 @@ Result<std::vector<double>> ShapImportance::Rank(
   std::vector<size_t> explained;
   for (size_t id : order) {
     if (input.scores[id] > input.default_score ||
-        explained.size() < options_.max_explained / 2) {
+        explained.size() < kMaxExplained / 2) {
       explained.push_back(id);
     }
-    if (explained.size() >= options_.max_explained) break;
+    if (explained.size() >= kMaxExplained) break;
   }
 
   const size_t d = input.unit_x.front().size();
@@ -48,7 +55,7 @@ Result<std::vector<double>> ShapImportance::Rank(
 
     // Monte-Carlo Shapley: walk random permutations from the default
     // toward x, crediting each knob its marginal prediction delta.
-    for (size_t p = 0; p < options_.permutations; ++p) {
+    for (size_t p = 0; p < kPermutations; ++p) {
       std::vector<size_t> perm = rng.Permutation(d);
       std::vector<double> z = input.default_unit;
       double prev = forest.Predict(z);
@@ -61,7 +68,7 @@ Result<std::vector<double>> ShapImportance::Rank(
       }
     }
     for (size_t j = 0; j < d; ++j) {
-      const double value = phi[j] / static_cast<double>(options_.permutations);
+      const double value = phi[j] / static_cast<double>(kPermutations);
       if (value > 0.0) positive_sum[j] += value;
     }
   }

@@ -5,15 +5,6 @@
 
 namespace dbtune {
 
-/// SHAP options.
-struct ShapOptions {
-  /// Configurations to explain (better-than-default preferred).
-  size_t max_explained = 24;
-  /// Monte-Carlo permutations per explained configuration.
-  size_t permutations = 6;
-  size_t forest_trees = 30;
-};
-
 /// SHAP-based tunability ranking (Lundberg & Lee 2017, applied as in the
 /// paper): fit a surrogate, compute Shapley values of well-performing
 /// configurations against the *default* configuration as base (the
@@ -22,7 +13,7 @@ struct ShapOptions {
 /// default can *gain* — knobs whose changes only hurt get zero.
 class ShapImportance final : public ImportanceMeasure {
  public:
-  explicit ShapImportance(ShapOptions options = {}, uint64_t seed = 97);
+  explicit ShapImportance(uint64_t seed = 97);
 
   Result<std::vector<double>> Rank(const ImportanceInput& input) override;
   std::string name() const override { return "SHAP"; }
@@ -30,7 +21,6 @@ class ShapImportance final : public ImportanceMeasure {
   double last_fit_r_squared() const { return last_r_squared_; }
 
  private:
-  ShapOptions options_;
   uint64_t seed_;
   double last_r_squared_ = 0.0;
 };

@@ -9,18 +9,33 @@ namespace dbtune {
 
 namespace {
 
-std::vector<size_t> BuildLayers(size_t input, const std::vector<size_t>& hidden,
-                                size_t output) {
-  std::vector<size_t> layers;
-  layers.push_back(input);
-  layers.insert(layers.end(), hidden.begin(), hidden.end());
-  layers.push_back(output);
+// Actor and critic are CDBTune's small MLPs: two ReLU hidden layers of 64.
+constexpr size_t kHiddenLayers = 2;
+constexpr size_t kHiddenWidth = 64;
+constexpr double kActorLearningRate = 1e-3;
+constexpr double kCriticLearningRate = 2e-3;
+/// Discount of the next state's value in the critic target.
+constexpr double kGamma = 0.9;
+/// Polyak factor for target-network soft updates.
+constexpr double kTau = 0.05;
+constexpr size_t kBatchSize = 32;
+constexpr size_t kReplayCapacity = 4096;
+constexpr size_t kTrainStepsPerObserve = 8;
+/// Exploration noise decays linearly from the initial to the final sigma
+/// over the first `kNoiseDecayIterations` suggestions.
+constexpr double kNoiseSigmaInitial = 0.5;
+constexpr double kNoiseSigmaFinal = 0.03;
+constexpr double kNoiseDecayIterations = 150;
+
+std::vector<size_t> BuildLayers(size_t input, size_t output) {
+  std::vector<size_t> layers(kHiddenLayers + 2, kHiddenWidth);
+  layers.front() = input;
+  layers.back() = output;
   return layers;
 }
 
-std::vector<Activation> BuildActivations(size_t hidden_layers,
-                                         Activation final_activation) {
-  std::vector<Activation> acts(hidden_layers, Activation::kRelu);
+std::vector<Activation> BuildActivations(Activation final_activation) {
+  std::vector<Activation> acts(kHiddenLayers, Activation::kRelu);
   acts.push_back(final_activation);
   return acts;
 }
@@ -28,25 +43,17 @@ std::vector<Activation> BuildActivations(size_t hidden_layers,
 }  // namespace
 
 DdpgOptimizer::DdpgOptimizer(const ConfigurationSpace& space,
-                             OptimizerOptions options,
-                             DdpgOptions ddpg_options)
+                             OptimizerOptions options)
     : Optimizer(space, options, "ddpg"),
-      ddpg_options_(ddpg_options),
-      actor_(BuildLayers(ddpg_options.state_dim, ddpg_options.actor_hidden,
-                         space.dimension()),
-             BuildActivations(ddpg_options.actor_hidden.size(),
-                              Activation::kSigmoid),
-             options.seed ^ 0xAC7011),
-      critic_(BuildLayers(ddpg_options.state_dim + space.dimension(),
-                          ddpg_options.critic_hidden, 1),
-              BuildActivations(ddpg_options.critic_hidden.size(),
-                               Activation::kNone),
-              options.seed ^ 0xC1171C),
+      actor_(BuildLayers(kStateDim, space.dimension()),
+             BuildActivations(Activation::kSigmoid), options.seed ^ 0xAC7011),
+      critic_(BuildLayers(kStateDim + space.dimension(), 1),
+              BuildActivations(Activation::kNone), options.seed ^ 0xC1171C),
       actor_target_(actor_),
       critic_target_(critic_),
-      actor_opt_(actor_.num_params(), ddpg_options.actor_lr),
-      critic_opt_(critic_.num_params(), ddpg_options.critic_lr),
-      state_(ddpg_options.state_dim, 0.0) {}
+      actor_opt_(actor_.num_params(), kActorLearningRate),
+      critic_opt_(critic_.num_params(), kCriticLearningRate),
+      state_(kStateDim, 0.0) {}
 
 Configuration DdpgOptimizer::DoSuggest() {
   std::vector<double> action = actor_.Forward(state_);
@@ -54,14 +61,12 @@ Configuration DdpgOptimizer::DoSuggest() {
   // (perturbing 197 knobs at full strength would keep the agent in the
   // crash region forever).
   const double progress =
-      std::min(1.0, static_cast<double>(suggestions_) /
-                        ddpg_options_.noise_decay_iterations);
+      std::min(1.0, static_cast<double>(suggestions_) / kNoiseDecayIterations);
   const double dim_scale = std::min(
       1.0, std::sqrt(24.0 / static_cast<double>(space_.dimension())));
   const double sigma =
-      (ddpg_options_.noise_sigma_initial +
-       progress * (ddpg_options_.noise_sigma_final -
-                   ddpg_options_.noise_sigma_initial)) *
+      (kNoiseSigmaInitial +
+       progress * (kNoiseSigmaFinal - kNoiseSigmaInitial)) *
       dim_scale;
   for (double& a : action) {
     a = std::clamp(a + rng_.Gaussian(0.0, sigma), 0.0, 1.0);
@@ -89,8 +94,7 @@ double DdpgOptimizer::ComputeReward(double score) {
 }
 
 void DdpgOptimizer::Observe(const Configuration& config, double score) {
-  ObserveWithMetrics(config, score,
-                     std::vector<double>(ddpg_options_.state_dim, 0.0));
+  ObserveWithMetrics(config, score, std::vector<double>(kStateDim, 0.0));
 }
 
 void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
@@ -99,7 +103,7 @@ void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
   Optimizer::Observe(config, score);
 
   std::vector<double> next_state = metrics;
-  next_state.resize(ddpg_options_.state_dim, 0.0);
+  next_state.resize(kStateDim, 0.0);
 
   if (has_pending_action_) {
     Transition transition;
@@ -107,25 +111,25 @@ void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
     transition.action = last_action_;
     transition.reward = ComputeReward(score);
     transition.next_state = next_state;
-    if (replay_.size() < ddpg_options_.replay_capacity) {
+    if (replay_.size() < kReplayCapacity) {
       replay_.push_back(std::move(transition));
     } else {
       replay_[replay_cursor_] = std::move(transition);
-      replay_cursor_ = (replay_cursor_ + 1) % ddpg_options_.replay_capacity;
+      replay_cursor_ = (replay_cursor_ + 1) % kReplayCapacity;
     }
     has_pending_action_ = false;
   }
   state_ = std::move(next_state);
 
-  if (replay_.size() >= ddpg_options_.batch_size) {
-    for (size_t s = 0; s < ddpg_options_.train_steps_per_observe; ++s) {
+  if (replay_.size() >= kBatchSize) {
+    for (size_t s = 0; s < kTrainStepsPerObserve; ++s) {
       TrainStep();
     }
   }
 }
 
 void DdpgOptimizer::TrainStep() {
-  const size_t batch = std::min(ddpg_options_.batch_size, replay_.size());
+  const size_t batch = std::min(kBatchSize, replay_.size());
   const size_t action_dim = space_.dimension();
 
   std::vector<double> critic_grad(critic_.num_params(), 0.0);
@@ -142,7 +146,7 @@ void DdpgOptimizer::TrainStep() {
     target_input.insert(target_input.end(), next_action.begin(),
                         next_action.end());
     const double next_q = critic_target_.Forward(target_input)[0];
-    const double y = t.reward + ddpg_options_.gamma * next_q;
+    const double y = t.reward + kGamma * next_q;
 
     // --- Critic loss: (Q(s,a) - y)^2.
     std::vector<double> critic_input = t.state;
@@ -165,15 +169,15 @@ void DdpgOptimizer::TrainStep() {
     // Gradient w.r.t. the action slice, negated for ascent on Q.
     std::vector<double> dmu(action_dim);
     for (size_t j = 0; j < action_dim; ++j) {
-      dmu[j] = -dq_dinput[ddpg_options_.state_dim + j] * inv_batch;
+      dmu[j] = -dq_dinput[kStateDim + j] * inv_batch;
     }
     actor_.Backward(actor_tape, dmu, &actor_grad);
   }
 
   critic_opt_.Step(&critic_.mutable_params(), critic_grad);
   actor_opt_.Step(&actor_.mutable_params(), actor_grad);
-  actor_target_.SoftUpdateFrom(actor_, ddpg_options_.tau);
-  critic_target_.SoftUpdateFrom(critic_, ddpg_options_.tau);
+  actor_target_.SoftUpdateFrom(actor_, kTau);
+  critic_target_.SoftUpdateFrom(critic_, kTau);
 }
 
 DdpgOptimizer::Weights DdpgOptimizer::ExportWeights() const {

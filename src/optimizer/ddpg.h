@@ -10,24 +10,6 @@
 
 namespace dbtune {
 
-/// DDPG-specific options (network sizes follow CDBTune's small MLPs).
-struct DdpgOptions {
-  size_t state_dim = 40;  // number of DBMS internal metrics
-  std::vector<size_t> actor_hidden = {64, 64};
-  std::vector<size_t> critic_hidden = {64, 64};
-  double actor_lr = 1e-3;
-  double critic_lr = 2e-3;
-  double gamma = 0.9;
-  /// Polyak factor for target-network soft updates.
-  double tau = 0.05;
-  size_t batch_size = 32;
-  size_t replay_capacity = 4096;
-  size_t train_steps_per_observe = 8;
-  double noise_sigma_initial = 0.5;
-  double noise_sigma_final = 0.03;
-  double noise_decay_iterations = 150;
-};
-
 /// Deep Deterministic Policy Gradient tuner (CDBTune / QTune style): the
 /// actor maps DBMS internal metrics (state) to a configuration (action);
 /// the critic scores state-action pairs against the reward derived from
@@ -38,8 +20,11 @@ struct DdpgOptions {
 /// bandit).
 class DdpgOptimizer final : public Optimizer {
  public:
-  DdpgOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                DdpgOptions ddpg_options = {});
+  /// Length of the state vector: one entry per DBMS internal metric
+  /// (the simulator's `kNumInternalMetrics`).
+  static constexpr size_t kStateDim = 40;
+
+  DdpgOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
   void Observe(const Configuration& config, double score) override;
   void ObserveWithMetrics(const Configuration& config, double score,
@@ -75,7 +60,6 @@ class DdpgOptimizer final : public Optimizer {
   double ComputeReward(double score);
   void TrainStep();
 
-  DdpgOptions ddpg_options_;
   Mlp actor_;
   Mlp critic_;
   Mlp actor_target_;

@@ -8,21 +8,29 @@
 
 namespace dbtune {
 
+namespace {
+constexpr size_t kPopulationSize = 30;
+constexpr size_t kTournamentSize = 3;
+constexpr size_t kElites = 1;
+/// Standard deviation of a numeric gene's Gaussian mutation.
+constexpr double kMutationSigma = 0.20;
+constexpr double kCrossoverRate = 0.9;
+}  // namespace
+
 GeneticOptimizer::GeneticOptimizer(const ConfigurationSpace& space,
-                                   OptimizerOptions options,
-                                   GeneticOptions ga_options)
-    : Optimizer(space, options, "genetic"), ga_options_(ga_options) {
+                                   OptimizerOptions options)
+    : Optimizer(space, options, "genetic") {
   // Initial population: a space-filling LHS design.
-  const auto units = LatinHypercubeUnit(ga_options_.population_size,
-                                        space_.dimension(), rng_);
-  population_.resize(ga_options_.population_size);
+  const auto units =
+      LatinHypercubeUnit(kPopulationSize, space_.dimension(), rng_);
+  population_.resize(kPopulationSize);
   for (size_t i = 0; i < units.size(); ++i) population_[i].unit = units[i];
 }
 
 const GeneticOptimizer::Individual& GeneticOptimizer::Tournament(
     const std::vector<Individual>& pool) {
   size_t best = rng_.Index(pool.size());
-  for (size_t t = 1; t < ga_options_.tournament_size; ++t) {
+  for (size_t t = 1; t < kTournamentSize; ++t) {
     const size_t challenger = rng_.Index(pool.size());
     if (pool[challenger].fitness > pool[best].fitness) best = challenger;
   }
@@ -41,22 +49,21 @@ void GeneticOptimizer::BreedNextGeneration() {
   next.reserve(population_.size());
   // Elitism: re-evaluate the top individuals' genomes in the new
   // generation (their slots carry over unchanged).
-  for (size_t e = 0; e < ga_options_.elites && e < parents.size(); ++e) {
+  for (size_t e = 0; e < kElites && e < parents.size(); ++e) {
     Individual elite;
     elite.unit = parents[e].unit;
     next.push_back(std::move(elite));
   }
 
-  const double mutation_rate =
-      ga_options_.mutation_rate > 0.0
-          ? ga_options_.mutation_rate
-          : std::min(0.5, 2.0 / static_cast<double>(d));
+  // Per-gene mutation probability, scaled by 1/d: two genes per child on
+  // average, at most half of them.
+  const double mutation_rate = std::min(0.5, 2.0 / static_cast<double>(d));
   while (next.size() < population_.size()) {
     const Individual& a = Tournament(parents);
     const Individual& b = Tournament(parents);
     Individual child;
     child.unit.resize(d);
-    const bool crossover = rng_.Bernoulli(ga_options_.crossover_rate);
+    const bool crossover = rng_.Bernoulli(kCrossoverRate);
     for (size_t j = 0; j < d; ++j) {
       child.unit[j] = (crossover && rng_.Bernoulli(0.5)) ? b.unit[j]
                                                          : a.unit[j];
@@ -65,7 +72,7 @@ void GeneticOptimizer::BreedNextGeneration() {
           child.unit[j] = rng_.Uniform();
         } else {
           child.unit[j] = std::clamp(
-              child.unit[j] + rng_.Gaussian(0.0, ga_options_.mutation_sigma),
+              child.unit[j] + rng_.Gaussian(0.0, kMutationSigma),
               0.0, 1.0);
         }
       }

@@ -7,25 +7,13 @@
 
 namespace dbtune {
 
-/// GA-specific options.
-struct GeneticOptions {
-  size_t population_size = 30;
-  size_t tournament_size = 3;
-  size_t elites = 1;
-  /// Per-gene mutation probability (scaled by 1/d when 0).
-  double mutation_rate = 0.0;
-  double mutation_sigma = 0.20;
-  double crossover_rate = 0.9;
-};
-
 /// Genetic algorithm: tournament selection, uniform crossover, and
 /// per-gene mutation over the unit encoding. Naturally supports
 /// categorical knobs but is sample-hungry — the paper's meta-heuristic
 /// baseline.
 class GeneticOptimizer final : public Optimizer {
  public:
-  GeneticOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                   GeneticOptions ga_options = {});
+  GeneticOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
   void Observe(const Configuration& config, double score) override;
   std::string name() const override { return "GA"; }
@@ -42,7 +30,6 @@ class GeneticOptimizer final : public Optimizer {
   void BreedNextGeneration();
   const Individual& Tournament(const std::vector<Individual>& pool);
 
-  GeneticOptions ga_options_;
   std::vector<Individual> population_;
   size_t cursor_ = 0;  // next individual to evaluate
   int pending_ = -1;   // individual awaiting its observation

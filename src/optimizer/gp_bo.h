@@ -37,6 +37,16 @@ class VanillaBoOptimizer final : public GpBoOptimizer {
   std::string name() const override { return "Vanilla BO"; }
 };
 
+/// Mixed-kernel BO: GP with Matérn-5/2 over continuous knobs times a
+/// Hamming kernel over categorical knobs, which models heterogeneous
+/// spaces without assuming category ordering.
+class MixedKernelBoOptimizer final : public GpBoOptimizer {
+ public:
+  MixedKernelBoOptimizer(const ConfigurationSpace& space,
+                         OptimizerOptions options);
+  std::string name() const override { return "Mixed-Kernel BO"; }
+};
+
 }  // namespace dbtune
 
 #endif  // DBTUNE_OPTIMIZER_GP_BO_H_

@@ -5,14 +5,13 @@
 
 #include "optimizer/ddpg.h"
 #include "optimizer/genetic.h"
-#include "optimizer/mixed_kernel_bo.h"
+#include "optimizer/gp_bo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/random_search.h"
 #include "optimizer/smac.h"
 #include "optimizer/tpe.h"
 #include "optimizer/turbo.h"
-#include "optimizer/vanilla_bo.h"
 #include "sampling/latin_hypercube.h"
 #include "util/logging.h"
 #include "util/stats.h"

@@ -9,6 +9,15 @@
 namespace dbtune {
 
 namespace {
+/// Probability of interleaving a pure random configuration (SMAC's
+/// exploration guarantee).
+constexpr double kRandomInterleave = 0.10;
+/// Local-search neighbours generated around each of the top incumbents.
+constexpr size_t kLocalNeighbors = 50;
+constexpr size_t kNumIncumbents = 3;
+/// Random candidates added to the acquisition pool.
+constexpr size_t kRandomCandidates = 300;
+
 RandomForestOptions SmacForestOptions(uint64_t seed) {
   RandomForestOptions options;
   options.num_trees = 30;
@@ -21,10 +30,8 @@ RandomForestOptions SmacForestOptions(uint64_t seed) {
 }  // namespace
 
 SmacOptimizer::SmacOptimizer(const ConfigurationSpace& space,
-                             OptimizerOptions options,
-                             SmacOptions smac_options)
+                             OptimizerOptions options)
     : Optimizer(space, options, "smac"),
-      smac_options_(smac_options),
       forest_(SmacForestOptions(options.seed ^ 0x5AC)) {}
 
 std::vector<double> SmacOptimizer::MutateNeighbor(
@@ -48,7 +55,7 @@ std::vector<double> SmacOptimizer::MutateNeighbor(
 Configuration SmacOptimizer::DoSuggest() {
   if (InitPending()) return NextInit();
   DBTUNE_CHECK(!scores_.empty());
-  if (rng_.Bernoulli(smac_options_.random_interleave)) {
+  if (rng_.Bernoulli(kRandomInterleave)) {
     return space_.SampleUniform(rng_);
   }
 
@@ -64,20 +71,18 @@ Configuration SmacOptimizer::DoSuggest() {
 
   // Incumbents: top-k observed configurations.
   std::vector<size_t> order = ArgSortDescending(z);
-  const size_t incumbents =
-      std::min(smac_options_.num_incumbents, order.size());
+  const size_t incumbents = std::min(kNumIncumbents, order.size());
 
   std::vector<std::vector<double>> candidates;
-  candidates.reserve(smac_options_.random_candidates +
-                     incumbents * smac_options_.local_neighbors);
+  candidates.reserve(kRandomCandidates + incumbents * kLocalNeighbors);
   for (size_t i = 0; i < incumbents; ++i) {
     const std::vector<double>& center = unit_history_[order[i]];
-    for (size_t c = 0; c < smac_options_.local_neighbors; ++c) {
+    for (size_t c = 0; c < kLocalNeighbors; ++c) {
       candidates.push_back(MutateNeighbor(center, dim_weights));
     }
   }
   const size_t d = space_.dimension();
-  for (size_t c = 0; c < smac_options_.random_candidates; ++c) {
+  for (size_t c = 0; c < kRandomCandidates; ++c) {
     std::vector<double> u(d);
     for (double& v : u) v = rng_.Uniform();
     candidates.push_back(std::move(u));

@@ -6,26 +6,13 @@
 
 namespace dbtune {
 
-/// SMAC-specific options.
-struct SmacOptions {
-  /// Probability of interleaving a pure random configuration (SMAC's
-  /// exploration guarantee).
-  double random_interleave = 0.10;
-  /// Local-search neighbours generated around each of the top incumbents.
-  size_t local_neighbors = 50;
-  size_t num_incumbents = 3;
-  /// Random candidates added to the acquisition pool.
-  size_t random_candidates = 300;
-};
-
 /// SMAC (Hutter et al. 2011): Bayesian optimization with a random-forest
 /// surrogate (mean/variance across trees as the Gaussian model) and EI
 /// maximized by combined random + local search. Handles high-dimensional
 /// and categorical inputs natively — the paper's overall winner.
 class SmacOptimizer final : public Optimizer {
  public:
-  SmacOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                SmacOptions smac_options = {});
+  SmacOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
   std::string name() const override { return "SMAC"; }
 
@@ -38,7 +25,6 @@ class SmacOptimizer final : public Optimizer {
   std::vector<double> MutateNeighbor(const std::vector<double>& unit,
                                      const std::vector<double>& dim_weights);
 
-  SmacOptions smac_options_;
   RandomForest forest_;
 };
 

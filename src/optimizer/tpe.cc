@@ -8,9 +8,18 @@
 
 namespace dbtune {
 
+namespace {
+/// Fraction of observations treated as "good" (the gamma quantile).
+constexpr double kGamma = 0.15;
+/// Candidates sampled from the good density per suggestion.
+constexpr size_t kNumCandidates = 24;
+/// Minimum observations in the good set.
+constexpr size_t kMinGood = 4;
+}  // namespace
+
 TpeOptimizer::TpeOptimizer(const ConfigurationSpace& space,
-                           OptimizerOptions options, TpeOptions tpe_options)
-    : Optimizer(space, options, "tpe"), tpe_options_(tpe_options) {}
+                           OptimizerOptions options)
+    : Optimizer(space, options, "tpe") {}
 
 TpeOptimizer::DimensionDensity TpeOptimizer::FitDimension(
     size_t dim, const std::vector<size_t>& sample_ids) const {
@@ -90,9 +99,8 @@ Configuration TpeOptimizer::DoSuggest() {
   // Split history into good and bad by the gamma quantile.
   std::vector<size_t> order = ArgSortDescending(scores_);
   size_t num_good = std::max(
-      tpe_options_.min_good,
-      static_cast<size_t>(tpe_options_.gamma *
-                          static_cast<double>(order.size())));
+      kMinGood,
+      static_cast<size_t>(kGamma * static_cast<double>(order.size())));
   num_good = std::min(num_good, order.size());
   std::vector<size_t> good(order.begin(),
                            order.begin() + static_cast<long>(num_good));
@@ -111,7 +119,7 @@ Configuration TpeOptimizer::DoSuggest() {
   // dimension independently (the defining approximation of TPE).
   AcquisitionSweep sweep(-1e300);
   std::vector<double> best_unit(d);
-  for (size_t c = 0; c < tpe_options_.num_candidates; ++c) {
+  for (size_t c = 0; c < kNumCandidates; ++c) {
     std::vector<double> unit(d);
     double log_ratio = 0.0;
     for (size_t j = 0; j < d; ++j) {

@@ -5,16 +5,6 @@
 
 namespace dbtune {
 
-/// TPE-specific options.
-struct TpeOptions {
-  /// Fraction of observations treated as "good" (the gamma quantile).
-  double gamma = 0.15;
-  /// Candidates sampled from the good density per suggestion.
-  size_t num_candidates = 24;
-  /// Minimum observations in the good set.
-  size_t min_good = 4;
-};
-
 /// Tree-structured Parzen Estimator (Bergstra et al. 2011): models
 /// p(x|good) and p(x|bad) with independent per-dimension Parzen
 /// estimators and suggests the candidate maximizing l(x)/g(x).
@@ -23,8 +13,7 @@ struct TpeOptions {
 /// configuration spaces with knob interactions (paper §6.2.1).
 class TpeOptimizer final : public Optimizer {
  public:
-  TpeOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-               TpeOptions tpe_options = {});
+  TpeOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
   std::string name() const override { return "TPE"; }
 
@@ -47,8 +36,6 @@ class TpeOptimizer final : public Optimizer {
   double SampleFromDimension(const DimensionDensity& density, size_t dim);
   static double DensityAt(const DimensionDensity& density, double value,
                           size_t num_categories);
-
-  TpeOptions tpe_options_;
 };
 
 }  // namespace dbtune

@@ -10,11 +10,24 @@
 
 namespace dbtune {
 
+namespace {
+constexpr size_t kNumTrustRegions = 2;
+/// A region's box side starts here, doubles after `kSuccessTolerance`
+/// consecutive improvements (up to `kMaxLength`), halves after
+/// `kFailureTolerance` consecutive misses, and restarts below
+/// `kMinLength`.
+constexpr double kInitialLength = 0.4;
+constexpr double kMinLength = 0.01;
+constexpr double kMaxLength = 1.0;
+constexpr size_t kSuccessTolerance = 3;
+constexpr size_t kFailureTolerance = 5;
+constexpr size_t kCandidatesPerRegion = 50;
+}  // namespace
+
 TurboOptimizer::TurboOptimizer(const ConfigurationSpace& space,
-                               OptimizerOptions options,
-                               TurboOptions turbo_options)
-    : Optimizer(space, options, "turbo"), turbo_options_(turbo_options) {
-  regions_.resize(turbo_options_.num_trust_regions);
+                               OptimizerOptions options)
+    : Optimizer(space, options, "turbo") {
+  regions_.resize(kNumTrustRegions);
   for (TrustRegion& region : regions_) RestartRegion(&region);
 }
 
@@ -22,7 +35,7 @@ void TurboOptimizer::RestartRegion(TrustRegion* region) {
   const size_t d = space_.dimension();
   region->center.resize(d);
   for (double& v : region->center) v = rng_.Uniform();
-  region->length = turbo_options_.initial_length;
+  region->length = kInitialLength;
   region->best_score = -1e300;
   region->successes = 0;
   region->failures = 0;
@@ -109,10 +122,9 @@ Configuration TurboOptimizer::DoSuggest() {
     const double half = region.length / 2.0;
     const double perturb_prob =
         std::min(1.0, 20.0 / static_cast<double>(d));
-    const size_t num_candidates = turbo_options_.candidates_per_region;
-    std::vector<std::vector<double>> units(num_candidates);
-    std::vector<double> normals(num_candidates);
-    for (size_t c = 0; c < num_candidates; ++c) {
+    std::vector<std::vector<double>> units(kCandidatesPerRegion);
+    std::vector<double> normals(kCandidatesPerRegion);
+    for (size_t c = 0; c < kCandidatesPerRegion; ++c) {
       std::vector<double> u = region.center;
       bool changed = false;
       for (size_t j = 0; j < d; ++j) {
@@ -132,7 +144,7 @@ Configuration TurboOptimizer::DoSuggest() {
     }
     std::vector<double> means, variances;
     gp->PredictMeanVarBatch(units, &means, &variances);
-    for (size_t c = 0; c < num_candidates; ++c) {
+    for (size_t c = 0; c < kCandidatesPerRegion; ++c) {
       const double sample = means[c] + std::sqrt(variances[c]) * normals[c];
       if (sweep.Add(sample)) {
         best_unit = units[c];
@@ -169,13 +181,13 @@ void TurboOptimizer::Observe(const Configuration& config, double score) {
     ++region.failures;
     region.successes = 0;
   }
-  if (region.successes >= turbo_options_.success_tolerance) {
-    region.length = std::min(2.0 * region.length, turbo_options_.max_length);
+  if (region.successes >= kSuccessTolerance) {
+    region.length = std::min(2.0 * region.length, kMaxLength);
     region.successes = 0;
-  } else if (region.failures >= turbo_options_.failure_tolerance) {
+  } else if (region.failures >= kFailureTolerance) {
     region.length /= 2.0;
     region.failures = 0;
-    if (region.length < turbo_options_.min_length) {
+    if (region.length < kMinLength) {
       RestartRegion(&region);
     }
   }

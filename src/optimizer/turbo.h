@@ -8,29 +8,17 @@
 
 namespace dbtune {
 
-/// TuRBO-specific options (Eriksson et al. 2019).
-struct TurboOptions {
-  size_t num_trust_regions = 2;
-  double initial_length = 0.4;
-  double min_length = 0.01;
-  double max_length = 1.0;
-  size_t success_tolerance = 3;
-  size_t failure_tolerance = 5;
-  size_t candidates_per_region = 50;
-};
-
-/// Trust-region Bayesian optimization: several local GP models, each
-/// confined to a shrinking/expanding box around its incumbent and built
-/// by `CreateGpSurrogate` (regions usually hold few points, but the
-/// fallback fit over the whole history escalates to the sparse tier in
-/// long sessions, per the default `sparse_crossover`); Thompson
-/// sampling arbitrates between regions (the multi-armed-bandit strategy).
-/// Local modeling avoids the over-exploration global GPs suffer in high
-/// dimensions.
+/// Trust-region Bayesian optimization (Eriksson et al. 2019): several
+/// local GP models, each confined to a shrinking/expanding box around its
+/// incumbent and built by `CreateGpSurrogate` (regions usually hold few
+/// points, but the fallback fit over the whole history escalates to the
+/// sparse tier in long sessions, per the default `sparse_crossover`);
+/// Thompson sampling arbitrates between regions (the multi-armed-bandit
+/// strategy). Local modeling avoids the over-exploration global GPs
+/// suffer in high dimensions.
 class TurboOptimizer final : public Optimizer {
  public:
-  TurboOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                 TurboOptions turbo_options = {});
+  TurboOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
   void Observe(const Configuration& config, double score) override;
   std::string name() const override { return "TuRBO"; }
@@ -40,7 +28,7 @@ class TurboOptimizer final : public Optimizer {
 
   struct TrustRegion {
     std::vector<double> center;  // unit coordinates
-    double length = 0.4;
+    double length = 0.0;  // side of the box; set by RestartRegion
     double best_score = -1e300;
     size_t successes = 0;
     size_t failures = 0;
@@ -50,7 +38,6 @@ class TurboOptimizer final : public Optimizer {
   /// Sample ids whose unit points fall inside the region's box.
   std::vector<size_t> PointsInRegion(const TrustRegion& region) const;
 
-  TurboOptions turbo_options_;
   std::vector<TrustRegion> regions_;
   /// Region that produced the last suggestion (for counter updates).
   int last_region_ = -1;

@@ -93,9 +93,7 @@ size_t BatchScheduler::Pump() {
   // Whole-session fan-out: one index per session, each worker writing
   // only its own result slot (the ParallelFor determinism contract).
   std::vector<Completed> results(wave.size());
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : GlobalPool();
-  ParallelFor(pool, 0, wave.size(), 1, [&](size_t begin, size_t end) {
+  ParallelFor(GlobalPool(), 0, wave.size(), 1, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       results[i] = Execute(wave_queues[i]->first, wave[i]);
     }

@@ -11,30 +11,24 @@
 #include "serve/session_manager.h"
 #include "util/status.h"
 
-namespace dbtune {
-class ThreadPool;
-}  // namespace dbtune
-
 namespace dbtune::serve {
 
 struct SchedulerOptions {
   /// Maximum requests executed per wave (one per session). Width 1 runs
   /// one session at a time: the sequential baseline.
   size_t batch_width = 64;
-  /// Pool for the waves; null uses the process-wide pool
-  /// (DBTUNE_NUM_THREADS).
-  ThreadPool* pool = nullptr;
 };
 
 /// Cross-session request batcher: the throughput engine of the serving
 /// layer. Suggest and observe requests queue per session; each `Pump`
 /// assembles one *wave* — at most one request per session, sessions in
 /// id order, capped at `batch_width` — and executes it via ParallelFor
-/// with one index per session. Whole sessions are the unit of
-/// parallelism: a worker runs its session's full Suggest (surrogate fit
-/// plus fused PredictMeanVarBatch acquisition scoring, which nests
-/// inline on the worker), so the pool is saturated by inter-session
-/// work instead of fighting over intra-session scraps.
+/// on the process-wide pool (sized by DBTUNE_NUM_THREADS) with one index
+/// per session. Whole sessions are the unit of parallelism: a worker runs
+/// its session's full Suggest (surrogate fit plus fused
+/// PredictMeanVarBatch acquisition scoring, which nests inline on the
+/// worker), so the pool is saturated by inter-session work instead of
+/// fighting over intra-session scraps.
 ///
 /// Determinism: wave assembly is session-id-ordered, every worker
 /// writes only its own result slot, and results scatter back in slot

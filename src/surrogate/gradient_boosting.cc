@@ -8,6 +8,16 @@
 
 namespace dbtune {
 
+namespace {
+/// Shrinkage applied to each round's tree.
+constexpr double kLearningRate = 0.08;
+constexpr size_t kMaxDepth = 5;
+constexpr size_t kMinSamplesLeaf = 3;
+/// Row subsampling fraction per round (stochastic gradient boosting).
+constexpr double kSubsample = 0.8;
+constexpr uint64_t kSeed = 29;
+}  // namespace
+
 GradientBoosting::GradientBoosting(GradientBoostingOptions options)
     : options_(options) {}
 
@@ -19,20 +29,19 @@ Status GradientBoosting::Fit(const FeatureMatrix& x,
   base_fitted_ = true;
 
   const size_t n = x.size();
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   std::vector<double> residuals(n);
   std::vector<double> current(n, base_prediction_);
 
-  const size_t subset =
-      std::max<size_t>(2, static_cast<size_t>(options_.subsample *
-                                              static_cast<double>(n)));
+  const size_t subset = std::max<size_t>(
+      2, static_cast<size_t>(kSubsample * static_cast<double>(n)));
   for (size_t round = 0; round < options_.num_rounds; ++round) {
     for (size_t i = 0; i < n; ++i) residuals[i] = y[i] - current[i];
 
     RegressionTreeOptions tree_options;
-    tree_options.max_depth = options_.max_depth;
-    tree_options.min_samples_leaf = options_.min_samples_leaf;
-    tree_options.min_samples_split = 2 * options_.min_samples_leaf;
+    tree_options.max_depth = kMaxDepth;
+    tree_options.min_samples_leaf = kMinSamplesLeaf;
+    tree_options.min_samples_split = 2 * kMinSamplesLeaf;
     tree_options.seed = rng.engine()();
 
     RegressionTree tree(tree_options);
@@ -52,7 +61,7 @@ Status GradientBoosting::Fit(const FeatureMatrix& x,
     }
 
     for (size_t i = 0; i < n; ++i) {
-      current[i] += options_.learning_rate * tree.Predict(x[i]);
+      current[i] += kLearningRate * tree.Predict(x[i]);
     }
     trees_.push_back(std::move(tree));
   }
@@ -63,7 +72,7 @@ double GradientBoosting::Predict(const std::vector<double>& x) const {
   DBTUNE_CHECK_MSG(base_fitted_, "Predict before Fit");
   double out = base_prediction_;
   for (const RegressionTree& tree : trees_) {
-    out += options_.learning_rate * tree.Predict(x);
+    out += kLearningRate * tree.Predict(x);
   }
   return out;
 }

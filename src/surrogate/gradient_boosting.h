@@ -10,13 +10,8 @@ namespace dbtune {
 
 /// Hyper-parameters of the gradient-boosted trees model.
 struct GradientBoostingOptions {
+  /// Boosting rounds, one shallow tree each.
   size_t num_rounds = 120;
-  double learning_rate = 0.08;
-  size_t max_depth = 5;
-  size_t min_samples_leaf = 3;
-  /// Row subsampling fraction per round (stochastic gradient boosting).
-  double subsample = 0.8;
-  uint64_t seed = 29;
 };
 
 /// Gradient boosting with squared loss: each round fits a shallow CART

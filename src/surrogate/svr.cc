@@ -8,6 +8,16 @@
 
 namespace dbtune {
 
+namespace {
+/// Regularization strength (inverse of C).
+constexpr double kLambda = 1e-4;
+/// SGD epochs; the step size decays from `kLearningRate` by epoch.
+constexpr size_t kEpochs = 60;
+constexpr double kLearningRate = 0.05;
+/// Seed of the Fourier features and the per-epoch shuffles.
+constexpr uint64_t kSeed = 31;
+}  // namespace
+
 SupportVectorRegressor::SupportVectorRegressor(SvrOptions options)
     : options_(options) {}
 
@@ -31,7 +41,7 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
   const size_t n = x.size();
   input_dim_ = x.front().size();
 
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   fourier_w_.clear();
   fourier_b_.clear();
   if (options_.num_fourier_features > 0) {
@@ -61,10 +71,9 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
   double avg_bias = 0.0;
   size_t updates = 0;
 
-  for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     std::vector<size_t> order = rng.Permutation(n);
-    const double lr = options_.learning_rate /
-                      (1.0 + 0.2 * static_cast<double>(epoch));
+    const double lr = kLearningRate / (1.0 + 0.2 * static_cast<double>(epoch));
     for (size_t i : order) {
       const std::vector<double>& f = phi[i];
       double pred = bias_;
@@ -78,7 +87,7 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
         g = -1.0;
       }
       for (size_t j = 0; j < d; ++j) {
-        weights_[j] -= lr * (g * f[j] + options_.lambda * weights_[j]);
+        weights_[j] -= lr * (g * f[j] + kLambda * weights_[j]);
       }
       bias_ -= lr * g;
       // Polyak-Ruppert averaging stabilizes the SGD solution.

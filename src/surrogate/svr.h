@@ -11,15 +11,10 @@ namespace dbtune {
 struct SvrOptions {
   /// Epsilon-insensitive tube half-width (in standardized target units).
   double epsilon = 0.05;
-  /// Regularization strength (inverse of C).
-  double lambda = 1e-4;
-  size_t epochs = 60;
-  double learning_rate = 0.05;
   /// When set, uses random Fourier features of an RBF kernel; a linear
   /// model otherwise. Approximates kernel SVR without a QP solver.
   size_t num_fourier_features = 256;
   double rbf_gamma = 1.0;
-  uint64_t seed = 31;
 };
 
 /// Epsilon-insensitive support-vector regression trained with averaged

@@ -6,6 +6,14 @@
 
 namespace dbtune {
 
+// The simulator's internal metrics are DDPG's state.
+static_assert(DdpgOptimizer::kStateDim == kNumInternalMetrics);
+
+namespace {
+/// Every source workload is measured on the same hardware instance.
+constexpr HardwareInstance kPretrainHardware = HardwareInstance::kB;
+}  // namespace
+
 Result<DdpgOptimizer::Weights> PretrainDdpgOnSources(
     const std::vector<WorkloadId>& sources,
     const std::vector<size_t>& knob_indices, const PretrainOptions& options,
@@ -19,7 +27,7 @@ Result<DdpgOptimizer::Weights> PretrainDdpgOnSources(
   uint64_t seed = options.seed;
 
   for (WorkloadId source : sources) {
-    DbmsSimulator simulator(source, options.hardware, seed);
+    DbmsSimulator simulator(source, kPretrainHardware, seed);
     TuningEnvironment env(&simulator, knob_indices);
     OptimizerOptions optimizer_options;
     optimizer_options.seed = seed++;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "dbms/hardware.h"
 #include "dbms/workload.h"
 #include "optimizer/ddpg.h"
 #include "transfer/repository.h"
@@ -14,15 +13,15 @@ namespace dbtune {
 /// Options for DDPG pre-training across source workloads.
 struct PretrainOptions {
   size_t iterations_per_source = 300;
-  HardwareInstance hardware = HardwareInstance::kB;
   uint64_t seed = 11;
 };
 
 /// Pre-trains one DDPG model sequentially on the source workloads (the
-/// paper's fine-tune protocol: 300 iterations per source, carrying the
-/// weights forward). When `repository` is non-null, each source session's
-/// observations are recorded there so workload mapping / RGPE see the
-/// same historical data (the paper's data-fairness setting).
+/// paper's fine-tune protocol: 300 iterations per source on hardware
+/// instance B, carrying the weights forward). When `repository` is
+/// non-null, each source session's observations are recorded there so
+/// workload mapping / RGPE see the same historical data (the paper's
+/// data-fairness setting).
 ///
 /// `knob_indices` select the tuned knobs in the full catalog, shared by
 /// all workloads.

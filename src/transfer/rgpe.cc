@@ -8,6 +8,13 @@
 
 namespace dbtune {
 
+namespace {
+/// Monte-Carlo samples for the ranking-loss weight estimation.
+constexpr size_t kWeightSamples = 30;
+/// Target observations used in the ranking loss (subsampled for speed).
+constexpr size_t kMaxRankPoints = 40;
+}  // namespace
+
 void MixtureMeanVar(const std::vector<double>& weights,
                     const std::vector<double>& means,
                     const std::vector<double>& variances, double* mean,
@@ -27,11 +34,8 @@ void MixtureMeanVar(const std::vector<double>& weights,
 RgpeOptimizer::RgpeOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
                              const ObservationRepository* repository,
-                             TransferBase base, RgpeOptions rgpe_options)
-    : Optimizer(space, options, "rgpe"),
-      repository_(repository),
-      base_(base),
-      rgpe_options_(rgpe_options) {
+                             TransferBase base)
+    : Optimizer(space, options, "rgpe"), repository_(repository), base_(base) {
   DBTUNE_CHECK(repository_ != nullptr);
 }
 
@@ -89,9 +93,8 @@ Configuration RgpeOptimizer::DoSuggest() {
   {
     std::vector<size_t> all(unit_history_.size());
     for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    if (all.size() > rgpe_options_.max_rank_points) {
-      points = rng_.SampleWithoutReplacement(all.size(),
-                                             rgpe_options_.max_rank_points);
+    if (all.size() > kMaxRankPoints) {
+      points = rng_.SampleWithoutReplacement(all.size(), kMaxRankPoints);
     } else {
       points = all;
     }
@@ -114,7 +117,7 @@ Configuration RgpeOptimizer::DoSuggest() {
         sds[m][p] = std::sqrt(std::max(variances[p], 1e-12));
       }
     }
-    for (size_t s = 0; s < rgpe_options_.weight_samples; ++s) {
+    for (size_t s = 0; s < kWeightSamples; ++s) {
       double best_loss = 1e300;
       std::vector<size_t> winners;
       for (size_t m = 0; m < models.size(); ++m) {

@@ -20,25 +20,17 @@ void MixtureMeanVar(const std::vector<double>& weights,
                     const std::vector<double>& variances, double* mean,
                     double* variance);
 
-/// RGPE-specific options (Feurer et al. 2018).
-struct RgpeOptions {
-  /// Monte-Carlo samples for the ranking-loss weight estimation.
-  size_t weight_samples = 30;
-  /// Target observations used in the ranking loss (subsampled for speed).
-  size_t max_rank_points = 40;
-};
-
-/// Ranking-weighted ensemble transfer: one base surrogate per historical
-/// task plus a target surrogate, combined with weights proportional to
-/// how often each model ranks the target observations best in Monte-Carlo
-/// posterior samples. Tasks that would mislead the target get (near-)zero
-/// weight, which is what protects RGPE from negative transfer.
+/// Ranking-weighted ensemble transfer (Feurer et al. 2018): one base
+/// surrogate per historical task plus a target surrogate, combined with
+/// weights proportional to how often each model ranks the target
+/// observations best in Monte-Carlo posterior samples. Tasks that would
+/// mislead the target get (near-)zero weight, which is what protects RGPE
+/// from negative transfer.
 class RgpeOptimizer final : public Optimizer {
  public:
   /// `repository` is borrowed and must outlive the optimizer.
   RgpeOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                const ObservationRepository* repository, TransferBase base,
-                RgpeOptions rgpe_options = {});
+                const ObservationRepository* repository, TransferBase base);
 
   std::string name() const override;
 
@@ -52,7 +44,6 @@ class RgpeOptimizer final : public Optimizer {
 
   const ObservationRepository* repository_;
   TransferBase base_;
-  RgpeOptions rgpe_options_;
   std::vector<std::unique_ptr<Regressor>> base_models_;
   bool bases_fitted_ = false;
   std::vector<double> last_weights_;

@@ -9,6 +9,7 @@
 #include "importance/lasso.h"
 #include "importance/shap.h"
 #include "sampling/latin_hypercube.h"
+#include "tie_heavy_data.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -140,7 +141,7 @@ TEST(ImportanceTest, ShapRanksTunabilityNotVariance) {
   // SHAP credits only positive (gain) contributions: the risky knob's
   // tunability is ~zero, so both improvable knobs must out-rank it.
   const ImportanceInput input = MakeSyntheticInput(600, 4);
-  ShapImportance shap(ShapOptions{}, 23);
+  ShapImportance shap(23);
   Result<std::vector<double>> importance = shap.Rank(input);
   ASSERT_TRUE(importance.ok());
   EXPECT_GT((*importance)[0], (*importance)[1]);
@@ -201,10 +202,39 @@ TEST(ImportanceTest, AblationCreditsGainKnobsOverRisky) {
   // Ablation walks toward better-than-default targets; gains concentrate
   // on the knobs whose change helps (0, 2), not the risky knob (1).
   const ImportanceInput input = MakeSyntheticInput(500, 8);
-  AblationImportance ablation(AblationOptions{}, 31);
+  AblationImportance ablation(31);
   Result<std::vector<double>> importance = ablation.Rank(input);
   ASSERT_TRUE(importance.ok());
   EXPECT_GT((*importance)[0], (*importance)[1]);
+}
+
+// Bitwise pins of the Lasso, Gini, Ablation and SHAP rankings on fixed
+// input at pool sizes 1/2/8 (fANOVA is pinned with the forests in
+// test_random_forest).
+TEST(ImportanceGoldenTest, RankingsMatchPins) {
+  const struct {
+    MeasurementType type;
+    uint64_t hash;
+  } goldens[] = {
+      {MeasurementType::kLasso, 0xf1b6e2afae3b140fULL},
+      {MeasurementType::kGini, 0x14d53e0bb07ad89eULL},
+      {MeasurementType::kAblation, 0xf94e237322c6633dULL},
+      {MeasurementType::kShap, 0x9c0daccefab2414fULL},
+  };
+  const ImportanceInput input = MakeSyntheticInput(160, 41);
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    for (const auto& golden : goldens) {
+      Result<std::vector<double>> importance =
+          CreateImportanceMeasure(golden.type, 43)->Rank(input);
+      ASSERT_TRUE(importance.ok());
+      testing::Fnv1a fnv;
+      for (double v : *importance) fnv.Add(v);
+      EXPECT_EQ(fnv.hash(), golden.hash)
+          << MeasurementTypeName(golden.type) << " pool=" << pool
+          << " hash=0x" << std::hex << fnv.hash();
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "surrogate/sparse_gaussian_process.h"
 #include "surrogate/surrogate_factory.h"
 #include "surrogate/svr.h"
+#include "tie_heavy_data.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -184,6 +185,22 @@ TEST(SvrTest, FitsLinearWithLinearFeatures) {
   options.num_fourier_features = 0;  // pure linear SVR
   SupportVectorRegressor svr(options);
   EXPECT_GT(HeldOutR2(&svr, train, test), 0.9);
+}
+
+// Bitwise pin of a default-options SVR's predictions at pool sizes 1/2/8.
+TEST(SvrTest, DefaultPredictionsMatchPin) {
+  Rng rng(8);
+  const Dataset train = MakeNonlinear(200, rng);
+  const Dataset test = MakeNonlinear(50, rng, 0.0);
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    SupportVectorRegressor svr;
+    ASSERT_TRUE(svr.Fit(train.x, train.y).ok());
+    testing::Fnv1a fnv;
+    for (const auto& row : test.x) fnv.Add(svr.Predict(row));
+    EXPECT_EQ(fnv.hash(), 0xe9558297432e9362ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
 }
 
 TEST(SvrTest, RbfFeaturesCaptureNonlinearity) {

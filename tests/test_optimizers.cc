@@ -285,17 +285,7 @@ TEST(TpeWeaknessTest, InteractionBlindness) {
 // step (standardization, pool snapping, the argmax sweep and the
 // SuggestInfo writes) moved into the Optimizer base; any reordering of
 // that arithmetic, down to one ulp, changes a hash.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 // Two source tasks, each measured on a simulator of its own: sharing the
 // target's simulator would shift its noise stream.
@@ -419,6 +409,55 @@ TEST(OptimizerGoldenTest, SuggestionsAndSuggestInfoMatchPins) {
           << session.hash;
       // The pin covers the acquisition step only if the model ran.
       EXPECT_GE(session.acquisitions, 10) << golden.name;
+    }
+  }
+}
+
+// DDPG trains only once its replay holds 32 transitions, and GA breeds
+// only after its population of 30 is scored, so the 18-iteration session
+// above cannot cover them: these pins run 64 iterations and hash each
+// suggestion (and, for DDPG, the final actor and critic weights).
+uint64_t HashLongSession(OptimizerType type) {
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, /*seed=*/3);
+  TuningEnvironment env(&sim);
+  OptimizerOptions options;
+  options.seed = 7;
+  options.initial_design = 5;
+  const std::unique_ptr<Optimizer> optimizer =
+      CreateOptimizer(type, env.space(), options);
+  testing::Fnv1a fnv;
+  for (int i = 0; i < 64; ++i) {
+    const Configuration c = optimizer->Suggest();
+    for (size_t j = 0; j < c.size(); ++j) fnv.Add(c[j]);
+    const Observation obs = env.Evaluate(c);
+    optimizer->ObserveWithMetrics(obs.config, obs.score,
+                                  obs.internal_metrics);
+  }
+  if (const auto* ddpg = dynamic_cast<const DdpgOptimizer*>(optimizer.get())) {
+    const DdpgOptimizer::Weights weights = ddpg->ExportWeights();
+    for (double w : weights.actor) fnv.Add(w);
+    for (double w : weights.critic) fnv.Add(w);
+  }
+  return fnv.hash();
+}
+
+TEST(OptimizerGoldenTest, LongSessionsMatchPins) {
+  const struct {
+    OptimizerType type;
+    uint64_t hash;
+  } goldens[] = {
+      {OptimizerType::kDdpg, 0x1de163ee7f78fdffULL},
+      {OptimizerType::kGa, 0x54ce4e899fbf285cULL},
+      {OptimizerType::kRandomSearch, 0xfe098873947c4412ULL},
+  };
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const PoolSizeGuard guard(pool);
+    for (const auto& golden : goldens) {
+      const uint64_t hash = HashLongSession(golden.type);
+      EXPECT_EQ(hash, golden.hash)
+          << OptimizerTypeName(golden.type) << " pool=" << pool
+          << " hash=0x" << std::hex << hash;
     }
   }
 }

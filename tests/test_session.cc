@@ -49,18 +49,15 @@ TEST(TuningSessionTest, LatencyWorkloadTraceDecreases) {
   EXPECT_GE(result.final_improvement, 0.0);
 }
 
-TEST(TuningSessionTest, OverheadRecordedWhenRequested) {
+TEST(TuningSessionTest, OverheadRecordedEveryIteration) {
   DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kTatp,
                     HardwareInstance::kB, 7);
-  SessionControls controls;
-  controls.record_overhead = true;
   TuningEnvironment env(&sim, FirstKnobs(sim.space().dimension()));
   OptimizerOptions options;
   options.seed = 8;
   std::unique_ptr<Optimizer> optimizer =
       CreateOptimizer(OptimizerType::kVanillaBo, env.space(), options);
-  const SessionResult result =
-      RunTuningSession(&env, optimizer.get(), 20, controls);
+  const SessionResult result = RunTuningSession(&env, optimizer.get(), 20);
   EXPECT_EQ(result.per_iteration_overhead.size(), 20u);
   EXPECT_GE(result.algorithm_overhead_seconds, 0.0);
   double total = 0.0;

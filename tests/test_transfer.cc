@@ -5,6 +5,7 @@
 
 #include "dbms/environment.h"
 #include "knobs/catalog.h"
+#include "tie_heavy_data.h"
 #include "transfer/fine_tune.h"
 #include "transfer/repository.h"
 #include "transfer/rgpe.h"
@@ -260,6 +261,28 @@ TEST(FineTuneTest, PretrainProducesWeightsAndRepository) {
       MakeFineTunedDdpg(space, optimizer_options, *weights);
   ASSERT_TRUE(ddpg.ok());
   EXPECT_EQ((*ddpg)->ExportWeights().actor, weights->actor);
+}
+
+// Bitwise pin of two-source pre-training at pool sizes 1/2/8: 40
+// iterations per source, so DDPG trains on each source (its replay holds
+// 32 transitions after the 32nd observation) and carries the weights over.
+TEST(FineTuneTest, PretrainedWeightsMatchPin) {
+  std::vector<size_t> knob_indices;
+  for (size_t i = 0; i < 6; ++i) knob_indices.push_back(i);
+  PretrainOptions options;
+  options.iterations_per_source = 40;
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    Result<DdpgOptimizer::Weights> weights = PretrainDdpgOnSources(
+        {WorkloadId::kVoter, WorkloadId::kTatp}, knob_indices, options,
+        nullptr);
+    ASSERT_TRUE(weights.ok());
+    testing::Fnv1a fnv;
+    for (double w : weights->actor) fnv.Add(w);
+    for (double w : weights->critic) fnv.Add(w);
+    EXPECT_EQ(fnv.hash(), 0x2f6605d1360f9415ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << fnv.hash();
+  }
 }
 
 TEST(FineTuneTest, RejectsEmptySources) {

@@ -3,7 +3,8 @@
 // and small integer knobs collapse onto a few encoded values, every fourth
 // row repeats an earlier row, and targets sit on a coarse grid so many of
 // them are equal. Ties are where a presorted grower and a per-node sort
-// could disagree, so the pins are recorded on this data.
+// could disagree, so the pins are recorded on this data. The pins hash
+// with `Fnv1a` and repeat at several pool sizes under `PoolSizeGuard`.
 
 #ifndef DBTUNE_TESTS_TIE_HEAVY_DATA_H_
 #define DBTUNE_TESTS_TIE_HEAVY_DATA_H_
@@ -17,6 +18,7 @@
 #include "knobs/configuration_space.h"
 #include "surrogate/regressor.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace dbtune {
 namespace testing {
@@ -77,6 +79,20 @@ class Fnv1a {
 
  private:
   uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/// Sets the process-wide pool size; restores the previous size even when
+/// an assertion fails.
+class PoolSizeGuard {
+ public:
+  explicit PoolSizeGuard(size_t n)
+      : original_(ExecutionContext::Get().num_threads()) {
+    ExecutionContext::Get().SetNumThreads(n);
+  }
+  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
+
+ private:
+  size_t original_;
 };
 
 }  // namespace testing
