@@ -17,7 +17,8 @@
 // task reports its total seconds plus a per-phase breakdown from the
 // instrumented gp.fit / gp.predict / forest.fit / optimizer.suggest.*
 // histograms. Set DBTUNE_FIG9_REPORT=<path> to also write the JSON lines
-// to a file (CI uploads it as an artifact).
+// to a file (CI uploads it as an artifact). The binary exits 1 when a row
+// differs from its 1-thread result or a GP task reports no predict time.
 
 #include <benchmark/benchmark.h>
 
@@ -149,35 +150,57 @@ struct TaskResult {
   std::vector<std::pair<std::string, double>> phases;
 };
 
-double HistogramSum(const std::string& name) {
-  const dbtune::obs::Histogram* hist =
-      dbtune::obs::MetricsRegistry::Get().FindHistogram(name);
-  return hist == nullptr ? 0.0 : hist->sum_seconds();
+// A reported phase and the histograms whose sums make it up.
+struct Phase {
+  std::string name;
+  std::vector<std::string> histograms;
+};
+
+Phase Single(const std::string& histogram) { return {histogram, {histogram}}; }
+
+// GP prediction: scalar queries record gp.predict, and the acquisition
+// sweep scores its candidates through PredictMeanVarBatch, which records
+// gp.predict.batch instead.
+const Phase kGpPredict = {"gp.predict", {"gp.predict", "gp.predict.batch"}};
+
+double PhaseSum(const Phase& phase) {
+  double sum = 0.0;
+  for (const std::string& name : phase.histograms) {
+    const dbtune::obs::Histogram* hist =
+        dbtune::obs::MetricsRegistry::Get().FindHistogram(name);
+    if (hist != nullptr) sum += hist->sum_seconds();
+  }
+  return sum;
 }
 
 // Runs `body` (which returns the checksum) and attributes its cost: total
-// seconds from the obs clock, per-phase seconds as the delta of each named
-// histogram's sum across the run.
-TaskResult MeasureWithRegistry(const std::vector<std::string>& phase_names,
+// seconds from the obs clock, per-phase seconds as the delta of each
+// phase's histogram sums across the run.
+TaskResult MeasureWithRegistry(const std::vector<Phase>& phases,
                                const std::function<double()>& body) {
-  std::vector<double> before(phase_names.size());
-  for (size_t i = 0; i < phase_names.size(); ++i) {
-    before[i] = HistogramSum(phase_names[i]);
-  }
+  std::vector<double> before(phases.size());
+  for (size_t i = 0; i < phases.size(); ++i) before[i] = PhaseSum(phases[i]);
   TaskResult result;
   const double start = obs::MonotonicSeconds();
   result.checksum = body();
   result.seconds = obs::MonotonicSeconds() - start;
-  for (size_t i = 0; i < phase_names.size(); ++i) {
-    result.phases.emplace_back(phase_names[i],
-                               HistogramSum(phase_names[i]) - before[i]);
+  for (size_t i = 0; i < phases.size(); ++i) {
+    result.phases.emplace_back(phases[i].name,
+                               PhaseSum(phases[i]) - before[i]);
   }
   return result;
 }
 
+double PhaseSeconds(const TaskResult& r, const std::string& name) {
+  for (const auto& [phase, seconds] : r.phases) {
+    if (phase == name) return seconds;
+  }
+  return 0.0;
+}
+
 TaskResult TimeGpFit(const FeatureMatrix& x, const std::vector<double>& y,
                      const FeatureMatrix& queries) {
-  return MeasureWithRegistry({"gp.fit", "gp.predict"}, [&] {
+  return MeasureWithRegistry({Single("gp.fit"), kGpPredict}, [&] {
     GaussianProcessOptions options;
     options.hyperopt_every = 1;
     GaussianProcess gp(std::make_unique<Matern52Kernel>(), options);
@@ -194,7 +217,7 @@ TaskResult TimeGpFit(const FeatureMatrix& x, const std::vector<double>& y,
 
 TaskResult TimeRfFit(const FeatureMatrix& x, const std::vector<double>& y,
                      const FeatureMatrix& queries) {
-  return MeasureWithRegistry({"forest.fit"}, [&] {
+  return MeasureWithRegistry({Single("forest.fit")}, [&] {
     RandomForestOptions options;
     options.num_trees = 100;
     options.seed = 97;
@@ -227,7 +250,9 @@ TaskResult TimeBoIteration(OptimizerType type,
                                   obs.internal_metrics);
   }
   return MeasureWithRegistry(
-      {suggest_histogram, "gp.fit", "gp.predict", "forest.fit"}, [&] {
+      {Single(suggest_histogram), Single("gp.fit"), kGpPredict,
+       Single("forest.fit")},
+      [&] {
         const Configuration suggestion = optimizer->Suggest();
         double checksum = 0.0;
         for (size_t i = 0; i < suggestion.size(); ++i) {
@@ -241,7 +266,8 @@ TaskResult TimeBoIteration(OptimizerType type,
 // DBTUNE_FIG9_REPORT names a file, written there too for CI artifacts.
 std::string g_report;
 
-void EmitScalingLine(const char* task, size_t threads, const TaskResult& r,
+// Prints one report row; returns whether it matches the 1-thread run.
+bool EmitScalingLine(const char* task, size_t threads, const TaskResult& r,
                      const TaskResult& baseline) {
   const bool identical = r.checksum == baseline.checksum;
   std::string phases = "{";
@@ -263,6 +289,7 @@ void EmitScalingLine(const char* task, size_t threads, const TaskResult& r,
       identical ? "true" : "false", phases.c_str());
   std::printf("%s", line);
   g_report += line;
+  return identical;
 }
 
 void MaybeWriteReportFile() {
@@ -278,7 +305,9 @@ void MaybeWriteReportFile() {
   std::printf("report written to %s\n", path);
 }
 
-void RunThreadScalingReport() {
+// Returns false when a row is not identical to its 1-thread run or a GP
+// task spent no time in prediction.
+bool RunThreadScalingReport() {
   // Phase attribution needs the instrumented histograms live for the
   // duration of the report; restore the ambient state afterwards so the
   // google-benchmark section runs exactly as configured.
@@ -309,22 +338,25 @@ void RunThreadScalingReport() {
 
   struct Task {
     const char* name;
+    bool uses_gp;
     std::function<TaskResult()> run;
   };
   const std::vector<Task> tasks = {
-      {"gp_fit_n500", [&] { return TimeGpFit(gp_x, gp_y, queries); }},
-      {"rf_fit_100trees", [&] { return TimeRfFit(rf_x, rf_y, queries); }},
-      {"bo_iteration_vanilla_bo",
+      {"gp_fit_n500", true, [&] { return TimeGpFit(gp_x, gp_y, queries); }},
+      {"rf_fit_100trees", false,
+       [&] { return TimeRfFit(rf_x, rf_y, queries); }},
+      {"bo_iteration_vanilla_bo", true,
        [&] {
          return TimeBoIteration(OptimizerType::kVanillaBo,
                                 "optimizer.suggest.gp_bo", observations);
        }},
-      {"bo_iteration_smac",
+      {"bo_iteration_smac", false,
        [&] {
          return TimeBoIteration(OptimizerType::kSmac,
                                 "optimizer.suggest.smac", observations);
        }},
   };
+  bool ok = true;
 
   std::printf("--- thread scaling (JSON) ---\n");
   for (const Task& task : tasks) {
@@ -336,13 +368,23 @@ void RunThreadScalingReport() {
       task.run();
       const TaskResult r = task.run();
       if (threads == 1) baseline = r;
-      EmitScalingLine(task.name, threads, r, baseline);
+      if (!EmitScalingLine(task.name, threads, r, baseline)) {
+        std::fprintf(stderr, "%s at %zu threads differs from 1 thread\n",
+                     task.name, threads);
+        ok = false;
+      }
+      if (task.uses_gp && PhaseSeconds(r, kGpPredict.name) <= 0.0) {
+        std::fprintf(stderr, "%s at %zu threads reports no gp.predict time\n",
+                     task.name, threads);
+        ok = false;
+      }
     }
   }
   ExecutionContext::Get().SetNumThreads(hw);
   MaybeWriteReportFile();
   dbtune::obs::SetMetricsEnabled(metrics_were_enabled);
   std::printf("\n");
+  return ok;
 }
 
 // When DBTUNE_FIG9_SESSION_LOG names a file, run one diagnostics-on
@@ -384,10 +426,10 @@ int main(int argc, char** argv) {
               "number of observations (>10s after 200 iters on the paper's\n"
               "hardware); RF/TPE/GA/DDPG stay near-constant.\n\n");
   MaybeEmitDiagnosticsSessionLog();
-  RunThreadScalingReport();
+  const bool ok = RunThreadScalingReport();
   RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

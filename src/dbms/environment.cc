@@ -59,47 +59,30 @@ Configuration TuningEnvironment::ToFullConfiguration(
 }
 
 Observation TuningEnvironment::Evaluate(const Configuration& sub_config) {
-  const Configuration clipped = subspace_.Clip(sub_config);
-  EvaluationResult result = simulator_->Evaluate(ToFullConfiguration(clipped));
-
   Observation obs;
-  obs.config = clipped;
+  obs.config = subspace_.Clip(sub_config);
+  EvaluationResult result =
+      simulator_->Evaluate(ToFullConfiguration(obs.config));
   obs.failed = result.failed;
+  obs.objective = result.objective;
   obs.internal_metrics = std::move(result.internal_metrics);
-  if (result.failed) {
-    // The paper assigns failed configurations the worst performance ever
-    // seen to avoid scaling problems.
-    obs.score = worst_score_;
-    obs.objective = 0.0;
-  } else {
-    obs.objective = result.objective;
-    obs.score = ScoreFromObjective(result.objective);
-    worst_score_ = std::min(worst_score_, obs.score);
-    if (obs.score > best_score_) {
-      best_score_ = obs.score;
-      best_objective_ = obs.objective;
-      best_iteration_ = history_.size() + 1;
-      best_config_ = clipped;
-    }
-  }
-  history_.push_back(obs);
-  return history_.back();
+  return Record(std::move(obs));
 }
 
 Observation TuningEnvironment::Replay(const Observation& recorded) {
   DBTUNE_CHECK(recorded.config.size() == knob_indices_.size());
   simulator_->ReplaySkip(recorded.failed);
+  return Record(recorded);
+}
 
-  Observation obs;
-  obs.config = recorded.config;
-  obs.failed = recorded.failed;
-  obs.internal_metrics = recorded.internal_metrics;
-  if (recorded.failed) {
+Observation TuningEnvironment::Record(Observation obs) {
+  if (obs.failed) {
+    // The paper assigns failed configurations the worst performance ever
+    // seen to avoid scaling problems.
     obs.score = worst_score_;
     obs.objective = 0.0;
   } else {
-    obs.objective = recorded.objective;
-    obs.score = ScoreFromObjective(recorded.objective);
+    obs.score = ScoreFromObjective(obs.objective);
     worst_score_ = std::min(worst_score_, obs.score);
     if (obs.score > best_score_) {
       best_score_ = obs.score;
@@ -108,7 +91,7 @@ Observation TuningEnvironment::Replay(const Observation& recorded) {
       best_config_ = obs.config;
     }
   }
-  history_.push_back(obs);
+  history_.push_back(std::move(obs));
   return history_.back();
 }
 

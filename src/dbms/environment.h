@@ -95,6 +95,10 @@ class TuningEnvironment {
 
  private:
   Configuration ToFullConfiguration(const Configuration& sub_config) const;
+  /// The bookkeeping `Evaluate` and `Replay` share: fills in the score
+  /// (the running worst for a failed `obs`, whose objective becomes 0),
+  /// updates the worst and best, and appends to `history_`.
+  Observation Record(Observation obs);
 
   DbmsSimulator* simulator_;
   std::vector<size_t> knob_indices_;

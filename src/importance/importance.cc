@@ -5,6 +5,7 @@
 #include "importance/gini.h"
 #include "importance/lasso.h"
 #include "importance/shap.h"
+#include "surrogate/cross_validation.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -94,11 +95,9 @@ double HoldoutRSquared(const ImportanceInput& input,
     }
   }
   std::unique_ptr<Regressor> model = factory();
-  if (!model->Fit(train_x, train_y).ok()) return 0.0;
-  std::vector<double> predicted;
-  predicted.reserve(test_x.size());
-  for (const auto& row : test_x) predicted.push_back(model->Predict(row));
-  return RSquared(test_y, predicted);
+  const Result<RegressionQuality> quality =
+      TrainTestEvaluate(model.get(), train_x, train_y, test_x, test_y);
+  return quality.ok() ? quality->r_squared : 0.0;
 }
 
 std::vector<MeasurementType> AllMeasurements() {

@@ -8,10 +8,6 @@
 
 namespace dbtune {
 
-/// Direction of incremental knob selection: OtterTune grows the knob set
-/// over time, Tuneful shrinks it.
-enum class IncrementalDirection { kIncrease, kDecrease };
-
 /// Options for an incremental knob-selection session.
 struct IncrementalOptions {
   /// Knob-set sizes per phase, in phase order (e.g. {5,10,15,20} for the

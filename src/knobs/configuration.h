@@ -24,7 +24,6 @@ class Configuration {
   double& operator[](size_t i) { return values_[i]; }
 
   const std::vector<double>& values() const { return values_; }
-  std::vector<double>& mutable_values() { return values_; }
 
   friend bool operator==(const Configuration& a, const Configuration& b) {
     return a.values_ == b.values_;

@@ -90,20 +90,12 @@ Status ConfigurationSpace::Validate(const Configuration& config) const {
   return Status::OK();
 }
 
-std::vector<size_t> ConfigurationSpace::CategoricalIndices() const {
-  std::vector<size_t> out;
+std::vector<bool> ConfigurationSpace::CategoricalMask() const {
+  std::vector<bool> mask(knobs_.size(), false);
   for (size_t i = 0; i < knobs_.size(); ++i) {
-    if (knobs_[i].is_categorical()) out.push_back(i);
+    mask[i] = knobs_[i].is_categorical();
   }
-  return out;
-}
-
-std::vector<size_t> ConfigurationSpace::NumericIndices() const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < knobs_.size(); ++i) {
-    if (!knobs_[i].is_categorical()) out.push_back(i);
-  }
-  return out;
+  return mask;
 }
 
 ConfigurationSpace ConfigurationSpace::Project(
@@ -115,32 +107,6 @@ ConfigurationSpace ConfigurationSpace::Project(
     selected.push_back(knobs_[i]);
   }
   return ConfigurationSpace(std::move(selected));
-}
-
-KnobSubset::KnobSubset(const ConfigurationSpace* full,
-                       std::vector<size_t> indices)
-    : full_(full),
-      indices_(std::move(indices)),
-      subspace_(full->Project(indices_)) {
-  DBTUNE_CHECK(full_ != nullptr);
-}
-
-Configuration KnobSubset::ToFull(const Configuration& sub_config) const {
-  DBTUNE_CHECK(sub_config.size() == indices_.size());
-  Configuration full = full_->Default();
-  for (size_t i = 0; i < indices_.size(); ++i) {
-    full[indices_[i]] = sub_config[i];
-  }
-  return full;
-}
-
-Configuration KnobSubset::FromFull(const Configuration& full_config) const {
-  DBTUNE_CHECK(full_config.size() == full_->dimension());
-  std::vector<double> values(indices_.size());
-  for (size_t i = 0; i < indices_.size(); ++i) {
-    values[i] = full_config[indices_[i]];
-  }
-  return Configuration(std::move(values));
 }
 
 }  // namespace dbtune

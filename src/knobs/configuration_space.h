@@ -53,10 +53,9 @@ class ConfigurationSpace {
   /// OK when `config` has the right arity and every value is in-domain.
   [[nodiscard]] Status Validate(const Configuration& config) const;
 
-  /// Indices of all categorical knobs.
-  std::vector<size_t> CategoricalIndices() const;
-  /// Indices of all non-categorical knobs.
-  std::vector<size_t> NumericIndices() const;
+  /// `mask[i]` is true when knob i is categorical (the mixed kernel's
+  /// input).
+  std::vector<bool> CategoricalMask() const;
 
   /// The subspace spanned by `indices` (in the given order).
   ConfigurationSpace Project(const std::vector<size_t>& indices) const;
@@ -64,31 +63,6 @@ class ConfigurationSpace {
  private:
   std::vector<Knob> knobs_;
   std::unordered_map<std::string, size_t> index_by_name_;
-};
-
-/// A selected subset of a full space's knobs: optimizers work in the
-/// subspace while the DBMS is always driven with full configurations
-/// (unselected knobs stay at their defaults).
-class KnobSubset {
- public:
-  /// Selects `indices` (into `full`). The full space must outlive the view.
-  KnobSubset(const ConfigurationSpace* full, std::vector<size_t> indices);
-
-  const ConfigurationSpace& subspace() const { return subspace_; }
-  const ConfigurationSpace& full_space() const { return *full_; }
-  const std::vector<size_t>& indices() const { return indices_; }
-
-  /// Expands a subspace configuration to a full configuration, with
-  /// unselected knobs at the full space's defaults.
-  Configuration ToFull(const Configuration& sub_config) const;
-
-  /// Restricts a full configuration to the selected knobs.
-  Configuration FromFull(const Configuration& full_config) const;
-
- private:
-  const ConfigurationSpace* full_;
-  std::vector<size_t> indices_;
-  ConfigurationSpace subspace_;
 };
 
 }  // namespace dbtune

@@ -44,7 +44,6 @@ class ProjectedConfigurationSpace {
 
   /// The D-dimensional continuous unit box the optimizer searches.
   const ConfigurationSpace& box() const { return box_; }
-  const ConfigurationSpace& full_space() const { return *full_; }
   size_t dims() const { return options_.dims; }
   const ProjectionOptions& options() const { return options_; }
 

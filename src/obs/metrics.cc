@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <bit>
-#include <cstdio>
 #include <vector>
 
 #include "util/env_config.h"
@@ -150,40 +149,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char raw : value) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (raw) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  return out;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
   MutexLock lock(&mu_);
@@ -207,53 +172,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snapshot.histograms.push_back(std::move(value));
   }
   return snapshot;
-}
-
-std::string MetricsRegistry::ToJson() const {
-  // Built from a snapshot: names are escaped (they are caller-supplied
-  // and may contain quotes or control characters) and values formatted
-  // into a fixed-size numeric buffer — a hostile name can no longer
-  // truncate the line or break the JSON.
-  const MetricsSnapshot snapshot = Snapshot();
-  char buffer[192];
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& counter : snapshot.counters) {
-    if (!first) out += ',';
-    out += '"';
-    out += JsonEscape(counter.name);
-    std::snprintf(buffer, sizeof(buffer), "\":%llu",
-                  static_cast<unsigned long long>(counter.value));
-    out += buffer;
-    first = false;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& gauge : snapshot.gauges) {
-    if (!first) out += ',';
-    out += '"';
-    out += JsonEscape(gauge.name);
-    std::snprintf(buffer, sizeof(buffer), "\":%.9g", gauge.value);
-    out += buffer;
-    first = false;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& histogram : snapshot.histograms) {
-    if (!first) out += ',';
-    out += '"';
-    out += JsonEscape(histogram.name);
-    std::snprintf(buffer, sizeof(buffer),
-                  "\":{\"count\":%llu,\"sum_s\":%.9g,\"p50_s\":%.9g,"
-                  "\"p95_s\":%.9g,\"p99_s\":%.9g}",
-                  static_cast<unsigned long long>(histogram.count),
-                  histogram.sum_seconds, histogram.p50_seconds,
-                  histogram.p95_seconds, histogram.p99_seconds);
-    out += buffer;
-    first = false;
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace dbtune::obs

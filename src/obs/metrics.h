@@ -124,11 +124,6 @@ struct MetricsSnapshot {
   std::vector<HistogramValue> histograms;
 };
 
-/// JSON string-escapes `value`: quote, backslash, and control characters
-/// (the latter as \u00XX) — metric names are caller-supplied and must not
-/// be able to break the exported document.
-std::string JsonEscape(const std::string& value);
-
 /// Name-addressed registry of all metrics in the process. Names are
 /// stored in sorted maps so every export is deterministically ordered.
 class MetricsRegistry {
@@ -152,11 +147,6 @@ class MetricsRegistry {
 
   /// Consistent point-in-time copy of every metric (sorted by name).
   MetricsSnapshot Snapshot() const;
-
-  /// One-line JSON snapshot with deterministic field ordering:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}. Histograms
-  /// report count, sum_s, p50_s, p95_s, p99_s.
-  std::string ToJson() const;
 
  private:
   MetricsRegistry() = default;

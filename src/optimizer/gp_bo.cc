@@ -8,16 +8,6 @@
 
 namespace dbtune {
 
-namespace {
-std::vector<bool> CategoricalMask(const ConfigurationSpace& space) {
-  std::vector<bool> mask(space.dimension(), false);
-  for (size_t i = 0; i < space.dimension(); ++i) {
-    mask[i] = space.knob(i).is_categorical();
-  }
-  return mask;
-}
-}  // namespace
-
 GpBoOptimizer::GpBoOptimizer(const ConfigurationSpace& space,
                              OptimizerOptions options,
                              std::shared_ptr<const Kernel> kernel,
@@ -85,6 +75,6 @@ VanillaBoOptimizer::VanillaBoOptimizer(const ConfigurationSpace& space,
 MixedKernelBoOptimizer::MixedKernelBoOptimizer(const ConfigurationSpace& space,
                                                OptimizerOptions options)
     : GpBoOptimizer(space, options,
-                    std::make_unique<MixedKernel>(CategoricalMask(space))) {}
+                    std::make_unique<MixedKernel>(space.CategoricalMask())) {}
 
 }  // namespace dbtune

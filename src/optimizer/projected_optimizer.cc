@@ -8,22 +8,11 @@ ProjectedOptimizer::ProjectedOptimizer(const ConfigurationSpace& space,
                                        OptimizerOptions options,
                                        OptimizerType inner_type,
                                        ProjectionOptions projection)
-    : ProjectedOptimizer(
-          space, options,
-          [&](const ConfigurationSpace& box) {
-            return CreateOptimizer(inner_type, box, options);
-          },
-          projection) {}
-
-ProjectedOptimizer::ProjectedOptimizer(const ConfigurationSpace& space,
-                                       OptimizerOptions options,
-                                       const OptimizerFactory& inner_factory,
-                                       ProjectionOptions projection)
     // The base copies the full space into `space_`, which outlives (and
     // is initialized before) the projection view over it.
     : Optimizer(space, options, nullptr),
       projection_(&space_, projection),
-      inner_(inner_factory(projection_.box())) {
+      inner_(CreateOptimizer(inner_type, projection_.box(), options)) {
   DBTUNE_CHECK(inner_ != nullptr);
 }
 

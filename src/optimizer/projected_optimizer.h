@@ -1,7 +1,6 @@
 #ifndef DBTUNE_OPTIMIZER_PROJECTED_OPTIMIZER_H_
 #define DBTUNE_OPTIMIZER_PROJECTED_OPTIMIZER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -9,10 +8,6 @@
 #include "optimizer/optimizer.h"
 
 namespace dbtune {
-
-/// Builds the inner optimizer over the projection's low-dimensional box.
-using OptimizerFactory =
-    std::function<std::unique_ptr<Optimizer>(const ConfigurationSpace&)>;
 
 /// Runs any optimizer in a HeSBO-style random subspace of the full
 /// configuration space (LlamaTune): the inner optimizer searches the
@@ -32,10 +27,6 @@ class ProjectedOptimizer final : public Optimizer {
   /// the box via `CreateOptimizer`.
   ProjectedOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                      OptimizerType inner_type,
-                     ProjectionOptions projection = {});
-  /// As above with a caller-supplied inner-optimizer factory.
-  ProjectedOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
-                     const OptimizerFactory& inner_factory,
                      ProjectionOptions projection = {});
 
   void Observe(const Configuration& config, double score) override;

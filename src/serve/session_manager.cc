@@ -270,18 +270,14 @@ Status SessionManager::CloseSession(const std::string& id) {
   return Status::OK();
 }
 
-size_t SessionManager::EvictIdle() {
-  return EvictIdle(options_.idle_timeout_seconds);
-}
-
-size_t SessionManager::EvictIdle(double idle_timeout_seconds) {
-  if (idle_timeout_seconds <= 0.0) return 0;
+size_t SessionManager::EvictIdle(double idle_seconds) {
+  if (idle_seconds <= 0.0) return 0;
   const double now = obs::MonotonicSeconds();
   MutexLock lock(&mu_);
   size_t evicted = 0;
   for (auto& entry : sessions_) {
     ServedSession* session = entry.second.get();
-    if (now - session->last_touch_seconds < idle_timeout_seconds) continue;
+    if (now - session->last_touch_seconds < idle_seconds) continue;
     MutexLock session_lock(&session->mu);
     if (session->closed || session->core == nullptr) continue;
     session->core.reset();

@@ -34,10 +34,6 @@ struct ServedSessionOptions : OptimizerOptions {
 };
 
 struct SessionManagerOptions {
-  /// Sessions idle for longer than this (seconds on the obs clock) are
-  /// dropped by the no-argument `EvictIdle()`. <= 0 disables the sweep;
-  /// the explicit-threshold overload always works.
-  double idle_timeout_seconds = 0.0;
   /// Borrowed durable store. When set, every observation is WAL-appended
   /// under the session id, evicted sessions resume bit-identically by
   /// replaying their stored history through the session core, and
@@ -113,12 +109,12 @@ class SessionManager {
   /// later Suggest/Observe are FailedPrecondition.
   [[nodiscard]] Status CloseSession(const std::string& id);
 
-  /// Drops the optimizer state of open sessions idle for more than the
-  /// configured (or given) timeout; returns how many were evicted. The
-  /// session id stays known: the next touch resurrects it from the
-  /// store, or fails with FailedPrecondition when no store is attached.
-  size_t EvictIdle();
-  size_t EvictIdle(double idle_timeout_seconds);
+  /// Drops the optimizer state of open sessions idle for at least
+  /// `idle_seconds` on the obs clock (a non-positive value evicts
+  /// nothing); returns how many were evicted. The session id stays
+  /// known: the next touch resurrects it from the store, or fails with
+  /// FailedPrecondition when no store is attached.
+  size_t EvictIdle(double idle_seconds);
 
   /// Open (created, not yet closed) sessions, evicted ones included.
   size_t num_open() const;

@@ -487,11 +487,6 @@ std::vector<StoredSessionInfo> ObservationStore::ListSessions() const {
   return infos;
 }
 
-size_t ObservationStore::num_sessions() const {
-  MutexLock lock(&mu_);
-  return sessions_.size();
-}
-
 size_t ObservationStore::num_tasks() const {
   MutexLock lock(&mu_);
   return tasks_.size();

@@ -124,7 +124,6 @@ class ObservationStore {
   /// Id-ordered summaries of every stored session.
   std::vector<StoredSessionInfo> ListSessions() const;
 
-  size_t num_sessions() const;
   size_t num_tasks() const;
   StoreStats stats() const;
   const std::string& path() const { return path_; }

@@ -84,42 +84,16 @@ double RandomForest::Predict(const std::vector<double>& x) const {
 void RandomForest::PredictMeanVar(const std::vector<double>& x, double* mean,
                                   double* variance) const {
   DBTUNE_CHECK_MSG(fitted(), "Predict before Fit");
+  // Per-thread scratch: the batch path runs this from pool workers.
   thread_local std::vector<double> predictions;
-  MeanVar(x, &predictions, mean, variance);
-}
-
-void RandomForest::PredictMeanVarBatch(const FeatureMatrix& xs,
-                                       std::vector<double>* means,
-                                       std::vector<double>* variances) const {
-  DBTUNE_CHECK_MSG(fitted(), "Predict before Fit");
-  means->resize(xs.size());
-  variances->resize(xs.size());
-  // Each query writes only its own slot, so the batch is bitwise equal to
-  // the scalar loop at any pool size; small batches skip the dispatch.
-  auto score = [&](size_t begin, size_t end) {
-    std::vector<double> predictions;
-    for (size_t q = begin; q < end; ++q) {
-      MeanVar(xs[q], &predictions, &(*means)[q], &(*variances)[q]);
-    }
-  };
-  if (xs.size() < 8) {
-    score(0, xs.size());
-    return;
-  }
-  ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16, score);
-}
-
-void RandomForest::MeanVar(const std::vector<double>& x,
-                           std::vector<double>* predictions, double* mean,
-                           double* variance) const {
-  predictions->resize(trees_.size());
+  predictions.resize(trees_.size());
   for (size_t t = 0; t < trees_.size(); ++t) {
-    (*predictions)[t] = trees_[t].Predict(x);
+    predictions[t] = trees_[t].Predict(x);
   }
   // Reduced in tree order, so the ensemble statistics do not depend on
   // the pool size.
-  *mean = Mean(*predictions);
-  *variance = Variance(*predictions);
+  *mean = Mean(predictions);
+  *variance = Variance(predictions);
 }
 
 std::vector<double> RandomForest::SplitCountImportance() const {

@@ -39,10 +39,6 @@ class RandomForest final : public Regressor {
   /// Gaussian surrogate assumption).
   void PredictMeanVar(const std::vector<double>& x, double* mean,
                       double* variance) const override;
-  /// Batched `PredictMeanVar` (bitwise equal) without per-query
-  /// allocation.
-  void PredictMeanVarBatch(const FeatureMatrix& xs, std::vector<double>* means,
-                           std::vector<double>* variances) const override;
   std::string name() const override { return "RF"; }
 
   /// Per-feature split counts summed over trees (Gini importance).
@@ -55,10 +51,6 @@ class RandomForest final : public Regressor {
   bool fitted() const { return !trees_.empty(); }
 
  private:
-  // Walks every tree into `predictions` (reused scratch), then reduces.
-  void MeanVar(const std::vector<double>& x, std::vector<double>* predictions,
-               double* mean, double* variance) const;
-
   RandomForestOptions options_;
   std::vector<RegressionTree> trees_;
   size_t num_features_ = 0;

@@ -23,9 +23,6 @@ class RidgeRegression final : public Regressor {
   double Predict(const std::vector<double>& x) const override;
   std::string name() const override { return "RR"; }
 
-  /// Coefficients in standardized-feature space (after Fit).
-  const std::vector<double>& coefficients() const { return coef_; }
-
  private:
   RidgeOptions options_;
   std::vector<double> feature_mean_;

@@ -262,30 +262,6 @@ void SparseGaussianProcess::PredictMeanVar(const std::vector<double>& x,
   static obs::Histogram& predict_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
   obs::ScopedLatency predict_latency(&predict_hist);
-  PredictOne(x, mean, variance);
-}
-
-void SparseGaussianProcess::PredictMeanVarBatch(
-    const FeatureMatrix& xs, std::vector<double>* means,
-    std::vector<double>* variances) const {
-  DBTUNE_CHECK_MSG(policy_.fitted(), "Predict before Fit");
-  static obs::Histogram& batch_hist =
-      obs::MetricsRegistry::Get().histogram("gp.predict.sparse.batch");
-  obs::ScopedLatency batch_latency(&batch_hist);
-  means->resize(xs.size());
-  variances->resize(xs.size());
-  // Each query is O(m²) and writes only its own slot, so the parallel
-  // batch is bitwise the scalar loop.
-  ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t q = begin; q < end; ++q) {
-                  PredictOne(xs[q], &(*means)[q], &(*variances)[q]);
-                }
-              });
-}
-
-void SparseGaussianProcess::PredictOne(const std::vector<double>& x,
-                                       double* mean, double* variance) const {
   // FITC posterior: μ = k_mᵀ α and
   // var = k** − ||L_m⁻¹ k_m||² + ||L_A⁻¹ k_m||² — O(m²), no dependence
   // on n. Scratch is per calling thread; the batch path runs this from

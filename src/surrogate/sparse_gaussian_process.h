@@ -37,12 +37,6 @@ class SparseGaussianProcess final : public Regressor {
   double Predict(const std::vector<double>& x) const override;
   void PredictMeanVar(const std::vector<double>& x, double* mean,
                       double* variance) const override;
-  /// Runs the scalar path's per-query routine in parallel over the batch;
-  /// every query writes only its own slot, so the output is bitwise the
-  /// scalar loop's at any pool size.
-  void PredictMeanVarBatch(const FeatureMatrix& xs,
-                           std::vector<double>* means,
-                           std::vector<double>* variances) const override;
   std::string name() const override { return "SparseGP-" + kernel_->name(); }
 
   /// FITC log marginal likelihood of the current fit (standardized
@@ -91,10 +85,6 @@ class SparseGaussianProcess final : public Regressor {
   /// returns the FITC log marginal likelihood. Does not touch members.
   Result<double> FactorizeWith(const LengthscaleState& ls_state, double noise,
                                FitState* state) const;
-  /// The FITC posterior of one query in original units; the scalar and
-  /// batched predict paths share it.
-  void PredictOne(const std::vector<double>& x, double* mean,
-                  double* variance) const;
 
   std::shared_ptr<const Kernel> kernel_;
   GpFitPolicy policy_;  // lengthscale, noise, LML, cadence, targets

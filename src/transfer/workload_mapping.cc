@@ -31,16 +31,12 @@ std::unique_ptr<Regressor> CreateBaseSurrogate(TransferBase base,
     options.seed = seed;
     return std::make_unique<RandomForest>(options);
   }
-  std::vector<bool> mask(space.dimension(), false);
-  for (size_t i = 0; i < space.dimension(); ++i) {
-    mask[i] = space.knob(i).is_categorical();
-  }
   GaussianProcessOptions gp_options;
   gp_options.hyperopt_every = 5;
   // Through the tiered factory so large source-task histories escalate
   // to the sparse GP (RGPE fits one base surrogate per source task).
-  return CreateGpSurrogate(std::make_unique<MixedKernel>(std::move(mask)),
-                           gp_options);
+  return CreateGpSurrogate(
+      std::make_unique<MixedKernel>(space.CategoricalMask()), gp_options);
 }
 
 WorkloadMappingOptimizer::WorkloadMappingOptimizer(

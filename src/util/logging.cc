@@ -1,17 +1,13 @@
 #include "util/logging.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dbtune {
 
 namespace {
-// Worker threads log concurrently (thread_pool.cc), so the level gate is
-// an atomic; relaxed ordering suffices — the level is a filter, not a
-// synchronization point.
-std::atomic<LogLevel> g_min_level{LogLevel::kWarning};
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -28,18 +24,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(level, std::memory_order_relaxed);
-}
-LogLevel GetLogLevel() { return g_min_level.load(std::memory_order_relaxed); }
-
 namespace internal_logging {
 
 void Emit(LogLevel level, const char* file, int line, const std::string& msg) {
-  if (static_cast<int>(level) <
-      static_cast<int>(g_min_level.load(std::memory_order_relaxed))) {
-    return;
-  }
+  if (static_cast<int>(level) < static_cast<int>(kMinLevel)) return;
   // Preformat the whole line and hand it to stderr in one fwrite: stdio
   // locks the stream per call, so concurrent worker-thread log lines can
   // interleave between calls but never mid-line.

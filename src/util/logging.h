@@ -11,7 +11,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 namespace internal_logging {
 
-/// Emits one formatted log line to stderr (respects the global level).
+/// Emits one formatted log line to stderr. Lines below kWarning are
+/// dropped, so library internals stay quiet in tests and benches. Each
+/// line goes out in a single fwrite, so concurrent lines from pool
+/// workers never interleave mid-line.
 void Emit(LogLevel level, const char* file, int line, const std::string& msg);
 
 /// Aborts the process after printing a CHECK failure message.
@@ -34,16 +37,6 @@ class LogMessage {
 };
 
 }  // namespace internal_logging
-
-/// Sets the minimum severity that is actually printed (default: kWarning,
-/// so library internals stay quiet in tests and benches). Thread-safe:
-/// the level is stored atomically because pool workers log concurrently,
-/// and `Emit` writes each line with a single fwrite so concurrent lines
-/// never interleave mid-line.
-void SetLogLevel(LogLevel level);
-
-/// Current minimum printed severity.
-LogLevel GetLogLevel();
 
 /// Usage: DBTUNE_LOG(kInfo) << "fit took " << ms << "ms";
 #define DBTUNE_LOG(severity)                                              \

@@ -1,91 +1,8 @@
 #include "util/matrix.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "util/thread_pool.h"
-
 namespace dbtune {
-
-namespace {
-
-// Cache-block edge for the i-k-j product kernel: 64x64 doubles = 32 KiB,
-// three blocks stay resident in a typical 256 KiB L2.
-constexpr size_t kBlock = 64;
-
-// Flop threshold below which parallelizing a product costs more than the
-// serial loop (pool dispatch is ~microseconds).
-constexpr size_t kParallelFlops = 1u << 21;
-
-}  // namespace
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
-    }
-  }
-  return t;
-}
-
-Matrix Matrix::Multiply(const Matrix& other) const {
-  DBTUNE_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_, 0.0);
-  const size_t inner = cols_;
-  const size_t out_cols = other.cols_;
-
-  // i-k-j with row-pointer hoisting: the inner loop streams one row of
-  // `other` and one row of `out` contiguously. Blocking keeps all three
-  // row tiles cache-resident for square sizes past a few hundred.
-  auto multiply_rows = [&](size_t row_begin, size_t row_end) {
-    for (size_t i0 = row_begin; i0 < row_end; i0 += kBlock) {
-      const size_t i_max = std::min(row_end, i0 + kBlock);
-      for (size_t k0 = 0; k0 < inner; k0 += kBlock) {
-        const size_t k_max = std::min(inner, k0 + kBlock);
-        for (size_t j0 = 0; j0 < out_cols; j0 += kBlock) {
-          const size_t j_max = std::min(out_cols, j0 + kBlock);
-          for (size_t i = i0; i < i_max; ++i) {
-            const double* a_row = RowPtr(i);
-            double* out_row = out.RowPtr(i);
-            for (size_t k = k0; k < k_max; ++k) {
-              const double v = a_row[k];
-              if (v == 0.0) continue;
-              const double* b_row = other.RowPtr(k);
-              for (size_t j = j0; j < j_max; ++j) {
-                out_row[j] += v * b_row[j];
-              }
-            }
-          }
-        }
-      }
-    }
-  };
-
-  // Rows partition the output, so parallel chunks never share a write.
-  ThreadPool* pool =
-      rows_ * inner * out_cols >= kParallelFlops ? GlobalPool() : nullptr;
-  ParallelFor(pool, 0, rows_, kBlock, multiply_rows);
-  return out;
-}
-
-std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {
-  DBTUNE_CHECK(cols_ == v.size());
-  std::vector<double> out(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = data_.data() + r * cols_;
-    for (size_t c = 0; c < cols_; ++c) acc += row[c] * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
 
 void Matrix::AddDiagonal(double value) {
   DBTUNE_CHECK(rows_ == cols_);

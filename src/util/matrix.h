@@ -9,18 +9,15 @@
 
 namespace dbtune {
 
-/// Dense row-major matrix of doubles. Sized for the library's needs
-/// (Gaussian-process kernels and ridge normal equations with a few hundred
-/// rows): the product kernel is cache-blocked and multi-threaded for that
-/// regime, without reaching for a full BLAS.
+/// Dense row-major matrix of doubles. Sized for the library's needs:
+/// Gaussian-process kernels and ridge normal equations with a few hundred
+/// rows, factored and solved in place without reaching for a full BLAS.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  static Matrix Identity(size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -46,14 +43,6 @@ class Matrix {
     DBTUNE_CHECK(r < rows_);
     return data_.data() + r * cols_;
   }
-
-  Matrix Transpose() const;
-
-  /// Matrix product; requires `cols() == other.rows()`.
-  Matrix Multiply(const Matrix& other) const;
-
-  /// Matrix-vector product; requires `cols() == v.size()`.
-  std::vector<double> MultiplyVector(const std::vector<double>& v) const;
 
   /// Adds `value` to every diagonal entry (requires square).
   void AddDiagonal(double value);

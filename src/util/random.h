@@ -62,10 +62,6 @@ class Rng {
   /// `k` distinct indices sampled uniformly from [0, n). Requires k <= n.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derives an independent child generator; use to hand sub-components
-  /// their own stream without coupling their consumption patterns.
-  Rng Fork() { return Rng(engine_()); }
-
   /// The underlying engine, for std distributions not wrapped here.
   std::mt19937_64& engine() { return engine_; }
 

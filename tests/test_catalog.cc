@@ -1,6 +1,8 @@
 #include "knobs/catalog.h"
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,9 +36,10 @@ TEST(CatalogTest, ContainsPaperHighlightedKnobs) {
 
 TEST(CatalogTest, HeterogeneousTypeMix) {
   const ConfigurationSpace space = MySqlKnobCatalog();
-  const size_t categorical = space.CategoricalIndices().size();
-  const size_t numeric = space.NumericIndices().size();
-  EXPECT_EQ(categorical + numeric, space.dimension());
+  const std::vector<bool> mask = space.CategoricalMask();
+  ASSERT_EQ(mask.size(), space.dimension());
+  const size_t categorical = std::count(mask.begin(), mask.end(), true);
+  const size_t numeric = mask.size() - categorical;
   // Enough categorical knobs for the heterogeneity experiments.
   EXPECT_GE(categorical, 30u);
   EXPECT_GE(numeric, 100u);
@@ -64,7 +67,8 @@ TEST(CatalogTest, SmallTestCatalogSane) {
   const ConfigurationSpace space = SmallTestCatalog();
   EXPECT_EQ(space.dimension(), 12u);
   EXPECT_TRUE(space.Validate(space.Default()).ok());
-  EXPECT_GE(space.CategoricalIndices().size(), 2u);
+  const std::vector<bool> mask = space.CategoricalMask();
+  EXPECT_GE(std::count(mask.begin(), mask.end(), true), 2);
 }
 
 TEST(CatalogTest, BufferPoolIsLogScaled) {

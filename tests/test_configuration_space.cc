@@ -106,10 +106,9 @@ TEST(ConfigurationSpaceTest, ClipBringsIntoDomain) {
   EXPECT_DOUBLE_EQ(clipped[2], 2.0);
 }
 
-TEST(ConfigurationSpaceTest, CategoricalAndNumericIndices) {
+TEST(ConfigurationSpaceTest, CategoricalMask) {
   const ConfigurationSpace space = MakeSpace();
-  EXPECT_EQ(space.CategoricalIndices(), (std::vector<size_t>{2}));
-  EXPECT_EQ(space.NumericIndices(), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(space.CategoricalMask(), (std::vector<bool>{false, false, true}));
 }
 
 TEST(ConfigurationSpaceTest, ProjectPreservesKnobs) {
@@ -118,22 +117,6 @@ TEST(ConfigurationSpaceTest, ProjectPreservesKnobs) {
   EXPECT_EQ(sub.dimension(), 2u);
   EXPECT_EQ(sub.knob(0).name(), "k");
   EXPECT_EQ(sub.knob(1).name(), "c");
-}
-
-TEST(KnobSubsetTest, ToFullAndFromFull) {
-  const ConfigurationSpace space = MakeSpace();
-  KnobSubset subset(&space, {1, 2});
-  EXPECT_EQ(subset.subspace().dimension(), 2u);
-
-  Configuration sub({50.0, 2.0});
-  const Configuration full = subset.ToFull(sub);
-  EXPECT_DOUBLE_EQ(full[0], 2.0);  // default for unselected knob
-  EXPECT_DOUBLE_EQ(full[1], 50.0);
-  EXPECT_DOUBLE_EQ(full[2], 2.0);
-
-  const Configuration round = subset.FromFull(full);
-  EXPECT_DOUBLE_EQ(round[0], 50.0);
-  EXPECT_DOUBLE_EQ(round[1], 2.0);
 }
 
 TEST(ConfigurationTest, EqualityAndDebugString) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "importance/ablation.h"
+#include "importance/fanova.h"
 #include "importance/gini.h"
 #include "importance/lasso.h"
 #include "importance/shap.h"
@@ -235,6 +236,27 @@ TEST(ImportanceGoldenTest, RankingsMatchPins) {
           << " hash=0x" << std::hex << fnv.hash();
     }
   }
+}
+
+// Bitwise pins of each measure's held-out (Lasso: in-sample) fit R², the
+// r² column of Figure 4, on the ranking pins' input.
+TEST(ImportanceGoldenTest, FitRSquaredMatchesPins) {
+  const ImportanceInput input = MakeSyntheticInput(160, 41);
+  LassoImportance lasso(43);
+  GiniImportance gini(43);
+  FanovaImportance fanova(43);
+  AblationImportance ablation(43);
+  ShapImportance shap(43);
+  ASSERT_TRUE(lasso.Rank(input).ok());
+  ASSERT_TRUE(gini.Rank(input).ok());
+  ASSERT_TRUE(fanova.Rank(input).ok());
+  ASSERT_TRUE(ablation.Rank(input).ok());
+  ASSERT_TRUE(shap.Rank(input).ok());
+  EXPECT_EQ(lasso.last_fit_r_squared(), 0x1.fb959ab791ddfp-1);
+  EXPECT_EQ(gini.last_fit_r_squared(), 0x1.c1908a722121fp-1);
+  EXPECT_EQ(fanova.last_fit_r_squared(), 0x1.c9a46368ae5eap-1);
+  EXPECT_EQ(ablation.last_fit_r_squared(), 0x1.c1908a722121fp-1);
+  EXPECT_EQ(shap.last_fit_r_squared(), 0x1.c1908a722121fp-1);
 }
 
 }  // namespace

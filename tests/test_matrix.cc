@@ -16,104 +16,6 @@ TEST(MatrixTest, ConstructAndIndex) {
   EXPECT_DOUBLE_EQ(m(0, 1), 7.0);
 }
 
-TEST(MatrixTest, Identity) {
-  Matrix id = Matrix::Identity(3);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(id(i, j), i == j ? 1.0 : 0.0);
-    }
-  }
-}
-
-TEST(MatrixTest, Transpose) {
-  Matrix m(2, 3);
-  m(0, 0) = 1;
-  m(0, 1) = 2;
-  m(0, 2) = 3;
-  m(1, 0) = 4;
-  m(1, 1) = 5;
-  m(1, 2) = 6;
-  Matrix t = m.Transpose();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-  EXPECT_DOUBLE_EQ(t(0, 1), 4.0);
-}
-
-TEST(MatrixTest, Multiply) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  Matrix b = Matrix::Identity(2);
-  Matrix c = a.Multiply(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 4.0);
-
-  Matrix d = a.Multiply(a);
-  EXPECT_DOUBLE_EQ(d(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(d(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(d(1, 0), 15.0);
-  EXPECT_DOUBLE_EQ(d(1, 1), 22.0);
-}
-
-TEST(MatrixTest, MultiplyBlockedMatchesReference) {
-  // Non-square shapes that straddle the 64-wide cache block, so every
-  // partial-block edge case of the i-k-j kernel is exercised.
-  const size_t n = 67, k = 130, m = 71;
-  Matrix a(n, k), b(k, m);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      a(i, j) = std::sin(static_cast<double>(i * k + j));
-    }
-  }
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      b(i, j) = std::cos(static_cast<double>(i * m + j));
-    }
-  }
-  const Matrix c = a.Multiply(b);
-  ASSERT_EQ(c.rows(), n);
-  ASSERT_EQ(c.cols(), m);
-  // Reference: textbook dot-product form, spot-checked on a grid.
-  for (size_t i = 0; i < n; i += 13) {
-    for (size_t j = 0; j < m; j += 17) {
-      double expected = 0.0;
-      for (size_t t = 0; t < k; ++t) expected += a(i, t) * b(t, j);
-      EXPECT_NEAR(c(i, j), expected, 1e-9);
-    }
-  }
-}
-
-TEST(MatrixDeathTest, MultiplyShapeMismatchChecks) {
-  // Multiply is CHECK-guarded (programmer error, not recoverable input):
-  // a 2x3 times 2x2 must abort rather than read out of bounds.
-  Matrix a(2, 3, 1.0);
-  Matrix b(2, 2, 1.0);
-  EXPECT_DEATH(a.Multiply(b), "cols_ == other.rows_");
-}
-
-TEST(MatrixDeathTest, MultiplyVectorShapeMismatchChecks) {
-  Matrix a(2, 3, 1.0);
-  EXPECT_DEATH(a.MultiplyVector({1.0, 2.0}), "cols_ == v.size");
-}
-
-TEST(MatrixTest, MultiplyVector) {
-  Matrix a(2, 3);
-  a(0, 0) = 1;
-  a(0, 1) = 0;
-  a(0, 2) = 2;
-  a(1, 0) = 0;
-  a(1, 1) = 3;
-  a(1, 2) = 0;
-  const std::vector<double> v = {1.0, 2.0, 3.0};
-  const std::vector<double> out = a.MultiplyVector(v);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0], 7.0);
-  EXPECT_DOUBLE_EQ(out[1], 6.0);
-}
-
 TEST(MatrixTest, AddDiagonal) {
   Matrix m(2, 2, 1.0);
   m.AddDiagonal(0.5);
@@ -173,7 +75,7 @@ TEST(SolveTest, SolveSpdRoundTrip) {
   a(2, 1) = 1;
   a(2, 2) = 3;
   const std::vector<double> truth = {1.0, -2.0, 0.5};
-  const std::vector<double> b = a.MultiplyVector(truth);
+  const std::vector<double> b = {3.0, -6.5, -0.5};  // A * truth
   Result<std::vector<double>> x = SolveSpd(a, b);
   ASSERT_TRUE(x.ok());
   for (size_t i = 0; i < 3; ++i) EXPECT_NEAR((*x)[i], truth[i], 1e-10);

@@ -178,42 +178,6 @@ TEST_F(ObsTest, ScopedLatencyRecordsOnlyWhenEnabled) {
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST_F(ObsTest, RegistryJsonIsSortedAndDeterministic) {
-  // Register in non-alphabetical order; export must sort by name.
-  obs::MetricsRegistry::Get().counter("test.z_counter").Increment(3);
-  obs::MetricsRegistry::Get().counter("test.a_counter").Increment(1);
-  obs::MetricsRegistry::Get().gauge("test.gauge").Set(1.5);
-  obs::MetricsRegistry::Get().histogram("test.hist").RecordNanos(1000);
-  const std::string json = obs::MetricsRegistry::Get().ToJson();
-  EXPECT_EQ(json, obs::MetricsRegistry::Get().ToJson());
-  const size_t a = json.find("\"test.a_counter\":1");
-  const size_t z = json.find("\"test.z_counter\":3");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(z, std::string::npos);
-  EXPECT_LT(a, z);
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"p99_s\":"), std::string::npos);
-}
-
-TEST_F(ObsTest, RegistryJsonEscapesHostileMetricNames) {
-  // Caller-supplied names must not be able to break the JSON document:
-  // quotes, backslashes, and control characters are escaped.
-  obs::MetricsRegistry::Get()
-      .counter("evil\"name\\with\nnewline\tand\x01" "ctl")
-      .Increment();
-  obs::MetricsRegistry::Get().gauge("g\"quote").Set(1.0);
-  const std::string json = obs::MetricsRegistry::Get().ToJson();
-  EXPECT_NE(json.find("evil\\\"name\\\\with\\nnewline\\tand\\u0001ctl"),
-            std::string::npos);
-  EXPECT_NE(json.find("g\\\"quote"), std::string::npos);
-  // No raw control characters survive into the output.
-  for (char c : json) {
-    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
-  }
-}
-
 TEST_F(ObsTest, FakeClockTicksOneMillisecondPerRead) {
   obs::EnableFakeClockForTest();
   ASSERT_TRUE(obs::FakeClockActive());

@@ -23,7 +23,6 @@
 #include "tie_heavy_data.h"
 #include "transfer/repository.h"
 #include "transfer/rgpe.h"
-#include "util/matrix.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -73,28 +72,6 @@ ConfigurationSpace MakeContinuousSpace(size_t d) {
     knobs.push_back(Knob::Continuous(name, 0.0, 1.0, 0.5));
   }
   return ConfigurationSpace(std::move(knobs));
-}
-
-TEST(ParallelDeterminismTest, MatrixMultiplyMatchesAtAnyPoolSize) {
-  const size_t n = 160;  // past the parallel-dispatch threshold
-  Matrix a(n, n), b(n, n);
-  Rng rng(7);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      a(i, j) = rng.Uniform(-1.0, 1.0);
-      b(i, j) = rng.Uniform(-1.0, 1.0);
-    }
-  }
-  std::vector<double> sequential, parallel;
-  {
-    PoolSizeGuard guard(1);
-    sequential = a.Multiply(b).data();
-  }
-  {
-    PoolSizeGuard guard(4);
-    parallel = a.Multiply(b).data();
-  }
-  EXPECT_EQ(sequential, parallel);
 }
 
 TEST(ParallelDeterminismTest, GaussianProcessFitAndPredict) {

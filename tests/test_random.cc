@@ -111,19 +111,6 @@ TEST(RngTest, WeightedIndexAllZeroFallsBackToUniform) {
   EXPECT_EQ(seen.size(), 2u);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  // The child stream should not replay the parent's.
-  bool differed = false;
-  Rng parent_copy(31);
-  parent_copy.Fork();
-  for (int i = 0; i < 10; ++i) {
-    if (child.Uniform() != parent.Uniform()) differed = true;
-  }
-  EXPECT_TRUE(differed);
-}
-
 TEST(RngTest, ShuffleKeepsElements) {
   Rng rng(37);
   std::vector<int> items = {1, 2, 3, 4, 5, 6};

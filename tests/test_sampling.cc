@@ -1,11 +1,9 @@
-#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "knobs/catalog.h"
 #include "sampling/latin_hypercube.h"
-#include "sampling/sobol.h"
 
 namespace dbtune {
 namespace {
@@ -42,57 +40,6 @@ TEST(LatinHypercubeTest, ConfigurationsAreValid) {
   for (const Configuration& c : configs) {
     EXPECT_TRUE(space.Validate(c).ok());
   }
-}
-
-TEST(QuasiRandomTest, PointsInUnitCube) {
-  Rng rng(3);
-  QuasiRandomSequence seq(5, rng);
-  for (int i = 0; i < 100; ++i) {
-    const auto p = seq.Next();
-    ASSERT_EQ(p.size(), 5u);
-    for (double v : p) {
-      EXPECT_GE(v, 0.0);
-      EXPECT_LT(v, 1.0);
-    }
-  }
-}
-
-TEST(QuasiRandomTest, LowDiscrepancyInFirstDimension) {
-  Rng rng(4);
-  QuasiRandomSequence seq(1, rng);
-  const size_t n = 128;
-  std::vector<double> values;
-  for (size_t i = 0; i < n; ++i) values.push_back(seq.Next()[0]);
-  std::sort(values.begin(), values.end());
-  // Largest gap between consecutive points stays small (far below the
-  // ~log(n)/n expected from iid uniforms).
-  double max_gap = values.front();
-  for (size_t i = 1; i < n; ++i) {
-    max_gap = std::max(max_gap, values[i] - values[i - 1]);
-  }
-  max_gap = std::max(max_gap, 1.0 - values.back());
-  EXPECT_LT(max_gap, 0.05);
-}
-
-TEST(QuasiRandomTest, SampleProducesValidConfigs) {
-  const ConfigurationSpace space = SmallTestCatalog();
-  Rng rng(5);
-  QuasiRandomSequence seq(space.dimension(), rng);
-  const auto configs = seq.Sample(space, 10);
-  ASSERT_EQ(configs.size(), 10u);
-  for (const Configuration& c : configs) {
-    EXPECT_TRUE(space.Validate(c).ok());
-  }
-}
-
-TEST(QuasiRandomTest, ScramblingVariesWithSeed) {
-  Rng a(1), b(2);
-  QuasiRandomSequence sa(3, a), sb(3, b);
-  bool differed = false;
-  for (int i = 0; i < 10; ++i) {
-    if (sa.Next() != sb.Next()) differed = true;
-  }
-  EXPECT_TRUE(differed);
 }
 
 }  // namespace

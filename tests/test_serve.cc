@@ -301,9 +301,7 @@ TEST(ServeLifecycleTest, SuggestObserveAlternationIsEnforced) {
 
 TEST(ServeLifecycleTest, IdleSessionsAreEvictedUnderFakeClock) {
   obs::EnableFakeClockForTest();
-  SessionManagerOptions options;
-  options.idle_timeout_seconds = 0.05;  // 50 fake-clock ticks
-  SessionManager manager(options);
+  SessionManager manager;
   manager.RegisterSpace("small", SmallSpace());
   ASSERT_TRUE(manager.CreateSession("busy", SmallOptions(1)).ok());
   ASSERT_TRUE(manager.CreateSession("idle", SmallOptions(2)).ok());
@@ -330,7 +328,7 @@ TEST(ServeLifecycleTest, IdleSessionsAreEvictedUnderFakeClock) {
     obs.score = static_cast<double>(i);
     ASSERT_TRUE(manager.Observe("busy", obs).ok());
   }
-  EXPECT_EQ(manager.EvictIdle(), 1u);
+  EXPECT_EQ(manager.EvictIdle(0.05), 1u);  // 50 fake-clock ticks
   EXPECT_EQ(manager.num_resident(), 1u);
   EXPECT_EQ(manager.num_open(), 2u);  // evicted, not closed
 
