@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "benchmk/surrogate_benchmark.h"
+#include "core/tuning_session.h"
 #include "util/table.h"
 
 int main() {
@@ -49,15 +50,17 @@ int main() {
   for (OptimizerType type :
        {OptimizerType::kSmac, OptimizerType::kMixedKernelBo,
         OptimizerType::kTpe, OptimizerType::kRandomSearch}) {
-    const size_t evals_before = (*benchmark)->evaluation_count();
+    TuningEnvironment env(benchmark->get());
+    OptimizerOptions options;
+    options.seed = 31;
+    std::unique_ptr<Optimizer> optimizer =
+        CreateOptimizer(type, env.space(), options);
     const double secs_before = (*benchmark)->evaluation_seconds();
-    const SessionResult result =
-        RunSurrogateSession(benchmark->get(), type, 150, 31);
+    const SessionResult result = RunTuningSession(&env, optimizer.get(), 150);
+    // Surrogate queries plus the optimizer's suggest and observe time.
     const double wall = ((*benchmark)->evaluation_seconds() - secs_before) +
                         result.algorithm_overhead_seconds;
-    const double real =
-        static_cast<double>((*benchmark)->evaluation_count() - evals_before) *
-        210.0;
+    const double real = result.simulated_evaluation_seconds;
     table.AddRow({OptimizerTypeName(type),
                   TablePrinter::Num(result.final_improvement, 1) + " %",
                   TablePrinter::Num(wall, 2),

@@ -1,7 +1,5 @@
 #include "benchmk/data_collector.h"
 
-#include <algorithm>
-
 #include "core/tuning_session.h"
 #include "dbms/environment.h"
 #include "optimizer/optimizer.h"
@@ -52,11 +50,10 @@ Result<TuningDataset> CollectDataset(DbmsSimulator* simulator,
   const std::vector<Observation>& history = env.history();
   double worst_objective = dataset.default_objective;
   for (const Observation& obs : history) {
-    if (obs.failed) continue;
-    if (dataset.objective_kind == ObjectiveKind::kThroughput) {
-      worst_objective = std::min(worst_objective, obs.objective);
-    } else {
-      worst_objective = std::max(worst_objective, obs.objective);
+    if (!obs.failed &&
+        DirectedScore(obs.objective, dataset.objective_kind) <
+            DirectedScore(worst_objective, dataset.objective_kind)) {
+      worst_objective = obs.objective;
     }
   }
   dataset.unit_x.reserve(history.size());

@@ -1,10 +1,7 @@
 #include "benchmk/surrogate_benchmark.h"
 
-#include <algorithm>
-
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace dbtune {
@@ -25,6 +22,7 @@ Result<std::unique_ptr<SurrogateBenchmark>> SurrogateBenchmark::Build(
       new SurrogateBenchmark());  // dbtune-lint: allow(naked-new)
   benchmark->space_ = dataset.space;
   benchmark->objective_kind_ = dataset.objective_kind;
+  benchmark->default_config_ = dataset.default_config;
   DBTUNE_RETURN_IF_ERROR(
       benchmark->forest_.Fit(dataset.unit_x, dataset.objectives));
   // Baseline for improvement reporting: the *measured* default objective
@@ -38,79 +36,34 @@ Result<std::unique_ptr<SurrogateBenchmark>> SurrogateBenchmark::Build(
   return benchmark;
 }
 
-double SurrogateBenchmark::PredictObjective(const Configuration& config) const {
+EvaluationResult SurrogateBenchmark::MeasureDefault() {
+  EvaluationResult result;
+  result.objective = default_objective_;
+  return result;
+}
+
+EvaluationResult SurrogateBenchmark::Evaluate(const Configuration& config) {
   if (obs::MetricsEnabled()) {
     static obs::Counter& evaluations =
         obs::MetricsRegistry::Get().counter("surrogate.evaluations");
     evaluations.Increment();
   }
+  EvaluationResult result;
   const double t0 = obs::MonotonicSeconds();
-  const double objective =
-      forest_.Predict(space_.ToUnit(space_.Clip(config)));
+  result.objective = forest_.Predict(space_.ToUnit(space_.Clip(config)));
   evaluation_seconds_ += obs::MonotonicSeconds() - t0;
   ++evaluations_;
-  return objective;
-}
-
-double SurrogateBenchmark::Score(const Configuration& config) const {
-  const double objective = PredictObjective(config);
-  return objective_kind_ == ObjectiveKind::kThroughput ? objective
-                                                       : -objective;
-}
-
-double SurrogateBenchmark::ImprovementPercentOf(double objective) const {
-  DBTUNE_CHECK(default_objective_ > 0.0);
-  if (objective_kind_ == ObjectiveKind::kThroughput) {
-    return (objective - default_objective_) / default_objective_ * 100.0;
-  }
-  return (default_objective_ - objective) / default_objective_ * 100.0;
-}
-
-double SurrogateBenchmark::EquivalentRealSeconds() const {
-  return static_cast<double>(evaluations_) * kRealEvaluationSeconds;
-}
-
-SessionResult RunSurrogateSession(SurrogateBenchmark* benchmark,
-                                  OptimizerType optimizer_type,
-                                  size_t iterations, uint64_t seed) {
-  DBTUNE_CHECK(benchmark != nullptr);
-  OptimizerOptions options;
-  options.seed = seed;
-  std::unique_ptr<Optimizer> optimizer =
-      CreateOptimizer(optimizer_type, benchmark->space(), options);
-  optimizer->SetReferenceScore(
-      benchmark->objective_kind() == ObjectiveKind::kThroughput
-          ? benchmark->default_objective()
-          : -benchmark->default_objective());
-
-  SessionResult result;
-  double best_score = -1e300;
-  double best_objective = benchmark->default_objective();
-  for (size_t iter = 0; iter < iterations; ++iter) {
-    DBTUNE_TRACE_SPAN("surrogate.iteration");
-    const double t0 = obs::MonotonicSeconds();
-    const Configuration config = optimizer->Suggest();
-    const double objective = benchmark->PredictObjective(config);
-    const double score =
-        benchmark->objective_kind() == ObjectiveKind::kThroughput
-            ? objective
-            : -objective;
-    optimizer->Observe(benchmark->space().Clip(config), score);
-    const double t1 = obs::MonotonicSeconds();
-    result.algorithm_overhead_seconds += t1 - t0;
-    if (score > best_score) {
-      best_score = score;
-      best_objective = objective;
-      result.best_iteration = iter + 1;
-    }
-    result.objective_trace.push_back(best_objective);
-    result.improvement_trace.push_back(
-        benchmark->ImprovementPercentOf(best_objective));
-  }
-  result.final_objective = best_objective;
-  result.final_improvement = benchmark->ImprovementPercentOf(best_objective);
-  result.simulated_evaluation_seconds = 0.0;
+  result.evaluation_seconds = kRealEvaluationSeconds;
   return result;
+}
+
+void SurrogateBenchmark::ReplaySkip(bool failed) {
+  (void)failed;  // the surrogate never fails
+  ++evaluations_;
+}
+
+double SurrogateBenchmark::simulated_seconds() const {
+  return static_cast<double>(evaluations_) * kRealEvaluationSeconds;
 }
 
 }  // namespace dbtune

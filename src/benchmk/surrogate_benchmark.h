@@ -4,8 +4,7 @@
 #include <memory>
 
 #include "benchmk/data_collector.h"
-#include "core/tuning_session.h"
-#include "optimizer/optimizer.h"
+#include "dbms/evaluator.h"
 #include "surrogate/random_forest.h"
 
 namespace dbtune {
@@ -14,8 +13,10 @@ namespace dbtune {
 /// tuning task. A random-forest surrogate trained on an offline dataset
 /// answers configuration queries in microseconds instead of minutes,
 /// preserving the response surface's shape so optimizers can be compared
-/// at a tiny fraction of the cost.
-class SurrogateBenchmark {
+/// at a tiny fraction of the cost. It is an `Evaluator`: a session over
+/// `TuningEnvironment(benchmark)` follows the same protocol as one over
+/// the simulator.
+class SurrogateBenchmark final : public Evaluator {
  public:
   /// Trains the surrogate on `dataset` (which it copies the space and
   /// defaults from). Fails when the dataset is degenerate.
@@ -23,28 +24,25 @@ class SurrogateBenchmark {
       const TuningDataset& dataset);
 
   /// The benchmark's configuration space.
-  const ConfigurationSpace& space() const { return space_; }
-  ObjectiveKind objective_kind() const { return objective_kind_; }
+  const ConfigurationSpace& space() const override { return space_; }
+  ObjectiveKind objective() const override { return objective_kind_; }
 
-  /// Predicted raw objective of a configuration (tps or seconds).
-  double PredictObjective(const Configuration& config) const;
+  /// The dataset's default configuration.
+  Configuration EffectiveDefault() const override { return default_config_; }
+  /// The default's objective (measured when the dataset carries it, else
+  /// predicted at build time), without a query.
+  EvaluationResult MeasureDefault() override;
+  /// Predicted raw objective of a configuration (tps or seconds): one
+  /// surrogate query, costed as one real evaluation.
+  EvaluationResult Evaluate(const Configuration& config) override;
+  /// Counts one evaluation without a query.
+  void ReplaySkip(bool failed) override;
+  /// Real-system seconds the evaluations so far stand in for (3-minute
+  /// stress test + restart each), for the §8 speedup claim.
+  double simulated_seconds() const override;
 
-  /// Predicted objective of the default configuration.
-  double default_objective() const { return default_objective_; }
-
-  /// Maximize-direction score of a configuration.
-  double Score(const Configuration& config) const;
-
-  /// Improvement (%) of `objective` over the default, direction-aware.
-  double ImprovementPercentOf(double objective) const;
-
-  /// Number of surrogate evaluations served so far.
-  size_t evaluation_count() const { return evaluations_; }
-  /// Wall-clock seconds spent answering them.
+  /// Wall-clock seconds spent answering surrogate queries.
   double evaluation_seconds() const { return evaluation_seconds_; }
-  /// What the same evaluations would have cost on the real system
-  /// (3-minute stress test + restart each), for the §8 speedup claim.
-  double EquivalentRealSeconds() const;
 
  private:
   SurrogateBenchmark() = default;
@@ -52,18 +50,11 @@ class SurrogateBenchmark {
   ConfigurationSpace space_;
   ObjectiveKind objective_kind_ = ObjectiveKind::kThroughput;
   RandomForest forest_;
+  Configuration default_config_;
   double default_objective_ = 0.0;
-  mutable size_t evaluations_ = 0;
-  mutable double evaluation_seconds_ = 0.0;
+  size_t evaluations_ = 0;
+  double evaluation_seconds_ = 0.0;
 };
-
-/// Runs a full tuning session of `optimizer_type` against the surrogate
-/// benchmark: same protocol as `RunTuningSession` but with model
-/// predictions instead of workload replay. Also fills in the overhead and
-/// wall-clock accounting used by Figure 10's speedup report.
-SessionResult RunSurrogateSession(SurrogateBenchmark* benchmark,
-                                  OptimizerType optimizer_type,
-                                  size_t iterations, uint64_t seed);
 
 }  // namespace dbtune
 

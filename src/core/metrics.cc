@@ -7,21 +7,9 @@
 
 namespace dbtune {
 
-namespace {
-// Converts a raw objective into maximize direction.
-double Directed(double objective, ObjectiveKind kind) {
-  return kind == ObjectiveKind::kThroughput ? objective : -objective;
-}
-}  // namespace
-
 double PerformanceEnhancement(double base_objective, double transfer_objective,
                               ObjectiveKind kind) {
-  DBTUNE_CHECK(base_objective > 0.0);
-  if (kind == ObjectiveKind::kThroughput) {
-    return (transfer_objective - base_objective) / base_objective;
-  }
-  // Lower latency is better: enhancement is the relative reduction.
-  return (base_objective - transfer_objective) / base_objective;
+  return RelativeGain(transfer_objective, base_objective, kind);
 }
 
 std::optional<double> TransferSpeedup(
@@ -30,18 +18,18 @@ std::optional<double> TransferSpeedup(
   DBTUNE_CHECK(!base_objective_trace.empty());
   DBTUNE_CHECK(!transfer_objective_trace.empty());
 
-  const double base_best = Directed(base_objective_trace.back(), kind);
+  const double base_best = DirectedScore(base_objective_trace.back(), kind);
   // Steps the base took to first reach its final best.
   size_t base_steps = base_objective_trace.size();
   for (size_t i = 0; i < base_objective_trace.size(); ++i) {
-    if (Directed(base_objective_trace[i], kind) >= base_best - 1e-12) {
+    if (DirectedScore(base_objective_trace[i], kind) >= base_best - 1e-12) {
       base_steps = i + 1;
       break;
     }
   }
   // Steps the transfer run took to beat the base best.
   for (size_t i = 0; i < transfer_objective_trace.size(); ++i) {
-    if (Directed(transfer_objective_trace[i], kind) > base_best) {
+    if (DirectedScore(transfer_objective_trace[i], kind) > base_best) {
       return static_cast<double>(base_steps) / static_cast<double>(i + 1);
     }
   }

@@ -35,9 +35,8 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   // the tuning trajectory bitwise unchanged.
   std::unique_ptr<obs::TuningDiagnostics> diagnostics;
   if (controls.diagnostics) {
-    obs::TuningDiagnosticsOptions diag_options;
-    diag_options.session_label = controls.session_label;
-    diagnostics = std::make_unique<obs::TuningDiagnostics>(diag_options);
+    diagnostics =
+        std::make_unique<obs::TuningDiagnostics>(controls.session_label);
   }
   obs::MetricsExporter exporter(controls.metrics_export_path,
                                 ProcessEnvConfig().metrics_export_interval_s);
@@ -46,7 +45,7 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   result.improvement_trace.reserve(iterations);
   result.objective_trace.reserve(iterations);
   result.per_iteration_overhead.reserve(iterations);
-  const double sim_seconds_start = env->simulator().simulated_seconds();
+  const double sim_seconds_start = env->evaluator().simulated_seconds();
 
   SessionStore bound = OpenSessionStore(controls);
   SessionCore core(optimizer, env->default_score(), bound.store,
@@ -141,7 +140,7 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
   result.final_objective = env->best_objective();
   result.best_iteration = env->best_iteration();
   result.simulated_evaluation_seconds =
-      env->simulator().simulated_seconds() - sim_seconds_start;
+      env->evaluator().simulated_seconds() - sim_seconds_start;
   if (diagnostics != nullptr) {
     result.has_diagnostics = true;
     result.final_diagnostics = diagnostics->last();

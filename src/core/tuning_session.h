@@ -33,7 +33,8 @@ struct SessionResult {
   double algorithm_overhead_seconds = 0.0;
   /// Per-iteration overhead (seconds), one entry per iteration.
   std::vector<double> per_iteration_overhead;
-  /// Simulated DBMS-side seconds (restarts + stress tests).
+  /// Real-system seconds the session's evaluations cost or stand in for
+  /// (restarts + stress tests): the evaluator's `simulated_seconds()`.
   double simulated_evaluation_seconds = 0.0;
   /// Final iteration's tuner-quality diagnostics (calibration, regret,
   /// model health), set when diagnostics were enabled for the session.

@@ -14,19 +14,18 @@ std::vector<size_t> AllIndices(size_t n) {
 }
 }  // namespace
 
-TuningEnvironment::TuningEnvironment(DbmsSimulator* simulator)
-    : TuningEnvironment(simulator,
-                        AllIndices(simulator->space().dimension())) {}
+TuningEnvironment::TuningEnvironment(Evaluator* evaluator)
+    : TuningEnvironment(evaluator,
+                        AllIndices(evaluator->space().dimension())) {}
 
-TuningEnvironment::TuningEnvironment(DbmsSimulator* simulator,
+TuningEnvironment::TuningEnvironment(Evaluator* evaluator,
                                      std::vector<size_t> knob_indices)
-    : simulator_(simulator),
+    : evaluator_(evaluator),
       knob_indices_(std::move(knob_indices)),
-      subspace_(simulator->space().Project(knob_indices_)),
-      base_config_(simulator->EffectiveDefault()) {
-  DBTUNE_CHECK(simulator_ != nullptr);
+      subspace_(evaluator->space().Project(knob_indices_)),
+      base_config_(evaluator->EffectiveDefault()) {
   // Measure the default before tuning begins.
-  EvaluationResult def = simulator_->Evaluate(base_config_);
+  const EvaluationResult def = evaluator_->MeasureDefault();
   DBTUNE_CHECK_MSG(!def.failed, "default configuration must not crash");
   default_objective_ = def.objective;
   default_score_ = ScoreFromObjective(def.objective);
@@ -42,10 +41,7 @@ TuningEnvironment::TuningEnvironment(DbmsSimulator* simulator,
 }
 
 double TuningEnvironment::ScoreFromObjective(double objective) const {
-  if (simulator_->workload().objective == ObjectiveKind::kThroughput) {
-    return objective;
-  }
-  return -objective;
+  return DirectedScore(objective, evaluator_->objective());
 }
 
 Configuration TuningEnvironment::ToFullConfiguration(
@@ -62,7 +58,7 @@ Observation TuningEnvironment::Evaluate(const Configuration& sub_config) {
   Observation obs;
   obs.config = subspace_.Clip(sub_config);
   EvaluationResult result =
-      simulator_->Evaluate(ToFullConfiguration(obs.config));
+      evaluator_->Evaluate(ToFullConfiguration(obs.config));
   obs.failed = result.failed;
   obs.objective = result.objective;
   obs.internal_metrics = std::move(result.internal_metrics);
@@ -71,7 +67,7 @@ Observation TuningEnvironment::Evaluate(const Configuration& sub_config) {
 
 Observation TuningEnvironment::Replay(const Observation& recorded) {
   DBTUNE_CHECK(recorded.config.size() == knob_indices_.size());
-  simulator_->ReplaySkip(recorded.failed);
+  evaluator_->ReplaySkip(recorded.failed);
   return Record(recorded);
 }
 
@@ -100,11 +96,8 @@ double TuningEnvironment::ImprovementPercent() const {
 }
 
 double TuningEnvironment::ImprovementPercentOf(double objective) const {
-  DBTUNE_CHECK(default_objective_ > 0.0);
-  if (simulator_->workload().objective == ObjectiveKind::kThroughput) {
-    return (objective - default_objective_) / default_objective_ * 100.0;
-  }
-  return (default_objective_ - objective) / default_objective_ * 100.0;
+  return RelativeGain(objective, default_objective_, evaluator_->objective()) *
+         100.0;
 }
 
 }  // namespace dbtune

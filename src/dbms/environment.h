@@ -3,7 +3,8 @@
 
 #include <vector>
 
-#include "dbms/simulator.h"
+#include "dbms/evaluator.h"
+#include "dbms/simulator.h"  // callers build environments over it
 #include "knobs/configuration_space.h"
 
 namespace dbtune {
@@ -23,23 +24,23 @@ struct Observation {
   std::vector<double> internal_metrics;
 };
 
-/// Optimizer-facing view of one tuning task: a simulator plus the paper's
-/// evaluation protocol. Handles knob-subset tuning (unselected knobs stay
+/// Optimizer-facing view of one tuning task: an evaluator (the simulated
+/// DBMS or the §8 surrogate benchmark) plus the paper's evaluation
+/// protocol. Handles knob-subset tuning (unselected knobs stay
 /// at the deployment default), failure substitution, and bookkeeping of
 /// the best configuration found.
 ///
 /// The environment measures the default configuration once at
 /// construction, as a real tuning session would before its first
-/// iteration.
+/// iteration; the default is the first incumbent.
 class TuningEnvironment {
  public:
-  /// Tunes every knob of the simulator's space.
-  explicit TuningEnvironment(DbmsSimulator* simulator);
+  /// Tunes every knob of the evaluator's space.
+  explicit TuningEnvironment(Evaluator* evaluator);
 
-  /// Tunes only `knob_indices` (into the simulator's space); all other
+  /// Tunes only `knob_indices` (into the evaluator's space); all other
   /// knobs are pinned at the effective default.
-  TuningEnvironment(DbmsSimulator* simulator,
-                    std::vector<size_t> knob_indices);
+  TuningEnvironment(Evaluator* evaluator, std::vector<size_t> knob_indices);
 
   TuningEnvironment(const TuningEnvironment&) = delete;
   TuningEnvironment& operator=(const TuningEnvironment&) = delete;
@@ -47,8 +48,7 @@ class TuningEnvironment {
   /// The subspace the optimizer works in.
   const ConfigurationSpace& space() const { return subspace_; }
 
-  DbmsSimulator& simulator() { return *simulator_; }
-  const DbmsSimulator& simulator() const { return *simulator_; }
+  const Evaluator& evaluator() const { return *evaluator_; }
 
   /// Runs one tuning iteration: applies the (subspace) configuration,
   /// replays the workload, and returns the observation. Appends to
@@ -58,7 +58,7 @@ class TuningEnvironment {
   /// Re-applies an observation recovered from the durable store without
   /// re-running the stress test: performs the same best/worst bookkeeping
   /// as `Evaluate` (recomputing the failure-substituted score from the
-  /// running worst) and advances the simulator via `ReplaySkip`, so a
+  /// running worst) and advances the evaluator via `ReplaySkip`, so a
   /// resumed session continues bitwise-identically. `recorded.config`
   /// must already be clipped into this environment's subspace.
   Observation Replay(const Observation& recorded);
@@ -72,8 +72,8 @@ class TuningEnvironment {
   double best_score() const { return best_score_; }
   /// Raw objective of the best configuration (default's when none).
   double best_objective() const { return best_objective_; }
-  /// 1-based iteration at which the best score was found; 0 when no
-  /// iteration improved over nothing (i.e. no evaluations yet).
+  /// 1-based iteration at which the best score was found; 0 while no
+  /// iteration has beaten the default.
   size_t best_iteration() const { return best_iteration_; }
   /// Best configuration found so far (subspace coordinates).
   const Configuration& best_config() const { return best_config_; }
@@ -100,7 +100,7 @@ class TuningEnvironment {
   /// updates the worst and best, and appends to `history_`.
   Observation Record(Observation obs);
 
-  DbmsSimulator* simulator_;
+  Evaluator* evaluator_;
   std::vector<size_t> knob_indices_;
   ConfigurationSpace subspace_;
   Configuration base_config_;  // effective default (full space)

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "dbms/evaluator.h"
 #include "dbms/hardware.h"
 #include "dbms/response_surface.h"
 #include "dbms/workload.h"
@@ -17,25 +18,10 @@ namespace dbtune {
 /// the DDPG state and the workload-mapping signature.
 inline constexpr size_t kNumInternalMetrics = 40;
 
-/// Outcome of replaying the workload under one configuration.
-struct EvaluationResult {
-  /// True when the DBMS crashed or could not start under this
-  /// configuration (e.g. buffer pool exceeding RAM).
-  bool failed = false;
-  /// Raw objective value: transactions/second for OLTP workloads,
-  /// 95th-percentile latency in seconds for OLAP. Unset when failed.
-  double objective = 0.0;
-  /// Internal metrics collected during the stress test (zeros when failed).
-  std::vector<double> internal_metrics;
-  /// Simulated wall-clock cost of this iteration (DBMS restart + 3-minute
-  /// stress test), used for the speedup accounting of §8.
-  double evaluation_seconds = 0.0;
-};
-
 /// A simulated MySQL-5.7-style DBMS under a replayed workload: the
 /// substrate that stands in for the paper's RDS MySQL + OLTP-Bench rig
 /// (see DESIGN.md §2). Deterministic given (workload, hardware, seed).
-class DbmsSimulator {
+class DbmsSimulator final : public Evaluator {
  public:
   /// Deploys `workload` on `hardware`; `seed` drives observation noise.
   /// Uses the full 197-knob catalog.
@@ -47,29 +33,27 @@ class DbmsSimulator {
   DbmsSimulator(const ConfigurationSpace& space, WorkloadId workload,
                 HardwareInstance hardware, uint64_t seed = 7);
 
-  DbmsSimulator(const DbmsSimulator&) = delete;
-  DbmsSimulator& operator=(const DbmsSimulator&) = delete;
-
-  const ConfigurationSpace& space() const { return space_; }
+  const ConfigurationSpace& space() const override { return space_; }
+  ObjectiveKind objective() const override { return profile_.objective; }
   const WorkloadProfile& workload() const { return profile_; }
   const HardwareProfile& hardware() const { return hardware_; }
   const ResponseSurface& surface() const { return *surface_; }
 
   /// The deployment default: catalog defaults with the buffer pool raised
   /// to 60% of instance RAM (the paper's protocol).
-  Configuration EffectiveDefault() const;
+  Configuration EffectiveDefault() const override;
 
   /// Restarts the DBMS with `config` and replays the workload for a
   /// simulated 3 minutes. Invalid values are clipped into their domains
   /// first (as a real controller would refuse to set them).
-  EvaluationResult Evaluate(const Configuration& config);
+  EvaluationResult Evaluate(const Configuration& config) override;
 
   /// Advances the simulator past one evaluation whose outcome is already
   /// known (durable-store replay): consumes exactly the noise draws and
   /// simulated seconds `Evaluate` would for a failed/successful run, so
   /// the run continues on a bitwise-identical trajectory, without
   /// recomputing the response surface.
-  void ReplaySkip(bool failed);
+  void ReplaySkip(bool failed) override;
 
   /// Deterministic crash predicate: true when the configuration's memory
   /// footprint exceeds what the instance can host.
@@ -79,7 +63,7 @@ class DbmsSimulator {
   double NoiselessObjective(const Configuration& config) const;
 
   /// Total simulated seconds spent in `Evaluate` so far.
-  double simulated_seconds() const { return simulated_seconds_; }
+  double simulated_seconds() const override { return simulated_seconds_; }
   /// Number of `Evaluate` calls so far.
   size_t evaluation_count() const { return evaluation_count_; }
 

@@ -33,6 +33,18 @@ const WorkloadProfile kProfiles[] = {
 
 }  // namespace
 
+double DirectedScore(double objective, ObjectiveKind kind) {
+  return kind == ObjectiveKind::kThroughput ? objective : -objective;
+}
+
+double RelativeGain(double objective, double reference, ObjectiveKind kind) {
+  DBTUNE_CHECK(reference > 0.0);
+  if (kind == ObjectiveKind::kThroughput) {
+    return (objective - reference) / reference;
+  }
+  return (reference - objective) / reference;
+}
+
 const WorkloadProfile& GetWorkloadProfile(WorkloadId id) {
   const size_t index = static_cast<size_t>(id);
   DBTUNE_CHECK(index < sizeof(kProfiles) / sizeof(kProfiles[0]));

@@ -35,6 +35,15 @@ enum class ObjectiveKind {
   kLatencyP95,
 };
 
+/// A raw objective in maximize direction: throughput as is, latency
+/// negated.
+double DirectedScore(double objective, ObjectiveKind kind);
+
+/// Relative gain of `objective` over a positive `reference`, positive when
+/// `objective` is better: (o - r) / r for throughput, (r - o) / r for
+/// latency.
+double RelativeGain(double objective, double reference, ObjectiveKind kind);
+
 /// Static description of a workload: the paper's Table 4 profile plus the
 /// parameters that shape its synthetic response surface (see DESIGN.md §2).
 struct WorkloadProfile {

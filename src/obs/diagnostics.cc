@@ -9,6 +9,8 @@ namespace dbtune::obs {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
+// Smoothing factor of the improvement EWMA.
+constexpr double kEwmaAlpha = 0.2;
 
 uint64_t HistogramCount(const char* name) {
   const Histogram* hist = MetricsRegistry::Get().FindHistogram(name);
@@ -22,9 +24,9 @@ uint64_t CounterValue(const char* name) {
 
 }  // namespace
 
-TuningDiagnostics::TuningDiagnostics(TuningDiagnosticsOptions options)
-    : options_(std::move(options)) {
-  if (options_.session_label.empty()) options_.session_label = "default";
+TuningDiagnostics::TuningDiagnostics(std::string session_label)
+    : session_label_(session_label.empty() ? "default"
+                                           : std::move(session_label)) {
   base_gp_fits_ = HistogramCount("gp.fit");
   base_incremental_ = HistogramCount("gp.fit.incremental");
   base_sparse_ = HistogramCount("gp.fit.sparse");
@@ -81,8 +83,8 @@ IterationDiagnostics TuningDiagnostics::Record(
     const double improvement = score > best_so_far_ ? score - best_so_far_
                                                     : 0.0;
     since_improvement_ = improvement > 0.0 ? 0 : since_improvement_ + 1;
-    improvement_ewma_ = options_.ewma_alpha * improvement +
-                        (1.0 - options_.ewma_alpha) * improvement_ewma_;
+    improvement_ewma_ = kEwmaAlpha * improvement +
+                        (1.0 - kEwmaAlpha) * improvement_ewma_;
     if (score > best_so_far_) best_so_far_ = score;
   }
   d.simple_regret = best_so_far_ - score;
@@ -105,7 +107,7 @@ void TuningDiagnostics::Publish(const IterationDiagnostics& d) {
   if (!handles_resolved_) {
     MetricsRegistry& registry = MetricsRegistry::Get();
     const auto labeled = [&](const char* base) {
-      return LabeledMetricName(base, "session", options_.session_label);
+      return LabeledMetricName(base, "session", session_label_);
     };
     regret_simple_ = &registry.gauge(labeled("tuning.regret.simple"));
     regret_cumulative_ = &registry.gauge(labeled("tuning.regret.cumulative"));

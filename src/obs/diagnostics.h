@@ -76,21 +76,15 @@ struct IterationDiagnostics {
   double incremental_fit_rate = 0.0;
 };
 
-struct TuningDiagnosticsOptions {
-  /// Labels the per-session registry metrics, e.g.
-  /// `tuning.regret.simple{session="<label>"}`. Empty → "default".
-  std::string session_label;
-  /// Smoothing factor of the improvement EWMA.
-  double ewma_alpha = 0.2;
-};
-
 /// The per-session collector. `Record` is called once per iteration with
 /// the pre-observation prediction and the observed score; it returns the
 /// iteration's diagnostics and, when metrics recording is on, publishes
 /// them to the registry under the session label.
 class TuningDiagnostics {
  public:
-  explicit TuningDiagnostics(TuningDiagnosticsOptions options = {});
+  /// `session_label` labels the per-session registry metrics, e.g.
+  /// `tuning.regret.simple{session="<label>"}`. Empty → "default".
+  explicit TuningDiagnostics(std::string session_label = "");
 
   TuningDiagnostics(const TuningDiagnostics&) = delete;
   TuningDiagnostics& operator=(const TuningDiagnostics&) = delete;
@@ -111,7 +105,7 @@ class TuningDiagnostics {
   void ReadInfraCounters(IterationDiagnostics* out);
   void Publish(const IterationDiagnostics& d);
 
-  TuningDiagnosticsOptions options_;
+  std::string session_label_;
   IterationDiagnostics last_;
 
   size_t iterations_ = 0;

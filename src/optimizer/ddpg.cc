@@ -93,14 +93,10 @@ double DdpgOptimizer::ComputeReward(double score) {
   return std::clamp(reward, -3.0, 3.0);
 }
 
-void DdpgOptimizer::Observe(const Configuration& config, double score) {
-  ObserveWithMetrics(config, score, std::vector<double>(kStateDim, 0.0));
-}
-
 void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
                                        double score,
                                        const std::vector<double>& metrics) {
-  Optimizer::Observe(config, score);
+  Optimizer::ObserveWithMetrics(config, score, metrics);
 
   std::vector<double> next_state = metrics;
   next_state.resize(kStateDim, 0.0);

@@ -15,7 +15,7 @@ namespace dbtune {
 /// the critic scores state-action pairs against the reward derived from
 /// performance deltas versus the default and the previous iteration.
 ///
-/// Feed observations through `ObserveWithMetrics`; plain `Observe` uses a
+/// Feed observations through `ObserveWithMetrics`; missing metrics are a
 /// zero state (the optimizer still works but degenerates to a contextual
 /// bandit).
 class DdpgOptimizer final : public Optimizer {
@@ -26,7 +26,6 @@ class DdpgOptimizer final : public Optimizer {
 
   DdpgOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
-  void Observe(const Configuration& config, double score) override;
   void ObserveWithMetrics(const Configuration& config, double score,
                           const std::vector<double>& metrics) override;
   std::string name() const override { return "DDPG"; }

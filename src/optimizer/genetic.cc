@@ -90,8 +90,10 @@ Configuration GeneticOptimizer::DoSuggest() {
   return space_.FromUnit(population_[static_cast<size_t>(pending_)].unit);
 }
 
-void GeneticOptimizer::Observe(const Configuration& config, double score) {
-  Optimizer::Observe(config, score);
+void GeneticOptimizer::ObserveWithMetrics(
+    const Configuration& config, double score,
+    const std::vector<double>& metrics) {
+  Optimizer::ObserveWithMetrics(config, score, metrics);
   if (pending_ >= 0 &&
       pending_ < static_cast<int>(population_.size())) {
     Individual& individual = population_[static_cast<size_t>(pending_)];

@@ -15,7 +15,8 @@ class GeneticOptimizer final : public Optimizer {
  public:
   GeneticOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
-  void Observe(const Configuration& config, double score) override;
+  void ObserveWithMetrics(const Configuration& config, double score,
+                          const std::vector<double>& metrics) override;
   std::string name() const override { return "GA"; }
 
  private:

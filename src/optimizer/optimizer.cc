@@ -60,7 +60,9 @@ Configuration Optimizer::Suggest() {
   return DoSuggest();
 }
 
-void Optimizer::Observe(const Configuration& config, double score) {
+void Optimizer::ObserveWithMetrics(const Configuration& config, double score,
+                                   const std::vector<double>& metrics) {
+  (void)metrics;
   DBTUNE_CHECK(config.size() == space_.dimension());
   DBTUNE_TRACE_SPAN("optimizer.observe");
   if (obs::MetricsEnabled()) {
@@ -71,12 +73,6 @@ void Optimizer::Observe(const Configuration& config, double score) {
   configs_.push_back(config);
   unit_history_.push_back(space_.ToUnit(config));
   scores_.push_back(score);
-}
-
-void Optimizer::ObserveWithMetrics(const Configuration& config, double score,
-                                   const std::vector<double>& metrics) {
-  (void)metrics;
-  Observe(config, score);
 }
 
 double Optimizer::best_score() const {

@@ -100,9 +100,9 @@ class AcquisitionSweep {
 /// configuration-optimization module).
 ///
 /// Protocol: call `Suggest()`, evaluate the configuration on the DBMS,
-/// then report the outcome via `Observe` (or `ObserveWithMetrics` when
-/// internal metrics are available — DDPG requires them for its state).
-/// Scores are in maximize direction.
+/// then report the outcome via `ObserveWithMetrics` (or `Observe` when no
+/// internal metrics are available — DDPG then sees a zero state). Scores
+/// are in maximize direction.
 class Optimizer {
  public:
   /// `suggest_key` names the family's suggest metric and span ("gp_bo",
@@ -120,13 +120,17 @@ class Optimizer {
   /// trace span.
   Configuration Suggest();
 
-  /// Reports the score of an evaluated configuration. The base class
-  /// records it into the shared history.
-  virtual void Observe(const Configuration& config, double score);
-
-  /// Reports score plus DBMS internal metrics. Defaults to `Observe`.
+  /// Reports the score of an evaluated configuration plus the DBMS
+  /// internal metrics measured with it (empty when there are none). The
+  /// base class records it into the shared history; an override calls
+  /// the base first.
   virtual void ObserveWithMetrics(const Configuration& config, double score,
                                   const std::vector<double>& metrics);
+
+  /// `ObserveWithMetrics` without internal metrics.
+  void Observe(const Configuration& config, double score) {
+    ObserveWithMetrics(config, score, {});
+  }
 
   /// Score of the default configuration, when known before tuning starts.
   /// No-op for most optimizers; DDPG anchors its reward on it.

@@ -26,18 +26,10 @@ Configuration ProjectedOptimizer::DoSuggest() {
   return projection_.Decode(projection_.box().ToUnit(low));
 }
 
-void ProjectedOptimizer::Observe(const Configuration& config, double score) {
-  Optimizer::Observe(config, score);
-  if (has_pending_) {
-    inner_->Observe(pending_low_, score);
-    has_pending_ = false;
-  }
-}
-
 void ProjectedOptimizer::ObserveWithMetrics(
     const Configuration& config, double score,
     const std::vector<double>& metrics) {
-  Optimizer::Observe(config, score);
+  Optimizer::ObserveWithMetrics(config, score, metrics);
   if (has_pending_) {
     inner_->ObserveWithMetrics(pending_low_, score, metrics);
     has_pending_ = false;

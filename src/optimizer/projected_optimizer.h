@@ -17,7 +17,7 @@ namespace dbtune {
 /// via `SessionControls::projection`.
 ///
 /// The adapter assumes the strict suggest/observe alternation the
-/// session loop follows: each `Observe` credits the score to the most
+/// session loop follows: each observation credits the score to the most
 /// recent `Suggest`'s low-dimensional point. Scores observed without a
 /// pending suggestion (e.g. externally injected history) update only the
 /// full-space bookkeeping.
@@ -29,7 +29,6 @@ class ProjectedOptimizer final : public Optimizer {
                      OptimizerType inner_type,
                      ProjectionOptions projection = {});
 
-  void Observe(const Configuration& config, double score) override;
   void ObserveWithMetrics(const Configuration& config, double score,
                           const std::vector<double>& metrics) override;
   void SetReferenceScore(double score) override;

@@ -166,8 +166,10 @@ Configuration TurboOptimizer::DoSuggest() {
   return space_.FromUnit(best_unit);
 }
 
-void TurboOptimizer::Observe(const Configuration& config, double score) {
-  Optimizer::Observe(config, score);
+void TurboOptimizer::ObserveWithMetrics(const Configuration& config,
+                                        double score,
+                                        const std::vector<double>& metrics) {
+  Optimizer::ObserveWithMetrics(config, score, metrics);
   if (last_region_ < 0 ||
       last_region_ >= static_cast<int>(regions_.size())) {
     return;

@@ -20,7 +20,8 @@ class TurboOptimizer final : public Optimizer {
  public:
   TurboOptimizer(const ConfigurationSpace& space, OptimizerOptions options);
 
-  void Observe(const Configuration& config, double score) override;
+  void ObserveWithMetrics(const Configuration& config, double score,
+                          const std::vector<double>& metrics) override;
   std::string name() const override { return "TuRBO"; }
 
  private:

@@ -55,7 +55,7 @@ std::string WorkloadMappingOptimizer::name() const {
 void WorkloadMappingOptimizer::ObserveWithMetrics(
     const Configuration& config, double score,
     const std::vector<double>& metrics) {
-  Optimizer::Observe(config, score);
+  Optimizer::ObserveWithMetrics(config, score, metrics);
   if (!metrics.empty()) {
     if (metric_sum_.empty()) metric_sum_.assign(metrics.size(), 0.0);
     for (size_t m = 0; m < metric_sum_.size() && m < metrics.size(); ++m) {

@@ -70,8 +70,8 @@ TEST(DatasetIoTest, LoadedDatasetBuildsIdenticalBenchmark) {
   Rng rng(3);
   for (int i = 0; i < 20; ++i) {
     const Configuration c = bench_a->space().SampleUniform(rng);
-    EXPECT_DOUBLE_EQ(bench_a->PredictObjective(c),
-                     bench_b->PredictObjective(c));
+    EXPECT_DOUBLE_EQ(bench_a->Evaluate(c).objective,
+                     bench_b->Evaluate(c).objective);
   }
 }
 

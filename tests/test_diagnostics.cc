@@ -25,6 +25,7 @@
 #include "obs/metrics_export.h"
 #include "obs/session_log.h"
 #include "obs/trace.h"
+#include "pool_size_guard.h"
 #include "surrogate/gaussian_process.h"
 #include "util/matrix.h"
 #include "util/random.h"
@@ -33,18 +34,7 @@
 namespace dbtune {
 namespace {
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 // Every test starts and ends with observability fully off and empty.
 class DiagnosticsTest : public ::testing::Test {
@@ -73,9 +63,7 @@ bool FileExists(const std::string& path) {
 }
 
 TEST_F(DiagnosticsTest, RegretAndStallAccounting) {
-  obs::TuningDiagnosticsOptions options;
-  options.ewma_alpha = 0.5;
-  obs::TuningDiagnostics diag(options);
+  obs::TuningDiagnostics diag;
 
   // First observation defines the incumbent: zero regret, zero stall.
   obs::IterationDiagnostics d = diag.Record({}, 1.0);
@@ -85,26 +73,26 @@ TEST_F(DiagnosticsTest, RegretAndStallAccounting) {
   EXPECT_EQ(d.iterations_since_improvement, 0u);
   EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.0);
 
-  // Improvement by 2: regret stays zero, EWMA picks up alpha * 2.
+  // Improvement by 2: regret stays zero, EWMA picks up alpha (0.2) * 2.
   d = diag.Record({}, 3.0);
   EXPECT_DOUBLE_EQ(d.simple_regret, 0.0);
   EXPECT_DOUBLE_EQ(d.cumulative_regret, 0.0);
   EXPECT_EQ(d.iterations_since_improvement, 0u);
-  EXPECT_DOUBLE_EQ(d.improvement_ewma, 1.0);
+  EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.4);
 
   // Below the incumbent: regret 1, first stalled iteration, EWMA decays.
   d = diag.Record({}, 2.0);
   EXPECT_DOUBLE_EQ(d.simple_regret, 1.0);
   EXPECT_DOUBLE_EQ(d.cumulative_regret, 1.0);
   EXPECT_EQ(d.iterations_since_improvement, 1u);
-  EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.5);
+  EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.32);
 
   // Still below: regret accumulates, the stall counter keeps growing.
   d = diag.Record({}, 2.5);
   EXPECT_DOUBLE_EQ(d.simple_regret, 0.5);
   EXPECT_DOUBLE_EQ(d.cumulative_regret, 1.5);
   EXPECT_EQ(d.iterations_since_improvement, 2u);
-  EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.25);
+  EXPECT_DOUBLE_EQ(d.improvement_ewma, 0.256);
 
   EXPECT_EQ(diag.iterations(), 4u);
   // No iteration carried a prediction: the coverage base is empty.
@@ -199,9 +187,7 @@ TEST_F(DiagnosticsTest, PerSessionMetricsPublished) {
   EXPECT_EQ(obs::LabeledMetricName("tuning.regret.simple", "session", "s1"),
             "tuning.regret.simple{session=\"s1\"}");
 
-  obs::TuningDiagnosticsOptions options;
-  options.session_label = "s1";
-  obs::TuningDiagnostics diag(options);
+  obs::TuningDiagnostics diag("s1");
   obs::DiagnosticsPrediction prediction;
   prediction.has_prediction = true;
   prediction.mean = 0.0;

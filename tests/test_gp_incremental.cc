@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "pool_size_guard.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/random_forest.h"
 #include "tie_heavy_data.h"
@@ -19,18 +20,7 @@
 namespace dbtune {
 namespace {
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 FeatureMatrix MakeInputs(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);

@@ -21,23 +21,13 @@
 #include "obs/metrics_export.h"
 #include "obs/session_log.h"
 #include "obs/trace.h"
+#include "pool_size_guard.h"
 #include "util/thread_pool.h"
 
 namespace dbtune {
 namespace {
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 // Every test starts and ends with observability fully off and empty.
 class ObsTest : public ::testing::Test {

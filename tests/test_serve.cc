@@ -22,6 +22,7 @@
 #include "knobs/catalog.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "pool_size_guard.h"
 #include "serve/batch_scheduler.h"
 #include "serve/frame_server.h"
 #include "serve/protocol.h"
@@ -42,18 +43,7 @@ using serve::SessionManager;
 using serve::SessionManagerOptions;
 using store::ObservationStore;
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 std::vector<size_t> FirstKnobs(size_t n) {
   std::vector<size_t> idx(n);

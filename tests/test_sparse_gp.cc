@@ -16,6 +16,7 @@
 #include "dbms/simulator.h"
 #include "knobs/knob.h"
 #include "optimizer/gp_bo.h"
+#include "pool_size_guard.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/sparse_gaussian_process.h"
 #include "surrogate/surrogate_factory.h"
@@ -26,18 +27,7 @@
 namespace dbtune {
 namespace {
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 FeatureMatrix MakeInputs(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);

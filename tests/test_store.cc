@@ -5,6 +5,7 @@
 // headline guarantee — a session killed at
 // any iteration replays to a bitwise-identical trajectory.
 
+#include "pool_size_guard.h"
 #include "store/observation_store.h"
 
 #include <gtest/gtest.h>
@@ -40,18 +41,7 @@ using store::WalRecord;
 using store::WalRecordType;
 using store::WalScanResult;
 
-// Restores the previous pool size even when an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
-};
+using testing::PoolSizeGuard;
 
 // Every test runs without injected write faults and with the real clock.
 class StoreTest : public ::testing::Test {

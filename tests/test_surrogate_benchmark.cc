@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "benchmk/data_collector.h"
+#include "core/tuning_session.h"
 #include "knobs/catalog.h"
+#include "pool_size_guard.h"
+#include "tie_heavy_data.h"
 #include "util/stats.h"
 
 namespace dbtune {
@@ -89,42 +92,114 @@ TEST_F(SurrogateBenchmarkTest, PredictionsCorrelateWithSimulator) {
   std::vector<double> predicted, actual;
   for (int i = 0; i < 60; ++i) {
     const Configuration c = benchmark_->space().SampleUniform(rng);
-    predicted.push_back(benchmark_->PredictObjective(c));
+    predicted.push_back(benchmark_->Evaluate(c).objective);
     actual.push_back(sim_->NoiselessObjective(c));
   }
   EXPECT_GT(SpearmanCorrelation(predicted, actual), 0.6);
 }
 
 TEST_F(SurrogateBenchmarkTest, EvaluationAccounting) {
-  const size_t before = benchmark_->evaluation_count();
-  benchmark_->PredictObjective(benchmark_->space().Default());
-  EXPECT_EQ(benchmark_->evaluation_count(), before + 1);
-  EXPECT_GT(benchmark_->EquivalentRealSeconds(), 0.0);
+  const double before = benchmark_->simulated_seconds();
+  benchmark_->Evaluate(benchmark_->space().Default());
+  // One query stands in for a restart + 3-minute stress test.
+  EXPECT_EQ(benchmark_->simulated_seconds(), before + 210.0);
   // The whole point: the surrogate answers much faster than a 3-minute
   // stress test would.
   EXPECT_LT(benchmark_->evaluation_seconds(),
-            benchmark_->EquivalentRealSeconds() / 100.0);
+            benchmark_->simulated_seconds() / 100.0);
 }
 
 TEST_F(SurrogateBenchmarkTest, ScoreDirectionMatchesWorkload) {
-  EXPECT_EQ(benchmark_->objective_kind(), ObjectiveKind::kThroughput);
-  const Configuration def = benchmark_->space().Default();
-  EXPECT_DOUBLE_EQ(benchmark_->Score(def), benchmark_->PredictObjective(def));
+  EXPECT_EQ(benchmark_->objective(), ObjectiveKind::kThroughput);
+  const TuningEnvironment env(benchmark_.get());
+  EXPECT_EQ(env.default_score(), dataset_.default_objective);
+}
+
+// A session of a fresh `type` optimizer over `env`.
+SessionResult RunSession(TuningEnvironment* env, OptimizerType type,
+                         size_t iterations, uint64_t seed) {
+  OptimizerOptions options;
+  options.seed = seed;
+  std::unique_ptr<Optimizer> optimizer =
+      CreateOptimizer(type, env->space(), options);
+  return RunTuningSession(env, optimizer.get(), iterations);
 }
 
 TEST_F(SurrogateBenchmarkTest, SurrogateSessionImproves) {
-  const SessionResult result =
-      RunSurrogateSession(benchmark_.get(), OptimizerType::kSmac, 50, 8);
+  TuningEnvironment env(benchmark_.get());
+  const SessionResult result = RunSession(&env, OptimizerType::kSmac, 50, 8);
   EXPECT_EQ(result.improvement_trace.size(), 50u);
   EXPECT_GT(result.final_improvement, 0.0);
+  // The default is the first incumbent, so no prefix is worse than it.
+  for (double improvement : result.improvement_trace) {
+    EXPECT_GE(improvement, 0.0);
+  }
+  // Each surrogate query stands in for a restart + 3-minute stress test.
+  EXPECT_EQ(result.simulated_evaluation_seconds, 50 * 210.0);
 }
 
 TEST_F(SurrogateBenchmarkTest, PreservesOptimizerOrderingVsRandom) {
+  TuningEnvironment smac_env(benchmark_.get());
   const SessionResult smac =
-      RunSurrogateSession(benchmark_.get(), OptimizerType::kSmac, 60, 9);
-  const SessionResult random = RunSurrogateSession(
-      benchmark_.get(), OptimizerType::kRandomSearch, 60, 9);
+      RunSession(&smac_env, OptimizerType::kSmac, 60, 9);
+  TuningEnvironment random_env(benchmark_.get());
+  const SessionResult random =
+      RunSession(&random_env, OptimizerType::kRandomSearch, 60, 9);
   EXPECT_GE(smac.final_improvement, random.final_improvement - 1.0);
+}
+
+// Bitwise pins of the (clipped configuration, objective) sequence each
+// paper optimizer evaluates in a 40-iteration session on the benchmark,
+// at pool sizes 1/2/8. Recorded with a hand-written suggest/predict/
+// observe loop before surrogate sessions ran through TuningEnvironment;
+// any change to what a surrogate session feeds the optimizer, down to one
+// ulp, changes a hash.
+struct SurrogatePin {
+  OptimizerType type;
+  uint64_t hash;
+};
+
+constexpr size_t kPinIterations = 40;
+constexpr uint64_t kPinSeed = 11;
+
+const SurrogatePin kSurrogatePins[] = {
+    {OptimizerType::kVanillaBo, 0x9a8dde8768a4d593ULL},
+    {OptimizerType::kMixedKernelBo, 0xfebddf6f57fe36f3ULL},
+    {OptimizerType::kSmac, 0x5abd1478e89e8bc9ULL},
+    {OptimizerType::kTpe, 0x94abdfc15d4d9a46ULL},
+    {OptimizerType::kTurbo, 0x7ab7185ff462b747ULL},
+    {OptimizerType::kDdpg, 0xe4b7b7e5831dbbe4ULL},
+    {OptimizerType::kGa, 0xa3b4a5141b0543abULL},
+};
+
+TEST_F(SurrogateBenchmarkTest, SessionsMatchPins) {
+  ASSERT_EQ(std::size(kSurrogatePins), PaperOptimizers().size());
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    for (const SurrogatePin& pin : kSurrogatePins) {
+      TuningEnvironment env(benchmark_.get());
+      const SessionResult result =
+          RunSession(&env, pin.type, kPinIterations, kPinSeed);
+      ASSERT_EQ(env.history().size(), kPinIterations);
+      ASSERT_EQ(result.objective_trace.size(), kPinIterations);
+      testing::Fnv1a fnv;
+      // The default is the first incumbent (SYSBENCH: higher is better).
+      double best = env.default_objective();
+      for (size_t i = 0; i < kPinIterations; ++i) {
+        const Observation& observation = env.history()[i];
+        for (size_t j = 0; j < observation.config.size(); ++j) {
+          fnv.Add(observation.config[j]);
+        }
+        fnv.Add(observation.objective);
+        best = std::max(best, observation.objective);
+        EXPECT_EQ(result.objective_trace[i], best)
+            << OptimizerTypeName(pin.type) << " iteration " << i;
+      }
+      EXPECT_EQ(fnv.hash(), pin.hash)
+          << OptimizerTypeName(pin.type) << " pool=" << pool << " hash=0x"
+          << std::hex << fnv.hash();
+    }
+  }
 }
 
 TEST(SurrogateBenchmarkBuildTest, RejectsEmptyDataset) {

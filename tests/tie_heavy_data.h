@@ -16,9 +16,9 @@
 
 #include "knobs/catalog.h"
 #include "knobs/configuration_space.h"
+#include "pool_size_guard.h"
 #include "surrogate/regressor.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace dbtune {
 namespace testing {
@@ -79,20 +79,6 @@ class Fnv1a {
 
  private:
   uint64_t hash_ = 14695981039346656037ULL;
-};
-
-/// Sets the process-wide pool size; restores the previous size even when
-/// an assertion fails.
-class PoolSizeGuard {
- public:
-  explicit PoolSizeGuard(size_t n)
-      : original_(ExecutionContext::Get().num_threads()) {
-    ExecutionContext::Get().SetNumThreads(n);
-  }
-  ~PoolSizeGuard() { ExecutionContext::Get().SetNumThreads(original_); }
-
- private:
-  size_t original_;
 };
 
 }  // namespace testing
