@@ -17,6 +17,7 @@ int main() {
   const size_t total_iterations = ScaledIters(200, 80);
   const size_t phase_iterations = total_iterations / 4;
 
+  bool broken_trace = false;
   for (WorkloadId workload : {WorkloadId::kSysbench, WorkloadId::kJob}) {
     DbmsSimulator sim(workload, HardwareInstance::kB, 1);
     const ImportanceData data = CollectImportanceData(&sim, samples, 31);
@@ -37,10 +38,16 @@ int main() {
       DbmsSimulator fresh(workload, HardwareInstance::kB, 2);
       return RunIncrementalSession(&fresh, ranked, options).value();
     };
-    const IncrementalResult increasing =
-        run_incremental(IncreasingSchedule());
-    const IncrementalResult decreasing =
-        run_incremental(DecreasingSchedule());
+    const SessionResult increasing = run_incremental(IncreasingSchedule());
+    const SessionResult decreasing = run_incremental(DecreasingSchedule());
+    // Best-so-far over the default: never negative, never decreasing.
+    for (const SessionResult* result : {&increasing, &decreasing}) {
+      double previous = 0.0;
+      for (double improvement : result->improvement_trace) {
+        broken_trace |= improvement < previous;
+        previous = improvement;
+      }
+    }
 
     // Fixed baselines.
     const std::vector<size_t> top5(ranked.begin(), ranked.begin() + 5);
@@ -74,6 +81,11 @@ int main() {
                 WorkloadName(workload));
     table.Print();
     std::printf("\n");
+  }
+  if (broken_trace) {
+    std::printf("error: an incremental session's best-so-far improvement "
+                "decreased or went negative\n");
+    return 1;
   }
   return 0;
 }

@@ -38,11 +38,11 @@ Result<TuningDataset> CollectDataset(DbmsSimulator* simulator,
     std::unique_ptr<Optimizer> smac =
         CreateOptimizer(OptimizerType::kSmac, dataset.space,
                         optimizer_options);
-    for (size_t i = 0; i < options.optimizer_guided_samples; ++i) {
-      const Configuration config = smac->Suggest();
-      const Observation obs = env.Evaluate(config);
-      smac->ObserveWithMetrics(obs.config, obs.score, obs.internal_metrics);
-    }
+    // The dataset is the record; the session never binds the store.
+    SessionControls controls;
+    controls.store_path = "";
+    RunTuningSession(&env, smac.get(), options.optimizer_guided_samples,
+                     controls);
   }
 
   // Materialize: failed configurations take the worst successful

@@ -92,11 +92,8 @@ Observation TuningEnvironment::Record(Observation obs) {
 }
 
 double TuningEnvironment::ImprovementPercent() const {
-  return ImprovementPercentOf(best_objective_);
-}
-
-double TuningEnvironment::ImprovementPercentOf(double objective) const {
-  return RelativeGain(objective, default_objective_, evaluator_->objective()) *
+  return RelativeGain(best_objective_, default_objective_,
+                      evaluator_->objective()) *
          100.0;
 }
 

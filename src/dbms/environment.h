@@ -87,13 +87,9 @@ class TuningEnvironment {
   /// (def-best)/def for latency workloads.
   double ImprovementPercent() const;
 
-  /// Improvement percent of an arbitrary raw objective value vs. default.
-  double ImprovementPercentOf(double objective) const;
-
+ private:
   /// Converts a raw objective into maximize direction for this workload.
   double ScoreFromObjective(double objective) const;
-
- private:
   Configuration ToFullConfiguration(const Configuration& sub_config) const;
   /// The bookkeeping `Evaluate` and `Replay` share: fills in the score
   /// (the running worst for a failed `obs`, whose objective becomes 0),

@@ -1,9 +1,8 @@
 #include "importance/incremental.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "dbms/environment.h"
-#include "util/logging.h"
 
 namespace dbtune {
 
@@ -21,7 +20,7 @@ IncrementalOptions DecreasingSchedule(size_t iterations_per_phase) {
   return options;
 }
 
-Result<IncrementalResult> RunIncrementalSession(
+Result<SessionResult> RunIncrementalSession(
     DbmsSimulator* simulator, const std::vector<size_t>& ranked_knobs,
     const IncrementalOptions& options) {
   if (options.phase_sizes.empty()) {
@@ -33,81 +32,65 @@ Result<IncrementalResult> RunIncrementalSession(
     }
   }
 
-  IncrementalResult result;
-  double best_objective = 0.0;
-  double best_improvement = 0.0;
-  bool first_phase = true;
+  // Every phase would otherwise bind the store under the same default
+  // session id, replaying or truncating the previous phase's records.
+  SessionControls controls;
+  controls.store_path = "";
 
-  // Observations carried across phases, in full-space knob/value pairs.
-  struct CarriedObservation {
-    std::vector<std::pair<size_t, double>> values;  // (full knob id, value)
-    double score = 0.0;
-  };
-  std::vector<CarriedObservation> carried;
+  // `final_improvement` and `final_objective` hold the best so far.
+  SessionResult result;
+  // The previous phase's observations as full-space configurations.
+  std::vector<std::pair<Configuration, double>> carried;
 
-  uint64_t phase_seed = options.seed;
-  for (size_t size : options.phase_sizes) {
-    std::vector<size_t> knobs(ranked_knobs.begin(),
-                              ranked_knobs.begin() + static_cast<long>(size));
+  for (size_t p = 0; p < options.phase_sizes.size(); ++p) {
+    const std::vector<size_t> knobs(
+        ranked_knobs.begin(),
+        ranked_knobs.begin() + static_cast<long>(options.phase_sizes[p]));
     TuningEnvironment env(simulator, knobs);
-    if (first_phase) {
-      best_objective = env.default_objective();
-      best_improvement = 0.0;
-      first_phase = false;
-    }
+    if (p == 0) result.final_objective = env.default_objective();
 
     OptimizerOptions optimizer_options;
-    optimizer_options.seed = phase_seed++;
+    optimizer_options.seed = options.seed + p;
     std::unique_ptr<Optimizer> optimizer =
         CreateOptimizer(options.optimizer, env.space(), optimizer_options);
+    // Rewards are relative to the default from the first warm-start
+    // observation on (DDPG), so the reference comes first.
     optimizer->SetReferenceScore(env.default_score());
-
-    // Warm start with the previous phase's observations, re-expressed in
-    // this phase's subspace (missing knobs at their defaults).
-    const Configuration sub_default = env.space().Default();
-    for (const CarriedObservation& obs : carried) {
-      Configuration sub = sub_default;
-      for (const auto& [full_id, value] : obs.values) {
-        for (size_t i = 0; i < knobs.size(); ++i) {
-          if (knobs[i] == full_id) {
-            sub[i] = value;
-            break;
-          }
-        }
-      }
-      optimizer->Observe(sub, obs.score);
+    for (const auto& [full, score] : carried) {
+      std::vector<double> sub(knobs.size());
+      for (size_t i = 0; i < knobs.size(); ++i) sub[i] = full[knobs[i]];
+      optimizer->Observe(Configuration(std::move(sub)), score);
     }
 
-    for (size_t iter = 0; iter < options.iterations_per_phase; ++iter) {
-      const Configuration config = optimizer->Suggest();
-      const Observation obs = env.Evaluate(config);
-      optimizer->ObserveWithMetrics(obs.config, obs.score,
-                                    obs.internal_metrics);
-      if (!obs.failed) {
-        const double improvement = env.ImprovementPercentOf(obs.objective);
-        if (improvement > best_improvement) {
-          best_improvement = improvement;
-          best_objective = obs.objective;
-        }
+    const SessionResult phase = RunTuningSession(
+        &env, optimizer.get(), options.iterations_per_phase, controls);
+    const size_t offset = result.improvement_trace.size();
+    for (size_t i = 0; i < phase.improvement_trace.size(); ++i) {
+      if (phase.improvement_trace[i] > result.final_improvement) {
+        result.final_improvement = phase.improvement_trace[i];
+        result.final_objective = phase.objective_trace[i];
+        result.best_iteration = offset + i + 1;
       }
-      result.best_objective_trace.push_back(best_objective);
-      result.improvement_trace.push_back(best_improvement);
+      result.improvement_trace.push_back(result.final_improvement);
+      result.objective_trace.push_back(result.final_objective);
     }
+    result.algorithm_overhead_seconds += phase.algorithm_overhead_seconds;
+    result.per_iteration_overhead.insert(result.per_iteration_overhead.end(),
+                                         phase.per_iteration_overhead.begin(),
+                                         phase.per_iteration_overhead.end());
+    result.simulated_evaluation_seconds += phase.simulated_evaluation_seconds;
+    result.has_diagnostics = phase.has_diagnostics;
+    result.final_diagnostics = phase.final_diagnostics;
 
-    // Carry this phase's observations forward.
     carried.clear();
-    const std::vector<Observation>& history = env.history();
-    for (const Observation& obs : history) {
-      CarriedObservation c;
-      c.score = obs.score;
+    for (const Observation& observation : env.history()) {
+      Configuration full = simulator->space().Default();
       for (size_t i = 0; i < knobs.size(); ++i) {
-        c.values.emplace_back(knobs[i], obs.config[i]);
+        full[knobs[i]] = observation.config[i];
       }
-      carried.push_back(std::move(c));
+      carried.emplace_back(std::move(full), observation.score);
     }
   }
-
-  result.final_improvement = best_improvement;
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/tuning_session.h"
 #include "dbms/simulator.h"
 #include "optimizer/optimizer.h"
 
@@ -23,21 +24,18 @@ struct IncrementalOptions {
 IncrementalOptions IncreasingSchedule(size_t iterations_per_phase = 50);
 IncrementalOptions DecreasingSchedule(size_t iterations_per_phase = 50);
 
-/// Outcome of an incremental session.
-struct IncrementalResult {
-  /// Best raw objective after each iteration (global across phases).
-  std::vector<double> best_objective_trace;
-  /// Best-so-far improvement (%) after each iteration.
-  std::vector<double> improvement_trace;
-  double final_improvement = 0.0;
-};
-
 /// Runs one incremental knob-selection tuning session on `simulator`:
-/// each phase tunes the top `phase_sizes[p]` knobs of `ranked_knobs` with
-/// a fresh optimizer warm-started from the previous phase's observations
-/// (values of knobs leaving the set are dropped; knobs entering start at
-/// their defaults).
-[[nodiscard]] Result<IncrementalResult> RunIncrementalSession(
+/// each phase is one `RunTuningSession` over the top `phase_sizes[p]`
+/// knobs of `ranked_knobs`, with a fresh optimizer warm-started from the
+/// previous phase's observations (values of knobs leaving the set are
+/// dropped; knobs entering start at their catalog defaults).
+///
+/// The traces span all phases: each entry is the best found so far by
+/// any phase, every phase scoring against its own default measurement,
+/// and an earlier best wins ties. Per-iteration overheads are
+/// concatenated and simulated seconds summed; diagnostics are the last
+/// phase's. The phases never bind the durable store.
+[[nodiscard]] Result<SessionResult> RunIncrementalSession(
     DbmsSimulator* simulator, const std::vector<size_t>& ranked_knobs,
     const IncrementalOptions& options);
 

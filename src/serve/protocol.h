@@ -65,6 +65,12 @@ inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 inline constexpr uint32_t kMaxInitialDesign = 10000;
 inline constexpr uint32_t kMaxAcquisitionCandidates = 65536;
 
+// Observe limits: `config` has the session space's arity and every value
+// lies in its knob's [min, max] domain (so is finite); `score`,
+// `objective` and each internal metric are finite. Anything else is
+// answered with InvalidArgument, and nothing is stored or learned, so an
+// out-of-domain value never reaches the WAL.
+
 /// Opens a tuning session. `space_name` must have been registered with
 /// the serving SessionManager; the client measures its DBMS default
 /// configuration itself and ships the score here (the server never
@@ -106,7 +112,8 @@ struct SuggestResponse {
 
 /// Reports an evaluated configuration back. Mirrors dbtune::Observation;
 /// `config` must be the clipped configuration actually applied (what the
-/// standalone loop's environment records).
+/// standalone loop's environment records), within the observe limits
+/// above.
 struct ObserveRequest {
   std::string session_id;
   std::vector<double> config;

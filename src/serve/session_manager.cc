@@ -41,21 +41,22 @@ obs::Gauge& ActiveGauge() {
   return gauge;
 }
 
-// A non-finite value would be appended to the WAL and sealed into the
+// An invalid value would be appended to the WAL and sealed into the
 // session's transfer task, and a NaN or infinite score turns every later
 // standardized score of the session into NaN (they share the mean).
-[[nodiscard]] Status ValidateFinite(const Observation& observation) {
+// `space.Validate` checks the configuration's arity and that each value
+// is finite and inside its knob's domain.
+[[nodiscard]] Status ValidateObservation(const ConfigurationSpace& space,
+                                         const Observation& observation) {
+  if (const Status config = space.Validate(observation.config); !config.ok()) {
+    return Status::InvalidArgument("observation configuration: " +
+                                   config.message());
+  }
   if (!std::isfinite(observation.score)) {
     return Status::InvalidArgument("observation score is not finite");
   }
   if (!std::isfinite(observation.objective)) {
     return Status::InvalidArgument("observation objective is not finite");
-  }
-  for (double value : observation.config.values()) {
-    if (!std::isfinite(value)) {
-      return Status::InvalidArgument("observation configuration value is "
-                                     "not finite");
-    }
   }
   for (double value : observation.internal_metrics) {
     if (!std::isfinite(value)) {
@@ -232,13 +233,7 @@ Status SessionManager::Observe(const std::string& id,
     return Status::FailedPrecondition(
         "session '" + id + "' has no outstanding suggestion to observe");
   }
-  if (observation.config.size() != session->space.dimension()) {
-    return Status::InvalidArgument(
-        "observation dimension " + std::to_string(observation.config.size()) +
-        " does not match session space dimension " +
-        std::to_string(session->space.dimension()));
-  }
-  DBTUNE_RETURN_IF_ERROR(ValidateFinite(observation));
+  DBTUNE_RETURN_IF_ERROR(ValidateObservation(session->space, observation));
   DBTUNE_RETURN_IF_ERROR(session->core->Observe(observation));
   ++session->observed;
   session->suggestion_outstanding = false;

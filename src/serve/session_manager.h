@@ -98,9 +98,10 @@ class SessionManager {
 
   /// Reports the evaluated outcome of the outstanding suggestion.
   /// `observation.config` must be the clipped configuration actually
-  /// applied (dimension-checked against the session's space). A NaN or
-  /// infinite score, objective, configuration value or internal metric is
-  /// InvalidArgument, and nothing is stored or learned.
+  /// applied. A configuration of the wrong arity or with a value outside
+  /// its knob's domain (NaN and ±Inf included), or a NaN or infinite
+  /// score, objective or internal metric, is InvalidArgument, and nothing
+  /// is stored or learned.
   [[nodiscard]] Status Observe(const std::string& id,
                                const Observation& observation);
 

@@ -1,5 +1,6 @@
 #include "transfer/fine_tune.h"
 
+#include "core/tuning_session.h"
 #include "dbms/environment.h"
 #include "dbms/simulator.h"
 #include "util/logging.h"
@@ -22,6 +23,11 @@ Result<DdpgOptimizer::Weights> PretrainDdpgOnSources(
     return Status::InvalidArgument("need at least one source workload");
   }
 
+  // Every source would otherwise bind the store under the same default
+  // session id, replaying or truncating the previous source's records.
+  SessionControls controls;
+  controls.store_path = "";
+
   DdpgOptimizer::Weights weights;
   bool have_weights = false;
   uint64_t seed = options.seed;
@@ -35,14 +41,7 @@ Result<DdpgOptimizer::Weights> PretrainDdpgOnSources(
     if (have_weights) {
       DBTUNE_RETURN_IF_ERROR(ddpg.ImportWeights(weights));
     }
-    ddpg.SetReferenceScore(env.default_score());
-
-    for (size_t iter = 0; iter < options.iterations_per_source; ++iter) {
-      const Configuration config = ddpg.Suggest();
-      const Observation obs = env.Evaluate(config);
-      ddpg.ObserveWithMetrics(obs.config, obs.score, obs.internal_metrics);
-    }
-
+    RunTuningSession(&env, &ddpg, options.iterations_per_source, controls);
     weights = ddpg.ExportWeights();
     have_weights = true;
     if (repository != nullptr) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/tuning_session.h"
+#include "importance/incremental.h"
 #include "knobs/catalog.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -146,6 +147,34 @@ TEST(EnvStartupSet, ExplicitOffOverridesTheEnvironment) {
                                   kStore}) {
     EXPECT_FALSE(std::filesystem::exists(path)) << path;
   }
+}
+
+// A helper that runs one inner session per phase never binds the process
+// store: each phase would otherwise resume the previous phase's records
+// under the default session id. Two identical runs therefore replay
+// nothing, match bitwise, and leave no store behind.
+TEST(EnvStartupSet, IncrementalSessionsNeverBindTheStore) {
+  std::filesystem::create_directories(kDir);
+  RemoveOutputs();
+  auto run = [] {
+    DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                      HardwareInstance::kB, 5);
+    std::vector<size_t> ranking(sim.space().dimension());
+    for (size_t i = 0; i < ranking.size(); ++i) ranking[i] = i;
+    IncrementalOptions options;
+    options.phase_sizes = {3, 6};
+    options.iterations_per_phase = kIterations;
+    options.seed = 6;
+    return RunIncrementalSession(&sim, ranking, options).value();
+  };
+  const SessionResult first = run();
+  const SessionResult second = run();
+  ASSERT_EQ(first.improvement_trace.size(), 2 * kIterations);
+  EXPECT_EQ(first.improvement_trace, second.improvement_trace);
+  EXPECT_EQ(first.objective_trace, second.objective_trace);
+  EXPECT_EQ(first.replayed_iterations, 0u);
+  EXPECT_EQ(second.replayed_iterations, 0u);
+  EXPECT_FALSE(std::filesystem::exists(kStore));
 }
 
 }  // namespace

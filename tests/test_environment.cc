@@ -73,12 +73,16 @@ TEST(EnvironmentTest, ImprovementPercentDirectionAware) {
   DbmsSimulator sim(WorkloadId::kJob, HardwareInstance::kB, 1);
   TuningEnvironment env(&sim);
   // Halving latency = 50% improvement.
-  EXPECT_NEAR(env.ImprovementPercentOf(env.default_objective() / 2.0), 50.0,
-              1e-9);
+  EXPECT_NEAR(RelativeGain(env.default_objective() / 2.0,
+                           env.default_objective(), sim.objective()) *
+                  100.0,
+              50.0, 1e-9);
   DbmsSimulator sim2(WorkloadId::kTpcc, HardwareInstance::kB, 1);
   TuningEnvironment env2(&sim2);
   // Doubling throughput = 100% improvement.
-  EXPECT_NEAR(env2.ImprovementPercentOf(2.0 * env2.default_objective()),
+  EXPECT_NEAR(RelativeGain(2.0 * env2.default_objective(),
+                           env2.default_objective(), sim2.objective()) *
+                  100.0,
               100.0, 1e-9);
 }
 

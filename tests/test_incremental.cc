@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "knobs/catalog.h"
+#include "pool_size_guard.h"
+#include "tie_heavy_data.h"
 
 namespace dbtune {
 namespace {
@@ -44,7 +48,7 @@ TEST(IncrementalTest, IncreasingSessionRunsAndIsMonotone) {
   options.phase_sizes = {5, 10};
   options.iterations_per_phase = 15;
   options.seed = 3;
-  Result<IncrementalResult> result =
+  Result<SessionResult> result =
       RunIncrementalSession(&sim, GroundTruthRanking(sim), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->improvement_trace.size(), 30u);
@@ -53,6 +57,20 @@ TEST(IncrementalTest, IncreasingSessionRunsAndIsMonotone) {
   }
   EXPECT_DOUBLE_EQ(result->final_improvement,
                    result->improvement_trace.back());
+  // Each phase's session accounting is concatenated.
+  EXPECT_EQ(result->per_iteration_overhead.size(), 30u);
+  EXPECT_GT(result->simulated_evaluation_seconds, 0.0);
+  EXPECT_EQ(result->replayed_iterations, 0u);
+  if (result->final_improvement > 0.0) {
+    const size_t best = result->best_iteration;
+    ASSERT_GE(best, 1u);
+    ASSERT_LE(best, 30u);
+    EXPECT_EQ(result->improvement_trace[best - 1], result->final_improvement);
+    if (best > 1) {
+      EXPECT_LT(result->improvement_trace[best - 2],
+                result->final_improvement);
+    }
+  }
 }
 
 TEST(IncrementalTest, DecreasingSessionRuns) {
@@ -61,10 +79,10 @@ TEST(IncrementalTest, DecreasingSessionRuns) {
   options.phase_sizes = {20, 10, 5};
   options.iterations_per_phase = 10;
   options.seed = 5;
-  Result<IncrementalResult> result =
+  Result<SessionResult> result =
       RunIncrementalSession(&sim, GroundTruthRanking(sim), options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->best_objective_trace.size(), 30u);
+  EXPECT_EQ(result->objective_trace.size(), 30u);
   EXPECT_GE(result->final_improvement, 0.0);
 }
 
@@ -75,10 +93,92 @@ TEST(IncrementalTest, FindsImprovementOnImportantKnobs) {
   options.iterations_per_phase = 20;
   options.optimizer = OptimizerType::kSmac;
   options.seed = 7;
-  Result<IncrementalResult> result =
+  Result<SessionResult> result =
       RunIncrementalSession(&sim, GroundTruthRanking(sim), options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->final_improvement, 10.0);
+}
+
+// FNV-1a over the improvement trace, then the objective trace.
+uint64_t HashTraces(const SessionResult& result) {
+  testing::Fnv1a fnv;
+  for (double v : result.improvement_trace) fnv.Add(v);
+  for (double v : result.objective_trace) fnv.Add(v);
+  return fnv.hash();
+}
+
+struct SchedulePin {
+  WorkloadId workload;
+  bool increasing;
+  uint64_t hash;
+};
+
+// Both paper schedules at 8 iterations per phase, vanilla BO over the
+// ground-truth ranking, at pool sizes 1/2/8.
+TEST(IncrementalTest, SchedulesMatchPins) {
+  const SchedulePin pins[] = {
+      {WorkloadId::kSysbench, true, 0x6ccab318be17feffULL},
+      {WorkloadId::kSysbench, false, 0xbcdb07f3e7908386ULL},
+      {WorkloadId::kJob, true, 0x5960e7eae062ceb7ULL},
+      {WorkloadId::kJob, false, 0xce72675f7b02448dULL},
+  };
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    for (const SchedulePin& pin : pins) {
+      DbmsSimulator sim(pin.workload, HardwareInstance::kB, 21);
+      IncrementalOptions options =
+          pin.increasing ? IncreasingSchedule(8) : DecreasingSchedule(8);
+      options.seed = 22;
+      Result<SessionResult> result =
+          RunIncrementalSession(&sim, GroundTruthRanking(sim), options);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->improvement_trace.size(), 32u);
+      EXPECT_EQ(HashTraces(*result), pin.hash)
+          << WorkloadName(pin.workload) << " increasing=" << pin.increasing
+          << " pool=" << pool << " hash=0x" << std::hex
+          << HashTraces(*result);
+    }
+  }
+}
+
+// A SMAC run whose ranking puts the buffer pool 6th, so it enters in the
+// second phase of the increasing schedule. Phases are longer than the
+// optimizer's 10-point initial design, so the model learns from the
+// warm-start observations.
+TEST(IncrementalTest, LateBufferPoolMatchesPin) {
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 23);
+    const size_t bp = *sim.space().KnobIndex("innodb_buffer_pool_size");
+    std::vector<size_t> ranking = GroundTruthRanking(sim);
+    ranking.erase(std::find(ranking.begin(), ranking.end(), bp));
+    ranking.insert(ranking.begin() + 5, bp);
+    IncrementalOptions options = IncreasingSchedule(16);
+    options.optimizer = OptimizerType::kSmac;
+    options.seed = 24;
+    Result<SessionResult> result =
+        RunIncrementalSession(&sim, ranking, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(HashTraces(*result), 0xf082bd2ffa384013ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << HashTraces(*result);
+  }
+}
+
+// DDPG's rewards are relative to the reference score, which each phase
+// sets before the warm-start observations.
+TEST(IncrementalTest, DdpgSessionMatchesPin) {
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 27);
+    IncrementalOptions options = IncreasingSchedule(16);
+    options.optimizer = OptimizerType::kDdpg;
+    options.seed = 28;
+    Result<SessionResult> result =
+        RunIncrementalSession(&sim, GroundTruthRanking(sim), options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(HashTraces(*result), 0x0a9f3d57ded3af2cULL)
+        << "pool=" << pool << " hash=0x" << std::hex << HashTraces(*result);
+  }
 }
 
 }  // namespace

@@ -1037,7 +1037,7 @@ TEST(ServeFrameServerTest, NonFiniteObservationsAreRejected) {
       observes[s].internal_metrics = outcome.internal_metrics;
     }
     if (iter == 4 || iter == 11) {
-      std::vector<serve::ObserveRequest> bad(6, observes[0]);
+      std::vector<serve::ObserveRequest> bad(8, observes[0]);
       bad[0].score = kNan;
       bad[1].score = kInf;
       bad[2].score = -kInf;
@@ -1045,6 +1045,9 @@ TEST(ServeFrameServerTest, NonFiniteObservationsAreRejected) {
       bad[4].config[1] = kNan;
       bad[5].internal_metrics.assign(
           std::max<size_t>(1, bad[5].internal_metrics.size()), kInf);
+      // Finite but outside the knob's domain.
+      bad[6].config[0] = 1e300;
+      bad[7].config[1] = -1e300;
       std::string batch;
       for (const serve::ObserveRequest& request : bad) {
         batch += serve::EncodeObserve(next_request++, request);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "benchmk/data_collector.h"
 #include "core/tuning_session.h"
 #include "knobs/catalog.h"
@@ -42,6 +44,39 @@ TEST(DataCollectorTest, OptimizerGuidedSamplesAdded) {
       CollectDataset(&sim, FirstKnobs(sim.space().dimension()), options);
   ASSERT_TRUE(dataset.ok());
   EXPECT_EQ(dataset->unit_x.size(), 80u);
+}
+
+// A collection over 20 knobs that include the buffer pool, with SMAC-
+// guided samples, at pool sizes 1/2/8. The samples and the recorded
+// default are hashed apart.
+TEST(DataCollectorTest, GuidedDatasetMatchesPins) {
+  for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
+    const testing::PoolSizeGuard guard(pool);
+    DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 25);
+    const size_t bp = *sim.space().KnobIndex("innodb_buffer_pool_size");
+    std::vector<size_t> knobs = sim.surface().importance_ranking();
+    knobs.resize(20);
+    ASSERT_EQ(std::find(knobs.begin(), knobs.end(), bp), knobs.end());
+    knobs.back() = bp;
+    CollectionOptions options;
+    options.lhs_samples = 40;
+    options.optimizer_guided_samples = 12;
+    options.seed = 26;
+    Result<TuningDataset> dataset = CollectDataset(&sim, knobs, options);
+    ASSERT_TRUE(dataset.ok());
+    ASSERT_EQ(dataset->unit_x.size(), 52u);
+    testing::Fnv1a samples;
+    for (const std::vector<double>& row : dataset->unit_x) {
+      for (double v : row) samples.Add(v);
+    }
+    for (double v : dataset->objectives) samples.Add(v);
+    testing::Fnv1a default_config;
+    for (double v : dataset->default_config.values()) default_config.Add(v);
+    EXPECT_EQ(samples.hash(), 0xcc920174afb590f6ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << samples.hash();
+    EXPECT_EQ(default_config.hash(), 0x10d6049b0aca4940ULL)
+        << "pool=" << pool << " hash=0x" << std::hex << default_config.hash();
+  }
 }
 
 TEST(DataCollectorTest, FailedConfigsGetWorstObjective) {
