@@ -22,7 +22,7 @@ Result<TuningDataset> CollectDataset(DbmsSimulator* simulator,
   TuningDataset dataset;
   dataset.space = env.space();
   dataset.objective_kind = simulator->workload().objective;
-  dataset.default_config = dataset.space.Default();
+  dataset.default_config = env.default_config();
   dataset.default_objective = env.default_objective();
 
   Rng rng(options.seed);

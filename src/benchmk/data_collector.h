@@ -20,7 +20,8 @@ struct TuningDataset {
   /// the worst successful objective (the paper's substitution rule).
   std::vector<double> objectives;
   ObjectiveKind objective_kind = ObjectiveKind::kThroughput;
-  /// The deployment default and its measured objective.
+  /// The deployment default as measured (the environment's effective
+  /// default, `TuningEnvironment::default_config()`) and its objective.
   Configuration default_config;
   double default_objective = 0.0;
   /// Simulated wall-clock seconds the collection would have cost on the

@@ -32,12 +32,12 @@ TuningEnvironment::TuningEnvironment(Evaluator* evaluator,
   worst_score_ = default_score_;
   best_score_ = default_score_;
   best_objective_ = default_objective_;
-  // The default in subspace coordinates seeds `best_config_`.
   std::vector<double> sub(knob_indices_.size());
   for (size_t i = 0; i < knob_indices_.size(); ++i) {
     sub[i] = base_config_[knob_indices_[i]];
   }
-  best_config_ = Configuration(std::move(sub));
+  default_config_ = Configuration(std::move(sub));
+  best_config_ = default_config_;
 }
 
 double TuningEnvironment::ScoreFromObjective(double objective) const {

@@ -63,6 +63,10 @@ class TuningEnvironment {
   /// must already be clipped into this environment's subspace.
   Observation Replay(const Observation& recorded);
 
+  /// The effective default in subspace coordinates: the configuration
+  /// measured at construction and the first incumbent. Knobs outside the
+  /// subspace stay at the effective default too.
+  const Configuration& default_config() const { return default_config_; }
   /// Maximize-direction score of the default configuration.
   double default_score() const { return default_score_; }
   /// Raw objective of the default configuration.
@@ -100,6 +104,7 @@ class TuningEnvironment {
   std::vector<size_t> knob_indices_;
   ConfigurationSpace subspace_;
   Configuration base_config_;  // effective default (full space)
+  Configuration default_config_;
 
   double default_objective_ = 0.0;
   double default_score_ = 0.0;

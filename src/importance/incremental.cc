@@ -40,7 +40,11 @@ Result<SessionResult> RunIncrementalSession(
   // `final_improvement` and `final_objective` hold the best so far.
   SessionResult result;
   // The previous phase's observations as full-space configurations.
+  // Knobs outside that phase stay at the effective default, which is
+  // where its environment pinned them and where the next phase's
+  // environment measures them (`TuningEnvironment::default_config()`).
   std::vector<std::pair<Configuration, double>> carried;
+  const Configuration effective_default = simulator->EffectiveDefault();
 
   for (size_t p = 0; p < options.phase_sizes.size(); ++p) {
     const std::vector<size_t> knobs(
@@ -84,7 +88,7 @@ Result<SessionResult> RunIncrementalSession(
 
     carried.clear();
     for (const Observation& observation : env.history()) {
-      Configuration full = simulator->space().Default();
+      Configuration full = effective_default;
       for (size_t i = 0; i < knobs.size(); ++i) {
         full[knobs[i]] = observation.config[i];
       }

@@ -28,7 +28,8 @@ IncrementalOptions DecreasingSchedule(size_t iterations_per_phase = 50);
 /// each phase is one `RunTuningSession` over the top `phase_sizes[p]`
 /// knobs of `ranked_knobs`, with a fresh optimizer warm-started from the
 /// previous phase's observations (values of knobs leaving the set are
-/// dropped; knobs entering start at their catalog defaults).
+/// dropped; knobs entering start at the measured default,
+/// `TuningEnvironment::default_config()`).
 ///
 /// The traces span all phases: each entry is the best found so far by
 /// any phase, every phase scoring against its own default measurement,

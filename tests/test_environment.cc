@@ -33,6 +33,17 @@ TEST(EnvironmentTest, SubsetTuningPinsOtherKnobs) {
   EXPECT_EQ(obs.config.size(), 3u);
 }
 
+TEST(EnvironmentTest, DefaultConfigIsTheEffectiveDefault) {
+  DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 1);
+  const size_t bp = *sim.space().KnobIndex("innodb_buffer_pool_size");
+  const TuningEnvironment env(&sim, {bp});
+  ASSERT_EQ(env.default_config().size(), 1u);
+  EXPECT_EQ(env.default_config()[0], sim.EffectiveDefault()[bp]);
+  // The subspace's catalog default is not what was measured.
+  EXPECT_NE(env.default_config()[0], env.space().Default()[0]);
+  EXPECT_EQ(env.best_config(), env.default_config());
+}
+
 TEST(EnvironmentTest, FailedConfigGetsWorstSeenScore) {
   DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 1);
   const size_t bp = *sim.space().KnobIndex("innodb_buffer_pool_size");

@@ -159,7 +159,7 @@ TEST(IncrementalTest, LateBufferPoolMatchesPin) {
     Result<SessionResult> result =
         RunIncrementalSession(&sim, ranking, options);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(HashTraces(*result), 0xf082bd2ffa384013ULL)
+    EXPECT_EQ(HashTraces(*result), 0xf4597057ff2bc288ULL)
         << "pool=" << pool << " hash=0x" << std::hex << HashTraces(*result);
   }
 }

@@ -74,7 +74,7 @@ TEST(DataCollectorTest, GuidedDatasetMatchesPins) {
     for (double v : dataset->default_config.values()) default_config.Add(v);
     EXPECT_EQ(samples.hash(), 0xcc920174afb590f6ULL)
         << "pool=" << pool << " hash=0x" << std::hex << samples.hash();
-    EXPECT_EQ(default_config.hash(), 0x10d6049b0aca4940ULL)
+    EXPECT_EQ(default_config.hash(), 0x57663a6c1f2f5a05ULL)
         << "pool=" << pool << " hash=0x" << std::hex << default_config.hash();
   }
 }
