@@ -38,7 +38,8 @@ Result<TuningDataset> CollectDataset(DbmsSimulator* simulator,
     std::unique_ptr<Optimizer> smac =
         CreateOptimizer(OptimizerType::kSmac, dataset.space,
                         optimizer_options);
-    // The dataset is the record; the session never binds the store.
+    // The dataset is the record. Bound to the store, the session would
+    // share the default session id with every other unlabelled session.
     SessionControls controls;
     controls.store_path = "";
     RunTuningSession(&env, smac.get(), options.optimizer_guided_samples,

@@ -64,9 +64,11 @@ class TuningEnvironment {
   Observation Replay(const Observation& recorded);
 
   /// The effective default in subspace coordinates: the configuration
-  /// measured at construction and the first incumbent. Knobs outside the
-  /// subspace stay at the effective default too.
+  /// measured at construction and the first incumbent.
   const Configuration& default_config() const { return default_config_; }
+  /// The full-space configuration a subspace configuration is evaluated
+  /// as: every knob outside the subspace at the effective default.
+  Configuration ToFullConfiguration(const Configuration& sub_config) const;
   /// Maximize-direction score of the default configuration.
   double default_score() const { return default_score_; }
   /// Raw objective of the default configuration.
@@ -94,7 +96,6 @@ class TuningEnvironment {
  private:
   /// Converts a raw objective into maximize direction for this workload.
   double ScoreFromObjective(double objective) const;
-  Configuration ToFullConfiguration(const Configuration& sub_config) const;
   /// The bookkeeping `Evaluate` and `Replay` share: fills in the score
   /// (the running worst for a failed `obs`, whose objective becomes 0),
   /// updates the worst and best, and appends to `history_`.

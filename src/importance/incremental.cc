@@ -39,12 +39,10 @@ Result<SessionResult> RunIncrementalSession(
 
   // `final_improvement` and `final_objective` hold the best so far.
   SessionResult result;
-  // The previous phase's observations as full-space configurations.
-  // Knobs outside that phase stay at the effective default, which is
-  // where its environment pinned them and where the next phase's
-  // environment measures them (`TuningEnvironment::default_config()`).
+  // The previous phase's observations as full-space configurations, as
+  // they were evaluated: knobs outside that phase at the effective
+  // default, which is also where the next phase measures its default.
   std::vector<std::pair<Configuration, double>> carried;
-  const Configuration effective_default = simulator->EffectiveDefault();
 
   for (size_t p = 0; p < options.phase_sizes.size(); ++p) {
     const std::vector<size_t> knobs(
@@ -57,9 +55,6 @@ Result<SessionResult> RunIncrementalSession(
     optimizer_options.seed = options.seed + p;
     std::unique_ptr<Optimizer> optimizer =
         CreateOptimizer(options.optimizer, env.space(), optimizer_options);
-    // Rewards are relative to the default from the first warm-start
-    // observation on (DDPG), so the reference comes first.
-    optimizer->SetReferenceScore(env.default_score());
     for (const auto& [full, score] : carried) {
       std::vector<double> sub(knobs.size());
       for (size_t i = 0; i < knobs.size(); ++i) sub[i] = full[knobs[i]];
@@ -70,6 +65,7 @@ Result<SessionResult> RunIncrementalSession(
         &env, optimizer.get(), options.iterations_per_phase, controls);
     const size_t offset = result.improvement_trace.size();
     for (size_t i = 0; i < phase.improvement_trace.size(); ++i) {
+      // Strict: the carried best wins ties.
       if (phase.improvement_trace[i] > result.final_improvement) {
         result.final_improvement = phase.improvement_trace[i];
         result.final_objective = phase.objective_trace[i];
@@ -83,16 +79,14 @@ Result<SessionResult> RunIncrementalSession(
                                          phase.per_iteration_overhead.begin(),
                                          phase.per_iteration_overhead.end());
     result.simulated_evaluation_seconds += phase.simulated_evaluation_seconds;
+    result.replayed_iterations += phase.replayed_iterations;
     result.has_diagnostics = phase.has_diagnostics;
     result.final_diagnostics = phase.final_diagnostics;
 
     carried.clear();
     for (const Observation& observation : env.history()) {
-      Configuration full = effective_default;
-      for (size_t i = 0; i < knobs.size(); ++i) {
-        full[knobs[i]] = observation.config[i];
-      }
-      carried.emplace_back(std::move(full), observation.score);
+      carried.emplace_back(env.ToFullConfiguration(observation.config),
+                           observation.score);
     }
   }
   return result;

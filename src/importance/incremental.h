@@ -34,8 +34,9 @@ IncrementalOptions DecreasingSchedule(size_t iterations_per_phase = 50);
 /// The traces span all phases: each entry is the best found so far by
 /// any phase, every phase scoring against its own default measurement,
 /// and an earlier best wins ties. Per-iteration overheads are
-/// concatenated and simulated seconds summed; diagnostics are the last
-/// phase's. The phases never bind the durable store.
+/// concatenated, simulated seconds and replayed iterations summed;
+/// diagnostics are the last phase's. The phases never bind the durable
+/// store.
 [[nodiscard]] Result<SessionResult> RunIncrementalSession(
     DbmsSimulator* simulator, const std::vector<size_t>& ranked_knobs,
     const IncrementalOptions& options);

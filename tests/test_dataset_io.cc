@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "benchmk/data_collector.h"
 #include "benchmk/surrogate_benchmark.h"
 #include "dbms/environment.h"
 #include "knobs/catalog.h"
@@ -50,6 +49,12 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->objective_kind, original.objective_kind);
   EXPECT_DOUBLE_EQ(loaded->default_objective, original.default_objective);
   EXPECT_EQ(loaded->default_config, original.default_config);
+  // The recorded default is the measured one (the buffer pool at its
+  // effective default), not the catalog default.
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  EXPECT_EQ(original.default_config, TuningEnvironment(&sim).default_config());
+  EXPECT_NE(original.default_config, original.space.Default());
   ASSERT_EQ(loaded->unit_x.size(), original.unit_x.size());
   for (size_t r = 0; r < original.unit_x.size(); ++r) {
     EXPECT_DOUBLE_EQ(loaded->objectives[r], original.objectives[r]);
@@ -181,29 +186,6 @@ TEST(DatasetIoTest, RejectsDataAfterEndMarker) {
   Result<TuningDataset> loaded = LoadTuningDataset(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
-// The recorded default is the one the environment measured (buffer pool
-// at its effective default, not its catalog default), and it survives a
-// save/load round trip.
-TEST(DatasetIoTest, MeasuredDefaultSurvivesRoundTrip) {
-  DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 7);
-  const size_t bp = *sim.space().KnobIndex("innodb_buffer_pool_size");
-  const std::vector<size_t> knobs = {bp};
-  CollectionOptions options;
-  options.lhs_samples = 20;
-  const TuningDataset dataset = CollectDataset(&sim, knobs, options).value();
-  DbmsSimulator fresh(WorkloadId::kSysbench, HardwareInstance::kB, 7);
-  const TuningEnvironment env(&fresh, knobs);
-  EXPECT_EQ(dataset.default_config, env.default_config());
-  EXPECT_EQ(dataset.default_config[0], sim.EffectiveDefault()[bp]);
-
-  const std::string path = TempPath("measured_default.dbtune");
-  ASSERT_TRUE(SaveTuningDataset(dataset, path).ok());
-  Result<TuningDataset> loaded = LoadTuningDataset(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->default_config, dataset.default_config);
-  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, CategoricalKnobsSurviveRoundTrip) {

@@ -164,8 +164,9 @@ TEST(IncrementalTest, LateBufferPoolMatchesPin) {
   }
 }
 
-// DDPG's rewards are relative to the reference score, which each phase
-// sets before the warm-start observations.
+// DDPG through every phase: the warm-start observations give each
+// phase's agent its history, and its rewards start with the phase's
+// first suggestion.
 TEST(IncrementalTest, DdpgSessionMatchesPin) {
   for (const size_t pool : {size_t{1}, size_t{2}, size_t{8}}) {
     const testing::PoolSizeGuard guard(pool);
