@@ -1,17 +1,14 @@
-// Surrogate scaling micro-bench for the GP incremental-fit, batched-
-// predict, and sparse-tier paths (PERF acceptance: >= 5x on non-hyperopt
-// sequential fits at n = 500, >= 2x on batched acquisition scoring,
-// >= 10x on the sparse fit at n = 10000 against the cubic-extrapolated
-// exact fit), plus SMAC's random-forest fit (`forest_fit`: d = 20 and
-// d = 197 over snapped MySQL configurations).
+// Surrogate scaling micro-bench for the GP incremental-fit and batched-
+// predict paths (PERF acceptance: >= 5x on non-hyperopt sequential fits
+// at n = 500, >= 2x on batched acquisition scoring), plus SMAC's
+// random-forest fit (`forest_fit`: d = 20 and d = 197 over snapped MySQL
+// configurations).
 // Emits JSON lines to stdout and writes them to DBTUNE_BENCH_GP_REPORT
 // (default BENCH_GP.json in the working directory) for CI artifacts; exits
 // non-zero when a row says identical:false or the report cannot be
 // written. Every row records the effective thread-pool size (`threads`),
 // which honours DBTUNE_NUM_THREADS. Quick mode: DBTUNE_BENCH_SCALE below
-// 0.3 shrinks sizes proportionally. DBTUNE_BENCH_SIZES (comma-separated n
-// list, taken literally) overrides the sparse_fit sizes, and
-// DBTUNE_BENCH_EXACT_MAX caps the largest directly-measured exact fit.
+// 0.3 shrinks sizes proportionally.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,7 +23,6 @@
 #include "obs/metrics.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/random_forest.h"
-#include "surrogate/sparse_gaussian_process.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -172,138 +168,6 @@ void BenchBatchedPredict() {
   g_report.Emit(line);
 }
 
-// Parses a comma-separated list of sizes from `env_name`; returns
-// `fallback` when unset/empty.
-std::vector<size_t> SizesFromEnv(const char* env_name,
-                                 std::vector<size_t> fallback) {
-  const char* env = std::getenv(env_name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  std::vector<size_t> sizes;
-  size_t value = 0;
-  bool in_number = false;
-  for (const char* p = env;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      value = value * 10 + static_cast<size_t>(*p - '0');
-      in_number = true;
-    } else {
-      if (in_number) sizes.push_back(value);
-      value = 0;
-      in_number = false;
-      if (*p == '\0') break;
-    }
-  }
-  return sizes.empty() ? fallback : sizes;
-}
-
-// Single-combo hyper-parameter grids so the exact baseline and the
-// sparse tier pay for one factorization each — the O(n^3) vs O(n*m^2)
-// comparison, not a grid-size comparison.
-GaussianProcessOptions OneShotOptions() {
-  GaussianProcessOptions options;
-  options.lengthscale_grid = {0.4};
-  options.noise_grid = {1e-4};
-  options.enable_incremental = false;
-  return options;
-}
-
-double TimeExactFit(const FeatureMatrix& x, const std::vector<double>& y) {
-  GaussianProcess gp(std::make_unique<Matern52Kernel>(), OneShotOptions());
-  const double start = obs::MonotonicSeconds();
-  if (!gp.Fit(x, y).ok()) {
-    std::fprintf(stderr, "exact baseline fit failed\n");
-    std::exit(1);
-  }
-  return obs::MonotonicSeconds() - start;
-}
-
-// Fits the sparse GP at the given pool size and returns the fingerprint
-// used for the cross-pool bitwise identity check: LML, inducing indices,
-// and predictions on `queries`.
-std::vector<double> SparseFingerprint(const FeatureMatrix& x,
-                                      const std::vector<double>& y,
-                                      const FeatureMatrix& queries,
-                                      size_t pool_size) {
-  const size_t original = ExecutionContext::Get().num_threads();
-  ExecutionContext::Get().SetNumThreads(pool_size);
-  SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(),
-                           OneShotOptions());
-  if (!gp.Fit(x, y).ok()) {
-    std::fprintf(stderr, "sparse fit failed\n");
-    std::exit(1);
-  }
-  std::vector<double> out = {gp.log_marginal_likelihood()};
-  for (size_t id : gp.inducing_indices()) {
-    out.push_back(static_cast<double>(id));
-  }
-  std::vector<double> means, vars;
-  gp.PredictMeanVarBatch(queries, &means, &vars);
-  out.insert(out.end(), means.begin(), means.end());
-  out.insert(out.end(), vars.begin(), vars.end());
-  ExecutionContext::Get().SetNumThreads(original);
-  return out;
-}
-
-// The sparse-tier headline: fit cost at n = 10k..100k against the exact
-// GP, which is measured directly up to DBTUNE_BENCH_EXACT_MAX and
-// extrapolated cubically (t ∝ n³) beyond it. Each row also sweeps pool
-// sizes {1, 2, 8} and checks the results are bitwise identical.
-void BenchSparseFit() {
-  const std::vector<size_t> sizes = SizesFromEnv(
-      "DBTUNE_BENCH_SIZES",
-      {Effective(10000, 1500), Effective(30000, 4000),
-       Effective(100000, 12000)});
-  const size_t exact_max =
-      SizesFromEnv("DBTUNE_BENCH_EXACT_MAX", {Effective(2000, 400)})[0];
-  const size_t d = 20;
-
-  // Cubic calibration point for sizes past the exact ceiling.
-  const FeatureMatrix cal_x = RandomInputs(exact_max, d, 307);
-  const double cal_s = TimeExactFit(cal_x, SyntheticTargets(cal_x));
-
-  for (size_t n : sizes) {
-    const FeatureMatrix x = RandomInputs(n, d, 311 + n);
-    const std::vector<double> y = SyntheticTargets(x);
-    const FeatureMatrix queries = RandomInputs(32, d, 313);
-
-    SparseGaussianProcess gp(std::make_unique<Matern52Kernel>(),
-                             OneShotOptions());
-    const double start = obs::MonotonicSeconds();
-    if (!gp.Fit(x, y).ok()) {
-      std::fprintf(stderr, "sparse fit failed\n");
-      std::exit(1);
-    }
-    const double sparse_s = obs::MonotonicSeconds() - start;
-
-    double exact_s = 0.0;
-    const char* exact_mode = nullptr;
-    if (n <= exact_max) {
-      exact_s = TimeExactFit(x, y);
-      exact_mode = "measured";
-    } else {
-      const double ratio =
-          static_cast<double>(n) / static_cast<double>(exact_max);
-      exact_s = cal_s * ratio * ratio * ratio;
-      exact_mode = "extrapolated";
-    }
-
-    const std::vector<double> pool1 = SparseFingerprint(x, y, queries, 1);
-    const bool identical = pool1 == SparseFingerprint(x, y, queries, 2) &&
-                           pool1 == SparseFingerprint(x, y, queries, 8);
-
-    char line[512];
-    std::snprintf(
-        line, sizeof(line),
-        "{\"bench\":\"gp_scaling\",\"task\":\"sparse_fit\",\"n\":%zu,"
-        "\"m\":%zu,\"threads\":%zu,\"sparse_s\":%.6f,\"exact_s\":%.6f,"
-        "\"exact_mode\":\"%s\",\"speedup_vs_exact\":%.2f,\"identical\":%s}"
-        "\n",
-        n, gp.num_inducing(), ExecutionContext::Get().num_threads(), sparse_s,
-        exact_s, exact_mode, sparse_s > 0.0 ? exact_s / sparse_s : 0.0,
-        identical ? "true" : "false");
-    g_report.Emit(line);
-  }
-}
-
 // SMAC's forest (src/optimizer/smac.cc): 30 trees, 2*round(sqrt(d))
 // features per split.
 RandomForestOptions SmacForestOptions() {
@@ -410,18 +274,16 @@ void BenchForestFit() {
 }  // namespace dbtune
 
 int main() {
-  dbtune::bench::Banner("GP incremental-fit, batched-predict, sparse-tier "
-                        "and forest-fit scaling",
+  dbtune::bench::Banner("GP incremental-fit, batched-predict and forest-fit "
+                        "scaling",
                         "sequential BO fits at n in {100,250,500}, d=20; "
                         "acquisition scoring of 2000 candidates at n=500; "
-                        "sparse (FITC) fits at n in {10k,30k,100k}; SMAC "
-                        "forest fits at d=20 and d=197");
+                        "SMAC forest fits at d=20 and d=197");
   // The incremental-fit counter proves the bordered-append path actually
   // ran (the identity check alone would also pass on silent fallback).
   dbtune::obs::SetMetricsEnabled(true);
   dbtune::BenchSequentialFits();
   dbtune::BenchBatchedPredict();
-  dbtune::BenchSparseFit();
   dbtune::BenchForestFit();
   return dbtune::g_report.Finish("DBTUNE_BENCH_GP_REPORT", "BENCH_GP.json");
 }

@@ -111,12 +111,7 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
   // --- Assemble the recommendation.
   report.best_objective = env.best_objective();
   report.improvement_percent = env.ImprovementPercent();
-  Configuration full = simulator->EffectiveDefault();
-  const Configuration& best_sub = env.best_config();
-  for (size_t i = 0; i < report.selected_knobs.size(); ++i) {
-    full[report.selected_knobs[i]] = best_sub[i];
-  }
-  report.best_config = full;
+  report.best_config = env.ToFullConfiguration(env.best_config());
   return report;
 }
 

@@ -29,8 +29,6 @@ TuningDiagnostics::TuningDiagnostics(std::string session_label)
                                            : std::move(session_label)) {
   base_gp_fits_ = HistogramCount("gp.fit");
   base_incremental_ = HistogramCount("gp.fit.incremental");
-  base_sparse_ = HistogramCount("gp.fit.sparse");
-  base_escalations_ = CounterValue("surrogate.tier.escalations");
   base_hyperopt_ = CounterValue("gp.hyperopt.runs");
 }
 
@@ -38,9 +36,6 @@ void TuningDiagnostics::ReadInfraCounters(IterationDiagnostics* out) {
   out->gp_fits = HistogramCount("gp.fit") - base_gp_fits_;
   out->incremental_fits =
       HistogramCount("gp.fit.incremental") - base_incremental_;
-  out->sparse_fits = HistogramCount("gp.fit.sparse") - base_sparse_;
-  out->sparse_escalations =
-      CounterValue("surrogate.tier.escalations") - base_escalations_;
   out->hyperopt_runs = CounterValue("gp.hyperopt.runs") - base_hyperopt_;
   out->incremental_fit_rate =
       out->gp_fits == 0 ? 0.0

@@ -18,7 +18,7 @@ namespace dbtune::obs {
 
 /// Version of the additive `diag_*` fields appended to the session JSONL
 /// when diagnostics are on (see SessionLogger). Bump on any layout change.
-inline constexpr int kDiagnosticsSchemaVersion = 1;
+inline constexpr int kDiagnosticsSchemaVersion = 2;
 
 /// What the optimizer knew before the observation: the surrogate's
 /// predictive distribution at the suggested point (raw score units) and
@@ -69,8 +69,6 @@ struct IterationDiagnostics {
   // counters (zero when metrics recording is off).
   uint64_t gp_fits = 0;
   uint64_t incremental_fits = 0;
-  uint64_t sparse_fits = 0;
-  uint64_t sparse_escalations = 0;
   uint64_t hyperopt_runs = 0;
   /// incremental_fits / gp_fits within the session window.
   double incremental_fit_rate = 0.0;
@@ -124,8 +122,6 @@ class TuningDiagnostics {
   // so health stats are session-window deltas.
   uint64_t base_gp_fits_ = 0;
   uint64_t base_incremental_ = 0;
-  uint64_t base_sparse_ = 0;
-  uint64_t base_escalations_ = 0;
   uint64_t base_hyperopt_ = 0;
 
   // Per-session labeled handles, resolved lazily on first publish.

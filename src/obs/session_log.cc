@@ -63,14 +63,13 @@ void SessionLogger::Log(const SessionIterationRecord& record) {
              "\"cum_regret\":%.9g,"
              "\"stall\":%zu,\"ewma_improve\":%.9g,\"acq_best\":%.9g,"
              "\"acq_spread\":%.9g,\"inc_fit_rate\":%.9g,"
-             "\"sparse_escalations\":%llu,\"hyperopt_runs\":%llu",
+             "\"hyperopt_runs\":%llu",
              kDiagnosticsSchemaVersion, d.has_prediction ? 1 : 0,
              d.standardized_residual, d.nlpd, d.coverage68, d.coverage95,
              d.simple_regret, d.cumulative_regret,
              d.iterations_since_improvement, d.improvement_ewma,
              d.acquisition_best, d.acquisition_spread,
              d.incremental_fit_rate,
-             static_cast<unsigned long long>(d.sparse_escalations),
              static_cast<unsigned long long>(d.hyperopt_runs)) >= 0;
   }
   ok = ok && std::fputs("}\n", file_) >= 0;

@@ -12,13 +12,11 @@ namespace dbtune {
 /// GP refit on the (standardized) history each iteration, and Expected
 /// Improvement maximized over a random + local candidate pool. Subclasses
 /// only choose the kernel; the surrogate itself comes from
-/// `CreateGpSurrogate`, so long histories escalate to the sparse tier
-/// automatically (past `GaussianProcessOptions::sparse_crossover`).
+/// `CreateGpSurrogate`.
 class GpBoOptimizer : public Optimizer {
  public:
-  /// `kernel` is shared by both GP tiers; `gp_options` tunes the fit
-  /// (tests use it to compare the incremental and full fit paths, and to
-  /// force a tier through `sparse_crossover`).
+  /// `gp_options` tunes the fit (tests use it to compare the incremental
+  /// and full fit paths).
   GpBoOptimizer(const ConfigurationSpace& space, OptimizerOptions options,
                 std::shared_ptr<const Kernel> kernel,
                 GaussianProcessOptions gp_options = {});

@@ -50,14 +50,30 @@ Optimizer::Optimizer(const ConfigurationSpace& space, OptimizerOptions options,
 
 Configuration Optimizer::Suggest() {
   suggest_info_ = {};
-  if (suggest_key_ == nullptr) return DoSuggest();
+  if (suggest_key_ == nullptr) return FiniteOrUniform(DoSuggest());
   if (suggest_hist_ == nullptr) {
     suggest_hist_ = &obs::MetricsRegistry::Get().histogram(
         std::string("optimizer.suggest.") + suggest_key_);
   }
   obs::ScopedLatency latency(suggest_hist_);
   const obs::TraceSpan span(std::string(suggest_key_) + ".suggest");
-  return DoSuggest();
+  return FiniteOrUniform(DoSuggest());
+}
+
+Configuration Optimizer::FiniteOrUniform(Configuration config) {
+  for (double value : config.values()) {
+    if (std::isfinite(value)) continue;
+    if (obs::MetricsEnabled()) {
+      static obs::Counter& nonfinite =
+          obs::MetricsRegistry::Get().counter("optimizer.suggest.nonfinite");
+      nonfinite.Increment();
+    }
+    // Like GP-BO's degenerate-fit path: a random point, and no model
+    // diagnostics, since they describe the discarded suggestion.
+    suggest_info_ = {};
+    return space_.SampleUniform(rng_);
+  }
+  return config;
 }
 
 void Optimizer::ObserveWithMetrics(const Configuration& config, double score,

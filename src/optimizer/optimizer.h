@@ -117,7 +117,9 @@ class Optimizer {
   /// Proposes the next configuration to evaluate: resets
   /// `last_suggest_info()` and runs `DoSuggest` inside the
   /// `optimizer.suggest.<key>` latency histogram and the `<key>.suggest`
-  /// trace span.
+  /// trace span. Never returns a non-finite value: such a suggestion is
+  /// replaced by a uniform sample (counted in
+  /// `optimizer.suggest.nonfinite`).
   Configuration Suggest();
 
   /// Reports the score of an evaluated configuration plus the DBMS
@@ -191,6 +193,10 @@ class Optimizer {
   std::vector<double> scores_;
 
  private:
+  /// `config` when every value is finite, else a uniform sample of the
+  /// space (the only branch that draws from `rng_`).
+  Configuration FiniteOrUniform(Configuration config);
+
   const char* const suggest_key_;
   /// Resolved on the first instrumented `Suggest()`.
   obs::Histogram* suggest_hist_ = nullptr;

@@ -10,10 +10,9 @@ namespace dbtune {
 
 /// Trust-region Bayesian optimization (Eriksson et al. 2019): several
 /// local GP models, each confined to a shrinking/expanding box around its
-/// incumbent and built by `CreateGpSurrogate` (regions usually hold few
-/// points, but the fallback fit over the whole history escalates to the
-/// sparse tier in long sessions, per the default `sparse_crossover`);
-/// Thompson sampling arbitrates between regions (the multi-armed-bandit
+/// incumbent and built by `CreateGpSurrogate` (a region holding fewer
+/// than 4 points falls back to a fit over the whole history); Thompson
+/// sampling arbitrates between regions (the multi-armed-bandit
 /// strategy). Local modeling avoids the over-exploration global GPs
 /// suffer in high dimensions.
 class TurboOptimizer final : public Optimizer {

@@ -1,6 +1,7 @@
 #ifndef DBTUNE_SERVE_PROTOCOL_H_
 #define DBTUNE_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -65,6 +66,11 @@ inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 inline constexpr uint32_t kMaxInitialDesign = 10000;
 inline constexpr uint32_t kMaxAcquisitionCandidates = 65536;
 
+/// Longest session id, in bytes: the id is kept in the session map,
+/// in every WAL observation frame and in the sealed task name. An empty
+/// or longer id is answered with InvalidArgument at create.
+inline constexpr size_t kMaxSessionIdBytes = 256;
+
 // Observe limits: `config` has the session space's arity and every value
 // lies in its knob's [min, max] domain (so is finite); `score`,
 // `objective` and each internal metric are finite. Anything else is
@@ -74,9 +80,10 @@ inline constexpr uint32_t kMaxAcquisitionCandidates = 65536;
 /// Opens a tuning session. `space_name` must have been registered with
 /// the serving SessionManager; the client measures its DBMS default
 /// configuration itself and ships the score here (the server never
-/// evaluates — it only suggests and learns). An unknown `optimizer_type`,
-/// a count of 0 candidates or past the limits above, or a non-finite
-/// `reference_score` is answered with InvalidArgument.
+/// evaluates — it only suggests and learns). An empty or over-long
+/// `session_id`, an unknown `optimizer_type`, a count of 0 candidates or
+/// past the limits above, or a non-finite `reference_score` is answered
+/// with InvalidArgument.
 struct CreateSessionRequest {
   std::string session_id;
   std::string space_name;
@@ -106,7 +113,9 @@ struct SuggestRequest {
 
 struct SuggestResponse {
   ResponseHeader header;
-  /// Suggested configuration, native-domain knob values.
+  /// Suggested configuration, native-domain knob values. Every value is
+  /// finite, whatever the session observed: an optimizer whose model
+  /// produces a non-finite point suggests a uniform sample instead.
   std::vector<double> config;
 };
 

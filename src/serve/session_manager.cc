@@ -142,6 +142,11 @@ Status SessionManager::CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed) {
   if (replayed != nullptr) *replayed = 0;
+  if (id.empty() || id.size() > kMaxSessionIdBytes) {
+    return Status::InvalidArgument("session id must be 1 to " +
+                                   std::to_string(kMaxSessionIdBytes) +
+                                   " bytes");
+  }
   const int type = static_cast<int>(options.optimizer_type);
   if (type < 0 || type > static_cast<int>(OptimizerType::kRandomSearch)) {
     return Status::InvalidArgument("unknown optimizer type " +

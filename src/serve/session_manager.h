@@ -78,7 +78,8 @@ class SessionManager {
   /// history that diverges from the re-suggested trajectory (recorded
   /// under another optimizer, seed, or code version) is truncated at the
   /// divergence and the session resumes from the matched prefix. Errors:
-  /// NotFound (unknown space); InvalidArgument (unknown optimizer type,
+  /// NotFound (unknown space); InvalidArgument (empty id or one longer
+  /// than kMaxSessionIdBytes, unknown optimizer type,
   /// `initial_design` above kMaxInitialDesign, `acquisition_candidates`
   /// of 0 or above kMaxAcquisitionCandidates, non-finite
   /// `reference_score`; limits in serve/protocol.h); FailedPrecondition

@@ -12,7 +12,6 @@ GpFitPolicy::GpFitPolicy(GaussianProcessOptions options)
     : options_(std::move(options)) {
   DBTUNE_CHECK(!options_.lengthscale_grid.empty());
   DBTUNE_CHECK(!options_.noise_grid.empty());
-  DBTUNE_CHECK(options_.num_inducing > 0);
 }
 
 bool GpFitPolicy::Begin(const std::vector<double>& y, bool stale) {

@@ -9,9 +9,7 @@
 
 namespace dbtune {
 
-/// Options of the GP surrogate: one struct for the exact tier, the sparse
-/// tier, and the tiered surrogate that escalates between them. Each field
-/// names the tier it applies to; the others ignore it.
+/// Options of the GP surrogate.
 struct GaussianProcessOptions {
   /// Lengthscale candidates for marginal-likelihood grid search.
   std::vector<double> lengthscale_grid = {0.1, 0.2, 0.4, 0.8, 1.6};
@@ -21,25 +19,14 @@ struct GaussianProcessOptions {
   /// between, reuse the last selected hyper-parameters (keeps the cubic
   /// cost of iterative BO in check). 1 = always.
   size_t hyperopt_every = 5;
-  /// Exact tier: extend the cached Cholesky factor by bordered append
-  /// when a non-hyperopt `Fit` receives the previous training set plus
-  /// new rows (O(n^2) instead of O(n^3); bit-identical to a full refit).
-  /// Off is only useful as a baseline for benchmarks and equivalence
-  /// tests.
+  /// Extend the cached Cholesky factor by bordered append when a
+  /// non-hyperopt `Fit` receives the previous training set plus new rows
+  /// (O(n^2) instead of O(n^3); bit-identical to a full refit). Off is
+  /// only useful as a baseline for benchmarks and equivalence tests.
   bool enable_incremental = true;
-  /// Sparse tier: number of inducing points m, clamped to the
-  /// training-set size. Fit is O(n·m²), predict O(m²).
-  size_t num_inducing = 64;
-  /// Tiered surrogate: largest history fitted by the exact GP; longer
-  /// histories go to the sparse tier. 0 forces the sparse tier, SIZE_MAX
-  /// the exact one. At 1024 rows an exact fit costs ~n³/3 flops (≈0.4
-  /// GFLOP) while a sparse fit is >25× cheaper, and the simulator regret
-  /// study (test_sparse_gp) shows no measurable regret gap at and below
-  /// the crossover.
-  size_t sparse_crossover = 1024;
 };
 
-/// The hyper-parameter fit policy of both GP tiers (DESIGN.md §8): target
+/// The hyper-parameter fit policy of the GP (DESIGN.md §8): target
 /// standardization, the grid-search cadence, the fit at the cached
 /// hyper-parameters with its fall-through to a full search, and the
 /// lengthscale-major grid sweep. A GP supplies two steps — prepare a
@@ -66,7 +53,7 @@ class GpFitPolicy {
                         const Factorize& factorize);
 
   /// Records a fit the GP made itself at the cached hyper-parameters (the
-  /// exact tier's bordered append).
+  /// bordered append).
   void Accept(double lml) {
     lml_ = lml;
     fitted_ = true;

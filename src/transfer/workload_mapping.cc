@@ -33,8 +33,8 @@ std::unique_ptr<Regressor> CreateBaseSurrogate(TransferBase base,
   }
   GaussianProcessOptions gp_options;
   gp_options.hyperopt_every = 5;
-  // Through the tiered factory so large source-task histories escalate
-  // to the sparse GP (RGPE fits one base surrogate per source task).
+  // Through the factory, the one GP construction point (RGPE fits one
+  // base surrogate per source task).
   return CreateGpSurrogate(
       std::make_unique<MixedKernel>(space.CategoricalMask()), gp_options);
 }

@@ -205,9 +205,9 @@ TEST(AnalyzeLegacyTest, GpConstructionCheckFiresInOptimizerFiles) {
   const auto findings =
       AnalyzeFile(FixturePath("optimizer/bad_gp_construction.cc"),
                   "optimizer/bad_gp_construction.cc");
-  // Direct ctor, make_unique, and the sparse class; the options struct,
-  // the factory call, and the allow() line are exempt.
-  EXPECT_EQ(CountCheck(findings, "gp-construction"), 3);
+  // Direct ctor and make_unique; the options struct, the factory call,
+  // and the allow() line are exempt.
+  EXPECT_EQ(CountCheck(findings, "gp-construction"), 2);
   for (const Diagnostic& d : findings) {
     EXPECT_EQ(d.check, "gp-construction") << FormatDiagnostic(d);
   }
@@ -590,9 +590,10 @@ TEST(AnalyzeTest, FixtureTreeFindsAllViolations) {
   EXPECT_EQ(CountCheck(findings, "include-guard"), 1);
   EXPECT_EQ(CountCheck(findings, "iostream"), 1);
   EXPECT_EQ(CountCheck(findings, "raw-timing"), 3);
-  // optimizer/ fixtures 3 + 3, transfer/ fixture 1 + 1.
+  // predict-in-loop: optimizer/ fixture 3, transfer/ fixture 1;
+  // gp-construction: optimizer/ fixture 2, transfer/ fixture 1.
   EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 4);
-  EXPECT_EQ(CountCheck(findings, "gp-construction"), 4);
+  EXPECT_EQ(CountCheck(findings, "gp-construction"), 3);
   EXPECT_EQ(CountCheck(findings, "metrics-export"), 3);
   // New determinism checks: true positives only, near-misses quiet.
   EXPECT_EQ(CountCheck(findings, "thread-local-capture"), 2);

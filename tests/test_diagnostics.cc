@@ -368,7 +368,7 @@ TEST_F(DiagnosticsTest, SessionDiagnosticsGoldenByteIdentical) {
   EXPECT_EQ(prom_a, prom_b);
 
   // Every line carries the versioned diag fields.
-  EXPECT_NE(log_a.find("\"diag_v\":1,"), std::string::npos);
+  EXPECT_NE(log_a.find("\"diag_v\":2,"), std::string::npos);
   EXPECT_NE(log_a.find("\"cum_regret\":"), std::string::npos);
 
   // The report library ingests the log without malformed lines.
@@ -378,7 +378,7 @@ TEST_F(DiagnosticsTest, SessionDiagnosticsGoldenByteIdentical) {
   EXPECT_EQ(parsed.malformed_lines, 0u);
   ASSERT_FALSE(parsed.rows.empty());
   EXPECT_TRUE(parsed.rows.back().has_diagnostics);
-  EXPECT_EQ(parsed.rows.back().diag_version, 1);
+  EXPECT_EQ(parsed.rows.back().diag_version, 2);
 
   // The exported snapshot carries the per-session labeled series.
   EXPECT_NE(
@@ -412,18 +412,17 @@ TEST_F(DiagnosticsTest, ReportRenderingIsDeterministic) {
   jsonl +=
       "{\"iter\":1,\"suggest_s\":0.001000000,\"evaluate_s\":1.000000000,"
       "\"observe_s\":0.000500000,\"score\":-5,\"best_score\":-5,"
-      "\"improvement_pct\":0,\"diag_v\":1,\"pred\":0,\"zres\":0,\"nlpd\":0,"
+      "\"improvement_pct\":0,\"diag_v\":2,\"pred\":0,\"zres\":0,\"nlpd\":0,"
       "\"cov68\":0,\"cov95\":0,\"regret\":0,\"cum_regret\":0,\"stall\":0,"
       "\"ewma_improve\":0,\"acq_best\":0,\"acq_spread\":0,"
-      "\"inc_fit_rate\":0,\"sparse_escalations\":0,\"hyperopt_runs\":0}\n";
+      "\"inc_fit_rate\":0,\"hyperopt_runs\":0}\n";
   jsonl +=
       "{\"iter\":2,\"suggest_s\":0.002000000,\"evaluate_s\":1.100000000,"
       "\"observe_s\":0.000600000,\"score\":-3,\"best_score\":-3,"
-      "\"improvement_pct\":40,\"diag_v\":1,\"pred\":1,\"zres\":0.5,"
+      "\"improvement_pct\":40,\"diag_v\":2,\"pred\":1,\"zres\":0.5,"
       "\"nlpd\":1.25,\"cov68\":1,\"cov95\":1,\"regret\":0,\"cum_regret\":0,"
       "\"stall\":0,\"ewma_improve\":0.4,\"acq_best\":0.8,"
-      "\"acq_spread\":0.1,\"inc_fit_rate\":0.5,\"sparse_escalations\":1,"
-      "\"hyperopt_runs\":2}\n";
+      "\"acq_spread\":0.1,\"inc_fit_rate\":0.5,\"hyperopt_runs\":2}\n";
   jsonl += "this line is not json\n";
 
   const dbtune_report::SessionData session =
@@ -433,7 +432,6 @@ TEST_F(DiagnosticsTest, ReportRenderingIsDeterministic) {
   EXPECT_FALSE(session.rows[0].has_prediction);
   EXPECT_TRUE(session.rows[1].has_prediction);
   EXPECT_DOUBLE_EQ(session.rows[1].standardized_residual, 0.5);
-  EXPECT_EQ(session.rows[1].sparse_escalations, 1ull);
   EXPECT_EQ(session.rows[1].hyperopt_runs, 2ull);
 
   const std::string report =
@@ -447,7 +445,7 @@ TEST_F(DiagnosticsTest, ReportRenderingIsDeterministic) {
   EXPECT_NE(report.find("### Convergence"), std::string::npos);
   EXPECT_NE(report.find("- 68% interval coverage: 1 (nominal 0.683)"),
             std::string::npos);
-  EXPECT_NE(report.find("- sparse-tier escalations: 1"), std::string::npos);
+  EXPECT_NE(report.find("- hyper-parameter searches: 2"), std::string::npos);
   EXPECT_NE(report.find("| synthetic | suggest |"), std::string::npos);
   // A diagnostics-free session renders the summary table only.
   dbtune_report::SessionData plain = session;

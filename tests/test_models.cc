@@ -10,8 +10,6 @@
 #include "surrogate/knn.h"
 #include "surrogate/random_forest.h"
 #include "surrogate/ridge.h"
-#include "surrogate/sparse_gaussian_process.h"
-#include "surrogate/surrogate_factory.h"
 #include "surrogate/svr.h"
 #include "tie_heavy_data.h"
 #include "util/random.h"
@@ -292,17 +290,6 @@ INSTANTIATE_TEST_SUITE_P(
                          return std::unique_ptr<Regressor>(
                              std::make_unique<GaussianProcess>(
                                  std::make_unique<Matern52Kernel>()));
-                       })),
-        std::make_pair("sparse_gp",
-                       Factory([] {
-                         return std::unique_ptr<Regressor>(
-                             std::make_unique<SparseGaussianProcess>(
-                                 std::make_unique<Matern52Kernel>()));
-                       })),
-        std::make_pair("tiered_gp",
-                       Factory([] {
-                         return CreateGpSurrogate(
-                             std::make_unique<Matern52Kernel>());
                        }))),
     [](const ::testing::TestParamInfo<std::pair<const char*, Factory>>& info) {
       return info.param.first;

@@ -19,8 +19,6 @@
 #include "pool_size_guard.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/random_forest.h"
-#include "surrogate/sparse_gaussian_process.h"
-#include "surrogate/surrogate_factory.h"
 #include "tie_heavy_data.h"
 #include "transfer/repository.h"
 #include "transfer/rgpe.h"
@@ -86,40 +84,6 @@ TEST(ParallelDeterminismTest, GaussianProcessFitAndPredict) {
     return out;
   };
   EXPECT_EQ(run(1), run(4));
-}
-
-// The sparse tier parallelizes inducing selection, the chunked assembly
-// of the m×m system, and batched prediction; all of it must be bitwise
-// reproducible across pool sizes 1/2/8 (the acceptance sweep for
-// DBTUNE_NUM_THREADS).
-TEST(ParallelDeterminismTest, SparseGaussianProcessFitAndPredict) {
-  const FeatureMatrix x = MakeInputs(300, 5, 59);
-  const std::vector<double> y = MakeTargets(x);
-  const FeatureMatrix queries = MakeInputs(40, 5, 61);
-
-  auto run = [&](size_t pool_size) {
-    PoolSizeGuard guard(pool_size);
-    SparseGaussianProcess gp(std::make_unique<Matern52Kernel>());
-    EXPECT_TRUE(gp.Fit(x, y).ok());
-    std::vector<double> out = {gp.log_marginal_likelihood()};
-    for (size_t id : gp.inducing_indices()) {
-      out.push_back(static_cast<double>(id));
-    }
-    for (const auto& q : queries) {
-      double mean = 0.0, var = 0.0;
-      gp.PredictMeanVar(q, &mean, &var);
-      out.push_back(mean);
-      out.push_back(var);
-    }
-    std::vector<double> means, vars;
-    gp.PredictMeanVarBatch(queries, &means, &vars);
-    out.insert(out.end(), means.begin(), means.end());
-    out.insert(out.end(), vars.begin(), vars.end());
-    return out;
-  };
-  const std::vector<double> pool1 = run(1);
-  EXPECT_EQ(pool1, run(2));
-  EXPECT_EQ(pool1, run(8));
 }
 
 // Continuous inputs, then tie-heavy ones (duplicate rows, categorical
@@ -234,40 +198,6 @@ TEST(ParallelDeterminismTest, GpBoTrajectoryCrossesIncrementalAppends) {
   EXPECT_EQ(baseline, run(1, /*incremental=*/true));
   EXPECT_EQ(baseline, run(2, /*incremental=*/true));
   EXPECT_EQ(baseline, run(8, /*incremental=*/true));
-}
-
-// GP-BO forced onto the sparse tier: suggestion-by-suggestion bitwise
-// equality across the acceptance pool sweep {1, 2, 8}.
-TEST(ParallelDeterminismTest, SparseTierGpBoTrajectory) {
-  struct TestGpBo final : GpBoOptimizer {
-    using GpBoOptimizer::GpBoOptimizer;
-    std::string name() const override { return "Sparse GP-BO"; }
-  };
-  auto run = [](size_t pool_size) {
-    PoolSizeGuard guard(pool_size);
-    const ConfigurationSpace space = MakeContinuousSpace(4);
-    OptimizerOptions options;
-    options.seed = 67;
-    GaussianProcessOptions gp_options;
-    gp_options.sparse_crossover = 0;
-    gp_options.num_inducing = 12;
-    TestGpBo optimizer(space, options, std::make_unique<Matern52Kernel>(),
-                       gp_options);
-    std::vector<double> trace;
-    for (int i = 0; i < 20; ++i) {
-      const Configuration c = optimizer.Suggest();
-      double score = 0.0;
-      for (size_t j = 0; j < c.size(); ++j) {
-        score -= (c[j] - 0.6) * (c[j] - 0.6);
-      }
-      optimizer.Observe(c, score);
-      for (size_t j = 0; j < c.size(); ++j) trace.push_back(c[j]);
-    }
-    return trace;
-  };
-  const std::vector<double> pool1 = run(1);
-  EXPECT_EQ(pool1, run(2));
-  EXPECT_EQ(pool1, run(8));
 }
 
 // The projected wrapper adds the embedding decode on top of the inner

@@ -19,9 +19,12 @@
 
 #include "core/tuning_session.h"
 #include "dbms/environment.h"
+#include "dbms/simulator.h"
 #include "knobs/catalog.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "optimizer/optimizer.h"
 #include "pool_size_guard.h"
 #include "serve/batch_scheduler.h"
 #include "serve/frame_server.h"
@@ -214,6 +217,29 @@ TEST(ServeEqualityTest, ServedMatchesStandaloneAcrossPoolsAndWidths) {
       }
     }
   }
+
+  // Observability stays invisible on the served path: the same sessions
+  // with metrics recording and tracing on match the standalone
+  // (observability-off) histories bitwise.
+  const obs::ScopedMetricsForTest metrics;
+  obs::SetTraceEnabled(true);
+  obs::ClearTrace();
+  for (size_t pool : {1u, 2u, 8u}) {
+    PoolSizeGuard guard(pool);
+    const auto served = ServedHistories(specs, iterations, 8);
+    for (size_t s = 0; s < specs.size(); ++s) {
+      ExpectBitwiseEqual(standalone[s], served[s],
+                         specs[s].id + " observed pool=" +
+                             std::to_string(pool));
+    }
+  }
+  EXPECT_GT(obs::TraceEventCount(), 0u);
+  const obs::Histogram* suggests =
+      obs::MetricsRegistry::Get().FindHistogram("serve.suggest.latency");
+  ASSERT_NE(suggests, nullptr);
+  EXPECT_EQ(suggests->count(), 3 * iterations * specs.size());
+  obs::SetTraceEnabled(false);
+  obs::ClearTrace();
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +289,55 @@ TEST(ServeLifecycleTest, DoubleCreateDoubleCloseAndUseAfterCloseAreErrors) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(manager.CreateSession("a", SmallOptions()).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// The id bound is inclusive (empty and over-long ids are among the
+// rejected inputs of InvalidCreateParametersAreRejected).
+TEST(ServeLifecycleTest, LongestSessionIdIsAccepted) {
+  SessionManager manager;
+  manager.RegisterSpace("small", SmallSpace());
+  const std::string longest(serve::kMaxSessionIdBytes, 'x');
+  ASSERT_TRUE(manager.CreateSession(longest, SmallOptions()).ok());
+  EXPECT_TRUE(manager.Suggest(longest).ok());
+}
+
+// No suggestion is non-finite, whatever a session observed: every
+// optimizer type, fed all internal metrics at 1e300 (finite, so
+// accepted) for 64 iterations over the first 10 catalog knobs. DDPG's
+// networks overflow on that state; the optimizer base then suggests a
+// uniform sample, so every observe is accepted and the session never
+// wedges.
+TEST(ServeLifecycleTest, HugeMetricsNeverYieldNonFiniteSuggestions) {
+  DbmsSimulator simulator(WorkloadId::kSysbench, HardwareInstance::kB, 7);
+  TuningEnvironment env(&simulator, FirstKnobs(10));
+  SessionManager manager;
+  manager.RegisterSpace("catalog10", env.space());
+  for (int type = 0; type <= static_cast<int>(OptimizerType::kRandomSearch);
+       ++type) {
+    ServedSessionOptions options;
+    options.space_name = "catalog10";
+    options.optimizer_type = static_cast<OptimizerType>(type);
+    options.seed = 40 + static_cast<uint64_t>(type);
+    options.reference_score = env.default_score();
+    const std::string id = "huge-" + std::to_string(type);
+    const std::string label = OptimizerTypeName(options.optimizer_type);
+    ASSERT_TRUE(manager.CreateSession(id, options).ok()) << label;
+    for (size_t iter = 1; iter <= 64; ++iter) {
+      Result<Configuration> suggested = manager.Suggest(id);
+      ASSERT_TRUE(suggested.ok())
+          << label << " iteration " << iter << ": "
+          << suggested.status().ToString();
+      for (size_t k = 0; k < suggested->size(); ++k) {
+        ASSERT_TRUE(std::isfinite((*suggested)[k]))
+            << label << " iteration " << iter << " knob " << k;
+      }
+      Observation observation = env.Evaluate(*suggested);
+      observation.internal_metrics.assign(kNumInternalMetrics, 1e300);
+      const Status observed = manager.Observe(id, observation);
+      ASSERT_TRUE(observed.ok())
+          << label << " iteration " << iter << ": " << observed.ToString();
+    }
+  }
 }
 
 TEST(ServeLifecycleTest, SuggestObserveAlternationIsEnforced) {
@@ -859,9 +934,13 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   nan_reference.reference_score = std::nan("");
   serve::CreateSessionRequest inf_reference = create_request("inf-ref");
   inf_reference.reference_score = -HUGE_VAL;
+  const serve::CreateSessionRequest empty_id = create_request("");
+  const serve::CreateSessionRequest long_id =
+      create_request(std::string(serve::kMaxSessionIdBytes + 1, 'x'));
   const std::vector<serve::CreateSessionRequest> bad_creates = {
-      bad_type,    worst_type, no_pool,       huge_design,  over_design,
-      huge_pool,   over_pool,  nan_reference, inf_reference};
+      bad_type,      worst_type, no_pool,   huge_design,
+      over_design,   huge_pool,  over_pool, nan_reference,
+      inf_reference, empty_id,   long_id};
 
   for (size_t iter = 0; iter < iterations; ++iter) {
     // At iteration 5 every bad create, and a suggest for a session one of

@@ -70,10 +70,9 @@ const std::vector<CheckInfo>& Registry() {
        "src/transfer",
        "score candidate batches through PredictMeanVarBatch"},
       {"gp-construction", "warning",
-       "direct GaussianProcess/SparseGaussianProcess use under "
-       "src/optimizer or src/transfer",
-       "obtain GP surrogates through surrogate_factory's CreateGpSurrogate "
-       "so long histories escalate to the sparse tier"},
+       "direct GaussianProcess use under src/optimizer or src/transfer",
+       "obtain GP surrogates through surrogate_factory's CreateGpSurrogate, "
+       "the one construction point"},
       {"metrics-export", "warning",
        "direct registry snapshot/serialization outside src/obs",
        "render metrics through obs/metrics_export "
@@ -755,13 +754,11 @@ class Analyzer {
                      "every switch is parsed once, by one rule");
     }
 
-    if (rules_.model_user &&
-        (ident == "GaussianProcess" || ident == "SparseGaussianProcess")) {
+    if (rules_.model_user && ident == "GaussianProcess") {
       Report(t.line, "gp-construction",
-             "direct " + ident +
-                 " use in optimizer or transfer code — obtain GP surrogates "
-                 "through surrogate_factory's CreateGpSurrogate so long "
-                 "histories escalate to the sparse tier");
+             "direct GaussianProcess use in optimizer or transfer code — "
+             "obtain GP surrogates through surrogate_factory's "
+             "CreateGpSurrogate, the one construction point");
     }
 
     if (rules_.metrics_export &&

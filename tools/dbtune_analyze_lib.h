@@ -68,9 +68,9 @@
 ///   predict-in-loop — scalar PredictMeanVar inside a loop under
 ///                   src/optimizer or src/transfer; score batches via
 ///                   PredictMeanVarBatch
-///   gp-construction — direct GaussianProcess/SparseGaussianProcess use
-///                   under src/optimizer or src/transfer; obtain GP
-///                   surrogates from surrogate_factory's CreateGpSurrogate
+///   gp-construction — direct GaussianProcess use under src/optimizer or
+///                   src/transfer; obtain GP surrogates from
+///                   surrogate_factory's CreateGpSurrogate
 ///   metrics-export — MetricsSnapshot/ToJson outside src/obs; render
 ///                   metrics through obs/metrics_export
 ///

@@ -75,9 +75,6 @@ SessionData ParseSessionJsonl(const std::string& name,
       FindNumber(line, "acq_best", &row.acquisition_best);
       FindNumber(line, "acq_spread", &row.acquisition_spread);
       FindNumber(line, "inc_fit_rate", &row.incremental_fit_rate);
-      if (FindNumber(line, "sparse_escalations", &value)) {
-        row.sparse_escalations = static_cast<unsigned long long>(value);
-      }
       if (FindNumber(line, "hyperopt_runs", &value)) {
         row.hyperopt_runs = static_cast<unsigned long long>(value);
       }
@@ -196,8 +193,6 @@ std::string RenderMarkdownReport(const std::vector<SessionData>& sessions) {
     out += "### Model health\n\n";
     out += "- incremental fit rate: " +
            FormatNumber(last.incremental_fit_rate) + "\n";
-    out += "- sparse-tier escalations: " +
-           std::to_string(last.sparse_escalations) + "\n";
     out += "- hyper-parameter searches: " +
            std::to_string(last.hyperopt_runs) + "\n";
     out += "- acquisition best / spread: " +

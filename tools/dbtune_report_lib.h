@@ -33,7 +33,6 @@ struct IterationRow {
   double acquisition_best = 0.0;
   double acquisition_spread = 0.0;
   double incremental_fit_rate = 0.0;
-  unsigned long long sparse_escalations = 0;
   unsigned long long hyperopt_runs = 0;
 };
 
