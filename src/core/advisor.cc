@@ -36,8 +36,13 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
         merged_repository.AddTask(task);
       }
     }
-    store->ExportTasks(&merged_repository);
-    effective_repository = &merged_repository;
+    const Status exported = store->ExportTasks(&merged_repository);
+    if (exported.ok()) {
+      effective_repository = &merged_repository;
+    } else {
+      DBTUNE_LOG(kWarning) << "stored base tasks not loaded: "
+                           << exported.ToString();
+    }
   }
 
   // --- Step 1: collect observations over the full space.

@@ -1,5 +1,6 @@
 #include "core/session_core.h"
 
+#include <iterator>
 #include <utility>
 
 #include "core/tuning_session.h"
@@ -52,10 +53,10 @@ Status SessionCore::Begin() {
   if (store_ == nullptr) return Status::OK();
   DBTUNE_RETURN_IF_ERROR(
       store_->BeginSession(session_id_, optimizer_->space().dimension()));
-  const store::StoredSession* stored = store_->FindSession(session_id_);
-  if (stored != nullptr) {
-    records_.assign(stored->observations.begin(), stored->observations.end());
-  }
+  DBTUNE_ASSIGN_OR_RETURN(store::StoredSession stored,
+                          store_->FindSession(session_id_));
+  records_.assign(std::make_move_iterator(stored.observations.begin()),
+                  std::make_move_iterator(stored.observations.end()));
   return Status::OK();
 }
 

@@ -26,6 +26,13 @@ constexpr size_t kTrainStepsPerObserve = 8;
 constexpr double kNoiseSigmaInitial = 0.5;
 constexpr double kNoiseSigmaFinal = 0.03;
 constexpr double kNoiseDecayIterations = 150;
+/// Magnitude bound of each state entry, so a finite but huge metric
+/// cannot overflow the networks. Over 10 knobs and 3 seeds, constant
+/// states of ±1e1 to ±1e150 kept every suggestion finite for 150
+/// iterations, while ±1e160 overflowed the networks at the first train
+/// step; 1e6 keeps a wide margin. The simulator's metrics are
+/// tanh + N(0, 0.01), so |m| ≲ 1.1 and the clamp returns them bit for bit.
+constexpr double kStateBound = 1e6;
 
 std::vector<size_t> BuildLayers(size_t input, size_t output) {
   std::vector<size_t> layers(kHiddenLayers + 2, kHiddenWidth);
@@ -100,6 +107,9 @@ void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
 
   std::vector<double> next_state = metrics;
   next_state.resize(kStateDim, 0.0);
+  for (double& value : next_state) {
+    value = std::clamp(value, -kStateBound, kStateBound);
+  }
 
   if (has_pending_action_) {
     Transition transition;

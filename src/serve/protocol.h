@@ -76,6 +76,12 @@ inline constexpr size_t kMaxSessionIdBytes = 256;
 // `objective` and each internal metric are finite. Anything else is
 // answered with InvalidArgument, and nothing is stored or learned, so an
 // out-of-domain value never reaches the WAL.
+//
+// Internal metrics: any count is accepted. DDPG alone reads them, as its
+// state: it zero-pads or truncates them to kNumInternalMetrics and clamps
+// each to a fixed magnitude bound (`kStateBound` in optimizer/ddpg.cc),
+// so a finite but huge metric cannot overflow its networks. The other
+// optimizers ignore metrics.
 
 /// Opens a tuning session. `space_name` must have been registered with
 /// the serving SessionManager; the client measures its DBMS default

@@ -17,6 +17,7 @@ namespace dbtune::serve {
 /// written on lookup and read by the eviction sweep).
 struct ServedSession {
   Mutex mu;
+  /// Emptied at close, like `space`: a tombstone needs only `closed`.
   ServedSessionOptions options DBTUNE_GUARDED_BY(mu);
   /// The session's own copy of the registered space (stable even if the
   /// registry entry is later replaced).
@@ -261,6 +262,8 @@ Status SessionManager::CloseSession(const std::string& id) {
     }
     session->core.reset();
     session->closed = true;
+    session->space = ConfigurationSpace();
+    session->options = ServedSessionOptions();
   }
   MutexLock lock(&mu_);
   --open_sessions_;

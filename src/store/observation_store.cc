@@ -1,9 +1,11 @@
 #include "store/observation_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -14,6 +16,7 @@ namespace {
 
 constexpr size_t kWalHeaderBytes = 8;           // magic
 constexpr size_t kSnapshotHeaderBytes = 8 + 8;  // magic + covered lsn
+constexpr size_t kSealedLogHeaderBytes = 8;     // magic
 
 /// Reads the whole file into a string with one sized read; NotFound when
 /// it does not exist.
@@ -73,10 +76,124 @@ std::string EncodeTruncateSession(const std::string& id, uint64_t keep) {
   return enc.bytes();
 }
 
+struct ObservationRecord {
+  std::string id;
+  uint64_t iteration = 0;
+  Observation obs;
+};
+
+Result<ObservationRecord> DecodeObservation(std::string_view body) {
+  WalDecoder dec(body);
+  ObservationRecord record;
+  DBTUNE_ASSIGN_OR_RETURN(record.id, dec.ReadString());
+  DBTUNE_ASSIGN_OR_RETURN(record.iteration, dec.ReadU64());
+  DBTUNE_ASSIGN_OR_RETURN(std::vector<double> config, dec.ReadDoubles());
+  record.obs.config = Configuration(std::move(config));
+  DBTUNE_ASSIGN_OR_RETURN(record.obs.score, dec.ReadDouble());
+  DBTUNE_ASSIGN_OR_RETURN(record.obs.objective, dec.ReadDouble());
+  DBTUNE_ASSIGN_OR_RETURN(const uint8_t failed, dec.ReadU8());
+  record.obs.failed = failed != 0;
+  DBTUNE_ASSIGN_OR_RETURN(record.obs.internal_metrics, dec.ReadDoubles());
+  return record;
+}
+
+Result<SourceTask> DecodeTask(std::string_view body) {
+  WalDecoder dec(body);
+  SourceTask task;
+  DBTUNE_ASSIGN_OR_RETURN(task.name, dec.ReadString());
+  DBTUNE_ASSIGN_OR_RETURN(const uint64_t rows, dec.ReadU64());
+  task.unit_x.reserve(rows);
+  for (uint64_t r = 0; r < rows; ++r) {
+    DBTUNE_ASSIGN_OR_RETURN(std::vector<double> row, dec.ReadDoubles());
+    task.unit_x.push_back(std::move(row));
+  }
+  DBTUNE_ASSIGN_OR_RETURN(task.scores, dec.ReadDoubles());
+  DBTUNE_ASSIGN_OR_RETURN(task.metric_signature, dec.ReadDoubles());
+  return task;
+}
+
+Status DamagedEntry(const std::string& path, const std::string& id) {
+  return Status::Internal("damaged sealed-log entry for '" + id + "' in " +
+                          path);
+}
+
+/// Decodes a sealed session as the sealed log holds it: the begin frame,
+/// one frame per observation and the end frame, each CRC-checked.
+Result<StoredSession> DecodeSealedSession(std::string_view frames,
+                                          const std::string& path,
+                                          const std::string& id) {
+  StoredSession session;
+  bool begun = false;
+  bool ended = false;
+  // Any visitor error means a damaged entry; its message is not kept.
+  const Result<WalScanExtent> scan = ForEachWalFrame(
+      frames, 0, [&](const WalFrameView& frame) -> Status {
+        const Status damaged = Status::Internal("");
+        // One begin frame first, nothing after the end frame.
+        const bool is_begin = frame.type == WalRecordType::kBeginSession;
+        if (ended || begun == is_begin) return damaged;
+        WalDecoder dec(frame.body);
+        switch (frame.type) {
+          case WalRecordType::kBeginSession: {
+            DBTUNE_ASSIGN_OR_RETURN(session.id, dec.ReadString());
+            DBTUNE_ASSIGN_OR_RETURN(const uint64_t dimension, dec.ReadU64());
+            session.dimension = static_cast<size_t>(dimension);
+            begun = true;
+            return Status::OK();
+          }
+          case WalRecordType::kObservation: {
+            DBTUNE_ASSIGN_OR_RETURN(ObservationRecord record,
+                                    DecodeObservation(frame.body));
+            if (record.id != session.id ||
+                record.iteration != session.observations.size() + 1) {
+              return damaged;
+            }
+            session.observations.push_back(std::move(record.obs));
+            return Status::OK();
+          }
+          case WalRecordType::kEndSession: {
+            DBTUNE_ASSIGN_OR_RETURN(const std::string end_id, dec.ReadString());
+            ended = end_id == session.id;
+            return ended ? Status::OK() : damaged;
+          }
+          default:
+            return damaged;
+        }
+      });
+  if (!scan.ok() || scan->torn_tail || !ended || session.id != id) {
+    return DamagedEntry(path, id);
+  }
+  session.finished = true;
+  return session;
+}
+
+/// Decodes a task as the sealed log (or the task's retained frame) holds
+/// it: exactly one CRC-checked task frame.
+Result<SourceTask> DecodeTaskFrame(std::string_view frame,
+                                   const std::string& path,
+                                   const std::string& name) {
+  std::optional<SourceTask> task;
+  const Result<WalScanExtent> scan =
+      ForEachWalFrame(frame, 0, [&](const WalFrameView& view) -> Status {
+        if (task.has_value() || view.type != WalRecordType::kTask) {
+          return Status::Internal("");
+        }
+        DBTUNE_ASSIGN_OR_RETURN(task, DecodeTask(view.body));
+        return Status::OK();
+      });
+  if (!scan.ok() || scan->torn_tail || !task.has_value() ||
+      task->name != name) {
+    return DamagedEntry(path, name);
+  }
+  return *std::move(task);
+}
+
 }  // namespace
 
 ObservationStore::ObservationStore(std::string path, StoreOptions options)
-    : path_(std::move(path)), options_(options) {}
+    : path_(std::move(path)),
+      sealed_path_(path_ + ".sealed"),
+      options_(options) {}
 
 Result<std::unique_ptr<ObservationStore>> ObservationStore::Open(
     const std::string& path, StoreOptions options) {
@@ -118,6 +235,9 @@ Status ObservationStore::Recover() {
         ForEachWalFrame(data, kSnapshotHeaderBytes,
                         [this](const WalFrameView& record) {
                           mu_.AssertHeld();
+                          if (record.type == WalRecordType::kSealedManifest) {
+                            return LoadManifest(record.body);
+                          }
                           return ApplyRecord(record);
                         }));
     if (scan.torn_tail) {
@@ -129,6 +249,9 @@ Status ObservationStore::Recover() {
   } else if (snapshot_bytes.status().code() != StatusCode::kNotFound) {
     return snapshot_bytes.status();
   }
+  // The manifest says how much of the sealed log the snapshot stands on;
+  // the log itself is read only by lookups.
+  DBTUNE_RETURN_IF_ERROR(RecoverSealedLog());
 
   // --- Then the WAL: replay every intact record past the snapshot and
   // truncate a torn tail (the expected shape after a crash mid-append).
@@ -198,6 +321,72 @@ Status ObservationStore::Recover() {
   return Status::OK();
 }
 
+Status ObservationStore::LoadManifest(std::string_view body) {
+  mu_.AssertHeld();
+  WalDecoder dec(body);
+  DBTUNE_ASSIGN_OR_RETURN(sealed_bytes_, dec.ReadU64());
+  // Sessions, then tasks, each count-prefixed.
+  for (const bool sessions : {true, false}) {
+    DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadU64());
+    for (uint64_t i = 0; i < count; ++i) {
+      SealedEntry entry;
+      DBTUNE_ASSIGN_OR_RETURN(entry.id, dec.ReadString());
+      DBTUNE_ASSIGN_OR_RETURN(entry.lsn, dec.ReadU64());
+      DBTUNE_ASSIGN_OR_RETURN(entry.dimension, dec.ReadU64());
+      DBTUNE_ASSIGN_OR_RETURN(entry.observations, dec.ReadU64());
+      DBTUNE_ASSIGN_OR_RETURN(entry.offset, dec.ReadU64());
+      DBTUNE_ASSIGN_OR_RETURN(entry.length, dec.ReadU64());
+      if (entry.offset < kSealedLogHeaderBytes ||
+          entry.length > sealed_bytes_ ||
+          entry.offset > sealed_bytes_ - entry.length) {
+        return Status::Internal("sealed-log manifest entry for '" + entry.id +
+                                "' lies outside the covered log");
+      }
+      if (sessions) {
+        std::string id = entry.id;
+        sealed_sessions_.insert_or_assign(std::move(id), std::move(entry));
+      } else {
+        sealed_tasks_.push_back(std::move(entry));
+      }
+    }
+  }
+  if (!dec.AtEnd()) return Status::Internal("corrupt sealed-log manifest");
+  return Status::OK();
+}
+
+Status ObservationStore::RecoverSealedLog() {
+  mu_.AssertHeld();
+  std::error_code ec;
+  uintmax_t size = std::filesystem::file_size(sealed_path_, ec);
+  if (ec) {
+    if (ec != std::errc::no_such_file_or_directory) {
+      return Status::Internal("cannot size sealed log " + sealed_path_);
+    }
+    size = 0;
+  }
+  if (size < sealed_bytes_) {
+    return Status::Internal("sealed log " + sealed_path_ + " holds " +
+                            std::to_string(size) + " byte(s); the snapshot "
+                            "stands on " + std::to_string(sealed_bytes_));
+  }
+  if (size > sealed_bytes_) {
+    // A crash between the sealed-log append and the snapshot rename: the
+    // WAL still holds those records, so the next checkpoint moves them
+    // again.
+    DBTUNE_LOG(kWarning) << "sealed log " << sealed_path_ << " has "
+                         << (size - sealed_bytes_)
+                         << " byte(s) past the length the snapshot covers; "
+                            "truncating";
+    std::filesystem::resize_file(sealed_path_, sealed_bytes_, ec);
+    if (ec) return Status::Internal("cannot truncate " + sealed_path_);
+  }
+  if (sealed_bytes_ > 0) {
+    DBTUNE_ASSIGN_OR_RETURN(sealed_log_,
+                            WalWriter::OpenForAppend(sealed_path_));
+  }
+  return Status::OK();
+}
+
 Status ObservationStore::ApplyRecord(const WalFrameView& record) {
   mu_.AssertHeld();
   WalDecoder dec(record.body);
@@ -205,6 +394,9 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
     case WalRecordType::kBeginSession: {
       DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
       DBTUNE_ASSIGN_OR_RETURN(const uint64_t dimension, dec.ReadU64());
+      // A sealed id starts over: its old history leaves the index (its
+      // bytes stay in the append-only sealed log, unreferenced).
+      sealed_sessions_.erase(id);
       SessionState& state = sessions_[id];
       state.session.id = id;
       state.session.dimension = static_cast<size_t>(dimension);
@@ -213,28 +405,23 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
       state.frames.assign(record.frame);
       state.observation_offsets.clear();
       state.end_frame.clear();
+      state.seal_lsn = 0;
       return Status::OK();
     }
     case WalRecordType::kObservation: {
-      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-      DBTUNE_ASSIGN_OR_RETURN(const uint64_t iteration, dec.ReadU64());
-      DBTUNE_ASSIGN_OR_RETURN(std::vector<double> config, dec.ReadDoubles());
-      Observation obs;
-      obs.config = Configuration(std::move(config));
-      DBTUNE_ASSIGN_OR_RETURN(obs.score, dec.ReadDouble());
-      DBTUNE_ASSIGN_OR_RETURN(obs.objective, dec.ReadDouble());
-      DBTUNE_ASSIGN_OR_RETURN(const uint8_t failed, dec.ReadU8());
-      obs.failed = failed != 0;
-      DBTUNE_ASSIGN_OR_RETURN(obs.internal_metrics, dec.ReadDoubles());
-      auto it = sessions_.find(id);
+      DBTUNE_ASSIGN_OR_RETURN(ObservationRecord decoded,
+                              DecodeObservation(record.body));
+      auto it = sessions_.find(decoded.id);
       if (it == sessions_.end()) {
-        return Status::Internal("observation for unknown session " + id);
+        return Status::Internal("observation for unknown session " +
+                                decoded.id);
       }
       SessionState& state = it->second;
-      if (iteration != state.session.observations.size() + 1) {
-        return Status::Internal("out-of-order observation for session " + id);
+      if (decoded.iteration != state.session.observations.size() + 1) {
+        return Status::Internal("out-of-order observation for session " +
+                                decoded.id);
       }
-      state.session.observations.push_back(std::move(obs));
+      state.session.observations.push_back(std::move(decoded.obs));
       state.observation_offsets.push_back(state.frames.size());
       state.frames.append(record.frame);
       return Status::OK();
@@ -247,21 +434,18 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
       }
       it->second.session.finished = true;
       it->second.end_frame.assign(record.frame);
+      it->second.seal_lsn = record.lsn;
       return Status::OK();
     }
     case WalRecordType::kTask: {
-      SourceTask task;
-      DBTUNE_ASSIGN_OR_RETURN(task.name, dec.ReadString());
-      DBTUNE_ASSIGN_OR_RETURN(const uint64_t rows, dec.ReadU64());
-      task.unit_x.reserve(rows);
-      for (uint64_t r = 0; r < rows; ++r) {
-        DBTUNE_ASSIGN_OR_RETURN(std::vector<double> row, dec.ReadDoubles());
-        task.unit_x.push_back(std::move(row));
-      }
-      DBTUNE_ASSIGN_OR_RETURN(task.scores, dec.ReadDoubles());
-      DBTUNE_ASSIGN_OR_RETURN(task.metric_signature, dec.ReadDoubles());
-      tasks_.push_back(std::move(task));
-      task_frames_.append(record.frame);
+      DBTUNE_ASSIGN_OR_RETURN(const SourceTask task, DecodeTask(record.body));
+      TaskState state;
+      state.entry.id = task.name;
+      state.entry.lsn = record.lsn;
+      state.entry.dimension = task.unit_x.empty() ? 0 : task.unit_x[0].size();
+      state.entry.observations = task.unit_x.size();
+      state.frame.assign(record.frame);
+      tasks_.push_back(std::move(state));
       return Status::OK();
     }
     case WalRecordType::kTruncateSession: {
@@ -281,6 +465,8 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
       }
       return Status::OK();
     }
+    case WalRecordType::kSealedManifest:
+      return Status::Internal("sealed-log manifest outside a snapshot");
   }
   return Status::Internal("unknown wal record type");
 }
@@ -290,12 +476,20 @@ Status ObservationStore::AppendAndApply(WalRecordType type,
   mu_.AssertHeld();
   const WalRecord record{next_lsn_, type, std::move(body)};
   // The record's only encode: the log gets these bytes now, and the
-  // state retains them for every later snapshot.
+  // state retains them for the next checkpoint.
   const std::string frame = EncodeWalFrame(record);
   DBTUNE_RETURN_IF_ERROR(wal_.Append(frame));
   ++next_lsn_;
   stats_.last_lsn = record.lsn;
   return ApplyRecord(WalFrameView{record.lsn, type, record.body, frame});
+}
+
+Status ObservationStore::NotOpenLocked(const std::string& id) const {
+  mu_.AssertHeld();
+  if (sealed_sessions_.count(id) > 0) {
+    return Status::FailedPrecondition("session " + id + " is finished");
+  }
+  return Status::NotFound("unknown session " + id);
 }
 
 Status ObservationStore::BeginSession(const std::string& id,
@@ -322,9 +516,7 @@ Status ObservationStore::AppendObservation(const std::string& id,
   obs::ScopedLatency latency(&latency_hist);
   MutexLock lock(&mu_);
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session " + id);
-  }
+  if (it == sessions_.end()) return NotOpenLocked(id);
   const StoredSession& session = it->second.session;
   if (session.finished) {
     return Status::FailedPrecondition("session " + id + " is finished");
@@ -349,9 +541,7 @@ Status ObservationStore::AppendObservation(const std::string& id,
 Status ObservationStore::TruncateSession(const std::string& id, size_t keep) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session " + id);
-  }
+  if (it == sessions_.end()) return NotOpenLocked(id);
   // A sealed session's history (and its retained frames) never change;
   // BeginSession restarts it instead.
   if (it->second.session.finished) {
@@ -367,9 +557,7 @@ Status ObservationStore::FinishSession(const std::string& id,
                                        const std::string& task_name) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session " + id);
-  }
+  if (it == sessions_.end()) return NotOpenLocked(id);
   const StoredSession& session = it->second.session;
   if (session.finished) {
     return Status::FailedPrecondition("session " + id + " is finished");
@@ -389,6 +577,86 @@ Status ObservationStore::PersistTask(const SourceTask& task) {
   return AppendAndApply(WalRecordType::kTask, EncodeTask(task));
 }
 
+Result<uint64_t> ObservationStore::MoveSealedLocked() {
+  mu_.AssertHeld();
+  // What moves, in LSN order: every task, and every sealed session by its
+  // end record. Legacy snapshot frames all carry LSN 0; the stable sort
+  // keeps them in task order, then session id order.
+  struct Move {
+    uint64_t lsn = 0;
+    const TaskState* task = nullptr;
+    const SessionState* session = nullptr;
+  };
+  std::vector<Move> moves;
+  for (const TaskState& task : tasks_) {
+    moves.push_back({task.entry.lsn, &task, nullptr});
+  }
+  for (const auto& entry : sessions_) {
+    if (entry.second.session.finished) {
+      moves.push_back({entry.second.seal_lsn, nullptr, &entry.second});
+    }
+  }
+  if (moves.empty()) return uint64_t{0};
+  std::stable_sort(moves.begin(), moves.end(),
+                   [](const Move& a, const Move& b) { return a.lsn < b.lsn; });
+
+  uint64_t end = sealed_bytes_;
+  if (end == 0) {
+    // The first move starts the log, dropping whatever an earlier failed
+    // first move left behind.
+    std::FILE* created = std::fopen(sealed_path_.c_str(), "wb");
+    if (created == nullptr || std::fclose(created) != 0) {
+      return Status::Internal("cannot create sealed log " + sealed_path_);
+    }
+    DBTUNE_ASSIGN_OR_RETURN(sealed_log_,
+                            WalWriter::OpenForAppend(sealed_path_));
+    DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(
+        std::string_view(kSealedLogMagic, sizeof(kSealedLogMagic))));
+    end = kSealedLogHeaderBytes;
+  }
+  // Nothing leaves memory until every frame is in the log; a failed
+  // append leaves the state as it was (the writer disables itself, and
+  // recovery truncates the torn bytes).
+  std::vector<SealedEntry> entries;
+  entries.reserve(moves.size());
+  for (const Move& move : moves) {
+    SealedEntry entry;
+    if (move.task != nullptr) {
+      entry = move.task->entry;
+      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.task->frame));
+      entry.length = move.task->frame.size();
+    } else {
+      const StoredSession& session = move.session->session;
+      entry.id = session.id;
+      entry.lsn = move.lsn;
+      entry.dimension = session.dimension;
+      entry.observations = session.observations.size();
+      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.session->frames));
+      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.session->end_frame));
+      entry.length =
+          move.session->frames.size() + move.session->end_frame.size();
+    }
+    entry.offset = end;
+    end += entry.length;
+    entries.push_back(std::move(entry));
+  }
+  for (size_t i = 0; i < moves.size(); ++i) {
+    if (moves[i].task != nullptr) {
+      sealed_tasks_.push_back(std::move(entries[i]));
+    } else {
+      std::string id = entries[i].id;
+      sealed_sessions_.insert_or_assign(std::move(id), std::move(entries[i]));
+    }
+  }
+  tasks_.clear();
+  std::erase_if(sessions_, [](const auto& entry) {
+    return entry.second.session.finished;
+  });
+  const uint64_t appended = end - sealed_bytes_;
+  sealed_bytes_ = end;
+  return appended;
+}
+
 Result<uint64_t> ObservationStore::WriteSnapshotLocked() {
   mu_.AssertHeld();
   char header[kSnapshotHeaderBytes];
@@ -398,6 +666,28 @@ Result<uint64_t> ObservationStore::WriteSnapshotLocked() {
     header[sizeof(kSnapshotMagic) + i] =
         static_cast<char>((covered_lsn >> (8 * i)) & 0xFF);
   }
+  // The manifest is the one record encoded here. A store that never
+  // sealed anything writes none, so its snapshot keeps the layout that
+  // predates the sealed log byte for byte.
+  std::string manifest;
+  if (sealed_bytes_ > 0) {
+    WalEncoder enc;
+    enc.PutU64(sealed_bytes_);
+    auto put_entry = [&enc](const SealedEntry& entry) {
+      enc.PutString(entry.id);
+      enc.PutU64(entry.lsn);
+      enc.PutU64(entry.dimension);
+      enc.PutU64(entry.observations);
+      enc.PutU64(entry.offset);
+      enc.PutU64(entry.length);
+    };
+    enc.PutU64(sealed_sessions_.size());
+    for (const auto& entry : sealed_sessions_) put_entry(entry.second);
+    enc.PutU64(sealed_tasks_.size());
+    for (const SealedEntry& entry : sealed_tasks_) put_entry(entry);
+    manifest = EncodeWalFrame(
+        WalRecord{covered_lsn, WalRecordType::kSealedManifest, enc.bytes()});
+  }
 
   const std::string snapshot_path = path_ + ".snapshot";
   const std::string tmp = snapshot_path + ".tmp";
@@ -406,7 +696,8 @@ Result<uint64_t> ObservationStore::WriteSnapshotLocked() {
     return Status::Internal("cannot open snapshot file " + tmp);
   }
   // One sequential write of the retained frames, in the order recovery
-  // applies them: every session (id order), then every task.
+  // applies them: the manifest, every session in memory (id order), then
+  // every task in memory.
   uint64_t bytes = 0;
   bool written = true;
   auto put = [&](std::string_view chunk) {
@@ -415,11 +706,12 @@ Result<uint64_t> ObservationStore::WriteSnapshotLocked() {
     bytes += chunk.size();
   };
   put(std::string_view(header, sizeof(header)));
+  put(manifest);
   for (const auto& entry : sessions_) {
     put(entry.second.frames);
     put(entry.second.end_frame);
   }
-  put(task_frames_);
+  for (const TaskState& task : tasks_) put(task.frame);
   const bool closed = std::fclose(file) == 0;
   if (!written || !closed) {
     std::remove(tmp.c_str());
@@ -438,6 +730,7 @@ Status ObservationStore::CheckpointLocked() {
   static obs::Histogram& latency_hist =
       obs::MetricsRegistry::Get().histogram("store.checkpoint");
   obs::ScopedLatency latency(&latency_hist);
+  DBTUNE_ASSIGN_OR_RETURN(const uint64_t sealed_bytes, MoveSealedLocked());
   DBTUNE_ASSIGN_OR_RETURN(const uint64_t bytes, WriteSnapshotLocked());
   DBTUNE_RETURN_IF_ERROR(wal_.TruncateToHeader());
   appends_since_checkpoint_ = 0;
@@ -446,6 +739,11 @@ Status ObservationStore::CheckpointLocked() {
     static obs::Counter& bytes_counter =
         obs::MetricsRegistry::Get().counter("store.checkpoint.bytes");
     bytes_counter.Increment(bytes);
+    if (sealed_bytes > 0) {
+      static obs::Counter& sealed_counter =
+          obs::MetricsRegistry::Get().counter("store.sealed.bytes");
+      sealed_counter.Increment(sealed_bytes);
+    }
   }
   return Status::OK();
 }
@@ -455,46 +753,100 @@ Status ObservationStore::Checkpoint() {
   return CheckpointLocked();
 }
 
-// The returned pointer follows the caller's single-writer phase
-// discipline (a session owns its id); the map node it points into is
-// stable across unrelated mutations.
-const StoredSession* ObservationStore::FindSession(
-    const std::string& id) const {
-  MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second.session;
+Result<std::string> ObservationStore::ReadSealedLocked(
+    std::ifstream* log, const SealedEntry& entry) const {
+  mu_.AssertHeld();
+  std::string bytes(static_cast<size_t>(entry.length), '\0');
+  log->seekg(static_cast<std::streamoff>(entry.offset));
+  if (!*log || !log->read(bytes.data(),
+                          static_cast<std::streamsize>(bytes.size()))) {
+    return DamagedEntry(sealed_path_, entry.id);
+  }
+  return bytes;
 }
 
-void ObservationStore::ExportTasks(ObservationRepository* repository) const {
+Result<StoredSession> ObservationStore::FindSession(
+    const std::string& id) const {
+  MutexLock lock(&mu_);
+  if (auto it = sessions_.find(id); it != sessions_.end()) {
+    return it->second.session;
+  }
+  auto sealed = sealed_sessions_.find(id);
+  if (sealed == sealed_sessions_.end()) {
+    return Status::NotFound("unknown session " + id);
+  }
+  const SealedEntry& entry = sealed->second;
+  std::ifstream log(sealed_path_, std::ios::binary);
+  DBTUNE_ASSIGN_OR_RETURN(const std::string frames,
+                          ReadSealedLocked(&log, entry));
+  DBTUNE_ASSIGN_OR_RETURN(StoredSession session,
+                          DecodeSealedSession(frames, sealed_path_, id));
+  if (session.dimension != entry.dimension ||
+      session.observations.size() != entry.observations) {
+    return DamagedEntry(sealed_path_, id);
+  }
+  return session;
+}
+
+Status ObservationStore::ExportTasks(
+    ObservationRepository* repository) const {
   DBTUNE_CHECK(repository != nullptr);
   MutexLock lock(&mu_);
-  for (const SourceTask& task : tasks_) repository->AddTask(task);
+  // Decode everything first, so a damaged entry leaves `repository` as
+  // it was. Moved tasks precede the ones still in memory in LSN order.
+  std::vector<SourceTask> tasks;
+  tasks.reserve(sealed_tasks_.size() + tasks_.size());
+  if (!sealed_tasks_.empty()) {
+    std::ifstream log(sealed_path_, std::ios::binary);
+    for (const SealedEntry& entry : sealed_tasks_) {
+      DBTUNE_ASSIGN_OR_RETURN(const std::string frame,
+                              ReadSealedLocked(&log, entry));
+      DBTUNE_ASSIGN_OR_RETURN(
+          SourceTask task, DecodeTaskFrame(frame, sealed_path_, entry.id));
+      tasks.push_back(std::move(task));
+    }
+  }
+  for (const TaskState& state : tasks_) {
+    DBTUNE_ASSIGN_OR_RETURN(
+        SourceTask task, DecodeTaskFrame(state.frame, path_, state.entry.id));
+    tasks.push_back(std::move(task));
+  }
+  for (SourceTask& task : tasks) repository->AddTask(std::move(task));
+  return Status::OK();
 }
 
 std::vector<StoredSessionInfo> ObservationStore::ListSessions() const {
   MutexLock lock(&mu_);
   std::vector<StoredSessionInfo> infos;
-  infos.reserve(sessions_.size());
+  infos.reserve(sessions_.size() + sealed_sessions_.size());
   for (const auto& [id, state] : sessions_) {
     const StoredSession& session = state.session;
-    StoredSessionInfo info;
-    info.id = id;
-    info.dimension = session.dimension;
-    info.observations = session.observations.size();
-    info.finished = session.finished;
-    infos.push_back(std::move(info));
+    infos.push_back({id, session.dimension, session.observations.size(),
+                     session.finished});
   }
+  for (const auto& [id, entry] : sealed_sessions_) {
+    infos.push_back({id, static_cast<size_t>(entry.dimension),
+                     static_cast<size_t>(entry.observations), true});
+  }
+  // An id is either in memory or in the sealed log, never both.
+  std::sort(infos.begin(), infos.end(),
+            [](const StoredSessionInfo& a, const StoredSessionInfo& b) {
+              return a.id < b.id;
+            });
   return infos;
 }
 
 size_t ObservationStore::num_tasks() const {
   MutexLock lock(&mu_);
-  return tasks_.size();
+  return sealed_tasks_.size() + tasks_.size();
 }
 
 StoreStats ObservationStore::stats() const {
   MutexLock lock(&mu_);
-  return stats_;
+  StoreStats stats = stats_;
+  stats.sealed_sessions = sealed_sessions_.size();
+  stats.sealed_log_bytes = sealed_bytes_;
+  return stats;
 }
 
 }  // namespace dbtune::store

@@ -2,9 +2,11 @@
 #define DBTUNE_STORE_OBSERVATION_STORE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dbms/environment.h"
@@ -56,6 +58,10 @@ struct StoreStats {
   bool loaded_snapshot = false;
   /// Checkpoints taken through this handle.
   size_t checkpoints = 0;
+  /// Sealed sessions whose history lives only in the sealed log.
+  size_t sealed_sessions = 0;
+  /// Length of the sealed log the store stands on (its header included).
+  uint64_t sealed_log_bytes = 0;
 };
 
 /// Durable observation store: a write-ahead log of (configuration,
@@ -63,13 +69,21 @@ struct StoreStats {
 /// via atomic tmp+rename, so a service restart resumes every session
 /// mid-trajectory and the transfer base-task pool survives across runs.
 ///
-/// Layout on disk: `<path>` is the WAL ("DBTNWAL1" magic + CRC-framed
-/// records), `<path>.snapshot` the latest checkpoint ("DBTNSNP1" magic +
-/// the covered LSN + the same framed records). Recovery loads the
-/// snapshot, then replays WAL records with LSN beyond it; a torn or
-/// corrupt WAL tail is truncated with a warning (every complete record
-/// before it survives). Appends flush per record, so a crash tears at
-/// most the final record.
+/// Layout on disk (DESIGN.md §10):
+/// - `<path>` is the WAL ("DBTNWAL1" magic + CRC-framed records).
+/// - `<path>.snapshot` is the latest checkpoint ("DBTNSNP1" magic + the
+///   covered LSN + a sealed-log manifest + the open sessions' framed
+///   records).
+/// - `<path>.sealed` is the append-only sealed log ("DBTNSEL1" magic +
+///   the framed records of every sealed session and task, each written
+///   once by the checkpoint after it was sealed or persisted).
+///
+/// Recovery loads the snapshot (its manifest indexes the sealed log
+/// without reading it), then replays WAL records with LSN beyond it; a
+/// torn or corrupt WAL tail is truncated with a warning (every complete
+/// record before it survives), and so are sealed-log bytes past the
+/// length the snapshot covers. Appends flush per record, so a crash
+/// tears at most the final record.
 ///
 /// Thread-safe; sessions within one store are independent.
 class ObservationStore {
@@ -107,21 +121,27 @@ class ObservationStore {
   /// ObservationRepository::AddTask, which is void-returning.)
   [[nodiscard]] Status PersistTask(const SourceTask& task);
 
-  /// Writes a snapshot of the full state (atomic tmp+rename), then
-  /// compacts the WAL down to its header: every log record is now covered
-  /// by the snapshot. The snapshot is the retained frames of every record
-  /// that still matters, written as they were logged (LSNs included);
-  /// nothing is encoded again.
+  /// Moves every session sealed and every task persisted since the last
+  /// checkpoint to the sealed log (appended once, in LSN order), then
+  /// writes a snapshot of the open sessions plus the sealed-log manifest
+  /// (atomic tmp+rename) and compacts the WAL down to its header: every
+  /// log record is now covered. Both files get the retained frames of
+  /// the records, written as they were logged (LSNs included); nothing
+  /// is encoded again.
   [[nodiscard]] Status Checkpoint();
 
-  /// The stored session, or nullptr. The pointer is invalidated by any
-  /// later mutation of the store.
-  const StoredSession* FindSession(const std::string& id) const;
+  /// A copy of the stored session. NotFound for an unknown id; a sealed
+  /// session already moved to the sealed log is read back from it, and a
+  /// damaged entry there is Internal.
+  [[nodiscard]] Result<StoredSession> FindSession(const std::string& id) const;
 
-  /// Appends every persisted base task to `repository`.
-  void ExportTasks(ObservationRepository* repository) const;
+  /// Appends every persisted base task to `repository`, in persistence
+  /// order. Tasks in the sealed log are read back from it; a damaged entry
+  /// is Internal and leaves `repository` unchanged.
+  [[nodiscard]] Status ExportTasks(ObservationRepository* repository) const;
 
-  /// Id-ordered summaries of every stored session.
+  /// Id-ordered summaries of every stored session (from the index; the
+  /// sealed log is not read).
   std::vector<StoredSessionInfo> ListSessions() const;
 
   size_t num_tasks() const;
@@ -141,29 +161,75 @@ class ObservationStore {
     std::vector<size_t> observation_offsets;
     /// The end frame once the session is sealed, else empty.
     std::string end_frame;
+    /// LSN of the end frame (orders the sealed log).
+    uint64_t seal_lsn = 0;
+  };
+
+  /// Index entry of one sealed session or task: what ListSessions and
+  /// the manifest report, and where its frames sit in the sealed log.
+  struct SealedEntry {
+    /// Session id, or task name.
+    std::string id;
+    uint64_t lsn = 0;
+    uint64_t dimension = 0;
+    /// Observations of the session, rows of the task.
+    uint64_t observations = 0;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  /// A task not yet moved to the sealed log: its index entry (offset and
+  /// length unset) and its frame.
+  struct TaskState {
+    SealedEntry entry;
+    std::string frame;
   };
 
   [[nodiscard]] Status Recover() DBTUNE_REQUIRES(mu_);
+  /// Loads the snapshot's sealed-log manifest into the index.
+  [[nodiscard]] Status LoadManifest(std::string_view body)
+      DBTUNE_REQUIRES(mu_);
+  /// Truncates sealed-log bytes past the covered length and reopens the
+  /// log for appends; Internal when the log is shorter than covered.
+  [[nodiscard]] Status RecoverSealedLog() DBTUNE_REQUIRES(mu_);
   /// Applies one framed record to the in-memory state and retains its
-  /// frame bytes for the next snapshot.
+  /// frame bytes for the next checkpoint.
   [[nodiscard]] Status ApplyRecord(const WalFrameView& record)
       DBTUNE_REQUIRES(mu_);
   [[nodiscard]] Status AppendAndApply(WalRecordType type, std::string body)
       DBTUNE_REQUIRES(mu_);
+  /// The error for a mutation of `id`, which is not an open session:
+  /// FailedPrecondition when it is sealed, NotFound when unknown.
+  [[nodiscard]] Status NotOpenLocked(const std::string& id) const
+      DBTUNE_REQUIRES(mu_);
+  /// Appends every sealed session and task still in memory to the sealed
+  /// log and drops them from memory; returns the bytes appended.
+  [[nodiscard]] Result<uint64_t> MoveSealedLocked() DBTUNE_REQUIRES(mu_);
   /// Writes `<path>.snapshot` from the retained frames; returns its size.
   [[nodiscard]] Result<uint64_t> WriteSnapshotLocked() DBTUNE_REQUIRES(mu_);
   [[nodiscard]] Status CheckpointLocked() DBTUNE_REQUIRES(mu_);
+  /// The frames of one sealed-log entry, read from `log`.
+  [[nodiscard]] Result<std::string> ReadSealedLocked(
+      std::ifstream* log, const SealedEntry& entry) const
+      DBTUNE_REQUIRES(mu_);
 
   const std::string path_;
+  const std::string sealed_path_;
   const StoreOptions options_;
 
   mutable Mutex mu_;
   WalWriter wal_ DBTUNE_GUARDED_BY(mu_);
+  /// Open sessions, and sealed ones not yet moved to the sealed log.
   /// Ordered so snapshots (and therefore recovery) are deterministic.
   std::map<std::string, SessionState> sessions_ DBTUNE_GUARDED_BY(mu_);
-  std::vector<SourceTask> tasks_ DBTUNE_GUARDED_BY(mu_);
-  /// Retained frames of every task, in `tasks_` order.
-  std::string task_frames_ DBTUNE_GUARDED_BY(mu_);
+  /// Tasks not yet moved to the sealed log, in persistence order.
+  std::vector<TaskState> tasks_ DBTUNE_GUARDED_BY(mu_);
+  /// The sealed log: its index, its covered length and its writer (open
+  /// once the log has a header).
+  std::map<std::string, SealedEntry> sealed_sessions_ DBTUNE_GUARDED_BY(mu_);
+  std::vector<SealedEntry> sealed_tasks_ DBTUNE_GUARDED_BY(mu_);
+  uint64_t sealed_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
+  WalWriter sealed_log_ DBTUNE_GUARDED_BY(mu_);
   uint64_t next_lsn_ DBTUNE_GUARDED_BY(mu_) = 1;
   size_t appends_since_checkpoint_ DBTUNE_GUARDED_BY(mu_) = 0;
   StoreStats stats_ DBTUNE_GUARDED_BY(mu_);

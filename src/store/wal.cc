@@ -49,6 +49,7 @@ uint64_t GetLE64(const char* p) {
 
 const char kWalMagic[8] = {'D', 'B', 'T', 'N', 'W', 'A', 'L', '1'};
 const char kSnapshotMagic[8] = {'D', 'B', 'T', 'N', 'S', 'N', 'P', '1'};
+const char kSealedLogMagic[8] = {'D', 'B', 'T', 'N', 'S', 'E', 'L', '1'};
 
 uint32_t Crc32(const void* data, size_t size) {
   static const auto table = [] {

@@ -17,14 +17,18 @@ namespace dbtune::store {
 /// tail from a complete record.
 uint32_t Crc32(const void* data, size_t size);
 
-/// Record types shared by the write-ahead log and the snapshot file. The
-/// numeric values are part of the on-disk format — append, never renumber.
+/// Record types shared by the write-ahead log, the snapshot file and the
+/// sealed log. The numeric values are part of the on-disk format —
+/// append, never renumber.
 enum class WalRecordType : uint8_t {
   kBeginSession = 1,
   kObservation = 2,
   kEndSession = 3,
   kTask = 4,
   kTruncateSession = 5,
+  /// Snapshot only: the sealed log's covered length and the index of
+  /// every session and task in it.
+  kSealedManifest = 6,
 };
 
 /// One decoded log record: a monotonically increasing sequence number, a
@@ -119,10 +123,10 @@ struct WalScanResult : WalScanExtent {
 /// `torn_tail` and stops.
 WalScanResult ScanWalFrames(std::string_view data, uint64_t offset);
 
-/// Append-only writer over one WAL file. The store's recovery pass
-/// validates or creates the file before handing it here; the writer
-/// itself only appends already-encoded frames and flushes each one so a
-/// crash can tear at most the final record.
+/// Append-only writer over one WAL or sealed-log file. The store's
+/// recovery pass validates or creates the file before handing it here;
+/// the writer itself only appends already-encoded frames and flushes each
+/// one so a crash can tear at most the final record.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -132,8 +136,9 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens `path` for appending. The file must already exist with a valid
-  /// header (the store's recovery pass guarantees this).
+  /// Opens `path` for appending, creating it when absent. An existing
+  /// file must end with a valid header or frame (the store's recovery
+  /// pass guarantees this); a new one gets its header through Append.
   [[nodiscard]] static Result<WalWriter> OpenForAppend(const std::string& path);
 
   /// Appends one frame (as built by EncodeWalFrame) and flushes. On an
@@ -159,6 +164,8 @@ class WalWriter {
 extern const char kWalMagic[8];
 /// 8-byte magic that starts every snapshot file.
 extern const char kSnapshotMagic[8];
+/// 8-byte magic that starts every sealed log.
+extern const char kSealedLogMagic[8];
 
 namespace testing {
 

@@ -128,8 +128,8 @@ TEST(EnvStartupSet, DefaultControlsWriteEveryOutput) {
   EXPECT_TRUE(std::filesystem::exists(kStore + ".snapshot"));
   auto store = store::ObservationStore::Open(kStore);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  const store::StoredSession* session = (*store)->FindSession("default");
-  ASSERT_NE(session, nullptr);
+  const Result<store::StoredSession> session = (*store)->FindSession("default");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->observations.size(), kIterations);
 }
 

@@ -59,6 +59,7 @@ std::string ServeStorePath(const std::string& name) {
   std::remove(path.c_str());
   std::remove((path + ".snapshot").c_str());
   std::remove((path + ".snapshot.tmp").c_str());
+  std::remove((path + ".sealed").c_str());
   return path;
 }
 
@@ -303,39 +304,52 @@ TEST(ServeLifecycleTest, LongestSessionIdIsAccepted) {
 
 // No suggestion is non-finite, whatever a session observed: every
 // optimizer type, fed all internal metrics at 1e300 (finite, so
-// accepted) for 64 iterations over the first 10 catalog knobs. DDPG's
-// networks overflow on that state; the optimizer base then suggests a
-// uniform sample, so every observe is accepted and the session never
-// wedges.
+// accepted) and at exactly ±kStateBound (DDPG's state clamp in
+// optimizer/ddpg.cc, mirrored below) for 64 iterations over the first 10
+// catalog knobs. DDPG trains from iteration 33 on the clamped state, so
+// its networks stay finite and the optimizer base never needs its
+// uniform fallback (`optimizer.suggest.nonfinite` stays 0).
 TEST(ServeLifecycleTest, HugeMetricsNeverYieldNonFiniteSuggestions) {
+  constexpr double kDdpgStateBound = 1e6;
+  obs::ScopedMetricsForTest metrics;
   DbmsSimulator simulator(WorkloadId::kSysbench, HardwareInstance::kB, 7);
   TuningEnvironment env(&simulator, FirstKnobs(10));
   SessionManager manager;
   manager.RegisterSpace("catalog10", env.space());
-  for (int type = 0; type <= static_cast<int>(OptimizerType::kRandomSearch);
-       ++type) {
-    ServedSessionOptions options;
-    options.space_name = "catalog10";
-    options.optimizer_type = static_cast<OptimizerType>(type);
-    options.seed = 40 + static_cast<uint64_t>(type);
-    options.reference_score = env.default_score();
-    const std::string id = "huge-" + std::to_string(type);
-    const std::string label = OptimizerTypeName(options.optimizer_type);
-    ASSERT_TRUE(manager.CreateSession(id, options).ok()) << label;
-    for (size_t iter = 1; iter <= 64; ++iter) {
-      Result<Configuration> suggested = manager.Suggest(id);
-      ASSERT_TRUE(suggested.ok())
-          << label << " iteration " << iter << ": "
-          << suggested.status().ToString();
-      for (size_t k = 0; k < suggested->size(); ++k) {
-        ASSERT_TRUE(std::isfinite((*suggested)[k]))
-            << label << " iteration " << iter << " knob " << k;
+  const std::vector<std::pair<double, std::string>> metric_values = {
+      {1e300, "1e300"},
+      {kDdpgStateBound, "+bound"},
+      {-kDdpgStateBound, "-bound"}};
+  for (const auto& [metric, metric_name] : metric_values) {
+    for (int type = 0; type <= static_cast<int>(OptimizerType::kRandomSearch);
+         ++type) {
+      ServedSessionOptions options;
+      options.space_name = "catalog10";
+      options.optimizer_type = static_cast<OptimizerType>(type);
+      options.seed = 40 + static_cast<uint64_t>(type);
+      options.reference_score = env.default_score();
+      const std::string label = OptimizerTypeName(options.optimizer_type) +
+                                std::string(" at ") + metric_name;
+      const std::string id = "huge-" + label;
+      ASSERT_TRUE(manager.CreateSession(id, options).ok()) << label;
+      for (size_t iter = 1; iter <= 64; ++iter) {
+        Result<Configuration> suggested = manager.Suggest(id);
+        ASSERT_TRUE(suggested.ok())
+            << label << " iteration " << iter << ": "
+            << suggested.status().ToString();
+        for (size_t k = 0; k < suggested->size(); ++k) {
+          ASSERT_TRUE(std::isfinite((*suggested)[k]))
+              << label << " iteration " << iter << " knob " << k;
+        }
+        Observation observation = env.Evaluate(*suggested);
+        observation.internal_metrics.assign(kNumInternalMetrics, metric);
+        const Status observed = manager.Observe(id, observation);
+        ASSERT_TRUE(observed.ok())
+            << label << " iteration " << iter << ": " << observed.ToString();
       }
-      Observation observation = env.Evaluate(*suggested);
-      observation.internal_metrics.assign(kNumInternalMetrics, 1e300);
-      const Status observed = manager.Observe(id, observation);
-      ASSERT_TRUE(observed.ok())
-          << label << " iteration " << iter << ": " << observed.ToString();
+      const obs::Counter* nonfinite = obs::MetricsRegistry::Get().FindCounter(
+          "optimizer.suggest.nonfinite");
+      EXPECT_EQ(nonfinite == nullptr ? 0u : nonfinite->value(), 0u) << label;
     }
   }
 }
@@ -536,9 +550,70 @@ TEST(ServeStoreTest, CloseSealsTrajectoryAsTransferTask) {
   ASSERT_TRUE(manager.CloseSession("sealed").ok());
   EXPECT_EQ(store->num_tasks(), 1u);
   // Sealed in the store too: the stored session is finished.
-  const store::StoredSession* stored = store->FindSession("sealed");
-  ASSERT_NE(stored, nullptr);
+  const Result<store::StoredSession> stored = store->FindSession("sealed");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
   EXPECT_TRUE(stored->finished);
+}
+
+// A closed session leaves memory at the next checkpoint: the store moves
+// it to its sealed log, it still reads back sealed with every observation
+// and its transfer task, and after a restart its id starts over empty.
+TEST(ServeStoreTest, ClosedSessionMovesToSealedLogAndItsIdStartsOver) {
+  const std::string path = ServeStorePath("seal_checkpoint");
+  std::vector<Observation> observed;
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore* store = opened.value().get();
+    SessionManagerOptions options;
+    options.store = store;
+    SessionManager manager(options);
+    manager.RegisterSpace("small", SmallSpace());
+    ASSERT_TRUE(manager.CreateSession("sealed", SmallOptions(9)).ok());
+    for (int i = 0; i < 3; ++i) {
+      Result<Configuration> suggested = manager.Suggest("sealed");
+      ASSERT_TRUE(suggested.ok());
+      Observation obs;
+      obs.config = *suggested;
+      obs.score = 10.0 + i;
+      ASSERT_TRUE(manager.Observe("sealed", obs).ok());
+      observed.push_back(obs);
+    }
+    ASSERT_TRUE(manager.CloseSession("sealed").ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    EXPECT_EQ(store->stats().sealed_sessions, 1u);
+    EXPECT_EQ(store->num_tasks(), 1u);
+    const Result<store::StoredSession> stored = store->FindSession("sealed");
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_TRUE(stored->finished);
+    ExpectBitwiseEqual(observed, stored->observations, "sealed");
+    // The tombstone answers as before the checkpoint.
+    EXPECT_EQ(manager.CloseSession("sealed").code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(manager.Suggest("sealed").status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  auto reopened = ObservationStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ObservationStore* store = reopened.value().get();
+  ObservationRepository tasks;
+  ASSERT_TRUE(store->ExportTasks(&tasks).ok());
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks.tasks()[0].name, "sealed");
+  SessionManagerOptions options;
+  options.store = store;
+  SessionManager restarted(options);
+  restarted.RegisterSpace("small", SmallSpace());
+  size_t replayed = 1;
+  ASSERT_TRUE(
+      restarted.CreateSession("sealed", SmallOptions(9), &replayed).ok());
+  EXPECT_EQ(replayed, 0u);
+  EXPECT_TRUE(restarted.Suggest("sealed").ok());
+  EXPECT_EQ(store->stats().sealed_sessions, 0u);
+  const std::vector<store::StoredSessionInfo> sessions = store->ListSessions();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_FALSE(sessions[0].finished);
+  EXPECT_EQ(sessions[0].observations, 0u);
 }
 
 // Records `recorded` observations of `spec` under `before` through a
@@ -594,8 +669,8 @@ void ResumeUnderOtherOptions(const std::string& name, const SessionSpec& spec,
     ASSERT_TRUE(created.ok()) << created.ToString();
 
     // The client re-applies the surviving prefix, then tunes live.
-    const store::StoredSession* stored = store->FindSession(spec.id);
-    ASSERT_NE(stored, nullptr);
+    const Result<store::StoredSession> stored = store->FindSession(spec.id);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     ASSERT_EQ(stored->observations.size(), *replayed);
     const std::vector<Observation> prefix = stored->observations;
     for (const Observation& observation : prefix) {
@@ -613,8 +688,9 @@ void ResumeUnderOtherOptions(const std::string& name, const SessionSpec& spec,
   // The store now holds the new trajectory, iteration-complete.
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  const store::StoredSession* session = (*reopened)->FindSession(spec.id);
-  ASSERT_NE(session, nullptr);
+  const Result<store::StoredSession> session =
+      (*reopened)->FindSession(spec.id);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ExpectBitwiseEqual(fresh, session->observations, name + " store");
 }
 
@@ -1149,9 +1225,9 @@ TEST(ServeFrameServerTest, NonFiniteObservationsAreRejected) {
   for (size_t s = 0; s < 2; ++s) {
     ExpectBitwiseEqual(StandaloneHistory(specs[s], iterations),
                        clients[s].env->history(), specs[s].id);
-    const store::StoredSession* stored =
+    const Result<store::StoredSession> stored =
         opened.value()->FindSession(specs[s].id);
-    ASSERT_NE(stored, nullptr);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
     EXPECT_EQ(stored->observations.size(), iterations);
   }
 }

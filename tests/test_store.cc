@@ -1,7 +1,8 @@
 // Durable observation store: WAL framing, torn-tail and bad-CRC
 // recovery, snapshot compaction, snapshots written from retained frames
 // (against a fresh encode, and legacy LSN-0 snapshots), the LSN skip
-// window, fault-injected mid-write crashes, store metrics, and the
+// window, fault-injected mid-write crashes, store metrics, the sealed log
+// (moves at checkpoints, old layouts, crash windows, damage), and the
 // headline guarantee — a session killed at
 // any iteration replays to a bitwise-identical trajectory.
 
@@ -11,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,6 +65,7 @@ std::string StorePath(const std::string& name) {
   std::remove(path.c_str());
   std::remove((path + ".snapshot").c_str());
   std::remove((path + ".snapshot.tmp").c_str());
+  std::remove((path + ".sealed").c_str());
   return path;
 }
 
@@ -133,13 +138,16 @@ void ExpectStoresBitEqual(const ObservationStore& expected,
     ASSERT_EQ(want[i].id, got[i].id);
     EXPECT_EQ(want[i].dimension, got[i].dimension) << want[i].id;
     EXPECT_EQ(want[i].finished, got[i].finished) << want[i].id;
-    ExpectObservationsBitEqual(expected.FindSession(want[i].id)->observations,
-                               actual.FindSession(got[i].id)->observations);
+    const Result<StoredSession> a = expected.FindSession(want[i].id);
+    const Result<StoredSession> b = actual.FindSession(got[i].id);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ExpectObservationsBitEqual(a->observations, b->observations);
   }
   ObservationRepository want_tasks;
   ObservationRepository got_tasks;
-  expected.ExportTasks(&want_tasks);
-  actual.ExportTasks(&got_tasks);
+  ASSERT_TRUE(expected.ExportTasks(&want_tasks).ok());
+  ASSERT_TRUE(actual.ExportTasks(&got_tasks).ok());
   ASSERT_EQ(want_tasks.size(), got_tasks.size());
   for (size_t t = 0; t < want_tasks.size(); ++t) {
     const SourceTask& a = want_tasks.tasks()[t];
@@ -214,18 +222,75 @@ std::string SnapshotHeader(uint64_t covered_lsn) {
   return header;
 }
 
+// The store's on-disk state in the one-file layout snapshots had before
+// the sealed log: the snapshot header, every session's frames (id order),
+// then every task frame (persistence order). Sessions and tasks in the
+// sealed log are read from it through the snapshot's manifest, which the
+// image leaves out.
+std::string StoredImage(const std::string& path) {
+  const std::string snapshot = ReadBytes(path + ".snapshot");
+  const std::string sealed = ReadBytes(path + ".sealed");
+  const size_t header = SnapshotHeader(0).size();
+  std::map<std::string, std::string> sessions;
+  std::string sealed_tasks;
+  std::string tasks;
+  std::string current;  // the session whose frames are being read
+  const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
+      snapshot, header, [&](const store::WalFrameView& view) -> Status {
+        store::WalDecoder dec(view.body);
+        switch (view.type) {
+          case WalRecordType::kSealedManifest: {
+            DBTUNE_ASSIGN_OR_RETURN(const uint64_t covered, dec.ReadU64());
+            EXPECT_EQ(sealed.size(), covered);
+            for (const bool is_session : {true, false}) {
+              DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadU64());
+              for (uint64_t i = 0; i < count; ++i) {
+                DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+                uint64_t fields[5];  // lsn, dimension, count, offset, length
+                for (uint64_t& field : fields) {
+                  DBTUNE_ASSIGN_OR_RETURN(field, dec.ReadU64());
+                }
+                const std::string frames = sealed.substr(fields[3], fields[4]);
+                if (is_session) {
+                  sessions[id] = frames;
+                } else {
+                  sealed_tasks += frames;
+                }
+              }
+            }
+            return Status::OK();
+          }
+          case WalRecordType::kBeginSession: {
+            DBTUNE_ASSIGN_OR_RETURN(current, dec.ReadString());
+            sessions[current] = std::string(view.frame);
+            return Status::OK();
+          }
+          case WalRecordType::kTask:
+            tasks += view.frame;
+            return Status::OK();
+          default:
+            sessions[current] += view.frame;
+            return Status::OK();
+        }
+      });
+  EXPECT_TRUE(scan.ok() && !scan->torn_tail) << path;
+  std::string image = snapshot.substr(0, header);
+  for (const auto& entry : sessions) image += entry.second;
+  return image + sealed_tasks + tasks;
+}
+
 std::vector<SourceTask> TasksOf(const ObservationStore& s) {
   ObservationRepository repository;
-  s.ExportTasks(&repository);
+  EXPECT_TRUE(s.ExportTasks(&repository).ok());
   return repository.tasks();
 }
 
-// The records a snapshot of `s` must hold, in order, freshly encoded from
-// the decoded state with LSN 0 (the layout snapshots always had).
+// The records the stored image of `s` (StoredImage) must hold, in order,
+// freshly encoded from the decoded state with LSN 0.
 std::vector<WalRecord> FreshSnapshotRecords(const ObservationStore& s) {
   std::vector<WalRecord> records;
   for (const StoredSessionInfo& info : s.ListSessions()) {
-    const StoredSession* session = s.FindSession(info.id);
+    const Result<StoredSession> session = s.FindSession(info.id);
     records.push_back(
         {0, WalRecordType::kBeginSession, BeginBody(info.id, info.dimension)});
     for (size_t i = 0; i < session->observations.size(); ++i) {
@@ -340,8 +405,8 @@ TEST_F(StoreTest, ReopenRecoversSessionsBitExact) {
   }
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const StoredSession* session = (*reopened)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*reopened)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->dimension, 2u);
   EXPECT_FALSE(session->finished);
   ExpectObservationsBitEqual(session->observations, written);
@@ -381,10 +446,10 @@ TEST_F(StoreTest, InterleavedSessionAppendsRecoverIndependently) {
   }
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const StoredSession* a = (*reopened)->FindSession("a");
-  const StoredSession* b = (*reopened)->FindSession("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const Result<StoredSession> a = (*reopened)->FindSession("a");
+  const Result<StoredSession> b = (*reopened)->FindSession("b");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->dimension, 2u);
   EXPECT_EQ(b->dimension, 1u);
   ExpectObservationsBitEqual(a->observations, written_a);
@@ -427,10 +492,10 @@ TEST_F(StoreTest, TwoThreadsAppendingDistinctSessionsRecoverBitExact) {
   }
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  const StoredSession* a = (*reopened)->FindSession("a");
-  const StoredSession* b = (*reopened)->FindSession("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const Result<StoredSession> a = (*reopened)->FindSession("a");
+  const Result<StoredSession> b = (*reopened)->FindSession("b");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
   ExpectObservationsBitEqual(a->observations, written_a);
   ExpectObservationsBitEqual(b->observations, written_b);
 }
@@ -476,10 +541,10 @@ TEST_F(StoreTest, TwoThreadsAppendingWithInterleavedCheckpointsRecoverBitExact) 
   auto reopened = ObservationStore::Open(path, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_TRUE((*reopened)->stats().loaded_snapshot);
-  const StoredSession* a = (*reopened)->FindSession("a");
-  const StoredSession* b = (*reopened)->FindSession("b");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
+  const Result<StoredSession> a = (*reopened)->FindSession("a");
+  const Result<StoredSession> b = (*reopened)->FindSession("b");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
   ExpectObservationsBitEqual(a->observations, written_a);
   ExpectObservationsBitEqual(b->observations, written_b);
 }
@@ -556,8 +621,8 @@ TEST_F(StoreTest, CheckpointCompactsWalAndRecoversFromSnapshot) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_TRUE((*reopened)->stats().loaded_snapshot);
   EXPECT_EQ((*reopened)->stats().wal_records_replayed, 1u);
-  const StoredSession* session = (*reopened)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*reopened)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ExpectObservationsBitEqual(session->observations, written);
 }
 
@@ -593,8 +658,8 @@ TEST_F(StoreTest, RecoverySkipsWalRecordsCoveredBySnapshot) {
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE((*recovered)->stats().loaded_snapshot);
   EXPECT_EQ((*recovered)->stats().wal_records_replayed, 0u);  // all skipped
-  const StoredSession* session = (*recovered)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*recovered)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ExpectObservationsBitEqual(session->observations, written);
 }
 
@@ -617,8 +682,8 @@ TEST_F(StoreTest, TornTailIsTruncatedAndAppendsResume) {
   auto recovered = ObservationStore::Open(path);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE((*recovered)->stats().recovered_torn_tail);
-  const StoredSession* session = (*recovered)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*recovered)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ExpectObservationsBitEqual(session->observations, written);
 
   // The tail is gone from disk, so the next append lands cleanly.
@@ -652,8 +717,8 @@ TEST_F(StoreTest, InjectedWriteFaultLeavesRecoverableTornTail) {
   auto recovered = ObservationStore::Open(path);
   ASSERT_TRUE(recovered.ok());
   EXPECT_TRUE((*recovered)->stats().recovered_torn_tail);
-  const StoredSession* session = (*recovered)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*recovered)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ExpectObservationsBitEqual(session->observations, {first});
 }
 
@@ -675,8 +740,8 @@ TEST_F(StoreTest, TruncateSessionDiscardsSuffixDurably) {
   }
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  const StoredSession* session = (*reopened)->FindSession("s1");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*reopened)->FindSession("s1");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   ASSERT_EQ(session->observations.size(), 2u);
   ExpectObservationsBitEqual({session->observations[0]}, {kept});
   EXPECT_TRUE(BitEqual(session->observations[1].score, 4.0));
@@ -724,8 +789,8 @@ TEST_F(StoreTest, RecoveryAppliesTruncateRecordOfASealedSession) {
   for (int pass = 0; pass < 2; ++pass) {
     auto opened = ObservationStore::Open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const StoredSession* session = (*opened)->FindSession("s1");
-    ASSERT_NE(session, nullptr);
+    const Result<StoredSession> session = (*opened)->FindSession("s1");
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
     EXPECT_TRUE(session->finished) << "pass " << pass;
     ExpectObservationsBitEqual(session->observations, {kept});
     // The second pass recovers from this snapshot alone.
@@ -759,7 +824,7 @@ TEST_F(StoreTest, FinishSessionPersistsTransferTask) {
   EXPECT_TRUE((*reopened)->FindSession("s1")->finished);
 
   ObservationRepository repository;
-  (*reopened)->ExportTasks(&repository);
+  ASSERT_TRUE((*reopened)->ExportTasks(&repository).ok());
   ASSERT_EQ(repository.size(), 1u);
   const SourceTask& task = repository.tasks()[0];
   EXPECT_EQ(task.name, "sysbench-s1");
@@ -788,8 +853,8 @@ Observation RandomObs(Rng* rng, size_t dimension) {
 
 // Random begin / append / truncate / finish / restart / PersistTask
 // traffic over four sessions, checkpointed now and then. After every
-// checkpoint the snapshot's frames must equal a fresh encode of the live
-// state record for record (bodies bitwise, sizes exactly; only LSNs may
+// checkpoint the stored frames (snapshot and sealed log, StoredImage)
+// must equal a fresh encode of the live state record for record (bodies bitwise, sizes exactly; only LSNs may
 // differ), and a reopened store must equal the live one bitwise.
 TEST_F(StoreTest, SnapshotFromRetainedFramesMatchesFreshEncode) {
   const std::string path = StorePath("retained_random");
@@ -811,7 +876,8 @@ TEST_F(StoreTest, SnapshotFromRetainedFramesMatchesFreshEncode) {
   size_t restarts = 0;
   for (size_t step = 0; step < 600; ++step) {
     const std::string& id = ids[rng.Index(ids.size())];
-    const StoredSession* session = s.FindSession(id);
+    const Result<StoredSession> found = s.FindSession(id);
+    const StoredSession* session = found.ok() ? &*found : nullptr;
     const bool live = session != nullptr && !session->finished;
     const size_t stored = session == nullptr ? 0 : session->observations.size();
     const int64_t op = rng.UniformInt(0, 99);
@@ -848,7 +914,7 @@ TEST_F(StoreTest, SnapshotFromRetainedFramesMatchesFreshEncode) {
     } else {
       ASSERT_TRUE(s.Checkpoint().ok());
       ++checkpoints;
-      const std::string snapshot = ReadBytes(path + ".snapshot");
+      const std::string snapshot = StoredImage(path);
       const std::vector<WalRecord> fresh = FreshSnapshotRecords(s);
       size_t fresh_bytes = SnapshotHeader(0).size();
       for (const WalRecord& record : fresh) {
@@ -911,10 +977,10 @@ TEST_F(StoreTest, LegacySnapshotWithLsnZeroFramesRecovers) {
   WriteBytes(path, wal);
 
   auto check = [&](const ObservationStore& s) {
-    const StoredSession* live = s.FindSession("live");
-    const StoredSession* sealed = s.FindSession("sealed");
-    ASSERT_NE(live, nullptr);
-    ASSERT_NE(sealed, nullptr);
+    const Result<StoredSession> live = s.FindSession("live");
+    const Result<StoredSession> sealed = s.FindSession("sealed");
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
     EXPECT_FALSE(live->finished);
     EXPECT_TRUE(sealed->finished);
     ExpectObservationsBitEqual(live->observations, {live1, live2});
@@ -932,9 +998,9 @@ TEST_F(StoreTest, LegacySnapshotWithLsnZeroFramesRecovers) {
     check(**opened);
     ASSERT_TRUE((*opened)->Checkpoint().ok());
   }
-  // The rewritten snapshot keeps the legacy frames byte for byte and
-  // inserts the replayed record with its log LSN.
-  const std::string rewritten = ReadBytes(path + ".snapshot");
+  // The rewritten snapshot and sealed log keep the legacy frames byte for
+  // byte and insert the replayed record with its log LSN.
+  const std::string rewritten = StoredImage(path);
   EXPECT_EQ(rewritten.size(), snapshot.size() + wal.size() -
                                   sizeof(store::kWalMagic));
   const WalScanResult scan = ScanWalFrames(rewritten, SnapshotHeader(0).size());
@@ -988,6 +1054,426 @@ TEST_F(StoreTest, StoreMetricsRecordAppendsCheckpointsAndSnapshotBytes) {
   EXPECT_EQ(checkpoint->count(), 2u);
   EXPECT_EQ(bytes->value(),
             first_snapshot + std::filesystem::file_size(snapshot_path));
+}
+
+// ---------------------------------------------------------------------------
+// The sealed log
+// ---------------------------------------------------------------------------
+
+// Random begin / append / truncate / finish / restart / PersistTask
+// traffic, applied alike to a store that checkpoints now and then and to
+// one that never does. Every call answers alike on both, and after every
+// checkpoint (and after reopening the checkpointed store) ListSessions,
+// FindSession and ExportTasks are bitwise equal, sealed ids restarted
+// after their move included.
+TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
+  const std::string path = StorePath("sealed_random");
+  const std::string reference_path = StorePath("sealed_random_reference");
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  constexpr size_t kDimension = 2;
+  const std::vector<std::string> ids = {"m0", "m1", "m2", "m3", "m4"};
+  StoreOptions options;
+  options.snapshot_every = 0;  // explicit checkpoints only
+  auto opened = ObservationStore::Open(path, options);
+  auto reference_opened = ObservationStore::Open(reference_path, options);
+  ASSERT_TRUE(opened.ok());
+  ASSERT_TRUE(reference_opened.ok());
+  std::unique_ptr<ObservationStore> s = std::move(opened).value();
+  const ObservationStore& reference = **reference_opened;
+  auto both = [&](auto&& op) {
+    const Status want = op(*reference_opened.value());
+    const Status got = op(*s);
+    EXPECT_EQ(want.code(), got.code()) << got.ToString();
+    return got;
+  };
+
+  Rng rng(77);
+  size_t moved = 0;
+  size_t restarted_after_move = 0;
+  size_t sealed_rejections = 0;
+  for (size_t step = 0; step < 500; ++step) {
+    const std::string& id = ids[rng.Index(ids.size())];
+    const Result<StoredSession> found = reference.FindSession(id);
+    const bool live = found.ok() && !found->finished;
+    const size_t stored = found.ok() ? found->observations.size() : 0;
+    const int64_t op = rng.UniformInt(0, 99);
+    if (op < 8 || !found.ok()) {
+      if (found.ok() && found->finished && s->stats().sealed_sessions > 0) {
+        ++restarted_after_move;
+      }
+      ASSERT_TRUE(both([&](ObservationStore& t) {
+                    return t.BeginSession(id, kDimension);
+                  }).ok());
+    } else if (op < 70) {
+      const Observation obs = RandomObs(&rng, kDimension);
+      const Status appended = both([&](ObservationStore& t) {
+        return t.AppendObservation(id, stored + 1, obs);
+      });
+      if (!live) {
+        EXPECT_EQ(appended.code(), StatusCode::kFailedPrecondition);
+        ++sealed_rejections;
+      }
+    } else if (op < 78) {
+      const size_t keep = stored == 0 ? 0 : rng.Index(stored);
+      EXPECT_EQ(both([&](ObservationStore& t) {
+                  return t.TruncateSession(id, keep);
+                }).ok(),
+                live);
+    } else if (op < 86) {
+      const std::string name = id + "-" + std::to_string(step);
+      EXPECT_EQ(both([&](ObservationStore& t) {
+                  return t.FinishSession(id, env.space(), name);
+                }).ok(),
+                live);
+    } else if (op < 90) {
+      SourceTask task;
+      task.name = "external-" + std::to_string(step);
+      task.unit_x = {{rng.Uniform(), rng.Uniform()}};
+      task.scores = {rng.Gaussian()};
+      task.metric_signature = {rng.Gaussian()};
+      ASSERT_TRUE(
+          both([&](ObservationStore& t) { return t.PersistTask(task); }).ok());
+    } else {
+      ASSERT_TRUE(s->Checkpoint().ok());
+      EXPECT_EQ(s->num_tasks(), reference.num_tasks());
+      moved = std::max(moved, s->stats().sealed_sessions);
+      ExpectStoresBitEqual(reference, *s);
+      s.reset();
+      auto reopened = ObservationStore::Open(path, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      s = std::move(reopened).value();
+      ExpectStoresBitEqual(reference, *s);
+    }
+  }
+  ExpectStoresBitEqual(reference, *s);
+  // The seed moves sessions, restarts moved ids and appends to them.
+  EXPECT_GT(moved, 1u);
+  EXPECT_GT(restarted_after_move, 0u);
+  EXPECT_GT(sealed_rejections, 0u);
+}
+
+// Builds, in `path`, a store holding one open and two sealed sessions
+// (one sealed twice over: finished, restarted, finished) and an external
+// task, checkpoints it, and seals one more session after the checkpoint.
+// The same calls go to `reference_path`, which never checkpoints.
+void BuildSealedStore(const std::string& path,
+                      const std::string& reference_path) {
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  StoreOptions options;
+  options.snapshot_every = 0;
+  Rng rng(5);
+  for (const std::string& target : {reference_path, path}) {
+    Rng ops = rng;
+    auto opened = ObservationStore::Open(target, options);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore& s = **opened;
+    auto run = [&](const std::string& id, size_t n) {
+      ASSERT_TRUE(s.BeginSession(id, 2).ok());
+      for (size_t i = 1; i <= n; ++i) {
+        ASSERT_TRUE(s.AppendObservation(id, i, RandomObs(&ops, 2)).ok());
+      }
+    };
+    run("a", 3);
+    ASSERT_TRUE(s.FinishSession("a", env.space(), "a-task").ok());
+    run("b", 4);
+    ASSERT_TRUE(s.FinishSession("b", env.space(), "b-task").ok());
+    SourceTask task;
+    task.name = "external";
+    task.unit_x = {{0.25, 0.75}};
+    task.scores = {1.5};
+    task.metric_signature = {2.5};
+    ASSERT_TRUE(s.PersistTask(task).ok());
+    run("a", 2);  // the finished id starts over
+    ASSERT_TRUE(s.FinishSession("a", env.space(), "a-task-2").ok());
+    run("open", 2);
+    if (target == path) {
+      ASSERT_TRUE(s.Checkpoint().ok());
+    }
+    run("c", 1);
+    ASSERT_TRUE(s.FinishSession("c", env.space(), "c-task").ok());
+  }
+}
+
+// A store in the layout that predates the sealed log (sealed sessions and
+// tasks in the snapshot, no manifest) loads equal to the same content
+// written as a log, keeps its sealed sessions in memory, and moves them
+// to the sealed log at its first checkpoint. The snapshot then holds the
+// manifest and the open session only.
+TEST_F(StoreTest, OldLayoutMovesSealedSessionsAtFirstCheckpoint) {
+  const std::string path = StorePath("old_layout");
+  const std::string reference_path = StorePath("old_layout_reference");
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  {
+    StoreOptions options;
+    options.snapshot_every = 0;
+    auto opened = ObservationStore::Open(reference_path, options);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore& s = **opened;
+    Rng rng(9);
+    for (const std::string id : {"open", "sealed-1", "sealed-2"}) {
+      ASSERT_TRUE(s.BeginSession(id, 2).ok());
+      for (size_t i = 1; i <= 3; ++i) {
+        ASSERT_TRUE(s.AppendObservation(id, i, RandomObs(&rng, 2)).ok());
+      }
+    }
+    ASSERT_TRUE(s.FinishSession("sealed-2", env.space(), "task-2").ok());
+    ASSERT_TRUE(s.FinishSession("sealed-1", env.space(), "task-1").ok());
+  }
+  // The old layout: the same frames grouped per session in id order, then
+  // the tasks, under a snapshot header; the log compacted to its header.
+  std::map<std::string, std::string> sessions;
+  std::string tasks;
+  const std::string log = ReadBytes(reference_path);
+  uint64_t last_lsn = 0;
+  const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
+      log, sizeof(store::kWalMagic),
+      [&](const store::WalFrameView& view) -> Status {
+        last_lsn = view.lsn;
+        if (view.type == WalRecordType::kTask) {
+          tasks += view.frame;
+          return Status::OK();
+        }
+        store::WalDecoder dec(view.body);
+        DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+        sessions[id] += view.frame;
+        return Status::OK();
+      });
+  ASSERT_TRUE(scan.ok());
+  std::string snapshot = SnapshotHeader(last_lsn);
+  for (const auto& entry : sessions) snapshot += entry.second;
+  snapshot += tasks;
+  WriteBytes(path + ".snapshot", snapshot);
+  WriteBytes(path, std::string(store::kWalMagic, sizeof(store::kWalMagic)));
+
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok());
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ExpectStoresBitEqual(**reference, **opened);
+    EXPECT_EQ((*opened)->stats().sealed_sessions, 0u);
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    EXPECT_EQ((*opened)->stats().sealed_sessions, 2u);
+    ExpectStoresBitEqual(**reference, **opened);
+  }
+  const std::string rewritten = ReadBytes(path + ".snapshot");
+  const WalScanResult records =
+      ScanWalFrames(rewritten, SnapshotHeader(0).size());
+  ASSERT_EQ(records.records.size(), 5u);  // manifest, begin, 3 observations
+  EXPECT_EQ(records.records[0].type, WalRecordType::kSealedManifest);
+  for (size_t r = 1; r < records.records.size(); ++r) {
+    EXPECT_NE(records.records[r].type, WalRecordType::kEndSession);
+    EXPECT_NE(records.records[r].type, WalRecordType::kTask);
+  }
+  // The sealed log holds its header and the moved frames, nothing else.
+  EXPECT_EQ(ReadBytes(path + ".sealed").size(),
+            sizeof(store::kSealedLogMagic) + sessions["sealed-1"].size() +
+                sessions["sealed-2"].size() + tasks.size());
+  auto reopened = ObservationStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().sealed_sessions, 2u);
+  ExpectStoresBitEqual(**reference, **reopened);
+}
+
+// A store that never sealed a session or persisted a task writes no
+// manifest and no sealed log: its snapshot is the layout that predates
+// the sealed log, byte for byte.
+TEST_F(StoreTest, SnapshotWithNothingSealedHasNoManifest) {
+  const std::string path = StorePath("no_manifest");
+  std::string expected = SnapshotHeader(4);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore& s = **opened;
+    ASSERT_TRUE(s.BeginSession("s1", 1).ok());
+    expected += EncodeWalFrame({1, WalRecordType::kBeginSession,
+                                BeginBody("s1", 1)});
+    for (size_t i = 1; i <= 3; ++i) {
+      const Observation obs = MakeObs({0.1 * static_cast<double>(i)}, 1.0,
+                                      2.0, {3.0});
+      ASSERT_TRUE(s.AppendObservation("s1", i, obs).ok());
+      expected += EncodeWalFrame(
+          {i + 1, WalRecordType::kObservation, ObservationBody("s1", i, obs)});
+    }
+    ASSERT_TRUE(s.Checkpoint().ok());
+    EXPECT_EQ(s.stats().sealed_log_bytes, 0u);
+  }
+  EXPECT_EQ(ReadBytes(path + ".snapshot"), expected);
+  EXPECT_FALSE(std::filesystem::exists(path + ".sealed"));
+}
+
+// A checkpoint that moves sessions counts the sealed-log bytes it wrote
+// in `store.sealed.bytes`, beside the snapshot bytes.
+TEST_F(StoreTest, SealedBytesMetricCountsTheSealedLog) {
+  obs::ScopedMetricsForTest metrics;
+  const std::string path = StorePath("sealed_metric");
+  const std::string reference_path = StorePath("sealed_metric_reference");
+  BuildSealedStore(path, reference_path);
+  const obs::Counter* sealed =
+      obs::MetricsRegistry::Get().FindCounter("store.sealed.bytes");
+  ASSERT_NE(sealed, nullptr);
+  EXPECT_EQ(sealed->value(), std::filesystem::file_size(path + ".sealed"));
+}
+
+// Each crash window of a checkpoint recovers to what the client was told:
+// a torn sealed-log append (at every byte budget across the append), a
+// sealed log written in full but no snapshot renamed, and a snapshot
+// renamed but the log not compacted.
+TEST_F(StoreTest, CheckpointCrashWindowsRecoverThePreCheckpointContent) {
+  const std::string path = StorePath("sealed_crash");
+  const std::string reference_path = StorePath("sealed_crash_reference");
+  BuildSealedStore(path, reference_path);
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok());
+  const std::string wal = ReadBytes(path);
+  const std::string snapshot = ReadBytes(path + ".snapshot");
+  const std::string sealed = ReadBytes(path + ".sealed");
+  auto restore = [&] {
+    WriteBytes(path, wal);
+    WriteBytes(path + ".snapshot", snapshot);
+    WriteBytes(path + ".sealed", sealed);
+  };
+  auto expect_recovered = [&](const std::string& label) {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << label << ": " << opened.status().ToString();
+    EXPECT_EQ(ReadBytes(path + ".sealed"), sealed) << label;
+    ExpectStoresBitEqual(**reference, **opened);
+    // The store checkpoints again from there.
+    ASSERT_TRUE((*opened)->Checkpoint().ok()) << label;
+    ExpectStoresBitEqual(**reference, **opened);
+  };
+
+  // The move after "c" sealed appends c's session and its task.
+  uint64_t moved_bytes = 0;
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    moved_bytes = (*opened)->stats().sealed_log_bytes - sealed.size();
+  }
+  ASSERT_GT(moved_bytes, 0u);
+  for (uint64_t budget = 0; budget < moved_bytes; budget += 7) {
+    restore();
+    {
+      auto opened = ObservationStore::Open(path);
+      ASSERT_TRUE(opened.ok());
+      store::testing::SetWalWriteFaultForTest(static_cast<int64_t>(budget));
+      EXPECT_FALSE((*opened)->Checkpoint().ok()) << "budget " << budget;
+      store::testing::SetWalWriteFaultForTest(-1);
+    }
+    expect_recovered("torn at " + std::to_string(budget));
+  }
+
+  // Sealed log appended in full, then the crash: no snapshot rename, no
+  // log compaction.
+  restore();
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  WriteBytes(path, wal);
+  WriteBytes(path + ".snapshot", snapshot);
+  expect_recovered("snapshot not renamed");
+
+  // Snapshot renamed, log not compacted: the log's records are covered.
+  restore();
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  WriteBytes(path, wal);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ((*opened)->stats().wal_records_replayed, 0u);
+    ExpectStoresBitEqual(**reference, **opened);
+  }
+
+  // Leftover bytes past the covered length are dropped on open.
+  restore();
+  WriteBytes(path + ".sealed", sealed + "leftover-garbage");
+  expect_recovered("leftover bytes");
+}
+
+// Damage inside the sealed log never aborts. Open does not read the log,
+// so it succeeds, and so do ListSessions and num_tasks (they answer from
+// the index); FindSession of the damaged id and ExportTasks fail with a
+// Status while every other sealed id still reads back. A log shorter
+// than the snapshot's covered length fails Open.
+TEST_F(StoreTest, DamagedSealedLogNeverAborts) {
+  const std::string path = StorePath("sealed_damaged");
+  const std::string reference_path = StorePath("sealed_damaged_reference");
+  BuildSealedStore(path, reference_path);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok());
+  const std::string sealed = ReadBytes(path + ".sealed");
+  // Find "b"'s second observation frame and the "external" task frame.
+  size_t b_frame = 0;
+  size_t task_frame = 0;
+  size_t b_observations = 0;
+  const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
+      sealed, sizeof(store::kSealedLogMagic),
+      [&](const store::WalFrameView& view) -> Status {
+        const size_t offset =
+            static_cast<size_t>(view.frame.data() - sealed.data());
+        store::WalDecoder dec(view.body);
+        DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+        if (view.type == WalRecordType::kObservation && id == "b" &&
+            ++b_observations == 2) {
+          b_frame = offset;
+        }
+        if (view.type == WalRecordType::kTask && id == "external") {
+          task_frame = offset;
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(scan.ok() && !scan->torn_tail);
+  ASSERT_GT(b_frame, 0u);
+  ASSERT_GT(task_frame, 0u);
+
+  std::string damaged = sealed;
+  damaged[b_frame + 20] ^= 0x10;
+  damaged[task_frame + 20] ^= 0x10;
+  WriteBytes(path + ".sealed", damaged);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ObservationStore& s = **opened;
+    EXPECT_EQ(s.ListSessions().size(), (*reference)->ListSessions().size());
+    EXPECT_EQ(s.num_tasks(), (*reference)->num_tasks());
+    EXPECT_EQ(s.FindSession("b").status().code(), StatusCode::kInternal);
+    ObservationRepository repository;
+    EXPECT_EQ(s.ExportTasks(&repository).code(), StatusCode::kInternal);
+    EXPECT_EQ(repository.size(), 0u);
+    for (const std::string id : {"a", "c", "open"}) {
+      const Result<StoredSession> got = s.FindSession(id);
+      ASSERT_TRUE(got.ok()) << id << ": " << got.status().ToString();
+      ExpectObservationsBitEqual((*reference)->FindSession(id)->observations,
+                                 got->observations);
+      EXPECT_EQ(got->finished, id != "open");
+    }
+  }
+
+  // A log cut below its covered length fails Open with a Status.
+  WriteBytes(path + ".sealed", sealed.substr(0, sealed.size() - 1));
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+  std::remove((path + ".sealed").c_str());
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------
@@ -1079,8 +1565,8 @@ TEST_F(StoreTest, ReplayDivergenceTruncatesAndContinuesLive) {
   // The store now holds the new trajectory, iteration-complete.
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  const StoredSession* session = (*reopened)->FindSession("kill-test");
-  ASSERT_NE(session, nullptr);
+  const Result<StoredSession> session = (*reopened)->FindSession("kill-test");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->observations.size(), kIterations);
 }
 
@@ -1100,8 +1586,9 @@ TEST_F(StoreTest, AdvisorPersistsBaseTaskAcrossRuns) {
     auto opened = ObservationStore::Open(path);
     ASSERT_TRUE(opened.ok());
     EXPECT_EQ((*opened)->num_tasks(), 1u);
-    const StoredSession* session = (*opened)->FindSession("advisor-run-1");
-    ASSERT_NE(session, nullptr);
+    const Result<StoredSession> session =
+        (*opened)->FindSession("advisor-run-1");
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
     EXPECT_TRUE(session->finished);
     EXPECT_EQ(session->observations.size(), 6u);
   }

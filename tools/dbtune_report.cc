@@ -32,6 +32,8 @@ dbtune_report::StoreSummary SummarizeStore(
   summary.loaded_snapshot = stats.loaded_snapshot;
   summary.recovered_torn_tail = stats.recovered_torn_tail;
   summary.tasks = store.num_tasks();
+  summary.sealed_sessions = stats.sealed_sessions;
+  summary.sealed_log_bytes = stats.sealed_log_bytes;
   for (const dbtune::store::StoredSessionInfo& info : store.ListSessions()) {
     dbtune_report::StoreSummary::Session session;
     session.id = info.id;

@@ -234,7 +234,10 @@ std::string RenderStoreSummary(const StoreSummary& summary) {
   out += summary.loaded_snapshot ? "snapshot + wal replay" : "wal replay";
   if (summary.recovered_torn_tail) out += " (torn tail truncated)";
   out += "\n";
-  out += "- persisted base tasks: " + std::to_string(summary.tasks) + "\n\n";
+  out += "- persisted base tasks: " + std::to_string(summary.tasks) + "\n";
+  out += "- sealed log: " + std::to_string(summary.sealed_sessions) +
+         " sealed session(s), " + std::to_string(summary.sealed_log_bytes) +
+         " byte(s)\n\n";
   if (summary.sessions.empty()) {
     out += "No recorded sessions.\n";
     return out;

@@ -74,6 +74,9 @@ struct StoreSummary {
   };
   std::vector<Session> sessions;
   size_t tasks = 0;
+  /// Sealed sessions moved to the sealed log, and that log's length.
+  size_t sealed_sessions = 0;
+  unsigned long long sealed_log_bytes = 0;
   unsigned long long last_lsn = 0;
   bool loaded_snapshot = false;
   bool recovered_torn_tail = false;
