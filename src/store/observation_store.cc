@@ -16,7 +16,17 @@ namespace {
 
 constexpr size_t kWalHeaderBytes = 8;           // magic
 constexpr size_t kSnapshotHeaderBytes = 8 + 8;  // magic + covered lsn
-constexpr size_t kSealedLogHeaderBytes = 8;     // magic
+constexpr size_t kDataLogHeaderBytes = 8;       // magic
+constexpr size_t kManifestHeaderBytes = 8;      // magic
+/// Where the type byte sits in a frame: [u32 len][u32 crc][u64 lsn][u8].
+constexpr size_t kFrameTypeOffset = 16;
+/// The manifest log is rewritten as one full edit when an edit would take
+/// it past this multiple of its length right after the last rewrite. The
+/// rewrites then cost about twice the edits, and Open reads at most 1.5x
+/// the index: on fleet-churn's traffic, half the fixed-width index the
+/// snapshot held before the manifest log, for 0.41 MB of manifest writes
+/// (StoreTest.CheckpointBytesAreLinearInLoggedBytes).
+constexpr double kManifestGrowthFactor = 1.5;
 
 /// Reads the whole file into a string with one sized read; NotFound when
 /// it does not exist.
@@ -112,22 +122,26 @@ Result<SourceTask> DecodeTask(std::string_view body) {
   return task;
 }
 
+
 Status DamagedEntry(const std::string& path, const std::string& id) {
-  return Status::Internal("damaged sealed-log entry for '" + id + "' in " +
+  return Status::Internal("damaged data-log entry for '" + id + "' in " +
                           path);
 }
 
-/// Decodes a sealed session as the sealed log holds it: the begin frame,
-/// one frame per observation and the end frame, each CRC-checked.
-Result<StoredSession> DecodeSealedSession(std::string_view frames,
+/// Decodes a session's stream as the data log holds it: the begin frame,
+/// one frame per observation and, for a sealed session only, the end
+/// frame, each CRC-checked. `offsets`, when given, gets the stream offset
+/// of each observation's frame.
+Result<StoredSession> DecodeSessionStream(std::string_view stream,
                                           const std::string& path,
-                                          const std::string& id) {
+                                          const std::string& id, bool sealed,
+                                          std::vector<uint64_t>* offsets) {
   StoredSession session;
   bool begun = false;
   bool ended = false;
   // Any visitor error means a damaged entry; its message is not kept.
   const Result<WalScanExtent> scan = ForEachWalFrame(
-      frames, 0, [&](const WalFrameView& frame) -> Status {
+      stream, 0, [&](const WalFrameView& frame) -> Status {
         const Status damaged = Status::Internal("");
         // One begin frame first, nothing after the end frame.
         const bool is_begin = frame.type == WalRecordType::kBeginSession;
@@ -148,6 +162,10 @@ Result<StoredSession> DecodeSealedSession(std::string_view frames,
                 record.iteration != session.observations.size() + 1) {
               return damaged;
             }
+            if (offsets != nullptr) {
+              offsets->push_back(
+                  static_cast<uint64_t>(frame.frame.data() - stream.data()));
+            }
             session.observations.push_back(std::move(record.obs));
             return Status::OK();
           }
@@ -160,14 +178,15 @@ Result<StoredSession> DecodeSealedSession(std::string_view frames,
             return damaged;
         }
       });
-  if (!scan.ok() || scan->torn_tail || !ended || session.id != id) {
+  if (!scan.ok() || scan->torn_tail || !begun || ended != sealed ||
+      session.id != id) {
     return DamagedEntry(path, id);
   }
-  session.finished = true;
+  session.finished = sealed;
   return session;
 }
 
-/// Decodes a task as the sealed log (or the task's retained frame) holds
+/// Decodes a task as the data log (or the task's retained frame) holds
 /// it: exactly one CRC-checked task frame.
 Result<SourceTask> DecodeTaskFrame(std::string_view frame,
                                    const std::string& path,
@@ -188,12 +207,26 @@ Result<SourceTask> DecodeTaskFrame(std::string_view frame,
   return *std::move(task);
 }
 
+/// Creates (or empties) `path` and opens it for appends.
+Result<WalWriter> CreateForAppend(const std::string& path) {
+  std::FILE* created = std::fopen(path.c_str(), "wb");
+  if (created == nullptr || std::fclose(created) != 0) {
+    return Status::Internal("cannot create " + path);
+  }
+  return WalWriter::OpenForAppend(path);
+}
+
 }  // namespace
 
 ObservationStore::ObservationStore(std::string path, StoreOptions options)
     : path_(std::move(path)),
-      sealed_path_(path_ + ".sealed"),
+      manifest_path_(path_ + ".manifest"),
       options_(options) {}
+
+std::string ObservationStore::DataLogPath(uint64_t generation) const {
+  return generation == 0 ? path_ + ".sealed"
+                         : path_ + ".data." + std::to_string(generation);
+}
 
 Result<std::unique_ptr<ObservationStore>> ObservationStore::Open(
     const std::string& path, StoreOptions options) {
@@ -208,61 +241,77 @@ Result<std::unique_ptr<ObservationStore>> ObservationStore::Open(
   return s;
 }
 
+Status ObservationStore::Destroy(const std::string& path) {
+  if (path.empty()) return Status::InvalidArgument("empty store path");
+  const std::filesystem::path wal(path);
+  std::vector<std::filesystem::path> files;
+  for (const char* suffix : {"", ".manifest", ".manifest.tmp", ".snapshot",
+                             ".snapshot.tmp", ".sealed"}) {
+    files.emplace_back(path + suffix);
+  }
+  // Data logs of every generation: `<name>.data.<digits>`.
+  const std::string prefix = wal.filename().string() + ".data.";
+  const std::filesystem::path dir =
+      wal.has_parent_path() ? wal.parent_path() : std::filesystem::path(".");
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > prefix.size() && name.starts_with(prefix) &&
+        std::all_of(name.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                    name.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+      files.push_back(it->path());
+    }
+  }
+  if (ec && ec != std::errc::no_such_file_or_directory) {
+    return Status::Internal("cannot list " + dir.string());
+  }
+  for (const std::filesystem::path& file : files) {
+    std::filesystem::remove(file, ec);
+    if (ec) return Status::Internal("cannot remove " + file.string());
+  }
+  return Status::OK();
+}
+
 Status ObservationStore::Recover() {
   mu_.AssertHeld();
-  uint64_t snapshot_lsn = 0;
-
-  // --- Snapshot first: it is always written atomically (tmp+rename), so
-  // any damage here is real corruption, not a crash artifact.
-  const std::string snapshot_path = path_ + ".snapshot";
-  Result<std::string> snapshot_bytes = ReadFileBytes(snapshot_path);
-  if (snapshot_bytes.ok()) {
-    const std::string& data = snapshot_bytes.value();
-    if (data.size() < kSnapshotHeaderBytes ||
-        std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-            0) {
-      return Status::Internal(snapshot_path + " is not a dbtune snapshot");
-    }
-    for (int i = 7; i >= 0; --i) {
-      snapshot_lsn = (snapshot_lsn << 8) |
-                     static_cast<uint8_t>(data[sizeof(kSnapshotMagic) + i]);
-    }
-    // Snapshot frames carry the LSNs they were logged with (0 in older
-    // snapshots); only the covered LSN above orders the snapshot against
-    // the log, so per-frame LSNs are not consulted here.
-    DBTUNE_ASSIGN_OR_RETURN(
-        const WalScanExtent scan,
-        ForEachWalFrame(data, kSnapshotHeaderBytes,
-                        [this](const WalFrameView& record) {
-                          mu_.AssertHeld();
-                          if (record.type == WalRecordType::kSealedManifest) {
-                            return LoadManifest(record.body);
-                          }
-                          return ApplyRecord(record);
-                        }));
-    if (scan.torn_tail) {
-      return Status::Internal("corrupt snapshot " + snapshot_path);
-    }
+  // --- The checkpoint: the manifest log, else an older layout's snapshot.
+  const Status manifest = LoadManifestLog();
+  if (manifest.ok()) {
     stats_.loaded_snapshot = true;
-    next_lsn_ = snapshot_lsn + 1;
-    stats_.last_lsn = snapshot_lsn;
-  } else if (snapshot_bytes.status().code() != StatusCode::kNotFound) {
-    return snapshot_bytes.status();
+    // A snapshot beside a manifest log is what a crash between the
+    // conversion's commit and the snapshot's removal leaves: stale.
+    std::error_code ec;
+    std::filesystem::remove(path_ + ".snapshot", ec);
+  } else if (manifest.code() == StatusCode::kNotFound) {
+    DBTUNE_RETURN_IF_ERROR(LoadLegacySnapshot());
+  } else {
+    return manifest;
   }
-  // The manifest says how much of the sealed log the snapshot stands on;
-  // the log itself is read only by lookups.
-  DBTUNE_RETURN_IF_ERROR(RecoverSealedLog());
+  const uint64_t covered_lsn = manifest_.covered_lsn;
+  next_lsn_ = covered_lsn + 1;
+  stats_.last_lsn = covered_lsn;
+  // A compaction that crashed before its commit leaves the next
+  // generation behind, one that crashed after it the previous one.
+  std::error_code ec;
+  std::filesystem::remove(DataLogPath(manifest_.generation + 1), ec);
+  if (manifest_.generation > 0) {
+    std::filesystem::remove(DataLogPath(manifest_.generation - 1), ec);
+  }
+  DBTUNE_RETURN_IF_ERROR(RecoverDataLog());
+  DBTUNE_RETURN_IF_ERROR(ReopenLogsLocked());
+  DBTUNE_RETURN_IF_ERROR(LoadOpenSessions());
 
-  // --- Then the WAL: replay every intact record past the snapshot and
+  // --- Then the WAL: replay every intact record past the checkpoint and
   // truncate a torn tail (the expected shape after a crash mid-append).
   Result<std::string> wal_bytes = ReadFileBytes(path_);
+  if (wal_bytes.ok()) stats_.recovery_bytes_read += wal_bytes->size();
   if (wal_bytes.ok() && !wal_bytes.value().empty()) {
     const std::string& data = wal_bytes.value();
     if (data.size() < kWalHeaderBytes) {
       DBTUNE_LOG(kWarning) << "wal " << path_
                            << " torn inside the header; starting fresh";
       stats_.recovered_torn_tail = true;
-      std::error_code ec;
       std::filesystem::resize_file(path_, 0, ec);
       if (ec) return Status::Internal("cannot truncate wal " + path_);
     } else if (std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
@@ -272,12 +321,12 @@ Status ObservationStore::Recover() {
           const WalScanExtent scan,
           ForEachWalFrame(
               data, kWalHeaderBytes,
-              [this, snapshot_lsn](const WalFrameView& record) -> Status {
+              [this, covered_lsn](const WalFrameView& record) -> Status {
                 mu_.AssertHeld();
-                // Records at or below the snapshot LSN survive only when a
-                // crash hit between the snapshot rename and the log
-                // compaction; the snapshot already holds their effects.
-                if (record.lsn <= snapshot_lsn) return Status::OK();
+                // Records at or below the covered LSN survive only when a
+                // crash hit between the manifest commit and the log
+                // compaction; the checkpoint already holds their effects.
+                if (record.lsn <= covered_lsn) return Status::OK();
                 DBTUNE_RETURN_IF_ERROR(ApplyRecord(record));
                 ++stats_.wal_records_replayed;
                 if (record.lsn >= next_lsn_) next_lsn_ = record.lsn + 1;
@@ -290,7 +339,6 @@ Status ObservationStore::Recover() {
             << (data.size() - scan.valid_bytes) << " byte(s) after "
             << scan.frames << " intact record(s)";
         stats_.recovered_torn_tail = true;
-        std::error_code ec;
         std::filesystem::resize_file(path_, scan.valid_bytes, ec);
         if (ec) return Status::Internal("cannot truncate wal " + path_);
       }
@@ -321,10 +369,104 @@ Status ObservationStore::Recover() {
   return Status::OK();
 }
 
-Status ObservationStore::LoadManifest(std::string_view body) {
+Status ObservationStore::LoadManifestLog() {
   mu_.AssertHeld();
+  DBTUNE_ASSIGN_OR_RETURN(const std::string data,
+                          ReadFileBytes(manifest_path_));
+  stats_.recovery_bytes_read += data.size();
+  if (data.size() < kManifestHeaderBytes ||
+      std::memcmp(data.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
+    return Status::Internal(manifest_path_ + " is not a dbtune manifest log");
+  }
+  uint64_t consolidated = kManifestHeaderBytes;
+  DBTUNE_ASSIGN_OR_RETURN(
+      const WalScanExtent scan,
+      ForEachWalFrame(data, kManifestHeaderBytes,
+                      [&](const WalFrameView& frame) -> Status {
+                        mu_.AssertHeld();
+                        DBTUNE_RETURN_IF_ERROR(ApplyEdit(frame, &manifest_));
+                        if (frame.body[0] != 0) {  // a full edit
+                          consolidated = static_cast<uint64_t>(
+                              frame.frame.data() + frame.frame.size() -
+                              data.data());
+                        }
+                        return Status::OK();
+                      }));
+  // The log is only ever created whole, by a rename, so it holds at least
+  // one complete edit.
+  if (scan.frames == 0) {
+    return Status::Internal("manifest log " + manifest_path_ +
+                            " holds no complete edit");
+  }
+  if (scan.torn_tail) {
+    // A crash tears at most the final edit, which never committed. A
+    // complete frame that fails its CRC is damage, not a crash.
+    const std::string_view rest =
+        std::string_view(data).substr(scan.valid_bytes);
+    const Result<uint32_t> length = WalDecoder(rest).ReadU32();
+    constexpr uint64_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
+    if (length.ok() && rest.size() >= kFrameHeaderBytes + *length) {
+      return Status::Internal("corrupt manifest log " + manifest_path_);
+    }
+    DBTUNE_LOG(kWarning) << "manifest log " << manifest_path_
+                         << " has a torn final edit; truncating "
+                         << (data.size() - scan.valid_bytes) << " byte(s)";
+  }
+  manifest_bytes_ = scan.valid_bytes;
+  consolidated_bytes_ = consolidated;
+  return Status::OK();
+}
+
+Status ObservationStore::LoadLegacySnapshot() {
+  mu_.AssertHeld();
+  // Written atomically (tmp+rename), so any damage is real corruption,
+  // not a crash artifact.
+  const std::string snapshot_path = path_ + ".snapshot";
+  Result<std::string> snapshot_bytes = ReadFileBytes(snapshot_path);
+  if (!snapshot_bytes.ok()) {
+    return snapshot_bytes.status().code() == StatusCode::kNotFound
+               ? Status::OK()
+               : snapshot_bytes.status();
+  }
+  const std::string& data = snapshot_bytes.value();
+  stats_.recovery_bytes_read += data.size();
+  if (data.size() < kSnapshotHeaderBytes ||
+      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    return Status::Internal(snapshot_path + " is not a dbtune snapshot");
+  }
+  uint64_t covered_lsn = 0;
+  for (int i = 7; i >= 0; --i) {
+    covered_lsn = (covered_lsn << 8) |
+                  static_cast<uint8_t>(data[sizeof(kSnapshotMagic) + i]);
+  }
+  // Snapshot frames carry the LSNs they were logged with (0 in the oldest
+  // snapshots); only the covered LSN above orders the snapshot against
+  // the log, so per-frame LSNs are not consulted here.
+  DBTUNE_ASSIGN_OR_RETURN(
+      const WalScanExtent scan,
+      ForEachWalFrame(data, kSnapshotHeaderBytes,
+                      [this](const WalFrameView& record) {
+                        mu_.AssertHeld();
+                        if (record.type == WalRecordType::kSealedManifest) {
+                          return LoadLegacyManifest(record.body);
+                        }
+                        return ApplyRecord(record);
+                      }));
+  if (scan.torn_tail) {
+    return Status::Internal("corrupt snapshot " + snapshot_path);
+  }
+  manifest_.covered_lsn = covered_lsn;
+  legacy_snapshot_ = true;
+  stats_.loaded_snapshot = true;
+  return Status::OK();
+}
+
+Status ObservationStore::LoadLegacyManifest(std::string_view body) {
+  mu_.AssertHeld();
+  // The sealed log it indexes is generation 0 of the data log.
+  manifest_.generation = 0;
   WalDecoder dec(body);
-  DBTUNE_ASSIGN_OR_RETURN(sealed_bytes_, dec.ReadU64());
+  DBTUNE_ASSIGN_OR_RETURN(manifest_.data_log_bytes, dec.ReadU64());
   // Sessions, then tasks, each count-prefixed.
   for (const bool sessions : {true, false}) {
     DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadU64());
@@ -336,17 +478,18 @@ Status ObservationStore::LoadManifest(std::string_view body) {
       DBTUNE_ASSIGN_OR_RETURN(entry.observations, dec.ReadU64());
       DBTUNE_ASSIGN_OR_RETURN(entry.offset, dec.ReadU64());
       DBTUNE_ASSIGN_OR_RETURN(entry.length, dec.ReadU64());
-      if (entry.offset < kSealedLogHeaderBytes ||
-          entry.length > sealed_bytes_ ||
-          entry.offset > sealed_bytes_ - entry.length) {
+      entry.bytes = entry.length;
+      if (entry.offset < kDataLogHeaderBytes ||
+          entry.length > manifest_.data_log_bytes ||
+          entry.offset > manifest_.data_log_bytes - entry.length) {
         return Status::Internal("sealed-log manifest entry for '" + entry.id +
                                 "' lies outside the covered log");
       }
       if (sessions) {
         std::string id = entry.id;
-        sealed_sessions_.insert_or_assign(std::move(id), std::move(entry));
+        manifest_.sealed.insert_or_assign(std::move(id), std::move(entry));
       } else {
-        sealed_tasks_.push_back(std::move(entry));
+        manifest_.tasks.push_back(std::move(entry));
       }
     }
   }
@@ -354,35 +497,286 @@ Status ObservationStore::LoadManifest(std::string_view body) {
   return Status::OK();
 }
 
-Status ObservationStore::RecoverSealedLog() {
+Status ObservationStore::RecoverDataLog() {
   mu_.AssertHeld();
+  const uint64_t covered = manifest_.data_log_bytes;
+  // Before its first frame the data log is created by the first
+  // checkpoint, whatever a failed one left behind.
+  if (covered == 0) return Status::OK();
+  const std::string path = DataLogPath(manifest_.generation);
   std::error_code ec;
-  uintmax_t size = std::filesystem::file_size(sealed_path_, ec);
+  uintmax_t size = std::filesystem::file_size(path, ec);
   if (ec) {
     if (ec != std::errc::no_such_file_or_directory) {
-      return Status::Internal("cannot size sealed log " + sealed_path_);
+      return Status::Internal("cannot size data log " + path);
     }
     size = 0;
   }
-  if (size < sealed_bytes_) {
-    return Status::Internal("sealed log " + sealed_path_ + " holds " +
-                            std::to_string(size) + " byte(s); the snapshot "
-                            "stands on " + std::to_string(sealed_bytes_));
+  if (size < covered) {
+    return Status::Internal("data log " + path + " holds " +
+                            std::to_string(size) + " byte(s); the manifest "
+                            "stands on " + std::to_string(covered));
   }
-  if (size > sealed_bytes_) {
-    // A crash between the sealed-log append and the snapshot rename: the
-    // WAL still holds those records, so the next checkpoint moves them
-    // again.
-    DBTUNE_LOG(kWarning) << "sealed log " << sealed_path_ << " has "
-                         << (size - sealed_bytes_)
-                         << " byte(s) past the length the snapshot covers; "
+  if (size > covered) {
+    // A crash between the data-log append and the manifest edit: the WAL
+    // still holds those records, so the next checkpoint appends them
+    // again. ReopenLogsLocked truncates the bytes.
+    DBTUNE_LOG(kWarning) << "data log " << path << " has "
+                         << (size - covered)
+                         << " byte(s) past the length the manifest covers; "
                             "truncating";
-    std::filesystem::resize_file(sealed_path_, sealed_bytes_, ec);
-    if (ec) return Status::Internal("cannot truncate " + sealed_path_);
   }
-  if (sealed_bytes_ > 0) {
-    DBTUNE_ASSIGN_OR_RETURN(sealed_log_,
-                            WalWriter::OpenForAppend(sealed_path_));
+  return Status::OK();
+}
+
+Status ObservationStore::LoadOpenSessions() {
+  mu_.AssertHeld();
+  if (manifest_.open.empty()) return Status::OK();
+  const std::string path = DataLogPath(manifest_.generation);
+  // Each session's stream is its extents joined. Extents of successive
+  // checkpoints abut, so they are read in runs of adjacent extents: one
+  // read per run, and no byte outside the open sessions' extents.
+  struct Piece {
+    const Extent* extent;
+    const std::string* id;
+    std::string* stream;
+    uint64_t at;  // where the extent starts in the stream
+  };
+  std::vector<std::string> streams(manifest_.open.size());
+  std::vector<Piece> pieces;
+  size_t index = 0;
+  uint64_t total = 0;
+  for (const auto& [id, extents] : manifest_.open) {
+    if (manifest_.sealed.count(id) > 0) return DamagedEntry(path, id);
+    uint64_t at = 0;
+    for (const Extent& extent : extents) {
+      pieces.push_back({&extent, &id, &streams[index], at});
+      at += extent.length;
+    }
+    // Extents never overlap, so together they fit in the log.
+    total += at;
+    if (total > manifest_.data_log_bytes) return DamagedEntry(path, id);
+    streams[index++].resize(static_cast<size_t>(at));
+  }
+  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+    return a.extent->offset < b.extent->offset;
+  });
+  std::ifstream log(path, std::ios::binary);
+  std::string run;
+  for (size_t first = 0; first < pieces.size();) {
+    const uint64_t start = pieces[first].extent->offset;
+    uint64_t end = start;
+    size_t last = first;
+    while (last < pieces.size() && pieces[last].extent->offset == end) {
+      end += pieces[last++].extent->length;
+    }
+    run.clear();
+    DBTUNE_RETURN_IF_ERROR(
+        ReadDataLocked(&log, start, end - start, *pieces[first].id, &run));
+    stats_.recovery_bytes_read += run.size();
+    for (; first < last; ++first) {
+      const Piece& piece = pieces[first];
+      std::memcpy(piece.stream->data() + piece.at,
+                  run.data() + (piece.extent->offset - start),
+                  static_cast<size_t>(piece.extent->length));
+    }
+  }
+  index = 0;
+  for (const auto& [id, extents] : manifest_.open) {
+    const std::string& stream = streams[index++];
+    SessionState state;
+    DBTUNE_ASSIGN_OR_RETURN(
+        state.session,
+        DecodeSessionStream(stream, path, id, /*sealed=*/false,
+                            &state.observation_offsets));
+    uint64_t observations = 0;
+    for (const Extent& extent : extents) observations += extent.observations;
+    if (state.session.observations.size() != observations) {
+      return DamagedEntry(path, id);
+    }
+    state.flushed_bytes = stream.size();
+    state.flushed_observations = state.session.observations.size();
+    sessions_.emplace(id, std::move(state));
+  }
+  return Status::OK();
+}
+
+std::string ObservationStore::EncodeEdit(const ManifestEdit& edit) {
+  WalEncoder enc;
+  enc.PutU8(edit.full ? 1 : 0);
+  enc.PutVarint(edit.generation);
+  enc.PutVarint(edit.data_log_bytes);
+  enc.PutVarint(edit.restarts.size());
+  for (const std::string& id : edit.restarts) enc.PutString(id);
+  enc.PutVarint(edit.cuts.size());
+  for (const auto& [id, cut] : edit.cuts) {
+    enc.PutString(id);
+    enc.PutVarint(cut.bytes);
+    enc.PutVarint(cut.observations);
+  }
+  // Extents in runs of one session: its id once, then each extent.
+  std::vector<std::pair<size_t, size_t>> runs;  // [first, last) per id
+  for (size_t i = 0; i < edit.extents.size(); ++i) {
+    if (runs.empty() || edit.extents[i].first != edit.extents[i - 1].first) {
+      runs.emplace_back(i, i);
+    }
+    ++runs.back().second;
+  }
+  enc.PutVarint(runs.size());
+  for (const auto& [first, last] : runs) {
+    enc.PutString(edit.extents[first].first);
+    enc.PutVarint(last - first);
+    for (size_t i = first; i < last; ++i) {
+      const Extent& extent = edit.extents[i].second;
+      enc.PutVarint(extent.offset);
+      enc.PutVarint(extent.length);
+      enc.PutVarint(extent.observations);
+    }
+  }
+  for (const std::vector<SealedEntry>* entries : {&edit.seals, &edit.tasks}) {
+    enc.PutVarint(entries->size());
+    for (const SealedEntry& entry : *entries) {
+      enc.PutString(entry.id);
+      for (const uint64_t field : {entry.lsn, entry.dimension,
+                                   entry.observations, entry.offset,
+                                   entry.length, entry.bytes}) {
+        enc.PutVarint(field);
+      }
+    }
+  }
+  return EncodeWalFrame(
+      WalRecord{edit.covered_lsn, WalRecordType::kManifestEdit, enc.bytes()});
+}
+
+ObservationStore::ManifestEdit ObservationStore::FullEdit(
+    const Manifest& manifest) {
+  ManifestEdit edit;
+  edit.full = true;
+  edit.covered_lsn = manifest.covered_lsn;
+  edit.generation = manifest.generation;
+  edit.data_log_bytes = manifest.data_log_bytes;
+  for (const auto& [id, extents] : manifest.open) {
+    for (const Extent& extent : extents) edit.extents.emplace_back(id, extent);
+  }
+  for (const auto& entry : manifest.sealed) edit.seals.push_back(entry.second);
+  edit.tasks = manifest.tasks;
+  return edit;
+}
+
+Status ObservationStore::CutExtents(const Cut& cut,
+                                    std::vector<Extent>* extents) {
+  const Status bad = Status::Internal("manifest cut past the session's end");
+  uint64_t bytes = 0;
+  uint64_t observations = 0;
+  for (size_t i = 0; i < extents->size(); ++i) {
+    Extent& extent = (*extents)[i];
+    if (cut.bytes >= bytes + extent.length) {
+      bytes += extent.length;
+      observations += extent.observations;
+      continue;
+    }
+    // The cut falls in this extent: shorten it, drop every later one.
+    if (cut.observations < observations ||
+        cut.observations - observations > extent.observations) {
+      return bad;
+    }
+    extent.length = cut.bytes - bytes;
+    extent.observations = cut.observations - observations;
+    if (extent.length == 0 && extent.observations != 0) return bad;
+    extents->resize(extent.length == 0 ? i : i + 1);
+    return Status::OK();
+  }
+  return cut.bytes == bytes && cut.observations == observations
+             ? Status::OK()
+             : bad;
+}
+
+Status ObservationStore::ApplyEdit(const WalFrameView& frame,
+                                   Manifest* manifest) {
+  // Decoding and applying are one pass: Open replays every edit of the
+  // log, so this loop is most of what it costs. Decode errors
+  // (InvalidArgument) and edits that do not fit the index both become
+  // Internal: the manifest log is damaged.
+  const Status applied = [&]() -> Status {
+    const Status bad = Status::InvalidArgument("edit does not fit the index");
+    if (frame.type != WalRecordType::kManifestEdit) return bad;
+    WalDecoder dec(frame.body);
+    DBTUNE_ASSIGN_OR_RETURN(const uint8_t full, dec.ReadU8());
+    DBTUNE_ASSIGN_OR_RETURN(const uint64_t generation, dec.ReadVarint());
+    DBTUNE_ASSIGN_OR_RETURN(const uint64_t covered, dec.ReadVarint());
+    if (full != 0) {
+      *manifest = Manifest{};
+    } else if (generation != manifest->generation ||
+               covered < manifest->data_log_bytes ||
+               frame.lsn < manifest->covered_lsn) {
+      return bad;
+    }
+    manifest->covered_lsn = frame.lsn;
+    manifest->generation = generation;
+    manifest->data_log_bytes = covered;
+    auto fits = [covered](uint64_t offset, uint64_t length) {
+      return length > 0 && offset >= kDataLogHeaderBytes &&
+             length <= covered && offset <= covered - length;
+    };
+    // Restarts, then cuts, then extents, then seals and tasks.
+    DBTUNE_ASSIGN_OR_RETURN(uint64_t count, dec.ReadVarint());
+    for (uint64_t i = 0; i < count; ++i) {
+      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+      manifest->open.erase(id);
+      manifest->sealed.erase(id);
+    }
+    DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+    for (uint64_t i = 0; i < count; ++i) {
+      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+      Cut cut;
+      DBTUNE_ASSIGN_OR_RETURN(cut.bytes, dec.ReadVarint());
+      DBTUNE_ASSIGN_OR_RETURN(cut.observations, dec.ReadVarint());
+      auto it = manifest->open.find(id);
+      if (it == manifest->open.end()) return bad;
+      DBTUNE_RETURN_IF_ERROR(CutExtents(cut, &it->second));
+    }
+    // Extents come in runs of one session. (An id both open and sealed is
+    // caught where Open loads the open sessions.)
+    DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+    for (uint64_t i = 0; i < count; ++i) {
+      DBTUNE_ASSIGN_OR_RETURN(std::string id, dec.ReadString());
+      DBTUNE_ASSIGN_OR_RETURN(uint64_t extents, dec.ReadVarint());
+      std::vector<Extent>& session = manifest->open[std::move(id)];
+      for (; extents > 0; --extents) {
+        Extent extent;
+        DBTUNE_ASSIGN_OR_RETURN(extent.offset, dec.ReadVarint());
+        DBTUNE_ASSIGN_OR_RETURN(extent.length, dec.ReadVarint());
+        DBTUNE_ASSIGN_OR_RETURN(extent.observations, dec.ReadVarint());
+        if (!fits(extent.offset, extent.length)) return bad;
+        session.push_back(extent);
+      }
+    }
+    for (const bool seals : {true, false}) {
+      DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+      for (uint64_t i = 0; i < count; ++i) {
+        SealedEntry entry;
+        DBTUNE_ASSIGN_OR_RETURN(entry.id, dec.ReadString());
+        for (uint64_t* field : {&entry.lsn, &entry.dimension,
+                                &entry.observations, &entry.offset,
+                                &entry.length, &entry.bytes}) {
+          DBTUNE_ASSIGN_OR_RETURN(*field, dec.ReadVarint());
+        }
+        if (!fits(entry.offset, entry.length) || entry.bytes < entry.length) {
+          return bad;
+        }
+        if (seals) {
+          manifest->open.erase(entry.id);
+          std::string id = entry.id;
+          manifest->sealed.insert_or_assign(std::move(id), std::move(entry));
+        } else {
+          manifest->tasks.push_back(std::move(entry));
+        }
+      }
+    }
+    return dec.AtEnd() ? Status::OK() : bad;
+  }();
+  if (!applied.ok()) {
+    return Status::Internal("corrupt manifest edit: " + applied.message());
   }
   return Status::OK();
 }
@@ -394,18 +788,15 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
     case WalRecordType::kBeginSession: {
       DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
       DBTUNE_ASSIGN_OR_RETURN(const uint64_t dimension, dec.ReadU64());
-      // A sealed id starts over: its old history leaves the index (its
-      // bytes stay in the append-only sealed log, unreferenced).
-      sealed_sessions_.erase(id);
       SessionState& state = sessions_[id];
+      state = SessionState{};
       state.session.id = id;
       state.session.dimension = static_cast<size_t>(dimension);
-      state.session.finished = false;
-      state.session.observations.clear();
       state.frames.assign(record.frame);
-      state.observation_offsets.clear();
-      state.end_frame.clear();
-      state.seal_lsn = 0;
+      // A restarted id's old history stays indexed until the next edit
+      // drops it; its bytes become dead.
+      state.restarted = manifest_.open.count(id) > 0 ||
+                        manifest_.sealed.count(id) > 0;
       return Status::OK();
     }
     case WalRecordType::kObservation: {
@@ -422,7 +813,8 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
                                 decoded.id);
       }
       state.session.observations.push_back(std::move(decoded.obs));
-      state.observation_offsets.push_back(state.frames.size());
+      state.observation_offsets.push_back(state.flushed_bytes +
+                                          state.frames.size());
       state.frames.append(record.frame);
       return Status::OK();
     }
@@ -459,14 +851,25 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
       // truncate one here; its end frame stays.
       SessionState& state = it->second;
       if (keep < state.session.observations.size()) {
+        const uint64_t cut = state.observation_offsets[keep];
+        if (cut >= state.flushed_bytes) {
+          state.frames.resize(cut - state.flushed_bytes);
+        } else {
+          // The cut reaches into the data log: the next edit records it.
+          state.frames.clear();
+          state.flushed_bytes = cut;
+          state.flushed_observations = keep;
+          state.cut = Cut{cut, keep};
+        }
         state.session.observations.resize(keep);
-        state.frames.resize(state.observation_offsets[keep]);
         state.observation_offsets.resize(keep);
       }
       return Status::OK();
     }
     case WalRecordType::kSealedManifest:
-      return Status::Internal("sealed-log manifest outside a snapshot");
+    case WalRecordType::kManifestEdit:
+    case WalRecordType::kExtentIndex:
+      return Status::Internal("checkpoint record inside the log");
   }
   return Status::Internal("unknown wal record type");
 }
@@ -486,7 +889,7 @@ Status ObservationStore::AppendAndApply(WalRecordType type,
 
 Status ObservationStore::NotOpenLocked(const std::string& id) const {
   mu_.AssertHeld();
-  if (sealed_sessions_.count(id) > 0) {
+  if (manifest_.sealed.count(id) > 0) {
     return Status::FailedPrecondition("session " + id + " is finished");
   }
   return Status::NotFound("unknown session " + id);
@@ -533,7 +936,13 @@ Status ObservationStore::AppendObservation(const std::string& id,
   ++appends_since_checkpoint_;
   if (options_.snapshot_every > 0 &&
       appends_since_checkpoint_ >= options_.snapshot_every) {
-    return CheckpointLocked();
+    // The record is applied and durable, so the append succeeded whatever
+    // the checkpoint does; a failed one is retried at the next append.
+    if (const Status checkpointed = CheckpointLocked(); !checkpointed.ok()) {
+      DBTUNE_LOG(kWarning) << "automatic checkpoint of " << path_
+                           << " failed; retrying at the next append: "
+                           << checkpointed.ToString();
+    }
   }
   return Status::OK();
 }
@@ -577,152 +986,66 @@ Status ObservationStore::PersistTask(const SourceTask& task) {
   return AppendAndApply(WalRecordType::kTask, EncodeTask(task));
 }
 
-Result<uint64_t> ObservationStore::MoveSealedLocked() {
+Status ObservationStore::ReopenLogsLocked() {
   mu_.AssertHeld();
-  // What moves, in LSN order: every task, and every sealed session by its
-  // end record. Legacy snapshot frames all carry LSN 0; the stable sort
-  // keeps them in task order, then session id order.
-  struct Move {
-    uint64_t lsn = 0;
-    const TaskState* task = nullptr;
-    const SessionState* session = nullptr;
+  // Truncates `path` to `length` unless it has that length already.
+  auto reopen = [](const std::string& path, uint64_t length,
+                   WalWriter* writer) -> Status {
+    std::error_code ec;
+    if (std::filesystem::file_size(path, ec) != length || ec) {
+      std::filesystem::resize_file(path, length, ec);
+      if (ec) return Status::Internal("cannot truncate " + path);
+    }
+    DBTUNE_ASSIGN_OR_RETURN(*writer, WalWriter::OpenForAppend(path));
+    return Status::OK();
   };
-  std::vector<Move> moves;
-  for (const TaskState& task : tasks_) {
-    moves.push_back({task.entry.lsn, &task, nullptr});
+  if (manifest_.data_log_bytes > 0 && !data_log_.open()) {
+    DBTUNE_RETURN_IF_ERROR(reopen(DataLogPath(manifest_.generation),
+                                  manifest_.data_log_bytes, &data_log_));
   }
-  for (const auto& entry : sessions_) {
-    if (entry.second.session.finished) {
-      moves.push_back({entry.second.seal_lsn, nullptr, &entry.second});
-    }
+  if (manifest_bytes_ > 0 && !manifest_log_.open()) {
+    DBTUNE_RETURN_IF_ERROR(
+        reopen(manifest_path_, manifest_bytes_, &manifest_log_));
   }
-  if (moves.empty()) return uint64_t{0};
-  std::stable_sort(moves.begin(), moves.end(),
-                   [](const Move& a, const Move& b) { return a.lsn < b.lsn; });
-
-  uint64_t end = sealed_bytes_;
-  if (end == 0) {
-    // The first move starts the log, dropping whatever an earlier failed
-    // first move left behind.
-    std::FILE* created = std::fopen(sealed_path_.c_str(), "wb");
-    if (created == nullptr || std::fclose(created) != 0) {
-      return Status::Internal("cannot create sealed log " + sealed_path_);
-    }
-    DBTUNE_ASSIGN_OR_RETURN(sealed_log_,
-                            WalWriter::OpenForAppend(sealed_path_));
-    DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(
-        std::string_view(kSealedLogMagic, sizeof(kSealedLogMagic))));
-    end = kSealedLogHeaderBytes;
-  }
-  // Nothing leaves memory until every frame is in the log; a failed
-  // append leaves the state as it was (the writer disables itself, and
-  // recovery truncates the torn bytes).
-  std::vector<SealedEntry> entries;
-  entries.reserve(moves.size());
-  for (const Move& move : moves) {
-    SealedEntry entry;
-    if (move.task != nullptr) {
-      entry = move.task->entry;
-      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.task->frame));
-      entry.length = move.task->frame.size();
-    } else {
-      const StoredSession& session = move.session->session;
-      entry.id = session.id;
-      entry.lsn = move.lsn;
-      entry.dimension = session.dimension;
-      entry.observations = session.observations.size();
-      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.session->frames));
-      DBTUNE_RETURN_IF_ERROR(sealed_log_.Append(move.session->end_frame));
-      entry.length =
-          move.session->frames.size() + move.session->end_frame.size();
-    }
-    entry.offset = end;
-    end += entry.length;
-    entries.push_back(std::move(entry));
-  }
-  for (size_t i = 0; i < moves.size(); ++i) {
-    if (moves[i].task != nullptr) {
-      sealed_tasks_.push_back(std::move(entries[i]));
-    } else {
-      std::string id = entries[i].id;
-      sealed_sessions_.insert_or_assign(std::move(id), std::move(entries[i]));
-    }
-  }
-  tasks_.clear();
-  std::erase_if(sessions_, [](const auto& entry) {
-    return entry.second.session.finished;
-  });
-  const uint64_t appended = end - sealed_bytes_;
-  sealed_bytes_ = end;
-  return appended;
+  return Status::OK();
 }
 
-Result<uint64_t> ObservationStore::WriteSnapshotLocked() {
+Status ObservationStore::ReplaceManifestLocked(const std::string& image) {
   mu_.AssertHeld();
-  char header[kSnapshotHeaderBytes];
-  std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
-  const uint64_t covered_lsn = next_lsn_ - 1;
-  for (int i = 0; i < 8; ++i) {
-    header[sizeof(kSnapshotMagic) + i] =
-        static_cast<char>((covered_lsn >> (8 * i)) & 0xFF);
+  const std::string tmp = manifest_path_ + ".tmp";
+  {
+    DBTUNE_ASSIGN_OR_RETURN(WalWriter writer, CreateForAppend(tmp));
+    if (const Status appended = writer.Append(image); !appended.ok()) {
+      std::remove(tmp.c_str());
+      return appended;
+    }
   }
-  // The manifest is the one record encoded here. A store that never
-  // sealed anything writes none, so its snapshot keeps the layout that
-  // predates the sealed log byte for byte.
-  std::string manifest;
-  if (sealed_bytes_ > 0) {
-    WalEncoder enc;
-    enc.PutU64(sealed_bytes_);
-    auto put_entry = [&enc](const SealedEntry& entry) {
-      enc.PutString(entry.id);
-      enc.PutU64(entry.lsn);
-      enc.PutU64(entry.dimension);
-      enc.PutU64(entry.observations);
-      enc.PutU64(entry.offset);
-      enc.PutU64(entry.length);
-    };
-    enc.PutU64(sealed_sessions_.size());
-    for (const auto& entry : sealed_sessions_) put_entry(entry.second);
-    enc.PutU64(sealed_tasks_.size());
-    for (const SealedEntry& entry : sealed_tasks_) put_entry(entry);
-    manifest = EncodeWalFrame(
-        WalRecord{covered_lsn, WalRecordType::kSealedManifest, enc.bytes()});
+  if (std::rename(tmp.c_str(), manifest_path_.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename manifest log to " + manifest_path_);
   }
+  // Committed. The old writer holds the replaced file; if reopening fails
+  // here, the next checkpoint reopens.
+  manifest_bytes_ = image.size();
+  manifest_log_ = WalWriter();
+  if (Result<WalWriter> reopened = WalWriter::OpenForAppend(manifest_path_);
+      reopened.ok()) {
+    manifest_log_ = std::move(reopened).value();
+  }
+  return Status::OK();
+}
 
-  const std::string snapshot_path = path_ + ".snapshot";
-  const std::string tmp = snapshot_path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::Internal("cannot open snapshot file " + tmp);
+std::string ObservationStore::EncodeExtentIndex(
+    const std::string& id, uint64_t lsn, const std::vector<Extent>& extents) {
+  WalEncoder enc;
+  enc.PutString(id);
+  enc.PutVarint(extents.size());
+  for (const Extent& extent : extents) {
+    enc.PutVarint(extent.offset);
+    enc.PutVarint(extent.length);
   }
-  // One sequential write of the retained frames, in the order recovery
-  // applies them: the manifest, every session in memory (id order), then
-  // every task in memory.
-  uint64_t bytes = 0;
-  bool written = true;
-  auto put = [&](std::string_view chunk) {
-    written = written &&
-              std::fwrite(chunk.data(), 1, chunk.size(), file) == chunk.size();
-    bytes += chunk.size();
-  };
-  put(std::string_view(header, sizeof(header)));
-  put(manifest);
-  for (const auto& entry : sessions_) {
-    put(entry.second.frames);
-    put(entry.second.end_frame);
-  }
-  for (const TaskState& task : tasks_) put(task.frame);
-  const bool closed = std::fclose(file) == 0;
-  if (!written || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to snapshot file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), snapshot_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename snapshot file to " +
-                            snapshot_path);
-  }
-  return bytes;
+  return EncodeWalFrame(
+      WalRecord{lsn, WalRecordType::kExtentIndex, enc.bytes()});
 }
 
 Status ObservationStore::CheckpointLocked() {
@@ -730,20 +1053,251 @@ Status ObservationStore::CheckpointLocked() {
   static obs::Histogram& latency_hist =
       obs::MetricsRegistry::Get().histogram("store.checkpoint");
   obs::ScopedLatency latency(&latency_hist);
-  DBTUNE_ASSIGN_OR_RETURN(const uint64_t sealed_bytes, MoveSealedLocked());
-  DBTUNE_ASSIGN_OR_RETURN(const uint64_t bytes, WriteSnapshotLocked());
-  DBTUNE_RETURN_IF_ERROR(wal_.TruncateToHeader());
+  const Status written = WriteCheckpointLocked();
+  if (!written.ok()) {
+    ++stats_.checkpoint_failures;
+    if (obs::MetricsEnabled()) {
+      static obs::Counter& failures =
+          obs::MetricsRegistry::Get().counter("store.checkpoint.failures");
+      failures.Increment();
+    }
+    // A failed append disabled its writer and may have left bytes past
+    // the committed length; the next attempt truncates both logs back.
+    data_log_ = WalWriter();
+    manifest_log_ = WalWriter();
+  }
+  return written;
+}
+
+Status ObservationStore::WriteCheckpointLocked() {
+  mu_.AssertHeld();
+  DBTUNE_RETURN_IF_ERROR(ReopenLogsLocked());
+  ManifestEdit edit;
+  edit.covered_lsn = next_lsn_ - 1;
+  edit.generation = manifest_.generation;
+
+  // --- 1. The data log: each session's unflushed frames as one extent,
+  // in id order (a session sealed since the last checkpoint with its end
+  // frame, then its extent index when it spans several), then the new
+  // tasks. One append; nothing leaves memory until the edit commits.
+  const bool create = manifest_.data_log_bytes == 0;
+  std::string batch;
+  if (create) batch.assign(kDataLogMagic, sizeof(kDataLogMagic));
+  const uint64_t base = create ? 0 : manifest_.data_log_bytes;
+  for (const auto& [id, state] : sessions_) {
+    if (state.restarted) edit.restarts.push_back(id);
+    if (state.cut.has_value()) edit.cuts.emplace_back(id, *state.cut);
+    const Extent fresh{base + batch.size(),
+                       state.frames.size() + state.end_frame.size(),
+                       state.session.observations.size() -
+                           state.flushed_observations};
+    batch += state.frames;
+    batch += state.end_frame;
+    if (!state.session.finished) {
+      if (fresh.length > 0) edit.extents.emplace_back(id, fresh);
+      continue;
+    }
+    // The sealed session's extents once this edit applies (the end frame
+    // makes `fresh` non-empty).
+    std::vector<Extent> extents;
+    if (auto it = manifest_.open.find(id);
+        !state.restarted && it != manifest_.open.end()) {
+      extents = it->second;
+    }
+    if (state.cut.has_value()) {
+      DBTUNE_RETURN_IF_ERROR(CutExtents(*state.cut, &extents));
+    }
+    extents.push_back(fresh);
+    SealedEntry seal{id,
+                     state.seal_lsn,
+                     state.session.dimension,
+                     state.session.observations.size(),
+                     fresh.offset,
+                     fresh.length,
+                     fresh.length};
+    if (extents.size() > 1) {
+      const std::string index =
+          EncodeExtentIndex(id, state.seal_lsn, extents);
+      seal.offset = base + batch.size();
+      seal.length = index.size();
+      seal.bytes = index.size();
+      for (const Extent& extent : extents) seal.bytes += extent.length;
+      batch += index;
+    }
+    edit.seals.push_back(std::move(seal));
+  }
+  for (const TaskState& task : tasks_) {
+    SealedEntry entry = task.entry;
+    entry.offset = base + batch.size();
+    entry.length = task.frame.size();
+    entry.bytes = entry.length;
+    batch += task.frame;
+    edit.tasks.push_back(std::move(entry));
+  }
+  uint64_t data_bytes = 0;
+  edit.data_log_bytes = manifest_.data_log_bytes;
+  if (batch.size() > (create ? kDataLogHeaderBytes : 0)) {
+    if (create) {
+      DBTUNE_ASSIGN_OR_RETURN(data_log_,
+                              CreateForAppend(DataLogPath(edit.generation)));
+    }
+    DBTUNE_RETURN_IF_ERROR(data_log_.Append(batch));
+    data_bytes = batch.size();
+    edit.data_log_bytes = base + batch.size();
+  }
+
+  // --- 2. The manifest: the edit is the commit point. Past the growth
+  // bound (or with no log yet) the log is rewritten as the committed
+  // index plus this edit.
+  const std::string frame = EncodeEdit(edit);
+  uint64_t manifest_bytes = frame.size();
+  if (manifest_bytes_ == 0 ||
+      static_cast<double>(manifest_bytes_ + frame.size()) >
+          kManifestGrowthFactor * static_cast<double>(consolidated_bytes_)) {
+    std::string image(kManifestMagic, sizeof(kManifestMagic));
+    image += EncodeEdit(FullEdit(manifest_));
+    const uint64_t consolidated = image.size();
+    image += frame;
+    DBTUNE_RETURN_IF_ERROR(ReplaceManifestLocked(image));
+    consolidated_bytes_ = consolidated;
+    manifest_bytes = image.size();
+  } else {
+    DBTUNE_RETURN_IF_ERROR(manifest_log_.Append(frame));
+    manifest_bytes_ += frame.size();
+  }
+
+  // --- Committed: the index (through the bytes Open will replay) and
+  // the sessions catch up.
+  DBTUNE_RETURN_IF_ERROR(ApplyEdit(
+      WalFrameView{edit.covered_lsn, WalRecordType::kManifestEdit,
+                   std::string_view(frame).substr(kFrameTypeOffset + 1),
+                   frame},
+      &manifest_));
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    SessionState& state = it->second;
+    if (state.session.finished) {
+      it = sessions_.erase(it);
+      continue;
+    }
+    state.flushed_bytes += state.frames.size();
+    state.flushed_observations = state.session.observations.size();
+    state.frames = std::string();
+    state.restarted = false;
+    state.cut.reset();
+    ++it;
+  }
+  tasks_.clear();
   appends_since_checkpoint_ = 0;
   ++stats_.checkpoints;
+  // An older layout's snapshot is stale once the manifest log exists.
+  if (legacy_snapshot_) {
+    if (std::remove((path_ + ".snapshot").c_str()) != 0) {
+      DBTUNE_LOG(kWarning) << "cannot remove stale snapshot " << path_
+                           << ".snapshot";
+    }
+    legacy_snapshot_ = false;
+  }
+
+  // --- 3. The WAL: every record in it is covered now.
+  DBTUNE_RETURN_IF_ERROR(wal_.TruncateToHeader());
   if (obs::MetricsEnabled()) {
+    static obs::Counter& data_counter =
+        obs::MetricsRegistry::Get().counter("store.datalog.bytes");
+    static obs::Counter& manifest_counter =
+        obs::MetricsRegistry::Get().counter("store.manifest.bytes");
     static obs::Counter& bytes_counter =
         obs::MetricsRegistry::Get().counter("store.checkpoint.bytes");
-    bytes_counter.Increment(bytes);
-    if (sealed_bytes > 0) {
-      static obs::Counter& sealed_counter =
-          obs::MetricsRegistry::Get().counter("store.sealed.bytes");
-      sealed_counter.Increment(sealed_bytes);
+    data_counter.Increment(data_bytes);
+    manifest_counter.Increment(manifest_bytes);
+    bytes_counter.Increment(data_bytes + manifest_bytes + kWalHeaderBytes);
+  }
+  if (2 * DeadBytesLocked() > manifest_.data_log_bytes) {
+    return CompactLocked();
+  }
+  return Status::OK();
+}
+
+Status ObservationStore::CompactLocked() {
+  mu_.AssertHeld();
+  Manifest next;
+  next.covered_lsn = manifest_.covered_lsn;
+  next.generation = manifest_.generation + 1;
+  const std::string old_path = DataLogPath(manifest_.generation);
+  const std::string new_path = DataLogPath(next.generation);
+  DBTUNE_ASSIGN_OR_RETURN(WalWriter log, CreateForAppend(new_path));
+  // Each live item is copied as one run: an open session's extents
+  // joined, a sealed session's frames gathered through its index, a task
+  // frame as it is.
+  const Status copied = [&]() -> Status {
+    mu_.AssertHeld();
+    std::ifstream in(old_path, std::ios::binary);
+    uint64_t end = 0;
+    auto put = [&](std::string_view bytes) -> Result<uint64_t> {
+      DBTUNE_RETURN_IF_ERROR(log.Append(bytes));
+      end += bytes.size();
+      return end - bytes.size();
+    };
+    DBTUNE_RETURN_IF_ERROR(
+        put(std::string_view(kDataLogMagic, sizeof(kDataLogMagic))).status());
+    for (const auto& [id, extents] : manifest_.open) {
+      std::string stream;
+      Extent joined;
+      for (const Extent& extent : extents) {
+        DBTUNE_RETURN_IF_ERROR(
+            ReadDataLocked(&in, extent.offset, extent.length, id, &stream));
+        joined.observations += extent.observations;
+      }
+      DBTUNE_ASSIGN_OR_RETURN(joined.offset, put(stream));
+      joined.length = stream.size();
+      next.open[id].push_back(joined);
     }
+    auto move_entry = [&](const SealedEntry& entry) -> Result<SealedEntry> {
+      mu_.AssertHeld();
+      DBTUNE_ASSIGN_OR_RETURN(const std::string frames,
+                              ReadSealedLocked(&in, entry));
+      SealedEntry moved = entry;
+      DBTUNE_ASSIGN_OR_RETURN(moved.offset, put(frames));
+      moved.length = frames.size();
+      moved.bytes = frames.size();
+      return moved;
+    };
+    for (const auto& [id, entry] : manifest_.sealed) {
+      DBTUNE_ASSIGN_OR_RETURN(SealedEntry moved, move_entry(entry));
+      next.sealed.emplace(id, std::move(moved));
+    }
+    for (const SealedEntry& entry : manifest_.tasks) {
+      DBTUNE_ASSIGN_OR_RETURN(SealedEntry moved, move_entry(entry));
+      next.tasks.push_back(std::move(moved));
+    }
+    next.data_log_bytes = end;
+    return Status::OK();
+  }();
+  // The new generation counts only once a manifest names it.
+  std::string image(kManifestMagic, sizeof(kManifestMagic));
+  if (copied.ok()) image += EncodeEdit(FullEdit(next));
+  const Status committed = copied.ok() ? ReplaceManifestLocked(image) : copied;
+  if (!committed.ok()) {
+    log = WalWriter();
+    std::remove(new_path.c_str());
+    return committed;
+  }
+  consolidated_bytes_ = image.size();
+  data_log_ = std::move(log);
+  manifest_ = std::move(next);
+  if (std::remove(old_path.c_str()) != 0) {
+    DBTUNE_LOG(kWarning) << "cannot remove compacted data log " << old_path;
+  }
+  ++stats_.compactions;
+  if (obs::MetricsEnabled()) {
+    static obs::Counter& compaction_counter =
+        obs::MetricsRegistry::Get().counter("store.compaction.bytes");
+    static obs::Counter& manifest_counter =
+        obs::MetricsRegistry::Get().counter("store.manifest.bytes");
+    static obs::Counter& bytes_counter =
+        obs::MetricsRegistry::Get().counter("store.checkpoint.bytes");
+    compaction_counter.Increment(manifest_.data_log_bytes);
+    manifest_counter.Increment(image.size());
+    bytes_counter.Increment(manifest_.data_log_bytes + image.size());
   }
   return Status::OK();
 }
@@ -753,16 +1307,72 @@ Status ObservationStore::Checkpoint() {
   return CheckpointLocked();
 }
 
+uint64_t ObservationStore::DeadBytesLocked() const {
+  mu_.AssertHeld();
+  if (manifest_.data_log_bytes == 0) return 0;
+  uint64_t live = kDataLogHeaderBytes;
+  for (const auto& entry : manifest_.open) {
+    for (const Extent& extent : entry.second) live += extent.length;
+  }
+  for (const auto& entry : manifest_.sealed) live += entry.second.bytes;
+  for (const SealedEntry& entry : manifest_.tasks) live += entry.bytes;
+  return manifest_.data_log_bytes > live ? manifest_.data_log_bytes - live
+                                         : 0;
+}
+
+Status ObservationStore::ReadDataLocked(std::ifstream* log, uint64_t offset,
+                                        uint64_t length, const std::string& id,
+                                        std::string* out) const {
+  mu_.AssertHeld();
+  const size_t start = out->size();
+  out->resize(start + static_cast<size_t>(length));
+  log->seekg(static_cast<std::streamoff>(offset));
+  if (!*log || !log->read(out->data() + start,
+                          static_cast<std::streamsize>(length))) {
+    log->clear();
+    return DamagedEntry(DataLogPath(manifest_.generation), id);
+  }
+  return Status::OK();
+}
+
 Result<std::string> ObservationStore::ReadSealedLocked(
     std::ifstream* log, const SealedEntry& entry) const {
   mu_.AssertHeld();
-  std::string bytes(static_cast<size_t>(entry.length), '\0');
-  log->seekg(static_cast<std::streamoff>(entry.offset));
-  if (!*log || !log->read(bytes.data(),
-                          static_cast<std::streamsize>(bytes.size()))) {
-    return DamagedEntry(sealed_path_, entry.id);
+  std::string bytes;
+  DBTUNE_RETURN_IF_ERROR(
+      ReadDataLocked(log, entry.offset, entry.length, entry.id, &bytes));
+  if (bytes.size() <= kFrameTypeOffset ||
+      bytes[kFrameTypeOffset] !=
+          static_cast<char>(WalRecordType::kExtentIndex)) {
+    return bytes;  // the frames themselves
   }
-  return bytes;
+  // An extent index: one frame naming the session and its runs.
+  const std::string path = DataLogPath(manifest_.generation);
+  std::string frames;
+  const Result<WalScanExtent> scan = ForEachWalFrame(
+      bytes, 0, [&](const WalFrameView& view) -> Status {
+        mu_.AssertHeld();
+        WalDecoder dec(view.body);
+        DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+        DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadVarint());
+        if (id != entry.id || view.frame.size() != bytes.size()) {
+          return Status::Internal("");
+        }
+        for (uint64_t i = 0; i < count; ++i) {
+          DBTUNE_ASSIGN_OR_RETURN(const uint64_t offset, dec.ReadVarint());
+          DBTUNE_ASSIGN_OR_RETURN(const uint64_t length, dec.ReadVarint());
+          if (length > manifest_.data_log_bytes - frames.size()) {
+            return Status::Internal("");
+          }
+          DBTUNE_RETURN_IF_ERROR(
+              ReadDataLocked(log, offset, length, entry.id, &frames));
+        }
+        return dec.AtEnd() ? Status::OK() : Status::Internal("");
+      });
+  if (!scan.ok() || scan->torn_tail || scan->frames != 1) {
+    return DamagedEntry(path, entry.id);
+  }
+  return frames;
 }
 
 Result<StoredSession> ObservationStore::FindSession(
@@ -771,19 +1381,21 @@ Result<StoredSession> ObservationStore::FindSession(
   if (auto it = sessions_.find(id); it != sessions_.end()) {
     return it->second.session;
   }
-  auto sealed = sealed_sessions_.find(id);
-  if (sealed == sealed_sessions_.end()) {
+  auto sealed = manifest_.sealed.find(id);
+  if (sealed == manifest_.sealed.end()) {
     return Status::NotFound("unknown session " + id);
   }
   const SealedEntry& entry = sealed->second;
-  std::ifstream log(sealed_path_, std::ios::binary);
+  const std::string path = DataLogPath(manifest_.generation);
+  std::ifstream log(path, std::ios::binary);
   DBTUNE_ASSIGN_OR_RETURN(const std::string frames,
                           ReadSealedLocked(&log, entry));
-  DBTUNE_ASSIGN_OR_RETURN(StoredSession session,
-                          DecodeSealedSession(frames, sealed_path_, id));
+  DBTUNE_ASSIGN_OR_RETURN(
+      StoredSession session,
+      DecodeSessionStream(frames, path, id, /*sealed=*/true, nullptr));
   if (session.dimension != entry.dimension ||
       session.observations.size() != entry.observations) {
-    return DamagedEntry(sealed_path_, id);
+    return DamagedEntry(path, id);
   }
   return session;
 }
@@ -793,16 +1405,18 @@ Status ObservationStore::ExportTasks(
   DBTUNE_CHECK(repository != nullptr);
   MutexLock lock(&mu_);
   // Decode everything first, so a damaged entry leaves `repository` as
-  // it was. Moved tasks precede the ones still in memory in LSN order.
+  // it was. Checkpointed tasks precede the ones still in memory in LSN
+  // order.
   std::vector<SourceTask> tasks;
-  tasks.reserve(sealed_tasks_.size() + tasks_.size());
-  if (!sealed_tasks_.empty()) {
-    std::ifstream log(sealed_path_, std::ios::binary);
-    for (const SealedEntry& entry : sealed_tasks_) {
+  tasks.reserve(manifest_.tasks.size() + tasks_.size());
+  if (!manifest_.tasks.empty()) {
+    const std::string path = DataLogPath(manifest_.generation);
+    std::ifstream log(path, std::ios::binary);
+    for (const SealedEntry& entry : manifest_.tasks) {
       DBTUNE_ASSIGN_OR_RETURN(const std::string frame,
                               ReadSealedLocked(&log, entry));
-      DBTUNE_ASSIGN_OR_RETURN(
-          SourceTask task, DecodeTaskFrame(frame, sealed_path_, entry.id));
+      DBTUNE_ASSIGN_OR_RETURN(SourceTask task,
+                              DecodeTaskFrame(frame, path, entry.id));
       tasks.push_back(std::move(task));
     }
   }
@@ -818,17 +1432,18 @@ Status ObservationStore::ExportTasks(
 std::vector<StoredSessionInfo> ObservationStore::ListSessions() const {
   MutexLock lock(&mu_);
   std::vector<StoredSessionInfo> infos;
-  infos.reserve(sessions_.size() + sealed_sessions_.size());
+  infos.reserve(sessions_.size() + manifest_.sealed.size());
   for (const auto& [id, state] : sessions_) {
     const StoredSession& session = state.session;
     infos.push_back({id, session.dimension, session.observations.size(),
                      session.finished});
   }
-  for (const auto& [id, entry] : sealed_sessions_) {
+  // A sealed id restarted since the last checkpoint is in memory.
+  for (const auto& [id, entry] : manifest_.sealed) {
+    if (sessions_.count(id) > 0) continue;
     infos.push_back({id, static_cast<size_t>(entry.dimension),
                      static_cast<size_t>(entry.observations), true});
   }
-  // An id is either in memory or in the sealed log, never both.
   std::sort(infos.begin(), infos.end(),
             [](const StoredSessionInfo& a, const StoredSessionInfo& b) {
               return a.id < b.id;
@@ -838,14 +1453,20 @@ std::vector<StoredSessionInfo> ObservationStore::ListSessions() const {
 
 size_t ObservationStore::num_tasks() const {
   MutexLock lock(&mu_);
-  return sealed_tasks_.size() + tasks_.size();
+  return manifest_.tasks.size() + tasks_.size();
 }
 
 StoreStats ObservationStore::stats() const {
   MutexLock lock(&mu_);
   StoreStats stats = stats_;
-  stats.sealed_sessions = sealed_sessions_.size();
-  stats.sealed_log_bytes = sealed_bytes_;
+  stats.sealed_sessions = static_cast<size_t>(
+      std::count_if(manifest_.sealed.begin(), manifest_.sealed.end(),
+                    [this](const auto& entry) {
+                      mu_.AssertHeld();
+                      return sessions_.count(entry.first) == 0;
+                    }));
+  stats.data_log_bytes = manifest_.data_log_bytes;
+  stats.dead_bytes = DeadBytesLocked();
   return stats;
 }
 

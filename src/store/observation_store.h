@@ -5,8 +5,10 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dbms/environment.h"
@@ -20,9 +22,9 @@ namespace dbtune::store {
 
 /// Store tuning knobs.
 struct StoreOptions {
-  /// Observations appended between automatic checkpoints (snapshot +
-  /// WAL compaction). 0 disables automatic checkpoints; Checkpoint() can
-  /// still be called explicitly.
+  /// Observations appended between automatic checkpoints (data-log append
+  /// + manifest edit + WAL compaction). 0 disables automatic checkpoints;
+  /// Checkpoint() can still be called explicitly.
   size_t snapshot_every = 64;
 };
 
@@ -47,43 +49,61 @@ struct StoredSessionInfo {
 
 /// Recovery and lifetime counters, for reports and tests.
 struct StoreStats {
-  /// Highest LSN assigned so far (snapshot + WAL).
+  /// Highest LSN assigned so far (checkpoint + WAL).
   uint64_t last_lsn = 0;
-  /// WAL records applied during Open (records the snapshot already
+  /// WAL records applied during Open (records the checkpoint already
   /// covered are skipped and not counted).
   size_t wal_records_replayed = 0;
   /// True when Open found and truncated a torn or CRC-corrupt WAL tail.
   bool recovered_torn_tail = false;
-  /// True when recovery loaded a snapshot file.
+  /// True when recovery loaded a checkpoint: a manifest log, or the
+  /// snapshot of an older layout.
   bool loaded_snapshot = false;
   /// Checkpoints taken through this handle.
   size_t checkpoints = 0;
-  /// Sealed sessions whose history lives only in the sealed log.
+  /// Checkpoints that failed through this handle. A failed automatic
+  /// checkpoint is retried at the next append.
+  size_t checkpoint_failures = 0;
+  /// Sealed sessions whose history lives only in the data log.
   size_t sealed_sessions = 0;
-  /// Length of the sealed log the store stands on (its header included).
-  uint64_t sealed_log_bytes = 0;
+  /// Length of the data log the manifest stands on (its header included).
+  uint64_t data_log_bytes = 0;
+  /// Data-log bytes nothing references any more: suffixes cut by
+  /// TruncateSession and earlier incarnations of restarted ids.
+  uint64_t dead_bytes = 0;
+  /// Data-log compactions through this handle.
+  size_t compactions = 0;
+  /// Bytes Open read: the manifest log (or an older layout's snapshot),
+  /// the open sessions' extents and the WAL.
+  uint64_t recovery_bytes_read = 0;
 };
 
 /// Durable observation store: a write-ahead log of (configuration,
-/// performance, internal-metrics) records plus periodic snapshots written
-/// via atomic tmp+rename, so a service restart resumes every session
-/// mid-trajectory and the transfer base-task pool survives across runs.
+/// performance, internal-metrics) records plus log-structured checkpoints,
+/// so a service restart resumes every session mid-trajectory and the
+/// transfer base-task pool survives across runs.
 ///
 /// Layout on disk (DESIGN.md §10):
 /// - `<path>` is the WAL ("DBTNWAL1" magic + CRC-framed records).
-/// - `<path>.snapshot` is the latest checkpoint ("DBTNSNP1" magic + the
-///   covered LSN + a sealed-log manifest + the open sessions' framed
-///   records).
-/// - `<path>.sealed` is the append-only sealed log ("DBTNSEL1" magic +
-///   the framed records of every sealed session and task, each written
-///   once by the checkpoint after it was sealed or persisted).
+/// - `<path>.data.<g>` is the data log of generation g ("DBTNSEL1" magic
+///   + the framed records of every session and task). Each checkpoint
+///   appends the frames logged since the previous one, so every record is
+///   written twice: once to the WAL, once here. A compaction copies the
+///   live extents to generation g+1. The `<path>.sealed` of older layouts
+///   is generation 0.
+/// - `<path>.manifest` is the manifest log ("DBTNMAN1" magic + one edit
+///   per checkpoint): the covered LSN, the data log's generation and
+///   covered length, and where each session's and task's frames sit.
+///   Appending an edit commits a checkpoint. When the log would outgrow
+///   1.5x its last consolidated size it is rewritten as one full edit
+///   (tmp+rename).
 ///
-/// Recovery loads the snapshot (its manifest indexes the sealed log
-/// without reading it), then replays WAL records with LSN beyond it; a
-/// torn or corrupt WAL tail is truncated with a warning (every complete
-/// record before it survives), and so are sealed-log bytes past the
-/// length the snapshot covers. Appends flush per record, so a crash
-/// tears at most the final record.
+/// Recovery replays the manifest edits, reads the open sessions' extents
+/// (never a sealed session's or a task's), then replays WAL records with
+/// LSN beyond the covered one; a torn or corrupt WAL tail is truncated
+/// with a warning (every complete record before it survives), and so are
+/// a torn final manifest edit and data-log bytes past the covered length.
+/// Appends flush per record, so a crash tears at most the final record.
 ///
 /// Thread-safe; sessions within one store are independent.
 class ObservationStore {
@@ -91,6 +111,11 @@ class ObservationStore {
   /// Opens (creating if absent) the store at `path` and runs recovery.
   [[nodiscard]] static Result<std::unique_ptr<ObservationStore>> Open(
       const std::string& path, StoreOptions options = {});
+
+  /// Deletes every file of the store at `path` (WAL, manifest log, data
+  /// logs of any generation, and older layouts' snapshot and sealed log).
+  /// Missing files are not an error.
+  [[nodiscard]] static Status Destroy(const std::string& path);
 
   /// Declares a session. New id → starts empty. Existing unfinished id
   /// with the same dimension → no-op (the caller replays its history).
@@ -101,6 +126,8 @@ class ObservationStore {
   /// Appends one observation to the session's durable history.
   /// `iteration` is 1-based and must be exactly one past the stored
   /// history (detects double-apply and lost-record bugs at the API edge).
+  /// Once the record is in the WAL the append succeeds: a failed automatic
+  /// checkpoint is logged, counted, and retried at the next append.
   [[nodiscard]] Status AppendObservation(const std::string& id,
                                          size_t iteration,
                                          const Observation& obs);
@@ -121,27 +148,26 @@ class ObservationStore {
   /// ObservationRepository::AddTask, which is void-returning.)
   [[nodiscard]] Status PersistTask(const SourceTask& task);
 
-  /// Moves every session sealed and every task persisted since the last
-  /// checkpoint to the sealed log (appended once, in LSN order), then
-  /// writes a snapshot of the open sessions plus the sealed-log manifest
-  /// (atomic tmp+rename) and compacts the WAL down to its header: every
-  /// log record is now covered. Both files get the retained frames of
-  /// the records, written as they were logged (LSNs included); nothing
-  /// is encoded again.
+  /// Appends every frame logged since the last checkpoint to the data log
+  /// (one extent per session, in id order, then the new tasks), commits a
+  /// manifest edit that says where they sit, and compacts the WAL down to
+  /// its header. The frames are the ones the WAL got, retained in memory;
+  /// nothing is encoded again. When dead bytes pass half of the data log,
+  /// the live extents are then copied to a new generation.
   [[nodiscard]] Status Checkpoint();
 
   /// A copy of the stored session. NotFound for an unknown id; a sealed
-  /// session already moved to the sealed log is read back from it, and a
+  /// session already checkpointed is read back from the data log, and a
   /// damaged entry there is Internal.
   [[nodiscard]] Result<StoredSession> FindSession(const std::string& id) const;
 
   /// Appends every persisted base task to `repository`, in persistence
-  /// order. Tasks in the sealed log are read back from it; a damaged entry
-  /// is Internal and leaves `repository` unchanged.
+  /// order. Checkpointed tasks are read back from the data log; a damaged
+  /// entry is Internal and leaves `repository` unchanged.
   [[nodiscard]] Status ExportTasks(ObservationRepository* repository) const;
 
   /// Id-ordered summaries of every stored session (from the index; the
-  /// sealed log is not read).
+  /// data log is not read).
   std::vector<StoredSessionInfo> ListSessions() const;
 
   size_t num_tasks() const;
@@ -151,22 +177,25 @@ class ObservationStore {
  private:
   ObservationStore(std::string path, StoreOptions options);
 
-  /// A session plus its records exactly as they were framed for the
-  /// log, so a checkpoint writes them without encoding anything again.
-  struct SessionState {
-    StoredSession session;
-    /// The begin frame, then one frame per observation.
-    std::string frames;
-    /// Offset in `frames` where each observation's frame starts.
-    std::vector<size_t> observation_offsets;
-    /// The end frame once the session is sealed, else empty.
-    std::string end_frame;
-    /// LSN of the end frame (orders the sealed log).
-    uint64_t seal_lsn = 0;
+  /// One run of frames in the data log.
+  struct Extent {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    /// Observation frames in the run.
+    uint64_t observations = 0;
   };
 
-  /// Index entry of one sealed session or task: what ListSessions and
-  /// the manifest report, and where its frames sit in the sealed log.
+  /// A truncation that reached into a session's checkpointed frames: keep
+  /// the first `bytes` bytes of its extents, which hold `observations`
+  /// observations.
+  struct Cut {
+    uint64_t bytes = 0;
+    uint64_t observations = 0;
+  };
+
+  /// Index entry of one sealed session or task: what ListSessions reports,
+  /// and where its frames sit in the data log. A sealed session spread
+  /// over several extents points at its extent-index frame instead.
   struct SealedEntry {
     /// Session id, or task name.
     std::string id;
@@ -176,22 +205,101 @@ class ObservationStore {
     uint64_t observations = 0;
     uint64_t offset = 0;
     uint64_t length = 0;
+    /// Data-log bytes the entry keeps alive: its extents and index frame.
+    uint64_t bytes = 0;
   };
 
-  /// A task not yet moved to the sealed log: its index entry (offset and
-  /// length unset) and its frame.
+  /// What the committed manifest says: the data log and its index. It
+  /// changes only through ApplyEdit, at recovery and at checkpoints (and
+  /// is replaced whole by a compaction).
+  struct Manifest {
+    uint64_t covered_lsn = 0;
+    uint64_t generation = 1;
+    /// Covered length of the data log; 0 before its first frame.
+    uint64_t data_log_bytes = 0;
+    /// Open sessions' extents, in stream order.
+    std::map<std::string, std::vector<Extent>> open;
+    std::map<std::string, SealedEntry> sealed;
+    /// In persistence order.
+    std::vector<SealedEntry> tasks;
+  };
+
+  /// One manifest edit, as a checkpoint builds it for EncodeEdit. A full
+  /// edit replaces the whole index; a delta drops restarted ids, cuts
+  /// truncated sessions, then adds extents, seals and tasks, in that
+  /// order.
+  struct ManifestEdit {
+    bool full = false;
+    uint64_t covered_lsn = 0;
+    uint64_t generation = 0;
+    uint64_t data_log_bytes = 0;
+    std::vector<std::string> restarts;
+    std::vector<std::pair<std::string, Cut>> cuts;
+    std::vector<std::pair<std::string, Extent>> extents;
+    std::vector<SealedEntry> seals;
+    std::vector<SealedEntry> tasks;
+  };
+
+  /// A session in memory: open, or sealed since the last checkpoint. Its
+  /// byte stream is its extents in the data log, then `frames`.
+  struct SessionState {
+    StoredSession session;
+    /// Stream bytes already in the data log, and their observations.
+    uint64_t flushed_bytes = 0;
+    size_t flushed_observations = 0;
+    /// Frames not yet in the data log (the begin frame first, until the
+    /// first checkpoint after it).
+    std::string frames;
+    /// Stream offset where each observation's frame starts, so a
+    /// truncation is a resize or a cut.
+    std::vector<uint64_t> observation_offsets;
+    /// The end frame once the session is sealed, else empty.
+    std::string end_frame;
+    /// LSN of the end frame.
+    uint64_t seal_lsn = 0;
+    /// This incarnation restarted an id the manifest still holds; the
+    /// next edit drops the old one.
+    bool restarted = false;
+    /// A truncation into the flushed bytes, for the next edit.
+    std::optional<Cut> cut;
+  };
+
+  /// A task not yet in the data log: its index entry (offset and length
+  /// unset) and its frame.
   struct TaskState {
     SealedEntry entry;
     std::string frame;
   };
 
+  std::string DataLogPath(uint64_t generation) const;
   [[nodiscard]] Status Recover() DBTUNE_REQUIRES(mu_);
-  /// Loads the snapshot's sealed-log manifest into the index.
-  [[nodiscard]] Status LoadManifest(std::string_view body)
+  /// Replays the manifest log into `manifest_`; NotFound when absent.
+  [[nodiscard]] Status LoadManifestLog() DBTUNE_REQUIRES(mu_);
+  /// Loads an older layout's snapshot: its sessions into memory, its
+  /// sealed-log manifest (if any) as generation 0 of the data log.
+  [[nodiscard]] Status LoadLegacySnapshot() DBTUNE_REQUIRES(mu_);
+  [[nodiscard]] Status LoadLegacyManifest(std::string_view body)
       DBTUNE_REQUIRES(mu_);
-  /// Truncates sealed-log bytes past the covered length and reopens the
-  /// log for appends; Internal when the log is shorter than covered.
-  [[nodiscard]] Status RecoverSealedLog() DBTUNE_REQUIRES(mu_);
+  /// Truncates data-log bytes past the covered length; Internal when the
+  /// log is shorter than covered.
+  [[nodiscard]] Status RecoverDataLog() DBTUNE_REQUIRES(mu_);
+  /// Reads and decodes every open session's extents (CRC-checked).
+  [[nodiscard]] Status LoadOpenSessions() DBTUNE_REQUIRES(mu_);
+  /// The edit as a kManifestEdit frame (its LSN is the covered LSN).
+  static std::string EncodeEdit(const ManifestEdit& edit);
+  /// The edit that rebuilds `manifest` from nothing.
+  static ManifestEdit FullEdit(const Manifest& manifest);
+  /// Keeps the first `cut.bytes` bytes of `extents`; Internal when the
+  /// cut does not fit them.
+  [[nodiscard]] static Status CutExtents(const Cut& cut,
+                                         std::vector<Extent>* extents);
+  /// Applies one kManifestEdit frame to `manifest`; Internal on a frame
+  /// that is not a well-formed edit or does not fit the index.
+  [[nodiscard]] static Status ApplyEdit(const WalFrameView& frame,
+                                        Manifest* manifest);
+  /// The extent-index frame of a sealed session spread over `extents`.
+  static std::string EncodeExtentIndex(const std::string& id, uint64_t lsn,
+                                       const std::vector<Extent>& extents);
   /// Applies one framed record to the in-memory state and retains its
   /// frame bytes for the next checkpoint.
   [[nodiscard]] Status ApplyRecord(const WalFrameView& record)
@@ -202,34 +310,53 @@ class ObservationStore {
   /// FailedPrecondition when it is sealed, NotFound when unknown.
   [[nodiscard]] Status NotOpenLocked(const std::string& id) const
       DBTUNE_REQUIRES(mu_);
-  /// Appends every sealed session and task still in memory to the sealed
-  /// log and drops them from memory; returns the bytes appended.
-  [[nodiscard]] Result<uint64_t> MoveSealedLocked() DBTUNE_REQUIRES(mu_);
-  /// Writes `<path>.snapshot` from the retained frames; returns its size.
-  [[nodiscard]] Result<uint64_t> WriteSnapshotLocked() DBTUNE_REQUIRES(mu_);
+  /// Truncates the data log and the manifest log back to their committed
+  /// lengths and reopens their writers, after a failed checkpoint.
+  [[nodiscard]] Status ReopenLogsLocked() DBTUNE_REQUIRES(mu_);
+  /// Replaces the manifest log with `image` (tmp+rename). The rename is
+  /// the commit: on an error nothing changed.
+  [[nodiscard]] Status ReplaceManifestLocked(const std::string& image)
+      DBTUNE_REQUIRES(mu_);
+  /// WriteCheckpointLocked, counting a failure and closing both log
+  /// writers after one.
   [[nodiscard]] Status CheckpointLocked() DBTUNE_REQUIRES(mu_);
-  /// The frames of one sealed-log entry, read from `log`.
+  [[nodiscard]] Status WriteCheckpointLocked() DBTUNE_REQUIRES(mu_);
+  /// Copies the live extents to the next data-log generation.
+  [[nodiscard]] Status CompactLocked() DBTUNE_REQUIRES(mu_);
+  /// Appends `length` bytes of the data log at `offset`, read from
+  /// `log`, to `out`; Internal (naming `id`) when they are not there.
+  [[nodiscard]] Status ReadDataLocked(std::ifstream* log, uint64_t offset,
+                                      uint64_t length, const std::string& id,
+                                      std::string* out) const
+      DBTUNE_REQUIRES(mu_);
+  /// The frames of one sealed session or task, gathered through its
+  /// extent index when it has one.
   [[nodiscard]] Result<std::string> ReadSealedLocked(
       std::ifstream* log, const SealedEntry& entry) const
       DBTUNE_REQUIRES(mu_);
+  uint64_t DeadBytesLocked() const DBTUNE_REQUIRES(mu_);
 
   const std::string path_;
-  const std::string sealed_path_;
+  const std::string manifest_path_;
   const StoreOptions options_;
 
   mutable Mutex mu_;
   WalWriter wal_ DBTUNE_GUARDED_BY(mu_);
-  /// Open sessions, and sealed ones not yet moved to the sealed log.
-  /// Ordered so snapshots (and therefore recovery) are deterministic.
+  /// Open sessions, and sealed ones not yet checkpointed. Ordered so
+  /// checkpoints (and therefore recovery) are deterministic.
   std::map<std::string, SessionState> sessions_ DBTUNE_GUARDED_BY(mu_);
-  /// Tasks not yet moved to the sealed log, in persistence order.
+  /// Tasks not yet in the data log, in persistence order.
   std::vector<TaskState> tasks_ DBTUNE_GUARDED_BY(mu_);
-  /// The sealed log: its index, its covered length and its writer (open
-  /// once the log has a header).
-  std::map<std::string, SealedEntry> sealed_sessions_ DBTUNE_GUARDED_BY(mu_);
-  std::vector<SealedEntry> sealed_tasks_ DBTUNE_GUARDED_BY(mu_);
-  uint64_t sealed_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
-  WalWriter sealed_log_ DBTUNE_GUARDED_BY(mu_);
+  Manifest manifest_ DBTUNE_GUARDED_BY(mu_);
+  WalWriter data_log_ DBTUNE_GUARDED_BY(mu_);
+  WalWriter manifest_log_ DBTUNE_GUARDED_BY(mu_);
+  /// Committed length of the manifest log (0 while there is none), and
+  /// its length right after the last rewrite.
+  uint64_t manifest_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
+  uint64_t consolidated_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
+  /// An older layout's snapshot still on disk; removed once a checkpoint
+  /// commits the manifest log that replaces it.
+  bool legacy_snapshot_ DBTUNE_GUARDED_BY(mu_) = false;
   uint64_t next_lsn_ DBTUNE_GUARDED_BY(mu_) = 1;
   size_t appends_since_checkpoint_ DBTUNE_GUARDED_BY(mu_) = 0;
   StoreStats stats_ DBTUNE_GUARDED_BY(mu_);

@@ -49,24 +49,41 @@ uint64_t GetLE64(const char* p) {
 
 const char kWalMagic[8] = {'D', 'B', 'T', 'N', 'W', 'A', 'L', '1'};
 const char kSnapshotMagic[8] = {'D', 'B', 'T', 'N', 'S', 'N', 'P', '1'};
-const char kSealedLogMagic[8] = {'D', 'B', 'T', 'N', 'S', 'E', 'L', '1'};
+const char kDataLogMagic[8] = {'D', 'B', 'T', 'N', 'S', 'E', 'L', '1'};
+const char kManifestMagic[8] = {'D', 'B', 'T', 'N', 'M', 'A', 'N', '1'};
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // Slicing-by-8: table k maps a byte to its CRC contribution k bytes
+  // further back, so each step folds in eight bytes at once. The result
+  // is the bytewise CRC's, bit for bit.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
   uint32_t crc = 0xFFFFFFFFu;
   const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const uint32_t lo = crc ^ GetLE32(reinterpret_cast<const char*>(bytes));
+    const uint32_t hi = GetLE32(reinterpret_cast<const char*>(bytes + 4));
+    crc = tables[7][lo & 0xFF] ^ tables[6][(lo >> 8) & 0xFF] ^
+          tables[5][(lo >> 16) & 0xFF] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFF] ^ tables[2][(hi >> 8) & 0xFF] ^
+          tables[1][(hi >> 16) & 0xFF] ^ tables[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = tables[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -91,6 +108,14 @@ void WalEncoder::PutString(const std::string& s) {
 void WalEncoder::PutDoubles(const std::vector<double>& v) {
   PutU64(v.size());
   for (double d : v) PutDouble(d);
+}
+
+void WalEncoder::PutVarint(uint64_t v) {
+  while (v >= 0x80) {
+    bytes_.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  bytes_.push_back(static_cast<char>(v));
 }
 
 Result<uint8_t> WalDecoder::ReadU8() {
@@ -147,6 +172,16 @@ Result<std::vector<double>> WalDecoder::ReadDoubles() {
     v.push_back(d);
   }
   return v;
+}
+
+Result<uint64_t> WalDecoder::ReadVarint() {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64 && pos_ < data_.size(); shift += 7) {
+    const auto byte = static_cast<uint8_t>(data_[pos_++]);
+    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+  return Status::InvalidArgument("wal decode past end (varint)");
 }
 
 std::string EncodeWalFrame(const WalRecord& record) {

@@ -13,22 +13,27 @@
 namespace dbtune::store {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `size` bytes. Every
-/// WAL and snapshot frame carries one so recovery can distinguish a torn
+/// frame the store writes carries one so recovery can distinguish a torn
 /// tail from a complete record.
 uint32_t Crc32(const void* data, size_t size);
 
-/// Record types shared by the write-ahead log, the snapshot file and the
-/// sealed log. The numeric values are part of the on-disk format —
-/// append, never renumber.
+/// Record types shared by the write-ahead log, the data log, the manifest
+/// log and the snapshots of older layouts. The numeric values are part of
+/// the on-disk format — append, never renumber.
 enum class WalRecordType : uint8_t {
   kBeginSession = 1,
   kObservation = 2,
   kEndSession = 3,
   kTask = 4,
   kTruncateSession = 5,
-  /// Snapshot only: the sealed log's covered length and the index of
-  /// every session and task in it.
+  /// Older snapshots only: the sealed log's covered length and the index
+  /// of every session and task in it.
   kSealedManifest = 6,
+  /// Manifest log only: one checkpoint's edit of the data-log index.
+  kManifestEdit = 7,
+  /// Data log only: where the frames of a sealed session that spans more
+  /// than one extent sit.
+  kExtentIndex = 8,
 };
 
 /// One decoded log record: a monotonically increasing sequence number, a
@@ -52,6 +57,8 @@ class WalEncoder {
   void PutString(const std::string& s);
   /// Count-prefixed (u64) vector of raw doubles.
   void PutDoubles(const std::vector<double>& v);
+  /// LEB128: seven bits per byte, low bits first.
+  void PutVarint(uint64_t v);
 
   const std::string& bytes() const { return bytes_; }
 
@@ -71,6 +78,7 @@ class WalDecoder {
   [[nodiscard]] Result<double> ReadDouble();
   [[nodiscard]] Result<std::string> ReadString();
   [[nodiscard]] Result<std::vector<double>> ReadDoubles();
+  [[nodiscard]] Result<uint64_t> ReadVarint();
 
   bool AtEnd() const { return pos_ == data_.size(); }
 
@@ -113,7 +121,7 @@ struct WalScanExtent {
     std::string_view data, uint64_t offset,
     const std::function<Status(const WalFrameView&)>& visit);
 
-/// Outcome of scanning a WAL (or snapshot body) into owning records.
+/// Outcome of scanning a WAL (or any framed body) into owning records.
 struct WalScanResult : WalScanExtent {
   std::vector<WalRecord> records;
 };
@@ -123,7 +131,7 @@ struct WalScanResult : WalScanExtent {
 /// `torn_tail` and stops.
 WalScanResult ScanWalFrames(std::string_view data, uint64_t offset);
 
-/// Append-only writer over one WAL or sealed-log file. The store's
+/// Append-only writer over one WAL, data-log or manifest-log file. The store's
 /// recovery pass validates or creates the file before handing it here;
 /// the writer itself only appends already-encoded frames and flushes each
 /// one so a crash can tear at most the final record.
@@ -148,7 +156,7 @@ class WalWriter {
   [[nodiscard]] Status Append(std::string_view frame);
 
   /// Rewrites the file to just the magic header (log compaction after a
-  /// snapshot made every existing record redundant).
+  /// checkpoint covered every existing record).
   [[nodiscard]] Status TruncateToHeader();
 
   bool open() const { return file_ != nullptr; }
@@ -164,8 +172,11 @@ class WalWriter {
 extern const char kWalMagic[8];
 /// 8-byte magic that starts every snapshot file.
 extern const char kSnapshotMagic[8];
-/// 8-byte magic that starts every sealed log.
-extern const char kSealedLogMagic[8];
+/// 8-byte magic that starts every data log (the sealed log of older
+/// layouts is generation 0 and carries the same magic).
+extern const char kDataLogMagic[8];
+/// 8-byte magic that starts every manifest log.
+extern const char kManifestMagic[8];
 
 namespace testing {
 

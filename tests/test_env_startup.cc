@@ -43,10 +43,10 @@ std::string ReadFile(const std::string& path) {
 }
 
 void RemoveOutputs() {
-  for (const std::string& path :
-       {kTrace, kSessionLog, kMetricsExport, kStore, kStore + ".snapshot"}) {
+  for (const std::string& path : {kTrace, kSessionLog, kMetricsExport}) {
     std::filesystem::remove(path);
   }
+  ASSERT_TRUE(store::ObservationStore::Destroy(kStore).ok());
 }
 
 SessionResult RunSmallSession(const SessionControls& controls) {
@@ -125,7 +125,7 @@ TEST(EnvStartupSet, DefaultControlsWriteEveryOutput) {
   // The store took every observation under the default session id, and
   // DBTUNE_STORE_SNAPSHOT_EVERY=2 checkpointed it (the default of 64
   // would not have by now).
-  EXPECT_TRUE(std::filesystem::exists(kStore + ".snapshot"));
+  EXPECT_TRUE(std::filesystem::exists(kStore + ".manifest"));
   auto store = store::ObservationStore::Open(kStore);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const Result<store::StoredSession> session = (*store)->FindSession("default");

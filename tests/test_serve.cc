@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -56,10 +57,7 @@ std::vector<size_t> FirstKnobs(size_t n) {
 
 std::string ServeStorePath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "serve_" + name + ".wal";
-  std::remove(path.c_str());
-  std::remove((path + ".snapshot").c_str());
-  std::remove((path + ".snapshot.tmp").c_str());
-  std::remove((path + ".sealed").c_str());
+  EXPECT_TRUE(store::ObservationStore::Destroy(path).ok());
   return path;
 }
 
@@ -555,8 +553,66 @@ TEST(ServeStoreTest, CloseSealsTrajectoryAsTransferTask) {
   EXPECT_TRUE(stored->finished);
 }
 
+// A checkpoint that fails inside an Observe (a torn data-log or manifest
+// append, at a sweep of byte budgets) does not fail the Observe: its
+// record is durable, so the client hears OK, the next iteration proceeds
+// and retries the checkpoint, and a reopened store holds every
+// acknowledged observation.
+TEST(ServeStoreTest, FailedCheckpointNeverFailsAnObserve) {
+  constexpr int kIterations = 14;
+  size_t failed_checkpoints = 0;
+  // The checkpoints after observations 4 and 12: the first rewrites the
+  // manifest log, the second appends an edit to it.
+  for (int trial = 0; trial < 160; ++trial) {
+    const int tear_at = trial < 80 ? 3 : 11;
+    const int64_t budget = 5 * (trial % 80);
+    const std::string path = ServeStorePath("checkpoint_fault");
+    std::vector<Observation> observed;
+    {
+      store::StoreOptions store_options;
+      store_options.snapshot_every = 2;
+      auto opened = ObservationStore::Open(path, store_options);
+      ASSERT_TRUE(opened.ok());
+      ObservationStore* store = opened.value().get();
+      SessionManagerOptions options;
+      options.store = store;
+      SessionManager manager(options);
+      manager.RegisterSpace("small", SmallSpace());
+      ASSERT_TRUE(manager.CreateSession("s", SmallOptions(9)).ok());
+      for (int i = 0; i < kIterations; ++i) {
+        Result<Configuration> suggested = manager.Suggest("s");
+        ASSERT_TRUE(suggested.ok()) << suggested.status().ToString();
+        Observation obs;
+        obs.config = *suggested;
+        obs.score = 10.0 + i;
+        if (i == tear_at) {
+          // The WAL holds its header and the previous record: let this
+          // record through too, then tear the checkpoint it triggers.
+          const int64_t record = static_cast<int64_t>(
+              std::filesystem::file_size(path) - sizeof(store::kWalMagic));
+          store::testing::SetWalWriteFaultForTest(record + budget);
+        }
+        const Status observed_status = manager.Observe("s", obs);
+        store::testing::SetWalWriteFaultForTest(-1);
+        ASSERT_TRUE(observed_status.ok())
+            << "budget " << budget << ": " << observed_status.ToString();
+        observed.push_back(obs);
+      }
+      EXPECT_LE(store->stats().checkpoint_failures, 1u);
+      failed_checkpoints += store->stats().checkpoint_failures;
+    }
+    auto reopened = ObservationStore::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const Result<store::StoredSession> stored = (*reopened)->FindSession("s");
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    ExpectBitwiseEqual(observed, stored->observations,
+                       "budget " + std::to_string(budget));
+  }
+  EXPECT_GT(failed_checkpoints, 10u);
+}
+
 // A closed session leaves memory at the next checkpoint: the store moves
-// it to its sealed log, it still reads back sealed with every observation
+// it to its data log, it still reads back sealed with every observation
 // and its transfer task, and after a restart its id starts over empty.
 TEST(ServeStoreTest, ClosedSessionMovesToSealedLogAndItsIdStartsOver) {
   const std::string path = ServeStorePath("seal_checkpoint");

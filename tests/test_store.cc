@@ -1,10 +1,11 @@
-// Durable observation store: WAL framing, torn-tail and bad-CRC
-// recovery, snapshot compaction, snapshots written from retained frames
-// (against a fresh encode, and legacy LSN-0 snapshots), the LSN skip
-// window, fault-injected mid-write crashes, store metrics, the sealed log
-// (moves at checkpoints, old layouts, crash windows, damage), and the
-// headline guarantee — a session killed at
-// any iteration replays to a bitwise-identical trajectory.
+// Durable observation store: WAL framing and CRC, torn-tail and bad-CRC
+// recovery, checkpoints from retained frames (against a fresh encode, and
+// legacy LSN-0 snapshots), the LSN skip window, fault-injected mid-write
+// crashes, store metrics, the data log and manifest log (checkpoint
+// equivalence, linear checkpoint bytes, crash windows, compaction, older
+// layouts and their committed fixtures, damage, what Open reads), and the
+// headline guarantee — a session killed at any iteration replays to a
+// bitwise-identical trajectory.
 
 #include "pool_size_guard.h"
 #include "store/observation_store.h"
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,10 +64,7 @@ class StoreTest : public ::testing::Test {
 /// A fresh store path in the test temp dir (leftovers removed).
 std::string StorePath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "store_" + name + ".wal";
-  std::remove(path.c_str());
-  std::remove((path + ".snapshot").c_str());
-  std::remove((path + ".snapshot.tmp").c_str());
-  std::remove((path + ".sealed").c_str());
+  EXPECT_TRUE(ObservationStore::Destroy(path).ok());
   return path;
 }
 
@@ -222,61 +221,165 @@ std::string SnapshotHeader(uint64_t covered_lsn) {
   return header;
 }
 
-// The store's on-disk state in the one-file layout snapshots had before
-// the sealed log: the snapshot header, every session's frames (id order),
-// then every task frame (persistence order). Sessions and tasks in the
-// sealed log are read from it through the snapshot's manifest, which the
-// image leaves out.
-std::string StoredImage(const std::string& path) {
-  const std::string snapshot = ReadBytes(path + ".snapshot");
-  const std::string sealed = ReadBytes(path + ".sealed");
-  const size_t header = SnapshotHeader(0).size();
-  std::map<std::string, std::string> sessions;
-  std::string sealed_tasks;
-  std::string tasks;
-  std::string current;  // the session whose frames are being read
+std::string DataLogPath(const std::string& path, uint64_t generation) {
+  return generation == 0 ? path + ".sealed"
+                         : path + ".data." + std::to_string(generation);
+}
+
+// The index a manifest log commits, decoded here independently of the
+// store: each edit replayed in order (restarts, cuts, extents, seals,
+// tasks), a full edit starting over.
+struct TestExtent {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+struct TestEntry {
+  std::string id;
+  uint64_t fields[6] = {};  // lsn, dimension, count, offset, length, bytes
+  uint64_t offset() const { return fields[3]; }
+  uint64_t length() const { return fields[4]; }
+};
+struct TestManifest {
+  uint64_t covered_lsn = 0;
+  uint64_t generation = 0;
+  uint64_t data_log_bytes = 0;
+  size_t edits = 0;
+  size_t full_edits = 0;
+  std::map<std::string, std::vector<TestExtent>> open;
+  std::map<std::string, TestEntry> sealed;
+  std::vector<TestEntry> tasks;
+};
+
+TestManifest ReadManifest(const std::string& path) {
+  TestManifest m;
+  const std::string log = ReadBytes(path + ".manifest");
+  EXPECT_EQ(log.substr(0, 8), std::string(store::kManifestMagic, 8));
   const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
-      snapshot, header, [&](const store::WalFrameView& view) -> Status {
+      log, sizeof(store::kManifestMagic),
+      [&](const store::WalFrameView& view) -> Status {
+        EXPECT_EQ(view.type, WalRecordType::kManifestEdit);
         store::WalDecoder dec(view.body);
-        switch (view.type) {
-          case WalRecordType::kSealedManifest: {
-            DBTUNE_ASSIGN_OR_RETURN(const uint64_t covered, dec.ReadU64());
-            EXPECT_EQ(sealed.size(), covered);
-            for (const bool is_session : {true, false}) {
-              DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadU64());
-              for (uint64_t i = 0; i < count; ++i) {
-                DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-                uint64_t fields[5];  // lsn, dimension, count, offset, length
-                for (uint64_t& field : fields) {
-                  DBTUNE_ASSIGN_OR_RETURN(field, dec.ReadU64());
-                }
-                const std::string frames = sealed.substr(fields[3], fields[4]);
-                if (is_session) {
-                  sessions[id] = frames;
-                } else {
-                  sealed_tasks += frames;
-                }
-              }
-            }
-            return Status::OK();
-          }
-          case WalRecordType::kBeginSession: {
-            DBTUNE_ASSIGN_OR_RETURN(current, dec.ReadString());
-            sessions[current] = std::string(view.frame);
-            return Status::OK();
-          }
-          case WalRecordType::kTask:
-            tasks += view.frame;
-            return Status::OK();
-          default:
-            sessions[current] += view.frame;
-            return Status::OK();
+        DBTUNE_ASSIGN_OR_RETURN(const uint8_t full, dec.ReadU8());
+        if (full != 0) {
+          const size_t edits = m.edits;
+          const size_t full_edits = m.full_edits;
+          m = TestManifest();
+          m.edits = edits;
+          m.full_edits = full_edits + 1;
         }
+        ++m.edits;
+        m.covered_lsn = view.lsn;
+        DBTUNE_ASSIGN_OR_RETURN(m.generation, dec.ReadVarint());
+        DBTUNE_ASSIGN_OR_RETURN(m.data_log_bytes, dec.ReadVarint());
+        DBTUNE_ASSIGN_OR_RETURN(uint64_t count, dec.ReadVarint());
+        for (uint64_t i = 0; i < count; ++i) {  // restarts
+          DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+          m.open.erase(id);
+          m.sealed.erase(id);
+        }
+        DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+        for (uint64_t i = 0; i < count; ++i) {  // cuts: keep a byte prefix
+          DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+          DBTUNE_ASSIGN_OR_RETURN(uint64_t keep, dec.ReadVarint());
+          DBTUNE_ASSIGN_OR_RETURN(const uint64_t observations,
+                                  dec.ReadVarint());
+          (void)observations;
+          std::vector<TestExtent> kept;
+          for (const TestExtent& extent : m.open[id]) {
+            if (keep == 0) break;
+            kept.push_back({extent.offset, std::min(keep, extent.length)});
+            keep -= kept.back().length;
+          }
+          m.open[id] = kept;
+        }
+        DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+        for (uint64_t i = 0; i < count; ++i) {  // extents, in runs per id
+          DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+          DBTUNE_ASSIGN_OR_RETURN(uint64_t extents, dec.ReadVarint());
+          for (; extents > 0; --extents) {
+            TestExtent extent;
+            DBTUNE_ASSIGN_OR_RETURN(extent.offset, dec.ReadVarint());
+            DBTUNE_ASSIGN_OR_RETURN(extent.length, dec.ReadVarint());
+            DBTUNE_ASSIGN_OR_RETURN(const uint64_t observations,
+                                    dec.ReadVarint());
+            (void)observations;
+            m.open[id].push_back(extent);
+          }
+        }
+        for (const bool is_session : {true, false}) {  // seals, tasks
+          DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
+          for (uint64_t i = 0; i < count; ++i) {
+            TestEntry entry;
+            DBTUNE_ASSIGN_OR_RETURN(entry.id, dec.ReadString());
+            for (uint64_t& field : entry.fields) {
+              DBTUNE_ASSIGN_OR_RETURN(field, dec.ReadVarint());
+            }
+            if (is_session) {
+              m.open.erase(entry.id);
+              m.sealed[entry.id] = entry;
+            } else {
+              m.tasks.push_back(entry);
+            }
+          }
+        }
+        EXPECT_TRUE(dec.AtEnd());
+        return Status::OK();
       });
   EXPECT_TRUE(scan.ok() && !scan->torn_tail) << path;
-  std::string image = snapshot.substr(0, header);
+  return m;
+}
+
+// The frames a sealed session or task entry stands for in `data_log`:
+// the run it points at, or the runs its extent-index frame lists.
+std::string EntryFrames(const std::string& data_log, const TestEntry& entry) {
+  const std::string run = data_log.substr(entry.offset(), entry.length());
+  const WalScanResult scan = ScanWalFrames(run, 0);
+  if (scan.records.empty() ||
+      scan.records[0].type != WalRecordType::kExtentIndex) {
+    return run;
+  }
+  EXPECT_EQ(scan.records.size(), 1u);
+  store::WalDecoder dec(scan.records[0].body);
+  EXPECT_EQ(dec.ReadString().value(), entry.id);
+  std::string frames;
+  for (uint64_t i = dec.ReadVarint().value(); i > 0; --i) {
+    const uint64_t offset = dec.ReadVarint().value();
+    frames += data_log.substr(offset, dec.ReadVarint().value());
+  }
+  return frames;
+}
+
+// The store's checkpointed state in the one-file layout snapshots had
+// before the data log: a 16-byte snapshot header, every session's frames
+// (id order), then every task frame (persistence order), each read
+// through the manifest log.
+std::string StoredImage(const std::string& path) {
+  const TestManifest manifest = ReadManifest(path);
+  const std::string data_log =
+      ReadBytes(DataLogPath(path, manifest.generation));
+  EXPECT_EQ(data_log.size(), manifest.data_log_bytes);
+  std::map<std::string, std::string> sessions;
+  for (const auto& [id, extents] : manifest.open) {
+    for (const TestExtent& extent : extents) {
+      sessions[id] += data_log.substr(extent.offset, extent.length);
+    }
+  }
+  for (const auto& [id, entry] : manifest.sealed) {
+    sessions[id] = EntryFrames(data_log, entry);
+  }
+  std::string image = SnapshotHeader(0);
   for (const auto& entry : sessions) image += entry.second;
-  return image + sealed_tasks + tasks;
+  for (const TestEntry& task : manifest.tasks) {
+    image += EntryFrames(data_log, task);
+  }
+  return image;
+}
+
+// The id (session id or task name) every record body starts with; empty
+// when the body is too short.
+std::string RecordId(std::string_view body) {
+  Result<std::string> id = store::WalDecoder(body).ReadString();
+  return id.ok() ? *std::move(id) : std::string();
 }
 
 std::vector<SourceTask> TasksOf(const ObservationStore& s) {
@@ -311,6 +414,34 @@ std::vector<WalRecord> FreshSnapshotRecords(const ObservationStore& s) {
 // ---------------------------------------------------------------------------
 // WAL framing
 // ---------------------------------------------------------------------------
+
+// The table-sliced CRC equals the textbook bytewise one: the standard
+// check value, and every length and alignment of a random buffer.
+TEST_F(StoreTest, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(store::Crc32("123456789", 9), 0xCBF43926u);
+  auto bytewise = [](const unsigned char* data, size_t size) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  Rng rng(8);
+  std::vector<unsigned char> buffer(80);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t size = 0; start + size <= buffer.size(); ++size) {
+      EXPECT_EQ(store::Crc32(buffer.data() + start, size),
+                bytewise(buffer.data() + start, size))
+          << "start " << start << " size " << size;
+    }
+  }
+}
 
 TEST_F(StoreTest, WalFramesRoundTrip) {
   std::string data(store::kWalMagic, sizeof(store::kWalMagic));
@@ -610,7 +741,7 @@ TEST_F(StoreTest, CheckpointCompactsWalAndRecoversFromSnapshot) {
     }
     EXPECT_EQ(s.stats().checkpoints, 2u);  // after obs 3 and 6
   }
-  EXPECT_TRUE(std::filesystem::exists(path + ".snapshot"));
+  EXPECT_TRUE(std::filesystem::exists(path + ".manifest"));
   // Two checkpoints compacted all but the post-snapshot tail: the WAL
   // holds only the header and the single record appended since.
   const std::string wal = ReadBytes(path);
@@ -853,7 +984,7 @@ Observation RandomObs(Rng* rng, size_t dimension) {
 
 // Random begin / append / truncate / finish / restart / PersistTask
 // traffic over four sessions, checkpointed now and then. After every
-// checkpoint the stored frames (snapshot and sealed log, StoredImage)
+// checkpoint the stored frames (data log through the manifest, StoredImage)
 // must equal a fresh encode of the live state record for record (bodies bitwise, sizes exactly; only LSNs may
 // differ), and a reopened store must equal the live one bitwise.
 TEST_F(StoreTest, SnapshotFromRetainedFramesMatchesFreshEncode) {
@@ -998,8 +1129,8 @@ TEST_F(StoreTest, LegacySnapshotWithLsnZeroFramesRecovers) {
     check(**opened);
     ASSERT_TRUE((*opened)->Checkpoint().ok());
   }
-  // The rewritten snapshot and sealed log keep the legacy frames byte for
-  // byte and insert the replayed record with its log LSN.
+  // The data log keeps the legacy frames byte for byte and holds the
+  // replayed record with its log LSN.
   const std::string rewritten = StoredImage(path);
   EXPECT_EQ(rewritten.size(), snapshot.size() + wal.size() -
                                   sizeof(store::kWalMagic));
@@ -1016,11 +1147,12 @@ TEST_F(StoreTest, LegacySnapshotWithLsnZeroFramesRecovers) {
 }
 
 // Store metrics land on the registry: append and checkpoint latency, and
-// the bytes every checkpoint wrote.
-TEST_F(StoreTest, StoreMetricsRecordAppendsCheckpointsAndSnapshotBytes) {
+// the bytes every checkpoint wrote. `store.checkpoint.bytes` is the sum of
+// the data-log appends, the manifest writes and the WAL header each
+// compaction rewrites; the data log gets each record once.
+TEST_F(StoreTest, StoreMetricsRecordAppendsCheckpointsAndCheckpointBytes) {
   obs::ScopedMetricsForTest metrics;
   const std::string path = StorePath("metrics");
-  const std::string snapshot_path = path + ".snapshot";
   StoreOptions options;
   options.snapshot_every = 3;
   auto opened = ObservationStore::Open(path, options);
@@ -1036,28 +1168,39 @@ TEST_F(StoreTest, StoreMetricsRecordAppendsCheckpointsAndSnapshotBytes) {
                       .ok());
     }
   };
+  auto expect_bytes = [&](size_t checkpoints) {
+    const obs::Counter* bytes = registry.FindCounter("store.checkpoint.bytes");
+    const obs::Counter* data = registry.FindCounter("store.datalog.bytes");
+    const obs::Counter* manifest = registry.FindCounter("store.manifest.bytes");
+    ASSERT_NE(bytes, nullptr);
+    ASSERT_NE(data, nullptr);
+    ASSERT_NE(manifest, nullptr);
+    EXPECT_EQ(data->value(),
+              std::filesystem::file_size(DataLogPath(path, 1)));
+    EXPECT_GE(manifest->value(),
+              std::filesystem::file_size(path + ".manifest"));
+    EXPECT_EQ(bytes->value(), data->value() + manifest->value() +
+                                  checkpoints * sizeof(store::kWalMagic));
+    EXPECT_EQ(registry.FindCounter("store.compaction.bytes"), nullptr);
+  };
 
   append_some(1, 3);
   const obs::Histogram* append = registry.FindHistogram("store.append");
   const obs::Histogram* checkpoint = registry.FindHistogram("store.checkpoint");
-  const obs::Counter* bytes = registry.FindCounter("store.checkpoint.bytes");
   ASSERT_NE(append, nullptr);
   ASSERT_NE(checkpoint, nullptr);
-  ASSERT_NE(bytes, nullptr);
   EXPECT_EQ(append->count(), 3u);
   EXPECT_EQ(checkpoint->count(), 1u);
-  const uint64_t first_snapshot = std::filesystem::file_size(snapshot_path);
-  EXPECT_EQ(bytes->value(), first_snapshot);
+  expect_bytes(1);
 
   append_some(4, 3);
   EXPECT_EQ(append->count(), 6u);
   EXPECT_EQ(checkpoint->count(), 2u);
-  EXPECT_EQ(bytes->value(),
-            first_snapshot + std::filesystem::file_size(snapshot_path));
+  expect_bytes(2);
 }
 
 // ---------------------------------------------------------------------------
-// The sealed log
+// The data log and the manifest log
 // ---------------------------------------------------------------------------
 
 // Random begin / append / truncate / finish / restart / PersistTask
@@ -1065,7 +1208,9 @@ TEST_F(StoreTest, StoreMetricsRecordAppendsCheckpointsAndSnapshotBytes) {
 // one that never does. Every call answers alike on both, and after every
 // checkpoint (and after reopening the checkpointed store) ListSessions,
 // FindSession and ExportTasks are bitwise equal, sealed ids restarted
-// after their move included.
+// after their move included. The traffic also keeps sessions open across
+// checkpoints, truncates into their checkpointed frames, and leaves enough
+// dead bytes for compactions.
 TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
   const std::string path = StorePath("sealed_random");
   const std::string reference_path = StorePath("sealed_random_reference");
@@ -1093,7 +1238,12 @@ TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
   size_t moved = 0;
   size_t restarted_after_move = 0;
   size_t sealed_rejections = 0;
-  for (size_t step = 0; step < 500; ++step) {
+  // Observations of each live id at the last checkpoint, to count
+  // truncations that cut checkpointed frames.
+  std::map<std::string, size_t> checkpointed;
+  size_t checkpointed_cuts = 0;
+  size_t compactions = 0;
+  for (size_t step = 0; step < 1500; ++step) {
     const std::string& id = ids[rng.Index(ids.size())];
     const Result<StoredSession> found = reference.FindSession(id);
     const bool live = found.ok() && !found->finished;
@@ -1106,6 +1256,7 @@ TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
       ASSERT_TRUE(both([&](ObservationStore& t) {
                     return t.BeginSession(id, kDimension);
                   }).ok());
+      if (!live) checkpointed[id] = 0;
     } else if (op < 70) {
       const Observation obs = RandomObs(&rng, kDimension);
       const Status appended = both([&](ObservationStore& t) {
@@ -1121,6 +1272,10 @@ TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
                   return t.TruncateSession(id, keep);
                 }).ok(),
                 live);
+      if (live && keep < checkpointed[id]) {
+        ++checkpointed_cuts;
+        checkpointed[id] = keep;
+      }
     } else if (op < 86) {
       const std::string name = id + "-" + std::to_string(step);
       EXPECT_EQ(both([&](ObservationStore& t) {
@@ -1139,6 +1294,11 @@ TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
       ASSERT_TRUE(s->Checkpoint().ok());
       EXPECT_EQ(s->num_tasks(), reference.num_tasks());
       moved = std::max(moved, s->stats().sealed_sessions);
+      compactions += s->stats().compactions;
+      EXPECT_LE(2 * s->stats().dead_bytes, s->stats().data_log_bytes);
+      for (const StoredSessionInfo& info : reference.ListSessions()) {
+        checkpointed[info.id] = info.observations;
+      }
       ExpectStoresBitEqual(reference, *s);
       s.reset();
       auto reopened = ObservationStore::Open(path, options);
@@ -1152,6 +1312,8 @@ TEST_F(StoreTest, CheckpointedStoreMatchesNeverCheckpointedStore) {
   EXPECT_GT(moved, 1u);
   EXPECT_GT(restarted_after_move, 0u);
   EXPECT_GT(sealed_rejections, 0u);
+  EXPECT_GT(checkpointed_cuts, 0u);
+  EXPECT_GT(compactions, 1u);
 }
 
 // Builds, in `path`, a store holding one open and two sealed sessions
@@ -1201,8 +1363,8 @@ void BuildSealedStore(const std::string& path,
 // A store in the layout that predates the sealed log (sealed sessions and
 // tasks in the snapshot, no manifest) loads equal to the same content
 // written as a log, keeps its sealed sessions in memory, and moves them
-// to the sealed log at its first checkpoint. The snapshot then holds the
-// manifest and the open session only.
+// to the data log at its first checkpoint, which replaces the snapshot
+// with the manifest log.
 TEST_F(StoreTest, OldLayoutMovesSealedSessionsAtFirstCheckpoint) {
   const std::string path = StorePath("old_layout");
   const std::string reference_path = StorePath("old_layout_reference");
@@ -1262,153 +1424,354 @@ TEST_F(StoreTest, OldLayoutMovesSealedSessionsAtFirstCheckpoint) {
     EXPECT_EQ((*opened)->stats().sealed_sessions, 2u);
     ExpectStoresBitEqual(**reference, **opened);
   }
-  const std::string rewritten = ReadBytes(path + ".snapshot");
-  const WalScanResult records =
-      ScanWalFrames(rewritten, SnapshotHeader(0).size());
-  ASSERT_EQ(records.records.size(), 5u);  // manifest, begin, 3 observations
-  EXPECT_EQ(records.records[0].type, WalRecordType::kSealedManifest);
-  for (size_t r = 1; r < records.records.size(); ++r) {
-    EXPECT_NE(records.records[r].type, WalRecordType::kEndSession);
-    EXPECT_NE(records.records[r].type, WalRecordType::kTask);
-  }
-  // The sealed log holds its header and the moved frames, nothing else.
-  EXPECT_EQ(ReadBytes(path + ".sealed").size(),
-            sizeof(store::kSealedLogMagic) + sessions["sealed-1"].size() +
-                sessions["sealed-2"].size() + tasks.size());
+  // The snapshot is gone; the manifest log indexes the open session's
+  // frames and the moved ones, which the old sealed-log-less layout had
+  // nowhere else, so they start generation 1 of the data log.
+  EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
+  const TestManifest manifest = ReadManifest(path);
+  EXPECT_EQ(manifest.generation, 1u);
+  ASSERT_EQ(manifest.open.count("open"), 1u);
+  EXPECT_EQ(manifest.sealed.size(), 2u);
+  EXPECT_EQ(manifest.tasks.size(), 2u);
+  // The data log holds its header and every frame once, nothing else.
+  EXPECT_EQ(ReadBytes(DataLogPath(path, 1)).size(),
+            sizeof(store::kDataLogMagic) + sessions["open"].size() +
+                sessions["sealed-1"].size() + sessions["sealed-2"].size() +
+                tasks.size());
   auto reopened = ObservationStore::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->stats().sealed_sessions, 2u);
   ExpectStoresBitEqual(**reference, **reopened);
 }
 
-// A store that never sealed a session or persisted a task writes no
-// manifest and no sealed log: its snapshot is the layout that predates
-// the sealed log, byte for byte.
-TEST_F(StoreTest, SnapshotWithNothingSealedHasNoManifest) {
-  const std::string path = StorePath("no_manifest");
-  std::string expected = SnapshotHeader(4);
+// Each checkpoint appends only the frames logged since the previous one:
+// the data log is its header and then every WAL frame, byte for byte, in
+// checkpoint order and session-id order within a checkpoint, and the
+// manifest log gets one edit (or one rewrite) per checkpoint.
+TEST_F(StoreTest, DataLogHoldsEachRecordOnce) {
+  const std::string path = StorePath("each_record_once");
+  StoreOptions options;
+  options.snapshot_every = 0;
+  std::string expected(store::kDataLogMagic, sizeof(store::kDataLogMagic));
+  auto opened = ObservationStore::Open(path, options);
+  ASSERT_TRUE(opened.ok());
+  ObservationStore& s = **opened;
+  Rng rng(3);
+  for (size_t round = 0; round < 4; ++round) {
+    std::map<std::string, std::string> logged;  // this round, per session
+    for (const std::string id : {"b", "a"}) {
+      if (round == 0) {
+        ASSERT_TRUE(s.BeginSession(id, 2).ok());
+      }
+      for (size_t i = 1; i <= 2; ++i) {
+        const size_t iteration = 2 * round + i;
+        ASSERT_TRUE(
+            s.AppendObservation(id, iteration, RandomObs(&rng, 2)).ok());
+      }
+    }
+    const std::string wal = ReadBytes(path);
+    const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
+        wal, sizeof(store::kWalMagic),
+        [&](const store::WalFrameView& view) -> Status {
+          store::WalDecoder dec(view.body);
+          DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
+          logged[id] += view.frame;
+          return Status::OK();
+        });
+    ASSERT_TRUE(scan.ok() && !scan->torn_tail);
+    for (const auto& entry : logged) expected += entry.second;
+    ASSERT_TRUE(s.Checkpoint().ok());
+    EXPECT_EQ(ReadBytes(DataLogPath(path, 1)), expected) << "round " << round;
+    EXPECT_EQ(ReadManifest(path).covered_lsn, s.stats().last_lsn);
+    EXPECT_EQ(s.stats().data_log_bytes, expected.size());
+    EXPECT_EQ(s.stats().dead_bytes, 0u);
+  }
+}
+
+// A checkpoint counts the data-log bytes it appended in
+// `store.datalog.bytes` and the manifest bytes in `store.manifest.bytes`.
+TEST_F(StoreTest, DataLogBytesMetricCountsTheDataLog) {
+  obs::ScopedMetricsForTest metrics;
+  const std::string path = StorePath("datalog_metric");
+  const std::string reference_path = StorePath("datalog_metric_reference");
+  BuildSealedStore(path, reference_path);
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  const obs::Counter* data = registry.FindCounter("store.datalog.bytes");
+  const obs::Counter* manifest = registry.FindCounter("store.manifest.bytes");
+  ASSERT_NE(data, nullptr);
+  ASSERT_NE(manifest, nullptr);
+  EXPECT_EQ(data->value(), std::filesystem::file_size(DataLogPath(path, 1)));
+  // One checkpoint, so one manifest write: the whole log.
+  EXPECT_EQ(manifest->value(), std::filesystem::file_size(path + ".manifest"));
+}
+
+// Every file a store at `path` can have, each with its bytes or nullopt
+// when absent: enough to put a store back exactly as it was.
+using FileImage = std::map<std::string, std::optional<std::string>>;
+
+FileImage SaveFiles(const std::string& path) {
+  FileImage image;
+  for (const std::string& file :
+       {path, path + ".manifest", path + ".snapshot", DataLogPath(path, 0),
+        DataLogPath(path, 1), DataLogPath(path, 2)}) {
+    image[file] = std::filesystem::exists(file)
+                      ? std::optional<std::string>(ReadBytes(file))
+                      : std::nullopt;
+  }
+  return image;
+}
+
+void RestoreFiles(const FileImage& image) {
+  for (const auto& [file, bytes] : image) {
+    if (bytes.has_value()) {
+      WriteBytes(file, *bytes);
+    } else {
+      std::filesystem::remove(file);
+    }
+  }
+}
+
+// Opens `path`, expects it bitwise equal to `reference`, checkpoints, and
+// expects it equal again, before and after reopening.
+void ExpectRecovered(const std::string& path,
+                     const ObservationStore& reference,
+                     const std::string& label) {
   {
     auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok());
-    ObservationStore& s = **opened;
-    ASSERT_TRUE(s.BeginSession("s1", 1).ok());
-    expected += EncodeWalFrame({1, WalRecordType::kBeginSession,
-                                BeginBody("s1", 1)});
-    for (size_t i = 1; i <= 3; ++i) {
-      const Observation obs = MakeObs({0.1 * static_cast<double>(i)}, 1.0,
-                                      2.0, {3.0});
-      ASSERT_TRUE(s.AppendObservation("s1", i, obs).ok());
-      expected += EncodeWalFrame(
-          {i + 1, WalRecordType::kObservation, ObservationBody("s1", i, obs)});
-    }
-    ASSERT_TRUE(s.Checkpoint().ok());
-    EXPECT_EQ(s.stats().sealed_log_bytes, 0u);
+    ASSERT_TRUE(opened.ok()) << label << ": " << opened.status().ToString();
+    ExpectStoresBitEqual(reference, **opened);
+    ASSERT_TRUE((*opened)->Checkpoint().ok()) << label;
+    ExpectStoresBitEqual(reference, **opened);
   }
-  EXPECT_EQ(ReadBytes(path + ".snapshot"), expected);
-  EXPECT_FALSE(std::filesystem::exists(path + ".sealed"));
+  auto reopened = ObservationStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << label << ": " << reopened.status().ToString();
+  ExpectStoresBitEqual(reference, **reopened);
 }
 
-// A checkpoint that moves sessions counts the sealed-log bytes it wrote
-// in `store.sealed.bytes`, beside the snapshot bytes.
-TEST_F(StoreTest, SealedBytesMetricCountsTheSealedLog) {
-  obs::ScopedMetricsForTest metrics;
-  const std::string path = StorePath("sealed_metric");
-  const std::string reference_path = StorePath("sealed_metric_reference");
-  BuildSealedStore(path, reference_path);
-  const obs::Counter* sealed =
-      obs::MetricsRegistry::Get().FindCounter("store.sealed.bytes");
-  ASSERT_NE(sealed, nullptr);
-  EXPECT_EQ(sealed->value(), std::filesystem::file_size(path + ".sealed"));
+// Bytes the next checkpoint of `path` writes through WalWriter::Append
+// (data log, then manifest), measured on a clean run that is then undone.
+uint64_t CheckpointAppendBytes(const std::string& path) {
+  const FileImage before = SaveFiles(path);
+  uint64_t bytes = 0;
+  {
+    obs::ScopedMetricsForTest metrics;
+    auto opened = ObservationStore::Open(path);
+    EXPECT_TRUE(opened.ok());
+    EXPECT_TRUE((*opened)->Checkpoint().ok());
+    for (const char* name : {"store.datalog.bytes", "store.manifest.bytes",
+                             "store.compaction.bytes"}) {
+      if (const obs::Counter* counter =
+              obs::MetricsRegistry::Get().FindCounter(name)) {
+        bytes += counter->value();
+      }
+    }
+  }
+  RestoreFiles(before);
+  return bytes;
 }
 
-// Each crash window of a checkpoint recovers to what the client was told:
-// a torn sealed-log append (at every byte budget across the append), a
-// sealed log written in full but no snapshot renamed, and a snapshot
-// renamed but the log not compacted.
+// Each crash window of a checkpoint (DESIGN.md §10) recovers to what the
+// client was told, and the store checkpoints again from there: a torn
+// data-log append or manifest write at every byte budget across both, on
+// a store whose manifest log exists (the edit is appended) and on one
+// that has none yet (the log is created by a rename); the data log
+// appended but no edit committed; the edit committed but the WAL not
+// compacted; and leftover bytes past what the manifest covers.
 TEST_F(StoreTest, CheckpointCrashWindowsRecoverThePreCheckpointContent) {
   const std::string path = StorePath("sealed_crash");
   const std::string reference_path = StorePath("sealed_crash_reference");
   BuildSealedStore(path, reference_path);
   auto reference = ObservationStore::Open(reference_path);
   ASSERT_TRUE(reference.ok());
-  const std::string wal = ReadBytes(path);
-  const std::string snapshot = ReadBytes(path + ".snapshot");
-  const std::string sealed = ReadBytes(path + ".sealed");
-  auto restore = [&] {
-    WriteBytes(path, wal);
-    WriteBytes(path + ".snapshot", snapshot);
-    WriteBytes(path + ".sealed", sealed);
-  };
-  auto expect_recovered = [&](const std::string& label) {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok()) << label << ": " << opened.status().ToString();
-    EXPECT_EQ(ReadBytes(path + ".sealed"), sealed) << label;
-    ExpectStoresBitEqual(**reference, **opened);
-    // The store checkpoints again from there.
-    ASSERT_TRUE((*opened)->Checkpoint().ok()) << label;
-    ExpectStoresBitEqual(**reference, **opened);
-  };
+  // The same content with nothing checkpointed: a WAL alone.
+  const std::string fresh_path = StorePath("sealed_crash_fresh");
+  WriteBytes(fresh_path, ReadBytes(reference_path));
 
-  // The move after "c" sealed appends c's session and its task.
-  uint64_t moved_bytes = 0;
+  for (const std::string& target : {path, fresh_path}) {
+    const FileImage before = SaveFiles(target);
+    const uint64_t appended = CheckpointAppendBytes(target);
+    ASSERT_GT(appended, 0u);
+    for (uint64_t budget = 0; budget < appended; ++budget) {
+      RestoreFiles(before);
+      {
+        auto opened = ObservationStore::Open(target);
+        ASSERT_TRUE(opened.ok());
+        store::testing::SetWalWriteFaultForTest(static_cast<int64_t>(budget));
+        EXPECT_FALSE((*opened)->Checkpoint().ok()) << "budget " << budget;
+        store::testing::SetWalWriteFaultForTest(-1);
+        EXPECT_EQ((*opened)->stats().checkpoint_failures, 1u);
+      }
+      ExpectRecovered(target, **reference,
+                      target + " torn at " + std::to_string(budget));
+      if (HasFatalFailure()) return;
+    }
+
+    // Data log appended, then the crash: no edit, no WAL compaction.
+    RestoreFiles(before);
+    {
+      auto opened = ObservationStore::Open(target);
+      ASSERT_TRUE(opened.ok());
+      ASSERT_TRUE((*opened)->Checkpoint().ok());
+    }
+    FileImage uncommitted = before;
+    uncommitted.erase(DataLogPath(target, 1));
+    RestoreFiles(uncommitted);
+    ExpectRecovered(target, **reference, target + " edit not written");
+
+    // Edit committed, WAL not compacted: its records are covered.
+    RestoreFiles(before);
+    {
+      auto opened = ObservationStore::Open(target);
+      ASSERT_TRUE(opened.ok());
+      ASSERT_TRUE((*opened)->Checkpoint().ok());
+    }
+    WriteBytes(target, *before.at(target));
+    {
+      auto opened = ObservationStore::Open(target);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_EQ((*opened)->stats().wal_records_replayed, 0u);
+      ExpectStoresBitEqual(**reference, **opened);
+    }
+  }
+
+  // Leftover bytes past the covered length are dropped on open, and so
+  // is a torn final manifest edit.
+  const FileImage before = SaveFiles(path);
+  const std::string data_log = *before.at(DataLogPath(path, 1));
+  WriteBytes(DataLogPath(path, 1), data_log + "leftover-garbage");
+  ExpectRecovered(path, **reference, "leftover bytes");
+  RestoreFiles(before);
+  const std::string edit = EncodeWalFrame(
+      {99, WalRecordType::kManifestEdit, std::string(40, '\x01')});
+  WriteBytes(path + ".manifest",
+             *before.at(path + ".manifest") + edit.substr(0, 30));
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ExpectStoresBitEqual(**reference, **opened);
+  }
+  EXPECT_EQ(ReadBytes(path + ".manifest"), *before.at(path + ".manifest"));
+}
+
+// Builds, in `path`, a store whose next checkpoint compacts the data log:
+// a session truncated far into its checkpointed frames, a sealed session
+// spread over two extents (so it has an extent index), an open session
+// and a task. The same calls go to `reference_path`, which never
+// checkpoints.
+void BuildCompactingStore(const std::string& path,
+                          const std::string& reference_path) {
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  StoreOptions options;
+  options.snapshot_every = 0;
+  for (const std::string& target : {reference_path, path}) {
+    Rng rng(13);
+    auto opened = ObservationStore::Open(target, options);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore& s = **opened;
+    auto append = [&](const std::string& id, size_t first, size_t n) {
+      for (size_t i = first; i < first + n; ++i) {
+        ASSERT_TRUE(s.AppendObservation(id, i, RandomObs(&rng, 2)).ok());
+      }
+    };
+    for (const std::string id : {"cut", "open", "sealed"}) {
+      ASSERT_TRUE(s.BeginSession(id, 2).ok());
+    }
+    append("cut", 1, 24);
+    append("open", 1, 3);
+    append("sealed", 1, 2);
+    if (target == path) {
+      ASSERT_TRUE(s.Checkpoint().ok());
+    }
+    append("sealed", 3, 2);
+    ASSERT_TRUE(s.FinishSession("sealed", env.space(), "sealed-task").ok());
+    ASSERT_TRUE(s.TruncateSession("cut", 1).ok());
+    append("cut", 2, 1);
+    append("open", 4, 1);
+  }
+}
+
+// A checkpoint whose dead bytes pass half of the data log copies the live
+// extents to the next generation: the copy keeps every session and task
+// bitwise, drops the dead bytes, and the old generation is deleted. A
+// crash before the new manifest's rename (a torn copy or manifest write at
+// every byte budget, the new file left behind) recovers the pre-compaction
+// generation; a crash after it (the old file left behind) recovers the
+// new one. Either way the leftover file is removed on open.
+TEST_F(StoreTest, CompactionCrashWindowsRecoverThePreCompactionContent) {
+  const std::string path = StorePath("compaction");
+  const std::string reference_path = StorePath("compaction_reference");
+  BuildCompactingStore(path, reference_path);
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok());
+  const FileImage before = SaveFiles(path);
+  ASSERT_TRUE(before.at(DataLogPath(path, 1)).has_value());
+
+  uint64_t live_bytes = 0;
   {
     auto opened = ObservationStore::Open(path);
     ASSERT_TRUE(opened.ok());
     ASSERT_TRUE((*opened)->Checkpoint().ok());
-    moved_bytes = (*opened)->stats().sealed_log_bytes - sealed.size();
+    EXPECT_EQ((*opened)->stats().compactions, 1u);
+    EXPECT_EQ((*opened)->stats().dead_bytes, 0u);
+    live_bytes = (*opened)->stats().data_log_bytes;
+    ExpectStoresBitEqual(**reference, **opened);
   }
-  ASSERT_GT(moved_bytes, 0u);
-  for (uint64_t budget = 0; budget < moved_bytes; budget += 7) {
-    restore();
+  EXPECT_FALSE(std::filesystem::exists(DataLogPath(path, 1)));
+  EXPECT_EQ(std::filesystem::file_size(DataLogPath(path, 2)), live_bytes);
+  EXPECT_LT(live_bytes, before.at(DataLogPath(path, 1))->size());
+  EXPECT_EQ(ReadManifest(path).generation, 2u);
+  ExpectRecovered(path, **reference, "compacted");
+
+  // After the rename, before the old generation's deletion.
+  const FileImage compacted = SaveFiles(path);
+  RestoreFiles(compacted);
+  WriteBytes(DataLogPath(path, 1), *before.at(DataLogPath(path, 1)));
+  ExpectRecovered(path, **reference, "old generation left");
+  EXPECT_FALSE(std::filesystem::exists(DataLogPath(path, 1)));
+
+  // Before the rename: tear every write past the checkpoint's own edit.
+  RestoreFiles(before);
+  uint64_t edit_bytes = 0;
+  {
+    obs::ScopedMetricsForTest metrics;
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    const obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+    edit_bytes = registry.FindCounter("store.datalog.bytes")->value() +
+                 registry.FindCounter("store.manifest.bytes")->value() -
+                 std::filesystem::file_size(path + ".manifest");
+  }
+  RestoreFiles(before);
+  const uint64_t appended = CheckpointAppendBytes(path);
+  ASSERT_GT(appended, edit_bytes);
+  for (uint64_t budget = edit_bytes; budget < appended; ++budget) {
+    RestoreFiles(before);
     {
       auto opened = ObservationStore::Open(path);
       ASSERT_TRUE(opened.ok());
       store::testing::SetWalWriteFaultForTest(static_cast<int64_t>(budget));
       EXPECT_FALSE((*opened)->Checkpoint().ok()) << "budget " << budget;
       store::testing::SetWalWriteFaultForTest(-1);
+      EXPECT_EQ((*opened)->stats().compactions, 0u);
     }
-    expect_recovered("torn at " + std::to_string(budget));
+    WriteBytes(DataLogPath(path, 2), "a torn copy");
+    ExpectRecovered(path, **reference,
+                    "compaction torn at " + std::to_string(budget));
+    if (HasFatalFailure()) return;
   }
-
-  // Sealed log appended in full, then the crash: no snapshot rename, no
-  // log compaction.
-  restore();
-  {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE((*opened)->Checkpoint().ok());
-  }
-  WriteBytes(path, wal);
-  WriteBytes(path + ".snapshot", snapshot);
-  expect_recovered("snapshot not renamed");
-
-  // Snapshot renamed, log not compacted: the log's records are covered.
-  restore();
-  {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok());
-    ASSERT_TRUE((*opened)->Checkpoint().ok());
-  }
-  WriteBytes(path, wal);
-  {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_EQ((*opened)->stats().wal_records_replayed, 0u);
-    ExpectStoresBitEqual(**reference, **opened);
-  }
-
-  // Leftover bytes past the covered length are dropped on open.
-  restore();
-  WriteBytes(path + ".sealed", sealed + "leftover-garbage");
-  expect_recovered("leftover bytes");
 }
 
-// Damage inside the sealed log never aborts. Open does not read the log,
-// so it succeeds, and so do ListSessions and num_tasks (they answer from
-// the index); FindSession of the damaged id and ExportTasks fail with a
-// Status while every other sealed id still reads back. A log shorter
-// than the snapshot's covered length fails Open.
-TEST_F(StoreTest, DamagedSealedLogNeverAborts) {
+// Damage never aborts. Open reads only the manifest log and the open
+// sessions' extents: with a sealed session's and a task's frames damaged
+// it succeeds, and so do ListSessions and num_tasks (they answer from the
+// index); FindSession of the damaged id and ExportTasks fail with a
+// Status while every other id still reads back. A damaged open session's
+// extent, a damaged or emptied manifest log, and a data log shorter than
+// the manifest covers fail Open with Internal.
+TEST_F(StoreTest, DamagedDataLogOrManifestNeverAborts) {
   const std::string path = StorePath("sealed_damaged");
   const std::string reference_path = StorePath("sealed_damaged_reference");
   BuildSealedStore(path, reference_path);
@@ -1419,23 +1782,26 @@ TEST_F(StoreTest, DamagedSealedLogNeverAborts) {
   }
   auto reference = ObservationStore::Open(reference_path);
   ASSERT_TRUE(reference.ok());
-  const std::string sealed = ReadBytes(path + ".sealed");
-  // Find "b"'s second observation frame and the "external" task frame.
+  const std::string data_log_path = DataLogPath(path, 1);
+  const std::string data_log = ReadBytes(data_log_path);
+  // Find "b"'s second observation frame, the "external" task frame and
+  // the open session's first observation frame.
   size_t b_frame = 0;
   size_t task_frame = 0;
+  size_t open_frame = 0;
   size_t b_observations = 0;
   const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
-      sealed, sizeof(store::kSealedLogMagic),
+      data_log, sizeof(store::kDataLogMagic),
       [&](const store::WalFrameView& view) -> Status {
         const size_t offset =
-            static_cast<size_t>(view.frame.data() - sealed.data());
-        store::WalDecoder dec(view.body);
-        DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-        if (view.type == WalRecordType::kObservation && id == "b" &&
-            ++b_observations == 2) {
+            static_cast<size_t>(view.frame.data() - data_log.data());
+        const std::string id = RecordId(view.body);
+        const bool observation = view.type == WalRecordType::kObservation;
+        if (observation && id == "b" && ++b_observations == 2) {
           b_frame = offset;
-        }
-        if (view.type == WalRecordType::kTask && id == "external") {
+        } else if (observation && id == "open" && open_frame == 0) {
+          open_frame = offset;
+        } else if (view.type == WalRecordType::kTask && id == "external") {
           task_frame = offset;
         }
         return Status::OK();
@@ -1443,11 +1809,12 @@ TEST_F(StoreTest, DamagedSealedLogNeverAborts) {
   ASSERT_TRUE(scan.ok() && !scan->torn_tail);
   ASSERT_GT(b_frame, 0u);
   ASSERT_GT(task_frame, 0u);
+  ASSERT_GT(open_frame, 0u);
 
-  std::string damaged = sealed;
+  std::string damaged = data_log;
   damaged[b_frame + 20] ^= 0x10;
   damaged[task_frame + 20] ^= 0x10;
-  WriteBytes(path + ".sealed", damaged);
+  WriteBytes(data_log_path, damaged);
   {
     auto opened = ObservationStore::Open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -1467,13 +1834,303 @@ TEST_F(StoreTest, DamagedSealedLogNeverAborts) {
     }
   }
 
+  // An open session's extent is read at Open: damage there fails it.
+  damaged = data_log;
+  damaged[open_frame + 20] ^= 0x10;
+  WriteBytes(data_log_path, damaged);
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+
+  // A complete manifest edit that fails its CRC is damage, not a torn
+  // tail: Open fails instead of dropping committed edits.
+  WriteBytes(data_log_path, data_log);
+  const std::string manifest = ReadBytes(path + ".manifest");
+  std::string bad_manifest = manifest;
+  bad_manifest[sizeof(store::kManifestMagic) + 12] ^= 0x10;
+  WriteBytes(path + ".manifest", bad_manifest);
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+  WriteBytes(path + ".manifest", std::string("not-a-manifest"));
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+  // Torn inside its first edit: never a crash artifact, since the log is
+  // created whole by a rename.
+  WriteBytes(path + ".manifest", manifest.substr(0, 20));
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+  WriteBytes(path + ".manifest", manifest);
+
   // A log cut below its covered length fails Open with a Status.
-  WriteBytes(path + ".sealed", sealed.substr(0, sealed.size() - 1));
+  WriteBytes(data_log_path, data_log.substr(0, data_log.size() - 1));
   EXPECT_EQ(ObservationStore::Open(path).status().code(),
             StatusCode::kInternal);
-  std::remove((path + ".sealed").c_str());
+  std::remove(data_log_path.c_str());
   EXPECT_EQ(ObservationStore::Open(path).status().code(),
             StatusCode::kInternal);
+}
+
+// One observation in the shape the deep bench_e2e workloads log:
+// dimension 20, 40 internal metrics.
+Observation WideObs(Rng* rng) {
+  std::vector<double> config(20);
+  for (double& v : config) v = rng->Uniform();
+  std::vector<double> metrics(40);
+  for (double& m : metrics) m = rng->Gaussian(0.0, 100.0);
+  return MakeObs(std::move(config), rng->Gaussian(), rng->Gaussian(0.0, 1e3),
+                 std::move(metrics));
+}
+
+// Bytes each checkpoint writes grow with the bytes logged, not with their
+// square. Replays the store traffic of bench_e2e's `deep-gp` (48 sessions
+// x 100 observations in lockstep, closed at the end) and `fleet-churn`
+// (64 staggered slots x 8 sessions x 12 observations) at the default
+// `snapshot_every` of 64. The data log plus the manifest log stay within
+// 1.25x of the WAL bytes, and fleet-churn's manifest writes stay under
+// 0.5 MB, with the manifest Open reads within 1.25x of the fixed-width
+// index a snapshot held before the manifest log.
+TEST_F(StoreTest, CheckpointBytesAreLinearInLoggedBytes) {
+  DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, FirstKnobs(20));
+  struct Traffic {
+    std::string name;
+    size_t slots = 0;
+    size_t sessions_per_slot = 0;
+    size_t observations = 0;
+    bool staggered = false;
+  };
+  // Runs the traffic against `s`: every slot appends one observation per
+  // round to its current session, finishing it (a transfer task) after
+  // `observations` and beginning the slot's next one. A staggered slot's
+  // first session is shorter by the slot's index, modulo `observations`.
+  auto run = [&](const Traffic& traffic, ObservationStore* s) {
+    Rng rng(17);
+    std::vector<size_t> session(traffic.slots, 0);
+    std::vector<size_t> stored(traffic.slots, 0);
+    std::vector<size_t> target(traffic.slots, traffic.observations);
+    auto id_of = [&](size_t slot) {
+      char id[32];
+      std::snprintf(id, sizeof(id), "s%05zu",
+                    slot * traffic.sessions_per_slot + session[slot]);
+      return std::string(id);
+    };
+    for (size_t slot = 0; slot < traffic.slots; ++slot) {
+      ASSERT_TRUE(s->BeginSession(id_of(slot), 20).ok());
+      if (traffic.staggered) target[slot] -= slot % traffic.observations;
+    }
+    for (bool active = true; active;) {
+      active = false;
+      for (size_t slot = 0; slot < traffic.slots; ++slot) {
+        if (session[slot] == traffic.sessions_per_slot) continue;
+        active = true;
+        const std::string id = id_of(slot);
+        ASSERT_TRUE(
+            s->AppendObservation(id, ++stored[slot], WideObs(&rng)).ok());
+        if (stored[slot] < target[slot]) continue;
+        ASSERT_TRUE(s->FinishSession(id, env.space(), id).ok());
+        stored[slot] = 0;
+        target[slot] = traffic.observations;
+        if (++session[slot] < traffic.sessions_per_slot) {
+          ASSERT_TRUE(s->BeginSession(id_of(slot), 20).ok());
+        }
+      }
+    }
+  };
+  for (const Traffic& traffic : {Traffic{"deep_gp", 48, 1, 100, false},
+                                 Traffic{"fleet_churn", 64, 8, 12, true}}) {
+    // Logged bytes: the WAL of the same traffic never checkpointed.
+    const std::string reference_path = StorePath("linear_reference");
+    {
+      StoreOptions options;
+      options.snapshot_every = 0;
+      auto opened = ObservationStore::Open(reference_path, options);
+      ASSERT_TRUE(opened.ok());
+      run(traffic, opened.value().get());
+    }
+    const uint64_t wal_bytes = std::filesystem::file_size(reference_path);
+    obs::ScopedMetricsForTest metrics;
+    const std::string path = StorePath("linear_" + traffic.name);
+    {
+      auto opened = ObservationStore::Open(path);
+      ASSERT_TRUE(opened.ok());
+      run(traffic, opened.value().get());
+      EXPECT_GT((*opened)->stats().checkpoints, 70u) << traffic.name;
+    }
+    const obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+    const uint64_t data_bytes =
+        registry.FindCounter("store.datalog.bytes")->value();
+    const uint64_t manifest_bytes =
+        registry.FindCounter("store.manifest.bytes")->value();
+    EXPECT_LE(static_cast<double>(data_bytes + manifest_bytes),
+              1.25 * static_cast<double>(wal_bytes))
+        << traffic.name << ": data log " << data_bytes << ", manifest "
+        << manifest_bytes << ", wal " << wal_bytes;
+    if (traffic.name != "fleet_churn") continue;
+    EXPECT_LT(manifest_bytes, 500'000u);
+    // What Open reads of the index, against the fixed-width index the
+    // snapshot held before the manifest log: a frame with the covered
+    // length and two counts, then per sealed session and task a length-
+    // prefixed id and five u64 fields.
+    const TestManifest manifest = ReadManifest(path);
+    uint64_t fixed_width = 17 + 24;
+    for (const auto& entry : manifest.sealed) {
+      fixed_width += 4 + entry.first.size() + 40;
+    }
+    for (const TestEntry& task : manifest.tasks) {
+      fixed_width += 4 + task.id.size() + 40;
+    }
+    EXPECT_LE(static_cast<double>(std::filesystem::file_size(
+                  path + ".manifest")),
+              1.25 * static_cast<double>(fixed_width));
+  }
+}
+
+// Open never reads a sealed session's or a task's bytes: it reads the
+// manifest log, the open sessions' extents and the WAL, and on a store of
+// sealed sessions only, just the manifest log and the WAL's header.
+TEST_F(StoreTest, OpenReadsNoSealedBytes) {
+  const std::string path = StorePath("recovery_bytes");
+  const std::string reference_path = StorePath("recovery_bytes_reference");
+  BuildSealedStore(path, reference_path);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  uint64_t open_bytes = 0;
+  for (const auto& [id, extents] : ReadManifest(path).open) {
+    for (const TestExtent& extent : extents) open_bytes += extent.length;
+  }
+  ASSERT_GT(open_bytes, 0u);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ((*opened)->stats().recovery_bytes_read,
+              std::filesystem::file_size(path + ".manifest") + open_bytes +
+                  sizeof(store::kWalMagic));
+    DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                      HardwareInstance::kB, 1);
+    TuningEnvironment env(&sim, {0, 1});
+    ASSERT_TRUE((*opened)->FinishSession("open", env.space(), "open").ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    EXPECT_EQ((*opened)->stats().sealed_sessions, 4u);
+  }
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ((*opened)->stats().recovery_bytes_read,
+            std::filesystem::file_size(path + ".manifest") +
+                sizeof(store::kWalMagic));
+  EXPECT_EQ((*opened)->ListSessions().size(), 4u);
+}
+
+// Stores written by earlier versions of this library (tests/data/
+// README.md): a one-file snapshot, and a snapshot with a sealed-log
+// manifest beside its `.sealed`, each with a WAL tail. Each opens bitwise
+// equal to a WAL-only store of the same content, converts at its first
+// checkpoint (the snapshot goes, the manifest log comes, a sealed log
+// stays as generation 0 of the data log), and reopens equal. A crash
+// between the conversion's manifest rename and the snapshot's removal,
+// with the WAL compacted or not, recovers equal too.
+TEST_F(StoreTest, OlderLayoutFixturesLoadAndConvert) {
+  for (const std::string layout :
+       {"store_one_file_layout", "store_sealed_log_layout"}) {
+    const std::string source =
+        std::string(DBTUNE_TEST_DATA_DIR) + "/" + layout + "/";
+    const std::string path = StorePath("fixture_" + layout);
+    const std::string reference_path =
+        StorePath("fixture_reference_" + layout);
+    WriteBytes(reference_path, ReadBytes(source + "reference.wal"));
+    auto reference = ObservationStore::Open(reference_path);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    std::vector<std::string> ids;
+    for (const StoredSessionInfo& info : (*reference)->ListSessions()) {
+      ids.push_back(info.id);
+    }
+    EXPECT_EQ(ids, (std::vector<std::string>{"alpha", "beta", "gamma", "open",
+                                             "trunc"}));
+    EXPECT_EQ((*reference)->num_tasks(), 5u);
+
+    FileImage fixture;
+    for (const std::string suffix : {"", ".snapshot", ".sealed"}) {
+      const std::string file = source + "store.wal" + suffix;
+      fixture[path + suffix] =
+          std::filesystem::exists(file)
+              ? std::optional<std::string>(ReadBytes(file))
+              : std::nullopt;
+    }
+    ASSERT_TRUE(fixture.at(path + ".snapshot").has_value());
+    RestoreFiles(fixture);
+    {
+      auto opened = ObservationStore::Open(path);
+      ASSERT_TRUE(opened.ok()) << layout << ": "
+                               << opened.status().ToString();
+      EXPECT_TRUE((*opened)->stats().loaded_snapshot);
+      ExpectStoresBitEqual(**reference, **opened);
+      ASSERT_TRUE((*opened)->Checkpoint().ok());
+      ExpectStoresBitEqual(**reference, **opened);
+    }
+    EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
+    const bool sealed_log = fixture.at(path + ".sealed").has_value();
+    EXPECT_EQ(ReadManifest(path).generation, sealed_log ? 0u : 1u);
+    ExpectRecovered(path, **reference, layout + " converted");
+
+    const FileImage converted = SaveFiles(path);
+    for (const bool wal_compacted : {true, false}) {
+      RestoreFiles(converted);
+      WriteBytes(path + ".snapshot", *fixture.at(path + ".snapshot"));
+      if (!wal_compacted) WriteBytes(path, *fixture.at(path));
+      ExpectRecovered(path, **reference, layout + " snapshot left");
+      EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
+    }
+  }
+}
+
+// Two threads append to distinct sessions and truncate them now and then,
+// while automatic checkpoints every third append compact the data log as
+// the truncations leave dead bytes. Every append lands, and a reopened
+// store is bit-exact.
+TEST_F(StoreTest, TwoThreadsAppendingThroughCompactionsRecoverBitExact) {
+  const std::string path = StorePath("two_thread_compaction");
+  StoreOptions options;
+  options.snapshot_every = 3;
+  std::map<std::string, std::vector<Observation>> expected;
+  size_t compactions = 0;
+  {
+    auto opened = ObservationStore::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ObservationStore& s = **opened;
+    for (const std::string id : {"a", "b"}) {
+      ASSERT_TRUE(s.BeginSession(id, 2).ok());
+      expected[id];
+    }
+    auto writer = [&s](const std::string& id, uint64_t seed,
+                       std::vector<Observation>* out) {
+      Rng rng(seed);
+      std::vector<Observation>& written = *out;
+      for (size_t round = 0; round < 10; ++round) {
+        for (size_t i = 0; i < 12; ++i) {
+          written.push_back(RandomObs(&rng, 2));
+          EXPECT_TRUE(
+              s.AppendObservation(id, written.size(), written.back()).ok());
+        }
+        written.resize(written.size() / 4);
+        EXPECT_TRUE(s.TruncateSession(id, written.size()).ok());
+      }
+    };
+    std::thread writer_a(writer, "a", 1, &expected["a"]);
+    std::thread writer_b(writer, "b", 2, &expected["b"]);
+    writer_a.join();
+    writer_b.join();
+    compactions = s.stats().compactions;
+    EXPECT_EQ(s.stats().checkpoint_failures, 0u);
+  }
+  EXPECT_GT(compactions, 0u);
+  auto reopened = ObservationStore::Open(path, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const auto& [id, written] : expected) {
+    const Result<StoredSession> session = (*reopened)->FindSession(id);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ExpectObservationsBitEqual(session->observations, written);
+  }
 }
 
 // ---------------------------------------------------------------------------

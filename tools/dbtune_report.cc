@@ -33,7 +33,10 @@ dbtune_report::StoreSummary SummarizeStore(
   summary.recovered_torn_tail = stats.recovered_torn_tail;
   summary.tasks = store.num_tasks();
   summary.sealed_sessions = stats.sealed_sessions;
-  summary.sealed_log_bytes = stats.sealed_log_bytes;
+  summary.data_log_bytes = stats.data_log_bytes;
+  summary.dead_bytes = stats.dead_bytes;
+  summary.compactions = stats.compactions;
+  summary.recovery_bytes_read = stats.recovery_bytes_read;
   for (const dbtune::store::StoredSessionInfo& info : store.ListSessions()) {
     dbtune_report::StoreSummary::Session session;
     session.id = info.id;

@@ -231,13 +231,17 @@ std::string RenderStoreSummary(const StoreSummary& summary) {
   out += "- path: `" + summary.path + "`\n";
   out += "- last LSN: " + std::to_string(summary.last_lsn) + "\n";
   out += "- recovery: ";
-  out += summary.loaded_snapshot ? "snapshot + wal replay" : "wal replay";
+  out += summary.loaded_snapshot ? "checkpoint + wal replay" : "wal replay";
   if (summary.recovered_torn_tail) out += " (torn tail truncated)";
   out += "\n";
   out += "- persisted base tasks: " + std::to_string(summary.tasks) + "\n";
-  out += "- sealed log: " + std::to_string(summary.sealed_sessions) +
-         " sealed session(s), " + std::to_string(summary.sealed_log_bytes) +
-         " byte(s)\n\n";
+  out += "- recovery read: " + std::to_string(summary.recovery_bytes_read) +
+         " byte(s)\n";
+  out += "- data log: " + std::to_string(summary.data_log_bytes) +
+         " byte(s), " + std::to_string(summary.dead_bytes) +
+         " dead, " + std::to_string(summary.compactions) +
+         " compaction(s); " + std::to_string(summary.sealed_sessions) +
+         " sealed session(s)\n\n";
   if (summary.sessions.empty()) {
     out += "No recorded sessions.\n";
     return out;

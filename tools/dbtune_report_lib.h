@@ -74,9 +74,15 @@ struct StoreSummary {
   };
   std::vector<Session> sessions;
   size_t tasks = 0;
-  /// Sealed sessions moved to the sealed log, and that log's length.
+  /// Sealed sessions whose history lives only in the data log.
   size_t sealed_sessions = 0;
-  unsigned long long sealed_log_bytes = 0;
+  /// The data log's covered length, the part of it nothing references,
+  /// and its compactions through this handle.
+  unsigned long long data_log_bytes = 0;
+  unsigned long long dead_bytes = 0;
+  size_t compactions = 0;
+  /// Bytes recovery read (manifest log, open sessions' extents, WAL).
+  unsigned long long recovery_bytes_read = 0;
   unsigned long long last_lsn = 0;
   bool loaded_snapshot = false;
   bool recovered_torn_tail = false;
