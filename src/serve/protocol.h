@@ -68,8 +68,12 @@ inline constexpr uint32_t kMaxAcquisitionCandidates = 65536;
 
 /// Longest session id, in bytes: the id is kept in the session map,
 /// in every WAL observation frame and in the sealed task name. An empty
-/// or longer id is answered with InvalidArgument at create.
+/// id at create, or a longer one in any request, is answered with
+/// InvalidArgument, whose message does not echo it.
 inline constexpr size_t kMaxSessionIdBytes = 256;
+/// Longest configuration-space name, in bytes; a longer one is answered
+/// with InvalidArgument at create, whose message does not echo it.
+inline constexpr size_t kMaxSpaceNameBytes = 256;
 
 // Observe limits: `config` has the session space's arity and every value
 // lies in its knob's [min, max] domain (so is finite); `score`,
@@ -87,9 +91,9 @@ inline constexpr size_t kMaxSessionIdBytes = 256;
 /// the serving SessionManager; the client measures its DBMS default
 /// configuration itself and ships the score here (the server never
 /// evaluates — it only suggests and learns). An empty or over-long
-/// `session_id`, an unknown `optimizer_type`, a count of 0 candidates or
-/// past the limits above, or a non-finite `reference_score` is answered
-/// with InvalidArgument.
+/// `session_id`, an over-long `space_name`, an unknown `optimizer_type`,
+/// a count of 0 candidates or past the limits above, or a non-finite
+/// `reference_score` is answered with InvalidArgument.
 struct CreateSessionRequest {
   std::string session_id;
   std::string space_name;

@@ -131,6 +131,11 @@ ServedSession* SessionManager::FindSessionLocked(const std::string& id)
 }
 
 Result<ServedSession*> SessionManager::FindSession(const std::string& id) {
+  if (id.size() > kMaxSessionIdBytes) {
+    return Status::InvalidArgument("session id longer than " +
+                                   std::to_string(kMaxSessionIdBytes) +
+                                   " bytes");
+  }
   MutexLock lock(&mu_);
   ServedSession* session = FindSessionLocked(id);
   if (session == nullptr) {
@@ -165,6 +170,11 @@ Status SessionManager::CreateSession(const std::string& id,
   }
   if (!std::isfinite(options.reference_score)) {
     return Status::InvalidArgument("reference_score is not finite");
+  }
+  if (options.space_name.size() > kMaxSpaceNameBytes) {
+    return Status::InvalidArgument("space name longer than " +
+                                   std::to_string(kMaxSpaceNameBytes) +
+                                   " bytes");
   }
   ServedSession* session = nullptr;
   {

@@ -79,12 +79,12 @@ class SessionManager {
   /// under another optimizer, seed, or code version) is truncated at the
   /// divergence and the session resumes from the matched prefix. Errors:
   /// NotFound (unknown space); InvalidArgument (empty id or one longer
-  /// than kMaxSessionIdBytes, unknown optimizer type,
-  /// `initial_design` above kMaxInitialDesign, `acquisition_candidates`
-  /// of 0 or above kMaxAcquisitionCandidates, non-finite
-  /// `reference_score`; limits in serve/protocol.h); FailedPrecondition
-  /// (id is live or closed, or evicted with no store to restore it); and
-  /// store errors.
+  /// than kMaxSessionIdBytes, space name longer than kMaxSpaceNameBytes,
+  /// unknown optimizer type, `initial_design` above kMaxInitialDesign,
+  /// `acquisition_candidates` of 0 or above kMaxAcquisitionCandidates,
+  /// non-finite `reference_score`; limits in serve/protocol.h);
+  /// FailedPrecondition (id is live or closed, or evicted with no store to
+  /// restore it); and store errors.
   [[nodiscard]] Status CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed = nullptr);
@@ -126,7 +126,8 @@ class SessionManager {
  private:
   ServedSession* FindSessionLocked(const std::string& id)
       DBTUNE_REQUIRES(mu_);
-  /// FindSessionLocked under the manager lock; NotFound for unknown ids.
+  /// FindSessionLocked under the manager lock: InvalidArgument for an id
+  /// longer than kMaxSessionIdBytes, NotFound for an unknown one.
   Result<ServedSession*> FindSession(const std::string& id);
 
   const SessionManagerOptions options_;

@@ -14,10 +14,9 @@ namespace dbtune::store {
 
 namespace {
 
-constexpr size_t kWalHeaderBytes = 8;           // magic
-constexpr size_t kSnapshotHeaderBytes = 8 + 8;  // magic + covered lsn
-constexpr size_t kDataLogHeaderBytes = 8;       // magic
-constexpr size_t kManifestHeaderBytes = 8;      // magic
+constexpr size_t kWalHeaderBytes = 8;       // magic
+constexpr size_t kDataLogHeaderBytes = 8;   // magic
+constexpr size_t kManifestHeaderBytes = 8;  // magic
 /// Where the type byte sits in a frame: [u32 len][u32 crc][u64 lsn][u8].
 constexpr size_t kFrameTypeOffset = 16;
 /// The manifest log is rewritten as one full edit when an edit would take
@@ -207,15 +206,6 @@ Result<SourceTask> DecodeTaskFrame(std::string_view frame,
   return *std::move(task);
 }
 
-/// Creates (or empties) `path` and opens it for appends.
-Result<WalWriter> CreateForAppend(const std::string& path) {
-  std::FILE* created = std::fopen(path.c_str(), "wb");
-  if (created == nullptr || std::fclose(created) != 0) {
-    return Status::Internal("cannot create " + path);
-  }
-  return WalWriter::OpenForAppend(path);
-}
-
 }  // namespace
 
 ObservationStore::ObservationStore(std::string path, StoreOptions options)
@@ -275,18 +265,19 @@ Status ObservationStore::Destroy(const std::string& path) {
 
 Status ObservationStore::Recover() {
   mu_.AssertHeld();
-  // --- The checkpoint: the manifest log, else an older layout's snapshot.
+  // --- The checkpoint: the manifest log. A snapshot without one is a
+  // store of an earlier layout, refused before any file changes.
   const Status manifest = LoadManifestLog();
   if (manifest.ok()) {
     stats_.loaded_snapshot = true;
-    // A snapshot beside a manifest log is what a crash between the
-    // conversion's commit and the snapshot's removal leaves: stale.
-    std::error_code ec;
-    std::filesystem::remove(path_ + ".snapshot", ec);
-  } else if (manifest.code() == StatusCode::kNotFound) {
-    DBTUNE_RETURN_IF_ERROR(LoadLegacySnapshot());
-  } else {
+  } else if (manifest.code() != StatusCode::kNotFound) {
     return manifest;
+  } else if (const std::string snapshot = path_ + ".snapshot";
+             std::filesystem::exists(snapshot)) {
+    return Status::FailedPrecondition(
+        snapshot + " holds a store in a snapshot layout, which this version "
+        "does not read; open it once with a build of commit 9d00237, which "
+        "converts it at its first checkpoint");
   }
   const uint64_t covered_lsn = manifest_.covered_lsn;
   next_lsn_ = covered_lsn + 1;
@@ -309,11 +300,10 @@ Status ObservationStore::Recover() {
   if (wal_bytes.ok() && !wal_bytes.value().empty()) {
     const std::string& data = wal_bytes.value();
     if (data.size() < kWalHeaderBytes) {
+      // WalWriter::Create below empties it.
       DBTUNE_LOG(kWarning) << "wal " << path_
                            << " torn inside the header; starting fresh";
       stats_.recovered_torn_tail = true;
-      std::filesystem::resize_file(path_, 0, ec);
-      if (ec) return Status::Internal("cannot truncate wal " + path_);
     } else if (std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
       return Status::Internal(path_ + " is not a dbtune wal");
     } else {
@@ -345,27 +335,14 @@ Status ObservationStore::Recover() {
     }
   }
 
-  // --- Make sure an (empty or truncated-to-zero) WAL has its header
-  // before appends resume.
-  bool need_header = true;
-  if (wal_bytes.ok() && wal_bytes.value().size() >= kWalHeaderBytes &&
-      std::memcmp(wal_bytes.value().data(), kWalMagic, sizeof(kWalMagic)) ==
-          0) {
-    need_header = false;
+  // --- A missing, empty or header-torn WAL gets its header before
+  // appends resume (a longer one passed the magic check above).
+  if (wal_bytes.ok() && wal_bytes.value().size() >= kWalHeaderBytes) {
+    DBTUNE_ASSIGN_OR_RETURN(wal_, WalWriter::OpenForAppend(path_));
+  } else {
+    DBTUNE_ASSIGN_OR_RETURN(
+        wal_, WalWriter::Create(path_, {kWalMagic, sizeof(kWalMagic)}));
   }
-  if (need_header) {
-    std::FILE* created = std::fopen(path_.c_str(), "wb");
-    if (created == nullptr) {
-      return Status::Internal("cannot create wal " + path_);
-    }
-    const size_t written =
-        std::fwrite(kWalMagic, 1, sizeof(kWalMagic), created);
-    const bool closed = std::fclose(created) == 0;
-    if (written != sizeof(kWalMagic) || !closed) {
-      return Status::Internal("cannot write wal header of " + path_);
-    }
-  }
-  DBTUNE_ASSIGN_OR_RETURN(wal_, WalWriter::OpenForAppend(path_));
   return Status::OK();
 }
 
@@ -414,86 +391,6 @@ Status ObservationStore::LoadManifestLog() {
   }
   manifest_bytes_ = scan.valid_bytes;
   consolidated_bytes_ = consolidated;
-  return Status::OK();
-}
-
-Status ObservationStore::LoadLegacySnapshot() {
-  mu_.AssertHeld();
-  // Written atomically (tmp+rename), so any damage is real corruption,
-  // not a crash artifact.
-  const std::string snapshot_path = path_ + ".snapshot";
-  Result<std::string> snapshot_bytes = ReadFileBytes(snapshot_path);
-  if (!snapshot_bytes.ok()) {
-    return snapshot_bytes.status().code() == StatusCode::kNotFound
-               ? Status::OK()
-               : snapshot_bytes.status();
-  }
-  const std::string& data = snapshot_bytes.value();
-  stats_.recovery_bytes_read += data.size();
-  if (data.size() < kSnapshotHeaderBytes ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return Status::Internal(snapshot_path + " is not a dbtune snapshot");
-  }
-  uint64_t covered_lsn = 0;
-  for (int i = 7; i >= 0; --i) {
-    covered_lsn = (covered_lsn << 8) |
-                  static_cast<uint8_t>(data[sizeof(kSnapshotMagic) + i]);
-  }
-  // Snapshot frames carry the LSNs they were logged with (0 in the oldest
-  // snapshots); only the covered LSN above orders the snapshot against
-  // the log, so per-frame LSNs are not consulted here.
-  DBTUNE_ASSIGN_OR_RETURN(
-      const WalScanExtent scan,
-      ForEachWalFrame(data, kSnapshotHeaderBytes,
-                      [this](const WalFrameView& record) {
-                        mu_.AssertHeld();
-                        if (record.type == WalRecordType::kSealedManifest) {
-                          return LoadLegacyManifest(record.body);
-                        }
-                        return ApplyRecord(record);
-                      }));
-  if (scan.torn_tail) {
-    return Status::Internal("corrupt snapshot " + snapshot_path);
-  }
-  manifest_.covered_lsn = covered_lsn;
-  legacy_snapshot_ = true;
-  stats_.loaded_snapshot = true;
-  return Status::OK();
-}
-
-Status ObservationStore::LoadLegacyManifest(std::string_view body) {
-  mu_.AssertHeld();
-  // The sealed log it indexes is generation 0 of the data log.
-  manifest_.generation = 0;
-  WalDecoder dec(body);
-  DBTUNE_ASSIGN_OR_RETURN(manifest_.data_log_bytes, dec.ReadU64());
-  // Sessions, then tasks, each count-prefixed.
-  for (const bool sessions : {true, false}) {
-    DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, dec.ReadU64());
-    for (uint64_t i = 0; i < count; ++i) {
-      SealedEntry entry;
-      DBTUNE_ASSIGN_OR_RETURN(entry.id, dec.ReadString());
-      DBTUNE_ASSIGN_OR_RETURN(entry.lsn, dec.ReadU64());
-      DBTUNE_ASSIGN_OR_RETURN(entry.dimension, dec.ReadU64());
-      DBTUNE_ASSIGN_OR_RETURN(entry.observations, dec.ReadU64());
-      DBTUNE_ASSIGN_OR_RETURN(entry.offset, dec.ReadU64());
-      DBTUNE_ASSIGN_OR_RETURN(entry.length, dec.ReadU64());
-      entry.bytes = entry.length;
-      if (entry.offset < kDataLogHeaderBytes ||
-          entry.length > manifest_.data_log_bytes ||
-          entry.offset > manifest_.data_log_bytes - entry.length) {
-        return Status::Internal("sealed-log manifest entry for '" + entry.id +
-                                "' lies outside the covered log");
-      }
-      if (sessions) {
-        std::string id = entry.id;
-        manifest_.sealed.insert_or_assign(std::move(id), std::move(entry));
-      } else {
-        manifest_.tasks.push_back(std::move(entry));
-      }
-    }
-  }
-  if (!dec.AtEnd()) return Status::Internal("corrupt sealed-log manifest");
   return Status::OK();
 }
 
@@ -866,7 +763,6 @@ Status ObservationStore::ApplyRecord(const WalFrameView& record) {
       }
       return Status::OK();
     }
-    case WalRecordType::kSealedManifest:
     case WalRecordType::kManifestEdit:
     case WalRecordType::kExtentIndex:
       return Status::Internal("checkpoint record inside the log");
@@ -1014,7 +910,7 @@ Status ObservationStore::ReplaceManifestLocked(const std::string& image) {
   mu_.AssertHeld();
   const std::string tmp = manifest_path_ + ".tmp";
   {
-    DBTUNE_ASSIGN_OR_RETURN(WalWriter writer, CreateForAppend(tmp));
+    DBTUNE_ASSIGN_OR_RETURN(WalWriter writer, WalWriter::Create(tmp, {}));
     if (const Status appended = writer.Append(image); !appended.ok()) {
       std::remove(tmp.c_str());
       return appended;
@@ -1138,8 +1034,8 @@ Status ObservationStore::WriteCheckpointLocked() {
   edit.data_log_bytes = manifest_.data_log_bytes;
   if (batch.size() > (create ? kDataLogHeaderBytes : 0)) {
     if (create) {
-      DBTUNE_ASSIGN_OR_RETURN(data_log_,
-                              CreateForAppend(DataLogPath(edit.generation)));
+      DBTUNE_ASSIGN_OR_RETURN(
+          data_log_, WalWriter::Create(DataLogPath(edit.generation), {}));
     }
     DBTUNE_RETURN_IF_ERROR(data_log_.Append(batch));
     data_bytes = batch.size();
@@ -1189,17 +1085,12 @@ Status ObservationStore::WriteCheckpointLocked() {
   tasks_.clear();
   appends_since_checkpoint_ = 0;
   ++stats_.checkpoints;
-  // An older layout's snapshot is stale once the manifest log exists.
-  if (legacy_snapshot_) {
-    if (std::remove((path_ + ".snapshot").c_str()) != 0) {
-      DBTUNE_LOG(kWarning) << "cannot remove stale snapshot " << path_
-                           << ".snapshot";
-    }
-    legacy_snapshot_ = false;
-  }
 
-  // --- 3. The WAL: every record in it is covered now.
-  DBTUNE_RETURN_IF_ERROR(wal_.TruncateToHeader());
+  // --- 3. The WAL: every record in it is covered now. The old writer
+  // closes first, so after a failed rewrite no append reaches the file.
+  wal_ = WalWriter();
+  DBTUNE_ASSIGN_OR_RETURN(
+      wal_, WalWriter::Create(path_, {kWalMagic, sizeof(kWalMagic)}));
   if (obs::MetricsEnabled()) {
     static obs::Counter& data_counter =
         obs::MetricsRegistry::Get().counter("store.datalog.bytes");
@@ -1224,7 +1115,7 @@ Status ObservationStore::CompactLocked() {
   next.generation = manifest_.generation + 1;
   const std::string old_path = DataLogPath(manifest_.generation);
   const std::string new_path = DataLogPath(next.generation);
-  DBTUNE_ASSIGN_OR_RETURN(WalWriter log, CreateForAppend(new_path));
+  DBTUNE_ASSIGN_OR_RETURN(WalWriter log, WalWriter::Create(new_path, {}));
   // Each live item is copied as one run: an open session's extents
   // joined, a sealed session's frames gathered through its index, a task
   // frame as it is.

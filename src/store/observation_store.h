@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,8 +55,7 @@ struct StoreStats {
   size_t wal_records_replayed = 0;
   /// True when Open found and truncated a torn or CRC-corrupt WAL tail.
   bool recovered_torn_tail = false;
-  /// True when recovery loaded a checkpoint: a manifest log, or the
-  /// snapshot of an older layout.
+  /// True when recovery loaded a checkpoint (a manifest log).
   bool loaded_snapshot = false;
   /// Checkpoints taken through this handle.
   size_t checkpoints = 0;
@@ -73,8 +71,8 @@ struct StoreStats {
   uint64_t dead_bytes = 0;
   /// Data-log compactions through this handle.
   size_t compactions = 0;
-  /// Bytes Open read: the manifest log (or an older layout's snapshot),
-  /// the open sessions' extents and the WAL.
+  /// Bytes Open read: the manifest log, the open sessions' extents and the
+  /// WAL.
   uint64_t recovery_bytes_read = 0;
 };
 
@@ -89,8 +87,8 @@ struct StoreStats {
 ///   + the framed records of every session and task). Each checkpoint
 ///   appends the frames logged since the previous one, so every record is
 ///   written twice: once to the WAL, once here. A compaction copies the
-///   live extents to generation g+1. The `<path>.sealed` of older layouts
-///   is generation 0.
+///   live extents to generation g+1. Generation 0 is `<path>.sealed`, the
+///   name the data log had when it held sealed sessions only.
 /// - `<path>.manifest` is the manifest log ("DBTNMAN1" magic + one edit
 ///   per checkpoint): the covered LSN, the data log's generation and
 ///   covered length, and where each session's and task's frames sit.
@@ -109,12 +107,15 @@ struct StoreStats {
 class ObservationStore {
  public:
   /// Opens (creating if absent) the store at `path` and runs recovery.
+  /// A `<path>.snapshot` without a `<path>.manifest` is a store in a
+  /// snapshot layout, which is not read: FailedPrecondition, with no file
+  /// touched (DESIGN.md §10 has the upgrade path).
   [[nodiscard]] static Result<std::unique_ptr<ObservationStore>> Open(
       const std::string& path, StoreOptions options = {});
 
-  /// Deletes every file of the store at `path` (WAL, manifest log, data
-  /// logs of any generation, and older layouts' snapshot and sealed log).
-  /// Missing files are not an error.
+  /// Deletes every file a store at `path` can have: the WAL, the manifest
+  /// log, the data logs of any generation, and the snapshot files of
+  /// earlier versions. Missing files are not an error.
   [[nodiscard]] static Status Destroy(const std::string& path);
 
   /// Declares a session. New id → starts empty. Existing unfinished id
@@ -275,11 +276,6 @@ class ObservationStore {
   [[nodiscard]] Status Recover() DBTUNE_REQUIRES(mu_);
   /// Replays the manifest log into `manifest_`; NotFound when absent.
   [[nodiscard]] Status LoadManifestLog() DBTUNE_REQUIRES(mu_);
-  /// Loads an older layout's snapshot: its sessions into memory, its
-  /// sealed-log manifest (if any) as generation 0 of the data log.
-  [[nodiscard]] Status LoadLegacySnapshot() DBTUNE_REQUIRES(mu_);
-  [[nodiscard]] Status LoadLegacyManifest(std::string_view body)
-      DBTUNE_REQUIRES(mu_);
   /// Truncates data-log bytes past the covered length; Internal when the
   /// log is shorter than covered.
   [[nodiscard]] Status RecoverDataLog() DBTUNE_REQUIRES(mu_);
@@ -354,9 +350,6 @@ class ObservationStore {
   /// its length right after the last rewrite.
   uint64_t manifest_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
   uint64_t consolidated_bytes_ DBTUNE_GUARDED_BY(mu_) = 0;
-  /// An older layout's snapshot still on disk; removed once a checkpoint
-  /// commits the manifest log that replaces it.
-  bool legacy_snapshot_ DBTUNE_GUARDED_BY(mu_) = false;
   uint64_t next_lsn_ DBTUNE_GUARDED_BY(mu_) = 1;
   size_t appends_since_checkpoint_ DBTUNE_GUARDED_BY(mu_) = 0;
   StoreStats stats_ DBTUNE_GUARDED_BY(mu_);

@@ -48,7 +48,6 @@ uint64_t GetLE64(const char* p) {
 }  // namespace
 
 const char kWalMagic[8] = {'D', 'B', 'T', 'N', 'W', 'A', 'L', '1'};
-const char kSnapshotMagic[8] = {'D', 'B', 'T', 'N', 'S', 'N', 'P', '1'};
 const char kDataLogMagic[8] = {'D', 'B', 'T', 'N', 'S', 'E', 'L', '1'};
 const char kManifestMagic[8] = {'D', 'B', 'T', 'N', 'M', 'A', 'N', '1'};
 
@@ -284,6 +283,25 @@ Result<WalWriter> WalWriter::OpenForAppend(const std::string& path) {
   return writer;
 }
 
+Result<WalWriter> WalWriter::Create(const std::string& path,
+                                    std::string_view header) {
+  WalWriter writer;
+  writer.path_ = path;
+  writer.file_ = std::fopen(path.c_str(), "wb");
+  if (writer.file_ == nullptr) {
+    return Status::Internal("cannot create " + path);
+  }
+  // fwrite's buffer may not be null, which an empty view's can be.
+  const size_t written =
+      header.empty()
+          ? 0
+          : std::fwrite(header.data(), 1, header.size(), writer.file_);
+  if (written != header.size() || std::fflush(writer.file_) != 0) {
+    return Status::Internal("cannot write the header of " + path);
+  }
+  return writer;
+}
+
 Status WalWriter::Append(std::string_view frame) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("wal writer is closed");
@@ -313,30 +331,6 @@ Status WalWriter::Append(std::string_view frame) {
   if (written != frame.size() || !flushed) {
     Close();
     return Status::Internal("short write to wal " + path_);
-  }
-  return Status::OK();
-}
-
-Status WalWriter::TruncateToHeader() {
-  if (file_ != nullptr) {
-    if (std::fclose(file_) != 0) {
-      DBTUNE_LOG(kWarning) << "wal close failed for " << path_;
-    }
-    file_ = nullptr;
-  }
-  std::FILE* rewritten = std::fopen(path_.c_str(), "wb");
-  if (rewritten == nullptr) {
-    return Status::Internal("cannot truncate wal " + path_);
-  }
-  const size_t written =
-      std::fwrite(kWalMagic, 1, sizeof(kWalMagic), rewritten);
-  const bool closed = std::fclose(rewritten) == 0;
-  if (written != sizeof(kWalMagic) || !closed) {
-    return Status::Internal("cannot rewrite wal header of " + path_);
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::Internal("cannot reopen wal " + path_ + " for append");
   }
   return Status::OK();
 }

@@ -17,18 +17,16 @@ namespace dbtune::store {
 /// tail from a complete record.
 uint32_t Crc32(const void* data, size_t size);
 
-/// Record types shared by the write-ahead log, the data log, the manifest
-/// log and the snapshots of older layouts. The numeric values are part of
-/// the on-disk format — append, never renumber.
+/// Record types shared by the write-ahead log, the data log and the
+/// manifest log. The numeric values are part of the on-disk format —
+/// append, never renumber.
 enum class WalRecordType : uint8_t {
   kBeginSession = 1,
   kObservation = 2,
   kEndSession = 3,
   kTask = 4,
   kTruncateSession = 5,
-  /// Older snapshots only: the sealed log's covered length and the index
-  /// of every session and task in it.
-  kSealedManifest = 6,
+  // 6 is retired (the sealed-log index inside snapshots); never reuse it.
   /// Manifest log only: one checkpoint's edit of the data-log index.
   kManifestEdit = 7,
   /// Data log only: where the frames of a sealed session that spans more
@@ -132,9 +130,9 @@ struct WalScanResult : WalScanExtent {
 WalScanResult ScanWalFrames(std::string_view data, uint64_t offset);
 
 /// Append-only writer over one WAL, data-log or manifest-log file. The store's
-/// recovery pass validates or creates the file before handing it here;
-/// the writer itself only appends already-encoded frames and flushes each
-/// one so a crash can tear at most the final record.
+/// recovery pass validates an existing file before handing it here, or has
+/// Create make a new one; the writer itself only appends already-encoded
+/// frames and flushes each one so a crash can tear at most the final record.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -146,18 +144,20 @@ class WalWriter {
 
   /// Opens `path` for appending, creating it when absent. An existing
   /// file must end with a valid header or frame (the store's recovery
-  /// pass guarantees this); a new one gets its header through Append.
+  /// pass guarantees this).
   [[nodiscard]] static Result<WalWriter> OpenForAppend(const std::string& path);
+
+  /// Creates `path`, emptying an existing file, writes `header` and opens
+  /// it for appending. The header is not an Append: the injected write
+  /// fault never tears it.
+  [[nodiscard]] static Result<WalWriter> Create(const std::string& path,
+                                                std::string_view header);
 
   /// Appends one frame (as built by EncodeWalFrame) and flushes. On an
   /// injected fault the budgeted prefix of the frame still reaches the
   /// file — exactly what a mid-write crash leaves behind — and the writer
   /// disables itself.
   [[nodiscard]] Status Append(std::string_view frame);
-
-  /// Rewrites the file to just the magic header (log compaction after a
-  /// checkpoint covered every existing record).
-  [[nodiscard]] Status TruncateToHeader();
 
   bool open() const { return file_ != nullptr; }
 
@@ -170,10 +170,7 @@ class WalWriter {
 
 /// 8-byte magic that starts every WAL file.
 extern const char kWalMagic[8];
-/// 8-byte magic that starts every snapshot file.
-extern const char kSnapshotMagic[8];
-/// 8-byte magic that starts every data log (the sealed log of older
-/// layouts is generation 0 and carries the same magic).
+/// 8-byte magic that starts every data log.
 extern const char kDataLogMagic[8];
 /// 8-byte magic that starts every manifest log.
 extern const char kManifestMagic[8];

@@ -992,9 +992,12 @@ TEST(ServeFrameServerTest, LoopbackSessionMatchesStandalone) {
 // server — an optimizer type past the enum, an empty or oversized
 // acquisition candidate pool, an initial design past the limit (a u32 of
 // 4e9 would reach LatinHypercubeSample on a pool worker), a non-finite
-// reference score — come back as InvalidArgument, for frames and for
-// in-process callers alike. A control session suggesting in the same
-// batch keeps the standalone trajectory, well past the initial design.
+// reference score, a space name past kMaxSpaceNameBytes — come back as
+// InvalidArgument, for frames and for in-process callers alike. So do a
+// suggest, an observe and a close naming a 1 MiB session id. No such
+// reply echoes the oversized string: each is under 1 KiB. A control
+// session suggesting in the same batch keeps the standalone trajectory,
+// well past the initial design.
 TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   const SessionSpec spec{"control", OptimizerType::kVanillaBo, 91,
                          WorkloadId::kSysbench, 92};
@@ -1069,10 +1072,17 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   const serve::CreateSessionRequest empty_id = create_request("");
   const serve::CreateSessionRequest long_id =
       create_request(std::string(serve::kMaxSessionIdBytes + 1, 'x'));
+  const std::string huge(size_t{1} << 20, 'x');
+  serve::CreateSessionRequest long_space = create_request("long-space");
+  long_space.space_name = std::string(serve::kMaxSpaceNameBytes + 1, 's');
+  serve::CreateSessionRequest huge_space = create_request("huge-space");
+  huge_space.space_name = huge;
   const std::vector<serve::CreateSessionRequest> bad_creates = {
-      bad_type,      worst_type, no_pool,   huge_design,
-      over_design,   huge_pool,  over_pool, nan_reference,
-      inf_reference, empty_id,   long_id};
+      bad_type,      worst_type, no_pool,    huge_design,
+      over_design,   huge_pool,  over_pool,  nan_reference,
+      inf_reference, empty_id,   long_id,    long_space,
+      huge_space};
+  constexpr size_t kMaxReplyBytes = 1024;
 
   for (size_t iter = 0; iter < iterations; ++iter) {
     // At iteration 5 every bad create, and a suggest for a session one of
@@ -1080,6 +1090,9 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
     std::string batch;
     std::vector<uint64_t> bad_ids;
     uint64_t orphan_id = 0;
+    uint64_t huge_suggest_id = 0;
+    uint64_t huge_observe_id = 0;
+    uint64_t huge_close_id = 0;
     if (iter == 5) {
       for (const serve::CreateSessionRequest& bad : bad_creates) {
         bad_ids.push_back(next_request);
@@ -1087,11 +1100,19 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
       }
       orphan_id = next_request;
       batch += serve::EncodeSuggest(next_request++, {"no-pool"});
+      huge_suggest_id = next_request;
+      batch += serve::EncodeSuggest(next_request++, {huge});
+      huge_observe_id = next_request;
+      serve::ObserveRequest huge_observe;
+      huge_observe.session_id = huge;
+      batch += serve::EncodeObserve(next_request++, huge_observe);
+      huge_close_id = next_request;
+      batch += serve::EncodeCloseSession(next_request++, {huge});
     }
     const uint64_t suggest_id = next_request;
     batch += serve::EncodeSuggest(next_request++, {spec.id});
     replies = exchange(batch);
-    ASSERT_EQ(replies.size(), bad_ids.size() + (iter == 5 ? 2 : 1));
+    ASSERT_EQ(replies.size(), bad_ids.size() + (iter == 5 ? 5 : 1));
     std::map<uint64_t, serve::Frame> by_id;
     for (const serve::Frame& reply : replies) by_id[reply.request_id] = reply;
     for (const uint64_t id : bad_ids) {
@@ -1099,8 +1120,34 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
       EXPECT_EQ(created_status(by_id[id]).code(),
                 StatusCode::kInvalidArgument)
           << "request " << id;
+      EXPECT_LT(serve::EncodeFrame(by_id[id]).size(), kMaxReplyBytes)
+          << "request " << id;
     }
     if (iter == 5) {
+      ASSERT_EQ(by_id.count(huge_suggest_id), 1u);
+      ASSERT_EQ(by_id.count(huge_observe_id), 1u);
+      ASSERT_EQ(by_id.count(huge_close_id), 1u);
+      Result<serve::SuggestResponse> huge_suggested =
+          serve::DecodeSuggestResponse(by_id[huge_suggest_id]);
+      Result<serve::ObserveResponse> huge_observed =
+          serve::DecodeObserveResponse(by_id[huge_observe_id]);
+      Result<serve::CloseSessionResponse> huge_closed =
+          serve::DecodeCloseSessionResponse(by_id[huge_close_id]);
+      ASSERT_TRUE(huge_suggested.ok());
+      ASSERT_TRUE(huge_observed.ok());
+      ASSERT_TRUE(huge_closed.ok());
+      EXPECT_EQ(serve::StatusFromHeader(huge_suggested->header).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(serve::StatusFromHeader(huge_observed->header).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(serve::StatusFromHeader(huge_closed->header).code(),
+                StatusCode::kInvalidArgument);
+      for (const uint64_t id : {huge_suggest_id, huge_observe_id,
+                                huge_close_id}) {
+        EXPECT_LT(serve::EncodeFrame(by_id[id]).size(), kMaxReplyBytes)
+            << "request " << id;
+      }
+
       ASSERT_EQ(by_id.count(orphan_id), 1u);
       Result<serve::SuggestResponse> unknown =
           serve::DecodeSuggestResponse(by_id[orphan_id]);
@@ -1152,9 +1199,21 @@ TEST(ServeFrameServerTest, InvalidCreateParametersAreRejected) {
   options.reference_score = HUGE_VAL;
   EXPECT_EQ(manager.CreateSession("direct", options).code(),
             StatusCode::kInvalidArgument);
+  options = ToServedOptions(spec, client);
+  options.space_name = long_space.space_name;
+  EXPECT_EQ(manager.CreateSession("direct", options).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.Suggest(huge).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.Observe(huge, Observation{}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.CloseSession(huge).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.num_open(), 1u);
   // The limits themselves are accepted.
+  const std::string longest_space(serve::kMaxSpaceNameBytes, 's');
+  manager.RegisterSpace(longest_space, client.env->space());
   options = ToServedOptions(spec, client);
+  options.space_name = longest_space;
   options.initial_design = serve::kMaxInitialDesign;
   options.acquisition_candidates = serve::kMaxAcquisitionCandidates;
   EXPECT_TRUE(manager.CreateSession("at-limits", options).ok());

@@ -1,11 +1,11 @@
 // Durable observation store: WAL framing and CRC, torn-tail and bad-CRC
-// recovery, checkpoints from retained frames (against a fresh encode, and
-// legacy LSN-0 snapshots), the LSN skip window, fault-injected mid-write
-// crashes, store metrics, the data log and manifest log (checkpoint
-// equivalence, linear checkpoint bytes, crash windows, compaction, older
-// layouts and their committed fixtures, damage, what Open reads), and the
-// headline guarantee — a session killed at any iteration replays to a
-// bitwise-identical trajectory.
+// recovery, checkpoints from retained frames (against a fresh encode), the
+// LSN skip window, fault-injected mid-write crashes, store metrics, the
+// data log and manifest log (checkpoint equivalence, linear checkpoint
+// bytes, crash windows, compaction, damage, what Open reads), the
+// committed fixtures (older layouts refused untouched, a generation-0
+// data log read as any other), and the headline guarantee — a session
+// killed at any iteration replays to a bitwise-identical trajectory.
 
 #include "pool_size_guard.h"
 #include "store/observation_store.h"
@@ -213,8 +213,10 @@ std::string TruncateBody(const std::string& id, uint64_t keep) {
   return enc.bytes();
 }
 
+// The 16-byte header of the one-file snapshot layout: its magic and the
+// covered LSN. StoredImage lays the stored frames out behind it.
 std::string SnapshotHeader(uint64_t covered_lsn) {
-  std::string header(store::kSnapshotMagic, sizeof(store::kSnapshotMagic));
+  std::string header = "DBTNSNP1";
   for (int i = 0; i < 8; ++i) {
     header.push_back(static_cast<char>((covered_lsn >> (8 * i)) & 0xFF));
   }
@@ -1072,80 +1074,6 @@ TEST_F(StoreTest, SnapshotFromRetainedFramesMatchesFreshEncode) {
   EXPECT_GT(restarts, 0u);
 }
 
-// Snapshots used to be written with LSN 0 in every frame. Such a file
-// still loads, the log past its covered LSN replays on top, and the next
-// checkpoint carries the LSN-0 frames through unchanged.
-TEST_F(StoreTest, LegacySnapshotWithLsnZeroFramesRecovers) {
-  const std::string path = StorePath("legacy_snapshot");
-  const Observation sealed1 = MakeObs({0.1, 0.9}, 1.0, 10.0, {1.0, 2.0});
-  const Observation sealed2 = MakeObs({0.2, 0.8}, 0.0, 0.0, {}, true);
-  const Observation live1 = MakeObs({0.3, 0.7}, 3.0, 30.0, {3.0});
-  const Observation live2 = MakeObs({0.4, 0.6}, 4.0, 40.0, {4.0});
-  SourceTask task;
-  task.name = "legacy-task";
-  task.unit_x = {{0.5, 0.5}};
-  task.scores = {2.5};
-  task.metric_signature = {9.0};
-
-  std::string snapshot = SnapshotHeader(7);
-  for (const WalRecord& record : std::vector<WalRecord>{
-           {0, WalRecordType::kBeginSession, BeginBody("live", 2)},
-           {0, WalRecordType::kObservation, ObservationBody("live", 1, live1)},
-           {0, WalRecordType::kBeginSession, BeginBody("sealed", 2)},
-           {0, WalRecordType::kObservation,
-            ObservationBody("sealed", 1, sealed1)},
-           {0, WalRecordType::kObservation,
-            ObservationBody("sealed", 2, sealed2)},
-           {0, WalRecordType::kEndSession, EndBody("sealed")},
-           {0, WalRecordType::kTask, TaskBody(task)},
-       }) {
-    snapshot += EncodeWalFrame(record);
-  }
-  WriteBytes(path + ".snapshot", snapshot);
-  std::string wal(store::kWalMagic, sizeof(store::kWalMagic));
-  wal += EncodeWalFrame(
-      {8, WalRecordType::kObservation, ObservationBody("live", 2, live2)});
-  WriteBytes(path, wal);
-
-  auto check = [&](const ObservationStore& s) {
-    const Result<StoredSession> live = s.FindSession("live");
-    const Result<StoredSession> sealed = s.FindSession("sealed");
-    ASSERT_TRUE(live.ok()) << live.status().ToString();
-    ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
-    EXPECT_FALSE(live->finished);
-    EXPECT_TRUE(sealed->finished);
-    ExpectObservationsBitEqual(live->observations, {live1, live2});
-    ExpectObservationsBitEqual(sealed->observations, {sealed1, sealed2});
-    const std::vector<SourceTask> tasks = TasksOf(s);
-    ASSERT_EQ(tasks.size(), 1u);
-    EXPECT_EQ(tasks[0].name, "legacy-task");
-    EXPECT_EQ(s.stats().last_lsn, 8u);
-  };
-  {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_TRUE((*opened)->stats().loaded_snapshot);
-    EXPECT_EQ((*opened)->stats().wal_records_replayed, 1u);
-    check(**opened);
-    ASSERT_TRUE((*opened)->Checkpoint().ok());
-  }
-  // The data log keeps the legacy frames byte for byte and holds the
-  // replayed record with its log LSN.
-  const std::string rewritten = StoredImage(path);
-  EXPECT_EQ(rewritten.size(), snapshot.size() + wal.size() -
-                                  sizeof(store::kWalMagic));
-  const WalScanResult scan = ScanWalFrames(rewritten, SnapshotHeader(0).size());
-  ASSERT_EQ(scan.records.size(), 8u);
-  EXPECT_EQ(scan.records[1].lsn, 0u);
-  EXPECT_EQ(scan.records[2].lsn, 8u);
-  EXPECT_EQ(scan.records[2].body, ObservationBody("live", 2, live2));
-
-  auto reopened = ObservationStore::Open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->stats().wal_records_replayed, 0u);
-  check(**reopened);
-}
-
 // Store metrics land on the registry: append and checkpoint latency, and
 // the bytes every checkpoint wrote. `store.checkpoint.bytes` is the sum of
 // the data-log appends, the manifest writes and the WAL header each
@@ -1358,90 +1286,6 @@ void BuildSealedStore(const std::string& path,
     run("c", 1);
     ASSERT_TRUE(s.FinishSession("c", env.space(), "c-task").ok());
   }
-}
-
-// A store in the layout that predates the sealed log (sealed sessions and
-// tasks in the snapshot, no manifest) loads equal to the same content
-// written as a log, keeps its sealed sessions in memory, and moves them
-// to the data log at its first checkpoint, which replaces the snapshot
-// with the manifest log.
-TEST_F(StoreTest, OldLayoutMovesSealedSessionsAtFirstCheckpoint) {
-  const std::string path = StorePath("old_layout");
-  const std::string reference_path = StorePath("old_layout_reference");
-  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
-                    HardwareInstance::kB, 1);
-  TuningEnvironment env(&sim, {0, 1});
-  {
-    StoreOptions options;
-    options.snapshot_every = 0;
-    auto opened = ObservationStore::Open(reference_path, options);
-    ASSERT_TRUE(opened.ok());
-    ObservationStore& s = **opened;
-    Rng rng(9);
-    for (const std::string id : {"open", "sealed-1", "sealed-2"}) {
-      ASSERT_TRUE(s.BeginSession(id, 2).ok());
-      for (size_t i = 1; i <= 3; ++i) {
-        ASSERT_TRUE(s.AppendObservation(id, i, RandomObs(&rng, 2)).ok());
-      }
-    }
-    ASSERT_TRUE(s.FinishSession("sealed-2", env.space(), "task-2").ok());
-    ASSERT_TRUE(s.FinishSession("sealed-1", env.space(), "task-1").ok());
-  }
-  // The old layout: the same frames grouped per session in id order, then
-  // the tasks, under a snapshot header; the log compacted to its header.
-  std::map<std::string, std::string> sessions;
-  std::string tasks;
-  const std::string log = ReadBytes(reference_path);
-  uint64_t last_lsn = 0;
-  const Result<store::WalScanExtent> scan = store::ForEachWalFrame(
-      log, sizeof(store::kWalMagic),
-      [&](const store::WalFrameView& view) -> Status {
-        last_lsn = view.lsn;
-        if (view.type == WalRecordType::kTask) {
-          tasks += view.frame;
-          return Status::OK();
-        }
-        store::WalDecoder dec(view.body);
-        DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-        sessions[id] += view.frame;
-        return Status::OK();
-      });
-  ASSERT_TRUE(scan.ok());
-  std::string snapshot = SnapshotHeader(last_lsn);
-  for (const auto& entry : sessions) snapshot += entry.second;
-  snapshot += tasks;
-  WriteBytes(path + ".snapshot", snapshot);
-  WriteBytes(path, std::string(store::kWalMagic, sizeof(store::kWalMagic)));
-
-  auto reference = ObservationStore::Open(reference_path);
-  ASSERT_TRUE(reference.ok());
-  {
-    auto opened = ObservationStore::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    ExpectStoresBitEqual(**reference, **opened);
-    EXPECT_EQ((*opened)->stats().sealed_sessions, 0u);
-    ASSERT_TRUE((*opened)->Checkpoint().ok());
-    EXPECT_EQ((*opened)->stats().sealed_sessions, 2u);
-    ExpectStoresBitEqual(**reference, **opened);
-  }
-  // The snapshot is gone; the manifest log indexes the open session's
-  // frames and the moved ones, which the old sealed-log-less layout had
-  // nowhere else, so they start generation 1 of the data log.
-  EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
-  const TestManifest manifest = ReadManifest(path);
-  EXPECT_EQ(manifest.generation, 1u);
-  ASSERT_EQ(manifest.open.count("open"), 1u);
-  EXPECT_EQ(manifest.sealed.size(), 2u);
-  EXPECT_EQ(manifest.tasks.size(), 2u);
-  // The data log holds its header and every frame once, nothing else.
-  EXPECT_EQ(ReadBytes(DataLogPath(path, 1)).size(),
-            sizeof(store::kDataLogMagic) + sessions["open"].size() +
-                sessions["sealed-1"].size() + sessions["sealed-2"].size() +
-                tasks.size());
-  auto reopened = ObservationStore::Open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->stats().sealed_sessions, 2u);
-  ExpectStoresBitEqual(**reference, **reopened);
 }
 
 // Each checkpoint appends only the frames logged since the previous one:
@@ -2022,66 +1866,108 @@ TEST_F(StoreTest, OpenReadsNoSealedBytes) {
   EXPECT_EQ((*opened)->ListSessions().size(), 4u);
 }
 
-// Stores written by earlier versions of this library (tests/data/
-// README.md): a one-file snapshot, and a snapshot with a sealed-log
-// manifest beside its `.sealed`, each with a WAL tail. Each opens bitwise
-// equal to a WAL-only store of the same content, converts at its first
-// checkpoint (the snapshot goes, the manifest log comes, a sealed log
-// stays as generation 0 of the data log), and reopens equal. A crash
-// between the conversion's manifest rename and the snapshot's removal,
-// with the WAL compacted or not, recovers equal too.
-TEST_F(StoreTest, OlderLayoutFixturesLoadAndConvert) {
+// Stores of the layouts before the manifest log (tests/data/README.md): a
+// one-file snapshot, and a snapshot with a sealed-log manifest beside its
+// `.sealed`, each with a WAL tail. Open refuses both with
+// FailedPrecondition, naming the snapshot and the build that converts it,
+// before it touches a file: afterwards the directory holds the same files
+// with the same bytes, and nothing new. The record type those snapshots
+// kept their index in (6) is retired: a WAL frame of it is unknown.
+TEST_F(StoreTest, OlderLayoutFixturesAreRefusedUntouched) {
   for (const std::string layout :
        {"store_one_file_layout", "store_sealed_log_layout"}) {
-    const std::string source =
-        std::string(DBTUNE_TEST_DATA_DIR) + "/" + layout + "/";
-    const std::string path = StorePath("fixture_" + layout);
-    const std::string reference_path =
-        StorePath("fixture_reference_" + layout);
-    WriteBytes(reference_path, ReadBytes(source + "reference.wal"));
-    auto reference = ObservationStore::Open(reference_path);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    std::vector<std::string> ids;
-    for (const StoredSessionInfo& info : (*reference)->ListSessions()) {
-      ids.push_back(info.id);
-    }
-    EXPECT_EQ(ids, (std::vector<std::string>{"alpha", "beta", "gamma", "open",
-                                             "trunc"}));
-    EXPECT_EQ((*reference)->num_tasks(), 5u);
-
-    FileImage fixture;
-    for (const std::string suffix : {"", ".snapshot", ".sealed"}) {
-      const std::string file = source + "store.wal" + suffix;
-      fixture[path + suffix] =
-          std::filesystem::exists(file)
-              ? std::optional<std::string>(ReadBytes(file))
-              : std::nullopt;
-    }
-    ASSERT_TRUE(fixture.at(path + ".snapshot").has_value());
-    RestoreFiles(fixture);
-    {
-      auto opened = ObservationStore::Open(path);
-      ASSERT_TRUE(opened.ok()) << layout << ": "
-                               << opened.status().ToString();
-      EXPECT_TRUE((*opened)->stats().loaded_snapshot);
-      ExpectStoresBitEqual(**reference, **opened);
-      ASSERT_TRUE((*opened)->Checkpoint().ok());
-      ExpectStoresBitEqual(**reference, **opened);
-    }
-    EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
-    const bool sealed_log = fixture.at(path + ".sealed").has_value();
-    EXPECT_EQ(ReadManifest(path).generation, sealed_log ? 0u : 1u);
-    ExpectRecovered(path, **reference, layout + " converted");
-
-    const FileImage converted = SaveFiles(path);
-    for (const bool wal_compacted : {true, false}) {
-      RestoreFiles(converted);
-      WriteBytes(path + ".snapshot", *fixture.at(path + ".snapshot"));
-      if (!wal_compacted) WriteBytes(path, *fixture.at(path));
-      ExpectRecovered(path, **reference, layout + " snapshot left");
-      EXPECT_FALSE(std::filesystem::exists(path + ".snapshot"));
-    }
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / ("refused_" + layout);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::filesystem::copy(std::filesystem::path(DBTUNE_TEST_DATA_DIR) / layout,
+                          dir);
+    const std::string path = (dir / "store.wal").string();
+    ASSERT_TRUE(std::filesystem::exists(path + ".snapshot")) << layout;
+    auto files = [&dir] {
+      std::map<std::string, std::string> bytes;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        bytes[entry.path().filename().string()] = ReadBytes(entry.path());
+      }
+      return bytes;
+    };
+    const std::map<std::string, std::string> before = files();
+    const auto opened = ObservationStore::Open(path);
+    ASSERT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
+        << layout << ": " << opened.status().ToString();
+    const std::string message = opened.status().message();
+    EXPECT_NE(message.find(path + ".snapshot"), std::string::npos) << message;
+    EXPECT_NE(message.find("9d00237"), std::string::npos) << message;
+    EXPECT_EQ(files(), before) << layout;
   }
+
+  const std::string path = StorePath("retired_type");
+  std::string wal(store::kWalMagic, sizeof(store::kWalMagic));
+  wal += EncodeWalFrame({1, static_cast<WalRecordType>(6), ""});
+  WriteBytes(path, wal);
+  const auto opened = ObservationStore::Open(path);
+  EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
+  EXPECT_NE(opened.status().message().find("unknown wal record type"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
+// A store whose manifest log names generation 0 of the data log,
+// `<path>.sealed`: what a build of commit 9d00237 leaves after converting
+// the sealed-log layout at its first checkpoint (tests/data/README.md).
+// It opens bitwise equal to the WAL-only store of the same content, takes
+// appends, a seal, a new session and a checkpoint like any other store,
+// and reopens equal.
+TEST_F(StoreTest, ManifestGenerationZeroFixtureOpensAndCheckpoints) {
+  const std::string source =
+      std::string(DBTUNE_TEST_DATA_DIR) + "/store_manifest_generation0/";
+  const std::string path = StorePath("fixture_generation0");
+  const std::string reference_path = StorePath("fixture_generation0_reference");
+  for (const std::string suffix : {"", ".manifest", ".sealed"}) {
+    WriteBytes(path + suffix, ReadBytes(source + "store.wal" + suffix));
+  }
+  WriteBytes(reference_path, ReadBytes(source + "reference.wal"));
+  EXPECT_EQ(ReadManifest(path).generation, 0u);
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<std::string> ids;
+  for (const StoredSessionInfo& info : (*reference)->ListSessions()) {
+    ids.push_back(info.id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"alpha", "beta", "gamma", "open",
+                                           "trunc"}));
+  EXPECT_EQ((*reference)->num_tasks(), 5u);
+
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_TRUE((*opened)->stats().loaded_snapshot);
+    ExpectStoresBitEqual(**reference, **opened);
+    // The same calls on both stores.
+    const Rng rng(27);
+    for (ObservationStore* s : {reference->get(), opened->get()}) {
+      Rng ops = rng;
+      for (const std::string id : {"open", "trunc"}) {
+        const size_t stored = s->FindSession(id)->observations.size();
+        ASSERT_TRUE(s->AppendObservation(id, stored + 1, RandomObs(&ops, 2))
+                        .ok());
+      }
+      ASSERT_TRUE(s->FinishSession("open", env.space(), "open").ok());
+      ASSERT_TRUE(s->BeginSession("delta", 2).ok());
+      ASSERT_TRUE(s->AppendObservation("delta", 1, RandomObs(&ops, 2)).ok());
+    }
+    ExpectStoresBitEqual(**reference, **opened);
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+    ExpectStoresBitEqual(**reference, **opened);
+  }
+  ExpectRecovered(path, **reference, "generation 0");
+  // Every checkpoint appended to generation 0.
+  EXPECT_EQ(ReadManifest(path).generation, 0u);
+  EXPECT_GT(std::filesystem::file_size(path + ".sealed"),
+            std::filesystem::file_size(source + "store.wal.sealed"));
 }
 
 // Two threads append to distinct sessions and truncate them now and then,
