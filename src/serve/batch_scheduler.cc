@@ -28,41 +28,66 @@ BatchScheduler::BatchScheduler(SessionManager* manager,
                                SchedulerOptions options)
     : manager_(manager), options_(Normalize(options)) {}
 
-uint64_t BatchScheduler::EnqueueSuggest(std::string session_id) {
-  Request request;
+uint64_t BatchScheduler::Enqueue(std::string session_id, Request request) {
   request.ticket = next_ticket_++;
-  request.kind = RequestKind::kSuggest;
   const uint64_t ticket = request.ticket;
   queues_[std::move(session_id)].push_back(std::move(request));
   ++pending_count_;
   return ticket;
 }
 
+uint64_t BatchScheduler::EnqueueCreate(std::string session_id,
+                                       ServedSessionOptions options) {
+  Request request;
+  request.kind = RequestKind::kCreate;
+  request.options = std::move(options);
+  return Enqueue(std::move(session_id), std::move(request));
+}
+
+uint64_t BatchScheduler::EnqueueSuggest(std::string session_id) {
+  Request request;
+  request.kind = RequestKind::kSuggest;
+  return Enqueue(std::move(session_id), std::move(request));
+}
+
 uint64_t BatchScheduler::EnqueueObserve(std::string session_id,
                                         Observation observation) {
   Request request;
-  request.ticket = next_ticket_++;
   request.kind = RequestKind::kObserve;
   request.observation = std::move(observation);
-  const uint64_t ticket = request.ticket;
-  queues_[std::move(session_id)].push_back(std::move(request));
-  ++pending_count_;
-  return ticket;
+  return Enqueue(std::move(session_id), std::move(request));
+}
+
+uint64_t BatchScheduler::EnqueueClose(std::string session_id) {
+  Request request;
+  request.kind = RequestKind::kClose;
+  return Enqueue(std::move(session_id), std::move(request));
 }
 
 BatchScheduler::Completed BatchScheduler::Execute(
     const std::string& session_id, const Request& request) {
   Completed done;
   done.kind = request.kind;
-  if (request.kind == RequestKind::kSuggest) {
-    Result<Configuration> suggested = manager_->Suggest(session_id);
-    if (suggested.ok()) {
-      done.config = std::move(suggested).value();
-    } else {
-      done.status = suggested.status();
+  switch (request.kind) {
+    case RequestKind::kCreate:
+      done.status = manager_->CreateSession(session_id, request.options,
+                                            &done.replayed);
+      break;
+    case RequestKind::kSuggest: {
+      Result<Configuration> suggested = manager_->Suggest(session_id);
+      if (suggested.ok()) {
+        done.config = std::move(suggested).value();
+      } else {
+        done.status = suggested.status();
+      }
+      break;
     }
-  } else {
-    done.status = manager_->Observe(session_id, request.observation);
+    case RequestKind::kObserve:
+      done.status = manager_->Observe(session_id, request.observation);
+      break;
+    case RequestKind::kClose:
+      done.status = manager_->CloseSession(session_id);
+      break;
   }
   return done;
 }
@@ -90,11 +115,25 @@ size_t BatchScheduler::Pump() {
     wave_queues[i]->second.pop_front();
   }
 
+  // Closes first, on this thread, in slot order: a close seals the
+  // session into the store, so the seal order follows the request stream
+  // rather than lane timing. No two slots share a session, so running
+  // them ahead of the lanes reorders nothing within a session.
+  std::vector<Completed> results(wave.size());
+  std::vector<size_t> lanes;
+  lanes.reserve(wave.size());
+  for (size_t i = 0; i < wave.size(); ++i) {
+    if (wave[i].kind == RequestKind::kClose) {
+      results[i] = Execute(wave_queues[i]->first, wave[i]);
+    } else {
+      lanes.push_back(i);
+    }
+  }
   // Whole-session fan-out: one index per session, each worker writing
   // only its own result slot (the ParallelFor determinism contract).
-  std::vector<Completed> results(wave.size());
-  ParallelFor(GlobalPool(), 0, wave.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  ParallelFor(GlobalPool(), 0, lanes.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      const size_t i = lanes[k];
       results[i] = Execute(wave_queues[i]->first, wave[i]);
     }
   });
@@ -124,36 +163,47 @@ size_t BatchScheduler::Drain() {
   return total;
 }
 
-Result<Configuration> BatchScheduler::TakeSuggest(uint64_t ticket) {
+Result<BatchScheduler::Completed> BatchScheduler::Take(uint64_t ticket,
+                                                       RequestKind kind) {
+  static constexpr const char* kNames[] = {"create", "suggest", "observe",
+                                           "close"};
+  const char* name = kNames[static_cast<size_t>(kind)];
   auto it = completed_.find(ticket);
   if (it == completed_.end()) {
-    return Status::FailedPrecondition("suggest ticket " +
+    return Status::FailedPrecondition(std::string(name) + " ticket " +
                                       std::to_string(ticket) +
                                       " is unknown or not yet pumped");
   }
   Completed done = std::move(it->second);
   completed_.erase(it);
-  if (done.kind != RequestKind::kSuggest) {
+  if (done.kind != kind) {
     return Status::InvalidArgument("ticket " + std::to_string(ticket) +
-                                   " is not a suggest ticket");
+                                   " is not a " + name + " ticket");
   }
+  return done;
+}
+
+Result<size_t> BatchScheduler::TakeCreate(uint64_t ticket) {
+  DBTUNE_ASSIGN_OR_RETURN(Completed done, Take(ticket, RequestKind::kCreate));
+  if (!done.status.ok()) return done.status;
+  return done.replayed;
+}
+
+Result<Configuration> BatchScheduler::TakeSuggest(uint64_t ticket) {
+  DBTUNE_ASSIGN_OR_RETURN(Completed done,
+                          Take(ticket, RequestKind::kSuggest));
   if (!done.status.ok()) return done.status;
   return std::move(done.config);
 }
 
 Status BatchScheduler::TakeObserve(uint64_t ticket) {
-  auto it = completed_.find(ticket);
-  if (it == completed_.end()) {
-    return Status::FailedPrecondition("observe ticket " +
-                                      std::to_string(ticket) +
-                                      " is unknown or not yet pumped");
-  }
-  Completed done = std::move(it->second);
-  completed_.erase(it);
-  if (done.kind != RequestKind::kObserve) {
-    return Status::InvalidArgument("ticket " + std::to_string(ticket) +
-                                   " is not an observe ticket");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(Completed done,
+                          Take(ticket, RequestKind::kObserve));
+  return done.status;
+}
+
+Status BatchScheduler::TakeClose(uint64_t ticket) {
+  DBTUNE_ASSIGN_OR_RETURN(Completed done, Take(ticket, RequestKind::kClose));
   return done.status;
 }
 

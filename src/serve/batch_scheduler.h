@@ -20,21 +20,27 @@ struct SchedulerOptions {
 };
 
 /// Cross-session request batcher: the throughput engine of the serving
-/// layer. Suggest and observe requests queue per session; each `Pump`
-/// assembles one *wave* — at most one request per session, sessions in
-/// id order, capped at `batch_width` — and executes it via ParallelFor
-/// on the process-wide pool (sized by DBTUNE_NUM_THREADS) with one index
-/// per session. Whole sessions are the unit of parallelism: a worker runs
-/// its session's full Suggest (surrogate fit plus fused
-/// PredictMeanVarBatch acquisition scoring, which nests inline on the
-/// worker), so the pool is saturated by inter-session work instead of
-/// fighting over intra-session scraps.
+/// layer. Create, suggest, observe and close requests queue in one FIFO
+/// per session; each `Pump` assembles one *wave* — at most one request
+/// per session, sessions in id order, capped at `batch_width` — and
+/// executes it in two steps. The wave's closes run first, on the calling
+/// thread, in slot order. Then one ParallelFor on the process-wide pool
+/// (sized by DBTUNE_NUM_THREADS) runs its creates, suggests and
+/// observes, one index per session. Whole sessions are the unit of
+/// parallelism: a worker runs its session's full Suggest (surrogate fit
+/// plus fused PredictMeanVarBatch acquisition scoring, which nests inline
+/// on the worker), or a create's replay of the stored history, so the
+/// pool is saturated by inter-session work instead of fighting over
+/// intra-session scraps.
 ///
 /// Determinism: wave assembly is session-id-ordered, every worker
 /// writes only its own result slot, and results scatter back in slot
-/// order — so each session sees exactly the same request sequence at
-/// any batch width, pool size, or interleaving, and its trajectory is
-/// bitwise identical to the standalone in-process loop.
+/// order — so each session sees exactly its own requests in the order
+/// they were enqueued, at any batch width, pool size, or interleaving,
+/// and its trajectory is bitwise identical to the standalone in-process
+/// loop. Closes seal sessions into the store on the calling thread, so
+/// the store's seal order is fixed by the request stream, never by lane
+/// timing.
 ///
 /// Threading contract: enqueue/pump/take are called from one driver
 /// thread (the server loop); concurrency happens *inside* Pump. The
@@ -49,12 +55,19 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
+  /// Queues a create (SessionManager::CreateSession); returns the ticket
+  /// to redeem with `TakeCreate` after a pump.
+  uint64_t EnqueueCreate(std::string session_id, ServedSessionOptions options);
+
   /// Queues a suggest for `session_id`; returns the ticket to redeem
   /// with `TakeSuggest` after a pump.
   uint64_t EnqueueSuggest(std::string session_id);
 
   /// Queues an observe carrying the evaluated outcome.
   uint64_t EnqueueObserve(std::string session_id, Observation observation);
+
+  /// Queues a close (SessionManager::CloseSession).
+  uint64_t EnqueueClose(std::string session_id);
 
   /// Executes one wave. Returns the number of requests executed.
   size_t Pump();
@@ -69,21 +82,30 @@ class BatchScheduler {
   /// queue is dropped, so this stays bounded under session churn).
   size_t queued_sessions() const { return queues_.size(); }
 
-  /// Result of a completed suggest ticket (one-shot: the ticket is
-  /// consumed). FailedPrecondition when the ticket is unknown or its
-  /// request has not been pumped yet.
+  /// Outcome of a completed create ticket: the number of stored
+  /// observations the session replayed. One-shot: the ticket is
+  /// consumed. FailedPrecondition when the ticket is unknown or its
+  /// request has not been pumped yet; InvalidArgument when it is another
+  /// kind's ticket.
+  [[nodiscard]] Result<size_t> TakeCreate(uint64_t ticket);
+
+  /// Result of a completed suggest ticket (one-shot, as above).
   [[nodiscard]] Result<Configuration> TakeSuggest(uint64_t ticket);
 
   /// Outcome of a completed observe ticket (one-shot, as above).
   [[nodiscard]] Status TakeObserve(uint64_t ticket);
 
+  /// Outcome of a completed close ticket (one-shot, as above).
+  [[nodiscard]] Status TakeClose(uint64_t ticket);
+
  private:
-  enum class RequestKind { kSuggest, kObserve };
+  enum class RequestKind { kCreate, kSuggest, kObserve, kClose };
 
   struct Request {
     uint64_t ticket = 0;
     RequestKind kind = RequestKind::kSuggest;
-    Observation observation;  // kObserve only
+    ServedSessionOptions options;  // kCreate only
+    Observation observation;       // kObserve only
   };
 
   /// Executed outcome, indexed by ticket until taken.
@@ -91,10 +113,16 @@ class BatchScheduler {
     RequestKind kind = RequestKind::kSuggest;
     Status status = Status::OK();
     Configuration config;  // kSuggest, when status is OK
+    size_t replayed = 0;   // kCreate
   };
 
-  /// Runs one request against the manager on a pool worker.
+  uint64_t Enqueue(std::string session_id, Request request);
+
+  /// Runs one request against the manager.
   Completed Execute(const std::string& session_id, const Request& request);
+
+  /// Removes and returns the outcome of `ticket`, which must be of `kind`.
+  [[nodiscard]] Result<Completed> Take(uint64_t ticket, RequestKind kind);
 
   SessionManager* const manager_;
   const SchedulerOptions options_;

@@ -19,9 +19,16 @@ Observation ToObservation(const ObserveRequest& request) {
   return observation;
 }
 
-/// Field-by-field copy of the wire request; SessionManager::CreateSession
-/// validates the values.
-ServedSessionOptions ToSessionOptions(const CreateSessionRequest& request) {
+/// Field-by-field copy of the wire request. The optimizer byte is range
+/// checked before it becomes an OptimizerType; SessionManager::
+/// CreateSession validates every other value.
+Result<ServedSessionOptions> ToSessionOptions(
+    const CreateSessionRequest& request) {
+  if (request.optimizer_type >
+      static_cast<uint8_t>(OptimizerType::kRandomSearch)) {
+    return Status::InvalidArgument("unknown optimizer type " +
+                                   std::to_string(request.optimizer_type));
+  }
   ServedSessionOptions options;
   options.space_name = request.space_name;
   options.optimizer_type =
@@ -60,34 +67,67 @@ std::string ErrorResponseFor(const Frame& frame, const Status& status) {
 
 }  // namespace
 
-FrameServer::FrameServer(SessionManager* manager, BatchScheduler* scheduler)
-    : manager_(manager), scheduler_(scheduler) {}
+FrameServer::FrameServer(SessionManager* /*manager*/,
+                         BatchScheduler* scheduler)
+    : scheduler_(scheduler) {}
 
-std::string FrameServer::HandleBarrier(const Frame& frame) {
+Result<uint64_t> FrameServer::Enqueue(const Frame& frame) {
   switch (frame.type) {
     case MessageType::kCreateSession: {
-      Result<CreateSessionRequest> request = DecodeCreateSession(frame);
-      if (!request.ok()) return ErrorResponseFor(frame, request.status());
-      CreateSessionResponse response;
-      size_t replayed = 0;
-      response.header = HeaderFromStatus(manager_->CreateSession(
-          request->session_id, ToSessionOptions(*request), &replayed));
-      response.replayed = replayed;
-      return EncodeCreateSessionResponse(frame.request_id, response);
+      DBTUNE_ASSIGN_OR_RETURN(CreateSessionRequest request,
+                              DecodeCreateSession(frame));
+      DBTUNE_ASSIGN_OR_RETURN(ServedSessionOptions options,
+                              ToSessionOptions(request));
+      return scheduler_->EnqueueCreate(std::move(request.session_id),
+                                       std::move(options));
+    }
+    case MessageType::kSuggest: {
+      DBTUNE_ASSIGN_OR_RETURN(SuggestRequest request, DecodeSuggest(frame));
+      return scheduler_->EnqueueSuggest(std::move(request.session_id));
+    }
+    case MessageType::kObserve: {
+      DBTUNE_ASSIGN_OR_RETURN(ObserveRequest request, DecodeObserve(frame));
+      return scheduler_->EnqueueObserve(std::move(request.session_id),
+                                        ToObservation(request));
     }
     case MessageType::kCloseSession: {
-      Result<CloseSessionRequest> request = DecodeCloseSession(frame);
-      if (!request.ok()) return ErrorResponseFor(frame, request.status());
-      CloseSessionResponse response;
-      response.header =
-          HeaderFromStatus(manager_->CloseSession(request->session_id));
-      return EncodeCloseSessionResponse(frame.request_id, response);
+      DBTUNE_ASSIGN_OR_RETURN(CloseSessionRequest request,
+                              DecodeCloseSession(frame));
+      return scheduler_->EnqueueClose(std::move(request.session_id));
     }
     default:
-      return ErrorResponseFor(
-          frame, Status::InvalidArgument(
-                     "unexpected message type " +
-                     std::to_string(static_cast<int>(frame.type))));
+      return Status::InvalidArgument(
+          "unexpected message type " +
+          std::to_string(static_cast<int>(frame.type)));
+  }
+}
+
+std::string FrameServer::TakeResponse(const Frame& frame, uint64_t ticket) {
+  switch (frame.type) {
+    case MessageType::kCreateSession: {
+      CreateSessionResponse response;
+      Result<size_t> replayed = scheduler_->TakeCreate(ticket);
+      if (replayed.ok()) response.replayed = *replayed;
+      response.header = HeaderFromStatus(replayed.status());
+      return EncodeCreateSessionResponse(frame.request_id, response);
+    }
+    case MessageType::kSuggest: {
+      SuggestResponse response;
+      Result<Configuration> suggested = scheduler_->TakeSuggest(ticket);
+      if (suggested.ok()) response.config = suggested->values();
+      response.header = HeaderFromStatus(suggested.status());
+      return EncodeSuggestResponse(frame.request_id, response);
+    }
+    case MessageType::kObserve: {
+      ObserveResponse response;
+      response.header = HeaderFromStatus(scheduler_->TakeObserve(ticket));
+      return EncodeObserveResponse(frame.request_id, response);
+    }
+    default: {
+      CloseSessionResponse response;
+      response.header = HeaderFromStatus(scheduler_->TakeClose(ticket));
+      return EncodeCloseSessionResponse(frame.request_id, response);
+    }
   }
 }
 
@@ -102,65 +142,28 @@ Status FrameServer::ServeBuffered(LoopbackTransport* transport) {
   }
   if (frames.empty()) return Status::OK();
 
-  // Responses are delivered in request order; suggest/observe execute
-  // through the scheduler, batched across sessions. Every other frame is
-  // a barrier: the scheduler drains before it runs, so a close can never
-  // race past the session's own pending requests.
+  // Every request that names a session joins its FIFO in the scheduler,
+  // and the buffer drains once: each session sees its own requests in the
+  // order they were sent, while creates (and their replays), suggests and
+  // observes of distinct sessions share waves. Only frames that touch no
+  // session, decode errors and response-typed frames, are answered here.
+  // Responses are delivered in request order.
   std::vector<std::string> responses(frames.size());
-  // Tickets for batched requests, paired with their frame index.
+  // Tickets of enqueued requests, paired with their frame index.
   std::vector<std::pair<size_t, uint64_t>> tickets;
-  auto flush = [&] {
-    scheduler_->Drain();
-    for (const auto& [index, ticket] : tickets) {
-      const Frame& request_frame = frames[index];
-      if (request_frame.type == MessageType::kSuggest) {
-        SuggestResponse response;
-        Result<Configuration> suggested = scheduler_->TakeSuggest(ticket);
-        if (suggested.ok()) response.config = suggested->values();
-        response.header = HeaderFromStatus(suggested.status());
-        responses[index] =
-            EncodeSuggestResponse(request_frame.request_id, response);
-      } else {
-        ObserveResponse response;
-        response.header =
-            HeaderFromStatus(scheduler_->TakeObserve(ticket));
-        responses[index] =
-            EncodeObserveResponse(request_frame.request_id, response);
-      }
-    }
-    tickets.clear();
-  };
+  tickets.reserve(frames.size());
   for (size_t i = 0; i < frames.size(); ++i) {
-    const Frame& request_frame = frames[i];
-    switch (request_frame.type) {
-      case MessageType::kSuggest: {
-        Result<SuggestRequest> request = DecodeSuggest(request_frame);
-        if (!request.ok()) {
-          responses[i] = ErrorResponseFor(request_frame, request.status());
-          break;
-        }
-        tickets.emplace_back(
-            i, scheduler_->EnqueueSuggest(request->session_id));
-        break;
-      }
-      case MessageType::kObserve: {
-        Result<ObserveRequest> request = DecodeObserve(request_frame);
-        if (!request.ok()) {
-          responses[i] = ErrorResponseFor(request_frame, request.status());
-          break;
-        }
-        tickets.emplace_back(
-            i, scheduler_->EnqueueObserve(request->session_id,
-                                          ToObservation(*request)));
-        break;
-      }
-      default:
-        flush();
-        responses[i] = HandleBarrier(request_frame);
-        break;
+    Result<uint64_t> ticket = Enqueue(frames[i]);
+    if (ticket.ok()) {
+      tickets.emplace_back(i, *ticket);
+    } else {
+      responses[i] = ErrorResponseFor(frames[i], ticket.status());
     }
   }
-  flush();
+  scheduler_->Drain();
+  for (const auto& [index, ticket] : tickets) {
+    responses[index] = TakeResponse(frames[index], ticket);
+  }
   for (const std::string& response : responses) {
     transport->SendToClient(response);
   }

@@ -10,35 +10,43 @@
 
 namespace dbtune::serve {
 
-/// Protocol front-end: decodes request frames, dispatches them to the
-/// SessionManager (suggest/observe through the BatchScheduler, so
-/// concurrent clients batch across sessions), and encodes response
-/// frames. The transport below it is the in-process loopback for now; a
-/// socket listener speaks the same `Frame` API.
+/// Protocol front-end: decodes request frames, dispatches every request
+/// that names a session (create, suggest, observe, close) through the
+/// BatchScheduler, so concurrent clients batch across sessions, and
+/// encodes response frames. The transport below it is the in-process
+/// loopback for now; a socket listener speaks the same `Frame` API.
 class FrameServer {
  public:
   /// Both pointers are borrowed and must outlive the server; `scheduler`
-  /// must dispatch to `manager`.
+  /// must dispatch to `manager`, which the server reaches only through
+  /// it.
   FrameServer(SessionManager* manager, BatchScheduler* scheduler);
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
   /// Drains every complete request frame buffered in `transport`'s
-  /// server inbox, executes them — suggests/observes batched across
-  /// sessions through the scheduler, create/close as ordering barriers —
-  /// and writes one response frame per request, in request order, to
-  /// the client. Partial frames stay buffered for the next call; a
-  /// malformed stream returns the decode error. A malformed body yields
-  /// a response of its own family with the decode error in the header; a
-  /// response-typed frame yields an InvalidArgument CloseSessionResponse.
+  /// server inbox, enqueues each request in its session's scheduler
+  /// FIFO, drains the scheduler once, and writes one response frame per
+  /// request, in request order, to the client. Each session's requests
+  /// execute in the order they were sent; requests of distinct sessions
+  /// share waves, so the creates of a restart replay their stored
+  /// histories on every lane. Partial frames stay buffered for the next
+  /// call; a malformed stream returns the decode error. A malformed body
+  /// (an unknown optimizer type included) yields a response of its own
+  /// family with the decode error in the header; a response-typed frame
+  /// yields an InvalidArgument CloseSessionResponse. Neither touches a
+  /// session.
   [[nodiscard]] Status ServeBuffered(LoopbackTransport* transport);
 
  private:
-  /// Runs a create, close, or unexpected frame inline.
-  std::string HandleBarrier(const Frame& frame);
+  /// Decodes a request frame and enqueues it; returns its ticket, or the
+  /// error to answer with when the frame touches no session.
+  [[nodiscard]] Result<uint64_t> Enqueue(const Frame& frame);
 
-  SessionManager* const manager_;
+  /// Redeems the ticket of an enqueued `frame` and encodes its response.
+  std::string TakeResponse(const Frame& frame, uint64_t ticket);
+
   BatchScheduler* const scheduler_;
   FrameReader reader_;
 };

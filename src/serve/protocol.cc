@@ -100,7 +100,10 @@ Result<size_t> DecodeFrame(std::string_view buffer, Frame* out) {
     return static_cast<size_t>(0);
   }
   const char* p = buffer.data() + 4;
-  out->type = static_cast<MessageType>(static_cast<unsigned char>(p[0]));
+  // An unknown tag stays in the frame: every consumer switches on the
+  // type, and its default arm answers InvalidArgument.
+  const unsigned char tag = static_cast<unsigned char>(p[0]);
+  out->type = static_cast<MessageType>(tag);  // dbtune-lint: allow(unvalidated-enum-cast)
   out->request_id = 0;
   for (size_t i = 0; i < 8; ++i) {
     out->request_id |=
@@ -279,7 +282,8 @@ ResponseHeader HeaderFromStatus(const Status& status) {
 }
 
 Status StatusFromHeader(const ResponseHeader& header) {
-  const auto code = static_cast<StatusCode>(header.status_code);
+  // The switch names every code; any other byte falls through to Internal.
+  const auto code = static_cast<StatusCode>(header.status_code);  // dbtune-lint: allow(unvalidated-enum-cast)
   switch (code) {
     case StatusCode::kOk:
       return Status::OK();

@@ -19,9 +19,9 @@ struct ServedSession {
   Mutex mu;
   /// Emptied at close, like `space`: a tombstone needs only `closed`.
   ServedSessionOptions options DBTUNE_GUARDED_BY(mu);
-  /// The session's own copy of the registered space (stable even if the
-  /// registry entry is later replaced).
-  ConfigurationSpace space DBTUNE_GUARDED_BY(mu);
+  /// The space registered when the session was created, shared with the
+  /// registry and stable even if the registry entry is later replaced.
+  std::shared_ptr<const ConfigurationSpace> space DBTUNE_GUARDED_BY(mu);
   /// Null while evicted; resurrection builds a fresh core and replays
   /// the durable history through it.
   std::unique_ptr<SessionCore> core DBTUNE_GUARDED_BY(mu);
@@ -82,7 +82,7 @@ obs::Gauge& ActiveGauge() {
   }
   if (s->core != nullptr) return Status::OK();
   auto core = std::make_unique<SessionCore>(
-      CreateOptimizer(s->options.optimizer_type, s->space, s->options),
+      CreateOptimizer(s->options.optimizer_type, *s->space, s->options),
       s->options.reference_score, store, id);
   DBTUNE_RETURN_IF_ERROR(core->Begin());
   DBTUNE_RETURN_IF_ERROR(core->Replay());
@@ -118,8 +118,9 @@ SessionManager::~SessionManager() = default;
 
 void SessionManager::RegisterSpace(const std::string& name,
                                    const ConfigurationSpace& definition) {
+  auto space = std::make_shared<const ConfigurationSpace>(definition);
   MutexLock lock(&mu_);
-  spaces_.insert_or_assign(name, definition);
+  spaces_.insert_or_assign(name, std::move(space));
 }
 
 ServedSession* SessionManager::FindSessionLocked(const std::string& id)
@@ -176,6 +177,9 @@ Status SessionManager::CreateSession(const std::string& id,
                                    std::to_string(kMaxSpaceNameBytes) +
                                    " bytes");
   }
+  // Nothing is copied and no session mutex is taken under `mu_`: the
+  // space is shared, and the entry of a fresh id is built outside it.
+  std::shared_ptr<const ConfigurationSpace> space;
   ServedSession* session = nullptr;
   {
     MutexLock lock(&mu_);
@@ -184,39 +188,47 @@ Status SessionManager::CreateSession(const std::string& id,
       return Status::NotFound("unknown configuration space '" +
                               options.space_name + "'");
     }
-    ServedSession* existing = FindSessionLocked(id);
-    if (existing != nullptr) {
-      MutexLock session_lock(&existing->mu);
-      if (existing->closed) {
-        return Status::FailedPrecondition("session '" + id + "' is closed");
-      }
-      if (existing->core != nullptr) {
-        return Status::FailedPrecondition("session '" + id +
-                                          "' already exists");
-      }
-      // Evicted: adopt the (re)creation parameters and resurrect below.
-      // Divergent parameters truncate the stored history at the first
-      // mismatch; `replayed` reports the prefix that survived.
-      existing->options = options;
-      existing->space = space_it->second;
-      session = existing;
-    } else {
-      auto created = std::make_unique<ServedSession>();
-      {
-        MutexLock session_lock(&created->mu);
-        created->options = options;
-        created->space = space_it->second;
-      }
-      created->last_touch_seconds = obs::MonotonicSeconds();
-      session = created.get();
-      sessions_.emplace(id, std::move(created));
+    space = space_it->second;
+    session = FindSessionLocked(id);
+  }
+  bool fresh = false;
+  if (session == nullptr) {
+    auto created = std::make_unique<ServedSession>();
+    {
+      MutexLock session_lock(&created->mu);
+      created->options = options;
+      created->space = space;
+    }
+    MutexLock lock(&mu_);
+    // Another caller may have created the id since the lookup; its entry
+    // wins and this call answers as a create of an existing id.
+    auto [it, inserted] = sessions_.try_emplace(id);
+    if (inserted) {
+      it->second = std::move(created);
       ++open_sessions_;
       if (obs::MetricsEnabled()) {
         ActiveGauge().Set(static_cast<double>(open_sessions_));
       }
     }
+    it->second->last_touch_seconds = obs::MonotonicSeconds();
+    session = it->second.get();
+    fresh = inserted;
   }
   MutexLock session_lock(&session->mu);
+  if (!fresh) {
+    if (session->closed) {
+      return Status::FailedPrecondition("session '" + id + "' is closed");
+    }
+    if (session->core != nullptr) {
+      return Status::FailedPrecondition("session '" + id +
+                                        "' already exists");
+    }
+    // Evicted: adopt the (re)creation parameters and resurrect below.
+    // Divergent parameters truncate the stored history at the first
+    // mismatch; `replayed` reports the prefix that survived.
+    session->options = options;
+    session->space = std::move(space);
+  }
   return ResurrectLocked(options_.store, id, session, /*recreate=*/true,
                          replayed);
 }
@@ -249,7 +261,7 @@ Status SessionManager::Observe(const std::string& id,
     return Status::FailedPrecondition(
         "session '" + id + "' has no outstanding suggestion to observe");
   }
-  DBTUNE_RETURN_IF_ERROR(ValidateObservation(session->space, observation));
+  DBTUNE_RETURN_IF_ERROR(ValidateObservation(*session->space, observation));
   DBTUNE_RETURN_IF_ERROR(session->core->Observe(observation));
   ++session->observed;
   session->suggestion_outstanding = false;
@@ -268,11 +280,11 @@ Status SessionManager::CloseSession(const std::string& id) {
     // the session; empty sessions just close (no useless empty task).
     if (options_.store != nullptr && session->observed > 0) {
       DBTUNE_RETURN_IF_ERROR(
-          options_.store->FinishSession(id, session->space, id));
+          options_.store->FinishSession(id, *session->space, id));
     }
     session->core.reset();
     session->closed = true;
-    session->space = ConfigurationSpace();
+    session->space.reset();
     session->options = ServedSessionOptions();
   }
   MutexLock lock(&mu_);
@@ -286,11 +298,19 @@ Status SessionManager::CloseSession(const std::string& id) {
 size_t SessionManager::EvictIdle(double idle_seconds) {
   if (idle_seconds <= 0.0) return 0;
   const double now = obs::MonotonicSeconds();
-  MutexLock lock(&mu_);
+  // Collect under `mu_`, lock each session after releasing it: a session
+  // holds its mutex for its whole Suggest, and nodes are never erased.
+  std::vector<ServedSession*> idle;
+  {
+    MutexLock lock(&mu_);
+    for (auto& entry : sessions_) {
+      if (now - entry.second->last_touch_seconds >= idle_seconds) {
+        idle.push_back(entry.second.get());
+      }
+    }
+  }
   size_t evicted = 0;
-  for (auto& entry : sessions_) {
-    ServedSession* session = entry.second.get();
-    if (now - session->last_touch_seconds < idle_seconds) continue;
+  for (ServedSession* session : idle) {
     MutexLock session_lock(&session->mu);
     if (session->closed || session->core == nullptr) continue;
     session->core.reset();
@@ -305,10 +325,14 @@ size_t SessionManager::num_open() const {
 }
 
 size_t SessionManager::num_resident() const {
-  MutexLock lock(&mu_);
+  std::vector<ServedSession*> sessions;
+  {
+    MutexLock lock(&mu_);
+    sessions.reserve(sessions_.size());
+    for (const auto& entry : sessions_) sessions.push_back(entry.second.get());
+  }
   size_t resident = 0;
-  for (const auto& entry : sessions_) {
-    ServedSession* session = entry.second.get();
+  for (ServedSession* session : sessions) {
     MutexLock session_lock(&session->mu);
     if (!session->closed && session->core != nullptr) ++resident;
   }

@@ -52,9 +52,13 @@ struct ServedSession;  // private per-session state (session_manager.cc)
 ///
 /// Thread-safety: all methods are safe to call concurrently *for
 /// distinct sessions* — the manager mutex guards only the session map
-/// and each session carries its own lock — which is exactly the shape
-/// the BatchScheduler exploits (one in-flight request per session per
-/// wave). Determinism: per-session RNG lives inside each session's
+/// and the space registry, and each session carries its own lock —
+/// which is exactly the shape the BatchScheduler exploits (one in-flight
+/// request per session per wave). The manager mutex is never held while
+/// a session's lock is taken or anything is copied, so a session busy in
+/// a Suggest (its GP fit included) delays only requests for itself, and
+/// sweeps (`EvictIdle`, `num_resident`) wait for it without blocking
+/// lookups of other sessions. Determinism: per-session RNG lives inside each session's
 /// optimizer, so interleaving requests across sessions cannot perturb
 /// any individual trajectory.
 class SessionManager {
@@ -67,7 +71,7 @@ class SessionManager {
 
   /// Registers a configuration space clients can open sessions over.
   /// Re-registering a name replaces the space (existing sessions keep
-  /// their own copy).
+  /// the one they were created over).
   void RegisterSpace(const std::string& name,
                      const ConfigurationSpace& definition);
 
@@ -138,7 +142,8 @@ class SessionManager {
   /// session pointers stay valid without holding `mu_`.
   std::map<std::string, std::unique_ptr<ServedSession>> sessions_
       DBTUNE_GUARDED_BY(mu_);
-  std::map<std::string, ConfigurationSpace> spaces_ DBTUNE_GUARDED_BY(mu_);
+  std::map<std::string, std::shared_ptr<const ConfigurationSpace>> spaces_
+      DBTUNE_GUARDED_BY(mu_);
   size_t open_sessions_ DBTUNE_GUARDED_BY(mu_) = 0;
 };
 

@@ -222,7 +222,10 @@ Result<WalScanExtent> ForEachWalFrame(
     }
     WalFrameView view;
     view.lsn = GetLE64(payload);
-    view.type = static_cast<WalRecordType>(payload[8]);
+    // Every reader compares the type with the records it expects or
+    // switches on it with a fall-through error, so an unknown tag is
+    // damage, never a record.
+    view.type = static_cast<WalRecordType>(payload[8]);  // dbtune-lint: allow(unvalidated-enum-cast)
     view.body = std::string_view(payload + 9, len - 9);
     view.frame = data.substr(pos, kFrameHeaderBytes + len);
     DBTUNE_RETURN_IF_ERROR(visit(view));

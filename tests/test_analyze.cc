@@ -467,6 +467,39 @@ TEST(AnalyzeTest, BlockingInSchedulerOnlyAppliesUnderServe) {
   EXPECT_EQ(CountCheck(findings, "blocking-in-scheduler"), 0);
 }
 
+TEST(AnalyzeTest, UnvalidatedEnumCastFiresOnUncheckedDecodes) {
+  const auto findings = AnalyzeFile(FixturePath("serve/bad_enum_cast.cc"),
+                                    "serve/bad_enum_cast.cc");
+  // The frame tag, the optimizer byte checked only in another function,
+  // the status byte whose function checks another field, and the
+  // qualified record type; the allow()ed cast stays quiet.
+  EXPECT_EQ(CountCheck(findings, "unvalidated-enum-cast"), 4);
+  EXPECT_EQ(findings.size(), 4u);
+  for (const Diagnostic& d : findings) {
+    EXPECT_EQ(d.severity, "error") << FormatDiagnostic(d);
+  }
+}
+
+TEST(AnalyzeTest, UnvalidatedEnumCastNearMissesStayQuiet) {
+  // Range checks on either side of a comparison, through a parenthesized
+  // operand or a local copy, and casts from an enum to an integer.
+  const auto findings = AnalyzeFile(FixturePath("serve/near_enum_cast.cc"),
+                                    "serve/near_enum_cast.cc");
+  for (const Diagnostic& d : findings) ADD_FAILURE() << FormatDiagnostic(d);
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(AnalyzeTest, UnvalidatedEnumCastAppliesToServeAndStoreOnly) {
+  EXPECT_EQ(CountCheck(AnalyzeFile(FixturePath("serve/bad_enum_cast.cc"),
+                                   "store/bad_enum_cast.cc"),
+                       "unvalidated-enum-cast"),
+            4);
+  EXPECT_EQ(CountCheck(AnalyzeFile(FixturePath("serve/bad_enum_cast.cc"),
+                                   "optimizer/bad_enum_cast.cc"),
+                       "unvalidated-enum-cast"),
+            0);
+}
+
 TEST(AnalyzeTest, IgnoredStatusRespectsLocalNonStatusOverride) {
   // A file whose own Build() returns int must not inherit some other
   // file's Result-returning Build from the tree-wide index — pinned here
@@ -562,7 +595,7 @@ TEST(AnalyzeTest, RegistryMetadataIsComplete) {
       "naked-new",            "using-namespace-std", "include-guard",
       "iostream",             "raw-timing",          "predict-in-loop",
       "gp-construction",      "metrics-export",      "unchecked-write",
-      "blocking-in-scheduler", "raw-getenv"};
+      "blocking-in-scheduler", "raw-getenv",         "unvalidated-enum-cast"};
   for (const std::string& id : required) {
     const auto it = std::find_if(
         Checks().begin(), Checks().end(),
@@ -606,6 +639,7 @@ TEST(AnalyzeTest, FixtureTreeFindsAllViolations) {
   EXPECT_EQ(CountCheck(findings, "unchecked-write"), 6);
   // Scheduler checks: the serve/ fixture subdirectory is in scope.
   EXPECT_EQ(CountCheck(findings, "blocking-in-scheduler"), 8);
+  EXPECT_EQ(CountCheck(findings, "unvalidated-enum-cast"), 4);
   for (const Diagnostic& d : findings) {
     EXPECT_EQ(d.path.find("near_"), std::string::npos) << FormatDiagnostic(d);
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -1477,6 +1478,482 @@ TEST(ServeFrameServerTest, ChurnedSessionsLeaveNoSchedulerQueues) {
   EXPECT_EQ(scheduler.queued_sessions(), 0u);
   EXPECT_EQ(manager.num_open(), 1u);
   ExpectBitwiseEqual(standalone, client.env->history(), "control");
+}
+
+// Sends `bytes` to `server` in one ServeBuffered call and decodes every
+// reply it wrote.
+std::vector<serve::Frame> Exchange(FrameServer* server,
+                                   LoopbackTransport* transport,
+                                   serve::FrameReader* reader,
+                                   const std::string& bytes) {
+  transport->SendToServer(bytes);
+  EXPECT_TRUE(server->ServeBuffered(transport).ok());
+  reader->Append(transport->DrainClientInbox());
+  std::vector<serve::Frame> replies;
+  serve::Frame frame;
+  while (true) {
+    Result<bool> got = reader->Next(&frame);
+    EXPECT_TRUE(got.ok());
+    if (!got.ok() || !*got) break;
+    replies.push_back(frame);
+  }
+  return replies;
+}
+
+uint64_t Fnv1aBytes(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+serve::ObserveRequest ToObserveRequest(const std::string& id,
+                                       const Observation& outcome) {
+  serve::ObserveRequest observe;
+  observe.session_id = id;
+  observe.config = outcome.config.values();
+  observe.score = outcome.score;
+  observe.objective = outcome.objective;
+  observe.failed = outcome.failed ? 1 : 0;
+  observe.internal_metrics = outcome.internal_metrics;
+  return observe;
+}
+
+// One buffer carries, across two ids, a create, suggest, observe and
+// close, then a suggest after the close, a re-create of the closed id, a
+// duplicate create, a malformed frame and a response-typed frame. Every
+// session sees its own frames in the order they were sent, so each reply
+// (status code, message and body) is what running the frames one at a
+// time gives, at every pool size and batch width. The whole reply stream
+// is pinned by its hash.
+TEST(ServeFrameServerTest, OneBufferKeepsEachSessionsFrameOrder) {
+  const ConfigurationSpace space = SmallSpace();
+  Observation applied;
+  applied.config = space.Default();
+  applied.score = 42.0;
+  applied.objective = -42.0;
+  auto create_request = [](const std::string& id, uint64_t seed) {
+    serve::CreateSessionRequest create;
+    create.session_id = id;
+    create.space_name = "small";
+    create.optimizer_type = static_cast<uint8_t>(OptimizerType::kVanillaBo);
+    create.seed = seed;
+    create.reference_score = 100.0;
+    return create;
+  };
+  serve::Frame malformed;
+  malformed.type = serve::MessageType::kSuggest;
+  malformed.body = "\x01";
+  serve::Frame response_typed;
+  response_typed.type = serve::MessageType::kSuggestResponse;
+
+  std::string buffer;
+  uint64_t request = 0;
+  buffer += serve::EncodeCreateSession(++request, create_request("a", 3));
+  buffer += serve::EncodeCreateSession(++request, create_request("b", 4));
+  buffer += serve::EncodeSuggest(++request, {"a"});
+  buffer += serve::EncodeSuggest(++request, {"b"});
+  buffer += serve::EncodeObserve(++request, ToObserveRequest("a", applied));
+  buffer += serve::EncodeCloseSession(++request, {"a"});
+  buffer += serve::EncodeSuggest(++request, {"a"});
+  buffer += serve::EncodeCreateSession(++request, create_request("a", 3));
+  buffer += serve::EncodeCreateSession(++request, create_request("b", 4));
+  malformed.request_id = ++request;
+  buffer += serve::EncodeFrame(malformed);
+  buffer += serve::EncodeObserve(++request, ToObserveRequest("b", applied));
+  buffer += serve::EncodeObserve(++request, ToObserveRequest("a", applied));
+  response_typed.request_id = ++request;
+  buffer += serve::EncodeFrame(response_typed);
+  buffer += serve::EncodeSuggest(++request, {"b"});
+  buffer += serve::EncodeCloseSession(++request, {"b"});
+  buffer += serve::EncodeCloseSession(++request, {"b"});
+
+  const std::vector<StatusCode> expected_codes = {
+      StatusCode::kOk,                  // create a
+      StatusCode::kOk,                  // create b
+      StatusCode::kOk,                  // suggest a
+      StatusCode::kOk,                  // suggest b
+      StatusCode::kOk,                  // observe a
+      StatusCode::kOk,                  // close a
+      StatusCode::kFailedPrecondition,  // suggest a after its close
+      StatusCode::kFailedPrecondition,  // re-create closed a
+      StatusCode::kFailedPrecondition,  // duplicate create b
+      StatusCode::kInvalidArgument,     // malformed suggest body
+      StatusCode::kOk,                  // observe b
+      StatusCode::kFailedPrecondition,  // observe a after its close
+      StatusCode::kInvalidArgument,     // response-typed frame
+      StatusCode::kOk,                  // suggest b
+      StatusCode::kOk,                  // close b
+      StatusCode::kFailedPrecondition,  // close b again
+  };
+  ASSERT_EQ(expected_codes.size(), request);
+
+  for (size_t pool : {1u, 2u, 8u}) {
+    PoolSizeGuard guard(pool);
+    for (size_t width : {1u, 8u, 64u}) {
+      const std::string label =
+          "pool=" + std::to_string(pool) + " width=" + std::to_string(width);
+      SessionManager manager;
+      manager.RegisterSpace("small", space);
+      SchedulerOptions scheduler_options;
+      scheduler_options.batch_width = width;
+      BatchScheduler scheduler(&manager, scheduler_options);
+      FrameServer server(&manager, &scheduler);
+      LoopbackTransport transport;
+      serve::FrameReader reader;
+      const std::vector<serve::Frame> replies =
+          Exchange(&server, &transport, &reader, buffer);
+      ASSERT_EQ(replies.size(), expected_codes.size()) << label;
+      std::string stream;
+      for (size_t i = 0; i < replies.size(); ++i) {
+        EXPECT_EQ(replies[i].request_id, i + 1) << label;
+        Status status = Status::OK();
+        switch (replies[i].type) {
+          case serve::MessageType::kCreateSessionResponse: {
+            Result<serve::CreateSessionResponse> created =
+                serve::DecodeCreateSessionResponse(replies[i]);
+            ASSERT_TRUE(created.ok()) << label;
+            EXPECT_EQ(created->replayed, 0u) << label;
+            status = serve::StatusFromHeader(created->header);
+            break;
+          }
+          case serve::MessageType::kSuggestResponse: {
+            Result<serve::SuggestResponse> suggested =
+                serve::DecodeSuggestResponse(replies[i]);
+            ASSERT_TRUE(suggested.ok()) << label;
+            status = serve::StatusFromHeader(suggested->header);
+            break;
+          }
+          case serve::MessageType::kObserveResponse: {
+            Result<serve::ObserveResponse> observed =
+                serve::DecodeObserveResponse(replies[i]);
+            ASSERT_TRUE(observed.ok()) << label;
+            status = serve::StatusFromHeader(observed->header);
+            break;
+          }
+          default: {
+            Result<serve::CloseSessionResponse> closed =
+                serve::DecodeCloseSessionResponse(replies[i]);
+            ASSERT_TRUE(closed.ok()) << label;
+            status = serve::StatusFromHeader(closed->header);
+            break;
+          }
+        }
+        EXPECT_EQ(status.code(), expected_codes[i])
+            << label << " request " << (i + 1) << ": " << status.ToString();
+        stream += serve::EncodeFrame(replies[i]);
+      }
+      EXPECT_EQ(Fnv1aBytes(stream), 10141599331486848436ULL) << label;
+      EXPECT_EQ(manager.num_open(), 0u) << label;
+      EXPECT_EQ(scheduler.queued_sessions(), 0u) << label;
+    }
+  }
+}
+
+// A restart re-opens many stored sessions with one buffer of creates. The
+// creates share waves, so their replays run on every lane. At pools 1/2/8
+// and widths 1/8/64 each create reports the stored history's length as
+// `replayed`, each trajectory continues bitwise equal to the standalone
+// loop, and a buffer that closes several sessions, two of them behind a
+// last suggest, seals them in an order that is the same at every pool
+// size.
+TEST(ServeFrameServerTest, RestartBufferResumesStoredSessionsOnEveryLane) {
+  std::vector<SessionSpec> specs = MixedSpecs();
+  specs.push_back(
+      {"s-bo-2", OptimizerType::kVanillaBo, 17, WorkloadId::kJob, 27});
+  specs.push_back(
+      {"s-tpe-2", OptimizerType::kTpe, 18, WorkloadId::kSysbench, 28});
+  specs.push_back(
+      {"s-rand-2", OptimizerType::kRandomSearch, 19, WorkloadId::kTatp, 29});
+  const size_t iterations = 14;
+  // Observations each session records before the restart: 3, 4, ..., 11.
+  std::vector<size_t> recorded(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) recorded[s] = 3 + s;
+  std::vector<std::vector<Observation>> standalone;
+  for (const SessionSpec& spec : specs) {
+    standalone.push_back(StandaloneHistory(spec, iterations));
+  }
+  // Closed by the last buffer, in this frame order; the first two send a
+  // suggest first.
+  const std::vector<size_t> closed = {7, 2, 0, 5, 8, 3};
+
+  auto create_request = [&](size_t s, const ClientSession& client) {
+    serve::CreateSessionRequest create;
+    create.session_id = specs[s].id;
+    create.space_name = "small";
+    create.optimizer_type = static_cast<uint8_t>(specs[s].optimizer);
+    create.seed = specs[s].optimizer_seed;
+    create.reference_score = client.env->default_score();
+    return create;
+  };
+  struct Server {
+    std::unique_ptr<ObservationStore> store;
+    std::unique_ptr<SessionManager> manager;
+    std::unique_ptr<BatchScheduler> scheduler;
+    std::unique_ptr<FrameServer> frames;
+    LoopbackTransport transport;
+    serve::FrameReader reader;
+  };
+  // One round: every session in `active` suggests in one buffer, its
+  // client evaluates, and every outcome is observed in a second buffer.
+  auto run_round = [](Server* server, const std::vector<SessionSpec>& all,
+                      std::vector<ClientSession>* clients,
+                      const std::vector<size_t>& active, uint64_t* request) {
+    std::string buffer;
+    for (size_t s : active) {
+      buffer += serve::EncodeSuggest(++*request, {all[s].id});
+    }
+    std::vector<serve::Frame> replies = Exchange(
+        server->frames.get(), &server->transport, &server->reader, buffer);
+    ASSERT_EQ(replies.size(), active.size());
+    buffer.clear();
+    for (size_t i = 0; i < active.size(); ++i) {
+      Result<serve::SuggestResponse> suggested =
+          serve::DecodeSuggestResponse(replies[i]);
+      ASSERT_TRUE(suggested.ok());
+      ASSERT_TRUE(serve::StatusFromHeader(suggested->header).ok())
+          << all[active[i]].id << ": " << suggested->header.message;
+      const Observation outcome = (*clients)[active[i]].env->Evaluate(
+          Configuration(suggested->config));
+      buffer += serve::EncodeObserve(++*request,
+                                     ToObserveRequest(all[active[i]].id,
+                                                      outcome));
+    }
+    replies = Exchange(server->frames.get(), &server->transport,
+                       &server->reader, buffer);
+    ASSERT_EQ(replies.size(), active.size());
+    for (const serve::Frame& reply : replies) {
+      Result<serve::ObserveResponse> observed =
+          serve::DecodeObserveResponse(reply);
+      ASSERT_TRUE(observed.ok());
+      EXPECT_TRUE(serve::StatusFromHeader(observed->header).ok())
+          << observed->header.message;
+    }
+  };
+
+  for (size_t width : {1u, 8u, 64u}) {
+    std::vector<std::string> first_order;
+    for (size_t pool : {1u, 2u, 8u}) {
+      PoolSizeGuard guard(pool);
+      const std::string label =
+          "pool=" + std::to_string(pool) + " width=" + std::to_string(width);
+      const std::string path = ServeStorePath(
+          "restart_" + std::to_string(pool) + "_" + std::to_string(width));
+      std::vector<ClientSession> clients;
+      for (const SessionSpec& spec : specs) {
+        clients.push_back(MakeClient(spec));
+      }
+      uint64_t request = 0;
+      auto start = [&](Server* server) {
+        auto opened = ObservationStore::Open(path);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        server->store = std::move(opened).value();
+        SessionManagerOptions manager_options;
+        manager_options.store = server->store.get();
+        server->manager = std::make_unique<SessionManager>(manager_options);
+        server->manager->RegisterSpace("small", clients.front().env->space());
+        SchedulerOptions scheduler_options;
+        scheduler_options.batch_width = width;
+        server->scheduler = std::make_unique<BatchScheduler>(
+            server->manager.get(), scheduler_options);
+        server->frames = std::make_unique<FrameServer>(
+            server->manager.get(), server->scheduler.get());
+      };
+
+      // First process: create every session and record its prefix.
+      {
+        Server server;
+        start(&server);
+        std::string buffer;
+        for (size_t s = 0; s < specs.size(); ++s) {
+          buffer += serve::EncodeCreateSession(
+              ++request, create_request(s, clients[s]));
+        }
+        ASSERT_EQ(Exchange(server.frames.get(), &server.transport,
+                           &server.reader, buffer)
+                      .size(),
+                  specs.size());
+        for (size_t round = 0; round < recorded.back(); ++round) {
+          std::vector<size_t> active;
+          for (size_t s = 0; s < specs.size(); ++s) {
+            if (round < recorded[s]) active.push_back(s);
+          }
+          run_round(&server, specs, &clients, active, &request);
+        }
+      }
+
+      // Restarted process: one buffer re-creates every session, in
+      // reverse id order.
+      Server server;
+      start(&server);
+      std::string buffer;
+      for (size_t s = specs.size(); s-- > 0;) {
+        buffer += serve::EncodeCreateSession(++request,
+                                             create_request(s, clients[s]));
+      }
+      std::vector<serve::Frame> replies = Exchange(
+          server.frames.get(), &server.transport, &server.reader, buffer);
+      ASSERT_EQ(replies.size(), specs.size()) << label;
+      for (size_t i = 0; i < replies.size(); ++i) {
+        const size_t s = specs.size() - 1 - i;
+        Result<serve::CreateSessionResponse> created =
+            serve::DecodeCreateSessionResponse(replies[i]);
+        ASSERT_TRUE(created.ok()) << label;
+        EXPECT_TRUE(serve::StatusFromHeader(created->header).ok())
+            << label << " " << specs[s].id << ": "
+            << created->header.message;
+        EXPECT_EQ(created->replayed, recorded[s])
+            << label << " " << specs[s].id;
+      }
+      EXPECT_EQ(server.manager->num_resident(), specs.size()) << label;
+
+      for (size_t round = 0; round < iterations; ++round) {
+        std::vector<size_t> active;
+        for (size_t s = 0; s < specs.size(); ++s) {
+          if (recorded[s] + round < iterations) active.push_back(s);
+        }
+        if (active.empty()) break;
+        run_round(&server, specs, &clients, active, &request);
+      }
+      for (size_t s = 0; s < specs.size(); ++s) {
+        ExpectBitwiseEqual(standalone[s], clients[s].env->history(),
+                           specs[s].id + " " + label);
+      }
+
+      buffer.clear();
+      for (size_t k = 0; k < closed.size(); ++k) {
+        if (k < 2) {
+          buffer += serve::EncodeSuggest(++request, {specs[closed[k]].id});
+        }
+        buffer += serve::EncodeCloseSession(++request, {specs[closed[k]].id});
+      }
+      replies = Exchange(server.frames.get(), &server.transport,
+                         &server.reader, buffer);
+      ASSERT_EQ(replies.size(), closed.size() + 2) << label;
+      for (const serve::Frame& reply : replies) {
+        if (reply.type != serve::MessageType::kCloseSessionResponse) continue;
+        Result<serve::CloseSessionResponse> close =
+            serve::DecodeCloseSessionResponse(reply);
+        ASSERT_TRUE(close.ok()) << label;
+        EXPECT_TRUE(serve::StatusFromHeader(close->header).ok())
+            << label << ": " << close->header.message;
+      }
+      ObservationRepository tasks;
+      ASSERT_TRUE(server.store->ExportTasks(&tasks).ok()) << label;
+      std::vector<std::string> order;
+      for (const SourceTask& task : tasks.tasks()) order.push_back(task.name);
+      ASSERT_EQ(order.size(), closed.size()) << label;
+      if (first_order.empty()) {
+        first_order = order;
+      } else {
+        EXPECT_EQ(order, first_order) << label;
+      }
+    }
+  }
+}
+
+// The manager mutex is never held across a session's lock: while worker
+// threads drive sessions through Suggest and Observe (GP and forest fits
+// included), this thread creates fresh ids, evicts every session,
+// re-creates evicted ones and counts residents. Every call succeeds,
+// every re-create replays its stored history, and every driven session
+// stays bitwise equal to the standalone loop across the evictions. Run
+// under TSan by the `threading` label.
+TEST(ServeThreadingTest, LifecycleCallsRunWhileSessionsSuggest) {
+  const std::vector<SessionSpec> busy = {
+      {"busy-bo", OptimizerType::kVanillaBo, 61, WorkloadId::kSysbench, 71},
+      {"busy-smac", OptimizerType::kSmac, 62, WorkloadId::kTpcc, 72},
+      {"busy-tpe", OptimizerType::kTpe, 63, WorkloadId::kJob, 73},
+  };
+  const size_t iterations = 24;
+  constexpr size_t kIdle = 4;
+  constexpr size_t kIdleObservations = 5;
+  constexpr size_t kRounds = 6;
+  std::vector<std::vector<Observation>> standalone;
+  for (const SessionSpec& spec : busy) {
+    standalone.push_back(StandaloneHistory(spec, iterations));
+  }
+
+  const std::string path = ServeStorePath("threading_lifecycle");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  obs::EnableFakeClockForTest();
+  SessionManagerOptions manager_options;
+  manager_options.store = opened.value().get();
+  SessionManager manager(manager_options);
+  manager.RegisterSpace("small", SmallSpace());
+  std::vector<ClientSession> clients;
+  for (const SessionSpec& spec : busy) {
+    clients.push_back(MakeClient(spec));
+    ASSERT_TRUE(
+        manager.CreateSession(spec.id, ToServedOptions(spec, clients.back()))
+            .ok());
+  }
+  for (size_t k = 0; k < kIdle; ++k) {
+    const std::string id = "idle-" + std::to_string(k);
+    ASSERT_TRUE(manager.CreateSession(id, SmallOptions(k)).ok());
+    for (size_t i = 0; i < kIdleObservations; ++i) {
+      Result<Configuration> suggested = manager.Suggest(id);
+      ASSERT_TRUE(suggested.ok());
+      Observation observation;
+      observation.config = *suggested;
+      observation.score = static_cast<double>(i);
+      ASSERT_TRUE(manager.Observe(id, observation).ok());
+    }
+  }
+
+  std::vector<std::thread> workers;
+  std::vector<Status> failures(busy.size(), Status::OK());
+  std::atomic<size_t> running{0};
+  for (size_t b = 0; b < busy.size(); ++b) {
+    workers.emplace_back([&, b] {
+      running.fetch_add(1);
+      for (size_t iter = 0; iter < iterations; ++iter) {
+        Result<Configuration> suggested = manager.Suggest(busy[b].id);
+        if (!suggested.ok()) {
+          failures[b] = suggested.status();
+          return;
+        }
+        const Status observed = manager.Observe(
+            busy[b].id, clients[b].env->Evaluate(*suggested));
+        if (!observed.ok()) {
+          failures[b] = observed;
+          return;
+        }
+      }
+    });
+  }
+  while (running.load() < busy.size()) std::this_thread::yield();
+  for (size_t round = 0; round < kRounds; ++round) {
+    size_t replayed = 1;
+    EXPECT_TRUE(manager
+                    .CreateSession("fresh-" + std::to_string(round),
+                                   SmallOptions(round), &replayed)
+                    .ok());
+    EXPECT_EQ(replayed, 0u);
+    // The fake clock advances on every read, so every session not inside
+    // a request is idle past any positive threshold.
+    EXPECT_GE(manager.EvictIdle(1e-9), kIdle);
+    EXPECT_LE(manager.num_resident(), busy.size());
+    for (size_t k = 0; k < kIdle; ++k) {
+      const std::string id = "idle-" + std::to_string(k);
+      const Status created = manager.CreateSession(id, SmallOptions(k),
+                                                   &replayed);
+      EXPECT_TRUE(created.ok()) << id << ": " << created.ToString();
+      EXPECT_EQ(replayed, kIdleObservations) << id;
+    }
+    EXPECT_GE(manager.num_resident(), kIdle);
+    EXPECT_EQ(manager.num_open(), busy.size() + kIdle + round + 1);
+  }
+  for (std::thread& worker : workers) worker.join();
+  obs::DisableFakeClockForTest();
+  for (size_t b = 0; b < busy.size(); ++b) {
+    EXPECT_TRUE(failures[b].ok()) << busy[b].id << ": "
+                                  << failures[b].ToString();
+    ExpectBitwiseEqual(standalone[b], clients[b].env->history(), busy[b].id);
+  }
 }
 
 // ---------------------------------------------------------------------------

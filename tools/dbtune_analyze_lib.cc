@@ -89,6 +89,13 @@ const std::vector<CheckInfo>& Registry() {
        "persist through the ObservationStore API, join parallel work via "
        "ParallelFor, and drive timeouts from the idle sweep's clock "
        "instead of sleeping"},
+      {"unvalidated-enum-cast", "error",
+       "static_cast to an enum on a serve/ or store/ path with no range "
+       "check of the cast integer in the same function; a wire or disk "
+       "byte past the last enumerator becomes a value no switch expects",
+       "compare the integer with the enum's bounds and return a Status "
+       "before the cast, in the same function, or allow() the line with "
+       "the reason every consumer handles unknown values"},
       {"io", "error", "file could not be read",
        "check that the path exists and is readable"},
   };
@@ -360,6 +367,7 @@ struct Decls {
   std::set<std::string> guarded;         // members annotated GUARDED_BY
   std::set<size_t> skip_tokens;  // declaration-site tokens exempt from checks
   std::set<std::string> status_fns;  // functions returning Status/Result<...>
+  std::set<std::string> enums;       // names declared as enum (class) types
   // Functions this file declares with a non-Status return type. They
   // override the tree-wide Status index — a file's own `int Build(...)`
   // must not be confused with some other class's Result-returning Build.
@@ -410,6 +418,21 @@ Decls CollectDecls(const FileScan& scan) {
       }
       if (j < n && tokens[j].kind == Token::kIdent) {
         decls.unordered_vars.insert(tokens[j].text);
+      }
+      continue;
+    }
+
+    // `enum [class|struct] Name [: type] {` — record `Name`.
+    if (t.text == "enum") {
+      size_t j = i + 1;
+      if (j < n && tokens[j].kind == Token::kIdent &&
+          (tokens[j].text == "class" || tokens[j].text == "struct")) {
+        ++j;
+      }
+      if (j < n && tokens[j].kind == Token::kIdent &&
+          (is_punct(j + 1, "{") || is_punct(j + 1, ":") ||
+           is_punct(j + 1, ";"))) {
+        decls.enums.insert(tokens[j].text);
       }
       continue;
     }
@@ -518,19 +541,22 @@ struct PathRules {
   bool metrics_export = true;  // metrics-export applies
   bool persistence = false;    // unchecked-write applies
   bool scheduler = false;      // blocking-in-scheduler applies
+  bool decoder = false;        // unvalidated-enum-cast applies
 };
 
 class Analyzer {
  public:
   Analyzer(const FileScan& scan, const Decls& decls,
            const std::set<std::string>& guarded,
-           const std::set<std::string>& status_fns, const PathRules& rules,
+           const std::set<std::string>& status_fns,
+           const std::set<std::string>& enums, const PathRules& rules,
            const std::string& display_path, std::vector<Diagnostic>* out)
       : scan_(scan),
         tokens_(scan.tokens),
         decls_(decls),
         guarded_(guarded),
         status_fns_(status_fns),
+        enums_(enums),
         rules_(rules),
         display_path_(display_path),
         out_(out) {
@@ -554,12 +580,14 @@ class Analyzer {
     ScopeWalk();
     StatusDiscardPass();
     UncheckedWritePass();
+    EnumCastPass();
   }
 
  private:
   struct Scope {
     enum Kind { kFile, kBlock, kFunction, kLambda, kLoopBody };
     Kind kind = kBlock;
+    size_t open = 0;  // index of the opening brace
     bool has_lock = false;
     bool parallel = false;     // lambda spawned via ParallelFor / Submit
     bool ref_default = false;  // lambda capture default is [&]
@@ -940,6 +968,7 @@ class Analyzer {
   void OpenScope(size_t i) {
     Scope scope;
     scope.kind = Scope::kBlock;
+    scope.open = i;
     if (lambda_pending_) {
       scope.kind = Scope::kLambda;
       scope.parallel = parallel_call_depth_ > 0;
@@ -1064,7 +1093,12 @@ class Analyzer {
       } else if (p == "{") {
         OpenScope(i);
       } else if (p == "}") {
-        if (scopes_.size() > 1) scopes_.pop_back();
+        if (scopes_.size() > 1) {
+          if (scopes_.back().kind == Scope::kFunction) {
+            function_bodies_.emplace_back(scopes_.back().open, i);
+          }
+          scopes_.pop_back();
+        }
       } else if (p == "[") {
         HandleBracket(i);
       } else if (p == ";") {
@@ -1239,6 +1273,91 @@ class Analyzer {
     }
   }
 
+  // ---- enum casts on decode paths -------------------------------------------
+
+  /// Identifiers of the expression in tokens (open, close), skipping
+  /// called names and the type arguments of nested casts.
+  std::set<std::string> OperandNames(size_t open, size_t close) const {
+    std::set<std::string> names;
+    for (size_t k = open + 1; k < close; ++k) {
+      if (!IsIdent(k)) continue;
+      if (IsPunct(k + 1, "<")) {
+        k = SkipTemplateArgs(tokens_, k + 1) - 1;
+        continue;
+      }
+      if (IsPunct(k + 1, "(")) continue;
+      names.insert(tokens_[k].text);
+    }
+    return names;
+  }
+
+  /// True when a relational comparison in tokens [begin, end] has one of
+  /// `operands` right beside it: as its left operand's last identifier
+  /// (`x.type >`), inside a parenthesized left operand (`f(x) >`), or as
+  /// its right operand's last identifier (`< x.type`).
+  bool RangeChecked(size_t begin, size_t end,
+                    const std::set<std::string>& operands) const {
+    for (size_t k = begin + 1; k < end; ++k) {
+      if (!IsPunct(k, "<") && !IsPunct(k, ">") && !IsPunct(k, "<=") &&
+          !IsPunct(k, ">=")) {
+        continue;
+      }
+      if (IsIdent(k - 1) && operands.count(tokens_[k - 1].text) != 0) {
+        return true;
+      }
+      if (IsPunct(k - 1, ")") && paren_match_[k - 1] != 0) {
+        for (const std::string& name :
+             OperandNames(paren_match_[k - 1], k - 1)) {
+          if (operands.count(name) != 0) return true;
+        }
+      }
+      size_t right = k + 1;
+      while (IsIdent(right) &&
+             (IsPunct(right + 1, ".") || IsPunct(right + 1, "->") ||
+              IsPunct(right + 1, "::"))) {
+        right += 2;
+      }
+      if (IsIdent(right) && operands.count(tokens_[right].text) != 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// unvalidated-enum-cast: `static_cast<E>(expr)` with E a declared enum,
+  /// on a serve/ or store/ path, in a function that never compares any
+  /// identifier of `expr` with a bound.
+  void EnumCastPass() {
+    if (!rules_.decoder) return;
+    const size_t n = tokens_.size();
+    for (size_t i = 0; i + 1 < n; ++i) {
+      if (!IsIdent(i, "static_cast") || !IsPunct(i + 1, "<")) continue;
+      const size_t open = SkipTemplateArgs(tokens_, i + 1);
+      if (!IsPunct(open, "(") || !IsIdent(open - 2)) continue;
+      const std::string& target = tokens_[open - 2].text;
+      if (enums_.count(target) == 0) continue;
+      const size_t close = paren_match_[open];
+      if (close <= open) continue;
+      size_t begin = 0;
+      size_t end = n;
+      for (const auto& [body_open, body_close] : function_bodies_) {
+        if (body_open < i && i < body_close &&
+            body_close - body_open < end - begin) {
+          begin = body_open;
+          end = body_close;
+        }
+      }
+      const std::set<std::string> operands = OperandNames(open, close);
+      if (operands.empty() || RangeChecked(begin, end, operands)) continue;
+      Report(tokens_[i].line, "unvalidated-enum-cast",
+             "static_cast<" + target +
+                 "> of an integer that this function never range-checks — "
+                 "a wire or disk value past the last enumerator reaches "
+                 "code that assumes a valid " + target +
+                 "; compare it with the enum's bounds first");
+    }
+  }
+
   void ReportDiscard(int line, const std::string& name,
                      const std::string& how) {
     Report(line, "ignored-status",
@@ -1263,6 +1382,7 @@ class Analyzer {
   const Decls& decls_;
   const std::set<std::string>& guarded_;
   const std::set<std::string>& status_fns_;
+  const std::set<std::string>& enums_;
   PathRules rules_;
   std::string display_path_;
   std::vector<Diagnostic>* out_;
@@ -1271,6 +1391,8 @@ class Analyzer {
   std::vector<Scope> scopes_;
   std::vector<ParenFrame> parens_;
   std::set<size_t> skip_;  // declaration tokens exempt from ident checks
+  /// (open, close) brace indices of every function body, in close order.
+  std::vector<std::pair<size_t, size_t>> function_bodies_;
 
   bool pending_loop_keyword_ = false;
   bool loop_body_pending_ = false;
@@ -1417,19 +1539,24 @@ PathRules RulesFor(const std::string& relpath) {
   // The serving layer's scheduler path must never block: every session
   // shares the batch loop.
   rules.scheduler = StartsWith(relpath, "serve/");
+  // The protocol decoders and the store's log readers turn wire and disk
+  // integers into enums.
+  rules.decoder =
+      StartsWith(relpath, "serve/") || StartsWith(relpath, "store/");
   return rules;
 }
 
 std::vector<Diagnostic> AnalyzeScanned(
     const FileScan& scan, const Decls& decls,
     const std::set<std::string>& guarded,
-    const std::set<std::string>& status_fns, const std::string& display_path,
+    const std::set<std::string>& status_fns,
+    const std::set<std::string>& enums, const std::string& display_path,
     const std::string& relpath, const std::string& guard_prefix) {
   std::vector<Diagnostic> out;
   CheckDirectives(scan, display_path, relpath, guard_prefix,
                   StartsWith(relpath, "util/logging"), &out);
-  Analyzer analyzer(scan, decls, guarded, status_fns, RulesFor(relpath),
-                    display_path, &out);
+  Analyzer analyzer(scan, decls, guarded, status_fns, enums,
+                    RulesFor(relpath), display_path, &out);
   analyzer.Run();
   std::stable_sort(out.begin(), out.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {
@@ -1485,7 +1612,7 @@ std::vector<Diagnostic> AnalyzeSource(const std::string& display_path,
   const FileScan scan = Scan(content);
   const Decls decls = CollectDecls(scan);
   return AnalyzeScanned(scan, decls, decls.guarded, decls.status_fns,
-                        display_path, relpath, guard_prefix);
+                        decls.enums, display_path, relpath, guard_prefix);
 }
 
 std::vector<Diagnostic> AnalyzeFile(const std::string& path,
@@ -1538,8 +1665,8 @@ TreeReport AnalyzeTree(const std::string& root) {
   guard_prefix.push_back('_');
 
   // Phase 1: tokenize and collect declarations, building the tree-wide
-  // Status/Result index and per-stem GUARDED_BY sets (a header's guarded
-  // members also apply to its sibling .cc).
+  // Status/Result and enum indexes and per-stem GUARDED_BY sets (a
+  // header's guarded members also apply to its sibling .cc).
   struct FileState {
     FileScan scan;
     Decls decls;
@@ -1548,6 +1675,7 @@ TreeReport AnalyzeTree(const std::string& root) {
   std::vector<FileState> states(files.size());
   std::set<std::string> status_index;
   std::set<std::string> nonstatus_index;
+  std::set<std::string> enum_index;
   std::map<std::string, std::set<std::string>> guarded_by_stem;
   for (size_t f = 0; f < files.size(); ++f) {
     std::string text;
@@ -1561,6 +1689,8 @@ TreeReport AnalyzeTree(const std::string& root) {
                         states[f].decls.status_fns.end());
     nonstatus_index.insert(states[f].decls.nonstatus_fns.begin(),
                            states[f].decls.nonstatus_fns.end());
+    enum_index.insert(states[f].decls.enums.begin(),
+                      states[f].decls.enums.end());
     const std::string stem =
         files[f].second.substr(0, files[f].second.rfind('.'));
     guarded_by_stem[stem].insert(states[f].decls.guarded.begin(),
@@ -1595,7 +1725,7 @@ TreeReport AnalyzeTree(const std::string& root) {
     }
     const std::vector<Diagnostic> file_diags = AnalyzeScanned(
         states[f].scan, states[f].decls, guarded_by_stem[stem], file_status,
-        display, files[f].second, guard_prefix);
+        enum_index, display, files[f].second, guard_prefix);
     report.diagnostics.insert(report.diagnostics.end(), file_diags.begin(),
                               file_diags.end());
   }

@@ -94,6 +94,18 @@
 ///                   belong behind the ObservationStore API and the only
 ///                   sanctioned join is ParallelFor's internal one.
 ///
+/// Decode paths (serve/ and store/ — where wire and disk bytes become
+/// enums):
+///   unvalidated-enum-cast — a static_cast to a declared enum in a
+///                   function that never compares any identifier of the
+///                   cast expression with a bound (`<`, `>`, `<=`, `>=`
+///                   beside it). A value past the last enumerator then
+///                   reaches switches and tables that assume a valid
+///                   one. Range-check first and return a Status, or
+///                   allow() the line with the reason every consumer
+///                   handles unknown values (a switch with a default
+///                   arm). Enum names are indexed tree-wide.
+///
 /// Suppressions (one syntax for every check):
 ///   * Single line — a trailing comment on the offending line:
 ///       ... code ...  // dbtune-lint: allow(<check>)
