@@ -31,8 +31,13 @@ BatchScheduler::BatchScheduler(SessionManager* manager,
 uint64_t BatchScheduler::Enqueue(std::string session_id, Request request) {
   request.ticket = next_ticket_++;
   const uint64_t ticket = request.ticket;
-  queues_[std::move(session_id)].push_back(std::move(request));
+  const bool close = request.kind == RequestKind::kClose;
+  auto queue = queues_.try_emplace(std::move(session_id)).first;
+  queue->second.push_back(std::move(request));
   ++pending_count_;
+  // The queue stays in the map while it holds this close, so the
+  // iterator is valid for as long as the close is in `close_order_`.
+  if (close) close_order_.emplace_back(ticket, queue);
   return ticket;
 }
 
@@ -93,16 +98,31 @@ BatchScheduler::Completed BatchScheduler::Execute(
 }
 
 size_t BatchScheduler::Pump() {
-  // Wave assembly: at most one request per session, sessions in id
-  // order, capped at batch_width — deterministic regardless of enqueue
-  // interleaving across sessions.
+  // Wave assembly: at most one request per session, capped at
+  // batch_width. Closes come first, in the order they were enqueued: the
+  // longest run of the close FIFO whose closes are each next in their
+  // session's queue. A close seals its session into the store, so the
+  // seal order is the request stream's at every width. The earliest close
+  // waits only for its own session's earlier requests, which the id-order
+  // pass below always offers, so every wave makes progress. Then every
+  // other session whose next request is not a close, in id order.
   // Every queue in the map is non-empty: a drained one is erased below.
   std::vector<QueueMap::iterator> wave_queues;
   wave_queues.reserve(options_.batch_width);
+  for (const auto& [ticket, queue] : close_order_) {
+    if (wave_queues.size() == options_.batch_width ||
+        queue->second.front().ticket != ticket) {
+      break;
+    }
+    wave_queues.push_back(queue);
+  }
+  const size_t closes = wave_queues.size();
   for (auto it = queues_.begin();
        it != queues_.end() && wave_queues.size() < options_.batch_width;
        ++it) {
-    wave_queues.push_back(it);
+    if (it->second.front().kind != RequestKind::kClose) {
+      wave_queues.push_back(it);
+    }
   }
   if (wave_queues.empty()) return 0;
   if (obs::MetricsEnabled()) {
@@ -114,31 +134,24 @@ size_t BatchScheduler::Pump() {
     wave[i] = std::move(wave_queues[i]->second.front());
     wave_queues[i]->second.pop_front();
   }
+  close_order_.erase(close_order_.begin(), close_order_.begin() + closes);
 
-  // Closes first, on this thread, in slot order: a close seals the
-  // session into the store, so the seal order follows the request stream
-  // rather than lane timing. No two slots share a session, so running
-  // them ahead of the lanes reorders nothing within a session.
+  // The closes run on this thread, in FIFO order. No two slots share a
+  // session, so running them ahead of the lanes reorders nothing within
+  // a session.
   std::vector<Completed> results(wave.size());
-  std::vector<size_t> lanes;
-  lanes.reserve(wave.size());
-  for (size_t i = 0; i < wave.size(); ++i) {
-    if (wave[i].kind == RequestKind::kClose) {
-      results[i] = Execute(wave_queues[i]->first, wave[i]);
-    } else {
-      lanes.push_back(i);
-    }
+  for (size_t i = 0; i < closes; ++i) {
+    results[i] = Execute(wave_queues[i]->first, wave[i]);
   }
   // Whole-session fan-out: one index per session, each worker writing
   // only its own result slot (the ParallelFor determinism contract).
-  ParallelFor(GlobalPool(), 0, lanes.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = lanes[k];
-      results[i] = Execute(wave_queues[i]->first, wave[i]);
-    }
-  });
+  ParallelFor(GlobalPool(), closes, wave.size(), 1,
+              [&](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  results[i] = Execute(wave_queues[i]->first, wave[i]);
+                }
+              });
 
-  // Deterministic scatter: slot order == session-id order.
   for (size_t i = 0; i < wave.size(); ++i) {
     completed_.emplace(wave[i].ticket, std::move(results[i]));
   }

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dbms/environment.h"
@@ -22,25 +23,26 @@ struct SchedulerOptions {
 /// Cross-session request batcher: the throughput engine of the serving
 /// layer. Create, suggest, observe and close requests queue in one FIFO
 /// per session; each `Pump` assembles one *wave* — at most one request
-/// per session, sessions in id order, capped at `batch_width` — and
-/// executes it in two steps. The wave's closes run first, on the calling
-/// thread, in slot order. Then one ParallelFor on the process-wide pool
-/// (sized by DBTUNE_NUM_THREADS) runs its creates, suggests and
-/// observes, one index per session. Whole sessions are the unit of
-/// parallelism: a worker runs its session's full Suggest (surrogate fit
-/// plus fused PredictMeanVarBatch acquisition scoring, which nests inline
-/// on the worker), or a create's replay of the stored history, so the
-/// pool is saturated by inter-session work instead of fighting over
-/// intra-session scraps.
+/// per session, capped at `batch_width` — and executes it in two steps.
+/// The wave's closes come first and run on the calling thread, in the
+/// order they were enqueued: a wave takes the closes at the front of the
+/// scheduler-wide close FIFO whose sessions have no earlier request
+/// queued. Then the other sessions fill the wave in id order, and one
+/// ParallelFor on the process-wide pool (sized by DBTUNE_NUM_THREADS)
+/// runs their creates, suggests and observes, one index per session.
+/// Whole sessions are the unit of parallelism: a worker runs its
+/// session's full Suggest (surrogate fit plus fused PredictMeanVarBatch
+/// acquisition scoring, which nests inline on the worker), or a create's
+/// replay of the stored history, so the pool is saturated by
+/// inter-session work instead of fighting over intra-session scraps.
 ///
-/// Determinism: wave assembly is session-id-ordered, every worker
-/// writes only its own result slot, and results scatter back in slot
-/// order — so each session sees exactly its own requests in the order
-/// they were enqueued, at any batch width, pool size, or interleaving,
-/// and its trajectory is bitwise identical to the standalone in-process
-/// loop. Closes seal sessions into the store on the calling thread, so
-/// the store's seal order is fixed by the request stream, never by lane
-/// timing.
+/// Determinism: wave assembly depends only on the queued requests, every
+/// worker writes only its own result slot, and each session sees exactly
+/// its own requests in the order they were enqueued, at any batch width,
+/// pool size, or interleaving — so its trajectory is bitwise identical to
+/// the standalone in-process loop. Closes seal sessions into the store
+/// one at a time in enqueue order, so the store's seal order is the
+/// request stream's at every batch width and pool size.
 ///
 /// Threading contract: enqueue/pump/take are called from one driver
 /// thread (the server loop); concurrency happens *inside* Pump. The
@@ -132,6 +134,9 @@ class BatchScheduler {
   /// Per-session FIFO queues, id-ordered for deterministic wave
   /// assembly. Never holds an empty queue.
   QueueMap queues_;
+  /// Every queued close, in enqueue order, with its session's queue: a
+  /// wave runs closes only from the front of this FIFO.
+  std::deque<std::pair<uint64_t, QueueMap::iterator>> close_order_;
   std::map<uint64_t, Completed> completed_;
   uint64_t next_ticket_ = 1;
   size_t pending_count_ = 0;

@@ -29,10 +29,11 @@ class FrameServer {
   /// server inbox, enqueues each request in its session's scheduler
   /// FIFO, drains the scheduler once, and writes one response frame per
   /// request, in request order, to the client. Each session's requests
-  /// execute in the order they were sent; requests of distinct sessions
-  /// share waves, so the creates of a restart replay their stored
-  /// histories on every lane. Partial frames stay buffered for the next
-  /// call; a malformed stream returns the decode error. A malformed body
+  /// execute in the order they were sent, and closes seal their sessions
+  /// in the order they were sent; requests of distinct sessions share
+  /// waves, so the creates of a restart replay their stored histories on
+  /// every lane. Partial frames stay buffered for the next call; a
+  /// malformed stream returns the decode error. A malformed body
   /// (an unknown optimizer type included) yields a response of its own
   /// family with the decode error in the header; a response-typed frame
   /// yields an InvalidArgument CloseSessionResponse. Neither touches a

@@ -191,44 +191,48 @@ Status SessionManager::CreateSession(const std::string& id,
     space = space_it->second;
     session = FindSessionLocked(id);
   }
-  bool fresh = false;
   if (session == nullptr) {
+    // The new entry's lock is held from before it is published until its
+    // core is built, so a concurrent create of the same id, or a request
+    // for it, finds it complete: "already exists", or the core this call
+    // resurrected.
     auto created = std::make_unique<ServedSession>();
+    ServedSession* const entry = created.get();
+    MutexLock session_lock(&entry->mu);
+    entry->options = options;
+    entry->space = space;
     {
-      MutexLock session_lock(&created->mu);
-      created->options = options;
-      created->space = space;
-    }
-    MutexLock lock(&mu_);
-    // Another caller may have created the id since the lookup; its entry
-    // wins and this call answers as a create of an existing id.
-    auto [it, inserted] = sessions_.try_emplace(id);
-    if (inserted) {
-      it->second = std::move(created);
-      ++open_sessions_;
-      if (obs::MetricsEnabled()) {
-        ActiveGauge().Set(static_cast<double>(open_sessions_));
+      MutexLock lock(&mu_);
+      auto [it, inserted] = sessions_.try_emplace(id);
+      if (inserted) {
+        it->second = std::move(created);
+        ++open_sessions_;
+        if (obs::MetricsEnabled()) {
+          ActiveGauge().Set(static_cast<double>(open_sessions_));
+        }
       }
+      it->second->last_touch_seconds = obs::MonotonicSeconds();
+      session = it->second.get();
     }
-    it->second->last_touch_seconds = obs::MonotonicSeconds();
-    session = it->second.get();
-    fresh = inserted;
+    if (session == entry) {
+      return ResurrectLocked(options_.store, id, entry, /*recreate=*/true,
+                             replayed);
+    }
+    // Another caller created the id since the lookup: answer as a create
+    // of an existing id, below.
   }
   MutexLock session_lock(&session->mu);
-  if (!fresh) {
-    if (session->closed) {
-      return Status::FailedPrecondition("session '" + id + "' is closed");
-    }
-    if (session->core != nullptr) {
-      return Status::FailedPrecondition("session '" + id +
-                                        "' already exists");
-    }
-    // Evicted: adopt the (re)creation parameters and resurrect below.
-    // Divergent parameters truncate the stored history at the first
-    // mismatch; `replayed` reports the prefix that survived.
-    session->options = options;
-    session->space = std::move(space);
+  if (session->closed) {
+    return Status::FailedPrecondition("session '" + id + "' is closed");
   }
+  if (session->core != nullptr) {
+    return Status::FailedPrecondition("session '" + id + "' already exists");
+  }
+  // Evicted: adopt the (re)creation parameters and resurrect below.
+  // Divergent parameters truncate the stored history at the first
+  // mismatch; `replayed` reports the prefix that survived.
+  session->options = options;
+  session->space = std::move(space);
   return ResurrectLocked(options_.store, id, session, /*recreate=*/true,
                          replayed);
 }
@@ -313,6 +317,13 @@ size_t SessionManager::EvictIdle(double idle_seconds) {
   for (ServedSession* session : idle) {
     MutexLock session_lock(&session->mu);
     if (session->closed || session->core == nullptr) continue;
+    {
+      // A request that looked the session up since the pick has touched
+      // it and runs (or ran) on its core: keep it. With the session lock
+      // held, no later lookup can reach the core before the reset.
+      MutexLock lock(&mu_);
+      if (now - session->last_touch_seconds < idle_seconds) continue;
+    }
     session->core.reset();
     ++evicted;
   }

@@ -55,12 +55,14 @@ struct ServedSession;  // private per-session state (session_manager.cc)
 /// and the space registry, and each session carries its own lock —
 /// which is exactly the shape the BatchScheduler exploits (one in-flight
 /// request per session per wave). The manager mutex is never held while
-/// a session's lock is taken or anything is copied, so a session busy in
-/// a Suggest (its GP fit included) delays only requests for itself, and
-/// sweeps (`EvictIdle`, `num_resident`) wait for it without blocking
-/// lookups of other sessions. Determinism: per-session RNG lives inside each session's
-/// optimizer, so interleaving requests across sessions cannot perturb
-/// any individual trajectory.
+/// a session's lock is taken or anything is copied (the reverse nesting,
+/// a session lock held while the manager mutex is taken briefly, is the
+/// only one), so a session busy in a Suggest (its GP fit included) delays
+/// only requests for itself, and sweeps (`EvictIdle`, `num_resident`)
+/// wait for it without blocking lookups of other sessions. Determinism:
+/// per-session RNG lives inside each session's optimizer, so
+/// interleaving requests across sessions cannot perturb any individual
+/// trajectory.
 class SessionManager {
  public:
   explicit SessionManager(SessionManagerOptions options = {});

@@ -1657,8 +1657,7 @@ TEST(ServeFrameServerTest, OneBufferKeepsEachSessionsFrameOrder) {
 // and widths 1/8/64 each create reports the stored history's length as
 // `replayed`, each trajectory continues bitwise equal to the standalone
 // loop, and a buffer that closes several sessions, two of them behind a
-// last suggest, seals them in an order that is the same at every pool
-// size.
+// last suggest, seals them in the frame order of the closes.
 TEST(ServeFrameServerTest, RestartBufferResumesStoredSessionsOnEveryLane) {
   std::vector<SessionSpec> specs = MixedSpecs();
   specs.push_back(
@@ -1733,8 +1732,12 @@ TEST(ServeFrameServerTest, RestartBufferResumesStoredSessionsOnEveryLane) {
     }
   };
 
+  // Sessions seal in the frame order of their closes, at every width and
+  // pool size, so the exported task pool never depends on scheduling.
+  std::vector<std::string> closed_order;
+  for (size_t s : closed) closed_order.push_back(specs[s].id);
+
   for (size_t width : {1u, 8u, 64u}) {
-    std::vector<std::string> first_order;
     for (size_t pool : {1u, 2u, 8u}) {
       PoolSizeGuard guard(pool);
       const std::string label =
@@ -1844,12 +1847,7 @@ TEST(ServeFrameServerTest, RestartBufferResumesStoredSessionsOnEveryLane) {
       ASSERT_TRUE(server.store->ExportTasks(&tasks).ok()) << label;
       std::vector<std::string> order;
       for (const SourceTask& task : tasks.tasks()) order.push_back(task.name);
-      ASSERT_EQ(order.size(), closed.size()) << label;
-      if (first_order.empty()) {
-        first_order = order;
-      } else {
-        EXPECT_EQ(order, first_order) << label;
-      }
+      EXPECT_EQ(order, closed_order) << label;
     }
   }
 }
@@ -1953,6 +1951,119 @@ TEST(ServeThreadingTest, LifecycleCallsRunWhileSessionsSuggest) {
     EXPECT_TRUE(failures[b].ok()) << busy[b].id << ": "
                                   << failures[b].ToString();
     ExpectBitwiseEqual(standalone[b], clients[b].env->history(), busy[b].id);
+  }
+}
+
+// Eviction sweeps race the requests that touch the sessions they picked:
+// while workers drive sessions through Suggest and Observe, this thread
+// sweeps back to back for the whole run (the test above sweeps six
+// times), so picks keep landing between a request's touch and its
+// session lock. A sweep reads a picked session's last touch again once it
+// holds the session's lock (taking the manager mutex inside it, the only
+// nesting of the two), and keeps a session that a request touched after
+// the sweep began. The interleavings are not forced: every call succeeds
+// and every trajectory stays bitwise equal to the standalone loop in all
+// of them, and TSan (the `threading` label) checks the accesses and the
+// lock order.
+TEST(ServeThreadingTest, TouchesRaceEvictionSweeps) {
+  const std::vector<SessionSpec> raced = {
+      {"raced-bo", OptimizerType::kVanillaBo, 81, WorkloadId::kSysbench, 91},
+      {"raced-tpe", OptimizerType::kTpe, 82, WorkloadId::kJob, 92},
+  };
+  const size_t iterations = 16;
+  std::vector<std::vector<Observation>> standalone;
+  for (const SessionSpec& spec : raced) {
+    standalone.push_back(StandaloneHistory(spec, iterations));
+  }
+
+  const std::string path = ServeStorePath("threading_touch_sweep");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  obs::EnableFakeClockForTest();
+  SessionManagerOptions manager_options;
+  manager_options.store = opened.value().get();
+  SessionManager manager(manager_options);
+  manager.RegisterSpace("small", SmallSpace());
+  std::vector<ClientSession> clients;
+  for (const SessionSpec& spec : raced) {
+    clients.push_back(MakeClient(spec));
+    ASSERT_TRUE(
+        manager.CreateSession(spec.id, ToServedOptions(spec, clients.back()))
+            .ok());
+  }
+
+  std::vector<std::thread> workers;
+  std::vector<Status> failures(raced.size(), Status::OK());
+  std::atomic<size_t> finished{0};
+  for (size_t r = 0; r < raced.size(); ++r) {
+    workers.emplace_back([&, r] {
+      for (size_t iter = 0; iter < iterations && failures[r].ok(); ++iter) {
+        Result<Configuration> suggested = manager.Suggest(raced[r].id);
+        if (!suggested.ok()) {
+          failures[r] = suggested.status();
+          break;
+        }
+        failures[r] = manager.Observe(raced[r].id,
+                                      clients[r].env->Evaluate(*suggested));
+      }
+      finished.fetch_add(1);
+    });
+  }
+  // The fake clock advances on every read, so a session is idle past the
+  // threshold unless a request touched it after the sweep read the clock.
+  size_t sweeps = 0;
+  while (finished.load() < raced.size()) {
+    EXPECT_LE(manager.EvictIdle(1e-9), raced.size());
+    ++sweeps;
+  }
+  for (std::thread& worker : workers) worker.join();
+  obs::DisableFakeClockForTest();
+  EXPECT_GT(sweeps, 0u);
+  EXPECT_LE(manager.num_resident(), raced.size());
+  for (size_t r = 0; r < raced.size(); ++r) {
+    EXPECT_TRUE(failures[r].ok()) << raced[r].id << ": "
+                                  << failures[r].ToString();
+    ExpectBitwiseEqual(standalone[r], clients[r].env->history(),
+                       raced[r].id);
+  }
+}
+
+// Creates of one id race each other: exactly one succeeds, and every
+// other one finds a complete session ("already exists"), never an entry
+// still being built that it would take for an evicted one.
+TEST(ServeThreadingTest, ConcurrentCreatesOfOneIdHaveOneWinner) {
+  constexpr size_t kCreators = 4;
+  constexpr size_t kRounds = 64;
+  for (size_t round = 0; round < kRounds; ++round) {
+    SessionManager manager;
+    manager.RegisterSpace("small", SmallSpace());
+    const std::string id = "contended-" + std::to_string(round);
+    std::vector<Status> statuses(kCreators, Status::OK());
+    std::vector<std::thread> creators;
+    std::atomic<size_t> ready{0};
+    for (size_t c = 0; c < kCreators; ++c) {
+      creators.emplace_back([&, c] {
+        // Line the creators up so their creates overlap.
+        ready.fetch_add(1);
+        while (ready.load() < kCreators) std::this_thread::yield();
+        statuses[c] = manager.CreateSession(id, SmallOptions(c));
+      });
+    }
+    for (std::thread& creator : creators) creator.join();
+    size_t created = 0;
+    for (const Status& status : statuses) {
+      if (status.ok()) {
+        ++created;
+      } else {
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+            << status.ToString();
+        EXPECT_NE(status.message().find("already exists"), std::string::npos)
+            << status.ToString();
+      }
+    }
+    EXPECT_EQ(created, 1u) << id;
+    EXPECT_EQ(manager.num_open(), 1u);
+    EXPECT_EQ(manager.num_resident(), 1u);
   }
 }
 
