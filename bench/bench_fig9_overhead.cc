@@ -29,6 +29,7 @@
 #include <memory>
 #include <utility>
 
+#include "bench_util.h"
 #include "core/tuning_session.h"
 #include "dbms/environment.h"
 #include "obs/clock.h"
@@ -43,6 +44,7 @@
 namespace {
 
 using namespace dbtune;
+using bench::RandomInputs;
 
 // Medium configuration space: ground-truth top-20 tunable knobs of JOB.
 const ConfigurationSpace& MediumSpace() {
@@ -118,15 +120,6 @@ void RegisterAll() {
 }
 
 // --- Thread-scaling report ------------------------------------------------
-
-FeatureMatrix RandomInputs(size_t n, size_t d, uint64_t seed) {
-  Rng rng(seed);
-  FeatureMatrix x(n, std::vector<double>(d));
-  for (auto& row : x) {
-    for (double& v : row) v = rng.Uniform();
-  }
-  return x;
-}
 
 std::vector<double> SyntheticTargets(const FeatureMatrix& x) {
   std::vector<double> y;

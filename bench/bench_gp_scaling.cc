@@ -29,22 +29,8 @@
 namespace dbtune {
 namespace {
 
-// Sizes replicate the acceptance protocol at the default scale (0.3) and
-// above; quick mode (e.g. the perf-labeled ctest at 0.05) shrinks them.
-size_t Effective(size_t full, size_t floor_value) {
-  const double factor = std::min(1.0, bench::Scale() / 0.3);
-  const auto scaled = static_cast<size_t>(static_cast<double>(full) * factor);
-  return std::max(floor_value, scaled);
-}
-
-FeatureMatrix RandomInputs(size_t n, size_t d, uint64_t seed) {
-  Rng rng(seed);
-  FeatureMatrix x(n, std::vector<double>(d));
-  for (auto& row : x) {
-    for (double& v : row) v = rng.Uniform();
-  }
-  return x;
-}
+using bench::Effective;
+using bench::RandomInputs;
 
 std::vector<double> SyntheticTargets(const FeatureMatrix& x) {
   std::vector<double> y;

@@ -39,11 +39,7 @@ using serve::SessionManager;
 // report shows is bounded by that number.
 using bench::HostCpus;
 
-size_t Effective(size_t full, size_t floor_value) {
-  const double factor = std::min(1.0, bench::Scale() / 0.3);
-  const auto scaled = static_cast<size_t>(static_cast<double>(full) * factor);
-  return std::max(floor_value, scaled);
-}
+using bench::Effective;
 
 bench::JsonReport g_report;
 

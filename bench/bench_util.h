@@ -19,6 +19,8 @@
 #include "dbms/environment.h"
 #include "importance/importance.h"
 #include "sampling/latin_hypercube.h"
+#include "surrogate/regressor.h"
+#include "util/random.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -53,6 +55,25 @@ inline size_t ScaledSamples(size_t paper_samples, size_t floor = 300) {
 /// Paper repetition count scaled (>= 2 so quartiles exist).
 inline int ScaledRuns(int paper_runs) {
   return std::max(2, static_cast<int>(paper_runs * Scale() + 0.5));
+}
+
+/// Micro-bench size: `full` at the default scale (0.3) and above, shrunk
+/// in proportion below it (the perf-labelled quick ctests run at 0.05),
+/// never under `floor_value`.
+inline size_t Effective(size_t full, size_t floor_value) {
+  const double factor = std::min(1.0, Scale() / 0.3);
+  const auto scaled = static_cast<size_t>(static_cast<double>(full) * factor);
+  return std::max(floor_value, scaled);
+}
+
+/// `n` seeded rows of `d` uniform [0, 1) inputs, for surrogate micro-benches.
+inline FeatureMatrix RandomInputs(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  FeatureMatrix x(n, std::vector<double>(d));
+  for (auto& row : x) {
+    for (double& v : row) v = rng.Uniform();
+  }
+  return x;
 }
 
 /// CPUs this process may run on (what `nproc` prints), recorded in every

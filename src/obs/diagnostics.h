@@ -65,12 +65,15 @@ struct IterationDiagnostics {
   double acquisition_best = 0.0;
   double acquisition_spread = 0.0;
 
-  // --- Model/infra health: session-window deltas of the registry's fit
-  // counters (zero when metrics recording is off).
+  // --- Model/infra health: deltas, since the collector was built, of the
+  // process-wide registry counters `gp.fit`, `gp.fit.incremental` and
+  // `gp.hyperopt.runs`. They count the fits of every session running in
+  // the process, not this session's alone (the benches run their seeds
+  // in a `ParallelFor`), and stay zero when metrics recording is off.
   uint64_t gp_fits = 0;
   uint64_t incremental_fits = 0;
   uint64_t hyperopt_runs = 0;
-  /// incremental_fits / gp_fits within the session window.
+  /// incremental_fits / gp_fits over the same process-wide deltas.
   double incremental_fit_rate = 0.0;
 };
 
@@ -118,8 +121,8 @@ class TuningDiagnostics {
   size_t since_improvement_ = 0;
   double improvement_ewma_ = 0.0;
 
-  // Baselines of the registry's fit counters at collector construction,
-  // so health stats are session-window deltas.
+  // Baselines of the process-wide fit counters at collector
+  // construction; health stats are deltas from them.
   uint64_t base_gp_fits_ = 0;
   uint64_t base_incremental_ = 0;
   uint64_t base_hyperopt_ = 0;

@@ -40,31 +40,6 @@ Result<ServedSessionOptions> ToSessionOptions(
   return options;
 }
 
-std::string ErrorResponseFor(const Frame& frame, const Status& status) {
-  switch (frame.type) {
-    case MessageType::kCreateSession: {
-      CreateSessionResponse response;
-      response.header = HeaderFromStatus(status);
-      return EncodeCreateSessionResponse(frame.request_id, response);
-    }
-    case MessageType::kSuggest: {
-      SuggestResponse response;
-      response.header = HeaderFromStatus(status);
-      return EncodeSuggestResponse(frame.request_id, response);
-    }
-    case MessageType::kObserve: {
-      ObserveResponse response;
-      response.header = HeaderFromStatus(status);
-      return EncodeObserveResponse(frame.request_id, response);
-    }
-    default: {
-      CloseSessionResponse response;
-      response.header = HeaderFromStatus(status);
-      return EncodeCloseSessionResponse(frame.request_id, response);
-    }
-  }
-}
-
 }  // namespace
 
 FrameServer::FrameServer(SessionManager* /*manager*/,
@@ -102,30 +77,35 @@ Result<uint64_t> FrameServer::Enqueue(const Frame& frame) {
   }
 }
 
-std::string FrameServer::TakeResponse(const Frame& frame, uint64_t ticket) {
+std::string FrameServer::Respond(const Frame& frame,
+                                 const Result<uint64_t>& ticket) {
   switch (frame.type) {
     case MessageType::kCreateSession: {
       CreateSessionResponse response;
-      Result<size_t> replayed = scheduler_->TakeCreate(ticket);
+      const Result<size_t> replayed =
+          ticket.ok() ? scheduler_->TakeCreate(*ticket) : ticket.status();
       if (replayed.ok()) response.replayed = *replayed;
       response.header = HeaderFromStatus(replayed.status());
       return EncodeCreateSessionResponse(frame.request_id, response);
     }
     case MessageType::kSuggest: {
       SuggestResponse response;
-      Result<Configuration> suggested = scheduler_->TakeSuggest(ticket);
+      const Result<Configuration> suggested =
+          ticket.ok() ? scheduler_->TakeSuggest(*ticket) : ticket.status();
       if (suggested.ok()) response.config = suggested->values();
       response.header = HeaderFromStatus(suggested.status());
       return EncodeSuggestResponse(frame.request_id, response);
     }
     case MessageType::kObserve: {
       ObserveResponse response;
-      response.header = HeaderFromStatus(scheduler_->TakeObserve(ticket));
+      response.header = HeaderFromStatus(
+          ticket.ok() ? scheduler_->TakeObserve(*ticket) : ticket.status());
       return EncodeObserveResponse(frame.request_id, response);
     }
     default: {
       CloseSessionResponse response;
-      response.header = HeaderFromStatus(scheduler_->TakeClose(ticket));
+      response.header = HeaderFromStatus(
+          ticket.ok() ? scheduler_->TakeClose(*ticket) : ticket.status());
       return EncodeCloseSessionResponse(frame.request_id, response);
     }
   }
@@ -145,27 +125,15 @@ Status FrameServer::ServeBuffered(LoopbackTransport* transport) {
   // Every request that names a session joins its FIFO in the scheduler,
   // and the buffer drains once: each session sees its own requests in the
   // order they were sent, while creates (and their replays), suggests and
-  // observes of distinct sessions share waves. Only frames that touch no
-  // session, decode errors and response-typed frames, are answered here.
-  // Responses are delivered in request order.
-  std::vector<std::string> responses(frames.size());
-  // Tickets of enqueued requests, paired with their frame index.
-  std::vector<std::pair<size_t, uint64_t>> tickets;
+  // observes of distinct sessions share waves. A frame that touches no
+  // session, a decode error or a response-typed frame, holds its error in
+  // place of a ticket. Responses are delivered in request order.
+  std::vector<Result<uint64_t>> tickets;
   tickets.reserve(frames.size());
-  for (size_t i = 0; i < frames.size(); ++i) {
-    Result<uint64_t> ticket = Enqueue(frames[i]);
-    if (ticket.ok()) {
-      tickets.emplace_back(i, *ticket);
-    } else {
-      responses[i] = ErrorResponseFor(frames[i], ticket.status());
-    }
-  }
+  for (const Frame& request : frames) tickets.push_back(Enqueue(request));
   scheduler_->Drain();
-  for (const auto& [index, ticket] : tickets) {
-    responses[index] = TakeResponse(frames[index], ticket);
-  }
-  for (const std::string& response : responses) {
-    transport->SendToClient(response);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    transport->SendToClient(Respond(frames[i], tickets[i]));
   }
   return Status::OK();
 }

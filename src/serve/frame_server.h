@@ -13,8 +13,10 @@ namespace dbtune::serve {
 /// Protocol front-end: decodes request frames, dispatches every request
 /// that names a session (create, suggest, observe, close) through the
 /// BatchScheduler, so concurrent clients batch across sessions, and
-/// encodes response frames. The transport below it is the in-process
-/// loopback for now; a socket listener speaks the same `Frame` API.
+/// answers every frame through one reply path, `Respond`: a served frame
+/// with its redeemed ticket, a refused frame with its error. The
+/// transport below it is the in-process loopback for now; a socket
+/// listener speaks the same `Frame` API.
 class FrameServer {
  public:
   /// Both pointers are borrowed and must outlive the server; `scheduler`
@@ -45,8 +47,10 @@ class FrameServer {
   /// error to answer with when the frame touches no session.
   [[nodiscard]] Result<uint64_t> Enqueue(const Frame& frame);
 
-  /// Redeems the ticket of an enqueued `frame` and encodes its response.
-  std::string TakeResponse(const Frame& frame, uint64_t ticket);
+  /// Encodes the response to `frame`, of its request's family (a
+  /// CloseSessionResponse for a frame of any other type). An enqueued
+  /// frame redeems its ticket; a refused one answers `ticket`'s error.
+  std::string Respond(const Frame& frame, const Result<uint64_t>& ticket);
 
   BatchScheduler* const scheduler_;
   FrameReader reader_;

@@ -1,7 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cstring>
-
 #include "store/wal.h"
 
 namespace dbtune::serve {
@@ -11,30 +9,12 @@ namespace {
 using store::WalDecoder;
 using store::WalEncoder;
 
-/// Little-endian u32, matching the WAL codec convention.
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  for (size_t i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(bytes, 4);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
+/// Payload bytes ahead of the body: the u8 type tag and the u64 request id.
+constexpr uint32_t kFrameHeaderBytes = 9;
 
 std::string FinishFrame(MessageType type, uint64_t request_id,
                         const std::string& body) {
-  Frame frame;
-  frame.type = type;
-  frame.request_id = request_id;
-  frame.body = body;
-  return EncodeFrame(frame);
+  return EncodeFrame(Frame{type, request_id, body});
 }
 
 void PutHeader(WalEncoder* enc, const ResponseHeader& header) {
@@ -70,47 +50,38 @@ void PutHeader(WalEncoder* enc, const ResponseHeader& header) {
 }  // namespace
 
 std::string EncodeFrame(const Frame& frame) {
-  std::string payload;
-  payload.push_back(static_cast<char>(frame.type));
-  for (size_t i = 0; i < 8; ++i) {
-    payload.push_back(
-        static_cast<char>((frame.request_id >> (8 * i)) & 0xFF));
-  }
-  payload += frame.body;
-  std::string out;
-  out.reserve(4 + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  out += payload;
+  WalEncoder enc;
+  enc.PutU32(static_cast<uint32_t>(kFrameHeaderBytes + frame.body.size()));
+  enc.PutU8(static_cast<uint8_t>(frame.type));
+  enc.PutU64(frame.request_id);
+  std::string out = enc.bytes();
+  out += frame.body;
   return out;
 }
 
 Result<size_t> DecodeFrame(std::string_view buffer, Frame* out) {
   if (buffer.size() < 4) return static_cast<size_t>(0);
-  const uint32_t payload_len = GetU32(buffer.data());
+  WalDecoder dec(buffer);
+  DBTUNE_ASSIGN_OR_RETURN(const uint32_t payload_len, dec.ReadU32());
   if (payload_len > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload length " +
                                    std::to_string(payload_len) +
                                    " exceeds protocol maximum");
   }
-  if (payload_len < 9) {
+  if (payload_len < kFrameHeaderBytes) {
     return Status::InvalidArgument(
         "frame payload too short for type tag and request id");
   }
   if (buffer.size() < 4 + static_cast<size_t>(payload_len)) {
     return static_cast<size_t>(0);
   }
-  const char* p = buffer.data() + 4;
   // An unknown tag stays in the frame: every consumer switches on the
   // type, and its default arm answers InvalidArgument.
-  const unsigned char tag = static_cast<unsigned char>(p[0]);
+  DBTUNE_ASSIGN_OR_RETURN(const uint8_t tag, dec.ReadU8());
   out->type = static_cast<MessageType>(tag);  // dbtune-lint: allow(unvalidated-enum-cast)
-  out->request_id = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    out->request_id |=
-        static_cast<uint64_t>(static_cast<unsigned char>(p[1 + i]))
-        << (8 * i);
-  }
-  out->body.assign(p + 9, payload_len - 9);
+  DBTUNE_ASSIGN_OR_RETURN(out->request_id, dec.ReadU64());
+  out->body.assign(buffer.substr(4 + kFrameHeaderBytes,
+                                 payload_len - kFrameHeaderBytes));
   return 4 + static_cast<size_t>(payload_len);
 }
 

@@ -783,12 +783,17 @@ Status ObservationStore::AppendAndApply(WalRecordType type,
   return ApplyRecord(WalFrameView{record.lsn, type, record.body, frame});
 }
 
-Status ObservationStore::NotOpenLocked(const std::string& id) const {
+Result<const StoredSession*> ObservationStore::OpenSessionLocked(
+    const std::string& id) const {
   mu_.AssertHeld();
-  if (manifest_.sealed.count(id) > 0) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end() && manifest_.sealed.count(id) == 0) {
+    return Status::NotFound("unknown session " + id);
+  }
+  if (it == sessions_.end() || it->second.session.finished) {
     return Status::FailedPrecondition("session " + id + " is finished");
   }
-  return Status::NotFound("unknown session " + id);
+  return &it->second.session;
 }
 
 Status ObservationStore::BeginSession(const std::string& id,
@@ -814,16 +819,11 @@ Status ObservationStore::AppendObservation(const std::string& id,
       obs::MetricsRegistry::Get().histogram("store.append");
   obs::ScopedLatency latency(&latency_hist);
   MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return NotOpenLocked(id);
-  const StoredSession& session = it->second.session;
-  if (session.finished) {
-    return Status::FailedPrecondition("session " + id + " is finished");
-  }
-  if (obs.config.size() != session.dimension) {
+  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
+  if (obs.config.size() != session->dimension) {
     return Status::InvalidArgument("observation arity mismatch for " + id);
   }
-  if (iteration != session.observations.size() + 1) {
+  if (iteration != session->observations.size() + 1) {
     return Status::InvalidArgument(
         "observation iteration out of order for " + id);
   }
@@ -845,14 +845,10 @@ Status ObservationStore::AppendObservation(const std::string& id,
 
 Status ObservationStore::TruncateSession(const std::string& id, size_t keep) {
   MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return NotOpenLocked(id);
   // A sealed session's history (and its retained frames) never change;
   // BeginSession restarts it instead.
-  if (it->second.session.finished) {
-    return Status::FailedPrecondition("session " + id + " is finished");
-  }
-  if (keep >= it->second.session.observations.size()) return Status::OK();
+  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
+  if (keep >= session->observations.size()) return Status::OK();
   return AppendAndApply(WalRecordType::kTruncateSession,
                         EncodeTruncateSession(id, keep));
 }
@@ -861,17 +857,12 @@ Status ObservationStore::FinishSession(const std::string& id,
                                        const ConfigurationSpace& space,
                                        const std::string& task_name) {
   MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return NotOpenLocked(id);
-  const StoredSession& session = it->second.session;
-  if (session.finished) {
-    return Status::FailedPrecondition("session " + id + " is finished");
-  }
-  if (space.dimension() != session.dimension) {
+  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
+  if (space.dimension() != session->dimension) {
     return Status::InvalidArgument("space dimension mismatch for " + id);
   }
   const SourceTask task = ObservationRepository::FromHistory(
-      task_name, space, session.observations);
+      task_name, space, session->observations);
   DBTUNE_RETURN_IF_ERROR(
       AppendAndApply(WalRecordType::kTask, EncodeTask(task)));
   return AppendAndApply(WalRecordType::kEndSession, EncodeEndSession(id));

@@ -302,10 +302,11 @@ class ObservationStore {
       DBTUNE_REQUIRES(mu_);
   [[nodiscard]] Status AppendAndApply(WalRecordType type, std::string body)
       DBTUNE_REQUIRES(mu_);
-  /// The error for a mutation of `id`, which is not an open session:
-  /// FailedPrecondition when it is sealed, NotFound when unknown.
-  [[nodiscard]] Status NotOpenLocked(const std::string& id) const
-      DBTUNE_REQUIRES(mu_);
+  /// The open session `id`, for a mutation of it. FailedPrecondition when
+  /// it is finished (sealed, or ended since the last checkpoint), NotFound
+  /// when unknown.
+  [[nodiscard]] Result<const StoredSession*> OpenSessionLocked(
+      const std::string& id) const DBTUNE_REQUIRES(mu_);
   /// Truncates the data log and the manifest log back to their committed
   /// lengths and reopens their writers, after a failed checkpoint.
   [[nodiscard]] Status ReopenLogsLocked() DBTUNE_REQUIRES(mu_);

@@ -1713,6 +1713,100 @@ TEST_F(StoreTest, DamagedDataLogOrManifestNeverAborts) {
             StatusCode::kInternal);
 }
 
+// The read-size guards hold against images whose every frame passes its
+// CRC but whose extents add up past the data log the manifest covers. A
+// full manifest edit listing the open session's real extent over and over
+// fails Open with Internal before anything is read; a sealed entry
+// pointing at an extent-index frame that repeats one extent makes
+// FindSession answer Internal once the extents read outgrow the covered
+// length, while the open session still reads back.
+TEST_F(StoreTest, ExtentsPastTheCoveredDataLogFailWithAStatus) {
+  const std::string path = StorePath("extents_past_log");
+  const std::string reference_path = StorePath("extents_past_log_reference");
+  BuildSealedStore(path, reference_path);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  const TestManifest m = ReadManifest(path);
+  ASSERT_EQ(m.open.count("open"), 1u);
+  ASSERT_EQ(m.open.at("open").size(), 1u);
+  ASSERT_EQ(m.sealed.count("b"), 1u);
+  const TestExtent open_extent = m.open.at("open")[0];
+  const uint64_t open_observations = 2;  // BuildSealedStore's run("open", 2)
+  const std::string data_log_path = DataLogPath(path, m.generation);
+  const std::string data_log = ReadBytes(data_log_path);
+  ASSERT_EQ(data_log.size(), m.data_log_bytes);
+
+  // A manifest log of one full edit: "open" as `repeats` copies of its
+  // extent, `seal` (if any) as the only sealed entry, no tasks.
+  auto manifest_log = [&](uint64_t data_log_bytes, uint64_t repeats,
+                          const TestEntry* seal) {
+    store::WalEncoder enc;
+    enc.PutU8(1);  // full
+    enc.PutVarint(m.generation);
+    enc.PutVarint(data_log_bytes);
+    enc.PutVarint(0);  // restarts
+    enc.PutVarint(0);  // cuts
+    enc.PutVarint(1);  // one run of extents
+    enc.PutString("open");
+    enc.PutVarint(repeats);
+    for (uint64_t i = 0; i < repeats; ++i) {
+      enc.PutVarint(open_extent.offset);
+      enc.PutVarint(open_extent.length);
+      enc.PutVarint(open_observations);
+    }
+    enc.PutVarint(seal != nullptr ? 1 : 0);
+    if (seal != nullptr) {
+      enc.PutString(seal->id);
+      for (const uint64_t field : seal->fields) enc.PutVarint(field);
+    }
+    enc.PutVarint(0);  // tasks
+    std::string image(store::kManifestMagic, sizeof(store::kManifestMagic));
+    image += EncodeWalFrame(
+        WalRecord{m.covered_lsn, WalRecordType::kManifestEdit, enc.bytes()});
+    return image;
+  };
+
+  // The open session's extents add up past the covered length.
+  const uint64_t repeats = m.data_log_bytes / open_extent.length + 1;
+  WriteBytes(path + ".manifest", manifest_log(m.data_log_bytes, repeats,
+                                              nullptr));
+  EXPECT_EQ(ObservationStore::Open(path).status().code(),
+            StatusCode::kInternal);
+
+  // "b" sealed behind an extent-index frame appended to the data log,
+  // which lists b's real run so often that the runs outgrow the log.
+  TestEntry seal = m.sealed.at("b");
+  const uint64_t run_length = seal.length();
+  const uint64_t runs = 2 * (m.data_log_bytes / run_length + 1);
+  store::WalEncoder index;
+  index.PutString("b");
+  index.PutVarint(runs);
+  for (uint64_t i = 0; i < runs; ++i) {
+    index.PutVarint(seal.offset());
+    index.PutVarint(run_length);
+  }
+  const std::string index_frame = EncodeWalFrame(
+      WalRecord{seal.fields[0], WalRecordType::kExtentIndex, index.bytes()});
+  const uint64_t covered = data_log.size() + index_frame.size();
+  ASSERT_GT(runs * run_length, covered);
+  // Its offset, length and bytes: the index frame and the runs it lists.
+  seal.fields[3] = data_log.size();
+  seal.fields[4] = index_frame.size();
+  seal.fields[5] = index_frame.size() + runs * run_length;
+  WriteBytes(data_log_path, data_log + index_frame);
+  WriteBytes(path + ".manifest", manifest_log(covered, 1, &seal));
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->FindSession("b").status().code(),
+            StatusCode::kInternal);
+  const Result<StoredSession> open = (*opened)->FindSession("open");
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(open->observations.size(), open_observations);
+}
+
 // One observation in the shape the deep bench_e2e workloads log:
 // dimension 20, 40 internal metrics.
 Observation WideObs(Rng* rng) {
