@@ -106,6 +106,63 @@ Result<ObservationRecord> DecodeObservation(std::string_view body) {
   return record;
 }
 
+/// What replaying a record needs of its body: the session id or task name
+/// every body starts with, and the one count it carries (a dimension, an
+/// iteration, a kept count, or a task's rows). `id` views the body.
+struct RecordHead {
+  std::string_view id;
+  uint64_t count = 0;
+  /// A task's dimension: the length of its first row.
+  uint64_t dimension = 0;
+};
+
+/// Reads the head of a session or task record and steps over the rest of
+/// its fields, so a body too short for them fails as a decode would;
+/// nothing is allocated. Bytes past the last field are not checked.
+Result<RecordHead> ReadRecordHead(WalRecordType type, std::string_view body) {
+  WalDecoder dec(body);
+  RecordHead head;
+  switch (type) {
+    case WalRecordType::kBeginSession:
+    case WalRecordType::kTruncateSession: {
+      DBTUNE_ASSIGN_OR_RETURN(head.id, dec.ReadStringView());
+      DBTUNE_ASSIGN_OR_RETURN(head.count, dec.ReadU64());
+      return head;
+    }
+    case WalRecordType::kEndSession: {
+      DBTUNE_ASSIGN_OR_RETURN(head.id, dec.ReadStringView());
+      return head;
+    }
+    case WalRecordType::kObservation: {
+      // Id, iteration, config, score, objective, failed flag, metrics.
+      DBTUNE_ASSIGN_OR_RETURN(head.id, dec.ReadStringView());
+      DBTUNE_ASSIGN_OR_RETURN(head.count, dec.ReadU64());
+      DBTUNE_RETURN_IF_ERROR(dec.SkipDoubles().status());
+      DBTUNE_RETURN_IF_ERROR(dec.ReadDouble().status());
+      DBTUNE_RETURN_IF_ERROR(dec.ReadDouble().status());
+      DBTUNE_RETURN_IF_ERROR(dec.ReadU8().status());
+      DBTUNE_RETURN_IF_ERROR(dec.SkipDoubles().status());
+      return head;
+    }
+    case WalRecordType::kTask: {
+      // Name, rows, each row, scores, metric signature.
+      DBTUNE_ASSIGN_OR_RETURN(head.id, dec.ReadStringView());
+      DBTUNE_ASSIGN_OR_RETURN(head.count, dec.ReadU64());
+      for (uint64_t r = 0; r < head.count; ++r) {
+        DBTUNE_ASSIGN_OR_RETURN(const uint64_t width, dec.SkipDoubles());
+        if (r == 0) head.dimension = width;
+      }
+      DBTUNE_RETURN_IF_ERROR(dec.SkipDoubles().status());
+      DBTUNE_RETURN_IF_ERROR(dec.SkipDoubles().status());
+      return head;
+    }
+    case WalRecordType::kManifestEdit:
+    case WalRecordType::kExtentIndex:
+      return Status::InvalidArgument("checkpoint record inside the log");
+  }
+  return Status::InvalidArgument("unknown wal record type");
+}
+
 Result<SourceTask> DecodeTask(std::string_view body) {
   WalDecoder dec(body);
   SourceTask task;
@@ -126,6 +183,26 @@ Status DamagedEntry(const std::string& path, const std::string& id) {
   return Status::Internal("damaged data-log entry for '" + id + "' in " +
                           path);
 }
+
+/// Appends `length` bytes of the data log at `path` from `offset`, read
+/// through `log`, to `out`; Internal (naming `id`) when they are not there.
+Status ReadData(std::ifstream* log, const std::string& path, uint64_t offset,
+                uint64_t length, const std::string& id, std::string* out) {
+  const size_t start = out->size();
+  out->resize(start + static_cast<size_t>(length));
+  log->seekg(static_cast<std::streamoff>(offset));
+  if (!*log || !log->read(out->data() + start,
+                          static_cast<std::streamsize>(length))) {
+    log->clear();
+    return DamagedEntry(path, id);
+  }
+  return Status::OK();
+}
+
+/// Orders id-sorted entries against a bare id (std::lower_bound).
+constexpr auto kIdBefore = [](const auto& entry, std::string_view id) {
+  return entry.id < id;
+};
 
 /// Decodes a session's stream as the data log holds it: the begin frame,
 /// one frame per observation and, for a sealed session only, the end
@@ -291,7 +368,27 @@ Status ObservationStore::Recover() {
   }
   DBTUNE_RETURN_IF_ERROR(RecoverDataLog());
   DBTUNE_RETURN_IF_ERROR(ReopenLogsLocked());
-  DBTUNE_RETURN_IF_ERROR(LoadOpenSessions());
+
+  // --- The open sessions' index, from the manifest alone: Open reads no
+  // byte of their streams.
+  uint64_t open_bytes = 0;
+  for (const auto& [id, extents] : manifest_.open) {
+    if (FindSealed(manifest_.sealed, id) != nullptr) {
+      return DamagedEntry(DataLogPath(manifest_.generation), id);
+    }
+    SessionState& state =
+        sessions_.emplace_hint(sessions_.end(), id, SessionState{})->second;
+    for (const Extent& extent : extents) {
+      state.flushed_bytes += extent.length;
+      state.flushed_observations += static_cast<size_t>(extent.observations);
+    }
+    state.observations = state.flushed_observations;
+    // Extents never overlap, so together they fit in the log.
+    open_bytes += state.flushed_bytes;
+    if (open_bytes > manifest_.data_log_bytes) {
+      return DamagedEntry(DataLogPath(manifest_.generation), id);
+    }
+  }
 
   // --- Then the WAL: replay every intact record past the checkpoint and
   // truncate a torn tail (the expected shape after a crash mid-append).
@@ -426,78 +523,6 @@ Status ObservationStore::RecoverDataLog() {
   return Status::OK();
 }
 
-Status ObservationStore::LoadOpenSessions() {
-  mu_.AssertHeld();
-  if (manifest_.open.empty()) return Status::OK();
-  const std::string path = DataLogPath(manifest_.generation);
-  // Each session's stream is its extents joined. Extents of successive
-  // checkpoints abut, so they are read in runs of adjacent extents: one
-  // read per run, and no byte outside the open sessions' extents.
-  struct Piece {
-    const Extent* extent;
-    const std::string* id;
-    std::string* stream;
-    uint64_t at;  // where the extent starts in the stream
-  };
-  std::vector<std::string> streams(manifest_.open.size());
-  std::vector<Piece> pieces;
-  size_t index = 0;
-  uint64_t total = 0;
-  for (const auto& [id, extents] : manifest_.open) {
-    if (manifest_.sealed.count(id) > 0) return DamagedEntry(path, id);
-    uint64_t at = 0;
-    for (const Extent& extent : extents) {
-      pieces.push_back({&extent, &id, &streams[index], at});
-      at += extent.length;
-    }
-    // Extents never overlap, so together they fit in the log.
-    total += at;
-    if (total > manifest_.data_log_bytes) return DamagedEntry(path, id);
-    streams[index++].resize(static_cast<size_t>(at));
-  }
-  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
-    return a.extent->offset < b.extent->offset;
-  });
-  std::ifstream log(path, std::ios::binary);
-  std::string run;
-  for (size_t first = 0; first < pieces.size();) {
-    const uint64_t start = pieces[first].extent->offset;
-    uint64_t end = start;
-    size_t last = first;
-    while (last < pieces.size() && pieces[last].extent->offset == end) {
-      end += pieces[last++].extent->length;
-    }
-    run.clear();
-    DBTUNE_RETURN_IF_ERROR(
-        ReadDataLocked(&log, start, end - start, *pieces[first].id, &run));
-    stats_.recovery_bytes_read += run.size();
-    for (; first < last; ++first) {
-      const Piece& piece = pieces[first];
-      std::memcpy(piece.stream->data() + piece.at,
-                  run.data() + (piece.extent->offset - start),
-                  static_cast<size_t>(piece.extent->length));
-    }
-  }
-  index = 0;
-  for (const auto& [id, extents] : manifest_.open) {
-    const std::string& stream = streams[index++];
-    SessionState state;
-    DBTUNE_ASSIGN_OR_RETURN(
-        state.session,
-        DecodeSessionStream(stream, path, id, /*sealed=*/false,
-                            &state.observation_offsets));
-    uint64_t observations = 0;
-    for (const Extent& extent : extents) observations += extent.observations;
-    if (state.session.observations.size() != observations) {
-      return DamagedEntry(path, id);
-    }
-    state.flushed_bytes = stream.size();
-    state.flushed_observations = state.session.observations.size();
-    sessions_.emplace(id, std::move(state));
-  }
-  return Status::OK();
-}
-
 std::string ObservationStore::EncodeEdit(const ManifestEdit& edit) {
   WalEncoder enc;
   enc.PutU8(edit.full ? 1 : 0);
@@ -555,7 +580,7 @@ ObservationStore::ManifestEdit ObservationStore::FullEdit(
   for (const auto& [id, extents] : manifest.open) {
     for (const Extent& extent : extents) edit.extents.emplace_back(id, extent);
   }
-  for (const auto& entry : manifest.sealed) edit.seals.push_back(entry.second);
+  edit.seals = manifest.sealed;
   edit.tasks = manifest.tasks;
   return edit;
 }
@@ -620,7 +645,10 @@ Status ObservationStore::ApplyEdit(const WalFrameView& frame,
     for (uint64_t i = 0; i < count; ++i) {
       DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
       manifest->open.erase(id);
-      manifest->sealed.erase(id);
+      std::vector<SealedEntry>& sealed = manifest->sealed;
+      const auto at = std::lower_bound(sealed.begin(), sealed.end(), id,
+                                       kIdBefore);
+      if (at != sealed.end() && at->id == id) sealed.erase(at);
     }
     DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
     for (uint64_t i = 0; i < count; ++i) {
@@ -633,7 +661,7 @@ Status ObservationStore::ApplyEdit(const WalFrameView& frame,
       DBTUNE_RETURN_IF_ERROR(CutExtents(cut, &it->second));
     }
     // Extents come in runs of one session. (An id both open and sealed is
-    // caught where Open loads the open sessions.)
+    // caught where Open indexes the open sessions.)
     DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
     for (uint64_t i = 0; i < count; ++i) {
       DBTUNE_ASSIGN_OR_RETURN(std::string id, dec.ReadString());
@@ -648,6 +676,11 @@ Status ObservationStore::ApplyEdit(const WalFrameView& frame,
         session.push_back(extent);
       }
     }
+    // Every writer lists seals in id order, so each merges in where the
+    // previous one landed (an id out of order is searched for from the
+    // start). A full edit appends them one by one.
+    std::vector<SealedEntry>& sealed = manifest->sealed;
+    auto at = sealed.begin();
     for (const bool seals : {true, false}) {
       DBTUNE_ASSIGN_OR_RETURN(count, dec.ReadVarint());
       for (uint64_t i = 0; i < count; ++i) {
@@ -663,8 +696,16 @@ Status ObservationStore::ApplyEdit(const WalFrameView& frame,
         }
         if (seals) {
           manifest->open.erase(entry.id);
-          std::string id = entry.id;
-          manifest->sealed.insert_or_assign(std::move(id), std::move(entry));
+          if (at != sealed.begin() && std::prev(at)->id >= entry.id) {
+            at = sealed.begin();
+          }
+          at = std::lower_bound(at, sealed.end(), entry.id, kIdBefore);
+          if (at != sealed.end() && at->id == entry.id) {
+            *at = std::move(entry);
+          } else {
+            at = sealed.insert(at, std::move(entry));
+          }
+          ++at;
         } else {
           manifest->tasks.push_back(std::move(entry));
         }
@@ -680,136 +721,227 @@ Status ObservationStore::ApplyEdit(const WalFrameView& frame,
 
 Status ObservationStore::ApplyRecord(const WalFrameView& record) {
   mu_.AssertHeld();
-  WalDecoder dec(record.body);
+  const Result<RecordHead> read = ReadRecordHead(record.type, record.body);
+  if (!read.ok()) {
+    return Status::Internal("malformed wal record at lsn " +
+                            std::to_string(record.lsn) + ": " +
+                            read.status().message());
+  }
+  const RecordHead& head = *read;
+  if (record.type == WalRecordType::kBeginSession) {
+    BeginLocked(head.id, head.count, record.lsn, record.frame);
+    return Status::OK();
+  }
+  if (record.type == WalRecordType::kTask) {
+    TaskState task;
+    task.entry.id = head.id;
+    task.entry.lsn = record.lsn;
+    task.entry.dimension = head.dimension;
+    task.entry.observations = head.count;
+    task.frame.assign(record.frame);
+    tasks_.push_back(std::move(task));
+    return Status::OK();
+  }
+  const auto it = sessions_.find(head.id);
+  if (it == sessions_.end()) {
+    return Status::Internal("record for unknown session " +
+                            std::string(head.id));
+  }
+  SessionState& state = it->second;
   switch (record.type) {
-    case WalRecordType::kBeginSession: {
-      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-      DBTUNE_ASSIGN_OR_RETURN(const uint64_t dimension, dec.ReadU64());
-      SessionState& state = sessions_[id];
-      state = SessionState{};
-      state.session.id = id;
-      state.session.dimension = static_cast<size_t>(dimension);
-      state.frames.assign(record.frame);
-      // A restarted id's old history stays indexed until the next edit
-      // drops it; its bytes become dead.
-      state.restarted = manifest_.open.count(id) > 0 ||
-                        manifest_.sealed.count(id) > 0;
-      return Status::OK();
-    }
-    case WalRecordType::kObservation: {
-      DBTUNE_ASSIGN_OR_RETURN(ObservationRecord decoded,
-                              DecodeObservation(record.body));
-      auto it = sessions_.find(decoded.id);
-      if (it == sessions_.end()) {
-        return Status::Internal("observation for unknown session " +
-                                decoded.id);
-      }
-      SessionState& state = it->second;
-      if (decoded.iteration != state.session.observations.size() + 1) {
+    case WalRecordType::kObservation:
+      if (head.count != state.observations + 1) {
         return Status::Internal("out-of-order observation for session " +
-                                decoded.id);
+                                it->first);
       }
-      state.session.observations.push_back(std::move(decoded.obs));
-      state.observation_offsets.push_back(state.flushed_bytes +
-                                          state.frames.size());
       state.frames.append(record.frame);
+      ++state.observations;
+      state.last_lsn = record.lsn;
       return Status::OK();
-    }
-    case WalRecordType::kEndSession: {
-      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        return Status::Internal("end record for unknown session " + id);
-      }
-      it->second.session.finished = true;
-      it->second.end_frame.assign(record.frame);
-      it->second.seal_lsn = record.lsn;
+    case WalRecordType::kEndSession:
+      state.end_frame.assign(record.frame);
+      state.seal_lsn = record.lsn;
       return Status::OK();
-    }
-    case WalRecordType::kTask: {
-      DBTUNE_ASSIGN_OR_RETURN(const SourceTask task, DecodeTask(record.body));
-      TaskState state;
-      state.entry.id = task.name;
-      state.entry.lsn = record.lsn;
-      state.entry.dimension = task.unit_x.empty() ? 0 : task.unit_x[0].size();
-      state.entry.observations = task.unit_x.size();
-      state.frame.assign(record.frame);
-      tasks_.push_back(std::move(state));
-      return Status::OK();
-    }
-    case WalRecordType::kTruncateSession: {
-      DBTUNE_ASSIGN_OR_RETURN(const std::string id, dec.ReadString());
-      DBTUNE_ASSIGN_OR_RETURN(const uint64_t keep, dec.ReadU64());
-      auto it = sessions_.find(id);
-      if (it == sessions_.end()) {
-        return Status::Internal("truncate record for unknown session " + id);
-      }
+    default: {  // kTruncateSession
       // Logs written before sealed sessions rejected truncation may still
       // truncate one here; its end frame stays.
-      SessionState& state = it->second;
-      if (keep < state.session.observations.size()) {
-        const uint64_t cut = state.observation_offsets[keep];
-        if (cut >= state.flushed_bytes) {
-          state.frames.resize(cut - state.flushed_bytes);
-        } else {
-          // The cut reaches into the data log: the next edit records it.
-          state.frames.clear();
-          state.flushed_bytes = cut;
-          state.flushed_observations = keep;
-          state.cut = Cut{cut, keep};
-        }
-        state.session.observations.resize(keep);
-        state.observation_offsets.resize(keep);
-      }
+      if (head.count >= state.observations) return Status::OK();
+      const size_t keep = static_cast<size_t>(head.count);
+      DBTUNE_ASSIGN_OR_RETURN(const uint64_t cut,
+                              ObservationOffsetLocked(it->first, state, keep));
+      TruncateState(&state, keep, cut, record.lsn);
       return Status::OK();
     }
-    case WalRecordType::kManifestEdit:
-    case WalRecordType::kExtentIndex:
-      return Status::Internal("checkpoint record inside the log");
   }
-  return Status::Internal("unknown wal record type");
 }
 
-Status ObservationStore::AppendAndApply(WalRecordType type,
-                                        std::string body) {
+Result<std::string> ObservationStore::AppendLocked(WalRecordType type,
+                                                   std::string body) {
   mu_.AssertHeld();
-  const WalRecord record{next_lsn_, type, std::move(body)};
   // The record's only encode: the log gets these bytes now, and the
-  // state retains them for the next checkpoint.
-  const std::string frame = EncodeWalFrame(record);
+  // index retains them for the next checkpoint.
+  std::string frame = EncodeWalFrame(WalRecord{next_lsn_, type, std::move(body)});
   DBTUNE_RETURN_IF_ERROR(wal_.Append(frame));
-  ++next_lsn_;
-  stats_.last_lsn = record.lsn;
-  return ApplyRecord(WalFrameView{record.lsn, type, record.body, frame});
+  stats_.last_lsn = next_lsn_++;
+  return frame;
 }
 
-Result<const StoredSession*> ObservationStore::OpenSessionLocked(
-    const std::string& id) const {
+void ObservationStore::BeginLocked(std::string_view id, uint64_t dimension,
+                                   uint64_t lsn, std::string_view frame) {
+  mu_.AssertHeld();
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
+    it = sessions_.emplace(std::string(id), SessionState{}).first;
+  }
+  SessionState& state = it->second;
+  state = SessionState{};
+  state.dimension = static_cast<size_t>(dimension);
+  state.frames.assign(frame);
+  state.last_lsn = lsn;
+  // A restarted id's old history stays indexed until the next edit drops
+  // it; its bytes become dead.
+  state.restarted = manifest_.open.count(id) > 0 ||
+                    FindSealed(manifest_.sealed, id) != nullptr;
+}
+
+void ObservationStore::TruncateState(SessionState* state, size_t keep,
+                                     uint64_t cut, uint64_t lsn) {
+  if (cut >= state->flushed_bytes) {
+    state->frames.resize(cut - state->flushed_bytes);
+  } else {
+    // The cut reaches into the data log: the next edit records it.
+    state->frames.clear();
+    state->flushed_bytes = cut;
+    state->flushed_observations = keep;
+    state->cut = Cut{cut, keep};
+  }
+  state->observations = keep;
+  state->last_lsn = lsn;
+}
+
+const ObservationStore::SealedEntry* ObservationStore::FindSealed(
+    const std::vector<SealedEntry>& sealed, std::string_view id) {
+  const auto at = std::lower_bound(sealed.begin(), sealed.end(), id, kIdBefore);
+  return at != sealed.end() && at->id == id ? &*at : nullptr;
+}
+
+Result<ObservationStore::SessionState*> ObservationStore::OpenSessionLocked(
+    const std::string& id) {
   mu_.AssertHeld();
   const auto it = sessions_.find(id);
-  if (it == sessions_.end() && manifest_.sealed.count(id) == 0) {
+  if (it == sessions_.end() && FindSealed(manifest_.sealed, id) == nullptr) {
     return Status::NotFound("unknown session " + id);
   }
-  if (it == sessions_.end() || it->second.session.finished) {
+  if (it == sessions_.end() || it->second.finished()) {
     return Status::FailedPrecondition("session " + id + " is finished");
   }
-  return &it->second.session;
+  return &it->second;
+}
+
+Result<size_t> ObservationStore::DimensionLocked(
+    const std::string& id, const SessionState& state) const {
+  mu_.AssertHeld();
+  if (state.dimension.has_value()) return *state.dimension;
+  // Only a session Open found in the manifest lacks it. Its begin frame
+  // opens its first extent: read that frame alone, its length first.
+  const std::string path = DataLogPath(manifest_.generation);
+  const auto it = manifest_.open.find(id);
+  if (state.restarted || it == manifest_.open.end() || it->second.empty()) {
+    return DamagedEntry(path, id);
+  }
+  const Extent& first = it->second.front();
+  constexpr uint64_t kLengthBytes = 4;
+  std::ifstream log(path, std::ios::binary);
+  std::string frame;
+  DBTUNE_RETURN_IF_ERROR(ReadData(&log, path, first.offset,
+                                  std::min(first.length, kLengthBytes), id,
+                                  &frame));
+  const Result<uint32_t> payload = WalDecoder(frame).ReadU32();
+  // The rest of the frame: its CRC, then the payload.
+  const uint64_t rest = 4 + (payload.ok() ? uint64_t{*payload} : 0);
+  if (!payload.ok() || first.length - kLengthBytes < rest) {
+    return DamagedEntry(path, id);
+  }
+  DBTUNE_RETURN_IF_ERROR(
+      ReadData(&log, path, first.offset + kLengthBytes, rest, id, &frame));
+  DBTUNE_ASSIGN_OR_RETURN(
+      const StoredSession begun,
+      DecodeSessionStream(frame, path, id, /*sealed=*/false, nullptr));
+  state.dimension = begun.dimension;
+  return begun.dimension;
+}
+
+Result<ObservationStore::StreamSource> ObservationStore::StreamSourceLocked(
+    const std::string& id, const SessionState& state) const {
+  mu_.AssertHeld();
+  StreamSource source;
+  source.path = DataLogPath(manifest_.generation);
+  if (state.flushed_bytes > 0) {
+    if (const auto it = manifest_.open.find(id);
+        !state.restarted && it != manifest_.open.end()) {
+      source.extents = it->second;
+    }
+    // A truncation since the last checkpoint keeps a prefix of them.
+    if (!CutExtents(Cut{state.flushed_bytes, state.flushed_observations},
+                    &source.extents)
+             .ok()) {
+      return DamagedEntry(source.path, id);
+    }
+    source.log.open(source.path, std::ios::binary);
+  }
+  source.memory = state.frames + state.end_frame;
+  source.observations = state.observations;
+  source.sealed = state.finished();
+  return source;
+}
+
+Result<StoredSession> ObservationStore::ReadStream(
+    const std::string& id, StreamSource* source,
+    std::vector<uint64_t>* offsets) {
+  std::string stream;
+  for (const Extent& extent : source->extents) {
+    DBTUNE_RETURN_IF_ERROR(ReadData(&source->log, source->path, extent.offset,
+                                    extent.length, id, &stream));
+  }
+  stream += source->memory;
+  DBTUNE_ASSIGN_OR_RETURN(
+      StoredSession session,
+      DecodeSessionStream(stream, source->path, id, source->sealed, offsets));
+  if (session.observations.size() != source->observations) {
+    return DamagedEntry(source->path, id);
+  }
+  return session;
+}
+
+Result<uint64_t> ObservationStore::ObservationOffsetLocked(
+    const std::string& id, const SessionState& state, size_t index) const {
+  mu_.AssertHeld();
+  DBTUNE_ASSIGN_OR_RETURN(StreamSource source, StreamSourceLocked(id, state));
+  std::vector<uint64_t> offsets;
+  DBTUNE_RETURN_IF_ERROR(ReadStream(id, &source, &offsets).status());
+  return offsets[index];
 }
 
 Status ObservationStore::BeginSession(const std::string& id,
                                       size_t dimension) {
   if (id.empty()) return Status::InvalidArgument("empty session id");
   MutexLock lock(&mu_);
-  auto it = sessions_.find(id);
-  if (it != sessions_.end() && !it->second.session.finished) {
-    if (it->second.session.dimension != dimension) {
+  if (auto it = sessions_.find(id);
+      it != sessions_.end() && !it->second.finished()) {
+    DBTUNE_ASSIGN_OR_RETURN(const size_t stored,
+                            DimensionLocked(id, it->second));
+    if (stored != dimension) {
       return Status::FailedPrecondition(
           "session " + id + " exists with a different dimension");
     }
     return Status::OK();  // resuming: the caller replays the history
   }
-  return AppendAndApply(WalRecordType::kBeginSession,
-                        EncodeBeginSession(id, dimension));
+  DBTUNE_ASSIGN_OR_RETURN(
+      const std::string frame,
+      AppendLocked(WalRecordType::kBeginSession,
+                   EncodeBeginSession(id, dimension)));
+  BeginLocked(id, dimension, stats_.last_lsn, frame);
+  return Status::OK();
 }
 
 Status ObservationStore::AppendObservation(const std::string& id,
@@ -819,16 +951,22 @@ Status ObservationStore::AppendObservation(const std::string& id,
       obs::MetricsRegistry::Get().histogram("store.append");
   obs::ScopedLatency latency(&latency_hist);
   MutexLock lock(&mu_);
-  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
-  if (obs.config.size() != session->dimension) {
+  DBTUNE_ASSIGN_OR_RETURN(SessionState* const state, OpenSessionLocked(id));
+  DBTUNE_ASSIGN_OR_RETURN(const size_t dimension, DimensionLocked(id, *state));
+  if (obs.config.size() != dimension) {
     return Status::InvalidArgument("observation arity mismatch for " + id);
   }
-  if (iteration != session->observations.size() + 1) {
+  if (iteration != state->observations + 1) {
     return Status::InvalidArgument(
         "observation iteration out of order for " + id);
   }
-  DBTUNE_RETURN_IF_ERROR(AppendAndApply(
-      WalRecordType::kObservation, EncodeObservation(id, iteration, obs)));
+  DBTUNE_ASSIGN_OR_RETURN(
+      const std::string frame,
+      AppendLocked(WalRecordType::kObservation,
+                   EncodeObservation(id, iteration, obs)));
+  state->frames += frame;
+  ++state->observations;
+  state->last_lsn = stats_.last_lsn;
   ++appends_since_checkpoint_;
   if (options_.snapshot_every > 0 &&
       appends_since_checkpoint_ >= options_.snapshot_every) {
@@ -847,30 +985,66 @@ Status ObservationStore::TruncateSession(const std::string& id, size_t keep) {
   MutexLock lock(&mu_);
   // A sealed session's history (and its retained frames) never change;
   // BeginSession restarts it instead.
-  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
-  if (keep >= session->observations.size()) return Status::OK();
-  return AppendAndApply(WalRecordType::kTruncateSession,
-                        EncodeTruncateSession(id, keep));
+  DBTUNE_ASSIGN_OR_RETURN(SessionState* const state, OpenSessionLocked(id));
+  if (keep >= state->observations) return Status::OK();
+  // Where the cut falls is read before the record is logged, so a damaged
+  // data log fails the call instead of leaving a logged record unapplied.
+  DBTUNE_ASSIGN_OR_RETURN(const uint64_t cut,
+                          ObservationOffsetLocked(id, *state, keep));
+  DBTUNE_RETURN_IF_ERROR(AppendLocked(WalRecordType::kTruncateSession,
+                                      EncodeTruncateSession(id, keep))
+                             .status());
+  TruncateState(state, keep, cut, stats_.last_lsn);
+  return Status::OK();
 }
 
 Status ObservationStore::FinishSession(const std::string& id,
                                        const ConfigurationSpace& space,
                                        const std::string& task_name) {
-  MutexLock lock(&mu_);
-  DBTUNE_ASSIGN_OR_RETURN(const StoredSession* session, OpenSessionLocked(id));
-  if (space.dimension() != session->dimension) {
-    return Status::InvalidArgument("space dimension mismatch for " + id);
+  // The history is read and the task built outside the mutex, as
+  // FindSession reads. The task is logged only if no record changed the
+  // session meanwhile; otherwise the read starts over.
+  for (;;) {
+    StreamSource source;
+    uint64_t read_lsn = 0;
+    {
+      MutexLock lock(&mu_);
+      DBTUNE_ASSIGN_OR_RETURN(SessionState* const state, OpenSessionLocked(id));
+      DBTUNE_ASSIGN_OR_RETURN(source, StreamSourceLocked(id, *state));
+      read_lsn = state->last_lsn;
+    }
+    DBTUNE_ASSIGN_OR_RETURN(const StoredSession session,
+                            ReadStream(id, &source, nullptr));
+    if (space.dimension() != session.dimension) {
+      return Status::InvalidArgument("space dimension mismatch for " + id);
+    }
+    const SourceTask task = ObservationRepository::FromHistory(
+        task_name, space, session.observations);
+    MutexLock lock(&mu_);
+    DBTUNE_ASSIGN_OR_RETURN(SessionState* const state, OpenSessionLocked(id));
+    if (state->last_lsn != read_lsn) continue;
+    DBTUNE_RETURN_IF_ERROR(PersistTaskLocked(task));
+    DBTUNE_ASSIGN_OR_RETURN(
+        state->end_frame,
+        AppendLocked(WalRecordType::kEndSession, EncodeEndSession(id)));
+    state->seal_lsn = stats_.last_lsn;
+    return Status::OK();
   }
-  const SourceTask task = ObservationRepository::FromHistory(
-      task_name, space, session->observations);
-  DBTUNE_RETURN_IF_ERROR(
-      AppendAndApply(WalRecordType::kTask, EncodeTask(task)));
-  return AppendAndApply(WalRecordType::kEndSession, EncodeEndSession(id));
 }
 
 Status ObservationStore::PersistTask(const SourceTask& task) {
   MutexLock lock(&mu_);
-  return AppendAndApply(WalRecordType::kTask, EncodeTask(task));
+  return PersistTaskLocked(task);
+}
+
+Status ObservationStore::PersistTaskLocked(const SourceTask& task) {
+  mu_.AssertHeld();
+  DBTUNE_ASSIGN_OR_RETURN(std::string frame,
+                          AppendLocked(WalRecordType::kTask, EncodeTask(task)));
+  const uint64_t dimension = task.unit_x.empty() ? 0 : task.unit_x[0].size();
+  tasks_.push_back({{task.name, stats_.last_lsn, dimension, task.unit_x.size()},
+                    std::move(frame)});
+  return Status::OK();
 }
 
 Status ObservationStore::ReopenLogsLocked() {
@@ -976,11 +1150,10 @@ Status ObservationStore::WriteCheckpointLocked() {
     if (state.cut.has_value()) edit.cuts.emplace_back(id, *state.cut);
     const Extent fresh{base + batch.size(),
                        state.frames.size() + state.end_frame.size(),
-                       state.session.observations.size() -
-                           state.flushed_observations};
+                       state.observations - state.flushed_observations};
     batch += state.frames;
     batch += state.end_frame;
-    if (!state.session.finished) {
+    if (!state.finished()) {
       if (fresh.length > 0) edit.extents.emplace_back(id, fresh);
       continue;
     }
@@ -995,10 +1168,12 @@ Status ObservationStore::WriteCheckpointLocked() {
       DBTUNE_RETURN_IF_ERROR(CutExtents(*state.cut, &extents));
     }
     extents.push_back(fresh);
+    // Read before anything is written when the index lacks it.
+    DBTUNE_ASSIGN_OR_RETURN(const size_t dimension, DimensionLocked(id, state));
     SealedEntry seal{id,
                      state.seal_lsn,
-                     state.session.dimension,
-                     state.session.observations.size(),
+                     dimension,
+                     state.observations,
                      fresh.offset,
                      fresh.length,
                      fresh.length};
@@ -1062,12 +1237,12 @@ Status ObservationStore::WriteCheckpointLocked() {
       &manifest_));
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     SessionState& state = it->second;
-    if (state.session.finished) {
+    if (state.finished()) {
       it = sessions_.erase(it);
       continue;
     }
     state.flushed_bytes += state.frames.size();
-    state.flushed_observations = state.session.observations.size();
+    state.flushed_observations = state.observations;
     state.frames = std::string();
     state.restarted = false;
     state.cut.reset();
@@ -1125,8 +1300,8 @@ Status ObservationStore::CompactLocked() {
       std::string stream;
       Extent joined;
       for (const Extent& extent : extents) {
-        DBTUNE_RETURN_IF_ERROR(
-            ReadDataLocked(&in, extent.offset, extent.length, id, &stream));
+        DBTUNE_RETURN_IF_ERROR(ReadData(&in, old_path, extent.offset,
+                                        extent.length, id, &stream));
         joined.observations += extent.observations;
       }
       DBTUNE_ASSIGN_OR_RETURN(joined.offset, put(stream));
@@ -1143,9 +1318,9 @@ Status ObservationStore::CompactLocked() {
       moved.bytes = frames.size();
       return moved;
     };
-    for (const auto& [id, entry] : manifest_.sealed) {
+    for (const SealedEntry& entry : manifest_.sealed) {
       DBTUNE_ASSIGN_OR_RETURN(SealedEntry moved, move_entry(entry));
-      next.sealed.emplace(id, std::move(moved));
+      next.sealed.push_back(std::move(moved));
     }
     for (const SealedEntry& entry : manifest_.tasks) {
       DBTUNE_ASSIGN_OR_RETURN(SealedEntry moved, move_entry(entry));
@@ -1196,40 +1371,25 @@ uint64_t ObservationStore::DeadBytesLocked() const {
   for (const auto& entry : manifest_.open) {
     for (const Extent& extent : entry.second) live += extent.length;
   }
-  for (const auto& entry : manifest_.sealed) live += entry.second.bytes;
+  for (const SealedEntry& entry : manifest_.sealed) live += entry.bytes;
   for (const SealedEntry& entry : manifest_.tasks) live += entry.bytes;
   return manifest_.data_log_bytes > live ? manifest_.data_log_bytes - live
                                          : 0;
 }
 
-Status ObservationStore::ReadDataLocked(std::ifstream* log, uint64_t offset,
-                                        uint64_t length, const std::string& id,
-                                        std::string* out) const {
-  mu_.AssertHeld();
-  const size_t start = out->size();
-  out->resize(start + static_cast<size_t>(length));
-  log->seekg(static_cast<std::streamoff>(offset));
-  if (!*log || !log->read(out->data() + start,
-                          static_cast<std::streamsize>(length))) {
-    log->clear();
-    return DamagedEntry(DataLogPath(manifest_.generation), id);
-  }
-  return Status::OK();
-}
-
 Result<std::string> ObservationStore::ReadSealedLocked(
     std::ifstream* log, const SealedEntry& entry) const {
   mu_.AssertHeld();
+  const std::string path = DataLogPath(manifest_.generation);
   std::string bytes;
   DBTUNE_RETURN_IF_ERROR(
-      ReadDataLocked(log, entry.offset, entry.length, entry.id, &bytes));
+      ReadData(log, path, entry.offset, entry.length, entry.id, &bytes));
   if (bytes.size() <= kFrameTypeOffset ||
       bytes[kFrameTypeOffset] !=
           static_cast<char>(WalRecordType::kExtentIndex)) {
     return bytes;  // the frames themselves
   }
   // An extent index: one frame naming the session and its runs.
-  const std::string path = DataLogPath(manifest_.generation);
   std::string frames;
   const Result<WalScanExtent> scan = ForEachWalFrame(
       bytes, 0, [&](const WalFrameView& view) -> Status {
@@ -1247,7 +1407,7 @@ Result<std::string> ObservationStore::ReadSealedLocked(
             return Status::Internal("");
           }
           DBTUNE_RETURN_IF_ERROR(
-              ReadDataLocked(log, offset, length, entry.id, &frames));
+              ReadData(log, path, offset, length, entry.id, &frames));
         }
         return dec.AtEnd() ? Status::OK() : Status::Internal("");
       });
@@ -1259,24 +1419,31 @@ Result<std::string> ObservationStore::ReadSealedLocked(
 
 Result<StoredSession> ObservationStore::FindSession(
     const std::string& id) const {
-  MutexLock lock(&mu_);
-  if (auto it = sessions_.find(id); it != sessions_.end()) {
-    return it->second.session;
+  StreamSource source;
+  {
+    MutexLock lock(&mu_);
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end()) return FindSealedLocked(id);
+    DBTUNE_ASSIGN_OR_RETURN(source, StreamSourceLocked(id, it->second));
   }
-  auto sealed = manifest_.sealed.find(id);
-  if (sealed == manifest_.sealed.end()) {
-    return Status::NotFound("unknown session " + id);
-  }
-  const SealedEntry& entry = sealed->second;
+  // Outside the mutex: appends, checkpoints and other reads go on.
+  return ReadStream(id, &source, nullptr);
+}
+
+Result<StoredSession> ObservationStore::FindSealedLocked(
+    const std::string& id) const {
+  mu_.AssertHeld();
+  const SealedEntry* entry = FindSealed(manifest_.sealed, id);
+  if (entry == nullptr) return Status::NotFound("unknown session " + id);
   const std::string path = DataLogPath(manifest_.generation);
   std::ifstream log(path, std::ios::binary);
   DBTUNE_ASSIGN_OR_RETURN(const std::string frames,
-                          ReadSealedLocked(&log, entry));
+                          ReadSealedLocked(&log, *entry));
   DBTUNE_ASSIGN_OR_RETURN(
       StoredSession session,
       DecodeSessionStream(frames, path, id, /*sealed=*/true, nullptr));
-  if (session.dimension != entry.dimension ||
-      session.observations.size() != entry.observations) {
+  if (session.dimension != entry->dimension ||
+      session.observations.size() != entry->observations) {
     return DamagedEntry(path, id);
   }
   return session;
@@ -1316,14 +1483,14 @@ std::vector<StoredSessionInfo> ObservationStore::ListSessions() const {
   std::vector<StoredSessionInfo> infos;
   infos.reserve(sessions_.size() + manifest_.sealed.size());
   for (const auto& [id, state] : sessions_) {
-    const StoredSession& session = state.session;
-    infos.push_back({id, session.dimension, session.observations.size(),
-                     session.finished});
+    const Result<size_t> dimension = DimensionLocked(id, state);
+    infos.push_back({id, dimension.ok() ? *dimension : 0, state.observations,
+                     state.finished()});
   }
   // A sealed id restarted since the last checkpoint is in memory.
-  for (const auto& [id, entry] : manifest_.sealed) {
-    if (sessions_.count(id) > 0) continue;
-    infos.push_back({id, static_cast<size_t>(entry.dimension),
+  for (const SealedEntry& entry : manifest_.sealed) {
+    if (sessions_.count(entry.id) > 0) continue;
+    infos.push_back({entry.id, static_cast<size_t>(entry.dimension),
                      static_cast<size_t>(entry.observations), true});
   }
   std::sort(infos.begin(), infos.end(),
@@ -1343,10 +1510,14 @@ StoreStats ObservationStore::stats() const {
   StoreStats stats = stats_;
   stats.sealed_sessions = static_cast<size_t>(
       std::count_if(manifest_.sealed.begin(), manifest_.sealed.end(),
-                    [this](const auto& entry) {
+                    [this](const SealedEntry& entry) {
                       mu_.AssertHeld();
-                      return sessions_.count(entry.first) == 0;
+                      return sessions_.count(entry.id) == 0;
                     }));
+  for (const auto& entry : sessions_) {
+    stats.observations_in_memory +=
+        entry.second.observations - entry.second.flushed_observations;
+  }
   stats.data_log_bytes = manifest_.data_log_bytes;
   stats.dead_bytes = DeadBytesLocked();
   return stats;

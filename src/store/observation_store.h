@@ -2,11 +2,12 @@
 #define DBTUNE_STORE_OBSERVATION_STORE_H_
 
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,9 +72,13 @@ struct StoreStats {
   uint64_t dead_bytes = 0;
   /// Data-log compactions through this handle.
   size_t compactions = 0;
-  /// Bytes Open read: the manifest log, the open sessions' extents and the
-  /// WAL.
+  /// Bytes Open read: the manifest log and the WAL. Open reads no
+  /// data-log byte.
   uint64_t recovery_bytes_read = 0;
+  /// Observations whose frames the store holds in memory: those logged
+  /// since the last checkpoint. Checkpointed ones are read back from the
+  /// data log when a call needs them.
+  size_t observations_in_memory = 0;
 };
 
 /// Durable observation store: a write-ahead log of (configuration,
@@ -96,12 +101,17 @@ struct StoreStats {
 ///   1.5x its last consolidated size it is rewritten as one full edit
 ///   (tmp+rename).
 ///
-/// Recovery replays the manifest edits, reads the open sessions' extents
-/// (never a sealed session's or a task's), then replays WAL records with
-/// LSN beyond the covered one; a torn or corrupt WAL tail is truncated
-/// with a warning (every complete record before it survives), and so are
-/// a torn final manifest edit and data-log bytes past the covered length.
-/// Appends flush per record, so a crash tears at most the final record.
+/// Recovery replays the manifest edits, then the WAL records with LSN
+/// beyond the covered one, and reads no data-log byte; a torn or corrupt
+/// WAL tail is truncated with a warning (every complete record before it
+/// survives), and so are a torn final manifest edit and data-log bytes
+/// past the covered length. Appends flush per record, so a crash tears at
+/// most the final record.
+///
+/// Memory holds an index, not histories: per open session its extents,
+/// its observation count and the frames logged since the last checkpoint.
+/// A checkpointed history is read back from the data log, CRC-checked,
+/// when a call needs it, so damage there is reported by that call.
 ///
 /// Thread-safe; sessions within one store are independent.
 class ObservationStore {
@@ -140,7 +150,8 @@ class ObservationStore {
 
   /// Seals the session and persists its history as a transfer base task
   /// named `task_name` (built via ObservationRepository::FromHistory over
-  /// `space`, which must be the session's tuned subspace).
+  /// `space`, which must be the session's tuned subspace). The history is
+  /// read back as FindSession reads it.
   [[nodiscard]] Status FinishSession(const std::string& id,
                                      const ConfigurationSpace& space,
                                      const std::string& task_name);
@@ -157,9 +168,11 @@ class ObservationStore {
   /// the live extents are then copied to a new generation.
   [[nodiscard]] Status Checkpoint();
 
-  /// A copy of the stored session. NotFound for an unknown id; a sealed
-  /// session already checkpointed is read back from the data log, and a
-  /// damaged entry there is Internal.
+  /// The stored session, decoded from its frames in the data log and those
+  /// still in memory; every frame is CRC-checked, and a damaged one is
+  /// Internal. NotFound for an unknown id. Except for a session sealed
+  /// before the last checkpoint, the data log is read outside the store
+  /// mutex, so resumes read in parallel.
   [[nodiscard]] Result<StoredSession> FindSession(const std::string& id) const;
 
   /// Appends every persisted base task to `repository`, in persistence
@@ -167,8 +180,9 @@ class ObservationStore {
   /// entry is Internal and leaves `repository` unchanged.
   [[nodiscard]] Status ExportTasks(ObservationRepository* repository) const;
 
-  /// Id-ordered summaries of every stored session (from the index; the
-  /// data log is not read).
+  /// Id-ordered summaries of every stored session, from the index. The
+  /// first call that needs the dimension of a session Open found open
+  /// reads its begin frame; one that cannot be read reports dimension 0.
   std::vector<StoredSessionInfo> ListSessions() const;
 
   size_t num_tasks() const;
@@ -219,8 +233,9 @@ class ObservationStore {
     /// Covered length of the data log; 0 before its first frame.
     uint64_t data_log_bytes = 0;
     /// Open sessions' extents, in stream order.
-    std::map<std::string, std::vector<Extent>> open;
-    std::map<std::string, SealedEntry> sealed;
+    std::map<std::string, std::vector<Extent>, std::less<>> open;
+    /// In id order (FindSealed).
+    std::vector<SealedEntry> sealed;
     /// In persistence order.
     std::vector<SealedEntry> tasks;
   };
@@ -241,21 +256,26 @@ class ObservationStore {
     std::vector<SealedEntry> tasks;
   };
 
-  /// A session in memory: open, or sealed since the last checkpoint. Its
-  /// byte stream is its extents in the data log, then `frames`.
+  /// The index of a session in memory: open, or sealed since the last
+  /// checkpoint. Its byte stream is the first `flushed_bytes` bytes of
+  /// its extents in the manifest (none when `restarted`), then `frames`;
+  /// only the frames are held.
   struct SessionState {
-    StoredSession session;
-    /// Stream bytes already in the data log, and their observations.
-    uint64_t flushed_bytes = 0;
+    /// Observations in the stream, and those of them in the data log.
+    size_t observations = 0;
     size_t flushed_observations = 0;
+    uint64_t flushed_bytes = 0;
+    /// From the begin frame. A session Open found in the manifest has it
+    /// read by the first call that needs it (DimensionLocked).
+    mutable std::optional<size_t> dimension;
     /// Frames not yet in the data log (the begin frame first, until the
     /// first checkpoint after it).
     std::string frames;
-    /// Stream offset where each observation's frame starts, so a
-    /// truncation is a resize or a cut.
-    std::vector<uint64_t> observation_offsets;
     /// The end frame once the session is sealed, else empty.
     std::string end_frame;
+    /// LSN of the last record that changed the stream (begin, observation
+    /// or truncate), so a read outside the mutex can tell it still holds.
+    uint64_t last_lsn = 0;
     /// LSN of the end frame.
     uint64_t seal_lsn = 0;
     /// This incarnation restarted an id the manifest still holds; the
@@ -263,6 +283,21 @@ class ObservationStore {
     bool restarted = false;
     /// A truncation into the flushed bytes, for the next edit.
     std::optional<Cut> cut;
+
+    bool finished() const { return !end_frame.empty(); }
+  };
+
+  /// Where the stream of a session in memory sits, taken from the index
+  /// under the mutex so that ReadStream can run outside it: the runs of
+  /// the data log (open already, so a compaction that deletes the file
+  /// cannot pull it away), then the bytes in memory.
+  struct StreamSource {
+    std::string path;
+    std::ifstream log;
+    std::vector<Extent> extents;
+    std::string memory;
+    size_t observations = 0;
+    bool sealed = false;
   };
 
   /// A task not yet in the data log: its index entry (offset and length
@@ -279,8 +314,6 @@ class ObservationStore {
   /// Truncates data-log bytes past the covered length; Internal when the
   /// log is shorter than covered.
   [[nodiscard]] Status RecoverDataLog() DBTUNE_REQUIRES(mu_);
-  /// Reads and decodes every open session's extents (CRC-checked).
-  [[nodiscard]] Status LoadOpenSessions() DBTUNE_REQUIRES(mu_);
   /// The edit as a kManifestEdit frame (its LSN is the covered LSN).
   static std::string EncodeEdit(const ManifestEdit& edit);
   /// The edit that rebuilds `manifest` from nothing.
@@ -296,17 +329,54 @@ class ObservationStore {
   /// The extent-index frame of a sealed session spread over `extents`.
   static std::string EncodeExtentIndex(const std::string& id, uint64_t lsn,
                                        const std::vector<Extent>& extents);
-  /// Applies one framed record to the in-memory state and retains its
-  /// frame bytes for the next checkpoint.
+  /// The sealed entry of `id` in `sealed` (id-ordered), or null.
+  static const SealedEntry* FindSealed(const std::vector<SealedEntry>& sealed,
+                                       std::string_view id);
+  /// Replays one WAL record into the index and retains its frame bytes
+  /// for the next checkpoint. The body is checked by skipping its fields,
+  /// never decoded into objects; a malformed one is Internal.
   [[nodiscard]] Status ApplyRecord(const WalFrameView& record)
       DBTUNE_REQUIRES(mu_);
-  [[nodiscard]] Status AppendAndApply(WalRecordType type, std::string body)
+  /// Appends one record to the WAL and returns its frame. Each caller then
+  /// applies what it already knows of the record, as ApplyRecord does.
+  [[nodiscard]] Result<std::string> AppendLocked(WalRecordType type,
+                                                 std::string body)
       DBTUNE_REQUIRES(mu_);
+  /// Logs `task` and adds it to the tasks in memory.
+  [[nodiscard]] Status PersistTaskLocked(const SourceTask& task)
+      DBTUNE_REQUIRES(mu_);
+  /// Starts the incarnation of `id` whose begin frame, of LSN `lsn`, is
+  /// `frame`.
+  void BeginLocked(std::string_view id, uint64_t dimension, uint64_t lsn,
+                   std::string_view frame) DBTUNE_REQUIRES(mu_);
+  /// Applies the truncate record of LSN `lsn` to `state`: keeps the first
+  /// `keep` observations, whose frame for observation `keep` starts at
+  /// stream offset `cut`.
+  static void TruncateState(SessionState* state, size_t keep, uint64_t cut,
+                            uint64_t lsn);
   /// The open session `id`, for a mutation of it. FailedPrecondition when
   /// it is finished (sealed, or ended since the last checkpoint), NotFound
   /// when unknown.
-  [[nodiscard]] Result<const StoredSession*> OpenSessionLocked(
-      const std::string& id) const DBTUNE_REQUIRES(mu_);
+  [[nodiscard]] Result<SessionState*> OpenSessionLocked(const std::string& id)
+      DBTUNE_REQUIRES(mu_);
+  /// The session's dimension, read from its begin frame in the data log
+  /// (and kept) when the index does not hold it yet.
+  [[nodiscard]] Result<size_t> DimensionLocked(const std::string& id,
+                                               const SessionState& state) const
+      DBTUNE_REQUIRES(mu_);
+  [[nodiscard]] Result<StreamSource> StreamSourceLocked(
+      const std::string& id, const SessionState& state) const
+      DBTUNE_REQUIRES(mu_);
+  /// Reads the stream `source` names and decodes it, CRC-checked; Internal
+  /// when it does not hold `source->observations` observations of `id`.
+  /// `offsets`, when given, gets the stream offset of each observation.
+  [[nodiscard]] static Result<StoredSession> ReadStream(
+      const std::string& id, StreamSource* source,
+      std::vector<uint64_t>* offsets);
+  /// Stream offset of the frame of observation `index` (0-based).
+  [[nodiscard]] Result<uint64_t> ObservationOffsetLocked(
+      const std::string& id, const SessionState& state, size_t index) const
+      DBTUNE_REQUIRES(mu_);
   /// Truncates the data log and the manifest log back to their committed
   /// lengths and reopens their writers, after a failed checkpoint.
   [[nodiscard]] Status ReopenLogsLocked() DBTUNE_REQUIRES(mu_);
@@ -320,17 +390,14 @@ class ObservationStore {
   [[nodiscard]] Status WriteCheckpointLocked() DBTUNE_REQUIRES(mu_);
   /// Copies the live extents to the next data-log generation.
   [[nodiscard]] Status CompactLocked() DBTUNE_REQUIRES(mu_);
-  /// Appends `length` bytes of the data log at `offset`, read from
-  /// `log`, to `out`; Internal (naming `id`) when they are not there.
-  [[nodiscard]] Status ReadDataLocked(std::ifstream* log, uint64_t offset,
-                                      uint64_t length, const std::string& id,
-                                      std::string* out) const
-      DBTUNE_REQUIRES(mu_);
   /// The frames of one sealed session or task, gathered through its
   /// extent index when it has one.
   [[nodiscard]] Result<std::string> ReadSealedLocked(
       std::ifstream* log, const SealedEntry& entry) const
       DBTUNE_REQUIRES(mu_);
+  /// FindSession of a session no longer in memory.
+  [[nodiscard]] Result<StoredSession> FindSealedLocked(
+      const std::string& id) const DBTUNE_REQUIRES(mu_);
   uint64_t DeadBytesLocked() const DBTUNE_REQUIRES(mu_);
 
   const std::string path_;
@@ -341,7 +408,8 @@ class ObservationStore {
   WalWriter wal_ DBTUNE_GUARDED_BY(mu_);
   /// Open sessions, and sealed ones not yet checkpointed. Ordered so
   /// checkpoints (and therefore recovery) are deterministic.
-  std::map<std::string, SessionState> sessions_ DBTUNE_GUARDED_BY(mu_);
+  std::map<std::string, SessionState, std::less<>> sessions_
+      DBTUNE_GUARDED_BY(mu_);
   /// Tasks not yet in the data log, in persistence order.
   std::vector<TaskState> tasks_ DBTUNE_GUARDED_BY(mu_);
   Manifest manifest_ DBTUNE_GUARDED_BY(mu_);

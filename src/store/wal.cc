@@ -150,11 +150,16 @@ Result<double> WalDecoder::ReadDouble() {
 }
 
 Result<std::string> WalDecoder::ReadString() {
+  DBTUNE_ASSIGN_OR_RETURN(const std::string_view s, ReadStringView());
+  return std::string(s);
+}
+
+Result<std::string_view> WalDecoder::ReadStringView() {
   DBTUNE_ASSIGN_OR_RETURN(const uint32_t len, ReadU32());
   if (pos_ + len > data_.size()) {
     return Status::InvalidArgument("wal decode past end (string)");
   }
-  std::string s(data_.substr(pos_, len));
+  const std::string_view s = data_.substr(pos_, len);
   pos_ += len;
   return s;
 }
@@ -171,6 +176,15 @@ Result<std::vector<double>> WalDecoder::ReadDoubles() {
     v.push_back(d);
   }
   return v;
+}
+
+Result<uint64_t> WalDecoder::SkipDoubles() {
+  DBTUNE_ASSIGN_OR_RETURN(const uint64_t count, ReadU64());
+  if (count > (data_.size() - pos_) / 8) {
+    return Status::InvalidArgument("wal decode past end (doubles)");
+  }
+  pos_ += count * 8;
+  return count;
 }
 
 Result<uint64_t> WalDecoder::ReadVarint() {

@@ -75,7 +75,11 @@ class WalDecoder {
   [[nodiscard]] Result<uint64_t> ReadU64();
   [[nodiscard]] Result<double> ReadDouble();
   [[nodiscard]] Result<std::string> ReadString();
+  /// ReadString without the copy: a view into the decoded buffer.
+  [[nodiscard]] Result<std::string_view> ReadStringView();
   [[nodiscard]] Result<std::vector<double>> ReadDoubles();
+  /// Steps over what ReadDoubles would read and returns its count.
+  [[nodiscard]] Result<uint64_t> SkipDoubles();
   [[nodiscard]] Result<uint64_t> ReadVarint();
 
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -456,5 +456,42 @@ TEST_F(DiagnosticsTest, ReportRenderingIsDeterministic) {
   EXPECT_EQ(plain_report.find("## Diagnostics: plain"), std::string::npos);
 }
 
+// The durable-store section, byte for byte: recovery state, the bytes Open
+// read beside the observations held in memory, the data log, then one row
+// per session; and the line an empty store gets instead of the table.
+TEST_F(DiagnosticsTest, StoreSummaryRendersRecoveryMemoryAndSessions) {
+  dbtune_report::StoreSummary summary;
+  summary.path = "runs/store.wal";
+  summary.last_lsn = 42;
+  summary.loaded_snapshot = true;
+  summary.recovered_torn_tail = true;
+  summary.tasks = 2;
+  summary.recovery_bytes_read = 1234;
+  summary.observations_in_memory = 7;
+  summary.data_log_bytes = 5000;
+  summary.dead_bytes = 100;
+  summary.compactions = 1;
+  summary.sealed_sessions = 1;
+  summary.sessions = {{"live", 3, 12, false}, {"done", 2, 5, true}};
+  EXPECT_EQ(dbtune_report::RenderStoreSummary(summary),
+            "## Durable store\n\n"
+            "- path: `runs/store.wal`\n"
+            "- last LSN: 42\n"
+            "- recovery: checkpoint + wal replay (torn tail truncated)\n"
+            "- persisted base tasks: 2\n"
+            "- recovery read: 1234 byte(s); 7 observation(s) in memory\n"
+            "- data log: 5000 byte(s), 100 dead, 1 compaction(s); "
+            "1 sealed session(s)\n\n"
+            "| session | dims | observations | state |\n"
+            "|---|---|---|---|\n"
+            "| live | 3 | 12 | in-flight |\n"
+            "| done | 2 | 5 | finished |\n");
+  summary.sessions.clear();
+  const std::string empty = dbtune_report::RenderStoreSummary(summary);
+  EXPECT_TRUE(
+      empty.ends_with("1 sealed session(s)\n\nNo recorded sessions.\n"))
+      << empty;
+}
+
 }  // namespace
 }  // namespace dbtune

@@ -2,7 +2,8 @@
 // recovery, checkpoints from retained frames (against a fresh encode), the
 // LSN skip window, fault-injected mid-write crashes, store metrics, the
 // data log and manifest log (checkpoint equivalence, linear checkpoint
-// bytes, crash windows, compaction, damage, what Open reads), the
+// bytes, crash windows, compaction, damage, what Open reads, what memory
+// holds, reads racing a compaction, malformed WAL bodies), the
 // committed fixtures (older layouts refused untouched, a generation-0
 // data log read as any other), and the headline guarantee — a session
 // killed at any iteration replays to a bitwise-identical trajectory.
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -1608,13 +1610,13 @@ TEST_F(StoreTest, CompactionCrashWindowsRecoverThePreCompactionContent) {
   }
 }
 
-// Damage never aborts. Open reads only the manifest log and the open
-// sessions' extents: with a sealed session's and a task's frames damaged
-// it succeeds, and so do ListSessions and num_tasks (they answer from the
-// index); FindSession of the damaged id and ExportTasks fail with a
-// Status while every other id still reads back. A damaged open session's
-// extent, a damaged or emptied manifest log, and a data log shorter than
-// the manifest covers fail Open with Internal.
+// Damage never aborts. Open reads only the manifest log and the WAL: with
+// a sealed session's and a task's frames damaged it succeeds, and so do
+// ListSessions and num_tasks (they answer from the index); FindSession of
+// the damaged id and ExportTasks fail with a Status while every other id
+// still reads back. A damaged open session's extent is reported the same
+// way, by FindSession of that id. A damaged or emptied manifest log, and a
+// data log shorter than the manifest covers, fail Open with Internal.
 TEST_F(StoreTest, DamagedDataLogOrManifestNeverAborts) {
   const std::string path = StorePath("sealed_damaged");
   const std::string reference_path = StorePath("sealed_damaged_reference");
@@ -1678,12 +1680,26 @@ TEST_F(StoreTest, DamagedDataLogOrManifestNeverAborts) {
     }
   }
 
-  // An open session's extent is read at Open: damage there fails it.
+  // Open reads no open session's extent either: damage there is reported
+  // by the lookup that reads it, and every other id still reads back.
   damaged = data_log;
   damaged[open_frame + 20] ^= 0x10;
   WriteBytes(data_log_path, damaged);
-  EXPECT_EQ(ObservationStore::Open(path).status().code(),
-            StatusCode::kInternal);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ObservationStore& s = **opened;
+    EXPECT_EQ(s.FindSession("open").status().code(), StatusCode::kInternal);
+    for (const std::string id : {"a", "b", "c"}) {
+      const Result<StoredSession> got = s.FindSession(id);
+      ASSERT_TRUE(got.ok()) << id << ": " << got.status().ToString();
+      ExpectObservationsBitEqual((*reference)->FindSession(id)->observations,
+                                 got->observations);
+    }
+    ObservationRepository repository;
+    EXPECT_TRUE(s.ExportTasks(&repository).ok());
+    EXPECT_EQ(repository.size(), (*reference)->num_tasks());
+  }
 
   // A complete manifest edit that fails its CRC is damage, not a torn
   // tail: Open fails instead of dropping committed edits.
@@ -1922,9 +1938,9 @@ TEST_F(StoreTest, CheckpointBytesAreLinearInLoggedBytes) {
   }
 }
 
-// Open never reads a sealed session's or a task's bytes: it reads the
-// manifest log, the open sessions' extents and the WAL, and on a store of
-// sealed sessions only, just the manifest log and the WAL's header.
+// Open reads no data-log byte, a sealed session's, a task's or an open
+// session's: it reads the manifest log and the WAL, so on a store with an
+// open session it reads just the manifest log and the WAL's header.
 TEST_F(StoreTest, OpenReadsNoSealedBytes) {
   const std::string path = StorePath("recovery_bytes");
   const std::string reference_path = StorePath("recovery_bytes_reference");
@@ -1943,7 +1959,7 @@ TEST_F(StoreTest, OpenReadsNoSealedBytes) {
     auto opened = ObservationStore::Open(path);
     ASSERT_TRUE(opened.ok());
     EXPECT_EQ((*opened)->stats().recovery_bytes_read,
-              std::filesystem::file_size(path + ".manifest") + open_bytes +
+              std::filesystem::file_size(path + ".manifest") +
                   sizeof(store::kWalMagic));
     DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
                       HardwareInstance::kB, 1);
@@ -2111,6 +2127,219 @@ TEST_F(StoreTest, TwoThreadsAppendingThroughCompactionsRecoverBitExact) {
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     ExpectObservationsBitEqual(session->observations, written);
   }
+}
+
+// FindSession and FinishSession read a session's checkpointed frames
+// outside the store mutex. Four threads read back their own checkpointed
+// sessions, then finish them, while a fifth appends to and truncates
+// another session with automatic checkpoints every third append, which
+// compact the data log under the readers as the truncations leave dead
+// bytes. Every read is bit-exact, every task holds its session's rows,
+// and the writer's session is bit-exact too.
+TEST_F(StoreTest, SessionReadsRaceAppendsThroughCompactions) {
+  DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                    HardwareInstance::kB, 1);
+  TuningEnvironment env(&sim, {0, 1});
+  const std::string path = StorePath("reads_race_compaction");
+  StoreOptions options;
+  options.snapshot_every = 3;
+  auto opened = ObservationStore::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ObservationStore& s = **opened;
+  std::map<std::string, std::vector<Observation>> expected;
+  Rng rng(3);
+  for (const std::string id : {"r0", "r1", "r2", "r3"}) {
+    ASSERT_TRUE(s.BeginSession(id, 2).ok());
+    std::vector<Observation>& written = expected[id];
+    for (size_t i = 0; i < 10; ++i) {
+      written.push_back(RandomObs(&rng, 2));
+      ASSERT_TRUE(s.AppendObservation(id, written.size(), written.back()).ok());
+    }
+  }
+  ASSERT_TRUE(s.Checkpoint().ok());
+  ASSERT_EQ(s.stats().observations_in_memory, 0u);
+  ASSERT_TRUE(s.BeginSession("w", 2).ok());
+
+  std::atomic<bool> writing{false};
+  auto reader = [&](const std::string& id) {
+    while (!writing.load()) std::this_thread::yield();
+    for (size_t reads = 0; reads < 20; ++reads) {
+      const Result<StoredSession> got = s.FindSession(id);
+      ASSERT_TRUE(got.ok()) << id << ": " << got.status().ToString();
+      ExpectObservationsBitEqual(got->observations, expected.at(id));
+    }
+    ASSERT_TRUE(s.FinishSession(id, env.space(), id).ok());
+    const Result<StoredSession> sealed = s.FindSession(id);
+    ASSERT_TRUE(sealed.ok()) << id << ": " << sealed.status().ToString();
+    EXPECT_TRUE(sealed->finished);
+    ExpectObservationsBitEqual(sealed->observations, expected.at(id));
+  };
+  std::vector<Observation> written;
+  std::thread writer([&] {
+    Rng ops(4);
+    for (size_t round = 0; round < 10; ++round) {
+      for (size_t i = 0; i < 12; ++i) {
+        written.push_back(RandomObs(&ops, 2));
+        EXPECT_TRUE(
+            s.AppendObservation("w", written.size(), written.back()).ok());
+        writing.store(true);
+      }
+      written.resize(written.size() / 4);
+      EXPECT_TRUE(s.TruncateSession("w", written.size()).ok());
+    }
+  });
+  std::vector<std::thread> readers;
+  for (const auto& entry : expected) readers.emplace_back(reader, entry.first);
+  writer.join();
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_GT(s.stats().compactions, 0u);
+  EXPECT_EQ(s.stats().checkpoint_failures, 0u);
+  const Result<StoredSession> w = s.FindSession("w");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ExpectObservationsBitEqual(w->observations, written);
+  const std::vector<SourceTask> tasks = TasksOf(s);
+  ASSERT_EQ(tasks.size(), expected.size());
+  for (const SourceTask& task : tasks) {
+    EXPECT_EQ(task.unit_x.size(), expected.at(task.name).size()) << task.name;
+  }
+}
+
+// The store holds only the frames logged since the last checkpoint: its
+// count of observations in memory falls to zero at a checkpoint and then
+// counts the appends after it, and a reopened store holds only its WAL
+// tail. Every history still reads back bit-exact.
+TEST_F(StoreTest, CheckpointLeavesOnlyUnflushedObservationsInMemory) {
+  const std::string path = StorePath("in_memory");
+  StoreOptions options;
+  options.snapshot_every = 0;
+  std::map<std::string, std::vector<Observation>> expected;
+  Rng rng(8);
+  auto append = [&](ObservationStore* s, const std::string& id, size_t n) {
+    std::vector<Observation>& written = expected[id];
+    for (size_t i = 0; i < n; ++i) {
+      written.push_back(RandomObs(&rng, 3));
+      ASSERT_TRUE(s->AppendObservation(id, written.size(), written.back())
+                      .ok());
+    }
+  };
+  auto expect_histories = [&](const ObservationStore& s) {
+    for (const auto& [id, written] : expected) {
+      const Result<StoredSession> got = s.FindSession(id);
+      ASSERT_TRUE(got.ok()) << id << ": " << got.status().ToString();
+      ExpectObservationsBitEqual(got->observations, written);
+    }
+  };
+  {
+    auto opened = ObservationStore::Open(path, options);
+    ASSERT_TRUE(opened.ok());
+    ObservationStore& s = **opened;
+    for (const std::string id : {"s0", "s1", "s2"}) {
+      ASSERT_TRUE(s.BeginSession(id, 3).ok());
+      append(&s, id, 5);
+    }
+    EXPECT_EQ(s.stats().observations_in_memory, 15u);
+    ASSERT_TRUE(s.Checkpoint().ok());
+    EXPECT_EQ(s.stats().observations_in_memory, 0u);
+    append(&s, "s1", 2);
+    EXPECT_EQ(s.stats().observations_in_memory, 2u);
+    expect_histories(s);
+  }
+  auto reopened = ObservationStore::Open(path, options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->stats().observations_in_memory, 2u);
+  expect_histories(**reopened);
+  ASSERT_TRUE((*reopened)->Checkpoint().ok());
+  EXPECT_EQ((*reopened)->stats().observations_in_memory, 0u);
+  expect_histories(**reopened);
+}
+
+// Replay checks a WAL record's body by stepping over its fields. A record
+// whose CRC holds but whose body is one byte short of its fields is
+// damage: Open answers Internal for every record type, while the same log
+// with the whole body opens.
+TEST_F(StoreTest, MalformedWalBodyBehindAValidCrcFailsOpen) {
+  const std::string path = StorePath("malformed_body");
+  auto write_wal = [&path](WalRecordType type, const std::string& body) {
+    std::string wal(store::kWalMagic, sizeof(store::kWalMagic));
+    wal += EncodeWalFrame(
+        WalRecord{1, WalRecordType::kBeginSession, BeginBody("s", 2)});
+    wal += EncodeWalFrame(WalRecord{2, type, body});
+    WriteBytes(path, wal);
+  };
+  SourceTask task;
+  task.name = "t";
+  task.unit_x = {{0.25, 0.5}, {0.75, 1.0}};
+  task.scores = {1.0, 2.0};
+  task.metric_signature = {3.0};
+  const std::vector<std::pair<WalRecordType, std::string>> records = {
+      {WalRecordType::kBeginSession, BeginBody("s", 2)},
+      {WalRecordType::kObservation,
+       ObservationBody("s", 1, MakeObs({0.25, 0.5}, 1.0, 2.0, {3.0}))},
+      {WalRecordType::kEndSession, EndBody("s")},
+      {WalRecordType::kTask, TaskBody(task)},
+      {WalRecordType::kTruncateSession, TruncateBody("s", 0)},
+  };
+  for (const auto& [type, body] : records) {
+    const int tag = static_cast<int>(type);
+    write_wal(type, body);
+    EXPECT_TRUE(ObservationStore::Open(path).ok()) << "type " << tag;
+    ASSERT_TRUE(ObservationStore::Destroy(path).ok());
+    write_wal(type, body.substr(0, body.size() - 1));
+    EXPECT_EQ(ObservationStore::Open(path).status().code(),
+              StatusCode::kInternal)
+        << "type " << tag;
+    ASSERT_TRUE(ObservationStore::Destroy(path).ok());
+  }
+}
+
+// Every writer lists a manifest edit's seals in id order, and Open merges
+// them into its id-sorted index in that order. A full edit listing them
+// in reverse (which no writer does) still reads back the same store.
+TEST_F(StoreTest, SealsOutOfIdOrderReadBackTheSame) {
+  const std::string path = StorePath("seals_out_of_order");
+  const std::string reference_path = StorePath("seals_out_of_order_reference");
+  BuildSealedStore(path, reference_path);
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    ASSERT_TRUE((*opened)->Checkpoint().ok());
+  }
+  const TestManifest m = ReadManifest(path);
+  ASSERT_EQ(m.sealed.size(), 3u);
+  ASSERT_EQ(m.open.count("open"), 1u);
+  ASSERT_EQ(m.open.at("open").size(), 1u);
+  store::WalEncoder enc;
+  enc.PutU8(1);  // full
+  enc.PutVarint(m.generation);
+  enc.PutVarint(m.data_log_bytes);
+  enc.PutVarint(0);  // restarts
+  enc.PutVarint(0);  // cuts
+  enc.PutVarint(1);  // one run of extents
+  enc.PutString("open");
+  enc.PutVarint(1);
+  enc.PutVarint(m.open.at("open")[0].offset);
+  enc.PutVarint(m.open.at("open")[0].length);
+  enc.PutVarint(2);  // BuildSealedStore's run("open", 2)
+  enc.PutVarint(m.sealed.size());
+  for (auto it = m.sealed.rbegin(); it != m.sealed.rend(); ++it) {
+    enc.PutString(it->first);
+    for (const uint64_t field : it->second.fields) enc.PutVarint(field);
+  }
+  enc.PutVarint(m.tasks.size());
+  for (const TestEntry& entry : m.tasks) {
+    enc.PutString(entry.id);
+    for (const uint64_t field : entry.fields) enc.PutVarint(field);
+  }
+  std::string image(store::kManifestMagic, sizeof(store::kManifestMagic));
+  image += EncodeWalFrame(
+      WalRecord{m.covered_lsn, WalRecordType::kManifestEdit, enc.bytes()});
+  WriteBytes(path + ".manifest", image);
+  auto reference = ObservationStore::Open(reference_path);
+  ASSERT_TRUE(reference.ok());
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->stats().sealed_sessions, 3u);
+  ExpectStoresBitEqual(**reference, **opened);
 }
 
 // ---------------------------------------------------------------------------

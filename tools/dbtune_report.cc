@@ -37,6 +37,7 @@ dbtune_report::StoreSummary SummarizeStore(
   summary.dead_bytes = stats.dead_bytes;
   summary.compactions = stats.compactions;
   summary.recovery_bytes_read = stats.recovery_bytes_read;
+  summary.observations_in_memory = stats.observations_in_memory;
   for (const dbtune::store::StoredSessionInfo& info : store.ListSessions()) {
     dbtune_report::StoreSummary::Session session;
     session.id = info.id;

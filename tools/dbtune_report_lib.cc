@@ -236,7 +236,8 @@ std::string RenderStoreSummary(const StoreSummary& summary) {
   out += "\n";
   out += "- persisted base tasks: " + std::to_string(summary.tasks) + "\n";
   out += "- recovery read: " + std::to_string(summary.recovery_bytes_read) +
-         " byte(s)\n";
+         " byte(s); " + std::to_string(summary.observations_in_memory) +
+         " observation(s) in memory\n";
   out += "- data log: " + std::to_string(summary.data_log_bytes) +
          " byte(s), " + std::to_string(summary.dead_bytes) +
          " dead, " + std::to_string(summary.compactions) +

@@ -81,8 +81,11 @@ struct StoreSummary {
   unsigned long long data_log_bytes = 0;
   unsigned long long dead_bytes = 0;
   size_t compactions = 0;
-  /// Bytes recovery read (manifest log, open sessions' extents, WAL).
+  /// Bytes recovery read (the manifest log and the WAL).
   unsigned long long recovery_bytes_read = 0;
+  /// Observations the store holds in memory (logged since the last
+  /// checkpoint).
+  size_t observations_in_memory = 0;
   unsigned long long last_lsn = 0;
   bool loaded_snapshot = false;
   bool recovered_torn_tail = false;
