@@ -30,7 +30,7 @@ Knob Knob::Continuous(std::string name, double min, double max,
   k.min_ = min;
   k.max_ = max;
   k.default_value_ = default_value;
-  k.log_scale_ = log_scale;
+  k.SetLogScale(log_scale);
   return k;
 }
 
@@ -45,7 +45,7 @@ Knob Knob::Integer(std::string name, int64_t min, int64_t max,
   k.min_ = static_cast<double>(min);
   k.max_ = static_cast<double>(max);
   k.default_value_ = static_cast<double>(default_value);
-  k.log_scale_ = log_scale;
+  k.SetLogScale(log_scale);
   return k;
 }
 
@@ -63,6 +63,14 @@ Knob Knob::Categorical(std::string name, std::vector<std::string> categories,
   return k;
 }
 
+void Knob::SetLogScale(bool log_scale) {
+  log_scale_ = log_scale;
+  if (log_scale_) {
+    log_min_ = std::log(min_);
+    log_max_ = std::log(max_);
+  }
+}
+
 double Knob::Encode(double value) const {
   const double v = Clip(value);
   if (type_ == KnobType::kCategorical) {
@@ -70,7 +78,7 @@ double Knob::Encode(double value) const {
     return (v + 0.5) / k;
   }
   if (log_scale_) {
-    return (std::log(v) - std::log(min_)) / (std::log(max_) - std::log(min_));
+    return (std::log(v) - log_min_) / (log_max_ - log_min_);
   }
   return (v - min_) / (max_ - min_);
 }
@@ -84,7 +92,7 @@ double Knob::Decode(double unit) const {
   }
   double v;
   if (log_scale_) {
-    v = std::exp(std::log(min_) + u * (std::log(max_) - std::log(min_)));
+    v = std::exp(log_min_ + u * (log_max_ - log_min_));
   } else {
     v = min_ + u * (max_ - min_);
   }

@@ -52,7 +52,8 @@ class Knob {
 
   bool is_categorical() const { return type_ == KnobType::kCategorical; }
 
-  /// Maps a native-domain value to [0, 1].
+  /// Maps a native-domain value to [0, 1]. A log-scaled knob maps
+  /// (log(v) - log(min)) / (log(max) - log(min)).
   double Encode(double value) const;
 
   /// Maps a unit-interval position back to the native domain (rounds
@@ -68,6 +69,9 @@ class Knob {
 
  private:
   Knob() = default;
+  /// Sets log_scale_ and, when set, the cached log bounds (min_ and max_
+  /// must already hold their final values).
+  void SetLogScale(bool log_scale);
 
   std::string name_;
   KnobType type_ = KnobType::kContinuous;
@@ -75,6 +79,11 @@ class Knob {
   double max_ = 1.0;
   double default_value_ = 0.0;
   bool log_scale_ = false;
+  // log(min_) and log(max_) of a log-scaled knob, computed once by the
+  // factory: Encode/Decode run per candidate dimension on every snap, and
+  // these are exactly the doubles a fresh std::log call would return.
+  double log_min_ = 0.0;
+  double log_max_ = 0.0;
   std::vector<std::string> categories_;
 };
 

@@ -1,5 +1,6 @@
 #include "surrogate/gaussian_process.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -16,19 +17,28 @@ GaussianProcess::GaussianProcess(std::shared_ptr<const Kernel> kernel,
   DBTUNE_CHECK(kernel_ != nullptr);
 }
 
-Matrix GaussianProcess::AssembleKernelMatrix(double lengthscale) const {
-  const size_t n = x_.size();
+void GaussianProcess::KernelAgainstTraining(const double* row, size_t begin,
+                                            size_t end, double lengthscale,
+                                            double* out) const {
+  for (size_t j = begin; j < end; j += Kernel::kMaxBlock) {
+    const size_t m = std::min(Kernel::kMaxBlock, end - j);
+    kernel_->ComputeBlock(row, x_cols_.data() + j, /*stride=*/n_, m, dim_,
+                          lengthscale, out + (j - begin));
+  }
+}
+
+Matrix GaussianProcess::AssembleKernelMatrix(const FeatureMatrix& x,
+                                             double lengthscale) const {
+  const size_t n = n_;
   Matrix k(n, n);
   // Row i fills k(i, i..n) and mirrors into k(i..n, i): each (i, j) pair
   // is owned by exactly one i, so rows parallelize without overlap. The
   // small grain compensates for the triangular (shrinking) row cost.
   ParallelFor(GlobalPool(), 0, n, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i; j < n; ++j) {
-        const double v = kernel_->Compute(x_[i], x_[j], lengthscale);
-        k(i, j) = v;
-        k(j, i) = v;
-      }
+      double* row_i = k.RowPtr(i);
+      KernelAgainstTraining(x[i].data(), i, n, lengthscale, row_i + i);
+      for (size_t j = i + 1; j < n; ++j) k(j, i) = row_i[j];
     }
   });
   return k;
@@ -37,7 +47,7 @@ Matrix GaussianProcess::AssembleKernelMatrix(double lengthscale) const {
 Result<double> GaussianProcess::FactorizeWith(const Matrix& k_base,
                                               double noise,
                                               FitState* state) const {
-  const size_t n = x_.size();
+  const size_t n = n_;
   const std::vector<double>& y = policy_.y_standardized();
   Matrix k = k_base;
   k.AddDiagonal(noise + 1e-10);
@@ -55,11 +65,12 @@ Result<double> GaussianProcess::FactorizeWith(const Matrix& k_base,
   return lml;
 }
 
-Result<double> GaussianProcess::FitIncremental(size_t old_n) {
+Result<double> GaussianProcess::FitIncremental(const FeatureMatrix& x,
+                                               size_t old_n) {
   static obs::Histogram& incremental_hist =
       obs::MetricsRegistry::Get().histogram("gp.fit.incremental");
   obs::ScopedLatency incremental_latency(&incremental_hist);
-  const size_t n = x_.size();
+  const size_t n = n_;
   // Grow the factor: the leading old_n x old_n block of L depends only on
   // the leading block of K, so it is copied verbatim (new columns stay
   // zero, matching the zeroed upper triangle of CholeskyFactorize).
@@ -72,16 +83,18 @@ Result<double> GaussianProcess::FitIncremental(size_t old_n) {
   const double diagonal_jitter = policy_.noise() + 1e-10;
   for (size_t i = old_n; i < n; ++i) {
     double* row_i = l.RowPtr(i);
-    // Border of the Gram matrix: k(j, i) for j < i, computed in the
-    // argument order the full assembly uses (row j owns pair (j, i)), so
-    // the appended values are bitwise those of a from-scratch build.
+    // Border of the Gram matrix: k(i, j) for j <= i. The full assembly
+    // computes k(j, i) (row j owns the pair); every kernel is bitwise
+    // symmetric (it sees x_j - x_i only through its square or absolute
+    // value, and IEEE subtraction is sign-symmetric), so the appended
+    // values are bitwise those of a from-scratch build.
     ParallelFor(GlobalPool(), 0, i, /*grain=*/64,
                 [&](size_t begin, size_t end) {
-                  for (size_t j = begin; j < end; ++j) {
-                    row_i[j] = kernel_->Compute(x_[j], x_[i], lengthscale);
-                  }
+                  KernelAgainstTraining(x[i].data(), begin, end, lengthscale,
+                                        row_i + begin);
                 });
-    row_i[i] = kernel_->Compute(x_[i], x_[i], lengthscale) + diagonal_jitter;
+    KernelAgainstTraining(x[i].data(), i, i + 1, lengthscale, row_i + i);
+    row_i[i] += diagonal_jitter;
     // Forward-solve the new row against the existing factor; identical
     // inner-loop order to CholeskyFactorize, so the extended factor is
     // bitwise what a full refactorization would produce.
@@ -126,16 +139,25 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
   // Does the new training set extend the previous one (same rows plus
   // appended ones)? Decides both the incremental-append eligibility and
   // the hyper-parameter staleness reset below; compared bitwise before
-  // x_ is overwritten.
-  const size_t old_n = x_.size();
+  // the stored inputs are overwritten.
+  const size_t old_n = n_;
   bool extends_history = policy_.fitted() && x.size() >= old_n &&
-                         old_n > 0 && x.front().size() == x_.front().size();
+                         old_n > 0 && x.front().size() == dim_;
   for (size_t r = 0; extends_history && r < old_n; ++r) {
-    extends_history = x[r] == x_[r];
+    for (size_t t = 0; extends_history && t < dim_; ++t) {
+      extends_history = x[r][t] == x_cols_[t * old_n + r];
+    }
   }
   const bool can_append = extends_history && factor_cached_;
   factor_cached_ = false;  // re-established only by a successful fit
-  x_ = x;
+  n_ = x.size();
+  dim_ = x.front().size();
+  // assign() sizes a grown buffer exactly, with no doubling slack: every
+  // resident session holds one.
+  x_cols_.assign(dim_ * n_, 0.0);
+  for (size_t j = 0; j < n_; ++j) {
+    for (size_t t = 0; t < dim_; ++t) x_cols_[t * n_ + j] = x[j][t];
+  }
 
   // A shrunk or wholesale-replaced training set invalidates the cached
   // hyper-parameters along with the factor (e.g. a TuRBO restart must
@@ -144,7 +166,7 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
   const bool reuse =
       policy_.Begin(y, /*stale=*/policy_.fitted() && !extends_history);
   if (reuse && policy_.options().enable_incremental && can_append) {
-    Result<double> lml = FitIncremental(old_n);
+    Result<double> lml = FitIncremental(x, old_n);
     if (lml.ok()) {
       policy_.Accept(*lml);
       return Status::OK();
@@ -159,8 +181,8 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
       FitState best,
       policy_.Fit<FitState>(
           reuse,
-          [this](double lengthscale) -> Result<Matrix> {
-            return AssembleKernelMatrix(lengthscale);
+          [this, &x](double lengthscale) -> Result<Matrix> {
+            return AssembleKernelMatrix(x, lengthscale);
           },
           [this](const Matrix& k_base, double noise, FitState* state) {
             return FactorizeWith(k_base, noise, state);
@@ -185,7 +207,8 @@ void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
   static obs::Histogram& predict_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict");
   obs::ScopedLatency predict_latency(&predict_hist);
-  const size_t n = x_.size();
+  DBTUNE_CHECK(x.size() == dim_);
+  const size_t n = n_;
   // Per-thread scratch: each calling thread owns its own pair, so
   // concurrent callers from the acquisition loops are isolated. The
   // caller's buffer outlives the blocking ParallelFor below; workers
@@ -197,11 +220,12 @@ void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
   k_star.resize(n);
   double* const k_star_out = k_star.data();
   const double lengthscale = policy_.lengthscale();
+  // k(x, x_i) is bitwise k(x_i, x) (see FitIncremental), so the query
+  // takes the row slot and the training inputs stream as kernel blocks.
   ParallelFor(GlobalPool(), 0, n, /*grain=*/64,
               [&, k_star_out](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  k_star_out[i] = kernel_->Compute(x_[i], x, lengthscale);
-                }
+                KernelAgainstTraining(x.data(), begin, end, lengthscale,
+                                      k_star_out + begin);
               });
 
   double mu = Dot(k_star, alpha_);
@@ -222,7 +246,7 @@ void GaussianProcess::PredictMeanVarBatch(
   static obs::Histogram& batch_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict.batch");
   obs::ScopedLatency batch_latency(&batch_hist);
-  const size_t n = x_.size();
+  const size_t n = n_;
   const double lengthscale = policy_.lengthscale();
   const double y_mean = policy_.y_mean();
   const double y_scale = policy_.y_scale();
@@ -232,22 +256,32 @@ void GaussianProcess::PredictMeanVarBatch(
   // solve: K* and V are laid out i-major (query-minor), so each factor
   // row is streamed once per block and the innermost loops run across the
   // block's independent accumulators (SIMD-friendly without FP
-  // reassociation). Every query keeps the scalar path's summation order
+  // reassociation). A query's K* column is computed as in PredictMeanVar
+  // (the query against kernel blocks of training rows) and scattered
+  // into the block. Every query keeps the scalar path's summation order
   // exactly — k ascending in the solve, i ascending in the dots — so
   // results are bitwise equal to PredictMeanVar at any pool size.
   constexpr size_t kBlock = 16;
   ParallelFor(
       GlobalPool(), 0, xs.size(), /*grain=*/kBlock,
       [&](size_t begin, size_t end) {
-        std::vector<double> k_block(n * kBlock);  // K*(i, r), i-major
-        std::vector<double> v_block(n * kBlock);  // (L^-1 K*)(i, r), i-major
+        // Per-thread scratch, reused across calls: every thread running a
+        // chunk (the caller included) owns its own three buffers, and a
+        // chunk never re-enters this lambda before it returns.
+        static thread_local std::vector<double> k_query;  // one K* column
+        static thread_local std::vector<double> k_block;  // K*(i, r), i-major
+        static thread_local std::vector<double> v_block;  // (L^-1 K*)(i, r)
+        k_query.resize(n);
+        k_block.resize(n * kBlock);
+        v_block.resize(n * kBlock);
         for (size_t b = begin; b < end; b += kBlock) {
           const size_t m = std::min(kBlock, end - b);
-          for (size_t i = 0; i < n; ++i) {
-            double* ki = k_block.data() + i * m;
-            for (size_t r = 0; r < m; ++r) {
-              ki[r] = kernel_->Compute(x_[i], xs[b + r], lengthscale);
-            }
+          for (size_t r = 0; r < m; ++r) {
+            const std::vector<double>& xq = xs[b + r];
+            DBTUNE_CHECK(xq.size() == dim_);
+            KernelAgainstTraining(xq.data(), 0, n, lengthscale,
+                                  k_query.data());
+            for (size_t i = 0; i < n; ++i) k_block[i * m + r] = k_query[i];
           }
           double acc[kBlock];
           for (size_t i = 0; i < n; ++i) {

@@ -40,7 +40,7 @@ class GaussianProcess final : public Regressor {
   double log_marginal_likelihood() const {
     return policy_.log_marginal_likelihood();
   }
-  size_t num_observations() const { return x_.size(); }
+  size_t num_observations() const { return n_; }
 
   /// Fitted hyper-parameters and factorization internals, exposed so the
   /// incremental-fit tests can assert bitwise equality against a full
@@ -58,24 +58,35 @@ class GaussianProcess final : public Regressor {
     std::vector<double> alpha;
   };
 
-  /// Assembles K (no noise diagonal) at `lengthscale`.
-  Matrix AssembleKernelMatrix(double lengthscale) const;
+  /// out[j - begin] = k(row, x_j) for training rows j in [begin, end),
+  /// evaluated a kernel block at a time over the stored inputs.
+  void KernelAgainstTraining(const double* row, size_t begin, size_t end,
+                             double lengthscale, double* out) const;
+  /// Assembles K (no noise diagonal) at `lengthscale`; `x` is the
+  /// training set the stored inputs were copied from.
+  Matrix AssembleKernelMatrix(const FeatureMatrix& x,
+                              double lengthscale) const;
   /// Copies `k_base`, adds the noise diagonal, factorizes, and computes
   /// alpha; returns the LML. Does not touch member state.
   Result<double> FactorizeWith(const Matrix& k_base, double noise,
                                FitState* state) const;
-  /// Extends the cached factor with rows [old_n, x_.size()) by bordered
+  /// Extends the cached factor with rows [old_n, n_) by bordered
   /// Cholesky append, then recomputes alpha/LML (the targets are
   /// re-standardized every fit). Fails when a pivot is not positive.
-  Result<double> FitIncremental(size_t old_n);
+  Result<double> FitIncremental(const FeatureMatrix& x, size_t old_n);
 
   std::shared_ptr<const Kernel> kernel_;
   GpFitPolicy policy_;  // lengthscale, noise, LML, cadence, targets
 
-  FeatureMatrix x_;
+  // The training inputs in one contiguous buffer, rewritten by every Fit:
+  // dimension t of row j at x_cols_[t * n_ + j], the query layout of
+  // Kernel::ComputeBlock.
+  size_t n_ = 0;
+  size_t dim_ = 0;
+  std::vector<double> x_cols_;
   Matrix chol_;                 // lower Cholesky factor of K + noise I
   std::vector<double> alpha_;   // (K + noise I)^-1 y
-  // True only when chol_/alpha_ match x_ and the current
+  // True only when chol_/alpha_ match the training inputs and the current
   // hyper-parameters (i.e. the last Fit succeeded); cleared on entry to
   // Fit so a failed fit can never seed an incremental append.
   bool factor_cached_ = false;

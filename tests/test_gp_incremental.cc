@@ -5,6 +5,7 @@
 // training set stops being an extension of the previous one.
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,22 +183,57 @@ TEST(GpIncrementalTest, HyperoptIterationsInterleaveWithAppends) {
                              /*step=*/2);
 }
 
+// Dimensions 1 and 3 of the batched-predict inputs are categorical: their
+// values sit on a three-category grid, so the Hamming terms see both equal
+// and differing entries.
+const std::vector<bool> kBatchMask = {false, true, false, true, false};
+
+FeatureMatrix MakeMixedInputs(size_t n, uint64_t seed) {
+  FeatureMatrix x = MakeInputs(n, kBatchMask.size(), seed);
+  for (auto& row : x) {
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (kBatchMask[j]) row[j] = (std::floor(row[j] * 3.0) + 0.5) / 3.0;
+    }
+  }
+  return x;
+}
+
 TEST(GpIncrementalTest, BatchedPredictMatchesScalarBitwise) {
-  const FeatureMatrix x = MakeInputs(50, 5, 37);
-  const std::vector<double> y = MakeTargets(x);
-  const FeatureMatrix queries = MakeInputs(33, 5, 41);
-  for (size_t pool : {1u, 2u, 8u}) {
-    PoolSizeGuard guard(pool);
-    GaussianProcess gp(std::make_unique<Matern52Kernel>());
-    ASSERT_TRUE(gp.Fit(x, y).ok());
-    std::vector<double> batch_means, batch_vars;
-    gp.PredictMeanVarBatch(queries, &batch_means, &batch_vars);
-    ASSERT_EQ(batch_means.size(), queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      double mean = 0.0, var = 0.0;
-      gp.PredictMeanVar(queries[q], &mean, &var);
-      EXPECT_EQ(batch_means[q], mean);
-      EXPECT_EQ(batch_vars[q], var);
+  // Every kernel, through full query blocks, partial ones and a single
+  // query, at two training sizes: the batch (kernel blocks over
+  // dimension-major queries) must equal the per-query path bit for bit.
+  const std::vector<std::shared_ptr<const Kernel>> kernels = {
+      std::make_shared<RbfKernel>(), std::make_shared<Matern52Kernel>(),
+      std::make_shared<HammingKernel>(),
+      std::make_shared<MixedKernel>(kBatchMask)};
+  const FeatureMatrix all_queries = MakeMixedInputs(300, 41);
+  for (const auto& kernel : kernels) {
+    for (size_t n : {50u, 130u}) {
+      const FeatureMatrix x = MakeMixedInputs(n, 37 + n);
+      const std::vector<double> y = MakeTargets(x);
+      for (size_t pool : {1u, 2u, 8u}) {
+        PoolSizeGuard guard(pool);
+        GaussianProcess gp(kernel);
+        ASSERT_TRUE(gp.Fit(x, y).ok()) << kernel->name() << " n=" << n;
+        for (size_t num_queries : {1u, 15u, 16u, 17u, 300u}) {
+          const FeatureMatrix queries(all_queries.begin(),
+                                      all_queries.begin() + num_queries);
+          std::vector<double> batch_means, batch_vars;
+          gp.PredictMeanVarBatch(queries, &batch_means, &batch_vars);
+          ASSERT_EQ(batch_means.size(), queries.size());
+          ASSERT_EQ(batch_vars.size(), queries.size());
+          for (size_t q = 0; q < queries.size(); ++q) {
+            double mean = 0.0, var = 0.0;
+            gp.PredictMeanVar(queries[q], &mean, &var);
+            EXPECT_EQ(batch_means[q], mean)
+                << kernel->name() << " n=" << n << " pool=" << pool
+                << " queries=" << num_queries << " q=" << q;
+            EXPECT_EQ(batch_vars[q], var)
+                << kernel->name() << " n=" << n << " pool=" << pool
+                << " queries=" << num_queries << " q=" << q;
+          }
+        }
+      }
     }
   }
 }

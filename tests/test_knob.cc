@@ -1,6 +1,11 @@
 #include "knobs/knob.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "knobs/catalog.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +34,57 @@ TEST(KnobTest, LogScaleEncodeDecode) {
   EXPECT_NEAR(k.Decode(0.5), 32.0, 1e-9);
   EXPECT_DOUBLE_EQ(k.Encode(1.0), 0.0);
   EXPECT_DOUBLE_EQ(k.Encode(1024.0), 1.0);
+}
+
+// The log-scale maps with the bounds' logs taken afresh on every call:
+// the formula the cached log bounds must reproduce bit for bit.
+double UncachedLogEncode(const Knob& k, double value) {
+  const double v = k.Clip(value);
+  return (std::log(v) - std::log(k.min())) /
+         (std::log(k.max()) - std::log(k.min()));
+}
+
+double UncachedLogDecode(const Knob& k, double unit) {
+  const double u = std::clamp(unit, 0.0, 1.0);
+  double v = std::exp(std::log(k.min()) +
+                      u * (std::log(k.max()) - std::log(k.min())));
+  if (k.type() == KnobType::kInteger) v = std::round(v);
+  return std::clamp(v, k.min(), k.max());
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(KnobTest, LogScaleMapsMatchUncachedFormulaBitwise) {
+  std::vector<Knob> knobs = {
+      Knob::Continuous("log", 0.5, 512.0, 16.0, true),
+      Knob::Continuous("tiny", 1e-6, 3e-3, 1e-4, true),
+      Knob::Integer("int_log", 1, 1 << 20, 64, true),
+      Knob::Integer("int_narrow", 3, 7, 5, true),
+  };
+  const ConfigurationSpace catalog = MySqlKnobCatalog();
+  for (const Knob& k : catalog.knobs()) {
+    if (k.log_scale()) knobs.push_back(k);
+  }
+  ASSERT_GT(knobs.size(), 8u);
+  for (const Knob& k : knobs) {
+    // Units across [0, 1], plus both clamped sides.
+    for (int i = -20; i <= 1020; ++i) {
+      const double unit = static_cast<double>(i) / 1000.0 + 1e-7 * (i % 7);
+      EXPECT_EQ(Bits(k.Decode(unit)), Bits(UncachedLogDecode(k, unit)))
+          << k.name() << " unit=" << unit;
+    }
+    // Native values geometrically across the domain, from below min to
+    // above max (Encode clips first).
+    const double ratio = std::pow(4.0 * k.max() / (0.25 * k.min()), 1.0 / 999.0);
+    double native = 0.25 * k.min();
+    for (int i = 0; i < 1000; ++i, native *= ratio) {
+      EXPECT_EQ(Bits(k.Encode(native)), Bits(UncachedLogEncode(k, native)))
+          << k.name() << " native=" << native;
+    }
+    EXPECT_EQ(Bits(k.Encode(k.min())), Bits(0.0)) << k.name();
+    EXPECT_EQ(Bits(k.Encode(k.max())), Bits(UncachedLogEncode(k, k.max())))
+        << k.name();
+  }
 }
 
 TEST(KnobTest, IntegerRoundsOnDecode) {
